@@ -16,8 +16,6 @@ int main() {
   using namespace bbpim;
   using engine::EngineKind;
 
-  bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  cfg.verbose = false;
   const host::HostConfig hcfg;
   const pim::PimConfig pim_cfg;
 

@@ -216,32 +216,6 @@ SnapshotManager& Database::snapshot_manager(const rel::Table& table,
   return *slot;
 }
 
-std::shared_ptr<const Plan> Database::find_plan(std::string_view sql) {
-  const std::uint64_t version = catalog_version();
-  std::lock_guard lock(plans_mutex_);
-  if (plans_version_ != version) {
-    plans_.clear();
-    plans_version_ = version;
-  }
-  const auto it = plans_.find(sql);
-  if (it == plans_.end()) return nullptr;
-  plan_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-void Database::cache_plan(std::shared_ptr<const Plan> plan) {
-  if (plan == nullptr) return;
-  const std::uint64_t version = catalog_version();
-  std::lock_guard lock(plans_mutex_);
-  if (plans_version_ != version) {
-    plans_.clear();
-    plans_version_ = version;
-  }
-  // First writer wins: two sessions that raced the same bind publish
-  // equivalent plans, and handles to the loser stay valid (shared_ptr).
-  plans_.emplace(plan->sql, std::move(plan));
-}
-
 std::shared_ptr<const Plan> Database::find_or_bind(
     std::string_view sql,
     const std::function<std::shared_ptr<const Plan>()>& bind) {

@@ -149,10 +149,6 @@ class Database {
   // moves (registration / default-target change can alter FROM resolution),
   // so a cached plan is always bound against the current catalog.
 
-  /// The cached plan for `sql`, or null. Counts a hit when found.
-  std::shared_ptr<const Plan> find_plan(std::string_view sql);
-  /// Publishes a freshly bound plan (first writer wins on a race).
-  void cache_plan(std::shared_ptr<const Plan> plan);
   /// The bind-once front door of the cache: returns the cached plan for
   /// `sql`, or runs `bind` to produce, publish, and return it. When N
   /// workers race an uncached text, exactly ONE runs `bind` — the rest
@@ -164,7 +160,7 @@ class Database {
       std::string_view sql,
       const std::function<std::shared_ptr<const Plan>()>& bind);
   std::size_t plan_cache_size();
-  /// find_plan calls that returned a plan (the observable half of the
+  /// find_or_bind calls served from the cache (the observable half of the
   /// prepare-once guarantee across workers).
   std::uint64_t plan_cache_hits() const {
     return plan_hits_.load(std::memory_order_relaxed);

@@ -11,6 +11,9 @@
 namespace bbpim::db {
 namespace {
 
+/// Upper bound of one retry backoff (see RetryOptions).
+constexpr std::uint64_t kRetryBackoffCapUs = 5'000;
+
 /// Rendezvous for warm_up: each worker executes exactly one warm task
 /// because no worker can finish its task before every worker has one.
 /// Cancellable: when warm_up fails to enqueue the full set (shutdown raced
@@ -376,8 +379,8 @@ void QueryService::run_task(Session& session, Task& task,
         std::lock_guard lock(mutex_);
         ++counters_.retries;
       }
-      const std::uint64_t backoff = std::min(
-          retry.backoff_base_us << attempt, retry.backoff_cap_us);
+      const std::uint64_t backoff =
+          std::min(retry.backoff_base_us << attempt, kRetryBackoffCapUs);
       if (backoff > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff));
       }

@@ -86,9 +86,8 @@ struct AdmissionOptions {
 struct RetryOptions {
   /// Re-executions after the first attempt. 0 disables retry.
   std::size_t max_retries = 2;
-  /// Backoff before retry k (1-based): min(base << (k-1), cap) microseconds.
+  /// Backoff before retry k (1-based): min(base << (k-1), 5 ms).
   std::uint64_t backoff_base_us = 200;
-  std::uint64_t backoff_cap_us = 5'000;
 };
 
 /// Shared-scan admission (the batch former). When enabled, a worker that
@@ -153,7 +152,7 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   // --- asynchronous serving ----------------------------------------------
-  /// Enqueues one statement on the default backend — SELECT or UPDATE; the
+  /// Enqueues one statement on the one-xb backend — SELECT or UPDATE; the
   /// pool serves mixed read/write traffic. An UPDATE executed by any worker
   /// goes through the table's SnapshotManager: Algorithm 1 runs once in the
   /// shared builder store under the exclusive writer gate, commits to the

@@ -87,20 +87,18 @@ class PimExecutor final : public Executor {
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
-    // The planner (Equation 3) is the only consumer of the fitted models;
-    // forced-k and ungrouped queries run model-free, exactly as the seed's
-    // ablation benches did.
-    if (q.has_group_by() && !opts.force_k.has_value()) ensure_models();
-    refresh();
-    engine::QueryOutput out = engine_.execute(q, opts);
-    observed_version_ = snap_->version();
-    return out;
+    engine::PimQueryEngine::BatchOutput out = execute_many({&q}, opts, {});
+    if (out.errors[0] != nullptr) std::rethrow_exception(out.errors[0]);
+    return std::move(out.outputs[0]);
   }
 
   engine::PimQueryEngine::BatchOutput execute_many(
       const std::vector<const sql::BoundQuery*>& queries,
       const engine::ExecOptions& opts,
       const std::vector<engine::CancelToken>& cancels) override {
+    // The planner (Equation 3) is the only consumer of the fitted models;
+    // forced-k and ungrouped queries run model-free, exactly as the seed's
+    // ablation benches did.
     bool grouped = false;
     for (const sql::BoundQuery* q : queries) grouped |= q->has_group_by();
     if (grouped && !opts.force_k.has_value()) ensure_models();
@@ -471,7 +469,7 @@ ResultSet PreparedStatement::execute(const engine::ExecOptions& opts) const {
   if (session_ == nullptr) {
     throw std::logic_error("PreparedStatement: not prepared by a session");
   }
-  return execute(session_->default_backend(), opts);
+  return execute(BackendKind::kOneXb, opts);
 }
 
 ResultSet PreparedStatement::execute(BackendKind backend,
@@ -561,27 +559,11 @@ Session::Session(Database& db, SessionOptions opts)
 Session::~Session() = default;
 
 PreparedStatement Session::prepare(std::string_view sql_text) {
-  std::lock_guard lock(plans_mutex_);
-  // Catalog mutations can change FROM resolution; drop plans bound against
-  // the old catalog rather than serving a stale target. The version is read
-  // once so a registration racing this prepare invalidates on the next call
-  // instead of leaving the cache permanently stale.
-  const std::uint64_t version = db_->catalog_version();
-  if (catalog_version_ != version) {
-    plans_.clear();
-    catalog_version_ = version;
-  }
-  auto it = plans_.find(sql_text);
-  if (it == plans_.end()) {
-    // Session miss: go through the Database-scope bind-once front door, so
-    // N sessions (QueryService workers) racing the same uncached statement
-    // bind it exactly once — one binds, the rest block on its claim and
-    // leave with the shared plan as cache hits.
-    std::shared_ptr<const Plan> plan = db_->find_or_bind(
-        sql_text, [&] { return build_plan(sql_text); });
-    it = plans_.emplace(plan->sql, std::move(plan)).first;
-  }
-  return PreparedStatement(*this, it->second);
+  // The Database-scope bind-once front door: N sessions (QueryService
+  // workers) racing the same uncached statement bind it exactly once, and
+  // a catalog change invalidates every plan bound against the old catalog.
+  return PreparedStatement(
+      *this, db_->find_or_bind(sql_text, [&] { return build_plan(sql_text); }));
 }
 
 std::shared_ptr<const Plan> Session::build_plan(std::string_view sql_text) {
@@ -676,6 +658,10 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
     stats.energy_controller_j += scan.stats.energy_controller_j;
     stats.energy_agg_circuit_j += scan.stats.energy_agg_circuit_j;
     stats.peak_chip_w = std::max(stats.peak_chip_w, scan.stats.peak_chip_w);
+    // Each scan is its own device epoch: the join's worst row is the worst
+    // row of any of its scans.
+    stats.wear_row_writes =
+        std::max(stats.wear_row_writes, scan.stats.wear_row_writes);
     stats.host_lines += scan.stats.host_lines;
     stats.pim_requests += scan.stats.pim_requests;
     stats.pages_skipped += scan.stats.pages_skipped;
@@ -685,6 +671,7 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
         scan.stats.predicates_short_circuited;
     stats.filter_cache_hits += scan.stats.filter_cache_hits;
     stats.filter_cache_misses += scan.stats.filter_cache_misses;
+    stats.classification_memo_hits += scan.stats.classification_memo_hits;
     inputs[t].columns = std::move(scan.columns);
   }
 
@@ -720,7 +707,7 @@ ResultSet Session::execute(std::string_view sql_text, BackendKind backend,
 std::vector<Session::BatchItem> Session::execute_batch(
     const std::vector<std::string>& sqls, const engine::ExecOptions& opts,
     const std::vector<engine::CancelToken>& cancels) {
-  return execute_batch(sqls, opts_.default_backend, opts, cancels);
+  return execute_batch(sqls, BackendKind::kOneXb, opts, cancels);
 }
 
 std::vector<Session::BatchItem> Session::execute_batch(
@@ -865,7 +852,7 @@ std::vector<Session::BatchItem> Session::execute_batch(
 }
 
 std::string Session::explain(std::string_view sql_text) {
-  return explain(sql_text, opts_.default_backend);
+  return explain(sql_text, BackendKind::kOneXb);
 }
 
 std::string Session::explain(std::string_view sql_text, BackendKind backend) {
@@ -886,10 +873,6 @@ std::string Session::explain(std::string_view sql_text, BackendKind backend) {
     return ss.str();
   }
   return executor_for(backend, st.target()).explain(st.bound());
-}
-
-void Session::set_default_backend(BackendKind backend) {
-  opts_.default_backend = backend;
 }
 
 Executor& Session::executor(BackendKind backend) {

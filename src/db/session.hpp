@@ -119,7 +119,6 @@ struct SessionOptions {
   host::HostConfig host;
   pim::PimConfig pim;
   engine::FitConfig fit = quick_fit_config();
-  BackendKind default_backend = BackendKind::kOneXb;
   /// Shared fit-once cache; a private one is created when null.
   std::shared_ptr<ModelCache> models;
   /// Disk cache location/tag for the private ModelCache ("" = memory only).
@@ -189,9 +188,10 @@ class Executor {
       const std::vector<sql::BoundPredicate>& filters);
 };
 
-/// Threading model: a session's plan cache, executor registry, and model
-/// lookups are mutex-guarded, so concurrent prepare()/models() calls — and
-/// sessions sharing one Database and ModelCache across threads — are safe.
+/// Threading model: a session's executor registry and model lookups are
+/// mutex-guarded and its plans live in the Database's shared cache, so
+/// concurrent prepare()/models() calls — and sessions sharing one Database
+/// and ModelCache across threads — are safe.
 /// Executing queries concurrently *through one session* is not: executors
 /// are stateful (private scratch pages, the pinned snapshot), so concurrent
 /// execute() on a single session requires external synchronization. Use one
@@ -208,14 +208,14 @@ class Session {
 
   // --- statements ---------------------------------------------------------
   /// Parses, resolves the target against the catalog, binds, and caches
-  /// the plan by SQL text — first in this session, then in the Database's
-  /// shared plan cache, so N workers preparing the same statement bind it
-  /// once. Accepts SELECT and UPDATE statements (an UPDATE resolves its
-  /// table name like a one-element FROM list); a SELECT whose FROM list
-  /// names two or more registered tables binds through the star-join
-  /// planner (sql::bind_join). Throws std::invalid_argument on syntax
-  /// errors, unknown/ambiguous columns, type mismatches, multiple
-  /// aggregates, non-star join graphs, or unencodable SET values.
+  /// the plan by SQL text in the Database's shared plan cache, so N workers
+  /// preparing the same statement bind it once. Accepts SELECT and UPDATE
+  /// statements (an UPDATE resolves its table name like a one-element FROM
+  /// list); a SELECT whose FROM list names two or more registered tables
+  /// binds through the star-join planner (sql::bind_join). Throws
+  /// std::invalid_argument on syntax errors, unknown/ambiguous columns,
+  /// type mismatches, multiple aggregates, non-star join graphs, or
+  /// unencodable SET values.
   PreparedStatement prepare(std::string_view sql_text);
   ResultSet execute(std::string_view sql_text,
                     const engine::ExecOptions& opts = {});
@@ -251,13 +251,11 @@ class Session {
       const engine::ExecOptions& opts = {},
       const std::vector<engine::CancelToken>& cancels = {});
 
-  /// EXPLAIN on the default (or given) PIM backend.
+  /// EXPLAIN on the one-xb (or given) PIM backend.
   std::string explain(std::string_view sql_text);
   std::string explain(std::string_view sql_text, BackendKind backend);
 
   // --- backends -----------------------------------------------------------
-  BackendKind default_backend() const { return opts_.default_backend; }
-  void set_default_backend(BackendKind backend);
   /// The executor of `backend` over the default target relation.
   Executor& executor(BackendKind backend);
   Executor& executor(BackendKind backend, std::string_view table);
@@ -295,13 +293,9 @@ class Session {
   Database* db_;
   SessionOptions opts_;
   std::shared_ptr<ModelCache> model_cache_;
-  /// Guards plans_ and catalog_version_.
-  std::mutex plans_mutex_;
   /// Guards executors_; held across executor construction so a backend's
   /// first touch (PIM store load) happens exactly once per (backend, table).
   std::mutex executors_mutex_;
-  std::uint64_t catalog_version_ = 0;
-  std::map<std::string, std::shared_ptr<const Plan>, std::less<>> plans_;
   std::map<std::pair<BackendKind, const rel::Table*>,
            std::unique_ptr<Executor>>
       executors_;

@@ -24,8 +24,8 @@ namespace bbpim::db {
 class Session;
 
 /// A parsed and bound statement pinned to its target relation(s). Immutable
-/// and shared between the Database-scope plan cache, every session's local
-/// cache, and every statement handle.
+/// and shared between the Database-scope plan cache and every statement
+/// handle.
 struct Plan {
   std::string sql;
   sql::Statement::Kind kind = sql::Statement::Kind::kSelect;
@@ -46,7 +46,7 @@ class PreparedStatement {
  public:
   PreparedStatement() = default;
 
-  /// Executes on the session's default backend.
+  /// Executes on the one-xb backend.
   ResultSet execute(const engine::ExecOptions& opts = {}) const;
   /// Executes on an explicit backend. UPDATE statements require a PIM
   /// backend (the host baselines read the immutable catalog table and

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -58,17 +56,14 @@ namespace {
 
 class Execution {
  public:
-  /// `shared_allocs` (one ColumnAlloc per part) switches this execution into
-  /// batch mode: scratch columns come from the batch's shared allocators —
-  /// private allocators would hand different queries the same physical
-  /// columns — and nothing else changes. nullptr (solo) builds private ones.
-  /// `cancel_override` (batch mode) replaces the token resolve_cancel would
-  /// derive from `opts` — each fused member checks its own token.
+  /// One member of a pass. `allocs` (one ColumnAlloc per part) are the
+  /// pass's scratch allocators: every member draws from the same set, so no
+  /// two members are ever handed the same physical column. `cancel` is the
+  /// member's own abort token — each member checks only its own.
   Execution(EngineKind kind, PimStore& store, const host::HostConfig& hcfg,
             const LatencyModels& models, const sql::BoundQuery& q,
-            const ExecOptions& opts,
-            std::vector<pim::ColumnAlloc>* shared_allocs = nullptr,
-            const CancelToken* cancel_override = nullptr)
+            const ExecOptions& opts, std::vector<pim::ColumnAlloc>& allocs,
+            CancelToken cancel)
       : kind_(kind),
         store_(store),
         cfg_(store.module().config()),
@@ -76,103 +71,99 @@ class Execution {
         models_(models),
         q_(q),
         opts_(opts),
+        allocs_(allocs),
         sim_threads_(resolve_threads(opts.sim_threads.value_or(hcfg.sim_threads))),
         vectorized_(!opts.sim_scalar),
         prune_(opts.prune.value_or(hcfg.prune)),
-        wallprof_(std::getenv("BBPIM_SIM_WALLPROF") != nullptr) {
-    cancel_ = cancel_override != nullptr ? *cancel_override
-                                         : resolve_cancel(opts);
-    if (shared_allocs != nullptr) {
-      alloc_src_ = shared_allocs;
-    } else {
-      for (int part = 0; part < store_.parts(); ++part) {
-        allocs_.push_back(store_.layout(part).make_alloc());
-      }
-      alloc_src_ = &allocs_;
-    }
+        cancel_(std::move(cancel)) {
     // Selectivity-ordered execution: predicates compile most-selective
     // first (sketch-estimated; deterministic). AND is commutative and each
     // predicate costs the same cycles at any position, so rows and modeled
     // stats are unchanged — the order is what EXPLAIN shows and what the
     // zone-map classifier meets first.
     filters_ = order_by_selectivity(q.filters, store);
-    all_pages_.resize(store.pages_per_part());
-    for (std::size_t p = 0; p < all_pages_.size(); ++p) all_pages_[p] = p;
     if (prune_) {
       // Memoized classification: batch members sharing a WHERE — and
       // repeated executions against the same store version — reuse one
       // analysis instead of re-classifying every (page, predicate) pair.
       analysis_ = analyze_filters_cached(filters_, store,
                                          &stats_.classification_memo_hits);
-      for (std::size_t p = 0; p < all_pages_.size(); ++p) {
-        if (!analysis_->page_skip[p]) active_pages_.push_back(p);
-      }
-    } else {
-      active_pages_ = all_pages_;
     }
-    mask_ready_.assign(all_pages_.size(), 0);
+    for (std::size_t p = 0; p < pages(); ++p) {
+      if (!prune_ || !analysis_->page_skip[p]) active_pages_.push_back(p);
+    }
+    mask_ready_.assign(pages(), 0);
   }
 
-  QueryOutput run();
+  // --- the pass -------------------------------------------------------------
+  // Every execution — a solo SELECT, a join's per-table scan, a shared-scan
+  // batch — is a pass of one or more members over one store, in three
+  // stages. Stage 1, per member in order: the WHERE is analyzed and compiled
+  // (no gate program runs). Stage 2, once: run_fused_filter() walks the
+  // store page by page and runs every member's gate program back to back
+  // per crossbar visit, journaling energy and traces per (visit, member).
+  // Stage 3, per member in order: the member's tail (finish_query or
+  // finish_scan) schedules its own traces into its own clock and runs the
+  // rest of the query. Per-member meters, trackers, and clocks mean a
+  // member's modeled cost comes entirely from its own work — a batchmate is
+  // never billed.
 
-  /// Filter-only scan: filter phase, residual bit-vector read, survivor
-  /// walk reading back `attrs` (see PimQueryEngine::execute_scan).
-  ScanOutput run_scan(const std::vector<std::size_t>& attrs);
+  /// Runs one pass over `queries` (one member each, tokens aligned) and
+  /// calls `finish(i, member)` for every member in order; the members (and
+  /// the pass's allocators) live until the last tail returns.
+  template <typename Finish>
+  static void run_pass(PimQueryEngine& engine,
+                       const std::vector<const sql::BoundQuery*>& queries,
+                       const ExecOptions& opts,
+                       const std::vector<CancelToken>& tokens,
+                       Finish&& finish) {
+    PimStore& store = engine.store();
+    std::vector<pim::ColumnAlloc> allocs;
+    for (int part = 0; part < store.parts(); ++part) {
+      allocs.push_back(store.layout(part).make_alloc());
+    }
+    std::vector<Execution> members;
+    members.reserve(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      members.emplace_back(engine.kind(), store, engine.host_config(),
+                           engine.models(), *queries[i], opts, allocs,
+                           tokens[i]);
+    }
+    for (const Execution& m : members) m.cancel_.check();
+    // One wear epoch per pass: the tails must not reset it again or they
+    // would erase the fused pass's writes.
+    store.module().reset_wear();
+    for (Execution& m : members) {
+      // A lone SELECT allocates its result/count fields before compiling
+      // its WHERE (a scan, AggFunc::kNone, has none); members of a larger
+      // pass defer that to their tails, because allocating every member's
+      // fields up front would exhaust the shared scratch space. The order
+      // is not cosmetic: it decides where the fields sit, and with that the
+      // modeled pim-gb result readback.
+      if (members.size() == 1 && m.q_.agg_func != sql::AggFunc::kNone) {
+        m.build_agg_passes();
+      }
+      m.filter_compile();
+    }
+    run_fused_filter(members);
+    for (std::size_t i = 0; i < members.size(); ++i) finish(i, members[i]);
+  }
 
-  // --- shared-scan batching -------------------------------------------------
-  // A batch executes in three stages. Stage 1, per member in batch order:
-  // batch_prepare() analyzes and compiles the member's WHERE (no gate
-  // program runs). Stage 2, once: run_fused_filter() walks the store page by
-  // page and runs every member's gate program back to back per crossbar
-  // visit, journaling energy and traces per (visit, member). Stage 3, per
-  // member in batch order: batch_finish() schedules the member's own traces
-  // into its own clock and runs the rest of the query exactly as run()
-  // would. Per-member meters, trackers, and clocks mean a member's modeled
-  // cost comes entirely from its own work — a batchmate is never billed.
+  /// Stage 3 of a SELECT: the filter tail, the aggregation plan, and the
+  /// rest of the query. Releases every scratch column still held so the
+  /// shared allocator is clean for the next member's tail.
+  QueryOutput finish_query();
 
-  /// Stage 1: predicate analysis, program compilation (through the shared
-  /// filter cache), always-true page synthesis. Caller resets module wear
-  /// once per batch before any stage-2 program runs.
-  void batch_prepare() { filter_compile(); }
-
-  /// Stage 2: the fused pass. Visits every (part, page) some member runs
-  /// on, in part-major page-ascending order — each member's subsequence is
-  /// exactly its solo job order, which is what keeps its meter replay and
-  /// trace schedule bit-identical in shape to a solo run. Members' programs
-  /// within one visit run sequentially in batch order (programs may share
-  /// released temp columns; sequencing makes the reuse safe), visits run in
-  /// parallel under the batch's sim-thread budget with per-(visit, member)
-  /// journal meters replayed deterministically afterwards.
-  static void run_fused_filter(const std::vector<Execution*>& execs);
-
-  /// Stage 3: schedules this member's fused traces (same order and window
-  /// parameters its solo logic_phase would use), combines part results,
-  /// builds the aggregation plan, and finishes the query. Releases every
-  /// scratch column still held so the shared allocator is clean for the
-  /// next member's tail.
-  QueryOutput batch_finish();
+  /// Stage 3 of a filter-only scan: the filter tail, the residual bit-vector
+  /// read, and the survivor walk reading back `attrs` (see
+  /// PimQueryEngine::execute_scan).
+  ScanOutput finish_scan(const std::vector<std::size_t>& attrs);
 
  private:
   // --- small helpers --------------------------------------------------------
   std::size_t pages() const { return store_.pages_per_part(); }
   std::uint32_t rows() const { return cfg_.crossbar_rows; }
-  pim::ColumnAlloc& alloc(int part) { return (*alloc_src_)[part]; }
-
-  /// Wall-clock phase instrumentation of the simulation itself (not the
-  /// modeled time), printed to stderr when BBPIM_SIM_WALLPROF is set.
-  template <typename Fn>
-  void wall(const char* name, Fn&& fn) {
-    if (!wallprof_) {
-      fn();
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    std::fprintf(stderr, "[sim-wall] %-12s %8.3f ms\n", name,
-                 std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-  }
+  pim::ColumnAlloc& alloc(int part) { return allocs_[part]; }
 
   void advance_clock(TimeNs phase_end, TimeNs* slot) {
     const TimeNs dur = phase_end - clock_ + hcfg_.phase_overhead_ns;
@@ -218,62 +209,40 @@ class Execution {
     for (const pim::EnergyMeter& m : meters) m.replay_into(meter_);
   }
 
-  /// One program of a logic phase: the gate program (costed) plus its
-  /// optional word-level semantic twin (fast functional evaluation), run on
-  /// `run_pages` (nullptr = every page).
-  struct PhaseProg {
-    int part;
-    const pim::MicroProgram* prog;
-    const pim::WordProgram* words = nullptr;
-    const std::vector<std::size_t>* run_pages = nullptr;
-  };
-
-  /// Runs a micro-program on the selected pages of selected parts as one
-  /// phase. Pages absent from a program's run list get no request, no
-  /// modeled cost, and no functional effect — zone-map pruning in action.
-  void logic_phase(const std::vector<PhaseProg>& part_programs, TimeNs* slot) {
-    struct Job {
-      const PhaseProg* pp;
-      std::size_t page;
-    };
-    std::vector<Job> jobs;
-    for (const PhaseProg& pp : part_programs) {
-      if (pp.prog == nullptr || pp.prog->empty()) continue;
-      const std::vector<std::size_t>& run =
-          pp.run_pages != nullptr ? *pp.run_pages : all_pages_;
-      for (const std::size_t p : run) jobs.push_back({&pp, p});
-    }
-    if (jobs.empty()) return;
+  /// Runs a micro-program (costed) with its word-level semantic twin (fast
+  /// functional evaluation) on the listed pages of one part as one phase.
+  /// Unlisted pages get no request, no modeled cost, and no functional
+  /// effect — zone-map pruning in action.
+  void logic_phase(int part, const pim::MicroProgram& prog,
+                   const pim::WordProgram* words,
+                   const std::vector<std::size_t>& on_pages, TimeNs* slot) {
+    if (prog.empty() || on_pages.empty()) return;
     // Cooperative checkpoint + fault seam at page-loop entry: unwinding here
     // is clean (no job has touched a crossbar yet), and the check stays off
     // the per-page kernels.
     cancel_.check();
     fault_point(FaultSeam::kCrossbarVisit);
-    std::vector<pim::RequestTrace> traces(jobs.size());
-    run_jobs(jobs.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
-      const Job& j = jobs[i];
-      traces[i] =
-          pim::execute_program(store_.page(j.pp->part, j.page), *j.pp->prog,
-                               cfg_, &meter, vectorized_, j.pp->words);
+    std::vector<pim::RequestTrace> traces(on_pages.size());
+    run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
+      traces[i] = pim::execute_program(store_.page(part, on_pages[i]), prog,
+                                       cfg_, &meter, vectorized_, words);
     });
     schedule_phase(traces, hcfg_.request_window, hcfg_.issue_ns, slot);
   }
 
   /// Reads one bit column of the listed pages of a part (host streaming
-  /// reads; nullptr = every page). The returned vector is indexed by page;
-  /// unread pages hold empty BitVecs — their select is statically empty, so
-  /// no readback is modeled (or performed) for them.
+  /// reads). The returned vector is indexed by page; unread pages hold
+  /// empty BitVecs — their select is statically empty, so no readback is
+  /// modeled (or performed) for them.
   std::vector<BitVec> read_column_phase(
-      int part, std::uint16_t col, TimeNs* slot,
-      const std::vector<std::size_t>* pages_list = nullptr) {
-    const std::vector<std::size_t>& run =
-        pages_list != nullptr ? *pages_list : all_pages_;
+      int part, std::uint16_t col, const std::vector<std::size_t>& on_pages,
+      TimeNs* slot) {
     cancel_.check();
     fault_point(FaultSeam::kReadback);
     std::vector<BitVec> out(pages());
-    std::vector<pim::RequestTrace> traces(run.size());
-    run_jobs(run.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
-      const std::size_t p = run[i];
+    std::vector<pim::RequestTrace> traces(on_pages.size());
+    run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
+      const std::size_t p = on_pages[i];
       traces[i] =
           pim::read_bit_column(store_.page(part, p), col, hcfg_.line_stream_ns,
                                cfg_, &meter, &out[p], vectorized_);
@@ -286,13 +255,12 @@ class Execution {
   /// Writes per-page bit vectors into a column of a part (two-xb transfer);
   /// `bits` is indexed by page, only the listed pages are written.
   void write_column_phase(int part, std::uint16_t col,
-                          const std::vector<BitVec>& bits, TimeNs* slot,
-                          const std::vector<std::size_t>* pages_list = nullptr) {
-    const std::vector<std::size_t>& run =
-        pages_list != nullptr ? *pages_list : all_pages_;
-    std::vector<pim::RequestTrace> traces(run.size());
-    run_jobs(run.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
-      const std::size_t p = run[i];
+                          const std::vector<BitVec>& bits,
+                          const std::vector<std::size_t>& on_pages,
+                          TimeNs* slot) {
+    std::vector<pim::RequestTrace> traces(on_pages.size());
+    run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
+      const std::size_t p = on_pages[i];
       traces[i] = pim::write_bit_column(store_.page(part, p), col, bits[p],
                                         hcfg_.line_stream_ns, cfg_, &meter,
                                         vectorized_);
@@ -351,23 +319,21 @@ class Execution {
   }
 
   // --- phases ---------------------------------------------------------------
-  /// Filter front half: prune stats, program compilation (filter cache),
-  /// per-part run-page and pending-synthesis lists. No gate program runs.
+  /// Stage 1: prune stats, program compilation (filter cache), per-part
+  /// run-page and pending-synthesis lists. No gate program runs.
   void filter_compile();
-  /// Copies the validity column into the result column of every page queued
-  /// in synth_pages_ (see that member for why this runs after the gate
-  /// programs, never before).
-  void synthesize_pending();
-  /// Filter back half: part combination (two-xb transfer + AND) and the
-  /// selected-record popcount. Requires the gate programs to have run and
-  /// synthesize_pending() to have been called.
-  void filter_combine();
-  /// filter_compile + the solo gate-program phase + filter_combine; the
-  /// batch path replaces the middle step with the fused pass.
-  void filter_phase();
-  /// Everything run() does after the filter phase: aggregation, planning,
-  /// group-by, finalize, planner-input export, stats epilogue.
-  QueryOutput finish_run();
+  /// Stage 2: the fused pass. Visits every (part, page) some member runs
+  /// on, in part-major page-ascending order, so each member's subsequence
+  /// of visits is its own page order whatever its batchmates run. Members'
+  /// programs within one visit run sequentially in member order (programs
+  /// may share released temp columns; sequencing makes the reuse safe),
+  /// visits run in parallel under the pass's sim-thread budget with
+  /// per-(visit, member) journal meters replayed deterministically after.
+  static void run_fused_filter(std::vector<Execution>& members);
+  /// The filter's tail, first in stage 3: schedules this member's fused
+  /// traces, synthesizes its always-true pages, combines part results
+  /// (two-xb transfer + AND), and counts the selected records.
+  void filter_finish();
   void build_agg_passes();
   void no_groupby_aggregate();
   void sample_phase();
@@ -376,8 +342,8 @@ class Execution {
   void pim_gb_phase();
   void host_gb_phase();
   void finalize_phase();
-  /// Stats epilogue shared by run() and run_scan(): modeled total, energy
-  /// breakdown, peak chip power, wear.
+  /// Stats epilogue shared by both tails: modeled total, energy breakdown,
+  /// peak chip power, wear.
   void finish_stats();
 
   /// Aggregates one pass over `select_col` on the listed pages; returns the
@@ -436,34 +402,29 @@ class Execution {
   const sql::BoundQuery& q_;
   const ExecOptions& opts_;
 
-  std::vector<pim::ColumnAlloc> allocs_;   ///< private scratch (solo mode)
-  /// Where alloc() draws from: &allocs_ solo, the batch's shared set fused.
-  std::vector<pim::ColumnAlloc>* alloc_src_ = nullptr;
+  std::vector<pim::ColumnAlloc>& allocs_;  ///< the pass's, one per part
   unsigned sim_threads_ = 1;  ///< resolved simulation thread budget
   bool vectorized_ = true;    ///< fast kernels (off for the scalar baseline)
   bool prune_ = false;        ///< zone-map data skipping for this execution
-  bool wallprof_ = false;     ///< BBPIM_SIM_WALLPROF phase instrumentation
   /// q_.filters reordered most-selective-first (what actually compiles).
   std::vector<sql::BoundPredicate> filters_;
   /// Shared (memoized) when prune_; nullptr otherwise.
   std::shared_ptr<const FilterPruneAnalysis> analysis_;
-  std::vector<std::size_t> all_pages_;     ///< 0 .. pages()-1
   std::vector<std::size_t> active_pages_;  ///< pages the filter executes on
   std::vector<std::uint8_t> mask_ready_;   ///< mask_col_ initialized per page
-  /// Compiled per-part WHERE programs (filter_compile -> combine/fused pass).
+  /// Compiled per-part WHERE programs (filter_compile -> fused pass).
   std::vector<std::shared_ptr<const CompiledFilter>> compiled_;
   /// Per-part pages whose gate program actually runs (active minus synth).
   std::vector<std::vector<std::size_t>> run_pages_;
   /// Per-part pages whose predicate subset is provably always-true, awaiting
-  /// validity-copy synthesis. Deferred until after the gate programs ran:
-  /// in a batch, a batchmate's program may reuse this member's result column
-  /// as a released temp on pages this member never visits — synthesizing
-  /// before the fused pass would let that trample the copied bits. (Solo
-  /// runs synthesize between compile and the logic phase, as always.)
+  /// validity-copy synthesis. Deferred until after the fused pass: a
+  /// batchmate's program may reuse this member's result column as a
+  /// released temp on pages this member never visits — synthesizing before
+  /// the pass would let that trample the copied bits.
   std::vector<std::vector<std::size_t>> synth_pages_;
   bool skip_transfer_ = false;  ///< two-xb: part 1 provably all-true
-  /// Fused-pass traces of THIS member, in its solo job order; scheduled by
-  /// batch_finish into the member's own clock.
+  /// Fused-pass traces of THIS member, in its page order; scheduled by
+  /// filter_finish into the member's own clock.
   std::vector<pim::RequestTrace> pending_traces_;
   pim::EnergyMeter meter_;
   pim::PowerTracker tracker_;
@@ -554,17 +515,23 @@ void Execution::filter_compile() {
   }
 }
 
-void Execution::synthesize_pending() {
+void Execution::filter_finish() {
+  // The member's fused traces schedule as one phase on its own clock. An
+  // empty list (everything synthesized or pruned) means no phase at all.
+  if (!pending_traces_.empty()) {
+    schedule_phase(pending_traces_, hcfg_.request_window, hcfg_.issue_ns,
+                   &stats_.phases.filter);
+    pending_traces_.clear();
+  }
+  // Synthesis waits until the member's own tail: every batchmate program
+  // that could reuse this member's result column as a temp has already run.
   for (int part = 0; part < store_.parts(); ++part) {
     if (!synth_pages_[part].empty()) {
       synthesize_column(part, compiled_[part]->result_col, synth_pages_[part],
                         /*valid_copy=*/true);
-      synth_pages_[part].clear();
     }
   }
-}
 
-void Execution::filter_combine() {
   if (store_.parts() == 1) {
     r_col_ = compiled_[0]->result_col;
   } else if (skip_transfer_) {
@@ -574,16 +541,15 @@ void Execution::filter_combine() {
     // two-xb: ship part 1's bits through the host and AND them into part 0.
     transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
     const std::vector<BitVec> bits = read_column_phase(
-        1, compiled_[1]->result_col, &stats_.phases.transfer, &active_pages_);
-    write_column_phase(0, transfer_chunk_->offset, bits,
-                       &stats_.phases.transfer, &active_pages_);
+        1, compiled_[1]->result_col, active_pages_, &stats_.phases.transfer);
+    write_column_phase(0, transfer_chunk_->offset, bits, active_pages_,
+                       &stats_.phases.transfer);
     pim::ProgramBuilder pb(alloc(0));
     const std::uint16_t combined =
         pb.emit_and(compiled_[0]->result_col, transfer_chunk_->offset);
     const pim::WordProgram wp = {pim::WordOp::and_op(
         compiled_[0]->result_col, transfer_chunk_->offset, combined)};
-    const pim::MicroProgram prog = pb.take();
-    logic_phase({{0, &prog, &wp, &active_pages_}}, &stats_.phases.transfer);
+    logic_phase(0, pb.take(), &wp, active_pages_, &stats_.phases.transfer);
     alloc(0).release(compiled_[0]->result_col);
     alloc(1).release(compiled_[1]->result_col);
     r_col_ = combined;
@@ -608,21 +574,6 @@ void Execution::filter_combine() {
   stats_.selected_records = selected;
   stats_.selectivity =
       static_cast<double>(selected) / static_cast<double>(store_.record_count());
-}
-
-void Execution::filter_phase() {
-  filter_compile();
-  {
-    std::vector<PhaseProg> progs;
-    for (int part = 0; part < store_.parts(); ++part) {
-      if (part == 1 && skip_transfer_) continue;
-      progs.push_back({part, &compiled_[part]->program, &compiled_[part]->words,
-                       &run_pages_[part]});
-    }
-    logic_phase(progs, &stats_.phases.filter);
-  }
-  synthesize_pending();
-  filter_combine();
 }
 
 // ---------------------------------------------------------------------------
@@ -880,13 +831,13 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     CompiledFilter match1 =
         compile_group_match(q_.group_by, key, store_.layout(1), alloc(1));
     if (match1.predicate_count > 0) {
-      logic_phase({{1, &match1.program, &match1.words, on}}, slot);
+      logic_phase(1, match1.program, &match1.words, *on, slot);
       const std::vector<BitVec> bits =
-          read_column_phase(1, match1.result_col, slot, on);
+          read_column_phase(1, match1.result_col, *on, slot);
       if (!transfer_chunk_) {
         transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
       }
-      write_column_phase(0, transfer_chunk_->offset, bits, slot, on);
+      write_column_phase(0, transfer_chunk_->offset, bits, *on, slot);
       have_transfer = true;
     }
     alloc(1).release(match1.result_col);
@@ -960,10 +911,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
       owned_selects.push_back(pass_select[i]);
     }
   }
-  {
-    const pim::MicroProgram prog = pb.take();
-    logic_phase({{0, &prog, &wp, on}}, slot);
-  }
+  logic_phase(0, pb.take(), &wp, *on, slot);
   if (update_mask) {
     for (const std::size_t p : *on) mask_ready_[p] = 1;
   }
@@ -1235,12 +1183,11 @@ void Execution::host_gb_phase() {
     const pim::WordProgram wp = {
         pim::WordOp::andnot_op(r_col_, mask_col_, residual)};
     residual_owned = true;
-    const pim::MicroProgram prog = pb.take();
-    logic_phase({{0, &prog, &wp, &active_pages_}}, slot);
+    logic_phase(0, pb.take(), &wp, active_pages_, slot);
   }
 
   const std::vector<BitVec> bits =
-      read_column_phase(0, residual, slot, &active_pages_);
+      read_column_phase(0, residual, active_pages_, slot);
 
   const auto chunks = chunk_set(host_read_attrs());
   std::size_t processed = 0;
@@ -1462,10 +1409,7 @@ void Execution::no_groupby_aggregate() {
         any = true;
       }
     }
-    if (any) {
-      const pim::MicroProgram prog = pb.take();
-      logic_phase({{0, &prog, &wp, &active_pages_}}, slot);
-    }
+    if (any) logic_phase(0, pb.take(), &wp, active_pages_, slot);
   }
 
   std::int64_t total = 0;
@@ -1515,15 +1459,12 @@ void Execution::finalize_phase() {
 // Top level
 // ---------------------------------------------------------------------------
 
-QueryOutput Execution::run() {
-  cancel_.check();
-  store_.module().reset_wear();
-  wall("agg_passes", [&] { build_agg_passes(); });
-  wall("filter", [&] { filter_phase(); });
-  return finish_run();
-}
-
-QueryOutput Execution::finish_run() {
+QueryOutput Execution::finish_query() {
+  filter_finish();
+  // A lone member built its aggregation passes before the filter (see
+  // run_pass); in a larger pass the tail allocates them here, reusing the
+  // columns released by the previous member's tail.
+  if (passes_.empty()) build_agg_passes();
   cancel_.check();
   // Early-exit aggregation on statically empty selects: every page was
   // skipped by the zone maps, so the host knows — without one PIM request —
@@ -1537,25 +1478,25 @@ QueryOutput Execution::finish_run() {
     if (statically_empty) {
       rows_.push_back(ResultRow{{}, 0});
     } else {
-      wall("no_gb_agg", [&] { no_groupby_aggregate(); });
+      no_groupby_aggregate();
     }
     stats_.total_subgroups = 1;  // Table II: Q1.x aggregate once, in PIM
     stats_.pim_subgroups = 1;
   } else {
-    wall("sample", [&] { sample_phase(); });
-    wall("candidates", [&] { build_candidates(); });
-    wall("plan", [&] { plan_phase(); });
+    sample_phase();
+    build_candidates();
+    plan_phase();
     if (statically_empty) {
       stats_.pim_subgroups = chosen_k_;
     } else {
-      wall("pim_gb", [&] { pim_gb_phase(); });
+      pim_gb_phase();
       const bool pure_pim =
           candidates_complete_ && chosen_k_ == candidates_.size();
       if (!pure_pim && !opts_.skip_host_gb) {
-        wall("host_gb", [&] { host_gb_phase(); });
+        host_gb_phase();
       }
     }
-    wall("finalize", [&] { finalize_phase(); });
+    finalize_phase();
   }
 
   // Export the planner inputs for offline Equation-3 re-evaluation.
@@ -1573,6 +1514,13 @@ QueryOutput Execution::finish_run() {
   QueryOutput out;
   out.rows = std::move(rows_);
   out.stats = stats_;
+
+  // Return held scratch to the shared allocator for the next member's tail.
+  alloc(0).release(r_col_);
+  if (transfer_chunk_) alloc(0).release_field(*transfer_chunk_);
+  alloc(0).release_field(result_field_);
+  alloc(0).release_field(count_field_);
+  if (mask_valid_) alloc(0).release(mask_col_);
   return out;
 }
 
@@ -1590,10 +1538,10 @@ void Execution::finish_stats() {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-scan batching (stages 2 and 3; see the public section above)
+// The fused filter pass (stage 2; see the public section above)
 // ---------------------------------------------------------------------------
 
-void Execution::run_fused_filter(const std::vector<Execution*>& execs) {
+void Execution::run_fused_filter(std::vector<Execution>& members) {
   struct MemberProg {
     Execution* exec;
     const pim::MicroProgram* prog;
@@ -1602,45 +1550,45 @@ void Execution::run_fused_filter(const std::vector<Execution*>& execs) {
   struct Visit {
     int part;
     std::size_t page;
-    std::vector<MemberProg> progs;  ///< batch order
+    std::vector<MemberProg> progs;  ///< member order
   };
 
-  Execution& lead = *execs.front();
+  Execution& lead = members.front();
   const int parts = lead.store_.parts();
   const std::size_t pages = lead.pages();
 
   // Visit assembly, part-major page-ascending: a member's subsequence of
-  // visits is then exactly its solo job order (run_pages_ lists ascend), so
-  // its meter replay and trace schedule below match a solo run's shape.
+  // visits is then exactly its own page order (run_pages_ lists ascend), so
+  // its meter replay and trace schedule below do not depend on batchmates.
   std::vector<Visit> visits;
   for (int part = 0; part < parts; ++part) {
-    std::vector<std::vector<std::uint8_t>> member_runs(execs.size());
-    for (std::size_t m = 0; m < execs.size(); ++m) {
-      Execution* e = execs[m];
-      if (part == 1 && e->skip_transfer_) continue;
-      if (e->compiled_[part]->program.empty()) continue;
-      if (e->run_pages_[part].empty()) continue;
+    std::vector<std::vector<std::uint8_t>> member_runs(members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const Execution& e = members[m];
+      if (part == 1 && e.skip_transfer_) continue;
+      if (e.compiled_[part]->program.empty()) continue;
+      if (e.run_pages_[part].empty()) continue;
       member_runs[m].assign(pages, 0);
-      for (const std::size_t p : e->run_pages_[part]) member_runs[m][p] = 1;
+      for (const std::size_t p : e.run_pages_[part]) member_runs[m][p] = 1;
     }
     for (std::size_t pg = 0; pg < pages; ++pg) {
       Visit v{part, pg, {}};
-      for (std::size_t m = 0; m < execs.size(); ++m) {
+      for (std::size_t m = 0; m < members.size(); ++m) {
         if (member_runs[m].empty() || !member_runs[m][pg]) continue;
-        v.progs.push_back({execs[m], &execs[m]->compiled_[part]->program,
-                           &execs[m]->compiled_[part]->words});
+        v.progs.push_back({&members[m], &members[m].compiled_[part]->program,
+                           &members[m].compiled_[part]->words});
       }
       if (!v.progs.empty()) visits.push_back(std::move(v));
     }
   }
   if (visits.empty()) return;
 
-  // A member cancelled before the fused pass aborts the whole batch here;
-  // PimQueryEngine::execute_batch's fallback then re-runs every member solo,
-  // so batchmates still get their exact rows and stats. The fused pass is a
-  // crossbar-visit seam of its own: an injected fault here exercises the
-  // same fallback.
-  for (Execution* e : execs) e->cancel_.check();
+  // A member cancelled before the fused pass aborts the whole pass here;
+  // PimQueryEngine::execute_batch's fallback then re-runs every member as a
+  // pass of its own, so batchmates still get their exact rows and stats.
+  // The fused pass is a crossbar-visit seam of its own: an injected fault
+  // here exercises the same fallback.
+  for (const Execution& e : members) e.cancel_.check();
   fault_point(FaultSeam::kCrossbarVisit);
 
   // Flat (visit, member) slots. Journal meters always — even single-thread —
@@ -1667,9 +1615,9 @@ void Execution::run_fused_filter(const std::vector<Execution*>& execs) {
                                mp.exec->vectorized_, mp.words);
     }
   };
-  // Visits touch disjoint (part, page) state, so they parallelize exactly
-  // like solo filter jobs do. The batch shares one thread budget (admission
-  // only groups executions with identical options).
+  // Visits touch disjoint (part, page) state, so they parallelize like any
+  // page loop. The pass shares one thread budget (admission only groups
+  // executions with identical options).
   const unsigned threads = lead.sim_threads_;
   if (threads <= 1 || visits.size() <= 1) {
     for (std::size_t vi = 0; vi < visits.size(); ++vi) run_visit(vi);
@@ -1682,8 +1630,8 @@ void Execution::run_fused_filter(const std::vector<Execution*>& execs) {
 
   // Demux: each slot's energy replays into its member's own meter and its
   // trace joins the member's own pending list, in visit order — a member is
-  // billed for exactly the work its solo run would have done. A visit that
-  // served two or more members counts as a fused page pass for each.
+  // billed for exactly its own work. A visit that served two or more
+  // members counts as a fused page pass for each.
   for (std::size_t vi = 0; vi < visits.size(); ++vi) {
     const bool shared = visits[vi].progs.size() > 1;
     for (std::size_t i = 0; i < visits[vi].progs.size(); ++i) {
@@ -1695,49 +1643,12 @@ void Execution::run_fused_filter(const std::vector<Execution*>& execs) {
   }
 }
 
-QueryOutput Execution::batch_finish() {
-  // The member's fused traces schedule exactly as its solo logic_phase
-  // would have: same order, same window parameters, its own clock from 0.
-  // An empty list (everything synthesized or pruned) means no phase at all,
-  // matching logic_phase's early return.
-  if (!pending_traces_.empty()) {
-    schedule_phase(pending_traces_, hcfg_.request_window, hcfg_.issue_ns,
-                   &stats_.phases.filter);
-    pending_traces_.clear();
-  }
-  // Synthesis waits until the member's own tail: every batchmate program
-  // that could reuse this member's result column as a temp has already run.
-  synthesize_pending();
-  filter_combine();
-  // Deferred from run()'s prologue: allocating every member's result/count
-  // fields up front would exhaust the shared scratch space; allocating in
-  // the tail reuses the columns released by the previous member's tail.
-  build_agg_passes();
-  QueryOutput out = finish_run();
-
-  // Return held scratch to the shared allocator for the next member's tail.
-  alloc(0).release(r_col_);
-  if (transfer_chunk_) {
-    alloc(0).release_field(*transfer_chunk_);
-    transfer_chunk_.reset();
-  }
-  alloc(0).release_field(result_field_);
-  alloc(0).release_field(count_field_);
-  if (mask_valid_) {
-    alloc(0).release(mask_col_);
-    mask_valid_ = false;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Filter-only scan (join feeder)
 // ---------------------------------------------------------------------------
 
-ScanOutput Execution::run_scan(const std::vector<std::size_t>& attrs) {
-  cancel_.check();
-  store_.module().reset_wear();
-  filter_phase();
+ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
+  filter_finish();
 
   ScanOutput out;
   out.columns.resize(attrs.size());
@@ -1747,7 +1658,7 @@ ScanOutput Execution::run_scan(const std::vector<std::size_t>& attrs) {
   if (!(prune_ && active_pages_.empty())) {
     TimeNs* slot = &stats_.phases.host_gb;
     const std::vector<BitVec> bits =
-        read_column_phase(0, r_col_, slot, &active_pages_);
+        read_column_phase(0, r_col_, active_pages_, slot);
 
     // Page-parallel survivor walk: each page collects its row ids and
     // attribute codes privately (hoisted field access, dense per-page
@@ -1868,8 +1779,9 @@ PimQueryEngine::PimQueryEngine(EngineKind kind, PimStore& store,
 
 QueryOutput PimQueryEngine::execute(const sql::BoundQuery& q,
                                     const ExecOptions& opts) {
-  Execution exec(kind_, *store_, hcfg_, models_, q, opts);
-  return exec.run();
+  BatchOutput out = execute_batch({&q}, opts);
+  if (out.errors[0] != nullptr) std::rethrow_exception(out.errors[0]);
+  return std::move(out.outputs[0]);
 }
 
 PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
@@ -1891,68 +1803,36 @@ PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
       tokens.push_back(t.valid() ? t : resolve_cancel(opts));
     }
   }
-  const auto solo = [&](std::size_t i) {
-    Execution exec(kind_, *store_, hcfg_, models_, *queries[i], opts,
-                   /*shared_allocs=*/nullptr, &tokens[i]);
-    return exec.run();
-  };
-  if (queries.size() == 1) {
-    // Degenerate batch: exactly today's solo path, stats included
-    // (batched_queries stays 0).
-    try {
-      out.outputs[0] = solo(0);
-    } catch (...) {
-      out.errors[0] = std::current_exception();
-    }
-    return out;
-  }
+  // A lone member has no batchmates: its batched_queries stays 0, and its
+  // error is its answer (there is nobody to shield by falling back).
+  const bool shared = queries.size() > 1;
   try {
-    // Shared scratch allocators, one per part and spanning the whole batch:
-    // no two members are ever handed the same physical column, and a
-    // member's tail reuses whatever its released predecessors occupied.
-    std::vector<pim::ColumnAlloc> shared;
-    shared.reserve(static_cast<std::size_t>(store_->parts()));
-    for (int part = 0; part < store_->parts(); ++part) {
-      shared.push_back(store_->layout(part).make_alloc());
-    }
-    // One wear epoch per batch (solo run() resets per query; the tails must
-    // not reset it again or they would erase the fused pass's writes).
-    store_->module().reset_wear();
-
-    std::vector<std::unique_ptr<Execution>> execs;
-    execs.reserve(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      execs.push_back(std::make_unique<Execution>(
-          kind_, *store_, hcfg_, models_, *queries[i], opts, &shared,
-          &tokens[i]));
-    }
-    std::vector<Execution*> raw;
-    raw.reserve(execs.size());
-    for (const std::unique_ptr<Execution>& e : execs) raw.push_back(e.get());
-    for (Execution* e : raw) e->batch_prepare();
-    Execution::run_fused_filter(raw);
-    // Tails run sequentially in batch order: they mutate shared crossbar
-    // scratch (aggregation passes) and the shared allocators.
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      out.outputs[i] = raw[i]->batch_finish();
-      out.outputs[i].stats.batched_queries = queries.size();
-    }
+    // Tails run sequentially in member order: they mutate shared crossbar
+    // scratch (aggregation passes) and the pass's shared allocators.
+    Execution::run_pass(*this, queries, opts, tokens,
+                        [&](std::size_t i, Execution& member) {
+                          out.outputs[i] = member.finish_query();
+                          if (shared) {
+                            out.outputs[i].stats.batched_queries =
+                                queries.size();
+                          }
+                        });
   } catch (...) {
-    // Any failure in the fused path — a member whose aggregate the engine
+    if (!shared) {
+      out.errors[0] = std::current_exception();
+      return out;
+    }
+    // Any failure in a shared pass — a member whose aggregate the engine
     // does not support, scratch exhaustion on an oversized batch — falls
-    // back to executing every member solo, which reproduces each member's
-    // own result or error without a batchmate in the blast radius.
-    // Leftover shared-scratch garbage is harmless: programs initialize
-    // their own columns, and solo run() resets wear.
+    // back to one pass per member, which reproduces each member's own
+    // result or error without a batchmate in the blast radius. Leftover
+    // shared-scratch garbage is harmless: programs initialize their own
+    // columns, and every pass resets wear.
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      out.outputs[i] = QueryOutput{};
-      out.errors[i] = nullptr;
-      try {
-        out.outputs[i] = solo(i);
-        out.outputs[i].stats.batch_fallbacks = 1;
-      } catch (...) {
-        out.errors[i] = std::current_exception();
-      }
+      BatchOutput one = execute_batch({queries[i]}, opts, {tokens[i]});
+      out.outputs[i] = std::move(one.outputs[0]);
+      out.errors[i] = one.errors[0];
+      if (out.errors[i] == nullptr) out.outputs[i].stats.batch_fallbacks = 1;
     }
   }
   return out;
@@ -1961,13 +1841,17 @@ PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
 ScanOutput PimQueryEngine::execute_scan(
     const std::vector<sql::BoundPredicate>& filters,
     const std::vector<std::size_t>& attrs, const ExecOptions& opts) {
-  // A filters-only query shell: the Execution ctor orders and analyzes the
-  // predicates; no aggregation plan is ever built for a scan.
+  // A filters-only query shell (no aggregate): the Execution ctor orders
+  // and analyzes the predicates; no aggregation plan is ever built.
   sql::BoundQuery q;
   q.filters = filters;
-  q.agg_func = sql::AggFunc::kCount;
-  Execution exec(kind_, *store_, hcfg_, models_, q, opts);
-  return exec.run_scan(attrs);
+  q.agg_func = sql::AggFunc::kNone;
+  ScanOutput out;
+  Execution::run_pass(*this, {&q}, opts, {resolve_cancel(opts)},
+                      [&](std::size_t, Execution& member) {
+                        out = member.finish_scan(attrs);
+                      });
+  return out;
 }
 
 }  // namespace bbpim::engine

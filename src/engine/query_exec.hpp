@@ -203,6 +203,8 @@ class PimQueryEngine {
   PimQueryEngine(EngineKind kind, PimStore& store, host::HostConfig hcfg,
                  LatencyModels models = {});
 
+  /// One SELECT: a one-member execute_batch (the same fused filter pass);
+  /// rethrows the member's error.
   QueryOutput execute(const sql::BoundQuery& q, const ExecOptions& opts = {});
 
   /// Result of one shared-scan batch: outputs[i]/errors[i] belong to
@@ -224,7 +226,8 @@ class PimQueryEngine {
   /// a solo execute() of the same query; modeled time/energy are attributed
   /// per query from that query's own request traces (a member is never
   /// billed for a batchmate's work) and stay deterministic at any
-  /// sim_threads. A single-member batch degenerates to execute().
+  /// sim_threads. A single-member batch is exactly execute(): no
+  /// fallback, batched_queries = 0.
   /// `cancels`, when non-empty, carries one CancelToken per member (aligned
   /// with `queries`), overriding opts.cancel member-by-member: a cancelled
   /// or expired member aborts the fused pass, which falls back to solo

@@ -6,10 +6,13 @@
 // of the join tree, and the backends that must refuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "db/db.hpp"
+#include "engine/hash_join.hpp"
 #include "ssb/dbgen.hpp"
 #include "ssb/queries.hpp"
 
@@ -170,16 +173,48 @@ TEST(HashJoin, DatabasePlanCacheSharesAcrossSessions) {
   s2.prepare(sql);  // second session: Database-cache hit, no rebind
   EXPECT_EQ(database.plan_cache_size(), 1u);
   EXPECT_EQ(database.plan_cache_hits(), hits_before + 1);
-  // Re-preparing in the same session hits the session cache, not the
-  // database's.
+  // Re-preparing in the same session is a Database-cache hit too (the
+  // Database cache is the only plan cache).
   s2.prepare(sql);
-  EXPECT_EQ(database.plan_cache_hits(), hits_before + 1);
+  EXPECT_EQ(database.plan_cache_hits(), hits_before + 2);
 
   // Catalog mutation invalidates: the next prepare rebinds.
   database.attach_table(w.data.customer);
   s1.prepare(sql);
   EXPECT_EQ(database.plan_cache_size(), 1u);
-  EXPECT_EQ(database.plan_cache_hits(), hits_before + 1);
+  EXPECT_EQ(database.plan_cache_hits(), hits_before + 2);
+}
+
+TEST(HashJoin, JoinReportsWearOfItsScans) {
+  JoinWorld& w = world();
+  db::SessionOptions opts;
+  opts.host.prune = true;  // exercises the classification memo
+  db::Session session(w.normalized, opts);
+  for (const char* id : {"2.1", "3.1", "4.1"}) {
+    const std::string sql = std::string(ssb::query(id).sql);
+    const db::PreparedStatement st = session.prepare(sql);
+    const sql::BoundJoin& jp = st.join();
+    // Warm-up: afterwards every scan below classifies from the memo.
+    st.execute(db::BackendKind::kOneXb);
+    const std::vector<std::vector<std::size_t>> attrs =
+        engine::join_scan_attrs(jp);
+    // Wear merges as the max over the per-table scans (each scan is its own
+    // device epoch); the classification memo hits add up.
+    std::uint64_t want_wear = 0;
+    std::size_t want_memo = 0;
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      const engine::ScanOutput scan =
+          session.executor(db::BackendKind::kOneXb, jp.table_names[t])
+              .execute_scan(jp.filters[t], attrs[t], {});
+      want_wear = std::max(want_wear, scan.stats.wear_row_writes);
+      want_memo += scan.stats.classification_memo_hits;
+    }
+    const db::ResultSet rs = st.execute(db::BackendKind::kOneXb);
+    EXPECT_GT(rs.stats().wear_row_writes, 0u) << "q" << id;
+    EXPECT_EQ(rs.stats().wear_row_writes, want_wear) << "q" << id;
+    EXPECT_GT(want_memo, 0u) << "q" << id;
+    EXPECT_EQ(rs.classification_memo_hits(), want_memo) << "q" << id;
+  }
 }
 
 TEST(HashJoin, ExplainRendersJoinTreeAndPerTableScans) {

@@ -71,9 +71,12 @@ struct Fixture {
 
   /// Parks the single worker inside a long execution (stalled crossbar
   /// visits) and waits until it has taken the statement off the queue, so
-  /// subsequent submits deterministically land in the queue.
-  std::future<db::ResultSet> occupy_worker() {
-    std::future<db::ResultSet> f = service->submit(kCount);
+  /// subsequent submits deterministically land in the queue. Options that
+  /// differ from the later submits' keep the occupying statement from
+  /// gathering them into its own batch.
+  std::future<db::ResultSet> occupy_worker(
+      const engine::ExecOptions& opts = {}) {
+    std::future<db::ResultSet> f = service->submit(kCount, opts);
     if (!wait_until([&] { return service->queue_depth() == 0; })) {
       ADD_FAILURE() << "worker never picked up the occupying statement";
     }
@@ -305,7 +308,11 @@ TEST(ServiceOverload, PressureBoostsGatherWindowBeforeShedding) {
   fi.arm(engine::FaultSeam::kCrossbarVisit, stall_rule(10'000));
   engine::ScopedFaultInjection scope(fi);
 
-  std::future<db::ResultSet> busy = fx.occupy_worker();
+  // Admission-incompatible occupant: its own gather window must not absorb
+  // the four statements queued behind it.
+  engine::ExecOptions serial;
+  serial.sim_threads = 1;
+  std::future<db::ResultSet> busy = fx.occupy_worker(serial);
   std::vector<std::future<db::ResultSet>> queued;
   for (std::size_t i = 0; i < 4; ++i) {
     queued.push_back(fx.service->submit(kCount));

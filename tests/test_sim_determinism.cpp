@@ -6,6 +6,10 @@
 // replayed in page order), peak power, wear, and request counts. The same
 // promise covers the vectorized kernels against the scalar baseline. These
 // tests pin that contract for all three engine kinds.
+//
+// The serial runs are also pinned to golden modeled values (hex-float
+// literals compared with ==): any change to the cost model or to the order
+// in which the engine accumulates it shows up here as an exact diff.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -83,15 +87,126 @@ void expect_identical(const QueryOutput& got, const QueryOutput& want,
   EXPECT_EQ(a.candidate_masses, b.candidate_masses);
 }
 
+/// Golden modeled stats of one serial execution.
+struct Golden {
+  TimeNs total_ns;
+  EnergyJ energy_j;
+  /// filter, transfer, sample, plan, pim_gb, host_gb, finalize
+  TimeNs phases[7];
+  std::uint64_t wear_row_writes;
+};
+
+void expect_golden(const QueryStats& s, const Golden& g,
+                   const std::string& label) {
+  SCOPED_TRACE(label + " (golden)");
+  EXPECT_EQ(s.total_ns, g.total_ns);
+  EXPECT_EQ(s.energy_j, g.energy_j);
+  EXPECT_EQ(s.phases.filter, g.phases[0]);
+  EXPECT_EQ(s.phases.transfer, g.phases[1]);
+  EXPECT_EQ(s.phases.sample, g.phases[2]);
+  EXPECT_EQ(s.phases.plan, g.phases[3]);
+  EXPECT_EQ(s.phases.pim_gb, g.phases[4]);
+  EXPECT_EQ(s.phases.host_gb, g.phases[5]);
+  EXPECT_EQ(s.phases.finalize, g.phases[6]);
+  EXPECT_EQ(s.wear_row_writes, g.wear_row_writes);
+}
+
+/// workloads() on EngineFixture(kind, 900, 31) at one sim thread.
+const std::vector<Golden>& golden(EngineKind kind) {
+  static const std::vector<Golden> one_xb = {
+      {0x1.2ec6p+17, 0x1.75ef4672d182ap-25,
+       {0x1.99d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0, 0x0p+0},
+       98},
+      {0x1.2e8p+17, 0x1.6ec465678cfacp-25,
+       {0x1.9ac8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0, 0x0p+0},
+       93},
+      {0x1.f6f8p+17, 0x1.2c262a4037bp-24,
+       {0x1.996p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0, 0x0p+0},
+       112},
+      {0x1.5bb2ap+19, 0x1.7d2ff0c013d0ap-23,
+       {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18, 0x1.58ce8p+17,
+        0x1.8a88p+15},
+       220},
+      {0x1.a335cp+19, 0x1.99145afcba479p-23,
+       {0x1.8cb8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18, 0x1.4e33p+17,
+        0x1.89cp+15},
+       191},
+      {0x1.da6c08p+20, 0x1.10be7c56341afp-21,
+       {0x1.9e88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
+        0x1.57324p+17, 0x1.8a88p+15},
+       460},
+  };
+  static const std::vector<Golden> two_xb = {
+      {0x1.3eedp+18, 0x1.1232eb579fea4p-22,
+       {0x1.a018p+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0,
+        0x0p+0},
+       120},
+      {0x1.3e25p+18, 0x1.106cb066602f2p-22,
+       {0x1.9bep+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0,
+        0x0p+0},
+       93},
+      {0x1.a306p+18, 0x1.2e7e8d1953a5ep-22,
+       {0x1.9fap+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0,
+        0x0p+0},
+       134},
+      {0x1.af77ap+19, 0x1.a20cfae94fa24p-22,
+       {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18,
+        0x1.58ce8p+17, 0x1.8a88p+15},
+       242},
+      {0x1.f6facp+19, 0x1.afff3007a2ddbp-22,
+       {0x1.92f8p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18,
+        0x1.4e33p+17, 0x1.89cp+15},
+       191},
+      {0x1.022744p+21, 0x1.8278fd9ad6f7ep-21,
+       {0x1.a4c8p+15, 0x1.4d84p+17, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
+        0x1.57324p+17, 0x1.8a88p+15},
+       482},
+  };
+  static const std::vector<Golden> pimdb = {
+      {0x1.0f72p+19, 0x1.82ba115211cefp-21,
+       {0x1.99d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.eba9p+18, 0x0p+0, 0x0p+0},
+       3536},
+      {0x1.dad3p+18, 0x1.0830a710525a5p-22,
+       {0x1.9ac8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.a77ap+18, 0x0p+0, 0x0p+0},
+       1209},
+      {0x1.f621p+19, 0x1.45755c313214ap-20,
+       {0x1.996p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.dc8bp+19, 0x0p+0, 0x0p+0},
+       5956},
+      {0x1.166628p+21, 0x1.0a71a746dff58p-19,
+       {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.c9fe4p+20, 0x1.58ce8p+17,
+        0x1.8a88p+15},
+       9328},
+      {0x1.740a9p+21, 0x1.df91d510933a2p-20,
+       {0x1.8cb8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.438a4p+21, 0x1.4e33p+17,
+        0x1.89cp+15},
+       8399},
+      {0x1.c4ab02p+22, 0x1.2f1d0d2e34f12p-17,
+       {0x1.9e88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.ac0a7p+22,
+        0x1.57324p+17, 0x1.8a88p+15},
+       43948},
+  };
+  switch (kind) {
+    case EngineKind::kOneXb:
+      return one_xb;
+    case EngineKind::kTwoXb:
+      return two_xb;
+    default:
+      return pimdb;
+  }
+}
+
 void check_kind(EngineKind kind) {
   EngineFixture fx(kind, 900, 31);
-  for (const Workload& w : workloads()) {
+  const std::vector<Workload> ws = workloads();
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const Workload& w = ws[i];
     const sql::BoundQuery q = fx.bind_sql(w.sql);
 
     ExecOptions serial;
     serial.force_k = w.force_k;
     serial.sim_threads = 1;
     const QueryOutput reference = fx.engine->execute(q, serial);
+    expect_golden(reference.stats, golden(kind)[i], w.sql);
 
     for (const std::uint32_t threads : {2u, 8u}) {
       ExecOptions opts = serial;
@@ -117,6 +232,45 @@ void check_kind(EngineKind kind) {
 TEST(SimDeterminism, OneXb) { check_kind(EngineKind::kOneXb); }
 TEST(SimDeterminism, TwoXb) { check_kind(EngineKind::kTwoXb); }
 TEST(SimDeterminism, Pimdb) { check_kind(EngineKind::kPimdb); }
+
+/// Zone-map pruning on a two-xb store: part 0's predicate is provably
+/// always-true on every page, so its gate program is replaced by a
+/// synthesized validity copy.
+TEST(SimDeterminism, GoldenPrunedTwoXb) {
+  EngineFixture fx(EngineKind::kTwoXb, 900, 31);
+  ExecOptions opts;
+  opts.force_k = 2;
+  opts.sim_threads = 1;
+  opts.prune = true;
+  const QueryOutput out = fx.engine->execute(
+      fx.bind_sql("SELECT f_gid, SUM(f_val) FROM t WHERE f_key < 4096 AND "
+                  "d_tag <= 4 GROUP BY f_gid ORDER BY f_gid"),
+      opts);
+  EXPECT_EQ(out.stats.pages_synthesized, 4u);
+  expect_golden(out.stats,
+                {0x1.aec72p+19, 0x1.90c4d3a9a5827p-22,
+                 {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0,
+                  0x1.2c2dp+18, 0x1.5b6c8p+17, 0x1.89cp+15},
+                 130},
+                "pruned two-xb");
+}
+
+/// The join feeder: a filter-only scan reading back two attributes.
+TEST(SimDeterminism, GoldenScan) {
+  EngineFixture fx(EngineKind::kOneXb, 900, 31);
+  ExecOptions opts;
+  opts.sim_threads = 1;
+  const sql::BoundQuery q = fx.bind_sql(
+      "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND f_gid BETWEEN 1 AND 4");
+  const ScanOutput out = fx.engine->execute_scan(q.filters, {1, 2}, opts);
+  EXPECT_EQ(out.row_ids.size(), 258u);
+  expect_golden(out.stats,
+                {0x1.68018p+17, 0x1.baba8b94ac66ep-24,
+                 {0x1.a8d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.fb97p+16,
+                  0x0p+0},
+                 146},
+                "scan");
+}
 
 /// The knob also threads through HostConfig (the facade path).
 TEST(SimDeterminism, HostConfigDefaultMatchesExplicit) {
