@@ -17,7 +17,9 @@
 // exits non-zero — this is the CI smoke for the join subsystem.
 //
 // Reported per query: modeled ns both ways, the join's scan/join phase
-// split, fact-scan selectivity, joined row count, and simulator wall-clock.
+// split, fact-scan selectivity, the fact rows and unique lines the join
+// reads back (the readback volume the semijoin predicates cut), joined row
+// count, and simulator wall-clock.
 // Emits BENCH_join_speed.json in the working directory.
 //
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
@@ -65,6 +67,8 @@ struct QueryResult {
   double join_scan_ns = 0;  ///< PIM filter + readback share of join_ns
   double join_host_ns = 0;  ///< hash build/probe + finalize share
   double join_selectivity = 0;
+  std::size_t fact_readback_rows = 0;  ///< fact survivors read back
+  std::size_t host_lines = 0;          ///< unique lines over every scan
   double wall_join_ms = 0;
   double wall_prejoin_ms = 0;
 };
@@ -121,8 +125,8 @@ int main() {
     pre_session.execute(q.sql, backend, run_opts);
   }
 
-  TablePrinter t({"query", "rows", "join sel", "join [ms]", "prejoin [ms]",
-                  "modeled", "scan share", "wall"});
+  TablePrinter t({"query", "rows", "join sel", "fact readback", "join [ms]",
+                  "prejoin [ms]", "modeled", "scan share", "wall"});
   std::vector<QueryResult> results;
   bool parity_ok = true;
   double join_total = 0, prejoin_total = 0;
@@ -156,6 +160,8 @@ int main() {
     r.join_host_ns =
         join_rs.stats().phases.host_gb + join_rs.stats().phases.finalize;
     r.join_selectivity = join_rs.stats().selectivity;
+    r.fact_readback_rows = join_rs.stats().selected_records;
+    r.host_lines = join_rs.stats().host_lines;
     r.wall_join_ms = best_of_ms(
         reps, [&] { join_session.execute(q.sql, backend, run_opts); });
     r.wall_prejoin_ms = best_of_ms(
@@ -168,6 +174,7 @@ int main() {
 
     t.add_row({r.id, std::to_string(r.rows),
                TablePrinter::fmt(r.join_selectivity, 4),
+               std::to_string(r.fact_readback_rows),
                TablePrinter::fmt(r.join_ns / 1e6, 2),
                TablePrinter::fmt(r.prejoin_ns / 1e6, 2),
                TablePrinter::fmt(r.join_ns / r.prejoin_ns, 2) + "x",
@@ -177,7 +184,7 @@ int main() {
     results.push_back(r);
   }
 
-  t.add_row({"total", "", "", TablePrinter::fmt(join_total / 1e6, 2),
+  t.add_row({"total", "", "", "", TablePrinter::fmt(join_total / 1e6, 2),
              TablePrinter::fmt(prejoin_total / 1e6, 2),
              TablePrinter::fmt(join_total / prejoin_total, 2) + "x", "",
              TablePrinter::fmt(wall_join_total / wall_prejoin_total, 2) +
@@ -208,6 +215,8 @@ int main() {
          << ", \"join_scan_ns\": " << r.join_scan_ns
          << ", \"join_host_ns\": " << r.join_host_ns
          << ", \"join_selectivity\": " << r.join_selectivity
+         << ", \"fact_readback_rows\": " << r.fact_readback_rows
+         << ", \"host_lines\": " << r.host_lines
          << ", \"wall_join_ms\": " << r.wall_join_ms
          << ", \"wall_prejoin_ms\": " << r.wall_prejoin_ms << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";

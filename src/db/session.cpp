@@ -141,6 +141,15 @@ class PimExecutor final : public Executor {
     return out;
   }
 
+  std::vector<sql::BoundPredicate> semijoin_filters(
+      const std::vector<sql::BoundPredicate>& filters,
+      const std::vector<engine::SemijoinCandidate>& candidates,
+      const std::vector<std::size_t>& attrs,
+      std::size_t probe_builds) override {
+    refresh();  // price against the version the scan will read
+    return engine_.with_semijoins(filters, candidates, attrs, probe_builds);
+  }
+
   std::string explain(const sql::BoundQuery& q) override {
     return engine::explain_query(q, store_);
   }
@@ -519,6 +528,13 @@ engine::ScanOutput Executor::execute_scan(
       "backends; the columnar baseline models pre-joined plans only)");
 }
 
+std::vector<sql::BoundPredicate> Executor::semijoin_filters(
+    const std::vector<sql::BoundPredicate>& filters,
+    const std::vector<engine::SemijoinCandidate>&,
+    const std::vector<std::size_t>&, std::size_t) {
+  return filters;
+}
+
 std::string Executor::explain_scan(const std::vector<sql::BoundPredicate>&) {
   throw std::invalid_argument(std::string("explain: backend '") +
                               backend_name(backend()) +
@@ -627,21 +643,21 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
   engine::ExecOptions scan_opts = opts;
   scan_opts.cancel = engine::resolve_cancel(opts);
 
-  // One snapshot-pinned scan per touched table. The scans run sequentially
-  // through this session's executors; each pins exactly one store version,
-  // reported per table in the result's table_versions().
+  // One snapshot-pinned scan per touched table, run sequentially through
+  // this session's executors: the dimensions first, the fact last, so the
+  // dimensions' surviving join keys can reach the fact scan as semijoin
+  // predicates. Each scan pins exactly one store version, reported per
+  // table (FROM order) in the result's table_versions().
   std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
-  std::vector<std::pair<std::string, std::uint64_t>> versions;
-  versions.reserve(jp.table_names.size());
+  std::vector<std::pair<std::string, std::uint64_t>> versions(
+      jp.table_names.size());
   engine::QueryStats stats;
-  std::uint64_t fact_version = 0;
-  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+  const auto run_scan = [&](std::size_t t,
+                            const std::vector<sql::BoundPredicate>& filters) {
     Executor& ex = executor_for(backend, *plan.join_tables[t]);
-    engine::ScanOutput scan =
-        ex.execute_scan(jp.filters[t], attrs[t], scan_opts);
-    versions.emplace_back(jp.table_names[t], ex.last_data_version());
+    engine::ScanOutput scan = ex.execute_scan(filters, attrs[t], scan_opts);
+    versions[t] = {jp.table_names[t], ex.last_data_version()};
     if (t == jp.fact) {
-      fact_version = ex.last_data_version();
       stats.selected_records = scan.stats.selected_records;
       stats.selectivity = scan.stats.selectivity;
     }
@@ -673,7 +689,21 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
     stats.filter_cache_misses += scan.stats.filter_cache_misses;
     stats.classification_memo_hits += scan.stats.classification_memo_hits;
     inputs[t].columns = std::move(scan.columns);
+  };
+  std::vector<std::size_t> table_rows(jp.table_names.size());
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    table_rows[t] = plan.join_tables[t]->row_count();
+    if (t != jp.fact) run_scan(t, jp.filters[t]);
   }
+  // Semijoin reduction: the fact's executor ANDs in each filtered
+  // dimension's key predicate that its cost model prices as a win, so the
+  // PIM filter drops non-joining rows before any readback.
+  Executor& fact = executor_for(backend, *plan.join_tables[jp.fact]);
+  run_scan(jp.fact, fact.semijoin_filters(
+                        jp.filters[jp.fact],
+                        engine::semijoin_candidates(jp, inputs, table_rows),
+                        attrs[jp.fact], jp.builds.size()));
+  const std::uint64_t fact_version = versions[jp.fact].second;
 
   // Host-side partitioned hash join over the survivors; its build/probe CPU
   // time lands in the host-gb phase, the merge/sort in finalize.

@@ -183,6 +183,14 @@ class Executor {
   virtual engine::ScanOutput execute_scan(
       const std::vector<sql::BoundPredicate>& filters,
       const std::vector<std::size_t>& attrs, const engine::ExecOptions& opts);
+  /// Semijoin reduction of a join's scan of this table: `filters` plus the
+  /// candidates worth ANDing in (engine::PimQueryEngine::with_semijoins).
+  /// The default keeps the plain plan: the host baselines have no cost
+  /// model to price a candidate with.
+  virtual std::vector<sql::BoundPredicate> semijoin_filters(
+      const std::vector<sql::BoundPredicate>& filters,
+      const std::vector<engine::SemijoinCandidate>& candidates,
+      const std::vector<std::size_t>& attrs, std::size_t probe_builds);
   /// Per-table scan half of a join EXPLAIN; throws like explain().
   virtual std::string explain_scan(
       const std::vector<sql::BoundPredicate>& filters);
@@ -286,7 +294,9 @@ class Session {
   /// single-table resolution. Front-end only — no executors touched.
   std::shared_ptr<const Plan> build_plan(std::string_view sql_text);
   /// Runs a bound join plan: one snapshot-pinned scan per touched table,
-  /// then the host hash join (engine/hash_join) over the survivors.
+  /// the dimensions first and the fact last with the semijoin predicates
+  /// its executor accepts (Executor::semijoin_filters), then the host hash
+  /// join (engine/hash_join) over the survivors.
   ResultSet execute_join(const Plan& plan, BackendKind backend,
                          const engine::ExecOptions& opts);
 

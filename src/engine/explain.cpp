@@ -232,6 +232,14 @@ void explain_join_tree(const sql::BoundJoin& plan,
          << " = " << attr_name(b.table, b.dim_attrs[i]);
     }
     os << "\n";
+    if (b.fact_attrs.size() == 1) {
+      os << "  SEMIJOIN: the " << plan.table_names[plan.fact]
+         << " scan may receive a run-time predicate on "
+         << attr_name(plan.fact, b.fact_attrs[0]) << " (the surviving "
+         << plan.table_names[b.table]
+         << " keys), decided by cost: pushed only when it lowers modeled "
+            "time without raising modeled energy\n";
+    }
   }
   os << "PROBE " << plan.table_names[plan.fact] << " ("
      << tables[plan.fact]->row_count() << " rows, "

@@ -37,7 +37,8 @@ std::string explain_scan(const std::vector<sql::BoundPredicate>& filters,
                          const PimStore& store);
 
 /// Renders the logical join tree of a bound multi-table query: build sides
-/// in probe order with their keys, the probe (fact) side, and the
+/// in probe order with their keys (and, for single-key sides, the fact-scan
+/// semijoin predicate the cost model may push), the probe (fact) side, and the
 /// grouping/aggregation over joined rows. `tables` is the catalog tables
 /// aligned with plan.table_names (attribute names come from their schemas).
 void explain_join_tree(const sql::BoundJoin& plan,

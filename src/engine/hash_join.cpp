@@ -54,6 +54,49 @@ std::vector<std::vector<std::size_t>> join_scan_attrs(
   return attrs;
 }
 
+std::vector<SemijoinCandidate> semijoin_candidates(
+    const sql::BoundJoin& plan, const std::vector<JoinScanInput>& scans,
+    const std::vector<std::size_t>& table_rows) {
+  using Kind = sql::BoundPredicate::Kind;
+  const auto attrs = join_scan_attrs(plan);
+  std::vector<SemijoinCandidate> out;
+  for (const sql::BoundBuildSide& side : plan.builds) {
+    if (side.dim_attrs.size() != 1) continue;  // composite keys stay on host
+    const std::vector<std::size_t>& dim_attrs = attrs[side.table];
+    const std::size_t col =
+        std::lower_bound(dim_attrs.begin(), dim_attrs.end(),
+                         side.dim_attrs[0]) -
+        dim_attrs.begin();
+    std::vector<std::uint64_t> keys = scans[side.table].columns.at(col);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const std::size_t distinct = keys.size();
+
+    SemijoinCandidate c;
+    sql::BoundPredicate& p = c.predicate;
+    p.attr = side.fact_attrs[0];
+    if (keys.empty()) {
+      p.kind = Kind::kNever;
+    } else if (keys.size() == 1) {
+      p.kind = Kind::kEq;
+      p.v1 = keys.front();
+    } else if (keys.back() - keys.front() + 1 == keys.size()) {
+      p.kind = Kind::kBetween;
+      p.v1 = keys.front();
+      p.v2 = keys.back();
+    } else {
+      p.kind = Kind::kIn;
+      p.in_values = std::move(keys);
+    }
+    const std::size_t rows = table_rows[side.table];
+    c.key_fraction = rows == 0 ? 0.0
+                               : static_cast<double>(distinct) /
+                                     static_cast<double>(rows);
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                              const std::vector<JoinScanInput>& scans,
                              const host::HostConfig& hcfg,
@@ -180,6 +223,10 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   std::size_t joined = 0;
   std::vector<const std::vector<std::uint32_t>*> matches(builds.size());
   GroupKey probe_key;
+  // Per-joined-row scratch, reused across the probe loop. The odometer
+  // below always finishes with every digit of `idx` back at 0.
+  std::vector<std::size_t> idx(builds.size(), 0);
+  GroupKey key(group_slots.size());
   for (std::size_t r = 0; r < js.probe_rows; ++r) {
     // Periodic checkpoint: one clock read per 64K probed rows.
     if ((r & 0xFFFF) == 0) cancel.check();
@@ -214,7 +261,6 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
 
     // Odometer over the per-dimension match lists: duplicate build keys
     // yield the cross product (unique SSB keys make this one iteration).
-    std::vector<std::size_t> idx(builds.size(), 0);
     while (true) {
       ++joined;
       auto value_of = [&](const RefSlot& s) -> std::uint64_t {
@@ -229,11 +275,11 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
         v = static_cast<std::int64_t>(agg_eval.eval(va, vb));
       }
       if (plan.has_group_by()) {
-        GroupKey key(group_slots.size());
         for (std::size_t i = 0; i < group_slots.size(); ++i) {
           key[i] = value_of(group_slots[i]);
         }
-        const auto [it, fresh] = groups.try_emplace(std::move(key), v);
+        // Copies the key only when the group is new.
+        const auto [it, fresh] = groups.try_emplace(key, v);
         if (!fresh) combine(it->second, v);
       } else if (!any) {
         total = v;

@@ -1,7 +1,9 @@
 // Host-side partitioned hash join over PIM scan survivors.
 //
-// The PIM store filters each table of a star query independently (bulk-
-// bitwise WHERE, zone-map pruning); the host then joins the survivors:
+// The PIM store filters each table of a star query (bulk-bitwise WHERE,
+// zone-map pruning), the fact last: semijoin_candidates turns each filtered
+// dimension's surviving keys into a fact-key predicate the fact scan may
+// AND in when its cost model says so. The host then joins the survivors:
 // build a partitioned hash table per filtered dimension keyed by its join
 // attributes, probe with the fact survivors in build order (most filtered
 // dimension first, so misses drop rows out of the cascade early), and
@@ -54,6 +56,17 @@ struct JoinOutput {
   std::vector<ResultRow> rows;
   JoinStats stats;
 };
+
+/// Semijoin reduction candidates, one per single-key build side in
+/// plan.builds order: the predicate on the fact's key attribute that keeps
+/// exactly the fact rows whose key occurs among the side's filtered
+/// dimension survivors (`scans`, aligned with plan.table_names; the fact's
+/// entry is unused). No survivors give kNever, one key kEq, sorted keys
+/// forming one run of consecutive codes kBetween, anything else kIn. The
+/// key fraction divides the distinct keys by `table_rows[side.table]`.
+std::vector<SemijoinCandidate> semijoin_candidates(
+    const sql::BoundJoin& plan, const std::vector<JoinScanInput>& scans,
+    const std::vector<std::size_t>& table_rows);
 
 /// Executes the join tree over per-table scan survivors (`scans` aligned
 /// with plan.table_names). Duplicate build keys produce the full cross

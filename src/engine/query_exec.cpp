@@ -43,6 +43,21 @@ struct AggPass {
   bool carries_count = false;        ///< circuit also reports the row count
 };
 
+/// (part, chunk) pairs the host touches per record for the given attrs.
+std::set<std::pair<int, std::uint32_t>> read_chunks(
+    const PimStore& store, const pim::PimConfig& cfg,
+    const std::vector<std::size_t>& attrs) {
+  std::set<std::pair<int, std::uint32_t>> chunks;
+  for (const std::size_t a : attrs) {
+    const int part = store.part_of_attr(a);
+    const pim::Field f = store.field(a);
+    const std::uint32_t first = f.offset / cfg.read_bits;
+    const std::uint32_t last = (f.offset + f.width - 1) / cfg.read_bits;
+    for (std::uint32_t c = first; c <= last; ++c) chunks.insert({part, c});
+  }
+  return chunks;
+}
+
 constexpr std::size_t kCandidateCap = 65536;
 constexpr std::uint16_t kMulDecompositionMaxBits = 12;
 
@@ -368,20 +383,6 @@ class Execution {
     return key;
   }
 
-  /// (part, chunk) pairs the host touches per record for the given attrs.
-  std::set<std::pair<int, std::uint32_t>> chunk_set(
-      const std::vector<std::size_t>& attrs) const {
-    std::set<std::pair<int, std::uint32_t>> chunks;
-    for (const std::size_t a : attrs) {
-      const int part = store_.part_of_attr(a);
-      const pim::Field f = store_.field(a);
-      const std::uint32_t first = f.offset / cfg_.read_bits;
-      const std::uint32_t last = (f.offset + f.width - 1) / cfg_.read_bits;
-      for (std::uint32_t c = first; c <= last; ++c) chunks.insert({part, c});
-    }
-    return chunks;
-  }
-
   std::vector<std::size_t> host_read_attrs() const {
     std::vector<std::size_t> attrs(q_.group_by);
     if (!(q_.agg_func == sql::AggFunc::kCount)) {
@@ -663,7 +664,8 @@ void Execution::build_agg_passes() {
         p.use_select_as_value ? 1 : pim::chunk_span(p.value, cfg_);
     n_chunks_ = std::max(n_chunks_, n);
   }
-  s_chunks_ = static_cast<std::uint32_t>(chunk_set(host_read_attrs()).size());
+  s_chunks_ = static_cast<std::uint32_t>(
+      read_chunks(store_, cfg_, host_read_attrs()).size());
 }
 
 // ---------------------------------------------------------------------------
@@ -978,7 +980,7 @@ void Execution::sample_phase() {
                           static_cast<std::uint32_t>(store_.parts()) *
                               cfg_.chunks_per_row())
           : host::ReadSet(1);
-  const auto chunks = chunk_set(q_.group_by);
+  const auto chunks = read_chunks(store_, cfg_, q_.group_by);
   std::unordered_map<GroupKey, std::uint64_t, KeyHash> counts;
   std::size_t hits = 0;
   const std::uint32_t valid = store_.page_records(0);
@@ -1189,7 +1191,7 @@ void Execution::host_gb_phase() {
   const std::vector<BitVec> bits =
       read_column_phase(0, residual, active_pages_, slot);
 
-  const auto chunks = chunk_set(host_read_attrs());
+  const auto chunks = read_chunks(store_, cfg_, host_read_attrs());
   std::size_t processed = 0;
   std::vector<std::uint32_t> page_lines(pages(), 0);
 
@@ -1663,7 +1665,7 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
     // Page-parallel survivor walk: each page collects its row ids and
     // attribute codes privately (hoisted field access, dense per-page
     // line accounting — the host-gb idiom), concatenated in page order.
-    const auto chunks = chunk_set(attrs);
+    const auto chunks = read_chunks(store_, cfg_, attrs);
     struct PageOut {
       std::vector<std::uint64_t> ids;
       std::vector<std::vector<std::uint64_t>> cols;
@@ -1851,6 +1853,101 @@ ScanOutput PimQueryEngine::execute_scan(
                       [&](std::size_t, Execution& member) {
                         out = member.finish_scan(attrs);
                       });
+  return out;
+}
+
+std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
+    const std::vector<sql::BoundPredicate>& filters,
+    const std::vector<SemijoinCandidate>& candidates,
+    const std::vector<std::size_t>& attrs, std::size_t probe_builds) const {
+  std::vector<sql::BoundPredicate> out = filters;
+  if (candidates.empty()) return out;
+  PimStore& store = *store_;
+  const pim::PimConfig& cfg = store.module().config();
+
+  // Modeled readback + probe of a scan whose records survive independently
+  // with probability `sel`: a page-row line (one chunk of the row's record
+  // in every crossbar of the page) is read unless all those records miss,
+  // and every survivor costs the walk's CPU plus one probe per build side.
+  struct Cost {
+    TimeNs ns = 0;
+    EnergyJ j = 0;
+  };
+  const double chunks =
+      static_cast<double>(read_chunks(store, cfg, attrs).size());
+  const EnergyJ line_j = static_cast<double>(cfg.line_bytes()) * 8 *
+                         cfg.read_energy_pj_per_bit * units::kJoulePerPj;
+  const auto survivor_cost = [&](double sel) {
+    std::vector<std::uint32_t> lines(store.pages_per_part());
+    double total = 0;
+    for (std::size_t p = 0; p < lines.size(); ++p) {
+      const std::uint32_t n = store.page_records(p);
+      const std::uint32_t full = n / cfg.crossbar_rows;  // records per row
+      const std::uint32_t tail = n % cfg.crossbar_rows;  // rows with one more
+      const double per_chunk =
+          tail * (1 - std::pow(1 - sel, full + 1)) +
+          (cfg.crossbar_rows - tail) * (1 - std::pow(1 - sel, full));
+      lines[p] = static_cast<std::uint32_t>(std::lround(per_chunk * chunks));
+      total += lines[p];
+    }
+    const double survivors = sel * static_cast<double>(store.record_count());
+    return Cost{host::lines_phase_time_ns(lines, hcfg_) +
+                    survivors * static_cast<double>(1 + probe_builds) *
+                        hcfg_.cpu_ns_per_record / hcfg_.threads,
+                total * line_j};
+  };
+
+  // One more gate cycle of the scan's filter program on every crossbar.
+  Cost per_cycle;
+  for (int part = 0; part < store.parts(); ++part) {
+    for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
+      per_cycle.j +=
+          pim::logic_trace_cost(cfg, 1, store.page(part, p).crossbar_count())
+              .energy_j;
+    }
+  }
+  per_cycle.ns = cfg.logic_cycle_ns;
+  const auto cycles = [&](const std::vector<sql::BoundPredicate>& f) {
+    double n = 0;
+    for (int part = 0; part < store.parts(); ++part) {
+      pim::ColumnAlloc alloc = store.layout(part).make_alloc();
+      n += static_cast<double>(
+          compile_filter(f, store.layout(part), alloc).program.size());
+    }
+    return n;
+  };
+
+  // The plain scan's survivor fraction: the sketch estimates the Execution
+  // orders its predicates by, taken as independent.
+  std::vector<double> est;
+  order_by_selectivity(filters, store, &est);
+  double sel = 1;
+  for (const double e : est) sel *= e;
+  double base_cycles = cycles(out);
+  for (const SemijoinCandidate& c : candidates) {
+    const double next_sel = sel * c.key_fraction;
+    const Cost before = survivor_cost(sel);
+    const Cost after = survivor_cost(next_sel);
+    const double saved_ns = before.ns - after.ns;
+    const double saved_j = before.j - after.j;
+    // An IN list emits at least one gate cycle per key: a list longer than
+    // the cycles the saving could buy is refused without compiling it.
+    const double affordable =
+        std::min(saved_ns / per_cycle.ns, saved_j / per_cycle.j);
+    if (static_cast<double>(c.predicate.in_values.size()) >
+        base_cycles + affordable) {
+      continue;
+    }
+    std::vector<sql::BoundPredicate> next = out;
+    next.push_back(c.predicate);
+    const double next_cycles = cycles(next);
+    const double extra = next_cycles - base_cycles;
+    if (extra * per_cycle.ns < saved_ns && extra * per_cycle.j <= saved_j) {
+      out = std::move(next);
+      base_cycles = next_cycles;
+      sel = next_sel;
+    }
+  }
   return out;
 }
 

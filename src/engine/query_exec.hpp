@@ -192,6 +192,14 @@ struct ExecOptions {
   }
 };
 
+/// A run-time semijoin predicate a star join may AND into its fact scan:
+/// it keeps exactly the fact rows whose foreign key occurs among one
+/// filtered dimension's surviving keys.
+struct SemijoinCandidate {
+  sql::BoundPredicate predicate;  ///< on the fact's foreign-key attribute
+  double key_fraction = 1;        ///< distinct surviving keys / dimension rows
+};
+
 /// The effective token of an execution: the explicit token when set (arming
 /// its deadline from deadline_us if it carries none), else a fresh token
 /// armed deadline_us from now, else the empty (free) token.
@@ -247,6 +255,19 @@ class PimQueryEngine {
   ScanOutput execute_scan(const std::vector<sql::BoundPredicate>& filters,
                           const std::vector<std::size_t>& attrs,
                           const ExecOptions& opts = {});
+
+  /// Semijoin reduction for a join's scan of this store: returns `filters`
+  /// with each candidate ANDed in, in order, whose extra gate cycles the
+  /// cost model prices below the readback and host probe they remove, in
+  /// modeled time strictly and in modeled energy. The cost is the compiled
+  /// cycle delta over every crossbar; the saving follows from the survivor
+  /// fraction (sketch estimate of `filters` times the key fractions of the
+  /// candidates taken), the expected unique lines of a walk reading
+  /// `attrs`, and one probe per survivor and build side (`probe_builds`).
+  std::vector<sql::BoundPredicate> with_semijoins(
+      const std::vector<sql::BoundPredicate>& filters,
+      const std::vector<SemijoinCandidate>& candidates,
+      const std::vector<std::size_t>& attrs, std::size_t probe_builds) const;
 
   EngineKind kind() const { return kind_; }
   const LatencyModels& models() const { return models_; }

@@ -137,6 +137,125 @@ TEST(HashJoin, EmptyBuildSideYieldsEmptyJoin) {
   EXPECT_EQ(rs.integer(0, 0), 0);
 }
 
+TEST(HashJoin, SemijoinReductionNeverCostsMoreThanThePlainPlan) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  // The texts whose filtered dimension keys are cheap enough (a date range,
+  // a few customers or suppliers) for the fact scan to take them in PIM.
+  const std::vector<std::string> reduced = {"1.1", "1.2", "1.3", "3.2",
+                                            "3.3", "3.4", "4.3"};
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    const db::PreparedStatement st = session.prepare(q.sql);
+    const sql::BoundJoin& jp = st.join();
+    const std::vector<std::vector<std::size_t>> attrs =
+        engine::join_scan_attrs(jp);
+    // The plain plan from public calls: every table scanned with its own
+    // filters, the host join over all survivors. Costs add up in the
+    // session's order (dimensions, then the fact) so that a text the cost
+    // model leaves alone compares equal to the last bit.
+    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
+    std::vector<engine::QueryStats> scans(jp.table_names.size());
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      engine::ScanOutput scan =
+          session.executor(backend, jp.table_names[t])
+              .execute_scan(jp.filters[t], attrs[t], {});
+      scans[t] = scan.stats;
+      inputs[t].columns = std::move(scan.columns);
+    }
+    std::vector<std::size_t> order;
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      if (t != jp.fact) order.push_back(t);
+    }
+    order.push_back(jp.fact);
+    double plain_ns = 0;
+    double plain_j = 0;
+    for (const std::size_t t : order) {
+      plain_ns += scans[t].total_ns;
+      plain_j += scans[t].energy_j;
+    }
+    const engine::JoinOutput plain =
+        engine::hash_join_execute(jp, inputs, session.options().host);
+    plain_ns +=
+        plain.stats.build_ns + plain.stats.probe_ns + plain.stats.finalize_ns;
+
+    const db::ResultSet rs = st.execute(backend);
+    EXPECT_EQ(rs.rows(), plain.rows) << "q" << q.id;
+    EXPECT_LE(rs.stats().total_ns, plain_ns) << "q" << q.id;
+    EXPECT_LE(rs.stats().energy_j, plain_j) << "q" << q.id;
+    const std::size_t plain_records = scans[jp.fact].selected_records;
+    if (std::find(reduced.begin(), reduced.end(), q.id) != reduced.end()) {
+      EXPECT_LT(rs.stats().selected_records, plain_records) << "q" << q.id;
+    } else {
+      EXPECT_LE(rs.stats().selected_records, plain_records) << "q" << q.id;
+    }
+    // The fact scans last, yet versions stay in FROM order.
+    ASSERT_EQ(rs.table_versions().size(), jp.table_names.size()) << q.id;
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      EXPECT_EQ(rs.table_versions()[t].first, jp.table_names[t]) << q.id;
+    }
+  }
+}
+
+TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  // The candidate of the first build side of `sql`, from reference scans.
+  const auto first_candidate = [&](const std::string& sql) {
+    const db::PreparedStatement st = session.prepare(sql);
+    const sql::BoundJoin& jp = st.join();
+    const auto attrs = engine::join_scan_attrs(jp);
+    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
+    std::vector<std::size_t> rows(jp.table_names.size());
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
+      inputs[t].columns =
+          session.executor(db::BackendKind::kReference, jp.table_names[t])
+              .execute_scan(jp.filters[t], attrs[t], {})
+              .columns;
+    }
+    const auto candidates = engine::semijoin_candidates(jp, inputs, rows);
+    EXPECT_EQ(candidates.size(), jp.builds.size());
+    return candidates.front();
+  };
+  using Kind = sql::BoundPredicate::Kind;
+  // One year of dense day keys: a single range.
+  const engine::SemijoinCandidate year =
+      first_candidate(std::string(ssb::query("1.1").sql));
+  EXPECT_EQ(year.predicate.kind, Kind::kBetween);
+  EXPECT_EQ(year.predicate.v2 - year.predicate.v1 + 1, 365u);
+  EXPECT_DOUBLE_EQ(year.key_fraction,
+                   365.0 / static_cast<double>(w.data.date.row_count()));
+  // Scattered supplier keys: a membership list.
+  const engine::SemijoinCandidate region = first_candidate(
+      "SELECT SUM(lo_revenue) AS r FROM lineorder, supplier "
+      "WHERE lo_suppkey = s_suppkey AND s_region = 'AMERICA'");
+  EXPECT_EQ(region.predicate.kind, Kind::kIn);
+  EXPECT_TRUE(std::is_sorted(region.predicate.in_values.begin(),
+                             region.predicate.in_values.end()));
+  // No survivors: statically false.
+  const engine::SemijoinCandidate none = first_candidate(
+      "SELECT SUM(lo_revenue) AS r FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND d_year = 1900");
+  EXPECT_EQ(none.predicate.kind, Kind::kNever);
+  EXPECT_EQ(none.key_fraction, 0.0);
+}
+
+TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  // No date survives, so the fact scan takes a statically false semijoin
+  // predicate: not one lineorder record is read back or probed.
+  const db::ResultSet rs = session.execute(
+      "SELECT SUM(lo_extendedprice) AS s FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND d_year = 1900",
+      db::BackendKind::kOneXb);
+  ASSERT_EQ(rs.row_count(), 1u);
+  EXPECT_EQ(rs.integer(0, 0), 0);
+  EXPECT_EQ(rs.stats().selected_records, 0u);
+  EXPECT_EQ(rs.stats().host_lines, 0u);
+}
+
 TEST(HashJoin, QualifiedColumnsRunOnBothCatalogs) {
   JoinWorld& w = world();
   // Fully qualified text: binds through the join planner on the normalized
@@ -226,6 +345,10 @@ TEST(HashJoin, ExplainRendersJoinTreeAndPerTableScans) {
             std::string::npos);
   EXPECT_NE(plan.find("BUILD date"), std::string::npos);
   EXPECT_NE(plan.find("PROBE lineorder"), std::string::npos);
+  EXPECT_NE(plan.find("SEMIJOIN: the lineorder scan may receive a run-time "
+                      "predicate on lineorder.lo_orderdate"),
+            std::string::npos);
+  EXPECT_NE(plan.find("decided by cost"), std::string::npos);
   EXPECT_NE(plan.find("-- scan customer --"), std::string::npos);
   EXPECT_NE(plan.find("ZONE MAP"), std::string::npos);
   EXPECT_NE(plan.find("GROUP BY:"), std::string::npos);
