@@ -7,17 +7,6 @@
 namespace bbpim::baseline {
 namespace {
 
-/// Routes a pre-joined attribute name to its source table by SSB prefix.
-const rel::Table* source_table(const ssb::SsbData& data,
-                               const std::string& name) {
-  if (name.rfind("lo_", 0) == 0) return &data.lineorder;
-  if (name.rfind("d_", 0) == 0) return &data.date;
-  if (name.rfind("c_", 0) == 0) return &data.customer;
-  if (name.rfind("s_", 0) == 0) return &data.supplier;
-  if (name.rfind("p_", 0) == 0) return &data.part;
-  return nullptr;
-}
-
 BaselineRun run_functional(const rel::Table& prejoined,
                            const sql::BoundQuery& q) {
   BaselineRun run;

@@ -2,10 +2,73 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
 namespace bbpim::engine {
+
+std::optional<std::vector<std::uint64_t>> scan_distinct(
+    const PimStore& store, std::size_t attr, std::size_t max_distinct) {
+  std::unordered_set<std::uint64_t> seen;
+  bool capped = false;
+  store.scan_blocks({&attr, 1}, 0, store.record_count(),
+                    [&](std::size_t, std::uint32_t count,
+                        std::span<const pim::RowBlock> blocks) {
+                      for (std::uint32_t j = 0; j < count && !capped; ++j) {
+                        seen.insert(blocks[0][j]);
+                        capped = seen.size() > max_distinct;
+                      }
+                      return !capped;
+                    });
+  if (capped) return std::nullopt;
+  std::vector<std::uint64_t> vals(seen.begin(), seen.end());
+  std::sort(vals.begin(), vals.end());
+  return vals;
+}
+
+std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
+build_functional_dependency(const PimStore& store, std::size_t attr_a,
+                            std::size_t attr_b, std::size_t expected) {
+  std::unordered_map<std::uint64_t, std::uint64_t> map;
+  map.reserve(expected);
+  bool holds = true;
+  const std::size_t attrs[2] = {attr_a, attr_b};
+  store.scan_blocks(attrs, 0, store.record_count(),
+                    [&](std::size_t, std::uint32_t count,
+                        std::span<const pim::RowBlock> blocks) {
+                      for (std::uint32_t j = 0; j < count && holds; ++j) {
+                        const auto [entry, fresh] =
+                            map.try_emplace(blocks[0][j], blocks[1][j]);
+                        holds = fresh || entry->second == blocks[1][j];
+                      }
+                      return holds;
+                    });
+  if (!holds) return std::nullopt;
+  return map;
+}
+
+std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+build_co_occurrence(const PimStore& store, std::size_t attr_a,
+                    std::size_t attr_b, std::size_t expected) {
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
+  map.reserve(expected);
+  const std::size_t attrs[2] = {attr_a, attr_b};
+  store.scan_blocks(attrs, 0, store.record_count(),
+                    [&](std::size_t, std::uint32_t count,
+                        std::span<const pim::RowBlock> blocks) {
+                      for (std::uint32_t j = 0; j < count; ++j) {
+                        std::vector<std::uint64_t>& vals = map[blocks[0][j]];
+                        if (std::find(vals.begin(), vals.end(),
+                                      blocks[1][j]) == vals.end()) {
+                          vals.push_back(blocks[1][j]);
+                        }
+                      }
+                      return true;
+                    });
+  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
+  return map;
+}
 
 PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt)
     : PimStore(module, table, std::move(opt), nullptr) {}
@@ -59,7 +122,6 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
   }
   rows_per_crossbar_ = cfg.crossbar_rows;
   max_distinct_ = opt.max_distinct;
-  attr_mutated_.assign(nattrs, false);
   distinct_stale_.assign(nattrs, false);
   distinct_.resize(nattrs);
 
@@ -130,21 +192,29 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
 }
 
 void PimStore::load_part(int part) {
+  // One block write per (64-record word, attribute), straight from the
+  // table's columns; a partial last word writes only its valid rows.
   const RecordLayout& layout = layouts_[part];
-  for (std::size_t p = 0; p < pages_per_part_; ++p) {
-    pim::Page& pg = page(part, p);
-    const std::size_t first = p * records_per_page_;
-    const std::uint32_t count = page_records(p);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t r = first + i;
-      const pim::Page::RecordCoord c = pg.locate(i);
-      pim::Crossbar& xb = pg.crossbar(c.crossbar);
-      for (const std::size_t a : layout.attrs()) {
-        const pim::Field f = layout.field(a);
-        xb.write_row_bits(c.row, f.offset, f.width, table_->value(r, a));
-      }
-      xb.write_row_bits(c.row, layout.valid_col(), 1, 1);
+  pim::RowBlock values{};
+  pim::RowBlock ones{};
+  ones.fill(1);
+  for (std::size_t first = 0; first < records_; first += 64) {
+    const std::size_t p = first / records_per_page_;
+    const auto x = static_cast<std::uint32_t>((first % records_per_page_) /
+                                              rows_per_crossbar_);
+    const auto word =
+        static_cast<std::uint32_t>((first % rows_per_crossbar_) / 64);
+    pim::Crossbar& xb = page(part, p).crossbar(x);
+    const std::size_t count = std::min<std::size_t>(64, records_ - first);
+    const std::uint64_t rows = count == 64 ? ~0ULL : (1ULL << count) - 1;
+    for (const std::size_t a : layout.attrs()) {
+      const std::vector<std::uint64_t>& col = table_->column(a);
+      std::copy_n(col.begin() + static_cast<std::ptrdiff_t>(first), count,
+                  values.begin());
+      const pim::Field f = layout.field(a);
+      xb.write_field_block(word, f.offset, f.width, values, rows);
     }
+    xb.write_field_block(word, layout.valid_col(), 1, ones, rows);
   }
 }
 
@@ -177,20 +247,11 @@ PimStore::functional_dependency(std::size_t attr_a, std::size_t attr_b) const {
   if (it != fd_cache_.end()) {
     return it->second ? &*it->second : nullptr;
   }
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    const std::uint64_t va = current_value(r, attr_a);
-    const std::uint64_t vb = current_value(r, attr_b);
-    const auto [entry, fresh] = map.try_emplace(va, vb);
-    if (!fresh && entry->second != vb) {
-      fd_cache_.emplace(key, std::nullopt);  // violated: not a dependency
-      return nullptr;
-    }
-  }
+  auto map = build_functional_dependency(*this, attr_a, attr_b,
+                                         distinct_[attr_a]->size());
   auto [stored, ignored] = fd_cache_.emplace(key, std::move(map));
   (void)ignored;
-  return &*stored->second;
+  return stored->second ? &*stored->second : nullptr;
 }
 
 const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
@@ -204,17 +265,9 @@ PimStore::co_occurrence(std::size_t attr_a, std::size_t attr_b) const {
   const auto it = co_cache_.find(key);
   if (it != co_cache_.end()) return &it->second;
 
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    std::vector<std::uint64_t>& vals = map[current_value(r, attr_a)];
-    const std::uint64_t vb = current_value(r, attr_b);
-    if (std::find(vals.begin(), vals.end(), vb) == vals.end()) {
-      vals.push_back(vb);
-    }
-  }
-  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
-  auto [stored, fresh] = co_cache_.emplace(key, std::move(map));
+  auto [stored, fresh] =
+      co_cache_.emplace(key, build_co_occurrence(*this, attr_a, attr_b,
+                                                 distinct_[attr_a]->size()));
   (void)fresh;
   return &stored->second;
 }
@@ -227,10 +280,40 @@ std::uint64_t PimStore::read_attr(std::size_t record, std::size_t attr) const {
                                     layouts_[part].field(attr));
 }
 
-std::uint64_t PimStore::current_value(std::size_t record,
-                                      std::size_t attr) const {
-  return attr_mutated_[attr] ? read_attr(record, attr)
-                             : table_->column(attr)[record];
+void PimStore::read_block(std::size_t block, std::span<const std::size_t> attrs,
+                          std::span<pim::RowBlock> out) const {
+  const std::size_t first = block * 64;
+  if (first >= pages_per_part_ * records_per_page_ ||
+      out.size() < attrs.size()) {
+    throw std::out_of_range("PimStore::read_block");
+  }
+  const std::size_t p = first / records_per_page_;
+  const std::uint32_t in_page =
+      static_cast<std::uint32_t>(first % records_per_page_);
+  const std::uint32_t x = in_page / rows_per_crossbar_;
+  const std::uint32_t word = (in_page % rows_per_crossbar_) / 64;
+  for (std::size_t k = 0; k < attrs.size(); ++k) {
+    const int part = attr_part_.at(attrs[k]);
+    const pim::Field f = layouts_[part].field(attrs[k]);
+    module_->page(module_page_index(part, p))
+        .crossbar(x)
+        .read_field_block(word, f.offset, f.width, out[k]);
+  }
+}
+
+void PimStore::scan_blocks(
+    std::span<const std::size_t> attrs, std::size_t begin, std::size_t end,
+    const std::function<bool(std::size_t, std::uint32_t,
+                             std::span<const pim::RowBlock>)>& visit) const {
+  if (begin % 64 != 0) throw std::invalid_argument("PimStore::scan_blocks");
+  std::vector<pim::RowBlock> blocks(attrs.size());
+  end = std::min(end, records_);
+  for (std::size_t first = begin; first < end; first += 64) {
+    read_block(first / 64, attrs, blocks);
+    const auto count =
+        static_cast<std::uint32_t>(std::min<std::size_t>(64, end - first));
+    if (!visit(first, count, blocks)) return;
+  }
 }
 
 const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
@@ -238,24 +321,9 @@ const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
   if (snap_ != nullptr) return snap_->stats().distinct_values(attr, *this);
   if (distinct_stale_.at(attr)) {
     // Rebuild from the crossbars (the backing table column no longer
-    // reflects the stored values). Same capping rule as load time. Lazy so
-    // a burst of replayed updates pays one rescan at the next consumer.
-    std::unordered_set<std::uint64_t> seen;
-    bool capped = false;
-    for (std::size_t r = 0; r < records_; ++r) {
-      seen.insert(read_attr(r, attr));
-      if (seen.size() > max_distinct_) {
-        capped = true;
-        break;
-      }
-    }
-    if (capped) {
-      distinct_[attr].reset();
-    } else {
-      std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-      std::sort(vals.begin(), vals.end());
-      distinct_[attr] = std::move(vals);
-    }
+    // reflects the stored values). Lazy so a burst of replayed updates pays
+    // one rescan at the next consumer.
+    distinct_[attr] = scan_distinct(*this, attr, max_distinct_);
     distinct_stale_[attr] = false;
   }
   return distinct_.at(attr);
@@ -263,12 +331,18 @@ const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
 
 std::uint64_t PimStore::contents_checksum() const {
   std::uint64_t h = 1469598103934665603ULL;
-  const std::size_t nattrs = table_->schema().attribute_count();
-  for (std::size_t r = 0; r < records_; ++r) {
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      h = (h ^ read_attr(r, a)) * 1099511628211ULL;
-    }
-  }
+  std::vector<std::size_t> attrs(table_->schema().attribute_count());
+  std::iota(attrs.begin(), attrs.end(), std::size_t{0});
+  scan_blocks(attrs, 0, records_,
+              [&](std::size_t, std::uint32_t count,
+                  std::span<const pim::RowBlock> blocks) {
+                for (std::uint32_t j = 0; j < count; ++j) {
+                  for (const pim::RowBlock& b : blocks) {
+                    h = (h ^ b[j]) * 1099511628211ULL;
+                  }
+                }
+                return true;
+              });
   return h;
 }
 
@@ -276,11 +350,14 @@ void PimStore::rebuild_zone_crossbar(std::size_t attr,
                                      std::size_t crossbar) const {
   zones_.clear(attr, crossbar);
   const std::size_t first = crossbar * rows_per_crossbar_;
-  const std::size_t last =
-      std::min<std::size_t>(first + rows_per_crossbar_, records_);
-  for (std::size_t r = first; r < last; ++r) {
-    zones_.add(attr, crossbar, read_attr(r, attr));
-  }
+  scan_blocks({&attr, 1}, first, first + rows_per_crossbar_,
+              [&](std::size_t, std::uint32_t count,
+                  std::span<const pim::RowBlock> blocks) {
+                for (std::uint32_t j = 0; j < count; ++j) {
+                  zones_.add(attr, crossbar, blocks[0][j]);
+                }
+                return true;
+              });
 }
 
 const ZoneMaps& PimStore::zone_maps() const {
@@ -306,7 +383,6 @@ void PimStore::note_mutation(std::size_t attr,
   }
   assert(mutation_locked_by_caller() &&
          "PimStore::note_mutation requires the mutation lock");
-  attr_mutated_.at(attr) = true;
   distinct_stale_.at(attr) = true;
   data_version_.fetch_add(1, std::memory_order_acq_rel);
 
@@ -323,8 +399,7 @@ void PimStore::note_mutation(std::size_t attr,
   }
 
   // Derived-statistics caches involving the attribute are stale; drop them
-  // so the next consumer recomputes from current data (current_value reads
-  // mutated attributes through the crossbars).
+  // so the next consumer recomputes from the crossbars.
   for (auto it = fd_cache_.begin(); it != fd_cache_.end();) {
     it = (it->first.first == attr || it->first.second == attr)
              ? fd_cache_.erase(it)

@@ -17,6 +17,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -105,6 +106,22 @@ class PimStore {
   /// Functional host read of one attribute of one record.
   std::uint64_t read_attr(std::size_t record, std::size_t attr) const;
 
+  /// Block host read of the 64 records [64 * block, 64 * block + 64): one
+  /// Crossbar::read_field_block per attribute. out[k][j] is the code of
+  /// attrs[k] for record 64 * block + j (zero past record_count()).
+  void read_block(std::size_t block, std::span<const std::size_t> attrs,
+                  std::span<pim::RowBlock> out) const;
+
+  /// Streams `attrs` of records [begin, end) through read_block, 64 records
+  /// at a time and in record order: visit(first, count, blocks) sees
+  /// blocks[k][j] = attrs[k] of record first + j for j < count. `begin`
+  /// must be a multiple of 64; stops early when visit returns false. Holds
+  /// one block per attribute, never a whole column.
+  void scan_blocks(
+      std::span<const std::size_t> attrs, std::size_t begin, std::size_t end,
+      const std::function<bool(std::size_t, std::uint32_t,
+                               std::span<const pim::RowBlock>)>& visit) const;
+
   /// Sorted distinct values of an attribute, or nullopt when cardinality
   /// exceeded Options::max_distinct. After an in-place mutation the stats
   /// are rebuilt lazily from the crossbars on first access, so a burst of
@@ -152,8 +169,6 @@ class PimStore {
 
   /// Options::max_distinct (the distinct-stats cardinality cap).
   std::size_t max_distinct() const { return max_distinct_; }
-  /// True once `attr`'s stored values diverged from the backing table.
-  bool attr_mutated(std::size_t attr) const { return attr_mutated_.at(attr); }
 
   /// Zone-map sketches: per (attribute, crossbar) min/max code plus a
   /// distinct-code bitmap for low-cardinality attributes. Built from the
@@ -234,9 +249,6 @@ class PimStore {
 
  private:
   void load_part(int part);
-  /// Current value of one attribute of one record: the crossbars once the
-  /// attribute was mutated, the (cheaper) backing table column before.
-  std::uint64_t current_value(std::size_t record, std::size_t attr) const;
   /// Exact sketch rebuild of one (attr, crossbar) from the crossbar data.
   void rebuild_zone_crossbar(std::size_t attr, std::size_t crossbar) const;
 
@@ -267,7 +279,6 @@ class PimStore {
   std::uint32_t rows_per_crossbar_ = 0;
 
   std::size_t max_distinct_ = 0;      ///< Options::max_distinct (for refresh)
-  std::vector<bool> attr_mutated_;    ///< attr diverged from the table column
   /// Distinct stats invalidated by note_mutation, rebuilt on next access.
   mutable std::vector<bool> distinct_stale_;
   mutable std::mutex mutation_mutex_;
@@ -276,5 +287,24 @@ class PimStore {
   /// Set iff this store is a view; pins the snapshot it serves.
   std::shared_ptr<const StoreSnapshot> snap_;
 };
+
+// Statistics derived from a store's crossbars through PimStore::scan_blocks,
+// shared by the builder's lazy rebuilds and the snapshots' (SnapshotStats).
+
+/// Sorted distinct codes of `attr`, or nullopt once more than
+/// `max_distinct` are seen (PimStore::distinct_values' capping rule).
+std::optional<std::vector<std::uint64_t>> scan_distinct(
+    const PimStore& store, std::size_t attr, std::size_t max_distinct);
+
+/// Value map of attr_a -> attr_b, or nullopt when the dependency does not
+/// hold. `expected` sizes the map (attr_a's distinct count).
+std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
+build_functional_dependency(const PimStore& store, std::size_t attr_a,
+                            std::size_t attr_b, std::size_t expected);
+
+/// Sorted attr_b codes co-occurring with each attr_a code.
+std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+build_co_occurrence(const PimStore& store, std::size_t attr_a,
+                    std::size_t attr_b, std::size_t expected);
 
 }  // namespace bbpim::engine

@@ -1,10 +1,12 @@
 #include "engine/query_exec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -56,6 +58,41 @@ std::set<std::pair<int, std::uint32_t>> read_chunks(
     for (std::uint32_t c = first; c <= last; ++c) chunks.insert({part, c});
   }
   return chunks;
+}
+
+/// The host's survivor walk over page `p`, 64 crossbar rows at a time,
+/// shared by the join-feeder readback (finish_scan) and the vectorized
+/// host-gb walk. For every word of `survivors` holding a record below
+/// page_records(p), reads `attrs` with one PimStore::read_block and calls
+/// visit(first, live, blocks): `first` is the word's first store record,
+/// `live` its survivor bits, blocks[k][j] the code of attrs[k] for record
+/// first + j. Returns the page's unique host lines: a line is one chunk of
+/// one row across the page's crossbars and every survivor reads all
+/// `chunks`, so the lines are chunks x the distinct rows holding a survivor
+/// (the live words OR-ed across crossbars).
+template <class Visit>
+std::uint32_t walk_survivor_blocks(const PimStore& store, std::size_t p,
+                                   const BitVec& survivors,
+                                   std::span<const std::size_t> attrs,
+                                   std::size_t chunks, Visit&& visit) {
+  const std::uint32_t valid = store.page_records(p);
+  const std::vector<std::uint64_t>& words = survivors.words();
+  std::vector<std::uint64_t> rows_live(store.module_config().crossbar_rows / 64,
+                                       0);
+  std::vector<pim::RowBlock> blocks(attrs.size());
+  const std::size_t page_first = p * store.records_per_page();
+  for (std::size_t k = 0; k < words.size() && 64 * k < valid; ++k) {
+    std::uint64_t live = words[k];
+    if (valid - 64 * k < 64) live &= (1ULL << (valid - 64 * k)) - 1;
+    if (live == 0) continue;
+    rows_live[k % rows_live.size()] |= live;
+    const std::size_t first = page_first + 64 * k;
+    store.read_block(first / 64, attrs, blocks);
+    visit(first, live, std::span<const pim::RowBlock>(blocks));
+  }
+  std::size_t rows = 0;
+  for (const std::uint64_t w : rows_live) rows += std::popcount(w);
+  return static_cast<std::uint32_t>(chunks * rows);
 }
 
 constexpr std::size_t kCandidateCap = 65536;
@@ -1237,12 +1274,12 @@ void Execution::host_gb_phase() {
     }
     page_lines.assign(rs.per_page_lines().begin(), rs.per_page_lines().end());
   } else {
-    // Page-parallel walk: every page classifies into a private group map
-    // with a reused key buffer and counts unique lines in a page-local
-    // bitmap; partials are merged into results_ in page order. Per-key
-    // combines are exact integer ops, so the split is invisible: the merged
-    // map — and after the total-order sort, the rows — match the
-    // record-at-a-time walk bit for bit.
+    // Page-parallel block walk (walk_survivor_blocks): every page
+    // classifies into a private group map with a reused key buffer and
+    // counts its unique lines word by word; partials are merged into
+    // results_ in page order. Per-key combines are exact integer ops, so
+    // the split is invisible: the merged map — and after the total-order
+    // sort, the rows — match the record-at-a-time walk bit for bit.
     struct PagePartial {
       std::unordered_map<GroupKey, std::int64_t, KeyHash> groups;
       /// Bit-packed variant used when the group attributes fit in 64 bits
@@ -1252,101 +1289,74 @@ void Execution::host_gb_phase() {
       std::uint32_t lines = 0;
     };
     std::vector<PagePartial> partials(pages());
-    // Hoisted attribute access: (part, field) resolved once, the page
-    // reference once per page — the walk reads crossbar words directly
-    // instead of going through PimStore::read_attr per record per attr.
-    struct WalkAttr {
-      int part;
-      pim::Field f;
-    };
-    std::vector<WalkAttr> group_attrs;
-    group_attrs.reserve(q_.group_by.size());
+    // One block read per live word covers the group attributes, then the
+    // aggregate's operands: blocks[g] for g < |group_by|, then a, then b.
+    const std::size_t ngroup = q_.group_by.size();
+    std::vector<std::size_t> walk_attrs(q_.group_by.begin(), q_.group_by.end());
+    std::vector<std::uint32_t> widths;
+    widths.reserve(ngroup);
     std::uint32_t key_bits = 0;
     for (const std::size_t a : q_.group_by) {
-      group_attrs.push_back({store_.part_of_attr(a), store_.field(a)});
-      key_bits += store_.field(a).width;
+      widths.push_back(store_.field(a).width);
+      key_bits += widths.back();
     }
     // Field values are < 2^width by construction, so concatenating them is
     // a lossless key encoding whenever the total width fits a word.
     const bool pack_keys = key_bits <= 64;
     const bool want_values = q_.agg_func != sql::AggFunc::kCount;
     const bool have_b = q_.agg_expr.kind != sql::Expr::Kind::kColumn;
-    WalkAttr attr_a{0, {}};
-    WalkAttr attr_b{0, {}};
     if (want_values) {
-      attr_a = {store_.part_of_attr(q_.agg_expr.a), store_.field(q_.agg_expr.a)};
-      if (have_b) {
-        attr_b = {store_.part_of_attr(q_.agg_expr.b),
-                  store_.field(q_.agg_expr.b)};
-      }
+      walk_attrs.push_back(q_.agg_expr.a);
+      if (have_b) walk_attrs.push_back(q_.agg_expr.b);
     }
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
       PagePartial& part = partials[p];
-      const std::uint32_t valid = store_.page_records(p);
-      // Dense single-page read set: same line dedupe as the scalar walk,
-      // bitmap-backed (see host::ReadSet's dense variant).
-      host::ReadSet page_rs(1, rows(),
-                            static_cast<std::uint32_t>(store_.parts()) *
-                                cfg_.chunks_per_row());
-      GroupKey key(q_.group_by.size(), 0);
-      pim::Page* part_pages[2] = {&store_.page(0, p), nullptr};
-      if (store_.parts() == 2) part_pages[1] = &store_.page(1, p);
-      auto read_field = [&](const WalkAttr& wa, const pim::Page::RecordCoord& c) {
-        return part_pages[wa.part]->crossbar(c.crossbar).read_row_bits(
-            c.row, wa.f.offset, wa.f.width);
-      };
-      for (std::size_t i = bits[p].find_next(0); i < bits[p].size();
-           i = bits[p].find_next(i + 1)) {
-        if (i >= valid) break;
-        ++part.processed;
-        const pim::Page::RecordCoord c =
-            part_pages[0]->locate(static_cast<std::uint32_t>(i));
-        for (const auto& [cpart, chunk] : chunks) {
-          page_rs.touch(0, c.row,
-                        static_cast<std::uint32_t>(cpart) *
-                                cfg_.chunks_per_row() +
-                            chunk);
-        }
-        std::int64_t v = 1;
-        if (want_values) {
-          const std::uint64_t va = read_field(attr_a, c);
-          const std::uint64_t vb = have_b ? read_field(attr_b, c) : 0;
-          v = static_cast<std::int64_t>(q_.agg_expr.eval(va, vb));
-        }
-        auto combine = [&](std::int64_t& slot) {
-          if (q_.agg_func == sql::AggFunc::kMin) {
-            slot = std::min(slot, v);
-          } else if (q_.agg_func == sql::AggFunc::kMax) {
-            slot = std::max(slot, v);
-          } else {
-            slot += v;
-          }
-        };
-        if (pack_keys) {
-          std::uint64_t pk = 0;
-          std::uint32_t shift = 0;
-          for (const WalkAttr& wa : group_attrs) {
-            pk |= read_field(wa, c) << shift;
-            shift += wa.f.width;
-          }
-          const auto [it, fresh] = part.packed.try_emplace(pk, v);
-          if (!fresh) combine(it->second);
+      GroupKey key(ngroup, 0);
+      auto combine = [&](std::int64_t& slot, std::int64_t v) {
+        if (q_.agg_func == sql::AggFunc::kMin) {
+          slot = std::min(slot, v);
+        } else if (q_.agg_func == sql::AggFunc::kMax) {
+          slot = std::max(slot, v);
         } else {
-          for (std::size_t a = 0; a < group_attrs.size(); ++a) {
-            key[a] = read_field(group_attrs[a], c);
-          }
-          const auto it = part.groups.find(key);
-          if (it == part.groups.end()) {
-            part.groups.emplace(key, v);  // key copied only on first sighting
-          } else {
-            combine(it->second);
-          }
+          slot += v;
         }
-      }
-      part.lines = static_cast<std::uint32_t>(page_rs.unique_lines());
+      };
+      part.lines = walk_survivor_blocks(
+          store_, p, bits[p], walk_attrs, chunks.size(),
+          [&](std::size_t, std::uint64_t live,
+              std::span<const pim::RowBlock> blocks) {
+            for (; live != 0; live &= live - 1) {
+              const int j = std::countr_zero(live);
+              ++part.processed;
+              std::int64_t v = 1;
+              if (want_values) {
+                const std::uint64_t vb = have_b ? blocks[ngroup + 1][j] : 0;
+                v = static_cast<std::int64_t>(
+                    q_.agg_expr.eval(blocks[ngroup][j], vb));
+              }
+              if (pack_keys) {
+                std::uint64_t pk = 0;
+                std::uint32_t shift = 0;
+                for (std::size_t g = 0; g < ngroup; ++g) {
+                  pk |= blocks[g][j] << shift;
+                  shift += widths[g];
+                }
+                const auto [it, fresh] = part.packed.try_emplace(pk, v);
+                if (!fresh) combine(it->second, v);
+              } else {
+                for (std::size_t g = 0; g < ngroup; ++g) key[g] = blocks[g][j];
+                const auto it = part.groups.find(key);
+                if (it == part.groups.end()) {
+                  part.groups.emplace(key, v);  // key copied on first sighting
+                } else {
+                  combine(it->second, v);
+                }
+              }
+            }
+          });
     });
-    GroupKey unpacked(q_.group_by.size(), 0);
+    GroupKey unpacked(ngroup, 0);
     for (std::size_t p = 0; p < pages(); ++p) {
       processed += partials[p].processed;
       page_lines[p] = partials[p].lines;
@@ -1363,8 +1373,8 @@ void Execution::host_gb_phase() {
       };
       for (const auto& [pk, v] : partials[p].packed) {
         std::uint64_t rest = pk;
-        for (std::size_t a = 0; a < group_attrs.size(); ++a) {
-          const std::uint32_t w = group_attrs[a].f.width;
+        for (std::size_t a = 0; a < ngroup; ++a) {
+          const std::uint32_t w = widths[a];
           unpacked[a] = w >= 64 ? rest : rest & ((1ULL << w) - 1);
           rest = w >= 64 ? 0 : rest >> w;
         }
@@ -1663,55 +1673,30 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
         read_column_phase(0, r_col_, active_pages_, slot);
 
     // Page-parallel survivor walk: each page collects its row ids and
-    // attribute codes privately (hoisted field access, dense per-page
-    // line accounting — the host-gb idiom), concatenated in page order.
-    const auto chunks = read_chunks(store_, cfg_, attrs);
+    // attribute codes privately, concatenated in page order.
+    const std::size_t chunks = read_chunks(store_, cfg_, attrs).size();
     struct PageOut {
       std::vector<std::uint64_t> ids;
       std::vector<std::vector<std::uint64_t>> cols;
-      std::size_t processed = 0;
       std::uint32_t lines = 0;
     };
     std::vector<PageOut> partials(pages());
-    struct WalkAttr {
-      int part;
-      pim::Field f;
-    };
-    std::vector<WalkAttr> walk;
-    walk.reserve(attrs.size());
-    for (const std::size_t a : attrs) {
-      walk.push_back({store_.part_of_attr(a), store_.field(a)});
-    }
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
       PageOut& po = partials[p];
-      po.cols.resize(walk.size());
-      const std::uint32_t valid = store_.page_records(p);
-      host::ReadSet page_rs(1, rows(),
-                            static_cast<std::uint32_t>(store_.parts()) *
-                                cfg_.chunks_per_row());
-      pim::Page* part_pages[2] = {&store_.page(0, p), nullptr};
-      if (store_.parts() == 2) part_pages[1] = &store_.page(1, p);
-      for (std::size_t i = bits[p].find_next(0); i < bits[p].size();
-           i = bits[p].find_next(i + 1)) {
-        if (i >= valid) break;
-        ++po.processed;
-        const pim::Page::RecordCoord c =
-            part_pages[0]->locate(static_cast<std::uint32_t>(i));
-        for (const auto& [cpart, chunk] : chunks) {
-          page_rs.touch(0, c.row,
-                        static_cast<std::uint32_t>(cpart) *
-                                cfg_.chunks_per_row() +
-                            chunk);
-        }
-        po.ids.push_back(p * store_.records_per_page() + i);
-        for (std::size_t a = 0; a < walk.size(); ++a) {
-          po.cols[a].push_back(
-              part_pages[walk[a].part]->crossbar(c.crossbar).read_row_bits(
-                  c.row, walk[a].f.offset, walk[a].f.width));
-        }
-      }
-      po.lines = static_cast<std::uint32_t>(page_rs.unique_lines());
+      po.cols.resize(attrs.size());
+      po.lines = walk_survivor_blocks(
+          store_, p, bits[p], attrs, chunks,
+          [&](std::size_t first, std::uint64_t live,
+              std::span<const pim::RowBlock> blocks) {
+            for (; live != 0; live &= live - 1) {
+              const int j = std::countr_zero(live);
+              po.ids.push_back(first + j);
+              for (std::size_t a = 0; a < blocks.size(); ++a) {
+                po.cols[a].push_back(blocks[a][j]);
+              }
+            }
+          });
     });
 
     std::size_t processed = 0;
@@ -1719,7 +1704,7 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
     std::vector<std::uint32_t> page_lines(pages(), 0);
     for (std::size_t p = 0; p < pages(); ++p) {
       PageOut& po = partials[p];
-      processed += po.processed;
+      processed += po.ids.size();
       page_lines[p] = po.lines;
       unique_lines += po.lines;
       out.row_ids.insert(out.row_ids.end(), po.ids.begin(), po.ids.end());

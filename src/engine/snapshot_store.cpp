@@ -1,22 +1,15 @@
 #include "engine/snapshot_store.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "engine/pim_store.hpp"
 
 namespace bbpim::engine {
 
 SnapshotStats::SnapshotStats(const PimStore& builder)
-    : table_(&builder.table()),
-      records_(builder.record_count()),
-      max_distinct_(builder.max_distinct()) {
-  const std::size_t nattrs = table_->schema().attribute_count();
-  attr_mutated_.resize(nattrs);
+    : max_distinct_(builder.max_distinct()) {
+  const std::size_t nattrs = builder.table().schema().attribute_count();
   distinct_.resize(nattrs);
   distinct_stale_.assign(nattrs, false);
   for (std::size_t a = 0; a < nattrs; ++a) {
-    attr_mutated_[a] = builder.attr_mutated(a);
     // The accessor settles any staleness in the builder before we copy.
     distinct_[a] = builder.distinct_values(a);
   }
@@ -24,18 +17,14 @@ SnapshotStats::SnapshotStats(const PimStore& builder)
 
 SnapshotStats::SnapshotStats(const SnapshotStats& prev,
                              const std::vector<std::size_t>& touched_attrs)
-    : table_(prev.table_),
-      records_(prev.records_),
-      max_distinct_(prev.max_distinct_) {
+    : max_distinct_(prev.max_distinct_) {
   // prev may be concurrently filling lazily; copy under its lock.
   std::lock_guard<std::mutex> lock(prev.mutex_);
-  attr_mutated_ = prev.attr_mutated_;
   distinct_ = prev.distinct_;
   distinct_stale_ = prev.distinct_stale_;
   fd_cache_ = prev.fd_cache_;
   co_cache_ = prev.co_cache_;
   for (const std::size_t a : touched_attrs) {
-    attr_mutated_.at(a) = true;
     distinct_stale_.at(a) = true;
     for (auto it = fd_cache_.begin(); it != fd_cache_.end();) {
       it = (it->first.first == a || it->first.second == a)
@@ -50,34 +39,12 @@ SnapshotStats::SnapshotStats(const SnapshotStats& prev,
   }
 }
 
-std::uint64_t SnapshotStats::value_locked(const PimStore& reader,
-                                          std::size_t record,
-                                          std::size_t attr) const {
-  return attr_mutated_.at(attr) ? reader.read_attr(record, attr)
-                                : table_->column(attr)[record];
-}
-
 const std::optional<std::vector<std::uint64_t>>& SnapshotStats::distinct_locked(
     std::size_t attr, const PimStore& reader) const {
   if (distinct_stale_.at(attr)) {
-    // Same capping rule as the builder's load-time scan, read through the
-    // snapshot's crossbars.
-    std::unordered_set<std::uint64_t> seen;
-    bool capped = false;
-    for (std::size_t r = 0; r < records_; ++r) {
-      seen.insert(reader.read_attr(r, attr));
-      if (seen.size() > max_distinct_) {
-        capped = true;
-        break;
-      }
-    }
-    if (capped) {
-      distinct_[attr].reset();
-    } else {
-      std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-      std::sort(vals.begin(), vals.end());
-      distinct_[attr] = std::move(vals);
-    }
+    // Same capping rule as the builder, read through the snapshot's
+    // crossbars.
+    distinct_[attr] = scan_distinct(reader, attr, max_distinct_);
     distinct_stale_[attr] = false;
   }
   return distinct_.at(attr);
@@ -102,20 +69,11 @@ SnapshotStats::functional_dependency(std::size_t attr_a, std::size_t attr_b,
   if (it != fd_cache_.end()) {
     return it->second ? &*it->second : nullptr;
   }
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    const std::uint64_t va = value_locked(reader, r, attr_a);
-    const std::uint64_t vb = value_locked(reader, r, attr_b);
-    const auto [entry, fresh] = map.try_emplace(va, vb);
-    if (!fresh && entry->second != vb) {
-      fd_cache_.emplace(key, std::nullopt);  // violated: not a dependency
-      return nullptr;
-    }
-  }
-  auto [stored, ignored] = fd_cache_.emplace(key, std::move(map));
+  auto [stored, ignored] = fd_cache_.emplace(
+      key, build_functional_dependency(reader, attr_a, attr_b,
+                                       distinct_[attr_a]->size()));
   (void)ignored;
-  return &*stored->second;
+  return stored->second ? &*stored->second : nullptr;
 }
 
 const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
@@ -130,17 +88,9 @@ SnapshotStats::co_occurrence(std::size_t attr_a, std::size_t attr_b,
   const auto it = co_cache_.find(key);
   if (it != co_cache_.end()) return &it->second;
 
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
-  map.reserve(distinct_[attr_a]->size());
-  for (std::size_t r = 0; r < records_; ++r) {
-    std::vector<std::uint64_t>& vals = map[value_locked(reader, r, attr_a)];
-    const std::uint64_t vb = value_locked(reader, r, attr_b);
-    if (std::find(vals.begin(), vals.end(), vb) == vals.end()) {
-      vals.push_back(vb);
-    }
-  }
-  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
-  auto [stored, fresh] = co_cache_.emplace(key, std::move(map));
+  auto [stored, fresh] = co_cache_.emplace(
+      key, build_co_occurrence(reader, attr_a, attr_b,
+                               distinct_[attr_a]->size()));
   (void)fresh;
   return &stored->second;
 }

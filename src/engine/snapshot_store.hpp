@@ -33,10 +33,6 @@
 #include "engine/zone_map.hpp"
 #include "pim/crossbar.hpp"
 
-namespace bbpim::rel {
-class Table;
-}
-
 namespace bbpim::engine {
 
 class PimStore;
@@ -48,10 +44,10 @@ class FilterCache;
 /// attribute invalidates only the entries involving that attribute, so a
 /// planner-warmed cache survives unrelated writes.
 ///
-/// Lazy computation reads current values through a `reader` view store (the
-/// caller's PimStore over this snapshot): the crossbars for attributes that
-/// have diverged from the backing table, the cheaper table column otherwise.
-/// All accessors are safe to call from any number of reader threads.
+/// Lazy computation reads the crossbars of a `reader` view store (the
+/// caller's PimStore over this snapshot), 64 records at a time through
+/// PimStore::scan_blocks. All accessors are safe to call from any number of
+/// reader threads.
 class SnapshotStats {
  public:
   /// Seeds version-0 stats from the freshly loaded builder store (its
@@ -78,22 +74,12 @@ class SnapshotStats {
   co_occurrence(std::size_t attr_a, std::size_t attr_b,
                 const PimStore& reader) const;
 
-  /// True once the attribute's stored values diverged from the backing
-  /// table column (cumulative across all versions up to this one).
-  bool attr_mutated(std::size_t attr) const { return attr_mutated_.at(attr); }
-
  private:
   /// distinct_values body; caller holds mutex_.
   const std::optional<std::vector<std::uint64_t>>& distinct_locked(
       std::size_t attr, const PimStore& reader) const;
-  /// Current value of (record, attr); caller holds mutex_.
-  std::uint64_t value_locked(const PimStore& reader, std::size_t record,
-                             std::size_t attr) const;
 
-  const rel::Table* table_;
-  std::size_t records_ = 0;
   std::size_t max_distinct_ = 0;
-  std::vector<bool> attr_mutated_;
 
   mutable std::mutex mutex_;
   mutable std::vector<std::optional<std::vector<std::uint64_t>>> distinct_;

@@ -23,6 +23,56 @@ std::uint32_t checked_data_cols(std::uint32_t rows, std::uint32_t cols,
   }
   return data_cols;
 }
+
+// 64x64 bit-matrix transpose, LSB-first (bit c of m[r] <-> bit r of m[c]),
+// by recursive block swap (Hacker's Delight 7-3). Round J exchanges the
+// off-diagonal J x J blocks of every 2J x 2J block, i.e. swaps bit J of the
+// row index with bit J of the column index. Rounds commute, so any order
+// transposes; a field of `width` < 64 bits has only `width` live words,
+// and ordering the rounds around them lets each round visit only the 2J
+// blocks that hold live rows.
+template <std::uint32_t J, std::uint64_t kMask>
+void transpose_round(RowBlock& m, std::uint32_t width) {
+  for (std::uint32_t b = 0; b < width; b += 2 * J) {
+    for (std::uint32_t k = b; k < b + J; ++k) {
+      const std::uint64_t t = ((m[k] >> J) ^ m[k + J]) & kMask;
+      m[k] ^= t << J;
+      m[k + J] ^= t;
+    }
+  }
+}
+
+/// Column words m[0, width) (the rest zero) -> the 64 rows' field values.
+/// Low rounds first: live rows spread out only as the blocks grow.
+void columns_to_rows(RowBlock& m, std::uint32_t width) {
+  transpose_round<1, 0x5555555555555555ULL>(m, width);
+  transpose_round<2, 0x3333333333333333ULL>(m, width);
+  transpose_round<4, 0x0F0F0F0F0F0F0F0FULL>(m, width);
+  transpose_round<8, 0x00FF00FF00FF00FFULL>(m, width);
+  transpose_round<16, 0x0000FFFF0000FFFFULL>(m, width);
+  transpose_round<32, 0x00000000FFFFFFFFULL>(m, width);
+}
+
+/// The 64 rows' field values (each < 2^width) -> column words m[0, width);
+/// entries from `width` on are left unspecified. High rounds first: each
+/// round produces only the rows the later rounds read.
+void rows_to_columns(RowBlock& m, std::uint32_t width) {
+  transpose_round<32, 0x00000000FFFFFFFFULL>(m, width);
+  transpose_round<16, 0x0000FFFF0000FFFFULL>(m, width);
+  transpose_round<8, 0x00FF00FF00FF00FFULL>(m, width);
+  transpose_round<4, 0x0F0F0F0F0F0F0F0FULL>(m, width);
+  transpose_round<2, 0x3333333333333333ULL>(m, width);
+  transpose_round<1, 0x5555555555555555ULL>(m, width);
+}
+
+void check_block(std::uint32_t word, std::uint32_t words_per_col,
+                 std::uint32_t offset, std::uint32_t width, std::uint32_t cols,
+                 const char* what) {
+  if (width == 0 || width > 64 || offset + width > cols ||
+      word >= words_per_col) {
+    throw std::out_of_range(what);
+  }
+}
 }  // namespace
 
 Crossbar::Crossbar(std::uint32_t rows, std::uint32_t cols)
@@ -199,6 +249,58 @@ void Crossbar::write_row_bits(std::uint32_t row, std::uint32_t offset,
       *w |= mask;
     else
       *w &= ~mask;
+  }
+}
+
+void Crossbar::read_field_block(std::uint32_t word, std::uint32_t offset,
+                                std::uint32_t width, RowBlock& out) const {
+  check_block(word, words_per_col_, offset, width, cols_,
+              "Crossbar::read_field_block");
+  for (std::uint32_t i = 0; i < width; ++i) {
+    out[i] = column_words(offset + i)[word];
+  }
+  std::fill(out.begin() + width, out.end(), 0ULL);
+  columns_to_rows(out, width);
+}
+
+void Crossbar::write_field_block(std::uint32_t word, std::uint32_t offset,
+                                 std::uint32_t width, const RowBlock& values,
+                                 std::uint64_t row_mask) {
+  check_block(word, words_per_col_, offset, width, cols_,
+              "Crossbar::write_field_block");
+  if (row_mask == 0) return;
+  // Wear first: every masked row is driven whether or not its bits change.
+  if (extra_row_writes_.empty()) extra_row_writes_.resize(rows_, 0);
+  for (std::uint64_t m = row_mask; m != 0; m &= m - 1) {
+    const std::uint32_t row = word * kWordBits + std::countr_zero(m);
+    extra_row_writes_[row] += width;
+    max_extra_row_writes_ =
+        std::max<std::uint64_t>(max_extra_row_writes_, extra_row_writes_[row]);
+  }
+  // Merge the masked rows into the current block (a full mask replaces it)
+  // and transpose back to column words: unmasked rows keep their bits.
+  const std::uint64_t field = width == 64 ? ~0ULL : (1ULL << width) - 1;
+  RowBlock merged{};
+  if (row_mask == ~0ULL) {
+    for (std::uint32_t j = 0; j < 64; ++j) merged[j] = values[j] & field;
+  } else {
+    read_field_block(word, offset, width, merged);
+    for (std::uint64_t m = row_mask; m != 0; m &= m - 1) {
+      const std::uint32_t j = std::countr_zero(m);
+      merged[j] = values[j] & field;
+    }
+  }
+  rows_to_columns(merged, width);
+  if (offset < data_cols_ && data_.use_count() > 1) {
+    bool changed = false;
+    for (std::uint32_t i = 0; i < width && !changed; ++i) {
+      changed = column_words(offset + i)[word] != merged[i];
+    }
+    if (!changed) return;
+    detach_data();
+  }
+  for (std::uint32_t i = 0; i < width; ++i) {
+    column_words(offset + i)[word] = merged[i];
   }
 }
 

@@ -24,6 +24,7 @@
 // write takes the plain in-place path.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,6 +38,10 @@ namespace bbpim::pim {
 
 /// A shareable data segment: the packed words of columns [0, data_cols).
 using CrossbarSegment = std::shared_ptr<std::vector<std::uint64_t>>;
+
+/// One field of the 64 rows of one packed column word, in row form:
+/// entry j holds row 64 * word + j.
+using RowBlock = std::array<std::uint64_t, 64>;
 
 /// A rows x cols bit matrix with column-parallel logic.
 class Crossbar {
@@ -75,6 +80,21 @@ class Crossbar {
   /// Writes `width` bits (<= 64) of one row; bumps per-row wear.
   void write_row_bits(std::uint32_t row, std::uint32_t offset,
                       std::uint32_t width, std::uint64_t value);
+
+  /// Block form of read_row_bits: reads the `width`-bit field at `offset`
+  /// of the 64 rows of column word `word` with one bit-matrix transpose.
+  /// out[j] == read_row_bits(64 * word + j, offset, width).
+  void read_field_block(std::uint32_t word, std::uint32_t offset,
+                        std::uint32_t width, RowBlock& out) const;
+
+  /// Block form of write_row_bits: writes values[j] to the field of row
+  /// 64 * word + j for every bit j set in `row_mask`; other rows keep their
+  /// bits. Copy-on-write and wear are exactly those of one write_row_bits
+  /// per masked row: a shared segment detaches only if the bits change, and
+  /// each masked row is charged `width` writes.
+  void write_field_block(std::uint32_t word, std::uint32_t offset,
+                         std::uint32_t width, const RowBlock& values,
+                         std::uint64_t row_mask);
 
   /// Snapshot of a full column as a BitVec of `rows()` bits.
   BitVec column(std::uint32_t col) const;

@@ -1,8 +1,12 @@
 // Tests for the record layout and the PIM-resident store (loading,
-// partitioning, validity bits, distinct stats).
+// partitioning, validity bits, distinct stats) and the block transfers
+// behind loading and scan readback.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "engine_test_util.hpp"
+#include "host/read_set.hpp"
 
 namespace bbpim::engine {
 namespace {
@@ -110,6 +114,141 @@ TEST(PimStoreTest, RejectsEmptyRelation) {
   pim::PimModule module(small_pim_config());
   rel::Table t(rel::Schema({{"a", rel::DataType::kInt, 4, nullptr}}), "empty");
   EXPECT_THROW(PimStore(module, t), std::invalid_argument);
+}
+
+// --- Block transfers: parity with the per-record path -----------------------
+
+/// Two-crossbar split of the synthetic relation: f_* in part 0, d_tag in 1.
+PimStore::Options two_xb_options() {
+  PimStore::Options opt;
+  opt.two_crossbar = true;
+  opt.part_of = [](const std::string& name) {
+    return name.rfind("f_", 0) == 0 ? 0 : 1;
+  };
+  return opt;
+}
+
+/// 128-row crossbars (two column words each), four per page.
+pim::PimConfig two_word_config() {
+  pim::PimConfig cfg = small_pim_config();
+  cfg.crossbar_rows = 128;
+  return cfg;
+}
+
+void expect_block_load_matches_per_record_writes(const PimStore::Options& opt) {
+  const pim::PimConfig cfg = two_word_config();
+  // 1100 records: the last 64-row word holds 12, the last 512-record page
+  // 76, so both the word and the page are partial.
+  const rel::Table t = make_synthetic_table(1100, 8);
+  pim::PimModule module(cfg);
+  const PimStore store(module, t, opt);
+  ASSERT_EQ(store.pages_per_part(), 3u);
+
+  // Reference: the same pages, every record written field by field.
+  pim::PimModule ref(cfg);
+  for (int part = 0; part < store.parts(); ++part) {
+    const RecordLayout& layout = store.layout(part);
+    const std::size_t base =
+        ref.allocate_pages(store.pages_per_part(), layout.scratch_begin());
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      pim::Page& pg = ref.page(base + r / store.records_per_page());
+      const pim::Page::RecordCoord c = pg.locate(
+          static_cast<std::uint32_t>(r % store.records_per_page()));
+      pim::Crossbar& xb = pg.crossbar(c.crossbar);
+      for (const std::size_t a : layout.attrs()) {
+        const pim::Field f = layout.field(a);
+        xb.write_row_bits(c.row, f.offset, f.width, t.value(r, a));
+      }
+      xb.write_row_bits(c.row, layout.valid_col(), 1, 1);
+    }
+    for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
+      const pim::Page& got = module.page(store.module_page_index(part, p));
+      const pim::Page& want = ref.page(base + p);
+      for (std::uint32_t x = 0; x < got.crossbar_count(); ++x) {
+        EXPECT_EQ(*got.crossbar(x).data_segment(),
+                  *want.crossbar(x).data_segment())
+            << "part " << part << " page " << p << " crossbar " << x;
+        EXPECT_EQ(got.crossbar(x).max_extra_row_writes(),
+                  want.crossbar(x).max_extra_row_writes())
+            << "part " << part << " page " << p << " crossbar " << x;
+      }
+    }
+  }
+
+  // The checksum reads the crossbars; it must fold the table's values.
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    for (std::size_t a = 0; a < t.schema().attribute_count(); ++a) {
+      h = (h ^ t.value(r, a)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(store.contents_checksum(), h);
+}
+
+TEST(PimStoreBlock, LoadMatchesPerRecordWritesOneXb) {
+  expect_block_load_matches_per_record_writes(PimStore::Options());
+}
+
+TEST(PimStoreBlock, LoadMatchesPerRecordWritesTwoXb) {
+  expect_block_load_matches_per_record_writes(two_xb_options());
+}
+
+/// execute_scan against a record-at-a-time oracle: the survivors from the
+/// table, their codes through PimStore::read_attr, and the unique lines of
+/// one ReadSet::touch per survivor per chunk.
+void expect_scan_matches_per_record_walk(EngineKind kind, bool prune) {
+  testutil::EngineFixture fx(kind, 900, 31);  // partial last word and page
+  const sql::BoundQuery q = fx.bind_sql(
+      "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND f_gid BETWEEN 1 AND 4");
+  const std::vector<std::size_t> attrs = {1, 4, 2};
+  ExecOptions opts;
+  opts.prune = prune;
+  const ScanOutput out = fx.engine->execute_scan(q.filters, attrs, opts);
+
+  const PimStore& store = *fx.store;
+  std::set<std::pair<int, std::uint32_t>> chunks;
+  for (const std::size_t a : attrs) {
+    const pim::Field f = store.field(a);
+    for (std::uint32_t c = f.offset / fx.cfg.read_bits;
+         c <= (f.offset + f.width - 1) / fx.cfg.read_bits; ++c) {
+      chunks.insert({store.part_of_attr(a), c});
+    }
+  }
+  std::vector<std::uint64_t> ids;
+  std::vector<std::vector<std::uint64_t>> cols(attrs.size());
+  host::ReadSet lines(store.pages_per_part());
+  for (std::size_t r = 0; r < store.record_count(); ++r) {
+    bool pass = true;
+    for (const sql::BoundPredicate& pred : q.filters) {
+      pass = pass && pred.matches(fx.table->value(r, pred.attr));
+    }
+    if (!pass) continue;
+    ids.push_back(r);
+    for (std::size_t k = 0; k < attrs.size(); ++k) {
+      cols[k].push_back(store.read_attr(r, attrs[k]));
+    }
+    const auto row = static_cast<std::uint32_t>(r % fx.cfg.crossbar_rows);
+    for (const auto& [part, chunk] : chunks) {
+      lines.touch(static_cast<std::uint32_t>(r / store.records_per_page()), row,
+                  static_cast<std::uint32_t>(part) * fx.cfg.chunks_per_row() +
+                      chunk);
+    }
+  }
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(out.row_ids, ids);
+  EXPECT_EQ(out.columns, cols);
+  EXPECT_EQ(out.stats.host_lines, lines.unique_lines());
+}
+
+TEST(PimStoreBlock, ScanMatchesPerRecordWalk) {
+  for (const EngineKind kind : {EngineKind::kOneXb, EngineKind::kTwoXb}) {
+    for (const bool prune : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "two-xb " << (kind == EngineKind::kTwoXb) << " prune "
+                   << prune);
+      expect_scan_matches_per_record_walk(kind, prune);
+    }
+  }
 }
 
 }  // namespace
