@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -36,22 +35,6 @@
 #include "harness.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-/// FNV digest of one result's rows (order within a result is deterministic).
-std::uint64_t row_digest(const bbpim::db::ResultSet& rs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& row : rs.rows()) {
-    for (const std::uint64_t g : row.group) h = (h ^ g) * 1099511628211ULL;
-    h = (h ^ static_cast<std::uint64_t>(row.agg)) * 1099511628211ULL;
-  }
-  h = (h ^ rs.row_count()) * 1099511628211ULL;
-  return h;
-}
 
 /// Per-flight deterministic hot-skewed query stream: rank r drawn with
 /// probability proportional to 1/(r+1) from a per-flight LCG. Flights share
@@ -95,10 +78,10 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  const std::size_t flights = env_u64("BBPIM_BATCH_FLIGHTS", 8);
-  const std::size_t total_queries = env_u64("BBPIM_BATCH_QUERIES", 104);
-  const std::size_t workers = env_u64("BBPIM_BATCH_WORKERS", 1);
-  const std::uint64_t window_us = env_u64("BBPIM_BATCH_WINDOW_US", 1000);
+  const std::size_t flights = bench::env_u64("BBPIM_BATCH_FLIGHTS", 8);
+  const std::size_t total_queries = bench::env_u64("BBPIM_BATCH_QUERIES", 104);
+  const std::size_t workers = bench::env_u64("BBPIM_BATCH_WORKERS", 1);
+  const std::uint64_t window_us = bench::env_u64("BBPIM_BATCH_WINDOW_US", 1000);
   const std::size_t per_flight = std::max<std::size_t>(1, total_queries / flights);
 
   std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
@@ -125,7 +108,7 @@ int main() {
     database.register_table(ssb::prejoin_ssb(data));
     db::Session session(database, session_opts);
     for (std::size_t i = 0; i < sqls.size(); ++i) {
-      reference[i] = row_digest(session.execute(sqls[i]));
+      reference[i] = bench::row_digest(session.execute(sqls[i]));
     }
   }
 
@@ -167,7 +150,7 @@ int main() {
           latencies[f].push_back(
               std::chrono::duration<double, std::milli>(Clock::now() - t0)
                   .count());
-          if (row_digest(rs) != reference[qi]) ++failures[f];
+          if (bench::row_digest(rs) != reference[qi]) ++failures[f];
           if (rs.batched_queries() >= 2) ++shared_served[f];
         }
       });

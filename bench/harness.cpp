@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -12,11 +13,6 @@ namespace {
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atof(v) : fallback;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
 }
 
 ssb::SsbData generate_data(const BenchConfig& cfg) {
@@ -44,6 +40,34 @@ db::Database make_database(const ssb::SsbData& data, const BenchConfig& cfg) {
 }
 
 }  // namespace
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
+}
+
+double best_of_ms(std::size_t reps, const std::function<void()>& run) {
+  using Clock = std::chrono::steady_clock;
+  double best = 0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    const auto start = Clock::now();
+    run();
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+    if (r == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+std::uint64_t row_digest(const db::ResultSet& rs) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& row : rs.rows()) {
+    for (const std::uint64_t g : row.group) h = (h ^ g) * 1099511628211ULL;
+    h = (h ^ static_cast<std::uint64_t>(row.agg)) * 1099511628211ULL;
+  }
+  h = (h ^ rs.row_count()) * 1099511628211ULL;
+  return h;
+}
 
 BenchConfig BenchConfig::from_env() {
   BenchConfig cfg;

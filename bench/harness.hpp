@@ -9,6 +9,8 @@
 // binary regenerates one paper table/figure from the same runs.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +95,15 @@ class BenchWorld {
   std::unique_ptr<baseline::MonetLikeEngine> monet_;
   std::vector<QueryRun> runs_;
 };
+
+/// Unsigned integer from environment variable `name`, else `fallback`.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback);
+
+/// Fastest of `reps` wall-clock runs of `run`, in milliseconds.
+double best_of_ms(std::size_t reps, const std::function<void()>& run);
+
+/// FNV digest of one result's rows (order within a result is deterministic).
+std::uint64_t row_digest(const db::ResultSet& rs);
 
 /// The fit grid used by all benches (kept moderate so fitting stays fast).
 engine::FitConfig bench_fit_config();

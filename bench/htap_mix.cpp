@@ -13,12 +13,12 @@
 // table's log and every read's observed data version (ResultSet::
 // data_version) are recorded; a serial oracle then replays the updates in
 // committed order on a fresh database, executing each read at the version
-// the concurrent run observed. Row checksums and headline stats must match
-// exactly, and the final store contents (FNV over every record) must equal
-// the oracle's. This is the concurrent-vs-serial equivalence argument of
-// the snapshot design — reads serve immutable epoch-pinned snapshots,
-// updates copy-on-write a successor version — measured rather than
-// asserted.
+// the concurrent run observed. Row checksums and the cost and plan stats
+// (engine::stats_equal) must match exactly, and the final store contents
+// (FNV over every record) must equal the oracle's. This is the
+// concurrent-vs-serial equivalence argument of the snapshot design — reads
+// serve immutable epoch-pinned snapshots, updates copy-on-write a successor
+// version — measured rather than asserted.
 //
 // Emits BENCH_htap_mix.json in the working directory.
 //
@@ -27,7 +27,6 @@
 // 8), BBPIM_THETA (workload skew, default 0.75).
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -44,11 +43,6 @@
 namespace {
 
 using namespace bbpim;
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 struct Op {
   std::string sql;
@@ -78,9 +72,9 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  const std::size_t ops = env_u64("BBPIM_HTAP_OPS", 64);
-  const std::size_t update_pct = env_u64("BBPIM_HTAP_UPDATE_PCT", 25);
-  const std::size_t max_workers = env_u64("BBPIM_HTAP_MAX_WORKERS", 8);
+  const std::size_t ops = bench::env_u64("BBPIM_HTAP_OPS", 64);
+  const std::size_t update_pct = bench::env_u64("BBPIM_HTAP_UPDATE_PCT", 25);
+  const std::size_t max_workers = bench::env_u64("BBPIM_HTAP_MAX_WORKERS", 8);
 
   std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
   ssb::SsbConfig gen;
@@ -201,9 +195,9 @@ int main() {
         const db::ResultSet serial =
             oracle.execute(d.op->sql, db::BackendKind::kOneXb);
         parity_ok &= row_checksum(serial) == row_checksum(d.result) &&
-                     serial.stats().total_ns == d.result.stats().total_ns &&
-                     serial.stats().selected_records ==
-                         d.result.stats().selected_records;
+                     engine::stats_equal(serial.stats(), d.result.stats(),
+                                         {engine::StatClass::kCost,
+                                          engine::StatClass::kPlan});
       }
       if (version == final_version) break;
       const Done& up = *updates_by_version.at(version + 1);

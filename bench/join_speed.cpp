@@ -25,10 +25,7 @@
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
 // BBPIM_SIM_REPS (best-of repetitions, default 3).
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -40,24 +37,6 @@
 namespace {
 
 using namespace bbpim;
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-double best_of_ms(std::size_t reps, const std::function<void()>& run) {
-  using Clock = std::chrono::steady_clock;
-  double best = 0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    run();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct QueryResult {
   std::string id;
@@ -78,8 +57,8 @@ struct QueryResult {
 int main() {
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
   const std::uint32_t threads =
-      static_cast<std::uint32_t>(env_u64("BBPIM_SIM_THREADS", 8));
-  const std::size_t reps = env_u64("BBPIM_SIM_REPS", 3);
+      static_cast<std::uint32_t>(bench::env_u64("BBPIM_SIM_THREADS", 8));
+  const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
 
   std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
   ssb::SsbConfig gen;
@@ -162,9 +141,9 @@ int main() {
     r.join_selectivity = join_rs.stats().selectivity;
     r.fact_readback_rows = join_rs.stats().selected_records;
     r.host_lines = join_rs.stats().host_lines;
-    r.wall_join_ms = best_of_ms(
+    r.wall_join_ms = bench::best_of_ms(
         reps, [&] { join_session.execute(q.sql, backend, run_opts); });
-    r.wall_prejoin_ms = best_of_ms(
+    r.wall_prejoin_ms = bench::best_of_ms(
         reps, [&] { pre_session.execute(q.sql, backend, run_opts); });
 
     join_total += r.join_ns;

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -35,22 +34,6 @@
 #include "harness.hpp"
 
 namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-/// FNV digest of one result's rows (order within a result is deterministic).
-std::uint64_t row_digest(const bbpim::db::ResultSet& rs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& row : rs.rows()) {
-    for (const std::uint64_t g : row.group) h = (h ^ g) * 1099511628211ULL;
-    h = (h ^ static_cast<std::uint64_t>(row.agg)) * 1099511628211ULL;
-  }
-  h = (h ^ rs.row_count()) * 1099511628211ULL;
-  return h;
-}
 
 /// Deterministic hot-skewed arrival stream over the SSB mix (LCG, weights
 /// proportional to 1/(rank+1)) — the same shape batch_qps serves.
@@ -105,10 +88,11 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  const std::size_t issued = env_u64("BBPIM_OVERLOAD_QUERIES", 60);
-  const std::size_t workers = env_u64("BBPIM_OVERLOAD_WORKERS", 1);
-  const std::size_t depth = env_u64("BBPIM_OVERLOAD_DEPTH", 8);
-  const std::uint64_t deadline_ms = env_u64("BBPIM_OVERLOAD_DEADLINE_MS", 0);
+  const std::size_t issued = bench::env_u64("BBPIM_OVERLOAD_QUERIES", 60);
+  const std::size_t workers = bench::env_u64("BBPIM_OVERLOAD_WORKERS", 1);
+  const std::size_t depth = bench::env_u64("BBPIM_OVERLOAD_DEPTH", 8);
+  const std::uint64_t deadline_ms =
+      bench::env_u64("BBPIM_OVERLOAD_DEADLINE_MS", 0);
 
   std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
   ssb::SsbConfig gen;
@@ -134,7 +118,7 @@ int main() {
     database.register_table(ssb::prejoin_ssb(data));
     db::Session session(database, session_opts);
     for (std::size_t i = 0; i < sqls.size(); ++i) {
-      reference[i] = row_digest(session.execute(sqls[i]));
+      reference[i] = bench::row_digest(session.execute(sqls[i]));
     }
   }
 
@@ -212,7 +196,7 @@ int main() {
         latencies.push_back(
             static_cast<double>(rs.queue_wait_us() + rs.service_us()) / 1e3);
         waits.push_back(static_cast<double>(rs.queue_wait_us()) / 1e3);
-        if (row_digest(rs) != reference[which[i]]) ++run.parity_failures;
+        if (bench::row_digest(rs) != reference[which[i]]) ++run.parity_failures;
       } catch (const db::OverloadError&) {
         ++run.shed;
       } catch (const engine::QueryTimeout&) {

@@ -33,10 +33,7 @@
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
 // BBPIM_SIM_REPS (best-of repetitions, default 3).
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -49,11 +46,6 @@
 namespace {
 
 using namespace bbpim;
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 /// Stable re-sort of a relation by one attribute's codes (the clustering a
 /// chronological fact load produces for the date hierarchy).
@@ -76,32 +68,6 @@ rel::Table cluster_by(const rel::Table& t, const std::string& attr) {
   return out;
 }
 
-double best_of_ms(std::size_t reps, const std::function<void()>& run) {
-  using Clock = std::chrono::steady_clock;
-  double best = 0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    run();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-bool semantic_stats_equal(const engine::QueryStats& a,
-                          const engine::QueryStats& b) {
-  return a.selected_records == b.selected_records &&
-         a.selectivity == b.selectivity &&
-         a.total_subgroups == b.total_subgroups &&
-         a.sampled_subgroups == b.sampled_subgroups &&
-         a.pim_subgroups == b.pim_subgroups && a.n_chunks == b.n_chunks &&
-         a.s_chunks == b.s_chunks &&
-         a.selectivity_estimate == b.selectivity_estimate &&
-         a.candidates_complete == b.candidates_complete &&
-         a.candidate_masses == b.candidate_masses;
-}
-
 struct QueryResult {
   std::string id;
   double modeled_off_ns = 0;
@@ -120,8 +86,8 @@ struct QueryResult {
 int main() {
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
   const std::uint32_t threads =
-      static_cast<std::uint32_t>(env_u64("BBPIM_SIM_THREADS", 8));
-  const std::size_t reps = env_u64("BBPIM_SIM_REPS", 3);
+      static_cast<std::uint32_t>(bench::env_u64("BBPIM_SIM_THREADS", 8));
+  const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
   const std::vector<std::string> flight_ids = {"1.1", "1.2", "1.3", "3.1",
                                                "3.2", "3.3", "3.4"};
 
@@ -189,7 +155,8 @@ int main() {
       std::cerr << "FAIL: pruned rows diverge for q" << id << "\n";
       parity_ok = false;
     }
-    if (!semantic_stats_equal(pruned.stats(), ref.stats())) {
+    if (!engine::stats_equal(pruned.stats(), ref.stats(),
+                             {engine::StatClass::kPlan})) {
       std::cerr << "FAIL: pruned semantic stats diverge for q" << id << "\n";
       parity_ok = false;
     }
@@ -217,13 +184,13 @@ int main() {
     r.predicates_short_circuited = pruned.stats().predicates_short_circuited;
 
     r.wall1_off_ms =
-        best_of_ms(reps, [&] { session.execute(q.sql, backend, off1); });
+        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, off1); });
     r.wall1_on_ms =
-        best_of_ms(reps, [&] { session.execute(q.sql, backend, on1); });
+        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, on1); });
     r.walln_off_ms =
-        best_of_ms(reps, [&] { session.execute(q.sql, backend, offn); });
+        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, offn); });
     r.walln_on_ms =
-        best_of_ms(reps, [&] { session.execute(q.sql, backend, onn); });
+        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, onn); });
 
     modeled_off_total += r.modeled_off_ns;
     modeled_on_total += r.modeled_on_ns;

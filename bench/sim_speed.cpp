@@ -24,10 +24,8 @@
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
 // BBPIM_SIM_REPS (best-of repetitions, default 3).
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,11 +36,6 @@
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
 struct QueryTiming {
   std::string id;
   double serial_ms = 0;   // scalar kernels, 1 thread
@@ -50,56 +43,14 @@ struct QueryTiming {
   double vecn_ms = 0;     // vectorized kernels, N threads
 };
 
-/// Byte-exact equality over every QueryStats field (the determinism
-/// guarantee is bit-identity, so doubles compare with ==).
-bool stats_equal(const bbpim::engine::QueryStats& a,
-                 const bbpim::engine::QueryStats& b) {
-  return a.total_ns == b.total_ns && a.phases.filter == b.phases.filter &&
-         a.phases.transfer == b.phases.transfer &&
-         a.phases.sample == b.phases.sample && a.phases.plan == b.phases.plan &&
-         a.phases.pim_gb == b.phases.pim_gb &&
-         a.phases.host_gb == b.phases.host_gb &&
-         a.phases.finalize == b.phases.finalize && a.energy_j == b.energy_j &&
-         a.energy_logic_j == b.energy_logic_j &&
-         a.energy_read_j == b.energy_read_j &&
-         a.energy_write_j == b.energy_write_j &&
-         a.energy_controller_j == b.energy_controller_j &&
-         a.energy_agg_circuit_j == b.energy_agg_circuit_j &&
-         a.peak_chip_w == b.peak_chip_w &&
-         a.wear_row_writes == b.wear_row_writes &&
-         a.selectivity == b.selectivity &&
-         a.selected_records == b.selected_records &&
-         a.total_subgroups == b.total_subgroups &&
-         a.sampled_subgroups == b.sampled_subgroups &&
-         a.pim_subgroups == b.pim_subgroups && a.host_lines == b.host_lines &&
-         a.pim_requests == b.pim_requests && a.n_chunks == b.n_chunks &&
-         a.s_chunks == b.s_chunks &&
-         a.selectivity_estimate == b.selectivity_estimate &&
-         a.candidates_complete == b.candidates_complete &&
-         a.candidate_masses == b.candidate_masses;
-}
-
-double best_of_ms(std::size_t reps, const std::function<void()>& run) {
-  using Clock = std::chrono::steady_clock;
-  double best = 0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto start = Clock::now();
-    run();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-    if (r == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
   using namespace bbpim;
 
   const std::uint32_t threads =
-      static_cast<std::uint32_t>(env_u64("BBPIM_SIM_THREADS", 8));
-  const std::size_t reps = env_u64("BBPIM_SIM_REPS", 3);
+      static_cast<std::uint32_t>(bench::env_u64("BBPIM_SIM_THREADS", 8));
+  const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
 
   bench::BenchWorld world;
   db::Session& session = world.session();
@@ -135,24 +86,27 @@ int main() {
     // Reference rows + stats from the serial scalar arm; the optimized arms
     // must reproduce them exactly (simulation-thread determinism).
     const db::ResultSet reference = session.execute(q.sql, backend, scalar_opts);
+    // Bit-identity of rows, modeled costs and plan (doubles compare ==).
+    const auto matches = [&](const db::ResultSet& rs) {
+      return rs.rows() == reference.rows() &&
+             engine::stats_equal(
+                 rs.stats(), reference.stats(),
+                 {engine::StatClass::kCost, engine::StatClass::kPlan});
+    };
 
     QueryTiming qt;
     qt.id = q.id;
-    qt.serial_ms = best_of_ms(reps, [&] {
+    qt.serial_ms = bench::best_of_ms(reps, [&] {
       session.execute(q.sql, backend, scalar_opts);
     });
-    qt.vec1_ms = best_of_ms(reps, [&] {
-      const db::ResultSet rs = session.execute(q.sql, backend, vec1_opts);
-      if (rs.rows() != reference.rows() ||
-          !stats_equal(rs.stats(), reference.stats())) {
+    qt.vec1_ms = bench::best_of_ms(reps, [&] {
+      if (!matches(session.execute(q.sql, backend, vec1_opts))) {
         std::cerr << "FAIL: vec-1t output differs for q" << q.id << "\n";
         std::exit(1);
       }
     });
-    qt.vecn_ms = best_of_ms(reps, [&] {
-      const db::ResultSet rs = session.execute(q.sql, backend, vecn_opts);
-      if (rs.rows() != reference.rows() ||
-          !stats_equal(rs.stats(), reference.stats())) {
+    qt.vecn_ms = bench::best_of_ms(reps, [&] {
+      if (!matches(session.execute(q.sql, backend, vecn_opts))) {
         std::cerr << "FAIL: vec-" << threads << "t output differs for q"
                   << q.id << "\n";
         std::exit(1);

@@ -4,36 +4,23 @@
 #include <unordered_map>
 
 namespace bbpim::baseline {
-namespace {
 
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::uint64_t>& k) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (const std::uint64_t v : k) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-}  // namespace
+bool row_matches(const rel::Table& table, std::size_t r,
+                 const std::vector<sql::BoundPredicate>& filters) {
+  return std::ranges::all_of(filters, [&](const sql::BoundPredicate& p) {
+    return p.kind == sql::BoundPredicate::Kind::kAlways ||
+           p.matches(table.value(r, p.attr));
+  });
+}
 
 ReferenceRun scan_execute(const rel::Table& table, const sql::BoundQuery& q) {
   ReferenceRun run;
-  std::unordered_map<std::vector<std::uint64_t>, std::int64_t, KeyHash> groups;
+  std::unordered_map<engine::GroupKey, std::int64_t, engine::KeyHash> groups;
   std::int64_t no_group_acc = 0;
   bool no_group_any = false;
 
   for (std::size_t r = 0; r < table.row_count(); ++r) {
-    bool pass = true;
-    for (const sql::BoundPredicate& p : q.filters) {
-      if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;
-      if (!p.matches(table.value(r, p.attr))) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
+    if (!row_matches(table, r, q.filters)) continue;
     ++run.selected_records;
 
     std::int64_t v = 1;

@@ -19,6 +19,10 @@ struct ReferenceRun {
   std::size_t selected_records = 0;
 };
 
+/// True when row `r` of `table` satisfies every predicate in `filters`.
+bool row_matches(const rel::Table& table, std::size_t r,
+                 const std::vector<sql::BoundPredicate>& filters);
+
 /// Exact scan-based execution over the (pre-joined) relation.
 ReferenceRun scan_execute(const rel::Table& table, const sql::BoundQuery& q);
 

@@ -73,39 +73,11 @@ class ResultSet {
     return update_stats_ ? update_stats_->updated_records : 0;
   }
 
-  // --- zone-map pruning effectiveness (0 for UPDATEs / host baselines) ----
-  /// Pages the filter phase skipped outright via zone-map sketches.
-  std::size_t pages_skipped() const {
-    return is_update() ? 0 : out_.stats.pages_skipped;
-  }
-  /// Valid crossbars inside those pages.
-  std::size_t crossbars_skipped() const {
-    return is_update() ? 0 : out_.stats.crossbars_skipped;
-  }
-  /// (predicate, page) evaluations resolved statically.
-  std::size_t predicates_short_circuited() const {
-    return is_update() ? 0 : out_.stats.predicates_short_circuited;
-  }
-
   // --- shared-scan batching (0 for UPDATEs / solo executions) --------------
   /// Queries fused into the batch this query executed with, itself included
   /// (0 = executed solo, today's path).
   std::size_t batched_queries() const {
     return is_update() ? 0 : out_.stats.batched_queries;
-  }
-  /// Filter-phase page visits that also served at least one batchmate.
-  std::size_t fused_page_passes() const {
-    return is_update() ? 0 : out_.stats.fused_page_passes;
-  }
-  /// Pages whose zone-map classification was reused from the store's
-  /// classification memo instead of recomputed.
-  std::size_t classification_memo_hits() const {
-    return is_update() ? 0 : out_.stats.classification_memo_hits;
-  }
-  /// Shared-scan members re-executed solo after a batchmate failed the
-  /// fused pass (1 on such a result, else 0).
-  std::size_t batch_fallbacks() const {
-    return is_update() ? 0 : out_.stats.batch_fallbacks;
   }
 
   // --- serving-layer wall timings (0 unless served by db::QueryService) ----
@@ -118,10 +90,6 @@ class ResultSet {
                           std::uint64_t service_us) {
     queue_wait_us_ = queue_wait_us;
     service_us_ = service_us;
-    if (!is_update()) {
-      out_.stats.queue_wait_us = queue_wait_us;
-      out_.stats.service_us = service_us;
-    }
   }
 
   /// Target-table data version this execution observed: the number of

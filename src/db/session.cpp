@@ -30,10 +30,7 @@ std::vector<ResultSet::Column> result_columns(const sql::BoundQuery& q,
     const rel::Attribute& a = schema.attribute(attr);
     cols.push_back({a.name, false, a.dict});
   }
-  ResultSet::Column agg;
-  agg.name = q.agg_alias.empty() ? "agg" : q.agg_alias;
-  agg.is_agg = true;
-  cols.push_back(std::move(agg));
+  cols.push_back({q.agg_alias.empty() ? "agg" : q.agg_alias, true, nullptr});
   return cols;
 }
 
@@ -44,10 +41,7 @@ std::vector<ResultSet::Column> join_result_columns(
     const rel::Attribute& a = tables[g.table]->schema().attribute(g.attr);
     cols.push_back({a.name, false, a.dict});
   }
-  ResultSet::Column agg;
-  agg.name = jp.agg_alias.empty() ? "agg" : jp.agg_alias;
-  agg.is_agg = true;
-  cols.push_back(std::move(agg));
+  cols.push_back({jp.agg_alias.empty() ? "agg" : jp.agg_alias, true, nullptr});
   return cols;
 }
 
@@ -199,9 +193,7 @@ class PimExecutor final : public Executor {
 /// backend report plausible-looking but meaningless numbers.
 void reject_pim_exec_options(BackendKind backend,
                              const engine::ExecOptions& opts) {
-  if (opts.force_k.has_value() || opts.skip_host_gb ||
-      opts.sim_threads.has_value() || opts.sim_scalar ||
-      opts.prune.has_value()) {
+  if (opts != engine::ExecOptions{}) {  // any simulation knob set
     throw std::invalid_argument(
         std::string("execute: backend '") + backend_name(backend) +
         "' does not honor ExecOptions (force_k / skip_host_gb / sim_threads /"
@@ -239,11 +231,7 @@ class ColumnarExecutor final : public Executor {
     engine::QueryOutput out;
     out.rows = std::move(run.rows);
     out.stats.total_ns = run.model_ns;
-    out.stats.selected_records = run.selected_records;
-    out.stats.selectivity =
-        table_->row_count() > 0
-            ? static_cast<double>(run.selected_records) / table_->row_count()
-            : 0.0;
+    out.stats.set_selected(run.selected_records, table_->row_count());
     return out;
   }
 
@@ -270,11 +258,7 @@ class ReferenceExecutor final : public Executor {
     baseline::ReferenceRun run = baseline::scan_execute(*table_, q);
     engine::QueryOutput out;
     out.rows = std::move(run.rows);
-    out.stats.selected_records = run.selected_records;
-    out.stats.selectivity =
-        table_->row_count() > 0
-            ? static_cast<double>(run.selected_records) / table_->row_count()
-            : 0.0;
+    out.stats.set_selected(run.selected_records, table_->row_count());
     return out;
   }
 
@@ -289,25 +273,13 @@ class ReferenceExecutor final : public Executor {
     engine::ScanOutput out;
     out.columns.resize(attrs.size());
     for (std::size_t r = 0; r < table_->row_count(); ++r) {
-      bool pass = true;
-      for (const sql::BoundPredicate& p : filters) {
-        if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;
-        if (!p.matches(table_->value(r, p.attr))) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
+      if (!baseline::row_matches(*table_, r, filters)) continue;
       out.row_ids.push_back(r);
       for (std::size_t i = 0; i < attrs.size(); ++i) {
         out.columns[i].push_back(table_->value(r, attrs[i]));
       }
     }
-    out.stats.selected_records = out.row_ids.size();
-    out.stats.selectivity =
-        table_->row_count() > 0
-            ? static_cast<double>(out.row_ids.size()) / table_->row_count()
-            : 0.0;
+    out.stats.set_selected(out.row_ids.size(), table_->row_count());
     return out;
   }
 
@@ -657,37 +629,8 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
     Executor& ex = executor_for(backend, *plan.join_tables[t]);
     engine::ScanOutput scan = ex.execute_scan(filters, attrs[t], scan_opts);
     versions[t] = {jp.table_names[t], ex.last_data_version()};
-    if (t == jp.fact) {
-      stats.selected_records = scan.stats.selected_records;
-      stats.selectivity = scan.stats.selectivity;
-    }
-    // Scans are independent devices running back to back in the model:
-    // latency, energy, and pruning effectiveness all add.
-    stats.total_ns += scan.stats.total_ns;
-    stats.phases.filter += scan.stats.phases.filter;
-    stats.phases.transfer += scan.stats.phases.transfer;
-    stats.phases.host_gb += scan.stats.phases.host_gb;
-    stats.energy_j += scan.stats.energy_j;
-    stats.energy_logic_j += scan.stats.energy_logic_j;
-    stats.energy_read_j += scan.stats.energy_read_j;
-    stats.energy_write_j += scan.stats.energy_write_j;
-    stats.energy_controller_j += scan.stats.energy_controller_j;
-    stats.energy_agg_circuit_j += scan.stats.energy_agg_circuit_j;
-    stats.peak_chip_w = std::max(stats.peak_chip_w, scan.stats.peak_chip_w);
-    // Each scan is its own device epoch: the join's worst row is the worst
-    // row of any of its scans.
-    stats.wear_row_writes =
-        std::max(stats.wear_row_writes, scan.stats.wear_row_writes);
-    stats.host_lines += scan.stats.host_lines;
-    stats.pim_requests += scan.stats.pim_requests;
-    stats.pages_skipped += scan.stats.pages_skipped;
-    stats.pages_synthesized += scan.stats.pages_synthesized;
-    stats.crossbars_skipped += scan.stats.crossbars_skipped;
-    stats.predicates_short_circuited +=
-        scan.stats.predicates_short_circuited;
-    stats.filter_cache_hits += scan.stats.filter_cache_hits;
-    stats.filter_cache_misses += scan.stats.filter_cache_misses;
-    stats.classification_memo_hits += scan.stats.classification_memo_hits;
+    // Scans are independent devices running back to back in the model.
+    stats.merge(scan.stats, t == jp.fact);
     inputs[t].columns = std::move(scan.columns);
   };
   std::vector<std::size_t> table_rows(jp.table_names.size());
@@ -709,10 +652,11 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
   // time lands in the host-gb phase, the merge/sort in finalize.
   engine::JoinOutput joined =
       engine::hash_join_execute(jp, inputs, opts_.host, scan_opts.cancel);
-  stats.phases.host_gb += joined.stats.build_ns + joined.stats.probe_ns;
-  stats.phases.finalize += joined.stats.finalize_ns;
-  stats.total_ns += joined.stats.build_ns + joined.stats.probe_ns +
-                    joined.stats.finalize_ns;
+  engine::QueryStats host;
+  host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
+  host.phases.finalize = joined.stats.finalize_ns;
+  host.total_ns = host.phases.host_gb + host.phases.finalize;
+  stats.merge(host, false);
 
   engine::QueryOutput out;
   out.rows = std::move(joined.rows);

@@ -7,18 +7,6 @@
 namespace bbpim::engine {
 namespace {
 
-using GroupKey = std::vector<std::uint64_t>;
-
-struct KeyHash {
-  std::size_t operator()(const GroupKey& k) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (const std::uint64_t v : k) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
 /// splitmix64 finalizer: spreads dense dictionary codes across partitions.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;

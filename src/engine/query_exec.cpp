@@ -22,18 +22,6 @@
 namespace bbpim::engine {
 namespace {
 
-using GroupKey = std::vector<std::uint64_t>;
-
-struct KeyHash {
-  std::size_t operator()(const GroupKey& k) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (const std::uint64_t v : k) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
 /// One aggregation pass (product/linearity decomposition; see header).
 struct AggPass {
   bool use_select_as_value = false;  ///< value = the select bit column
@@ -609,9 +597,7 @@ void Execution::filter_finish() {
   });
   std::size_t selected = 0;
   for (const std::size_t n : page_selected) selected += n;
-  stats_.selected_records = selected;
-  stats_.selectivity =
-      static_cast<double>(selected) / static_cast<double>(store_.record_count());
+  stats_.set_selected(selected, store_.record_count());
 }
 
 // ---------------------------------------------------------------------------
@@ -1934,6 +1920,50 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
     }
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// QueryStats spine: every rule comes from BBPIM_QUERY_STATS_FIELDS
+// ---------------------------------------------------------------------------
+
+namespace {
+
+template <StatMerge Rule, class T>
+void merge_field(T& into, const T& part, bool fact) {
+  if constexpr (Rule == StatMerge::kSum) {
+    into += part;
+  } else if constexpr (Rule == StatMerge::kMax) {
+    into = std::max(into, part);
+  } else if constexpr (Rule == StatMerge::kFact) {
+    if (fact) into = part;
+  }
+}
+
+}  // namespace
+
+void QueryStats::set_selected(std::size_t selected, std::size_t rows) {
+  selected_records = selected;
+  selectivity = rows > 0 ? static_cast<double>(selected) / rows : 0.0;
+}
+
+void QueryStats::merge(const QueryStats& part, bool fact) {
+#define BBPIM_MERGE_FIELD(member, rule, cls) \
+  merge_field<StatMerge::rule>(member, part.member, fact);
+  BBPIM_QUERY_STATS_FIELDS(BBPIM_MERGE_FIELD)
+#undef BBPIM_MERGE_FIELD
+}
+
+bool stats_equal(const QueryStats& a, const QueryStats& b,
+                 std::initializer_list<StatClass> classes) {
+  const auto covers = [&](StatClass c) {
+    return std::ranges::find(classes, c) != classes.end();
+  };
+  bool equal = true;
+#define BBPIM_EQUAL_FIELD(member, rule, cls) \
+  equal = equal && (!covers(StatClass::cls) || a.member == b.member);
+  BBPIM_QUERY_STATS_FIELDS(BBPIM_EQUAL_FIELD)
+#undef BBPIM_EQUAL_FIELD
+  return equal;
 }
 
 }  // namespace bbpim::engine

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <initializer_list>
 #include <optional>
 #include <vector>
 
@@ -113,16 +114,84 @@ struct QueryStats {
   /// executions against the same store version).
   std::size_t classification_memo_hits = 0;
 
-  // --- serving-layer wall timings and robustness (set by db::QueryService;
-  // --- zero for direct engine/session executions) --------------------------
-  /// Wall-clock the statement spent queued before a worker picked it up.
-  std::uint64_t queue_wait_us = 0;
-  /// Wall-clock of the serving attempt(s): execution plus any retry backoff.
-  std::uint64_t service_us = 0;
+  // --- serving-layer robustness (set by db::QueryService) -----------------
   /// 1 when this result came from the shared-scan member-failure fallback:
   /// the fused pass aborted and this member was re-executed solo.
   std::size_t batch_fallbacks = 0;
+
+  /// Records the filter's survivors: their count and fraction of `rows`.
+  void set_selected(std::size_t selected, std::size_t rows);
+
+  /// Adds one per-table scan of a star join (or the join's host build /
+  /// probe / finalize term) into the join's stats, every field by its
+  /// BBPIM_QUERY_STATS_FIELDS rule; `fact` marks the fact table's scan.
+  void merge(const QueryStats& part, bool fact);
 };
+
+/// How QueryStats::merge folds a star join's per-table scans into one.
+enum class StatMerge {
+  kSum,   ///< the scans run back to back: latency, energy and work add up
+  kMax,   ///< each scan is its own device epoch: the worst scan's peak
+          ///< power and worst-row wear
+  kFact,  ///< the join's result semantics: the fact scan's value
+  kNone,  ///< no join meaning (group-by planner, batching): left as is
+};
+
+/// What a QueryStats field measures.
+enum class StatClass {
+  kCost,     ///< modeled time, energy, power, wear and traffic
+  kPlan,     ///< result semantics and planner inputs
+  kCounter,  ///< pruning, filter-cache, batching and serving counters
+};
+
+// Every QueryStats field, once: X(member, StatMerge rule, StatClass).
+// tests/test_query_stats.cpp counts the struct's members at compile time,
+// so a field added without a row here breaks the build.
+#define BBPIM_QUERY_STATS_FIELDS(X)              \
+  X(total_ns, kSum, kCost)                       \
+  X(phases.filter, kSum, kCost)                  \
+  X(phases.transfer, kSum, kCost)                \
+  X(phases.sample, kSum, kCost)                  \
+  X(phases.plan, kSum, kCost)                    \
+  X(phases.pim_gb, kSum, kCost)                  \
+  X(phases.host_gb, kSum, kCost)                 \
+  X(phases.finalize, kSum, kCost)                \
+  X(energy_j, kSum, kCost)                       \
+  X(energy_logic_j, kSum, kCost)                 \
+  X(energy_read_j, kSum, kCost)                  \
+  X(energy_write_j, kSum, kCost)                 \
+  X(energy_controller_j, kSum, kCost)            \
+  X(energy_agg_circuit_j, kSum, kCost)           \
+  X(peak_chip_w, kMax, kCost)                    \
+  X(wear_row_writes, kMax, kCost)                \
+  X(selectivity, kFact, kPlan)                   \
+  X(selected_records, kFact, kPlan)              \
+  X(total_subgroups, kNone, kPlan)               \
+  X(sampled_subgroups, kNone, kPlan)             \
+  X(pim_subgroups, kNone, kPlan)                 \
+  X(host_lines, kSum, kCost)                     \
+  X(pim_requests, kSum, kCost)                   \
+  X(n_chunks, kNone, kPlan)                      \
+  X(s_chunks, kNone, kPlan)                      \
+  X(selectivity_estimate, kNone, kPlan)          \
+  X(candidates_complete, kNone, kPlan)           \
+  X(candidate_masses, kNone, kPlan)              \
+  X(pages_skipped, kSum, kCounter)               \
+  X(pages_synthesized, kSum, kCounter)           \
+  X(crossbars_skipped, kSum, kCounter)           \
+  X(predicates_short_circuited, kSum, kCounter)  \
+  X(group_pages_skipped, kSum, kCounter)         \
+  X(filter_cache_hits, kSum, kCounter)           \
+  X(filter_cache_misses, kSum, kCounter)         \
+  X(batched_queries, kNone, kCounter)            \
+  X(fused_page_passes, kNone, kCounter)          \
+  X(classification_memo_hits, kSum, kCounter)    \
+  X(batch_fallbacks, kNone, kCounter)
+
+/// Bit-exact equality (doubles compare with ==) over every field whose
+/// class is in `classes`.
+bool stats_equal(const QueryStats& a, const QueryStats& b,
+                 std::initializer_list<StatClass> classes);
 
 struct ResultRow {
   std::vector<std::uint64_t> group;  ///< group-attribute codes

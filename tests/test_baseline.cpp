@@ -108,7 +108,9 @@ TEST(Baseline, GroupByQueriesReturnOrderedGroups) {
     const auto& b = run.rows[i];
     const std::uint64_t ya = a.group[2], yb = b.group[2];
     ASSERT_LE(ya, yb);
-    if (ya == yb) ASSERT_GE(a.agg, b.agg);
+    if (ya == yb) {
+      ASSERT_GE(a.agg, b.agg);
+    }
   }
 }
 

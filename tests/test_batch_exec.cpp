@@ -137,9 +137,9 @@ void run_ssb_batch_parity(engine::EngineKind kind) {
     expect_semantic_stats_equal(got.stats(), serial[i].stats(), sqls[i]);
     EXPECT_EQ(got.batched_queries(), sqls.size()) << sqls[i];
     // The serial pass left every query's page classification in the memo.
-    EXPECT_GT(got.classification_memo_hits(), 0u) << sqls[i];
+    EXPECT_GT(got.stats().classification_memo_hits, 0u) << sqls[i];
     EXPECT_GT(got.stats().total_ns, 0) << sqls[i];
-    fused += got.fused_page_passes();
+    fused += got.stats().fused_page_passes;
   }
   // 13 queries over one table: the fused pass must actually share visits.
   EXPECT_GT(fused, 0u);
@@ -178,7 +178,7 @@ TEST(BatchExec, SingleStatementBatchDegeneratesToSoloPath) {
   EXPECT_EQ(got.stats().energy_j, solo.stats().energy_j);
   EXPECT_EQ(got.stats().wear_row_writes, solo.stats().wear_row_writes);
   EXPECT_EQ(got.batched_queries(), 0u);
-  EXPECT_EQ(got.fused_page_passes(), 0u);
+  EXPECT_EQ(got.stats().fused_page_passes, 0u);
 }
 
 /// Copies `src` under a new relation name (same schema, same rows).
@@ -294,8 +294,8 @@ TEST(BatchExec, ErrorsStayPerStatement) {
                                 good2);
     // The survivors were served by the fused pass' solo fallback — and say
     // so, so the service can count member-failure fallbacks.
-    EXPECT_EQ(items[0].result.batch_fallbacks(), 1u);
-    EXPECT_EQ(items[2].result.batch_fallbacks(), 1u);
+    EXPECT_EQ(items[0].result.stats().batch_fallbacks, 1u);
+    EXPECT_EQ(items[2].result.stats().batch_fallbacks, 1u);
   }
 }
 

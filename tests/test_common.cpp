@@ -227,7 +227,9 @@ TEST(Zipf, MassesSumToOneAndDecrease) {
   double sum = 0;
   for (std::size_t i = 0; i < 100; ++i) {
     sum += z.mass(i);
-    if (i > 0) EXPECT_LE(z.mass(i), z.mass(i - 1) + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(z.mass(i), z.mass(i - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

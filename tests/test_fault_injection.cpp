@@ -273,7 +273,7 @@ TEST(FaultInjection, FusedBatchMemberFaultNeverCorruptsBatchmates) {
     expect_rows_equal(items[i].result, want[i], sqls[i]);
     // Every member was served by the fused pass' solo fallback — and the
     // result says so.
-    EXPECT_EQ(items[i].result.batch_fallbacks(), 1u) << sqls[i];
+    EXPECT_EQ(items[i].result.stats().batch_fallbacks, 1u) << sqls[i];
   }
 }
 

@@ -332,7 +332,7 @@ TEST(HashJoin, JoinReportsWearOfItsScans) {
     EXPECT_GT(rs.stats().wear_row_writes, 0u) << "q" << id;
     EXPECT_EQ(rs.stats().wear_row_writes, want_wear) << "q" << id;
     EXPECT_GT(want_memo, 0u) << "q" << id;
-    EXPECT_EQ(rs.classification_memo_hits(), want_memo) << "q" << id;
+    EXPECT_EQ(rs.stats().classification_memo_hits, want_memo) << "q" << id;
   }
 }
 

@@ -136,7 +136,9 @@ TEST(AreaModelProps, ScalesWithCapacityAndAblatesAlu) {
   const pim::AreaBreakdown pimdb_chip = pim::compute_area(cfg, no_alu);
   EXPECT_LT(pimdb_chip.chip_total_mm2, full.chip_total_mm2);
   for (const auto& c : pimdb_chip.components) {
-    if (c.name == "Aggregation circuits") EXPECT_DOUBLE_EQ(c.area_mm2, 0.0);
+    if (c.name == "Aggregation circuits") {
+      EXPECT_DOUBLE_EQ(c.area_mm2, 0.0);
+    }
   }
 }
 
@@ -144,9 +146,15 @@ TEST(AreaModelProps, MatchesPaperBreakdown) {
   const pim::AreaBreakdown b = pim::compute_area(pim::PimConfig{});
   EXPECT_NEAR(b.chip_total_mm2, 346.0, 2.0);
   for (const auto& c : b.components) {
-    if (c.name == "Aggregation circuits") EXPECT_NEAR(c.percent, 13.9, 0.2);
-    if (c.name == "Crossbars") EXPECT_NEAR(c.percent, 19.24, 0.2);
-    if (c.name == "PIM controllers") EXPECT_NEAR(c.percent, 6.84, 0.2);
+    if (c.name == "Aggregation circuits") {
+      EXPECT_NEAR(c.percent, 13.9, 0.2);
+    }
+    if (c.name == "Crossbars") {
+      EXPECT_NEAR(c.percent, 19.24, 0.2);
+    }
+    if (c.name == "PIM controllers") {
+      EXPECT_NEAR(c.percent, 6.84, 0.2);
+    }
   }
 }
 
@@ -160,7 +168,9 @@ TEST(BitSerialProps, PhasesSumAndGrow) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < phases.size(); ++i) {
     sum += phases[i];
-    if (i >= 2) EXPECT_GE(phases[i], phases[i - 1]);  // SUM widths grow
+    if (i >= 2) {  // SUM widths grow
+      EXPECT_GE(phases[i], phases[i - 1]);
+    }
   }
   EXPECT_EQ(sum, pimdb::bitserial_agg_cycles(16, 1024, pim::AggOp::kSum));
 }

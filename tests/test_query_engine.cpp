@@ -160,7 +160,9 @@ TEST(QueryEngine, OrderByAggDescending) {
     const auto& a = out.rows[i - 1];
     const auto& b = out.rows[i];
     ASSERT_LE(a.group[1], b.group[1]);
-    if (a.group[1] == b.group[1]) ASSERT_GE(a.agg, b.agg);
+    if (a.group[1] == b.group[1]) {
+      ASSERT_GE(a.agg, b.agg);
+    }
   }
 }
 
