@@ -35,8 +35,6 @@ struct Plan;
 
 /// How a table is placed into PIM when a session loads it.
 struct LoadPolicy {
-  /// Distinct-value statistics cap (PimStore::Options::max_distinct).
-  std::size_t max_distinct = 4096;
   /// Two-crossbar part assignment; nullptr = the store's default SSB rule
   /// (fact "lo_*" attributes in part 0, dimension attributes in part 1).
   std::function<int(const std::string&)> part_of;

@@ -22,7 +22,6 @@ SnapshotManager::SnapshotManager(const rel::Table& table,
 engine::PimStore::Options SnapshotManager::store_options() const {
   engine::PimStore::Options o;
   o.two_crossbar = two_crossbar_;
-  o.max_distinct = policy_->max_distinct;
   if (policy_->part_of) o.part_of = policy_->part_of;
   return o;
 }
@@ -34,20 +33,17 @@ void SnapshotManager::ensure_builder_locked() {
       std::make_unique<engine::PimStore>(*module_, *table_, store_options());
 }
 
-void SnapshotManager::catch_up_locked(const host::HostConfig& hcfg,
-                                      std::vector<std::size_t>* touched) {
+void SnapshotManager::catch_up_locked(const host::HostConfig& hcfg) {
   if (applied_ == writes_->log.size()) return;
   const auto mutation = builder_->lock_mutation();
   for (; applied_ < writes_->log.size(); ++applied_) {
     const sql::BoundUpdate& u = writes_->log[applied_];
     engine::pim_update(*builder_, hcfg, u.filters, u.attr, u.value);
-    touched->push_back(u.attr);
   }
 }
 
-void SnapshotManager::publish_locked(const std::vector<std::size_t>& touched) {
-  current_ = engine::freeze_snapshot(*builder_, applied_, current_.get(),
-                                     touched, live_);
+void SnapshotManager::publish_locked() {
+  current_ = engine::freeze_snapshot(*builder_, applied_, live_);
   published_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -65,9 +61,8 @@ std::shared_ptr<const engine::StoreSnapshot> SnapshotManager::acquire(
   // Behind (or never published): replay the committed suffix under the
   // reader side of the gate, then publish once for the whole burst.
   std::shared_lock gate(writes_->gate);
-  std::vector<std::size_t> touched;
-  catch_up_locked(hcfg, &touched);
-  if (current_ == nullptr || !touched.empty()) publish_locked(touched);
+  catch_up_locked(hcfg);
+  if (current_ == nullptr || current_->version() != applied_) publish_locked();
   return current_;
 }
 
@@ -83,8 +78,7 @@ engine::UpdateStats SnapshotManager::apply_update(
   // Writer side: the exclusive gate totally orders log appends across every
   // manager sharing this table's log (one per engine placement).
   std::unique_lock gate(writes_->gate);
-  std::vector<std::size_t> touched;
-  catch_up_locked(hcfg, &touched);
+  catch_up_locked(hcfg);
   validate_parts(update);
   engine::UpdateStats stats;
   {
@@ -97,8 +91,7 @@ engine::UpdateStats SnapshotManager::apply_update(
   writes_->log.push_back(update);
   writes_->committed.store(writes_->log.size(), std::memory_order_release);
   ++applied_;
-  touched.push_back(update.attr);
-  publish_locked(touched);
+  publish_locked();
   if (version_out != nullptr) *version_out = applied_;
   return stats;
 }

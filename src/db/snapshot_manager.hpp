@@ -65,7 +65,7 @@ class SnapshotManager {
                                    std::uint64_t* version_out);
 
   /// PimStore options a view over this manager's snapshots must use
-  /// (placement and stats cap must match the builder's).
+  /// (placement must match the builder's).
   engine::PimStore::Options store_options() const;
 
   const rel::Table& table() const { return *table_; }
@@ -84,13 +84,12 @@ class SnapshotManager {
 
  private:
   void ensure_builder_locked();
-  /// Replays the committed suffix into the builder, appending each entry's
-  /// updated attribute to `touched`. Caller holds mutex_ and the gate.
-  void catch_up_locked(const host::HostConfig& hcfg,
-                       std::vector<std::size_t>* touched);
+  /// Replays the committed suffix into the builder. Caller holds mutex_
+  /// and the gate.
+  void catch_up_locked(const host::HostConfig& hcfg);
   /// Publishes the builder's state as version `applied_`. Caller holds
-  /// mutex_; `touched` lists attributes updated since the previous publish.
-  void publish_locked(const std::vector<std::size_t>& touched);
+  /// mutex_.
+  void publish_locked();
   /// Part of an attribute under the table's load policy (the builder's
   /// vertical split rule; used to validate updates for every engine kind).
   int policy_part(const std::string& attr_name) const;

@@ -27,27 +27,6 @@ std::optional<std::vector<std::uint64_t>> scan_distinct(
   return vals;
 }
 
-std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
-build_functional_dependency(const PimStore& store, std::size_t attr_a,
-                            std::size_t attr_b, std::size_t expected) {
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  map.reserve(expected);
-  bool holds = true;
-  const std::size_t attrs[2] = {attr_a, attr_b};
-  store.scan_blocks(attrs, 0, store.record_count(),
-                    [&](std::size_t, std::uint32_t count,
-                        std::span<const pim::RowBlock> blocks) {
-                      for (std::uint32_t j = 0; j < count && holds; ++j) {
-                        const auto [entry, fresh] =
-                            map.try_emplace(blocks[0][j], blocks[1][j]);
-                        holds = fresh || entry->second == blocks[1][j];
-                      }
-                      return holds;
-                    });
-  if (!holds) return std::nullopt;
-  return map;
-}
-
 std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
 build_co_occurrence(const PimStore& store, std::size_t attr_a,
                     std::size_t attr_b, std::size_t expected) {
@@ -121,40 +100,34 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
         module.allocate_pages(pages_per_part_, layouts_[part].scratch_begin()));
   }
   rows_per_crossbar_ = cfg.crossbar_rows;
-  max_distinct_ = opt.max_distinct;
-  distinct_stale_.assign(nattrs, false);
-  distinct_.resize(nattrs);
 
   if (snap != nullptr) {
-    // View mode: data comes from the snapshot's shared segments — nothing
-    // to load, and every derived structure delegates to the snapshot.
+    // View mode: data and derived state come from the snapshot — nothing
+    // to load.
     adopt(std::move(snap));
     return;
   }
 
   for (int part = 0; part < parts(); ++part) load_part(part);
 
-  // Zone-map sketches, accumulated from the backing table (record r lives
-  // in crossbar r / rows; the partial last crossbar's sketch covers only
-  // its valid records).
-  {
-    std::vector<std::uint32_t> attr_bits;
-    attr_bits.reserve(nattrs);
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      attr_bits.push_back(schema.attribute(a).bits);
-    }
-    const std::size_t crossbars =
-        pages_per_part_ * cfg.crossbars_per_page;
-    zones_ = ZoneMaps(crossbars, attr_bits);
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      const std::vector<std::uint64_t>& col = table.column(a);
-      for (std::size_t r = 0; r < records_; ++r) {
-        zones_.add(a, r / rows_per_crossbar_, col[r]);
-      }
+  // Version 0's derived state, from the backing table. Zone-map sketches:
+  // record r lives in crossbar r / rows; the partial last crossbar's sketch
+  // covers only its valid records.
+  std::vector<std::uint32_t> attr_bits;
+  attr_bits.reserve(nattrs);
+  for (std::size_t a = 0; a < nattrs; ++a) {
+    attr_bits.push_back(schema.attribute(a).bits);
+  }
+  ZoneMaps zones(pages_per_part_ * cfg.crossbars_per_page, attr_bits);
+  for (std::size_t a = 0; a < nattrs; ++a) {
+    const std::vector<std::uint64_t>& col = table.column(a);
+    for (std::size_t r = 0; r < records_; ++r) {
+      zones.add(a, r / rows_per_crossbar_, col[r]);
     }
   }
 
   // Distinct stats for GROUP-BY candidate enumeration.
+  std::vector<SnapshotStats::Distinct> distinct(nattrs);
   for (std::size_t a = 0; a < nattrs; ++a) {
     std::unordered_set<std::uint64_t> seen;
     bool capped = false;
@@ -168,9 +141,11 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
     if (!capped) {
       std::vector<std::uint64_t> vals(seen.begin(), seen.end());
       std::sort(vals.begin(), vals.end());
-      distinct_[a] = std::move(vals);
+      distinct[a] = std::move(vals);
     }
   }
+  derived_ = std::make_shared<const StoreDerived>(
+      std::move(zones), std::move(distinct), opt.max_distinct);
 }
 
 void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
@@ -188,6 +163,7 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
       }
     }
   }
+  derived_ = snap->derived();
   snap_ = std::move(snap);
 }
 
@@ -234,44 +210,6 @@ std::uint32_t PimStore::page_records(std::size_t i) const {
       std::min<std::size_t>(records_per_page_, records_ - first));
 }
 
-const std::unordered_map<std::uint64_t, std::uint64_t>*
-PimStore::functional_dependency(std::size_t attr_a, std::size_t attr_b) const {
-  if (snap_ != nullptr) {
-    return snap_->stats().functional_dependency(attr_a, attr_b, *this);
-  }
-  if (attr_a == attr_b) return nullptr;
-  // Through the refreshing accessor: mutation can change the capped status.
-  if (!distinct_values(attr_a) || !distinct_values(attr_b)) return nullptr;
-  const auto key = std::make_pair(attr_a, attr_b);
-  const auto it = fd_cache_.find(key);
-  if (it != fd_cache_.end()) {
-    return it->second ? &*it->second : nullptr;
-  }
-  auto map = build_functional_dependency(*this, attr_a, attr_b,
-                                         distinct_[attr_a]->size());
-  auto [stored, ignored] = fd_cache_.emplace(key, std::move(map));
-  (void)ignored;
-  return stored->second ? &*stored->second : nullptr;
-}
-
-const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
-PimStore::co_occurrence(std::size_t attr_a, std::size_t attr_b) const {
-  if (snap_ != nullptr) {
-    return snap_->stats().co_occurrence(attr_a, attr_b, *this);
-  }
-  if (attr_a == attr_b) return nullptr;
-  if (!distinct_values(attr_a) || !distinct_values(attr_b)) return nullptr;
-  const auto key = std::make_pair(attr_a, attr_b);
-  const auto it = co_cache_.find(key);
-  if (it != co_cache_.end()) return &it->second;
-
-  auto [stored, fresh] =
-      co_cache_.emplace(key, build_co_occurrence(*this, attr_a, attr_b,
-                                                 distinct_[attr_a]->size()));
-  (void)fresh;
-  return &stored->second;
-}
-
 std::uint64_t PimStore::read_attr(std::size_t record, std::size_t attr) const {
   const int part = attr_part_.at(attr);
   const std::size_t p = record / records_per_page_;
@@ -316,19 +254,6 @@ void PimStore::scan_blocks(
   }
 }
 
-const std::optional<std::vector<std::uint64_t>>& PimStore::distinct_values(
-    std::size_t attr) const {
-  if (snap_ != nullptr) return snap_->stats().distinct_values(attr, *this);
-  if (distinct_stale_.at(attr)) {
-    // Rebuild from the crossbars (the backing table column no longer
-    // reflects the stored values). Lazy so a burst of replayed updates pays
-    // one rescan at the next consumer.
-    distinct_[attr] = scan_distinct(*this, attr, max_distinct_);
-    distinct_stale_[attr] = false;
-  }
-  return distinct_.at(attr);
-}
-
 std::uint64_t PimStore::contents_checksum() const {
   std::uint64_t h = 1469598103934665603ULL;
   std::vector<std::size_t> attrs(table_->schema().attribute_count());
@@ -346,36 +271,8 @@ std::uint64_t PimStore::contents_checksum() const {
   return h;
 }
 
-void PimStore::rebuild_zone_crossbar(std::size_t attr,
-                                     std::size_t crossbar) const {
-  zones_.clear(attr, crossbar);
-  const std::size_t first = crossbar * rows_per_crossbar_;
-  scan_blocks({&attr, 1}, first, first + rows_per_crossbar_,
-              [&](std::size_t, std::uint32_t count,
-                  std::span<const pim::RowBlock> blocks) {
-                for (std::uint32_t j = 0; j < count; ++j) {
-                  zones_.add(attr, crossbar, blocks[0][j]);
-                }
-                return true;
-              });
-}
-
-const ZoneMaps& PimStore::zone_maps() const {
-  if (snap_ != nullptr) return snap_->zone_maps();
-  if (zones_.any_stale()) {
-    for (std::size_t a = 0; a < zones_.attr_count(); ++a) {
-      if (!zones_.stale(a)) continue;
-      for (std::size_t x = 0; x < zones_.crossbar_count(); ++x) {
-        rebuild_zone_crossbar(a, x);
-      }
-      zones_.clear_stale(a);
-    }
-  }
-  return zones_;
-}
-
-void PimStore::note_mutation(std::size_t attr,
-                             const std::vector<std::uint32_t>* touched_crossbars) {
+void PimStore::note_mutation(
+    std::size_t attr, const std::vector<std::uint32_t>& touched_crossbars) {
   if (snap_ != nullptr) {
     throw std::logic_error(
         "PimStore: view stores are immutable; apply updates through the "
@@ -383,43 +280,31 @@ void PimStore::note_mutation(std::size_t attr,
   }
   assert(mutation_locked_by_caller() &&
          "PimStore::note_mutation requires the mutation lock");
-  distinct_stale_.at(attr) = true;
   data_version_.fetch_add(1, std::memory_order_acq_rel);
 
-  // Zone sketches: rebuild exactly the crossbars the mutation touched when
-  // the caller knows them (pim_update popcounts the select column per
-  // crossbar anyway); an attribute already marked stale keeps its lazy
-  // full rebuild — a partial refresh could not clear it.
-  if (touched_crossbars != nullptr && !zones_.stale(attr)) {
-    for (const std::uint32_t x : *touched_crossbars) {
-      rebuild_zone_crossbar(attr, x);
-    }
-  } else {
-    zones_.mark_stale(attr);
+  // The successor version's derived state; published snapshots keep the
+  // current one. Zone sketches: rebuild exactly the crossbars the mutation
+  // touched (pim_update popcounts the select column per crossbar anyway).
+  auto next = std::make_shared<StoreDerived>(*derived_, attr);
+  for (const std::uint32_t x : touched_crossbars) {
+    next->zones.clear(attr, x);
+    const std::size_t first = std::size_t{x} * rows_per_crossbar_;
+    scan_blocks({&attr, 1}, first, first + rows_per_crossbar_,
+                [&](std::size_t, std::uint32_t count,
+                    std::span<const pim::RowBlock> blocks) {
+                  for (std::uint32_t j = 0; j < count; ++j) {
+                    next->zones.add(attr, x, blocks[0][j]);
+                  }
+                  return true;
+                });
   }
-
-  // Derived-statistics caches involving the attribute are stale; drop them
-  // so the next consumer recomputes from the crossbars.
-  for (auto it = fd_cache_.begin(); it != fd_cache_.end();) {
-    it = (it->first.first == attr || it->first.second == attr)
-             ? fd_cache_.erase(it)
-             : std::next(it);
-  }
-  for (auto it = co_cache_.begin(); it != co_cache_.end();) {
-    it = (it->first.first == attr || it->first.second == attr)
-             ? co_cache_.erase(it)
-             : std::next(it);
-  }
+  derived_ = std::move(next);
 
   // Compiled-filter programs for the mutated part: the programs themselves
   // are pure functions of (predicates, layout), but the cache key cannot
   // observe data mutation — per-part invalidation keeps the contract simple
   // and is what the regression tests pin.
-  filter_cache_.invalidate(part_of_attr(attr));
-
-  // Page classifications summarize the mutated data; drop them wholesale
-  // (keys do not name attributes, and mutation is rare on the builder).
-  class_memo_.invalidate();
+  derived_->filter_cache->invalidate(part_of_attr(attr));
 }
 
 }  // namespace bbpim::engine

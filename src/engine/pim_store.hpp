@@ -6,15 +6,16 @@
 // in one aligned page set, dimension attributes in another; record i lives
 // at the same crossbar/row coordinate in both parts).
 //
-// Also computes per-attribute distinct-value statistics used by the
-// GROUP-BY planner to enumerate candidate subgroups ("total number of
-// potential subgroups according to query and database details", Table II).
+// Also serves per-attribute distinct-value statistics used by the GROUP-BY
+// planner to enumerate candidate subgroups ("total number of potential
+// subgroups according to query and database details", Table II), through
+// the StoreDerived of the version it holds.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -35,17 +36,21 @@ namespace bbpim::engine {
 // A PimStore runs in one of two modes:
 //
 //   builder — the classic mutable store: loads the relation into its
-//     module's crossbars, owns zone maps, distinct/FD/co-occurrence stats
-//     and the compiled-filter cache, and accepts in-place mutation through
-//     the lock + note_mutation protocol. db::SnapshotManager keeps exactly
-//     one builder per table and publishes its state as StoreSnapshots.
+//     module's crossbars, builds version 0's StoreDerived from the table
+//     columns, and accepts in-place mutation through the lock +
+//     note_mutation protocol. db::SnapshotManager keeps exactly one builder
+//     per table and publishes its state as StoreSnapshots.
 //
 //   view — an immutable serving store over one published StoreSnapshot:
 //     its crossbars' data segments point at the snapshot's shared segments
-//     (zero copy; see Crossbar::adopt_data), and zone maps, derived stats
-//     and the filter cache delegate to the snapshot. Views skip loading
-//     entirely, never mutate (note_mutation throws), and re-point to a
-//     newer snapshot in O(crossbars) shared_ptr assignments via adopt().
+//     (zero copy; see Crossbar::adopt_data), and it holds the snapshot's
+//     StoreDerived. Views skip loading entirely, never mutate
+//     (note_mutation throws), and re-point to a newer snapshot in
+//     O(crossbars) shared_ptr assignments via adopt().
+//
+// Either way the derived-state accessors (distinct_values, co_occurrence,
+// zone_maps, classification_memo, filter_cache) read the one StoreDerived
+// of the version the store holds.
 class PimStore {
  public:
   struct Options {
@@ -75,10 +80,6 @@ class PimStore {
   void adopt(std::shared_ptr<const StoreSnapshot> snap);
 
   bool is_view() const { return snap_ != nullptr; }
-  /// The pinned snapshot (views only; nullptr for builders).
-  const std::shared_ptr<const StoreSnapshot>& snapshot() const {
-    return snap_;
-  }
 
   pim::PimModule& module() { return *module_; }
   const pim::PimConfig& module_config() const { return module_->config(); }
@@ -123,70 +124,65 @@ class PimStore {
                                std::span<const pim::RowBlock>)>& visit) const;
 
   /// Sorted distinct values of an attribute, or nullopt when cardinality
-  /// exceeded Options::max_distinct. After an in-place mutation the stats
-  /// are rebuilt lazily from the crossbars on first access, so a burst of
-  /// catch-up-replayed updates costs one rescan, not one per update.
+  /// exceeded Options::max_distinct. After an UPDATE of the attribute they
+  /// are rebuilt lazily from the crossbars on first access.
   const std::optional<std::vector<std::uint64_t>>& distinct_values(
-      std::size_t attr) const;
+      std::size_t attr) const {
+    return derived_->stats.distinct_values(attr, *this);
+  }
 
   /// Full-store FNV-1a digest over every record's attribute codes, read
   /// through the crossbars — the store-equivalence checksum the HTAP bench
   /// and determinism tests compare against their serial oracles.
   std::uint64_t contents_checksum() const;
 
-  /// Value map of the functional dependency attr_a -> attr_b, or nullptr
-  /// when it does not hold (or either side's cardinality is uncapped).
-  /// SSB's hierarchies (brand -> category -> mfgr, city -> nation -> region)
-  /// are what let the planner derive Table II's "total subgroups according
-  /// to query and database details". Computed lazily, cached.
-  const std::unordered_map<std::uint64_t, std::uint64_t>*
-  functional_dependency(std::size_t attr_a, std::size_t attr_b) const;
-
-  /// Sorted attr_b values co-occurring with each attr_a value (the general
-  /// form of the above: d_yearmonth = 'Dec1997' leaves d_year = {1997} even
-  /// though year does not determine yearmonth). nullptr when either side's
-  /// cardinality is uncapped. Computed lazily, cached.
+  /// Sorted attr_b values co-occurring with each attr_a value (e.g.
+  /// d_yearmonth = 'Dec1997' leaves d_year = {1997}): SSB's hierarchies
+  /// (brand -> category -> mfgr, city -> nation -> region) are what let the
+  /// planner derive Table II's "total subgroups according to query and
+  /// database details". nullptr when either side's cardinality is uncapped.
+  /// Computed lazily, cached per version.
   const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
-  co_occurrence(std::size_t attr_a, std::size_t attr_b) const;
+  co_occurrence(std::size_t attr_a, std::size_t attr_b) const {
+    return derived_->stats.co_occurrence(attr_a, attr_b, *this);
+  }
 
   /// Memoized WHERE compilations against this store's layouts (repeated
-  /// prepared-statement executions skip recompilation). Views share the
-  /// builder's cache through their snapshot: programs are pure functions of
-  /// (predicates, layout, allocator state), so one memo serves every worker
-  /// and every version, and the builder's mutation invalidation reaches all
-  /// of them.
-  FilterCache& filter_cache() {
-    return snap_ != nullptr ? snap_->filter_cache() : filter_cache_;
-  }
+  /// prepared-statement executions skip recompilation). One cache per
+  /// builder, shared by all its versions and their views: programs are pure
+  /// functions of (predicates, layout, allocator state), and note_mutation
+  /// invalidates the mutated part.
+  FilterCache& filter_cache() const { return *derived_->filter_cache; }
 
-  /// Memoized static page classifications (see ClassificationMemo). Views
-  /// delegate to their snapshot's per-version memo; builders own one that
-  /// note_mutation invalidates, so classifications never outlive the data
-  /// they summarize.
+  /// Memoized static page classifications (see ClassificationMemo) of this
+  /// version; a mutation starts the next version with an empty memo.
   ClassificationMemo& classification_memo() const {
-    return snap_ != nullptr ? snap_->classification_memo() : class_memo_;
+    return derived_->class_memo;
   }
-
-  /// Options::max_distinct (the distinct-stats cardinality cap).
-  std::size_t max_distinct() const { return max_distinct_; }
 
   /// Zone-map sketches: per (attribute, crossbar) min/max code plus a
   /// distinct-code bitmap for low-cardinality attributes. Built from the
-  /// backing table at load time; kept exact across in-place mutation
-  /// (pim_update refreshes the touched crossbars incrementally, and any
-  /// attribute marked stale by a blanket note_mutation is rebuilt from the
-  /// crossbars here, on first access). Crossbar index = record / rows —
-  /// parts share coordinates, so one index space covers both layouts.
-  const ZoneMaps& zone_maps() const;
+  /// backing table at load time and kept exact across in-place mutation
+  /// (note_mutation rebuilds the touched crossbars' sketches). Crossbar
+  /// index = record / rows — parts share coordinates, so one index space
+  /// covers both layouts.
+  const ZoneMaps& zone_maps() const { return derived_->zones; }
+
+  /// The derived state of the version this store holds (what
+  /// freeze_snapshot publishes alongside the data segments).
+  const std::shared_ptr<const StoreDerived>& derived() const {
+    return derived_;
+  }
 
   // --- mutation (Algorithm-1 UPDATE) ---------------------------------------
   // Crossbar data can be rewritten in place (engine::pim_update). Everything
-  // this store caches about the data — distinct-value stats, functional
-  // dependencies, co-occurrence maps, compiled-filter programs — observes
+  // derived from the data — distinct-value stats, co-occurrence maps, zone
+  // sketches, page classifications, compiled-filter programs — observes
   // mutation through the protocol below: take the mutation lock, mutate,
-  // call note_mutation(attr). Queries racing a mutation on the SAME store
-  // are the caller's bug (the db facade's per-table writer gate enforces
-  // exclusion); the lock exists so that bug is caught, not silently raced.
+  // call note_mutation(attr, touched_crossbars). Queries racing a mutation
+  // on the SAME store are the caller's bug (the db facade's per-table writer
+  // gate enforces exclusion); the lock exists so that bug is caught, not
+  // silently raced.
 
   /// RAII exclusive mutation lock. pim_update asserts (debug builds) that
   /// the calling thread holds it.
@@ -232,25 +228,19 @@ class PimStore {
   }
 
   /// Records that `attr`'s stored values changed in place: bumps
-  /// data_version, rebuilds the attribute's distinct-value stats from the
-  /// crossbars, drops the functional-dependency and co-occurrence cache
-  /// entries that involve the attribute, and invalidates the compiled-filter
-  /// cache for the attribute's part. Caller must hold the mutation lock.
-  ///
-  /// `touched_crossbars` (global crossbar indices whose rows were rewritten)
-  /// enables incremental zone-map maintenance: only those sketches are
-  /// rebuilt, exactly, from the crossbars. Passing nullptr marks the whole
-  /// attribute's sketches stale for a lazy full rebuild on next access —
-  /// sound either way, a query can never observe a sketch that is narrower
-  /// than the stored data.
+  /// data_version and switches the builder to a successor StoreDerived, so
+  /// a published snapshot keeps the old one untouched. The successor
+  /// carries the stats forward with `attr`'s distinct values stale and its
+  /// co-occurrence entries dropped, copies the zones and rebuilds the
+  /// sketches of `touched_crossbars` (global crossbar indices whose rows
+  /// were rewritten) exactly from the crossbars, and starts an empty
+  /// classification memo; the shared filter cache drops `attr`'s part.
+  /// Caller must hold the mutation lock.
   void note_mutation(std::size_t attr,
-                     const std::vector<std::uint32_t>* touched_crossbars =
-                         nullptr);
+                     const std::vector<std::uint32_t>& touched_crossbars);
 
  private:
   void load_part(int part);
-  /// Exact sketch rebuild of one (attr, crossbar) from the crossbar data.
-  void rebuild_zone_crossbar(std::size_t attr, std::size_t crossbar) const;
 
   pim::PimModule* module_;
   const rel::Table* table_;
@@ -261,26 +251,10 @@ class PimStore {
   std::vector<int> attr_part_;               // attr -> part
   std::vector<RecordLayout> layouts_;        // per part
   std::vector<std::size_t> base_page_;       // per part
-  /// Lazily refreshed after mutation (see distinct_values), hence mutable.
-  mutable std::vector<std::optional<std::vector<std::uint64_t>>> distinct_;
-  /// (a, b) -> value map when the FD holds, nullopt when checked and absent.
-  mutable std::map<std::pair<std::size_t, std::size_t>,
-                   std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>>
-      fd_cache_;
-  mutable std::map<std::pair<std::size_t, std::size_t>,
-                   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>>
-      co_cache_;
-  FilterCache filter_cache_;
-  /// Builder-owned classification memo (views use their snapshot's).
-  mutable ClassificationMemo class_memo_;
-  /// Lazily rebuilt for attributes marked stale (see zone_maps), hence
-  /// mutable.
-  mutable ZoneMaps zones_;
   std::uint32_t rows_per_crossbar_ = 0;
-
-  std::size_t max_distinct_ = 0;      ///< Options::max_distinct (for refresh)
-  /// Distinct stats invalidated by note_mutation, rebuilt on next access.
-  mutable std::vector<bool> distinct_stale_;
+  /// The held version's derived state: built at load (builder), switched by
+  /// note_mutation, or the snapshot's (view).
+  std::shared_ptr<const StoreDerived> derived_;
   mutable std::mutex mutation_mutex_;
   std::atomic<std::thread::id> mutation_owner_{};
   std::atomic<std::uint64_t> data_version_{0};
@@ -288,19 +262,13 @@ class PimStore {
   std::shared_ptr<const StoreSnapshot> snap_;
 };
 
-// Statistics derived from a store's crossbars through PimStore::scan_blocks,
-// shared by the builder's lazy rebuilds and the snapshots' (SnapshotStats).
+// Statistics derived from a store's crossbars through PimStore::scan_blocks
+// (SnapshotStats' lazy rebuilds).
 
 /// Sorted distinct codes of `attr`, or nullopt once more than
 /// `max_distinct` are seen (PimStore::distinct_values' capping rule).
 std::optional<std::vector<std::uint64_t>> scan_distinct(
     const PimStore& store, std::size_t attr, std::size_t max_distinct);
-
-/// Value map of attr_a -> attr_b, or nullopt when the dependency does not
-/// hold. `expected` sizes the map (attr_a's distinct count).
-std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>
-build_functional_dependency(const PimStore& store, std::size_t attr_a,
-                            std::size_t attr_b, std::size_t expected);
 
 /// Sorted attr_b codes co-occurring with each attr_a code.
 std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>

@@ -175,12 +175,12 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
 
   alloc.release(filter.result_col);
 
-  // Cached derivations of store contents (distinct stats, FD/co-occurrence
-  // maps, compiled-filter programs of this part, zone-map sketches of the
-  // touched crossbars) observed old data; refresh them while the mutation
-  // lock is still held. A no-match update changed nothing, so its caches
-  // stay warm.
-  if (updated > 0) store.note_mutation(attr, &touched_crossbars);
+  // Derived state (distinct stats, co-occurrence maps, zone-map sketches of
+  // the touched crossbars, page classifications, compiled-filter programs
+  // of this part) observed old data; move to the next version's while the
+  // mutation lock is still held. A no-match update changed nothing, so its
+  // derived state stays warm.
+  if (updated > 0) store.note_mutation(attr, touched_crossbars);
   return stats;
 }
 

@@ -77,8 +77,8 @@ struct UpdateStats {
 ///
 /// Mutation protocol: the caller must hold the store's mutation lock
 /// (PimStore::lock_mutation; asserted in debug builds). On a successful
-/// update that changed at least one record, the store's cached derivations
-/// are refreshed via PimStore::note_mutation. The db facade routes every
+/// update that changed at least one record, the store moves to the next
+/// version's derived state via PimStore::note_mutation. The db facade routes every
 /// SQL UPDATE through the Database-level writer gate, which additionally
 /// excludes in-flight reads on the same table.
 UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,

@@ -348,14 +348,42 @@ class Execution {
     }
   }
 
+  /// Read energy of `lines` host line reads.
+  void meter_line_reads(std::size_t lines) {
+    meter_.add(pim::EnergyCat::kRead,
+               static_cast<double>(lines) * cfg_.line_bytes() * 8 *
+                   cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
+  }
+
   /// Charges a host read of `total_lines` result lines (streaming).
   void line_read_phase(std::size_t total_lines, TimeNs* slot) {
     const double per_thread =
         std::ceil(static_cast<double>(total_lines) / hcfg_.threads);
-    meter_.add(pim::EnergyCat::kRead,
-               static_cast<double>(total_lines) * cfg_.line_bytes() * 8 *
-                   cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
+    meter_line_reads(total_lines);
     advance_clock(clock_ + per_thread * hcfg_.line_stream_ns, slot);
+  }
+
+  /// Charges a host survivor walk: the unique lines `page_lines` counts per
+  /// page (read energy, line time) plus per-record CPU for `processed`
+  /// records.
+  void host_walk_phase(const std::vector<std::uint32_t>& page_lines,
+                       std::size_t processed, TimeNs* slot) {
+    std::size_t unique_lines = 0;
+    for (const std::uint32_t n : page_lines) unique_lines += n;
+    stats_.host_lines = unique_lines;
+    meter_line_reads(unique_lines);
+    const TimeNs cpu = static_cast<double>(processed) *
+                       hcfg_.cpu_ns_per_record / hcfg_.threads;
+    advance_clock(clock_ + host::lines_phase_time_ns(page_lines, hcfg_) + cpu,
+                  slot);
+  }
+
+  /// One step of the aggregate's per-group fold: MIN, MAX, or a sum (COUNT
+  /// sums ones).
+  std::int64_t fold(std::int64_t acc, std::int64_t v) const {
+    if (q_.agg_func == sql::AggFunc::kMin) return std::min(acc, v);
+    if (q_.agg_func == sql::AggFunc::kMax) return std::max(acc, v);
+    return acc + v;
   }
 
   // --- phases ---------------------------------------------------------------
@@ -1023,9 +1051,7 @@ void Execution::sample_phase() {
   const TimeNs read_ns =
       static_cast<double>(rs.unique_lines()) * hcfg_.line_random_ns +
       static_cast<double>(hits) * hcfg_.cpu_ns_per_sample;
-  meter_.add(pim::EnergyCat::kRead,
-             static_cast<double>(rs.unique_lines()) * cfg_.line_bytes() * 8 *
-                 cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
+  meter_line_reads(rs.unique_lines());
   advance_clock(clock_ + read_ns, slot);
 
   stats_.sampled_subgroups = counts.size();
@@ -1217,6 +1243,11 @@ void Execution::host_gb_phase() {
   const auto chunks = read_chunks(store_, cfg_, host_read_attrs());
   std::size_t processed = 0;
   std::vector<std::uint32_t> page_lines(pages(), 0);
+  auto merge = [&](const GroupKey& key, std::int64_t v) {
+    auto [it, fresh] =
+        results_.try_emplace(key, std::pair<std::int64_t, bool>{0, false});
+    it->second.first = fresh ? v : fold(it->second.first, v);
+  };
 
   if (!vectorized_) {
     // Scalar baseline: the seed's record-at-a-time walk (hash-set line
@@ -1237,7 +1268,6 @@ void Execution::host_gb_phase() {
                        chunk);
         }
         // Classify + aggregate on the CPU.
-        GroupKey key = group_attr_key(record);
         std::int64_t v = 1;
         if (q_.agg_func != sql::AggFunc::kCount) {
           const std::uint64_t va = store_.read_attr(record, q_.agg_expr.a);
@@ -1247,15 +1277,7 @@ void Execution::host_gb_phase() {
                   : store_.read_attr(record, q_.agg_expr.b);
           v = static_cast<std::int64_t>(q_.agg_expr.eval(va, vb));
         }
-        auto [it, fresh] = results_.try_emplace(
-            std::move(key), std::pair<std::int64_t, bool>{0, false});
-        if (q_.agg_func == sql::AggFunc::kMin) {
-          it->second.first = fresh ? v : std::min(it->second.first, v);
-        } else if (q_.agg_func == sql::AggFunc::kMax) {
-          it->second.first = fresh ? v : std::max(it->second.first, v);
-        } else {
-          it->second.first += v;
-        }
+        merge(group_attr_key(record), v);
       }
     }
     page_lines.assign(rs.per_page_lines().begin(), rs.per_page_lines().end());
@@ -1299,15 +1321,6 @@ void Execution::host_gb_phase() {
       const std::size_t p = active_pages_[job];
       PagePartial& part = partials[p];
       GroupKey key(ngroup, 0);
-      auto combine = [&](std::int64_t& slot, std::int64_t v) {
-        if (q_.agg_func == sql::AggFunc::kMin) {
-          slot = std::min(slot, v);
-        } else if (q_.agg_func == sql::AggFunc::kMax) {
-          slot = std::max(slot, v);
-        } else {
-          slot += v;
-        }
-      };
       part.lines = walk_survivor_blocks(
           store_, p, bits[p], walk_attrs, chunks.size(),
           [&](std::size_t, std::uint64_t live,
@@ -1329,14 +1342,14 @@ void Execution::host_gb_phase() {
                   shift += widths[g];
                 }
                 const auto [it, fresh] = part.packed.try_emplace(pk, v);
-                if (!fresh) combine(it->second, v);
+                if (!fresh) it->second = fold(it->second, v);
               } else {
                 for (std::size_t g = 0; g < ngroup; ++g) key[g] = blocks[g][j];
                 const auto it = part.groups.find(key);
                 if (it == part.groups.end()) {
                   part.groups.emplace(key, v);  // key copied on first sighting
                 } else {
-                  combine(it->second, v);
+                  it->second = fold(it->second, v);
                 }
               }
             }
@@ -1346,17 +1359,6 @@ void Execution::host_gb_phase() {
     for (std::size_t p = 0; p < pages(); ++p) {
       processed += partials[p].processed;
       page_lines[p] = partials[p].lines;
-      auto merge = [&](const GroupKey& key, std::int64_t v) {
-        auto [it, fresh] = results_.try_emplace(
-            key, std::pair<std::int64_t, bool>{0, false});
-        if (q_.agg_func == sql::AggFunc::kMin) {
-          it->second.first = fresh ? v : std::min(it->second.first, v);
-        } else if (q_.agg_func == sql::AggFunc::kMax) {
-          it->second.first = fresh ? v : std::max(it->second.first, v);
-        } else {
-          it->second.first += v;
-        }
-      };
       for (const auto& [pk, v] : partials[p].packed) {
         std::uint64_t rest = pk;
         for (std::size_t a = 0; a < ngroup; ++a) {
@@ -1370,16 +1372,7 @@ void Execution::host_gb_phase() {
     }
   }
 
-  std::size_t unique_lines = 0;
-  for (const std::uint32_t n : page_lines) unique_lines += n;
-  stats_.host_lines = unique_lines;
-  meter_.add(pim::EnergyCat::kRead,
-             static_cast<double>(unique_lines) * cfg_.line_bytes() * 8 *
-                 cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
-  const TimeNs cpu = static_cast<double>(processed) * hcfg_.cpu_ns_per_record /
-                     hcfg_.threads;
-  advance_clock(clock_ + host::lines_phase_time_ns(page_lines, hcfg_) + cpu,
-                slot);
+  host_walk_phase(page_lines, processed, slot);
 
   if (residual_owned) alloc(0).release(residual);
 }
@@ -1686,27 +1679,18 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
     });
 
     std::size_t processed = 0;
-    std::size_t unique_lines = 0;
     std::vector<std::uint32_t> page_lines(pages(), 0);
     for (std::size_t p = 0; p < pages(); ++p) {
       PageOut& po = partials[p];
       processed += po.ids.size();
       page_lines[p] = po.lines;
-      unique_lines += po.lines;
       out.row_ids.insert(out.row_ids.end(), po.ids.begin(), po.ids.end());
       for (std::size_t a = 0; a < po.cols.size(); ++a) {
         out.columns[a].insert(out.columns[a].end(), po.cols[a].begin(),
                               po.cols[a].end());
       }
     }
-    stats_.host_lines = unique_lines;
-    meter_.add(pim::EnergyCat::kRead,
-               static_cast<double>(unique_lines) * cfg_.line_bytes() * 8 *
-                   cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
-    const TimeNs cpu = static_cast<double>(processed) *
-                       hcfg_.cpu_ns_per_record / hcfg_.threads;
-    advance_clock(clock_ + host::lines_phase_time_ns(page_lines, hcfg_) + cpu,
-                  slot);
+    host_walk_phase(page_lines, processed, slot);
   }
 
   finish_stats();

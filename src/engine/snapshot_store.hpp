@@ -2,13 +2,13 @@
 //
 // A StoreSnapshot is one published version of a PIM-resident relation: the
 // reference-counted data segments of every crossbar (see Crossbar's
-// copy-on-write split), a settled copy of the zone-map sketches, and the
-// derived statistics (distinct values, functional dependencies,
-// co-occurrence maps) the GROUP-BY planner consults. Snapshots are
-// immutable once published: an UPDATE builds the next version by detaching
-// only the crossbar segments it actually rewrites (value-aware CoW), so
-// untouched crossbars — and their sketches and statistics — are shared
-// between consecutive versions at shared_ptr cost.
+// copy-on-write split) and that version's StoreDerived — the zone-map
+// sketches, the derived statistics (distinct values, co-occurrence maps)
+// the GROUP-BY planner consults, and the memoized page classifications.
+// Snapshots are immutable once published: an UPDATE builds the next version
+// by detaching only the crossbar segments it actually rewrites (value-aware
+// CoW) and by switching the builder to a successor StoreDerived, so the
+// published version keeps its own derived state untouched.
 //
 // Readers pin a snapshot by holding its shared_ptr; that reference IS the
 // epoch. A retired version is reclaimed the moment its last pinned reader
@@ -38,60 +38,80 @@ namespace bbpim::engine {
 class PimStore;
 class FilterCache;
 
-/// Derived statistics of one snapshot: the lazily-computed, internally
-/// synchronized counterpart of the builder PimStore's distinct/FD/
-/// co-occurrence caches. Carried forward across versions — an UPDATE to one
+/// Derived statistics of one store version: distinct values per attribute
+/// and co-occurrence maps per attribute pair, filled lazily and internally
+/// synchronized. Carried forward across versions — an UPDATE to one
 /// attribute invalidates only the entries involving that attribute, so a
 /// planner-warmed cache survives unrelated writes.
 ///
-/// Lazy computation reads the crossbars of a `reader` view store (the
-/// caller's PimStore over this snapshot), 64 records at a time through
+/// Lazy computation reads the crossbars of a `reader` store (the caller's
+/// PimStore, which holds this version's data), 64 records at a time through
 /// PimStore::scan_blocks. All accessors are safe to call from any number of
 /// reader threads.
 class SnapshotStats {
  public:
-  /// Seeds version-0 stats from the freshly loaded builder store (its
-  /// load-time distinct stats are copied; FD/co-occurrence start empty and
-  /// fill on demand).
-  explicit SnapshotStats(const PimStore& builder);
-  /// Carries `prev` forward across an UPDATE that touched `touched_attrs`:
-  /// their distinct stats are marked stale and every FD/co-occurrence entry
-  /// involving them is dropped; everything else is shared by copy.
-  SnapshotStats(const SnapshotStats& prev,
-                const std::vector<std::size_t>& touched_attrs);
+  using Distinct = std::optional<std::vector<std::uint64_t>>;
 
-  /// Mirrors PimStore::distinct_values. The returned reference is stable:
-  /// entries settle exactly once and the slot vector never resizes.
-  const std::optional<std::vector<std::uint64_t>>& distinct_values(
-      std::size_t attr, const PimStore& reader) const;
+  /// Version-0 stats: the load-time distinct values (nullopt where the
+  /// cardinality exceeded `max_distinct`); co-occurrence fills on demand.
+  SnapshotStats(std::vector<Distinct> distinct, std::size_t max_distinct);
+  /// Carries `prev` forward across an UPDATE of `touched_attr`: its
+  /// distinct stats are marked stale and every co-occurrence entry
+  /// involving it is dropped; everything else is shared by copy.
+  SnapshotStats(const SnapshotStats& prev, std::size_t touched_attr);
 
-  /// Mirrors PimStore::functional_dependency.
-  const std::unordered_map<std::uint64_t, std::uint64_t>* functional_dependency(
-      std::size_t attr_a, std::size_t attr_b, const PimStore& reader) const;
+  /// Sorted distinct values of `attr`, or nullopt above the cap. The
+  /// returned reference is stable: entries settle exactly once and the slot
+  /// vector never resizes.
+  const Distinct& distinct_values(std::size_t attr,
+                                  const PimStore& reader) const;
 
-  /// Mirrors PimStore::co_occurrence.
+  /// Sorted attr_b values co-occurring with each attr_a value, or nullptr
+  /// when either side's cardinality is uncapped.
   const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
   co_occurrence(std::size_t attr_a, std::size_t attr_b,
                 const PimStore& reader) const;
 
  private:
   /// distinct_values body; caller holds mutex_.
-  const std::optional<std::vector<std::uint64_t>>& distinct_locked(
-      std::size_t attr, const PimStore& reader) const;
+  const Distinct& distinct_locked(std::size_t attr,
+                                  const PimStore& reader) const;
 
   std::size_t max_distinct_ = 0;
 
   mutable std::mutex mutex_;
-  mutable std::vector<std::optional<std::vector<std::uint64_t>>> distinct_;
+  mutable std::vector<Distinct> distinct_;
   mutable std::vector<bool> distinct_stale_;
-  mutable std::map<
-      std::pair<std::size_t, std::size_t>,
-      std::optional<std::unordered_map<std::uint64_t, std::uint64_t>>>
-      fd_cache_;
   mutable std::map<
       std::pair<std::size_t, std::size_t>,
       std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>>
       co_cache_;
+};
+
+/// Everything derived from one store version's data, shared by the builder
+/// that produced the version and every view serving it. Never mutated once
+/// published: PimStore::note_mutation switches the builder to a successor
+/// built from the predecessor, so a pinned version keeps its own.
+struct StoreDerived {
+  /// Version 0 of a freshly loaded store.
+  StoreDerived(ZoneMaps zones, std::vector<SnapshotStats::Distinct> distinct,
+               std::size_t max_distinct);
+  /// The successor of `prev` across an UPDATE of `attr`: the same filter
+  /// cache, copied zones (the caller rebuilds the touched crossbars'
+  /// sketches before publishing), stats carried forward and an empty
+  /// classification memo.
+  StoreDerived(const StoreDerived& prev, std::size_t attr);
+
+  /// Compiled-WHERE memo, one per builder and shared by all its versions:
+  /// programs depend on layout and predicates, not data, and the per-part
+  /// invalidation on mutation keeps hits indistinguishable from compiling
+  /// fresh. Thread-safe.
+  std::shared_ptr<FilterCache> filter_cache;
+  ZoneMaps zones;
+  SnapshotStats stats;
+  /// Static page classifications of this version. They depend on the
+  /// sketches, so each version starts its own, which dies with it.
+  mutable ClassificationMemo class_memo;
 };
 
 /// One immutable published version of a PIM-resident relation.
@@ -103,9 +123,7 @@ class StoreSnapshot {
   StoreSnapshot(std::uint64_t version,
                 std::vector<std::vector<pim::CrossbarSegment>> segments,
                 std::size_t pages_per_part,
-                std::shared_ptr<const ZoneMaps> zones,
-                std::shared_ptr<SnapshotStats> stats,
-                FilterCache* filter_cache,
+                std::shared_ptr<const StoreDerived> derived,
                 std::shared_ptr<std::atomic<std::int64_t>> live_counter);
   ~StoreSnapshot();
   StoreSnapshot(const StoreSnapshot&) = delete;
@@ -122,38 +140,27 @@ class StoreSnapshot {
                         page)[xb];
   }
 
-  const ZoneMaps& zone_maps() const { return *zones_; }
-  const SnapshotStats& stats() const { return *stats_; }
-  /// The compiled-WHERE memo shared across every version of this table's
-  /// store (programs depend on layout and predicates, not data; mutation
-  /// invalidation is handled by the builder). Thread-safe by construction.
-  FilterCache& filter_cache() const { return *filter_cache_; }
-  /// Static page classifications memoized per snapshot version.
-  /// Classification depends on the sketches, so unlike the filter cache the
-  /// memo cannot outlive its data version — each snapshot owns its own,
-  /// which dies (trivially correct invalidation) with the snapshot.
-  ClassificationMemo& classification_memo() const { return class_memo_; }
+  /// This version's zone maps, stats, classification memo and the
+  /// builder's filter cache.
+  const std::shared_ptr<const StoreDerived>& derived() const {
+    return derived_;
+  }
 
  private:
   std::uint64_t version_;
   std::vector<std::vector<pim::CrossbarSegment>> segments_;
   std::size_t pages_per_part_;
-  std::shared_ptr<const ZoneMaps> zones_;
-  std::shared_ptr<SnapshotStats> stats_;
-  FilterCache* filter_cache_;
-  mutable ClassificationMemo class_memo_;
+  std::shared_ptr<const StoreDerived> derived_;
   std::shared_ptr<std::atomic<std::int64_t>> live_counter_;
 };
 
 /// Publishes the builder store's current contents as version `version`.
 /// Capturing a crossbar's segment bumps its reference count, which is what
 /// arms the builder's copy-on-write: its next functional change to that
-/// crossbar detaches a private copy, leaving this snapshot untouched.
-/// `prev` carries derived statistics forward (nullptr seeds from the
-/// builder); `touched_attrs` lists the attributes updated since `prev`.
+/// crossbar detaches a private copy, leaving this snapshot untouched. The
+/// snapshot shares the builder's current StoreDerived; nothing is copied.
 std::shared_ptr<const StoreSnapshot> freeze_snapshot(
-    PimStore& builder, std::uint64_t version, const StoreSnapshot* prev,
-    const std::vector<std::size_t>& touched_attrs,
+    PimStore& builder, std::uint64_t version,
     std::shared_ptr<std::atomic<std::int64_t>> live_counter);
 
 }  // namespace bbpim::engine

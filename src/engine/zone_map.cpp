@@ -137,16 +137,11 @@ double sketch_selectivity(const sql::BoundPredicate& p, const ZoneSketch& s,
 ZoneMaps::ZoneMaps(std::size_t crossbars,
                    const std::vector<std::uint32_t>& attr_bits)
     : crossbars_(crossbars),
-      stale_(attr_bits.size(), false),
       sketches_(attr_bits.size() * crossbars) {
   bitmap_.reserve(attr_bits.size());
   for (const std::uint32_t bits : attr_bits) {
     bitmap_.push_back(bits <= kZoneBitmapMaxBits);
   }
-}
-
-bool ZoneMaps::any_stale() const {
-  return std::find(stale_.begin(), stale_.end(), true) != stale_.end();
 }
 
 std::shared_ptr<const FilterPruneAnalysis> ClassificationMemo::find(
@@ -167,11 +162,6 @@ void ClassificationMemo::insert(
   std::lock_guard lock(mutex_);
   if (entries_.size() >= kMaxEntries) entries_.clear();
   entries_.emplace(key, std::move(analysis));
-}
-
-void ClassificationMemo::invalidate() {
-  std::lock_guard lock(mutex_);
-  entries_.clear();
 }
 
 std::uint64_t ClassificationMemo::hit_count() const {

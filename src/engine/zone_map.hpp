@@ -103,19 +103,9 @@ class ZoneMaps {
     sketches_[attr * crossbars_ + crossbar] = ZoneSketch{};
   }
 
-  // --- staleness (mutation protocol) ---------------------------------------
-  /// An in-place UPDATE that could not name the touched crossbars marks the
-  /// attribute stale; the owning store rebuilds it from the crossbars on
-  /// next access (PimStore::zone_maps).
-  bool stale(std::size_t attr) const { return stale_.at(attr); }
-  void mark_stale(std::size_t attr) { stale_.at(attr) = true; }
-  void clear_stale(std::size_t attr) { stale_.at(attr) = false; }
-  bool any_stale() const;
-
  private:
   std::size_t crossbars_ = 0;
   std::vector<bool> bitmap_;           // per attr
-  std::vector<bool> stale_;            // per attr
   std::vector<ZoneSketch> sketches_;   // [attr * crossbars_ + crossbar]
 };
 
@@ -126,10 +116,9 @@ class ZoneMaps {
 /// filter — or one prepared statement re-executed — classifies each (page,
 /// predicate) pair once instead of N times. Keys are the textual predicate
 /// serialization (see classification_memo_key); entries are shared_ptrs so a
-/// hit costs one refcount bump. Thread-safe; the builder store invalidates
-/// the memo under its mutation protocol, and per-snapshot memos die with
-/// their (immutable) snapshot, so a query can never observe a stale
-/// classification.
+/// hit costs one refcount bump. Thread-safe. Each store version owns one
+/// (StoreDerived), which a mutation never reuses, so a query can never
+/// observe a stale classification.
 class ClassificationMemo {
  public:
   /// The memoized analysis for `key`, or nullptr on miss. Counts the lookup.
@@ -137,8 +126,6 @@ class ClassificationMemo {
   /// Publishes an analysis; first writer wins on a racing double-compute.
   void insert(const std::string& key,
               std::shared_ptr<const FilterPruneAnalysis> analysis);
-  /// Drops every entry (builder-store mutation protocol).
-  void invalidate();
 
   std::uint64_t hit_count() const;
   std::uint64_t miss_count() const;

@@ -16,11 +16,14 @@
 //     divergence (non-commuting updates replayed out of commit order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +120,101 @@ TEST(SnapshotStore, CopyOnWriteIsolatesPinnedReaders) {
   EXPECT_LT(shared, total) << "the touched crossbar must have detached";
   EXPECT_GT(shared, total / 2)
       << "a selective update must leave most crossbars shared";
+}
+
+TEST(SnapshotStore, DerivedStateIsPerVersion) {
+  // A seeded UPDATE sequence with a view pinned at every version. Each
+  // view's distinct stats, co-occurrence maps and zone sketches must equal a
+  // recompute from that view's own crossbars: no later UPDATE may leak
+  // into an earlier version's derived state, and no lazily filled entry
+  // may be computed from another version's data. Even versions warm their
+  // stats at pin time (so carry-forward copies see filled caches); odd
+  // versions fill lazily at the end, after every later version exists.
+  ManagerFixture fx(600, 5);
+  const rel::Schema& schema = fx.table->schema();
+  const std::size_t nattrs = schema.attribute_count();
+  const std::size_t f_val2 = *schema.index_of("f_val2");
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {*schema.index_of("f_gid"), *schema.index_of("d_tag")},
+      {*schema.index_of("d_tag"), f_val2},
+      {f_val2, *schema.index_of("f_gid")},
+  };
+  const auto warm = [&](const engine::PimStore& store) {
+    for (std::size_t a = 0; a < nattrs; ++a) store.distinct_values(a);
+    for (const auto& [a, b] : pairs) store.co_occurrence(a, b);
+  };
+
+  // SET targets and their code ranges; d_tag never takes 7 here, so
+  // "WHERE d_tag = 7" matches nothing.
+  const std::pair<const char*, std::uint64_t> targets[] = {
+      {"f_gid", 10}, {"f_val2", 50}, {"d_tag", 7}, {"f_val", 1000}};
+  Rng rng(2024);
+  std::vector<std::string> updates;
+  for (int i = 0; i < 22; ++i) {
+    const auto& [set, set_codes] = targets[rng.next_below(4)];
+    const auto& [where, where_codes] = targets[rng.next_below(3)];
+    updates.push_back("UPDATE synthetic SET " + std::string(set) + " = " +
+                      std::to_string(rng.next_below(set_codes)) + " WHERE " +
+                      where + " = " +
+                      std::to_string(rng.next_below(where_codes)));
+  }
+  updates[6] = "UPDATE synthetic SET f_val2 = 60 WHERE f_gid = 1";  // new code
+  updates[13] = "UPDATE synthetic SET f_val = 5 WHERE d_tag = 7";   // no match
+
+  std::vector<std::unique_ptr<ManagerFixture::View>> views;
+  views.push_back(
+      std::make_unique<ManagerFixture::View>(fx, fx.mgr->acquire(fx.hcfg)));
+  warm(views.back()->store);
+  for (const std::string& u : updates) {
+    fx.mgr->apply_update(bound(*fx.table, u), fx.hcfg, nullptr);
+    views.push_back(
+        std::make_unique<ManagerFixture::View>(fx, fx.mgr->acquire(fx.hcfg)));
+    if (views.size() % 2 == 1) warm(views.back()->store);
+  }
+  ASSERT_EQ(views.back()->store.data_version(), updates.size());
+
+  const std::size_t max_distinct = fx.mgr->store_options().max_distinct;
+  bool saw_code_60 = false;
+  for (const auto& view : views) {
+    const engine::PimStore& store = view->store;
+    const std::string what = "version " + std::to_string(store.data_version());
+    for (std::size_t a = 0; a < nattrs; ++a) {
+      EXPECT_EQ(store.distinct_values(a),
+                engine::scan_distinct(store, a, max_distinct))
+          << what << ", attr " << a;
+    }
+    const auto& f_val2_values = store.distinct_values(f_val2);
+    saw_code_60 |= f_val2_values && std::binary_search(f_val2_values->begin(),
+                                                       f_val2_values->end(), 60);
+    for (const auto& [a, b] : pairs) {
+      const auto* co = store.co_occurrence(a, b);
+      ASSERT_NE(co, nullptr) << what;
+      EXPECT_EQ(*co, engine::build_co_occurrence(
+                         store, a, b, store.distinct_values(a)->size()))
+          << what << ", pair " << a << "," << b;
+    }
+    const engine::ZoneMaps& zones = store.zone_maps();
+    for (std::size_t a = 0; a < nattrs; ++a) {
+      for (std::size_t x = 0; x < zones.crossbar_count(); ++x) {
+        engine::ZoneSketch want;
+        const std::size_t first = x * fx.pim.crossbar_rows;
+        store.scan_blocks({&a, 1}, first, first + fx.pim.crossbar_rows,
+                          [&](std::size_t, std::uint32_t count,
+                              std::span<const pim::RowBlock> blocks) {
+                            for (std::uint32_t j = 0; j < count; ++j) {
+                              want.add(blocks[0][j], zones.bitmap_attr(a));
+                            }
+                            return true;
+                          });
+        const engine::ZoneSketch& got = zones.sketch(a, x);
+        EXPECT_EQ(got.min, want.min) << what << ", attr " << a << ", xb " << x;
+        EXPECT_EQ(got.max, want.max) << what << ", attr " << a << ", xb " << x;
+        EXPECT_EQ(got.codes, want.codes)
+            << what << ", attr " << a << ", xb " << x;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_code_60) << "the new-code UPDATE must reach some version";
 }
 
 TEST(SnapshotStore, RetiredSnapshotsReclaimWhenReadersDrain) {

@@ -285,25 +285,6 @@ TEST(ZonePruning, UpdateRefreshesSketches) {
   EXPECT_LT(pruned.stats.pages_skipped, fx.store.pages_per_part());
 }
 
-TEST(ZonePruning, BlanketMutationMarksStaleAndRebuilds) {
-  ClusteredFixture fx(EngineKind::kOneXb, 600, 5);
-  // A note_mutation without a touched set must mark the attribute stale and
-  // rebuild lazily from the crossbars on the next zone_maps() access.
-  {
-    const auto lock = fx.store.lock_mutation();
-    fx.store.note_mutation(3, nullptr);  // f_val2, no touched set
-  }
-  const ZoneMaps& zones = fx.store.zone_maps();  // triggers the rebuild
-  EXPECT_FALSE(zones.stale(3));
-  // Rebuilt sketches must match the stored data exactly: 60 never occurs
-  // (f_val2 is 0..49), so every crossbar refutes the equality.
-  const sql::BoundPredicate eq = pred(sql::BoundPredicate::Kind::kEq, 3, 60);
-  for (std::size_t xb = 0; xb < zones.crossbar_count(); ++xb) {
-    EXPECT_EQ(classify_predicate(eq, zones.sketch(3, xb), true),
-              ZoneClass::kAlwaysFalse);
-  }
-}
-
 TEST(OrderBySelectivity, MostSelectiveFirstAndDeterministic) {
   ClusteredFixture fx(EngineKind::kOneXb, 1000, 77);
   std::vector<sql::BoundPredicate> filters = {
