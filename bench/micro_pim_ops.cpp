@@ -55,7 +55,7 @@ void BM_ExecuteBetweenFilter(benchmark::State& state) {
   pim::ProgramBuilder pb(alloc);
   const std::uint16_t col =
       pb.emit_between_const(pim::Field{0, 20}, 1000, 500000);
-  const pim::MicroProgram prog = pb.program();
+  const pim::MicroProgram prog = pb.program().gates;
   for (auto _ : state) {
     xb.execute(prog);
     benchmark::DoNotOptimize(xb);

@@ -69,25 +69,6 @@ Database::Database(Database&& other) noexcept {
   binding_ = std::move(other.binding_);
 }
 
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    std::scoped_lock lock(mutex_, other.mutex_);
-    tables_ = std::move(other.tables_);
-    order_ = std::move(other.order_);
-    default_target_ = std::move(other.default_target_);
-    version_.store(other.version_.load(std::memory_order_acquire),
-                   std::memory_order_release);
-    writes_ = std::move(other.writes_);
-    snapshots_ = std::move(other.snapshots_);
-    plans_ = std::move(other.plans_);
-    plans_version_ = other.plans_version_;
-    plan_hits_.store(other.plan_hits_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    binding_ = std::move(other.binding_);
-  }
-  return *this;
-}
-
 const rel::Table& Database::add(Entry entry) {
   const std::string& name = entry.table->name();
   if (name.empty()) {

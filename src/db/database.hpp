@@ -43,27 +43,28 @@ struct LoadPolicy {
 /// Per-table write coordination for the SQL UPDATE path.
 ///
 /// The catalog's registered tables are immutable, but their PIM-resident
-/// copies are not: Algorithm-1 updates rewrite crossbar data in place, and
-/// every session (and every QueryService worker) owns a PRIVATE store of
-/// the table. TableWrites is how those copies stay one logical relation:
+/// copies are not: Algorithm-1 updates rewrite crossbar data. Each
+/// SnapshotManager (one per table and PIM placement) owns the one mutable
+/// builder store of the table and publishes immutable snapshots of it;
+/// sessions and QueryService workers read through pinned snapshot views,
+/// which never replay anything. TableWrites is how the builders stay one
+/// logical relation:
 ///
-///   - `gate` is the writer gate. An update holds it exclusively — no read
-///     anywhere observes a half-applied update, and the log append point is
-///     a total order over updates. Reads hold it shared for their whole
-///     execution (catch-up replay + simulated query).
-///   - `log` is the ordered update history. A store that has applied the
-///     first k entries is at data version k; executors replay the missing
-///     suffix into their own store before executing (lazy catch-up), so a
-///     store built or idle while updates landed converges deterministically.
+///   - `gate` is the writer gate. An update holds it exclusively while it
+///     applies to its manager's builder and appends to the log, so the log
+///     is a total order over updates. A manager catching up holds it
+///     shared.
+///   - `log` is the ordered update history. A builder that has applied the
+///     first k entries is at data version k; each builder replays the
+///     missing suffix in SnapshotManager::catch_up_locked before it applies
+///     an update or publishes a snapshot, so a builder created or idle
+///     while updates landed converges deterministically.
 ///   - `committed` mirrors log.size() atomically (bumped after the append,
-///     still under the exclusive gate). It exists so a reader whose private
-///     store is already current can see that WITHOUT touching the gate: the
-///     read then proceeds gate-free — its store needs no replay and no other
-///     session's update can touch it — which removes the reader-side
-///     shared-lock contention that made read-mostly HTAP scaling negative.
-///     A reader that observes a stale `committed` simply serializes before
-///     the in-flight update, exactly like a reader that grabbed the shared
-///     gate first.
+///     still under the exclusive gate). A view whose pinned version equals
+///     it is current and executes without touching the gate or the
+///     manager; a behind view re-pins through SnapshotManager::acquire. A
+///     reader that observes a stale `committed` simply serializes before
+///     the in-flight update.
 ///
 /// Guarded by `gate`: read `log` under a shared lock, append under an
 /// exclusive one. `committed` is lock-free.
@@ -87,9 +88,10 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
   /// Movable while no session is connected (sessions hold a pointer) and no
-  /// other thread is touching either operand.
+  /// other thread is touching either operand. Move-constructible only (a
+  /// factory returns one by value); nothing assigns a Database.
   Database(Database&& other) noexcept;
-  Database& operator=(Database&& other) noexcept;
+  Database& operator=(Database&&) = delete;
 
   /// Registers (and takes ownership of) a relation under `table.name()`.
   /// The first registered table becomes the default query target.

@@ -164,19 +164,7 @@ std::future<ResultSet> QueryService::enqueue(Task task) {
 
 std::future<ResultSet> QueryService::submit(std::string sql_text,
                                             const engine::ExecOptions& opts) {
-  Task task;
-  task.batchable = true;
-  task.sql = std::move(sql_text);
-  // Arm the deadline NOW: queue wait counts against it. The armed token
-  // rides inside the options the worker executes with.
-  engine::ExecOptions eopts = opts;
-  eopts.cancel = engine::resolve_cancel(opts);
-  task.opts = eopts;
-  task.cancel = eopts.cancel;
-  task.run = [sql = task.sql, eopts](Session& session) {
-    return session.execute(sql, eopts);
-  };
-  return enqueue(std::move(task));
+  return submit(std::move(sql_text), BackendKind::kOneXb, opts);
 }
 
 std::future<ResultSet> QueryService::submit(std::string sql_text,
@@ -185,8 +173,9 @@ std::future<ResultSet> QueryService::submit(std::string sql_text,
   Task task;
   task.batchable = true;
   task.sql = std::move(sql_text);
-  task.has_backend = true;
   task.backend = backend;
+  // Arm the deadline NOW: queue wait counts against it. The armed token
+  // rides inside the options the worker executes with.
   engine::ExecOptions eopts = opts;
   eopts.cancel = engine::resolve_cancel(opts);
   task.opts = eopts;
@@ -216,10 +205,7 @@ std::vector<ResultSet> QueryService::drain(
 
 std::vector<ResultSet> QueryService::execute_batch(
     std::span<const std::string> sqls) {
-  std::vector<std::future<ResultSet>> futures;
-  futures.reserve(sqls.size());
-  for (const std::string& sql : sqls) futures.push_back(submit(sql));
-  return drain(std::move(futures));
+  return execute_batch(sqls, BackendKind::kOneXb);
 }
 
 std::vector<ResultSet> QueryService::execute_batch(
@@ -417,7 +403,6 @@ void QueryService::worker_loop(std::size_t index) {
       if (shared.enabled && shared.max_batch > 1 && batch.front().batchable) {
         // Copies, not references: gathering grows `batch`, which would
         // invalidate a reference into it.
-        const bool head_has_backend = batch.front().has_backend;
         const BackendKind head_backend = batch.front().backend;
         const engine::ExecOptions head_opts = batch.front().opts;
         std::uint64_t window_us = shared.gather_window_us;
@@ -435,8 +420,8 @@ void QueryService::worker_loop(std::size_t index) {
           bool gathered = false;
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < shared.max_batch;) {
-            if (it->batchable && it->has_backend == head_has_backend &&
-                it->backend == head_backend && it->opts == head_opts) {
+            if (it->batchable && it->backend == head_backend &&
+                it->opts == head_opts) {
               it->dequeued = std::chrono::steady_clock::now();
               if (!it->internal) {
                 --external_queued_;
@@ -504,10 +489,8 @@ void QueryService::serve_batch(Session& session, std::vector<Task>& batch) {
 
   std::vector<Session::BatchItem> items;
   try {
-    items = batch.front().has_backend
-                ? session.execute_batch(sqls, batch.front().backend,
-                                        shared_opts, cancels)
-                : session.execute_batch(sqls, shared_opts, cancels);
+    items = session.execute_batch(sqls, batch.front().backend, shared_opts,
+                                  cancels);
   } catch (const engine::TransientFault&) {
     // The batch entry point failed before per-statement isolation (snapshot
     // pin, plan-cache claim) on something retryable: re-run every member

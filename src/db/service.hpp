@@ -164,7 +164,9 @@ class QueryService {
   /// ResultSet, or rethrows whatever the statement raised on the worker.
   /// Throws ServiceStopped once shutdown() has been called, OverloadError
   /// when bounded admission refuses the statement; `opts.deadline_us` (when
-  /// nonzero) starts counting here, queue wait included.
+  /// nonzero) starts counting here, queue wait included. The overload
+  /// without a backend is submit(sql_text, BackendKind::kOneXb, opts): both
+  /// spellings fuse into one shared-scan batch.
   std::future<ResultSet> submit(std::string sql_text,
                                 const engine::ExecOptions& opts = {});
   std::future<ResultSet> submit(std::string sql_text, BackendKind backend,
@@ -211,7 +213,6 @@ class QueryService {
     /// other internal tasks never fuse).
     bool batchable = false;
     std::string sql;
-    bool has_backend = false;
     BackendKind backend = BackendKind::kOneXb;
     engine::ExecOptions opts;
     /// Internal pool maintenance (warm_up): bypasses admission, survives

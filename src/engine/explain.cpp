@@ -65,8 +65,8 @@ void filter_section(const std::vector<sql::BoundPredicate>& filters,
     pim::ColumnAlloc alloc = store.layout(part).make_alloc();
     const CompiledFilter f = compile_filter(ordered, store.layout(part), alloc);
     os << "FILTER part " << part << ": " << f.predicate_count
-       << " predicate(s), " << f.program.size() << " cycles ("
-       << f.program.size() * cfg.logic_cycle_ns / 1000.0 << " us/page)\n";
+       << " predicate(s), " << f.program.gates.size() << " cycles ("
+       << f.program.gates.size() * cfg.logic_cycle_ns / 1000.0 << " us/page)\n";
     for (std::size_t i = 0; i < ordered.size(); ++i) {
       const sql::BoundPredicate& p = ordered[i];
       if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;

@@ -11,7 +11,6 @@
 namespace bbpim::engine {
 namespace {
 
-/// Emits one predicate; returns the owned result column.
 /// Field of a predicate's attribute, or a dummy for the constant kinds —
 /// a kNever can name an attribute of *another* part (it is compiled on
 /// every part so each result column is statically false), whose field this
@@ -23,6 +22,7 @@ pim::Field predicate_field(const RecordLayout& layout,
   return layout.field(p.attr);
 }
 
+/// Emits one predicate; returns the owned result column.
 std::uint16_t emit_predicate(pim::ProgramBuilder& pb, const RecordLayout& layout,
                              const sql::BoundPredicate& p) {
   using Kind = sql::BoundPredicate::Kind;
@@ -47,7 +47,6 @@ CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
                               const RecordLayout& layout,
                               pim::ColumnAlloc& alloc) {
   pim::ProgramBuilder pb(alloc);
-  pim::WordProgram words;
   std::uint16_t acc = 0;
   bool have_acc = false;
   std::size_t compiled = 0;
@@ -58,14 +57,12 @@ CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
       continue;  // another part's predicate
     }
     const std::uint16_t term = emit_predicate(pb, layout, p);
-    words.push_back(pim::word_predicate(p, predicate_field(layout, p), term));
     ++compiled;
     if (!have_acc) {
       acc = term;
       have_acc = true;
     } else {
       const std::uint16_t next = pb.emit_and(acc, term);
-      words.push_back(pim::WordOp::and_op(acc, term, next));
       pb.release(acc);
       pb.release(term);
       acc = next;
@@ -76,16 +73,13 @@ CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
   std::uint16_t result;
   if (have_acc) {
     result = pb.emit_and(acc, layout.valid_col());
-    words.push_back(pim::WordOp::and_op(acc, layout.valid_col(), result));
     pb.release(acc);
   } else {
     result = pb.emit_copy(layout.valid_col());
-    words.push_back(pim::WordOp::copy(layout.valid_col(), result));
   }
 
   CompiledFilter out;
   out.program = pb.take();
-  out.words = std::move(words);
   out.result_col = result;
   out.predicate_count = compiled;
   return out;
@@ -419,46 +413,42 @@ std::vector<sql::BoundPredicate> order_by_selectivity(
   return out;
 }
 
-CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
-                                   const std::vector<std::uint64_t>& key,
-                                   const RecordLayout& layout,
-                                   pim::ColumnAlloc& alloc) {
+std::optional<std::uint16_t> emit_group_match(
+    pim::ProgramBuilder& pb, const std::vector<std::size_t>& group_attrs,
+    const std::vector<std::uint64_t>& key, const RecordLayout& layout) {
   if (group_attrs.size() != key.size()) {
-    throw std::invalid_argument("compile_group_match: key arity mismatch");
+    throw std::invalid_argument("emit_group_match: key arity mismatch");
   }
-  pim::ProgramBuilder pb(alloc);
-  pim::WordProgram words;
-  std::uint16_t acc = 0;
-  bool have_acc = false;
-  std::size_t compiled = 0;
+  std::optional<std::uint16_t> acc;
   for (std::size_t i = 0; i < group_attrs.size(); ++i) {
     if (!layout.has(group_attrs[i])) continue;
-    const pim::Field f = layout.field(group_attrs[i]);
-    const std::uint16_t eq = pb.emit_eq_const(f, key[i]);
-    words.push_back(
-        pim::WordOp::predicate(pim::WordOp::Kind::kEq, f, key[i], 0, eq));
-    ++compiled;
-    if (!have_acc) {
+    const std::uint16_t eq =
+        pb.emit_eq_const(layout.field(group_attrs[i]), key[i]);
+    if (!acc) {
       acc = eq;
-      have_acc = true;
     } else {
-      const std::uint16_t next = pb.emit_and(acc, eq);
-      words.push_back(pim::WordOp::and_op(acc, eq, next));
-      pb.release(acc);
+      const std::uint16_t next = pb.emit_and(*acc, eq);
+      pb.release(*acc);
       pb.release(eq);
       acc = next;
     }
   }
-  if (!have_acc) {
-    acc = pb.emit_const(true);
-    words.push_back(pim::WordOp::const1(acc));
-  }
+  return acc;
+}
 
+CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
+                                   const std::vector<std::uint64_t>& key,
+                                   const RecordLayout& layout,
+                                   pim::ColumnAlloc& alloc) {
+  pim::ProgramBuilder pb(alloc);
+  const std::optional<std::uint16_t> match =
+      emit_group_match(pb, group_attrs, key, layout);
   CompiledFilter out;
+  out.result_col = match ? *match : pb.emit_const(true);
   out.program = pb.take();
-  out.words = std::move(words);
-  out.result_col = acc;
-  out.predicate_count = compiled;
+  out.predicate_count = static_cast<std::size_t>(
+      std::count_if(group_attrs.begin(), group_attrs.end(),
+                    [&](std::size_t a) { return layout.has(a); }));
   return out;
 }
 

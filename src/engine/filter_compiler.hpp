@@ -11,13 +11,13 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/layout.hpp"
 #include "pim/microcode.hpp"
-#include "pim/wordeval.hpp"
 #include "sql/logical_plan.hpp"
 
 namespace bbpim::engine {
@@ -25,11 +25,8 @@ namespace bbpim::engine {
 class PimStore;
 
 struct CompiledFilter {
-  pim::MicroProgram program;
-  /// Semantic twin of `program` for the fast word-level evaluator: same
-  /// output columns, same boolean functions, no gate-by-gate simulation.
-  /// The gate program remains what the cost model charges.
-  pim::WordProgram words;
+  /// The gate program (what the cost model charges) and its word-level twin.
+  pim::Program program;
   /// Result bit column (stays allocated in the caller's ColumnAlloc until
   /// released).
   std::uint16_t result_col = 0;
@@ -113,9 +110,16 @@ std::vector<sql::BoundPredicate> order_by_selectivity(
     std::vector<sql::BoundPredicate> filters, const PimStore& store,
     std::vector<double>* estimates = nullptr);
 
-/// Compiles an equality match on a subgroup's identifier values:
+/// Emits an equality match on a subgroup's identifier values into `pb`:
 /// result = AND_i (group_attr_i == key_i) for the attrs present in `layout`.
-/// Used by pim-gb (Section IV). Attrs absent from this part are skipped.
+/// Used by pim-gb (Section IV). Attrs absent from this part are skipped;
+/// returns the owned result column, or nullopt when none is present.
+std::optional<std::uint16_t> emit_group_match(
+    pim::ProgramBuilder& pb, const std::vector<std::size_t>& group_attrs,
+    const std::vector<std::uint64_t>& key, const RecordLayout& layout);
+
+/// emit_group_match as a program of its own; a part holding none of the
+/// attrs matches every row.
 CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
                                    const std::vector<std::uint64_t>& key,
                                    const RecordLayout& layout,

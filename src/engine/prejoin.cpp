@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "engine/filter_compiler.hpp"
 #include "host/pipeline.hpp"
@@ -119,10 +120,9 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   // One program: filter -> select bit -> Algorithm 1 MUX. No host reads.
   pim::ColumnAlloc alloc = layout.make_alloc();
   CompiledFilter filter = compile_filter(where, layout, alloc);
-  pim::ProgramBuilder pb(alloc);
+  pim::ProgramBuilder pb(alloc, std::move(filter.program));
   pb.emit_mux_const(target, new_value, filter.result_col);
-  pim::MicroProgram program = filter.program;
-  for (const pim::MicroOp& op : pb.program()) program.push_back(op);
+  const pim::Program program = pb.take();
 
   const pim::PimConfig& cfg = store.module().config();
   store.module().reset_wear();  // per-request wear, like the query path
@@ -161,7 +161,7 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   stats.energy_controller_j = energy.controller;
   stats.peak_chip_w = tracker.peak_module_w() / cfg.chips;
   stats.wear_row_writes = store.module().max_row_writes();
-  stats.cycles = program.size();
+  stats.cycles = program.gates.size();
   stats.updated_records = updated;
 
   // Host alternative: read the filter bit-vector (one line per page row),

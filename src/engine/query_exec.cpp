@@ -253,10 +253,9 @@ class Execution {
   /// functional evaluation) on the listed pages of one part as one phase.
   /// Unlisted pages get no request, no modeled cost, and no functional
   /// effect — zone-map pruning in action.
-  void logic_phase(int part, const pim::MicroProgram& prog,
-                   const pim::WordProgram* words,
+  void logic_phase(int part, const pim::Program& prog,
                    const std::vector<std::size_t>& on_pages, TimeNs* slot) {
-    if (prog.empty() || on_pages.empty()) return;
+    if (prog.gates.empty() || on_pages.empty()) return;
     // Cooperative checkpoint + fault seam at page-loop entry: unwinding here
     // is clean (no job has touched a crossbar yet), and the check stays off
     // the per-page kernels.
@@ -265,7 +264,7 @@ class Execution {
     std::vector<pim::RequestTrace> traces(on_pages.size());
     run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
       traces[i] = pim::execute_program(store_.page(part, on_pages[i]), prog,
-                                       cfg_, &meter, vectorized_, words);
+                                       cfg_, &meter, vectorized_);
     });
     schedule_phase(traces, hcfg_.request_window, hcfg_.issue_ns, slot);
   }
@@ -601,9 +600,7 @@ void Execution::filter_finish() {
     pim::ProgramBuilder pb(alloc(0));
     const std::uint16_t combined =
         pb.emit_and(compiled_[0]->result_col, transfer_chunk_->offset);
-    const pim::WordProgram wp = {pim::WordOp::and_op(
-        compiled_[0]->result_col, transfer_chunk_->offset, combined)};
-    logic_phase(0, pb.take(), &wp, active_pages_, &stats_.phases.transfer);
+    logic_phase(0, pb.take(), active_pages_, &stats_.phases.transfer);
     alloc(0).release(compiled_[0]->result_col);
     alloc(1).release(compiled_[1]->result_col);
     r_col_ = combined;
@@ -884,7 +881,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     CompiledFilter match1 =
         compile_group_match(q_.group_by, key, store_.layout(1), alloc(1));
     if (match1.predicate_count > 0) {
-      logic_phase(1, match1.program, &match1.words, *on, slot);
+      logic_phase(1, match1.program, *on, slot);
       const std::vector<BitVec> bits =
           read_column_phase(1, match1.result_col, *on, slot);
       if (!transfer_chunk_) {
@@ -899,38 +896,17 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   // Part-0 program: group match AND filter result (AND transferred bits),
   // plus mask bookkeeping and per-pass masked selects, in one request.
   pim::ProgramBuilder pb(alloc(0));
-  pim::WordProgram wp;
-  std::uint16_t acc = 0;
-  bool have_acc = false;
-  for (std::size_t i = 0; i < q_.group_by.size(); ++i) {
-    if (!store_.layout(0).has(q_.group_by[i])) continue;
-    const pim::Field f = store_.layout(0).field(q_.group_by[i]);
-    const std::uint16_t eq = pb.emit_eq_const(f, key[i]);
-    wp.push_back(
-        pim::WordOp::predicate(pim::WordOp::Kind::kEq, f, key[i], 0, eq));
-    if (!have_acc) {
-      acc = eq;
-      have_acc = true;
-    } else {
-      const std::uint16_t next = pb.emit_and(acc, eq);
-      wp.push_back(pim::WordOp::and_op(acc, eq, next));
-      pb.release(acc);
-      pb.release(eq);
-      acc = next;
-    }
-  }
+  const std::optional<std::uint16_t> match =
+      emit_group_match(pb, q_.group_by, key, store_.layout(0));
   std::uint16_t sg;
-  if (have_acc) {
-    sg = pb.emit_and(acc, r_col_);
-    wp.push_back(pim::WordOp::and_op(acc, r_col_, sg));
-    pb.release(acc);
+  if (match) {
+    sg = pb.emit_and(*match, r_col_);
+    pb.release(*match);
   } else {
     sg = pb.emit_copy(r_col_);
-    wp.push_back(pim::WordOp::copy(r_col_, sg));
   }
   if (have_transfer) {
     const std::uint16_t next = pb.emit_and(sg, transfer_chunk_->offset);
-    wp.push_back(pim::WordOp::and_op(sg, transfer_chunk_->offset, next));
     pb.release(sg);
     sg = next;
   }
@@ -938,7 +914,6 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     if (!mask_valid_) {
       mask_col_ = alloc(0).alloc();
       pb.emit_copy_into(sg, mask_col_);
-      wp.push_back(pim::WordOp::copy(sg, mask_col_));
       mask_valid_ = true;
     } else {
       // Pages this subgroup runs on may have been pruned out of every
@@ -948,8 +923,6 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
       ensure_mask_zero(*on);
       const std::uint16_t m = pb.emit_or(mask_col_, sg);
       pb.emit_copy_into(m, mask_col_);
-      wp.push_back(pim::WordOp::or_op(mask_col_, sg, m));
-      wp.push_back(pim::WordOp::copy(m, mask_col_));
       pb.release(m);
     }
   }
@@ -959,12 +932,10 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   for (std::size_t i = 0; i < passes_.size(); ++i) {
     if (passes_[i].mask_attr_col) {
       pass_select[i] = pb.emit_and(sg, *passes_[i].mask_attr_col);
-      wp.push_back(
-          pim::WordOp::and_op(sg, *passes_[i].mask_attr_col, pass_select[i]));
       owned_selects.push_back(pass_select[i]);
     }
   }
-  logic_phase(0, pb.take(), &wp, *on, slot);
+  logic_phase(0, pb.take(), *on, slot);
   if (update_mask) {
     for (const std::size_t p : *on) mask_ready_[p] = 1;
   }
@@ -1231,10 +1202,8 @@ void Execution::host_gb_phase() {
     ensure_mask_zero(active_pages_);
     pim::ProgramBuilder pb(alloc(0));
     residual = pb.emit_andnot(r_col_, mask_col_);
-    const pim::WordProgram wp = {
-        pim::WordOp::andnot_op(r_col_, mask_col_, residual)};
     residual_owned = true;
-    logic_phase(0, pb.take(), &wp, active_pages_, slot);
+    logic_phase(0, pb.take(), active_pages_, slot);
   }
 
   const std::vector<BitVec> bits =
@@ -1389,18 +1358,15 @@ void Execution::no_groupby_aggregate() {
   std::vector<std::uint16_t> owned;
   {
     pim::ProgramBuilder pb(alloc(0));
-    pim::WordProgram wp;
     bool any = false;
     for (std::size_t i = 0; i < passes_.size(); ++i) {
       if (passes_[i].mask_attr_col) {
         pass_select[i] = pb.emit_and(r_col_, *passes_[i].mask_attr_col);
-        wp.push_back(pim::WordOp::and_op(r_col_, *passes_[i].mask_attr_col,
-                                         pass_select[i]));
         owned.push_back(pass_select[i]);
         any = true;
       }
     }
-    if (any) logic_phase(0, pb.take(), &wp, active_pages_, slot);
+    if (any) logic_phase(0, pb.take(), active_pages_, slot);
   }
 
   std::int64_t total = 0;
@@ -1535,8 +1501,7 @@ void Execution::finish_stats() {
 void Execution::run_fused_filter(std::vector<Execution>& members) {
   struct MemberProg {
     Execution* exec;
-    const pim::MicroProgram* prog;
-    const pim::WordProgram* words;
+    const pim::Program* prog;
   };
   struct Visit {
     int part;
@@ -1557,7 +1522,7 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
     for (std::size_t m = 0; m < members.size(); ++m) {
       const Execution& e = members[m];
       if (part == 1 && e.skip_transfer_) continue;
-      if (e.compiled_[part]->program.empty()) continue;
+      if (e.compiled_[part]->program.gates.empty()) continue;
       if (e.run_pages_[part].empty()) continue;
       member_runs[m].assign(pages, 0);
       for (const std::size_t p : e.run_pages_[part]) member_runs[m][p] = 1;
@@ -1566,8 +1531,7 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
       Visit v{part, pg, {}};
       for (std::size_t m = 0; m < members.size(); ++m) {
         if (member_runs[m].empty() || !member_runs[m][pg]) continue;
-        v.progs.push_back({&members[m], &members[m].compiled_[part]->program,
-                           &members[m].compiled_[part]->words});
+        v.progs.push_back({&members[m], &members[m].compiled_[part]->program});
       }
       if (!v.progs.empty()) visits.push_back(std::move(v));
     }
@@ -1603,7 +1567,7 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
       const MemberProg& mp = v.progs[i];
       traces[off[vi] + i] =
           pim::execute_program(page, *mp.prog, lead.cfg_, &meters[off[vi] + i],
-                               mp.exec->vectorized_, mp.words);
+                               mp.exec->vectorized_);
     }
   };
   // Visits touch disjoint (part, page) state, so they parallelize like any
@@ -1867,7 +1831,7 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
     for (int part = 0; part < store.parts(); ++part) {
       pim::ColumnAlloc alloc = store.layout(part).make_alloc();
       n += static_cast<double>(
-          compile_filter(f, store.layout(part), alloc).program.size());
+          compile_filter(f, store.layout(part), alloc).program.gates.size());
     }
     return n;
   };

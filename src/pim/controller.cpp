@@ -29,29 +29,21 @@ RequestTrace logic_trace_cost(const PimConfig& cfg, std::uint64_t cycles,
   return t;
 }
 
-RequestTrace execute_program(Page& page, const MicroProgram& prog,
+RequestTrace execute_program(Page& page, const Program& prog,
                              const PimConfig& cfg, EnergyMeter* meter,
-                             bool vectorized, const std::vector<WordOp>* words) {
-  if (vectorized && words != nullptr) {
-    // Word-level semantics; the gate program's cycles still pay the wear.
-    for (std::uint32_t i = 0; i < page.crossbar_count(); ++i) {
-      Crossbar& xb = page.crossbar(i);
-      execute_words(xb, *words);
-      xb.add_uniform_wear(prog.size());
-    }
-  } else if (vectorized) {
-    // One dead-init analysis serves all crossbars of the page.
-    const std::vector<std::uint8_t> dead = dead_init_mask(prog);
-    for (std::uint32_t i = 0; i < page.crossbar_count(); ++i) {
-      page.crossbar(i).execute_fused(prog, dead);
-    }
-  } else {
-    for (std::uint32_t i = 0; i < page.crossbar_count(); ++i) {
-      page.crossbar(i).execute(prog);
+                             bool vectorized) {
+  for (std::uint32_t i = 0; i < page.crossbar_count(); ++i) {
+    Crossbar& xb = page.crossbar(i);
+    if (vectorized) {
+      // Word-level semantics; the gate program's cycles still pay the wear.
+      execute_words(xb, prog.words);
+      xb.add_uniform_wear(prog.gates.size());
+    } else {
+      xb.execute(prog.gates);
     }
   }
   RequestTrace t =
-      logic_trace_cost(cfg, prog.size(), page.crossbar_count());
+      logic_trace_cost(cfg, prog.gates.size(), page.crossbar_count());
   if (meter != nullptr) {
     const EnergyJ ctrl = controller_energy(cfg, t.duration_ns);
     meter->add(EnergyCat::kLogic, t.energy_j - ctrl);

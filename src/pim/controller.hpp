@@ -1,12 +1,13 @@
 // The per-page PIM controller: macro-request execution with cost traces.
 //
-// The host talks to the module in macro requests (a whole filter program, a
-// whole aggregation pass, a packed result-column read/write). Each page has
-// a dedicated controller on every chip (Section II-B); a controller decodes
-// the request into the basic-cycle sequence and drives all 32 crossbars of
-// its page concurrently. Functional effects apply immediately; the returned
-// trace carries duration, dynamic energy and average power so the host-side
-// scheduler (src/host/pipeline) can build the query timeline.
+// The host talks to the module in macro requests (a whole filter program
+// with its word-level twin, a whole aggregation pass, a packed result-column
+// read/write). Each page has a dedicated controller on every chip (Section
+// II-B); a controller decodes the request into the basic-cycle sequence and
+// drives all 32 crossbars of its page concurrently. Functional effects apply
+// immediately; the returned trace carries duration, dynamic energy and
+// average power so the host-side scheduler (src/host/pipeline) can build the
+// query timeline.
 #pragma once
 
 #include <cstdint>
@@ -65,23 +66,18 @@ RequestTrace logic_trace_cost(const PimConfig& cfg, std::uint64_t cycles,
                               std::uint32_t crossbars);
 
 // The `vectorized` flags below select between the fast simulation kernels
-// (fused interpreter with dead-init elision, word-level column packing,
+// (a program's builder-recorded word-level twin, word-level column packing,
 // select-word-skipping aggregation) and the original scalar loops. Both
 // produce bit-identical functional results and identical cost traces; the
 // scalar path exists as the measured baseline of bench/sim_speed and as the
 // oracle the kernel-equivalence tests compare against.
 
-struct WordOp;  // pim/wordeval.hpp
-
-/// Executes a micro-program on every crossbar of the page (bulk logic).
-/// When `words` (the program's semantic twin, see pim/wordeval.hpp) is
-/// given and the vectorized kernels are on, the functional effect is
-/// computed word-level while the cost trace still charges the gate
-/// program's cycles.
-RequestTrace execute_program(Page& page, const MicroProgram& prog,
+/// Executes a program on every crossbar of the page (bulk logic). The cost
+/// trace charges the gate program's cycles either way; the functional effect
+/// comes from the word-level twin (vectorized) or from the gates (scalar).
+RequestTrace execute_program(Page& page, const Program& prog,
                              const PimConfig& cfg, EnergyMeter* meter,
-                             bool vectorized = true,
-                             const std::vector<WordOp>* words = nullptr);
+                             bool vectorized = true);
 
 /// Folded functional outcome of one page's aggregation request: crossbar
 /// results combined with the request's op (masked exactly as the written

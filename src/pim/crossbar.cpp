@@ -97,73 +97,13 @@ void Crossbar::adopt_data(CrossbarSegment seg) {
   if (!seg || seg->size() != data_->size()) {
     throw std::invalid_argument("Crossbar::adopt_data: segment mismatch");
   }
-  assert(staged_.empty());
   data_ = std::move(seg);
 }
 
-std::uint64_t* Crossbar::find_staged(std::uint32_t col) {
-  for (auto& [c, buf] : staged_) {
-    if (c == col) return buf.data();
-  }
-  return nullptr;
-}
-
-const std::uint64_t* Crossbar::find_staged(std::uint32_t col) const {
-  for (const auto& [c, buf] : staged_) {
-    if (c == col) return buf.data();
-  }
-  return nullptr;
-}
-
-std::uint64_t* Crossbar::stage_col(std::uint32_t col) {
-  const std::uint64_t* src = column_words(col);
-  staged_.emplace_back(col,
-                       std::vector<std::uint64_t>(src, src + words_per_col_));
-  return staged_.back().second.data();
-}
-
-std::uint64_t* Crossbar::exec_out(std::uint32_t col) {
-  if (col < data_cols_) {
-    // A column already staged stays staged even if the segment meanwhile
-    // became exclusively ours — reconcile applies staged writes last, so a
-    // direct write here would be overwritten with stale bits.
-    if (std::uint64_t* s = find_staged(col)) return s;
-    if (data_.use_count() > 1) return stage_col(col);
-  }
-  return column_words(col);
-}
-
-const std::uint64_t* Crossbar::exec_in(std::uint32_t col) const {
-  if (!staged_.empty() && col < data_cols_) {
-    if (const std::uint64_t* s = find_staged(col)) return s;
-  }
-  return column_words(col);
-}
-
-void Crossbar::reconcile_staged() {
-  if (staged_.empty()) return;
-  bool changed = false;
-  for (const auto& [col, buf] : staged_) {
-    const std::uint64_t* cur = column_words(col);
-    if (!std::equal(buf.begin(), buf.end(), cur)) {
-      changed = true;
-      break;
-    }
-  }
-  if (changed) {
-    detach_data();
-    for (const auto& [col, buf] : staged_) {
-      std::copy(buf.begin(), buf.end(), column_words(col));
-    }
-  }
-  staged_.clear();
-}
-
 void Crossbar::execute_op(const MicroOp& op) {
-  assert(op.out < cols_);
-  // Resolve the output first: staging may grow staged_, which would
-  // invalidate input pointers resolved earlier.
-  std::uint64_t* out = exec_out(op.out);
+  // Resolve the output first: detaching a shared segment moves the data
+  // columns the inputs may name.
+  std::uint64_t* out = column_data_mut(op.out);
   switch (op.kind) {
     case MicroOpKind::kInit0:
       std::fill(out, out + words_per_col_, 0ULL);
@@ -173,14 +113,14 @@ void Crossbar::execute_op(const MicroOp& op) {
       break;
     case MicroOpKind::kNot: {
       assert(op.a < cols_);
-      const std::uint64_t* a = exec_in(op.a);
+      const std::uint64_t* a = column_words(op.a);
       for (std::uint32_t w = 0; w < words_per_col_; ++w) out[w] = ~a[w];
       break;
     }
     case MicroOpKind::kNor: {
       assert(op.a < cols_ && op.b < cols_);
-      const std::uint64_t* a = exec_in(op.a);
-      const std::uint64_t* b = exec_in(op.b);
+      const std::uint64_t* a = column_words(op.a);
+      const std::uint64_t* b = column_words(op.b);
       for (std::uint32_t w = 0; w < words_per_col_; ++w) out[w] = ~(a[w] | b[w]);
       break;
     }
@@ -190,25 +130,11 @@ void Crossbar::execute_op(const MicroOp& op) {
 void Crossbar::execute(const MicroOp& op) {
   execute_op(op);
   ++uniform_row_writes_;
-  reconcile_staged();
 }
 
 void Crossbar::execute(const MicroProgram& prog) {
   for (const MicroOp& op : prog) execute_op(op);
   uniform_row_writes_ += prog.size();
-  reconcile_staged();
-}
-
-void Crossbar::execute_fused(const MicroProgram& prog,
-                             std::span<const std::uint8_t> skip_init) {
-  assert(skip_init.empty() || skip_init.size() == prog.size());
-  for (std::size_t i = 0; i < prog.size(); ++i) {
-    if (!skip_init.empty() && skip_init[i]) continue;
-    execute_op(prog[i]);
-  }
-  // Skipped inits are still executed cycles: same wear as the per-op path.
-  uniform_row_writes_ += prog.size();
-  reconcile_staged();
 }
 
 std::uint64_t Crossbar::read_row_bits(std::uint32_t row, std::uint32_t offset,

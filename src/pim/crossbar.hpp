@@ -12,14 +12,12 @@
 // engine/snapshot_store — may share one segment, and a write detaches a
 // private copy first (copy-on-write). The SCRATCH segment (columns
 // [data_cols, cols)) holds filter results, transfer staging and aggregation
-// outputs; it is always private to this crossbar. Detaching is value-aware
-// at program granularity: while the segment is shared, micro-op writes to
-// data columns are staged in a side buffer and reconciled once when the
-// program ends — the segment is cloned only if the program's net effect
-// changed the bits. That matters because the Algorithm-1 MUX rewrites every
-// row of the target field (unselected rows with their current value, via an
-// INIT1 + NOT pair whose intermediate state always differs), so an UPDATE
-// clones only the crossbars holding a selected record. By default
+// outputs; it is always private to this crossbar. The row, block and column
+// writers are value-aware: they detach only if the bits change. A gate
+// program writing a data column detaches unconditionally — outside tests no
+// gate program writes one: the Algorithm-1 MUX of an UPDATE runs as its
+// word-level twin (pim/wordeval), which compares before it writes, so an
+// UPDATE clones only the crossbars holding a selected record. By default
 // data_cols == cols: the whole crossbar is data and, with no sharing, every
 // write takes the plain in-place path.
 #pragma once
@@ -27,7 +25,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -57,21 +54,12 @@ class Crossbar {
   std::uint32_t data_cols() const { return data_cols_; }
 
   /// Executes one micro-op across all rows. Bumps the uniform wear counter
-  /// (every micro-op writes its output column: one cell per row).
+  /// (every micro-op writes its output column: one cell per row). Writing a
+  /// data column detaches a shared segment.
   void execute(const MicroOp& op);
 
   /// Executes a whole program.
   void execute(const MicroProgram& prog);
-
-  /// Fused program interpreter: per-op dispatch is hoisted out of the word
-  /// loop and ops marked in `skip_init` (dead output-column initializations,
-  /// see pim::dead_init_mask) skip their functional write — a MAGIC gate
-  /// drives every cell of its output column, so an INIT that is overwritten
-  /// before any read has no observable effect. Wear accounting is identical
-  /// to execute(): every op, skipped or not, is one write cycle per row.
-  /// `skip_init` must be empty or sized to the program.
-  void execute_fused(const MicroProgram& prog,
-                     std::span<const std::uint8_t> skip_init);
 
   /// Reads `width` bits (<= 64) of one row starting at bit `offset`.
   std::uint64_t read_row_bits(std::uint32_t row, std::uint32_t offset,
@@ -113,11 +101,11 @@ class Crossbar {
   }
   std::uint32_t words_per_column() const { return words_per_col_; }
 
-  /// Mutable word view of a column — the word-level evaluator's write path
-  /// (pim/wordeval). Deliberately records no wear: the caller charges the
-  /// equivalent gate program's cycles via add_uniform_wear. Data columns
-  /// detach a shared segment unconditionally (the caller's writes cannot be
-  /// compared against the current contents from here).
+  /// Mutable word view of a column — the write path of the gate and word
+  /// evaluators. Deliberately records no wear: the caller charges the gate
+  /// program's cycles. Data columns detach a shared segment unconditionally
+  /// (the caller's writes cannot be compared against the current contents
+  /// from here).
   std::uint64_t* column_data_mut(std::uint32_t col) {
     if (col >= cols_) throw std::out_of_range("Crossbar::column_data_mut");
     if (col < data_cols_ && data_.use_count() > 1) detach_data();
@@ -186,22 +174,7 @@ class Crossbar {
   void detach_data();
 
   /// Functional execution of one micro-op; wear is the caller's business.
-  /// While the data segment is shared, writes to data columns land in the
-  /// staging buffer and reads consult it, so a program observes its own
-  /// intermediate states without touching the shared words.
   void execute_op(const MicroOp& op);
-  /// Output/input column resolution for execute_op (staging-aware).
-  std::uint64_t* exec_out(std::uint32_t col);
-  const std::uint64_t* exec_in(std::uint32_t col) const;
-  /// Staged buffer for `col`, or nullptr if the column is not staged.
-  std::uint64_t* find_staged(std::uint32_t col);
-  const std::uint64_t* find_staged(std::uint32_t col) const;
-  /// Stages `col`: copies its current words into a fresh buffer.
-  std::uint64_t* stage_col(std::uint32_t col);
-  /// Ends a program: if any staged column's net value differs from the
-  /// shared segment, detaches and applies the staged writes; otherwise the
-  /// shared segment is kept untouched. Always clears the staging buffer.
-  void reconcile_staged();
 
   std::uint32_t rows_;
   std::uint32_t cols_;
@@ -209,10 +182,6 @@ class Crossbar {
   std::uint32_t words_per_col_;
   CrossbarSegment data_;                 // columns [0, data_cols), column-major
   std::vector<std::uint64_t> scratch_;   // columns [data_cols, cols)
-  // Program-scoped staging of writes to shared data columns: (column,
-  // words). Empty except mid-program while the segment is shared; small —
-  // one entry per target-field bit of an UPDATE's MUX.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint64_t>>> staged_;
 
   std::uint64_t uniform_row_writes_ = 0;
   std::uint64_t max_extra_row_writes_ = 0;

@@ -1,7 +1,5 @@
 #include "pim/microcode.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace bbpim::pim {
@@ -127,38 +125,6 @@ void ColumnAlloc::release_field(const Field& f) {
   }
 }
 
-std::vector<std::uint8_t> dead_init_mask(const MicroProgram& prog) {
-  std::vector<std::uint8_t> dead(prog.size(), 0);
-  if (prog.empty()) return dead;
-  std::uint16_t max_col = 0;
-  for (const MicroOp& op : prog) {
-    max_col = std::max({max_col, op.a, op.b, op.out});
-  }
-
-  // Backward sweep: next_access[c] is the first access to column c after the
-  // current scan point (0 = none, 1 = read, 2 = write). An init is dead iff
-  // that first access is a write; "none" keeps it alive — the column may be
-  // the program's result, read by the host afterwards.
-  enum : std::uint8_t { kNone = 0, kRead = 1, kWrite = 2 };
-  std::vector<std::uint8_t> next_access(max_col + 1, kNone);
-  for (std::size_t i = prog.size(); i-- > 0;) {
-    const MicroOp& op = prog[i];
-    if (op.kind == MicroOpKind::kInit0 || op.kind == MicroOpKind::kInit1) {
-      dead[i] = next_access[op.out] == kWrite;
-    }
-    // Within one op the inputs are read before the output is driven, so a
-    // column that is both input and output counts as read-first.
-    next_access[op.out] = kWrite;
-    if (op.kind == MicroOpKind::kNot) {
-      next_access[op.a] = kRead;
-    } else if (op.kind == MicroOpKind::kNor) {
-      next_access[op.a] = kRead;
-      next_access[op.b] = kRead;
-    }
-  }
-  return dead;
-}
-
 std::size_t ColumnAlloc::available() const {
   std::size_t n = 0;
   for (bool b : in_use_) n += !b;
@@ -169,49 +135,67 @@ std::size_t ColumnAlloc::available() const {
 // ProgramBuilder: gate-level helpers
 // ---------------------------------------------------------------------------
 
+std::uint16_t ProgramBuilder::twin(WordOp::Kind kind, std::uint16_t out,
+                                   std::uint16_t a, std::uint16_t b,
+                                   const Field& f, std::uint64_t v1,
+                                   std::uint64_t v2,
+                                   std::span<const std::uint64_t> values) {
+  if (depth_ == 1) {
+    prog_.words.push_back(
+        WordOp{kind, out, a, b, f, v1, v2, {values.begin(), values.end()}});
+  }
+  return out;
+}
+
 std::uint16_t ProgramBuilder::fresh() {
   const std::uint16_t col = alloc_.alloc();
-  prog_.push_back(MicroOp::init1(col));
+  prog_.gates.push_back(MicroOp::init1(col));
   return col;
 }
 
 std::uint16_t ProgramBuilder::emit_not(std::uint16_t a) {
+  const Nest nest(*this);
   const std::uint16_t t = fresh();
-  prog_.push_back(MicroOp::not_op(a, t));
-  return t;
+  prog_.gates.push_back(MicroOp::not_op(a, t));
+  return twin(WordOp::Kind::kNot, t, a);
 }
 
 std::uint16_t ProgramBuilder::emit_nor(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   const std::uint16_t t = fresh();
-  prog_.push_back(MicroOp::nor_op(a, b, t));
-  return t;
+  prog_.gates.push_back(MicroOp::nor_op(a, b, t));
+  return twin(WordOp::Kind::kNor, t, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_or(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   const std::uint16_t n = emit_nor(a, b);
   const std::uint16_t r = emit_not(n);
   release(n);
-  return r;
+  return twin(WordOp::Kind::kOr, r, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_and(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   const std::uint16_t na = emit_not(a);
   const std::uint16_t nb = emit_not(b);
   const std::uint16_t r = emit_nor(na, nb);
   release(na);
   release(nb);
-  return r;
+  return twin(WordOp::Kind::kAnd, r, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_andnot(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   // a AND NOT b == NOR(NOT a, b)
   const std::uint16_t na = emit_not(a);
   const std::uint16_t r = emit_nor(na, b);
   release(na);
-  return r;
+  return twin(WordOp::Kind::kAndNot, r, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_xnor(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   const std::uint16_t n1 = emit_nor(a, b);
   const std::uint16_t n2 = emit_nor(a, n1);
   const std::uint16_t n3 = emit_nor(b, n1);
@@ -219,34 +203,39 @@ std::uint16_t ProgramBuilder::emit_xnor(std::uint16_t a, std::uint16_t b) {
   release(n1);
   release(n2);
   release(n3);
-  return r;
+  return twin(WordOp::Kind::kXnor, r, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_xor(std::uint16_t a, std::uint16_t b) {
+  const Nest nest(*this);
   const std::uint16_t x = emit_xnor(a, b);
   const std::uint16_t r = emit_not(x);
   release(x);
-  return r;
+  return twin(WordOp::Kind::kXor, r, a, b);
 }
 
 std::uint16_t ProgramBuilder::emit_const(bool value) {
+  const Nest nest(*this);
   const std::uint16_t t = alloc_.alloc();
-  prog_.push_back(value ? MicroOp::init1(t) : MicroOp::init0(t));
-  return t;
+  prog_.gates.push_back(value ? MicroOp::init1(t) : MicroOp::init0(t));
+  return twin(value ? WordOp::Kind::kConst1 : WordOp::Kind::kConst0, t);
 }
 
 std::uint16_t ProgramBuilder::emit_copy(std::uint16_t a) {
+  const Nest nest(*this);
   const std::uint16_t n = emit_not(a);
   const std::uint16_t r = emit_not(n);
   release(n);
-  return r;
+  return twin(WordOp::Kind::kCopy, r, a);
 }
 
 void ProgramBuilder::emit_copy_into(std::uint16_t src, std::uint16_t dst) {
+  const Nest nest(*this);
   const std::uint16_t n = emit_not(src);
-  prog_.push_back(MicroOp::init1(dst));
-  prog_.push_back(MicroOp::not_op(n, dst));
+  prog_.gates.push_back(MicroOp::init1(dst));
+  prog_.gates.push_back(MicroOp::not_op(n, dst));
   release(n);
+  twin(WordOp::Kind::kCopy, dst, src);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,10 +250,13 @@ std::uint64_t field_max(const Field& f) {
 }  // namespace
 
 std::uint16_t ProgramBuilder::emit_eq_const(const Field& f, std::uint64_t value) {
+  const Nest nest(*this);
   if (f.width == 0 || f.width > 64) {
     throw std::invalid_argument("emit_eq_const: bad field width");
   }
-  if (value > field_max(f)) return emit_const(false);
+  if (value > field_max(f)) {
+    return twin(WordOp::Kind::kEq, emit_const(false), 0, 0, f, value);
+  }
 
   // eq = NOT (OR_i mismatch_i); mismatch_i = a_i XOR c_i, which is a_i for
   // c_i = 0 and NOT a_i for c_i = 1.
@@ -293,15 +285,17 @@ std::uint16_t ProgramBuilder::emit_eq_const(const Field& f, std::uint64_t value)
   }
   const std::uint16_t r = emit_not(acc);
   release(acc);
-  return r;
+  return twin(WordOp::Kind::kEq, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_lt_const(const Field& f, std::uint64_t value) {
+  const Nest nest(*this);
   if (f.width == 0 || f.width > 64) {
     throw std::invalid_argument("emit_lt_const: bad field width");
   }
-  if (value == 0) return emit_const(false);
-  if (value > field_max(f)) return emit_const(true);
+  if (value == 0 || value > field_max(f)) {
+    return twin(WordOp::Kind::kLt, emit_const(value != 0), 0, 0, f, value);
+  }
 
   // MSB-first scan keeping eq_prefix ("all higher bits equal to the
   // constant") and lt_acc ("already strictly below").
@@ -357,254 +351,80 @@ std::uint16_t ProgramBuilder::emit_lt_const(const Field& f, std::uint64_t value)
     }
   }
   if (eq_owned) release(eq_prefix);
-  if (!have_lt) return emit_const(false);
-  return lt_acc;
+  if (!have_lt) lt_acc = emit_const(false);
+  return twin(WordOp::Kind::kLt, lt_acc, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_le_const(const Field& f, std::uint64_t value) {
-  if (value >= field_max(f)) return emit_const(true);
-  return emit_lt_const(f, value + 1);
+  const Nest nest(*this);
+  const std::uint16_t r = value >= field_max(f) ? emit_const(true)
+                                                 : emit_lt_const(f, value + 1);
+  return twin(WordOp::Kind::kLe, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_gt_const(const Field& f, std::uint64_t value) {
+  const Nest nest(*this);
   const std::uint16_t le = emit_le_const(f, value);
   const std::uint16_t r = emit_not(le);
   release(le);
-  return r;
+  return twin(WordOp::Kind::kGt, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_ge_const(const Field& f, std::uint64_t value) {
+  const Nest nest(*this);
   const std::uint16_t lt = emit_lt_const(f, value);
   const std::uint16_t r = emit_not(lt);
   release(lt);
-  return r;
+  return twin(WordOp::Kind::kGe, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_between_const(const Field& f,
                                                  std::uint64_t lo,
                                                  std::uint64_t hi) {
-  if (lo > hi) return emit_const(false);
-  if (lo == 0) return emit_le_const(f, hi);
-  if (hi >= field_max(f)) return emit_ge_const(f, lo);
-  const std::uint16_t ge = emit_ge_const(f, lo);
-  const std::uint16_t le = emit_le_const(f, hi);
-  const std::uint16_t r = emit_and(ge, le);
-  release(ge);
-  release(le);
-  return r;
+  const Nest nest(*this);
+  std::uint16_t r;
+  if (lo > hi) {
+    r = emit_const(false);
+  } else if (lo == 0) {
+    r = emit_le_const(f, hi);
+  } else if (hi >= field_max(f)) {
+    r = emit_ge_const(f, lo);
+  } else {
+    const std::uint16_t ge = emit_ge_const(f, lo);
+    const std::uint16_t le = emit_le_const(f, hi);
+    r = emit_and(ge, le);
+    release(ge);
+    release(le);
+  }
+  return twin(WordOp::Kind::kBetween, r, 0, 0, f, lo, hi);
 }
 
 std::uint16_t ProgramBuilder::emit_in_set(const Field& f,
                                           std::span<const std::uint64_t> values) {
-  if (values.empty()) return emit_const(false);
-  std::uint16_t acc = emit_eq_const(f, values[0]);
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    const std::uint16_t eq = emit_eq_const(f, values[i]);
-    const std::uint16_t next = emit_or(acc, eq);
-    release(acc);
-    release(eq);
-    acc = next;
-  }
-  return acc;
-}
-
-// ---------------------------------------------------------------------------
-// Arithmetic
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool fields_overlap(const Field& a, const Field& b) {
-  return a.offset < b.offset + b.width && b.offset < a.offset + a.width;
-}
-
-}  // namespace
-
-/// Constant-folded reference to an operand bit: a real column or a known 0/1.
-struct BitRef {
-  enum class Kind : std::uint8_t { kZero, kOne, kCol };
-  Kind kind = Kind::kZero;
-  std::uint16_t col = 0;
-  bool owned = false;
-
-  static BitRef zero() { return {}; }
-  static BitRef one() { return {Kind::kOne, 0, false}; }
-  static BitRef column(std::uint16_t c, bool owned = false) {
-    return {Kind::kCol, c, owned};
-  }
-};
-
-namespace {
-
-void release_ref(ProgramBuilder& pb, BitRef& r) {
-  if (r.kind == BitRef::Kind::kCol && r.owned) {
-    pb.release(r.col);
-    r.owned = false;
-  }
-}
-
-/// Pass-through helper: the result aliases `x`, so scratch ownership moves to
-/// the result (the caller still calls release_ref on `x`, now a no-op).
-BitRef steal(BitRef& x) {
-  BitRef r = x;
-  x.owned = false;
-  return r;
-}
-
-BitRef ref_not(ProgramBuilder& pb, const BitRef& x) {
-  switch (x.kind) {
-    case BitRef::Kind::kZero: return BitRef::one();
-    case BitRef::Kind::kOne: return BitRef::zero();
-    case BitRef::Kind::kCol: return BitRef::column(pb.emit_not(x.col), true);
-  }
-  return BitRef::zero();
-}
-
-BitRef ref_xor(ProgramBuilder& pb, BitRef& x, BitRef& y) {
-  if (x.kind == BitRef::Kind::kZero) return steal(y);
-  if (y.kind == BitRef::Kind::kZero) return steal(x);
-  if (x.kind == BitRef::Kind::kOne && y.kind == BitRef::Kind::kOne) {
-    return BitRef::zero();
-  }
-  if (x.kind == BitRef::Kind::kOne) return ref_not(pb, y);
-  if (y.kind == BitRef::Kind::kOne) return ref_not(pb, x);
-  return BitRef::column(pb.emit_xor(x.col, y.col), true);
-}
-
-BitRef ref_and(ProgramBuilder& pb, BitRef& x, BitRef& y) {
-  if (x.kind == BitRef::Kind::kZero || y.kind == BitRef::Kind::kZero) {
-    return BitRef::zero();
-  }
-  if (x.kind == BitRef::Kind::kOne) return steal(y);
-  if (y.kind == BitRef::Kind::kOne) return steal(x);
-  return BitRef::column(pb.emit_and(x.col, y.col), true);
-}
-
-BitRef ref_or(ProgramBuilder& pb, BitRef& x, BitRef& y) {
-  if (x.kind == BitRef::Kind::kOne || y.kind == BitRef::Kind::kOne) {
-    return BitRef::one();
-  }
-  if (x.kind == BitRef::Kind::kZero) return steal(y);
-  if (y.kind == BitRef::Kind::kZero) return steal(x);
-  return BitRef::column(pb.emit_or(x.col, y.col), true);
-}
-
-/// Majority of three (the ripple carry).
-BitRef ref_maj(ProgramBuilder& pb, BitRef& a, BitRef& b, BitRef& c) {
-  BitRef ab = ref_and(pb, a, b);
-  BitRef aob = ref_or(pb, a, b);
-  BitRef cab = ref_and(pb, c, aob);
-  BitRef r = ref_or(pb, ab, cab);
-  release_ref(pb, ab);
-  release_ref(pb, aob);
-  release_ref(pb, cab);
-  return r;
-}
-
-/// Writes a BitRef value into an arbitrary destination column.
-void ref_store(ProgramBuilder& pb, const BitRef& v, std::uint16_t dst,
-               MicroProgram& prog) {
-  switch (v.kind) {
-    case BitRef::Kind::kZero:
-      prog.push_back(MicroOp::init0(dst));
-      break;
-    case BitRef::Kind::kOne:
-      prog.push_back(MicroOp::init1(dst));
-      break;
-    case BitRef::Kind::kCol:
-      pb.emit_copy_into(v.col, dst);
-      break;
-  }
-}
-
-BitRef operand_bit(const Field& f, std::uint16_t i) {
-  if (i >= f.width) return BitRef::zero();
-  return BitRef::column(static_cast<std::uint16_t>(f.offset + i), false);
-}
-
-}  // namespace
-
-void ProgramBuilder::emit_add(const Field& a, const Field& b, const Field& dst) {
-  if (fields_overlap(a, dst) || fields_overlap(b, dst)) {
-    throw std::invalid_argument("emit_add: destination overlaps an operand");
-  }
-  BitRef carry = BitRef::zero();
-  for (std::uint16_t i = 0; i < dst.width; ++i) {
-    BitRef ai = operand_bit(a, i);
-    BitRef bi = operand_bit(b, i);
-    BitRef x = ref_xor(*this, ai, bi);
-    BitRef s = ref_xor(*this, x, carry);
-    BitRef c_next = ref_maj(*this, ai, bi, carry);
-    ref_store(*this, s, static_cast<std::uint16_t>(dst.offset + i), prog_);
-    release_ref(*this, x);
-    release_ref(*this, s);
-    release_ref(*this, carry);
-    carry = c_next;
-  }
-  release_ref(*this, carry);
-}
-
-void ProgramBuilder::emit_sub(const Field& a, const Field& b, const Field& dst) {
-  if (fields_overlap(a, dst) || fields_overlap(b, dst)) {
-    throw std::invalid_argument("emit_sub: destination overlaps an operand");
-  }
-  // a - b = a + NOT(b) + 1 in two's complement; absent b bits invert to 1.
-  BitRef carry = BitRef::one();
-  for (std::uint16_t i = 0; i < dst.width; ++i) {
-    BitRef ai = operand_bit(a, i);
-    BitRef bi_raw = operand_bit(b, i);
-    BitRef bi = ref_not(*this, bi_raw);
-    BitRef x = ref_xor(*this, ai, bi);
-    BitRef s = ref_xor(*this, x, carry);
-    BitRef c_next = ref_maj(*this, ai, bi, carry);
-    ref_store(*this, s, static_cast<std::uint16_t>(dst.offset + i), prog_);
-    release_ref(*this, x);
-    release_ref(*this, s);
-    release_ref(*this, bi);
-    release_ref(*this, carry);
-    carry = c_next;
-  }
-  release_ref(*this, carry);
-}
-
-void ProgramBuilder::emit_mul(const Field& a, const Field& b, const Field& dst) {
-  if (fields_overlap(a, dst) || fields_overlap(b, dst)) {
-    throw std::invalid_argument("emit_mul: destination overlaps an operand");
-  }
-  emit_clear_field(dst);
-  // Shift-add: for each multiplier bit, acc[i..] += (a AND b_i).
-  for (std::uint16_t i = 0; i < b.width && i < dst.width; ++i) {
-    const std::uint16_t bi = static_cast<std::uint16_t>(b.offset + i);
-    BitRef carry = BitRef::zero();
-    for (std::uint16_t j = 0; i + j < dst.width; ++j) {
-      const std::uint16_t dcol = static_cast<std::uint16_t>(dst.offset + i + j);
-      BitRef pj;  // partial-product bit: a_j AND b_i
-      if (j < a.width) {
-        pj = BitRef::column(
-            emit_and(static_cast<std::uint16_t>(a.offset + j), bi), true);
-      } else {
-        pj = BitRef::zero();
-      }
-      if (pj.kind == BitRef::Kind::kZero && carry.kind == BitRef::Kind::kZero) {
-        break;  // nothing further to propagate
-      }
-      BitRef acc = BitRef::column(dcol, false);
-      BitRef x = ref_xor(*this, acc, pj);
-      BitRef s = ref_xor(*this, x, carry);
-      BitRef c_next = ref_maj(*this, acc, pj, carry);
-      ref_store(*this, s, dcol, prog_);
-      release_ref(*this, x);
-      release_ref(*this, s);
-      release_ref(*this, pj);
-      release_ref(*this, carry);
-      carry = c_next;
+  const Nest nest(*this);
+  std::uint16_t acc;
+  if (values.empty()) {
+    acc = emit_const(false);
+  } else {
+    acc = emit_eq_const(f, values[0]);
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      const std::uint16_t eq = emit_eq_const(f, values[i]);
+      const std::uint16_t next = emit_or(acc, eq);
+      release(acc);
+      release(eq);
+      acc = next;
     }
-    release_ref(*this, carry);
   }
+  return twin(WordOp::Kind::kIn, acc, 0, 0, f, 0, 0, values);
 }
+
+// ---------------------------------------------------------------------------
+// Algorithm 1
+// ---------------------------------------------------------------------------
 
 void ProgramBuilder::emit_mux_const(const Field& f, std::uint64_t value,
                                     std::uint16_t select_col) {
+  const Nest nest(*this);
   // Algorithm 1: v_i <- v_i OR s when c_i = 1, v_i <- v_i AND NOT s otherwise.
   for (std::uint16_t i = 0; i < f.width; ++i) {
     const std::uint16_t vcol = static_cast<std::uint16_t>(f.offset + i);
@@ -617,12 +437,7 @@ void ProgramBuilder::emit_mux_const(const Field& f, std::uint64_t value,
     emit_copy_into(t, vcol);
     release(t);
   }
-}
-
-void ProgramBuilder::emit_clear_field(const Field& f) {
-  for (std::uint16_t i = 0; i < f.width; ++i) {
-    prog_.push_back(MicroOp::init0(static_cast<std::uint16_t>(f.offset + i)));
-  }
+  twin(WordOp::Kind::kMux, 0, select_col, 0, f, value);
 }
 
 }  // namespace bbpim::pim

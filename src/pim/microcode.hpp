@@ -1,17 +1,26 @@
-// Micro-program builders: predicates and arithmetic as NOR-only sequences.
+// Micro-program builders: predicates and the UPDATE MUX as NOR-only
+// sequences.
 //
 // Bulk-bitwise PIM computes with MAGIC-style gates: NOR is native, NOT is a
 // one-input NOR, and every gate output column must be initialized (a write
 // cycle) before the gate executes. The builders below compose comparison
-// predicates (=, <, <=, >, >=, BETWEEN, IN), bit-column logic, ripple-carry
-// add/sub, shift-add multiply, and the paper's Algorithm 1 (PIM MUX used for
-// UPDATE on pre-joined relations) out of those primitives. Emitted cycle
-// counts are exactly what the cost model charges — nothing is hand-waved.
+// predicates (=, <, <=, >, >=, BETWEEN, IN), bit-column logic and the
+// paper's Algorithm 1 (PIM MUX used for UPDATE on pre-joined relations) out
+// of those primitives. Emitted cycle counts are exactly what the cost model
+// charges — nothing is hand-waved.
+//
+// Alongside the gates, the builder records each program's word-level twin:
+// one WordOp per outermost emit_* call, with that call's result column and
+// boolean function (pim/wordeval.hpp evaluates it 64 rows per word op).
+// Nested emissions record nothing, and the scratch temporaries they use are
+// never materialized by the twin — MAGIC programs initialize every gate
+// output before driving it, so no later op (or program) can observe them.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pim/microop.hpp"
@@ -24,14 +33,49 @@ struct Field {
   std::uint16_t width = 0;
 };
 
-/// Marks kInit0/kInit1 ops whose output column is overwritten by a later op
-/// of the same program before any op reads it. A MAGIC gate drives every
-/// cell of its output column, so such initializations have no observable
-/// functional effect — the fused interpreter skips their word loop while
-/// the cost model still charges the cycle (time, energy, wear). In the
-/// INIT+gate idiom every builder emits, roughly half of a program's ops
-/// qualify. Computed in one backward pass; mask[i] == 1 means skippable.
-std::vector<std::uint8_t> dead_init_mask(const MicroProgram& prog);
+/// The word-level meaning of one outermost ProgramBuilder emission, run
+/// 64 rows per word op by pim/wordeval; out/a/b are crossbar column ids.
+struct WordOp {
+  enum class Kind : std::uint8_t {
+    kConst0,
+    kConst1,
+    kCopy,     ///< out = a
+    kNot,      ///< out = NOT a
+    kAnd,      ///< out = a AND b
+    kOr,       ///< out = a OR b
+    kNor,      ///< out = NOT (a OR b)
+    kAndNot,   ///< out = a AND NOT b
+    kXor,      ///< out = a XOR b
+    kXnor,     ///< out = NOT (a XOR b)
+    kEq,       ///< out = (field == v1)
+    kLt,       ///< out = (field < v1)
+    kLe,       ///< out = (field <= v1)
+    kGt,       ///< out = (field > v1)
+    kGe,       ///< out = (field >= v1)
+    kBetween,  ///< out = (v1 <= field AND field <= v2)
+    kIn,       ///< out = OR_i (field == values[i])
+    kMux,      ///< field = v1 on rows where column a is set (no out)
+  };
+
+  Kind kind = Kind::kConst0;
+  std::uint16_t out = 0;
+  std::uint16_t a = 0;
+  std::uint16_t b = 0;
+  Field f{};
+  std::uint64_t v1 = 0;
+  std::uint64_t v2 = 0;
+  std::vector<std::uint64_t> values;  ///< kIn only
+};
+
+using WordProgram = std::vector<WordOp>;
+
+/// A gate program and its word-level twin, built together by ProgramBuilder.
+/// The gates are what the cost model charges and what the scalar simulator
+/// runs; the twin is what the vectorized simulator runs.
+struct Program {
+  MicroProgram gates;
+  WordProgram words;
+};
 
 /// Free-list allocator over the scratch column region of a row layout.
 class ColumnAlloc {
@@ -81,14 +125,18 @@ class ColumnAlloc {
   std::vector<bool> in_use_;  // indexed by col - begin_
 };
 
-/// Emits micro-ops into a program, managing scratch columns.
+/// Emits micro-ops into a program, managing scratch columns, and records the
+/// program's word-level twin.
 ///
 /// Methods returning a column id transfer ownership of that scratch column to
 /// the caller, who must `release()` it (or hand it to another emit call that
 /// documents consumption). Internal temporaries are released automatically.
 class ProgramBuilder {
  public:
-  explicit ProgramBuilder(ColumnAlloc& alloc) : alloc_(alloc) {}
+  /// Appends to `prefix` (gates and twin), e.g. the UPDATE's MUX after its
+  /// compiled WHERE filter.
+  explicit ProgramBuilder(ColumnAlloc& alloc, Program prefix = {})
+      : alloc_(alloc), prog_(std::move(prefix)) {}
 
   // --- Gate-level helpers (each INIT1 + gate = 2 cycles) -------------------
   std::uint16_t emit_not(std::uint16_t a);
@@ -123,36 +171,42 @@ class ProgramBuilder {
   /// result = OR_i (field == values[i])
   std::uint16_t emit_in_set(const Field& f, std::span<const std::uint64_t> values);
 
-  // --- Field arithmetic (unsigned, two's-complement internals) --------------
-  /// dst = a + b, ripple carry; dst.width may exceed both operand widths.
-  void emit_add(const Field& a, const Field& b, const Field& dst);
-  /// dst = a - b (wraps modulo 2^dst.width; callers guarantee a >= b).
-  void emit_sub(const Field& a, const Field& b, const Field& dst);
-  /// dst = a * b via shift-add over b's bits; dst.width >= a.width + b.width
-  /// is required for an exact product.
-  void emit_mul(const Field& a, const Field& b, const Field& dst);
-
   // --- Algorithm 1 of the paper ---------------------------------------------
   /// For all rows: field <- value where select=1, unchanged where select=0.
   /// Pure PIM (no host reads): per bit, v = v OR s (c_i=1) / v AND NOT s.
   void emit_mux_const(const Field& f, std::uint64_t value,
                       std::uint16_t select_col);
 
-  /// Zeroes a whole field (used to clear accumulators; 1 cycle per column).
-  void emit_clear_field(const Field& f);
-
   void release(std::uint16_t col) { alloc_.release(col); }
 
-  const MicroProgram& program() const { return prog_; }
-  MicroProgram take() { return std::move(prog_); }
-  std::size_t cycle_count() const { return prog_.size(); }
+  const Program& program() const { return prog_; }
+  Program take() { return std::move(prog_); }
 
  private:
+  /// Scopes one emit_* call: depth_ counts the nesting, so only the
+  /// outermost call of a composite emission records a twin op.
+  class Nest {
+   public:
+    explicit Nest(ProgramBuilder& pb) : pb_(pb) { ++pb_.depth_; }
+    ~Nest() { --pb_.depth_; }
+
+   private:
+    ProgramBuilder& pb_;
+  };
+
+  /// Appends the twin op of an outermost emission and returns `out`; a
+  /// nested emission records (and builds) nothing.
+  std::uint16_t twin(WordOp::Kind kind, std::uint16_t out, std::uint16_t a = 0,
+                     std::uint16_t b = 0, const Field& f = {},
+                     std::uint64_t v1 = 0, std::uint64_t v2 = 0,
+                     std::span<const std::uint64_t> values = {});
+
   /// Fresh initialized-to-1 output column for a MAGIC gate.
   std::uint16_t fresh();
 
   ColumnAlloc& alloc_;
-  MicroProgram prog_;
+  Program prog_;
+  int depth_ = 0;
 };
 
 }  // namespace bbpim::pim

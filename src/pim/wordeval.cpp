@@ -1,7 +1,8 @@
 #include "pim/wordeval.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <span>
+#include <vector>
 
 namespace bbpim::pim {
 namespace {
@@ -80,25 +81,34 @@ void eval_le(const Crossbar& xb, const Field& f, std::uint64_t v,
   eval_lt(xb, f, v + 1, dst, words);
 }
 
-}  // namespace
-
-WordOp word_predicate(const sql::BoundPredicate& p, const Field& f,
-                      std::uint16_t out) {
-  using Kind = sql::BoundPredicate::Kind;
-  switch (p.kind) {
-    case Kind::kEq: return WordOp::predicate(WordOp::Kind::kEq, f, p.v1, 0, out);
-    case Kind::kLt: return WordOp::predicate(WordOp::Kind::kLt, f, p.v1, 0, out);
-    case Kind::kLe: return WordOp::predicate(WordOp::Kind::kLe, f, p.v1, 0, out);
-    case Kind::kGt: return WordOp::predicate(WordOp::Kind::kGt, f, p.v1, 0, out);
-    case Kind::kGe: return WordOp::predicate(WordOp::Kind::kGe, f, p.v1, 0, out);
-    case Kind::kBetween:
-      return WordOp::predicate(WordOp::Kind::kBetween, f, p.v1, p.v2, out);
-    case Kind::kIn: return WordOp::in_set(f, p.in_values, out);
-    case Kind::kNever: return WordOp::const0(out);
-    case Kind::kAlways: return WordOp::const1(out);
+/// Algorithm 1 over words: field bit i <- bit i of v1 on the rows where
+/// column a is set. Writes nothing unless some bit changes: the gates
+/// rewrite every row of the field, but only their net effect is observable,
+/// and writing detaches a shared data segment. The select column is re-read
+/// per bit, as the gates read it, in case it aliases a field bit.
+void eval_mux(Crossbar& xb, const WordOp& op, std::uint32_t words) {
+  bool changed = false;
+  const std::uint64_t* s = xb.column_data(op.a);
+  for (std::uint32_t i = 0; i < op.f.width && !changed; ++i) {
+    const std::uint64_t* v = xb.column_data(op.f.offset + i);
+    const bool one = (op.v1 >> i) & 1ULL;
+    for (std::uint32_t w = 0; w < words && !changed; ++w) {
+      changed = (one ? s[w] & ~v[w] : s[w] & v[w]) != 0;
+    }
   }
-  throw std::logic_error("word_predicate: unhandled kind");
+  if (!changed) return;
+  for (std::uint32_t i = 0; i < op.f.width; ++i) {
+    std::uint64_t* v = xb.column_data_mut(op.f.offset + i);
+    s = xb.column_data(op.a);
+    if ((op.v1 >> i) & 1ULL) {
+      for (std::uint32_t w = 0; w < words; ++w) v[w] |= s[w];
+    } else {
+      for (std::uint32_t w = 0; w < words; ++w) v[w] &= ~s[w];
+    }
+  }
 }
+
+}  // namespace
 
 void execute_words(Crossbar& xb, const WordProgram& prog) {
   const std::uint32_t words = xb.words_per_column();
@@ -112,7 +122,8 @@ void execute_words(Crossbar& xb, const WordProgram& prog) {
   }
   std::span<std::uint64_t> scratch(scratch_ptr, words);
   for (const WordOp& op : prog) {
-    std::uint64_t* out = xb.column_data_mut(op.out);
+    std::uint64_t* out =
+        op.kind == WordOp::Kind::kMux ? nullptr : xb.column_data_mut(op.out);
     switch (op.kind) {
       case WordOp::Kind::kConst0:
         fill_words(out, words, 0);
@@ -210,6 +221,9 @@ void execute_words(Crossbar& xb, const WordProgram& prog) {
             for (std::uint32_t w = 0; w < words; ++w) out[w] |= scratch[w];
           }
         }
+        break;
+      case WordOp::Kind::kMux:
+        eval_mux(xb, op, words);
         break;
     }
   }

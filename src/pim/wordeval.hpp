@@ -1,107 +1,28 @@
-// Word-level semantic evaluation of compiled predicate programs.
+// Word-level evaluation of a program's twin.
 //
 // The gate-level MicroProgram stays the costed artifact — its cycle count is
 // what the latency/energy/wear models charge, exactly as the hardware would
 // run it. But simulating every MAGIC gate is a slow way to compute what a
-// predicate program *means*: an eq/lt/between over a w-bit field costs
-// O(w) NOR cycles of 1024 rows each, while the same boolean function over a
-// packed 64-row word is a handful of word ops. A WordProgram is the
-// semantic twin of a builder-produced MicroProgram: one op per top-level
-// ProgramBuilder emission, writing the same output column with the same
-// boolean function of the same inputs. Scratch temporaries internal to a
-// composite emission are never materialized — MAGIC programs initialize
-// every gate output before driving it, so no later op (or program) can
-// observe them.
-//
-// Built alongside the gate program by the filter compiler and the engine's
-// inline program constructions; executed per crossbar by execute_words.
-// Equivalence against the gate interpreter is pinned by unit tests and the
-// scalar-vs-vectorized determinism suite.
+// program *means*: an eq/lt/between over a w-bit field costs O(w) NOR cycles
+// of 1024 rows each, while the same boolean function over a packed 64-row
+// word is a handful of word ops. ProgramBuilder records that twin while it
+// emits the gates (see pim/microcode.hpp): one WordOp per outermost
+// emission, writing the same output column with the same boolean function
+// of the same inputs. execute_words runs it on one crossbar. Equivalence
+// against the gate interpreter is pinned per emitter by the microcode unit
+// tests and end to end by the scalar-vs-vectorized determinism suite.
 #pragma once
-
-#include <cstdint>
-#include <span>
-#include <vector>
 
 #include "pim/crossbar.hpp"
 #include "pim/microcode.hpp"
-#include "sql/logical_plan.hpp"
 
 namespace bbpim::pim {
 
-/// One word-parallel operation; out/a/b are crossbar column ids.
-struct WordOp {
-  enum class Kind : std::uint8_t {
-    kConst0,
-    kConst1,
-    kCopy,     ///< out = a
-    kNot,      ///< out = NOT a
-    kAnd,      ///< out = a AND b
-    kOr,       ///< out = a OR b
-    kNor,      ///< out = NOT (a OR b)
-    kAndNot,   ///< out = a AND NOT b
-    kXor,      ///< out = a XOR b
-    kXnor,     ///< out = NOT (a XOR b)
-    kEq,       ///< out = (field == v1)
-    kLt,       ///< out = (field < v1)
-    kLe,       ///< out = (field <= v1)
-    kGt,       ///< out = (field > v1)
-    kGe,       ///< out = (field >= v1)
-    kBetween,  ///< out = (v1 <= field AND field <= v2)
-    kIn,       ///< out = OR_i (field == values[i])
-  };
-
-  Kind kind;
-  std::uint16_t out = 0;
-  std::uint16_t a = 0;
-  std::uint16_t b = 0;
-  Field f{};
-  std::uint64_t v1 = 0;
-  std::uint64_t v2 = 0;
-  std::vector<std::uint64_t> values;  ///< kIn only
-
-  static WordOp const0(std::uint16_t out) {
-    return {Kind::kConst0, out, 0, 0, {}, 0, 0, {}};
-  }
-  static WordOp const1(std::uint16_t out) {
-    return {Kind::kConst1, out, 0, 0, {}, 0, 0, {}};
-  }
-  static WordOp copy(std::uint16_t a, std::uint16_t out) {
-    return {Kind::kCopy, out, a, 0, {}, 0, 0, {}};
-  }
-  static WordOp not_op(std::uint16_t a, std::uint16_t out) {
-    return {Kind::kNot, out, a, 0, {}, 0, 0, {}};
-  }
-  static WordOp and_op(std::uint16_t a, std::uint16_t b, std::uint16_t out) {
-    return {Kind::kAnd, out, a, b, {}, 0, 0, {}};
-  }
-  static WordOp or_op(std::uint16_t a, std::uint16_t b, std::uint16_t out) {
-    return {Kind::kOr, out, a, b, {}, 0, 0, {}};
-  }
-  static WordOp andnot_op(std::uint16_t a, std::uint16_t b, std::uint16_t out) {
-    return {Kind::kAndNot, out, a, b, {}, 0, 0, {}};
-  }
-  static WordOp predicate(Kind kind, const Field& f, std::uint64_t v1,
-                          std::uint64_t v2, std::uint16_t out) {
-    return {kind, out, 0, 0, f, v1, v2, {}};
-  }
-  static WordOp in_set(const Field& f, std::vector<std::uint64_t> values,
-                       std::uint16_t out) {
-    return {Kind::kIn, out, 0, 0, f, 0, 0, std::move(values)};
-  }
-};
-
-using WordProgram = std::vector<WordOp>;
-
-/// Semantic twin of a bound predicate lowered by the filter compiler:
-/// matches the boolean function of the corresponding emit_* call (including
-/// the out-of-range and degenerate-range edge cases).
-WordOp word_predicate(const sql::BoundPredicate& p, const Field& f,
-                      std::uint16_t out);
-
 /// Evaluates a WordProgram on one crossbar: each op writes its output
 /// column's packed words. No wear is recorded — the caller charges the gate
-/// program's cycles (see Crossbar::add_uniform_wear).
+/// program's cycles (see Crossbar::add_uniform_wear). A kMux compares before
+/// it writes: one that changes no bit leaves a shared data segment shared,
+/// so an UPDATE detaches only the crossbars whose bits change.
 void execute_words(Crossbar& xb, const WordProgram& prog);
 
 }  // namespace bbpim::pim

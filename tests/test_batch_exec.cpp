@@ -9,7 +9,8 @@
 //   - duplicate statements executing once and sharing the ResultSet;
 //   - per-statement errors (including engine-level fallback) never failing
 //     batchmates;
-//   - QueryService shared-scan serving matching the unbatched reference;
+//   - QueryService shared-scan serving matching the unbatched reference,
+//     with submit(sql) and submit(sql, kOneXb) fusing into one batch;
 //   - batch-vs-concurrent-UPDATE snapshot consistency against a serial
 //     oracle replaying the committed log order.
 // Run under ThreadSanitizer in CI.
@@ -347,6 +348,31 @@ TEST(BatchExec, ServiceSharedScanMatchesUnbatchedReference) {
   // The first pop may run solo (nothing queued yet), but everything the
   // worker gathered while busy must have fused.
   EXPECT_GE(batched, 2u);
+  service.shutdown();
+}
+
+TEST(BatchExec, ServiceFusesBothSpellingsOfOneXb) {
+  // submit(sql) runs on one-xb exactly like submit(sql, kOneXb), so the two
+  // must gather into one shared-scan batch.
+  db::Database database;
+  database.register_table(testutil::make_synthetic_table(300, 11),
+                          synthetic_policy());
+  db::QueryServiceOptions opts;
+  opts.workers = 1;
+  opts.session = fast_options();
+  opts.shared_scan.enabled = true;
+  opts.shared_scan.max_batch = 2;  // the gather ends as soon as both are in
+  opts.shared_scan.gather_window_us = 2000000;
+  db::QueryService service(database, opts);
+  service.warm_up(db::BackendKind::kOneXb);
+
+  std::future<db::ResultSet> implicit =
+      service.submit("SELECT SUM(f_val) FROM synthetic WHERE f_key < 1024");
+  std::future<db::ResultSet> explicit_one_xb =
+      service.submit("SELECT COUNT(*) FROM synthetic WHERE d_tag >= 4",
+                     db::BackendKind::kOneXb);
+  EXPECT_EQ(implicit.get().batched_queries(), 2u);
+  EXPECT_EQ(explicit_one_xb.get().batched_queries(), 2u);
   service.shutdown();
 }
 

@@ -57,10 +57,12 @@ TEST(Controller, ExecuteProgramCostsAndRuns) {
   const PimConfig cfg = small_config();
   PimModule m(cfg);
   m.allocate_pages(1);
-  pim::MicroProgram prog = {pim::MicroOp::init1(20),
-                            pim::MicroOp::nor_op(0, 1, 20),
-                            pim::MicroOp::init1(21),
-                            pim::MicroOp::not_op(20, 21)};
+  // INIT1 + NOR into column 20, INIT1 + NOT into column 21.
+  pim::ColumnAlloc alloc(20, 64);
+  pim::ProgramBuilder pb(alloc);
+  pb.emit_not(pb.emit_nor(0, 1));
+  const pim::Program prog = pb.take();
+  ASSERT_EQ(prog.gates.size(), 4u);
   EnergyMeter meter;
   const RequestTrace t = pim::execute_program(m.page(0), prog, cfg, &meter);
   EXPECT_EQ(t.cls, pim::RequestClass::kLogic);
@@ -72,7 +74,24 @@ TEST(Controller, ExecuteProgramCostsAndRuns) {
               1e-18);
   // Functional effect happened on every crossbar.
   for (std::uint32_t x = 0; x < m.page(0).crossbar_count(); ++x) {
-    EXPECT_EQ(m.page(0).crossbar(x).uniform_row_writes(), 4u);
+    const pim::Crossbar& xb = m.page(0).crossbar(x);
+    EXPECT_EQ(xb.uniform_row_writes(), 4u);
+    EXPECT_EQ(xb.column_popcount(20), xb.rows());  // NOR of all-zero inputs
+    EXPECT_EQ(xb.column_popcount(21), 0u);
+  }
+
+  // The scalar path runs the gates: same bits, same wear, same cost.
+  PimModule scalar(cfg);
+  scalar.allocate_pages(1);
+  const RequestTrace ts = pim::execute_program(scalar.page(0), prog, cfg,
+                                               nullptr, /*vectorized=*/false);
+  EXPECT_DOUBLE_EQ(ts.energy_j, t.energy_j);
+  for (std::uint32_t x = 0; x < m.page(0).crossbar_count(); ++x) {
+    for (std::uint32_t c = 0; c < cfg.crossbar_cols; ++c) {
+      EXPECT_EQ(scalar.page(0).crossbar(x).column(c),
+                m.page(0).crossbar(x).column(c));
+    }
+    EXPECT_EQ(scalar.page(0).crossbar(x).uniform_row_writes(), 4u);
   }
 }
 

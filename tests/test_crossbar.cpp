@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "pim/crossbar.hpp"
-#include "pim/microcode.hpp"
 
 namespace bbpim::pim {
 namespace {
@@ -94,81 +93,6 @@ TEST(Crossbar, ColumnPopcountAndDataMatchSnapshot) {
   }
   EXPECT_THROW(xb.column_popcount(6), std::out_of_range);
   EXPECT_THROW(xb.column_data(6), std::out_of_range);
-}
-
-/// Random program over `cols` columns mixing the INIT+gate idiom with inits
-/// that ARE read later (constants) and double initializations.
-MicroProgram random_program(Rng& rng, std::uint16_t cols, std::size_t ops) {
-  MicroProgram prog;
-  auto col = [&] { return static_cast<std::uint16_t>(rng.next_below(cols)); };
-  for (std::size_t i = 0; i < ops; ++i) {
-    switch (rng.next_below(5)) {
-      case 0: prog.push_back(MicroOp::init0(col())); break;
-      case 1: prog.push_back(MicroOp::init1(col())); break;
-      case 2: prog.push_back(MicroOp::not_op(col(), col())); break;
-      default: {
-        // Mostly the canonical INIT1 + NOR pair.
-        const std::uint16_t out = col();
-        prog.push_back(MicroOp::init1(out));
-        prog.push_back(MicroOp::nor_op(col(), col(), out));
-        break;
-      }
-    }
-  }
-  return prog;
-}
-
-TEST(Crossbar, FusedExecuteMatchesPerOpInterpreter) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    constexpr std::uint16_t kCols = 24;
-    Crossbar per_op(128, kCols);
-    Crossbar fused(128, kCols);
-    for (std::uint32_t r = 0; r < 128; ++r) {
-      for (std::uint16_t c = 0; c < kCols; ++c) {
-        const bool v = rng.next_double() < 0.5;
-        per_op.set_bit(r, c, v);
-        fused.set_bit(r, c, v);
-      }
-    }
-    const MicroProgram prog = random_program(rng, kCols, 40);
-    const std::vector<std::uint8_t> dead = dead_init_mask(prog);
-    per_op.execute(prog);
-    fused.execute_fused(prog, dead);
-    for (std::uint16_t c = 0; c < kCols; ++c) {
-      EXPECT_EQ(fused.column(c), per_op.column(c))
-          << "trial " << trial << " col " << c;
-    }
-    EXPECT_EQ(fused.uniform_row_writes(), per_op.uniform_row_writes());
-    EXPECT_EQ(fused.max_row_writes(), per_op.max_row_writes());
-  }
-}
-
-TEST(DeadInitMask, OnlyOverwrittenBeforeReadIsDead) {
-  MicroProgram prog;
-  prog.push_back(MicroOp::init1(2));        // dead: NOR below drives col 2
-  prog.push_back(MicroOp::nor_op(0, 1, 2)); // gate
-  prog.push_back(MicroOp::init1(3));        // live: read as an input below
-  prog.push_back(MicroOp::init1(4));        // dead: NOR below drives col 4
-  prog.push_back(MicroOp::nor_op(3, 2, 4)); // reads col 3's initialization
-  prog.push_back(MicroOp::init0(5));        // live: never overwritten (result)
-  const std::vector<std::uint8_t> dead = dead_init_mask(prog);
-  EXPECT_EQ(dead, (std::vector<std::uint8_t>{1, 0, 0, 1, 0, 0}));
-}
-
-TEST(DeadInitMask, ReadBeforeLaterWriteKeepsInit) {
-  MicroProgram prog;
-  prog.push_back(MicroOp::init1(2));        // live: NOT reads col 2 first...
-  prog.push_back(MicroOp::not_op(2, 3));
-  prog.push_back(MicroOp::init0(2));        // ...then col 2 is re-initialized
-  const std::vector<std::uint8_t> dead = dead_init_mask(prog);
-  EXPECT_EQ(dead, (std::vector<std::uint8_t>{0, 0, 0}));
-
-  // Back-to-back inits: the first one is dead.
-  MicroProgram twice;
-  twice.push_back(MicroOp::init1(1));
-  twice.push_back(MicroOp::init0(1));
-  EXPECT_EQ(dead_init_mask(twice), (std::vector<std::uint8_t>{1, 0}));
 }
 
 TEST(Crossbar, WearAccounting) {

@@ -6,6 +6,7 @@
 #include "engine/filter_compiler.hpp"
 #include "engine_test_util.hpp"
 #include "pim/controller.hpp"
+#include "pim/wordeval.hpp"
 
 namespace bbpim::engine {
 namespace {
@@ -19,7 +20,7 @@ std::vector<bool> run_filter(PimStore& store, int part,
   for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
     pim::Page& page = store.page(part, p);
     for (std::uint32_t x = 0; x < page.crossbar_count(); ++x) {
-      page.crossbar(x).execute(f.program);
+      page.crossbar(x).execute(f.program.gates);
     }
     for (std::uint32_t i = 0; i < store.records_per_page(); ++i) {
       const auto c = page.locate(i);
@@ -46,7 +47,7 @@ TEST(FilterCompiler, ConjunctionMatchesScalar) {
   pim::ColumnAlloc alloc = fx.store->layout(0).make_alloc();
   const CompiledFilter f = compile_filter(q.filters, fx.store->layout(0), alloc);
   EXPECT_EQ(f.predicate_count, 3u);
-  EXPECT_FALSE(f.program.empty());
+  EXPECT_FALSE(f.program.gates.empty());
 
   const std::vector<bool> got = run_filter(*fx.store, 0, f);
   for (std::size_t r = 0; r < fx.table->row_count(); ++r) {
@@ -124,8 +125,8 @@ TEST(FilterCompiler, WordProgramMatchesGateProgram) {
     for (std::uint32_t x = 0; x < 2; ++x) {
       pim::Crossbar gate = fx.store->page(0, 0).crossbar(x);
       pim::Crossbar word = gate;
-      gate.execute(f.program);
-      pim::execute_words(word, f.words);
+      gate.execute(f.program.gates);
+      pim::execute_words(word, f.program.words);
       EXPECT_EQ(word.column(f.result_col), gate.column(f.result_col))
           << "WHERE " << where << " crossbar " << x;
     }
@@ -137,8 +138,8 @@ TEST(FilterCompiler, WordProgramMatchesGateProgram) {
       {1, 4}, {2, 2}, fx.store->layout(0), alloc);
   pim::Crossbar gate = fx.store->page(0, 0).crossbar(0);
   pim::Crossbar word = gate;
-  gate.execute(m.program);
-  pim::execute_words(word, m.words);
+  gate.execute(m.program.gates);
+  pim::execute_words(word, m.program.words);
   EXPECT_EQ(word.column(m.result_col), gate.column(m.result_col));
 }
 

@@ -1,17 +1,21 @@
 // Property tests for the NOR-only micro-program builders.
 //
-// Every predicate and arithmetic builder is checked bit-exactly against
-// scalar semantics on randomized crossbar contents, across a sweep of field
-// widths. Scratch-column hygiene (no leaks, no double releases) is asserted
-// after every program — this is what catches ownership bugs in the
-// constant-folded adder/multiplier emitters.
+// Every predicate builder and the Algorithm-1 MUX are checked bit-exactly
+// against scalar semantics on randomized crossbar contents, across a sweep
+// of field widths. Scratch-column hygiene (no leaks, no double releases) is
+// asserted after every program. Every emitter's recorded word-level twin is
+// checked against its gates, and the twin MUX against the copy-on-write
+// rule of a shared data segment.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "pim/crossbar.hpp"
 #include "pim/microcode.hpp"
+#include "pim/wordeval.hpp"
 
 namespace bbpim::pim {
 namespace {
@@ -41,7 +45,7 @@ class MicrocodeFixture {
   /// Runs a built program and checks the result column against a predicate.
   void check_column(ProgramBuilder& pb, std::uint16_t result_col,
                     const std::vector<bool>& expected) {
-    xb_.execute(pb.program());
+    xb_.execute(pb.program().gates);
     for (std::uint32_t r = 0; r < kRows; ++r) {
       ASSERT_EQ(xb_.bit(r, result_col), expected[r]) << "row " << r;
     }
@@ -113,7 +117,7 @@ TEST(Gates, TruthTables) {
   const std::uint16_t c_andnot = pb.emit_andnot(0, 1);
   const std::uint16_t c_not = pb.emit_not(0);
   const std::uint16_t c_copy = pb.emit_copy(1);
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     const bool a = (r & 1) != 0;
     const bool b = (r & 2) != 0;
@@ -139,7 +143,7 @@ TEST(Gates, CopyIntoOverwrites) {
   }
   ProgramBuilder pb(fx.alloc_);
   pb.emit_copy_into(0, 2);
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     EXPECT_EQ(fx.xb_.bit(r, 2), r % 3 == 0);
   }
@@ -182,7 +186,7 @@ TEST_P(PredicateWidth, AllComparisonsMatchScalar) {
                      [c](std::uint64_t v) { return v > c; }});
     cases.push_back({"ge", pb.emit_ge_const(f, c),
                      [c](std::uint64_t v) { return v >= c; }});
-    fx.xb_.execute(pb.program());
+    fx.xb_.execute(pb.program().gates);
     for (const Case& tc : cases) {
       for (std::uint32_t r = 0; r < kRows; ++r) {
         ASSERT_EQ(fx.xb_.bit(r, tc.col), tc.pred(vals[r]))
@@ -211,7 +215,7 @@ TEST_P(PredicateWidth, BetweenMatchesScalar) {
     if (i == 2) std::swap(lo, hi);  // possibly-empty range
     ProgramBuilder pb(fx.alloc_);
     const std::uint16_t col = pb.emit_between_const(f, lo, hi);
-    fx.xb_.execute(pb.program());
+    fx.xb_.execute(pb.program().gates);
     for (std::uint32_t r = 0; r < kRows; ++r) {
       ASSERT_EQ(fx.xb_.bit(r, col), lo <= vals[r] && vals[r] <= hi)
           << "width=" << width << " lo=" << lo << " hi=" << hi;
@@ -234,7 +238,7 @@ TEST_P(PredicateWidth, InSetMatchesScalar) {
 
   ProgramBuilder pb(fx.alloc_);
   const std::uint16_t col = pb.emit_in_set(f, set);
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     const bool expected =
         std::find(set.begin(), set.end(), vals[r]) != set.end();
@@ -244,7 +248,7 @@ TEST_P(PredicateWidth, InSetMatchesScalar) {
 
   ProgramBuilder pb2(fx.alloc_);
   const std::uint16_t empty = pb2.emit_in_set(f, {});
-  fx.xb_.execute(pb2.program());
+  fx.xb_.execute(pb2.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) EXPECT_FALSE(fx.xb_.bit(r, empty));
   pb2.release(empty);
 }
@@ -262,7 +266,7 @@ TEST(Predicates, OutOfDomainConstants) {
   const std::uint16_t eq = pb.emit_eq_const(f, 300);   // > 255: never
   const std::uint16_t lt = pb.emit_lt_const(f, 300);   // always
   const std::uint16_t ge = pb.emit_ge_const(f, 300);   // never
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     EXPECT_FALSE(fx.xb_.bit(r, eq));
     EXPECT_TRUE(fx.xb_.bit(r, lt));
@@ -271,95 +275,6 @@ TEST(Predicates, OutOfDomainConstants) {
   pb.release(eq);
   pb.release(lt);
   pb.release(ge);
-}
-
-// ---------------------------------------------------------------------------
-// Arithmetic: parameterized over operand widths
-// ---------------------------------------------------------------------------
-
-struct ArithCase {
-  std::uint16_t wa, wb, wd;
-};
-
-class Arithmetic : public ::testing::TestWithParam<ArithCase> {};
-
-TEST_P(Arithmetic, AddMatchesScalar) {
-  const auto [wa, wb, wd] = GetParam();
-  Rng rng(50 + wa * 100 + wb);
-  MicrocodeFixture fx;
-  const Field a{0, wa};
-  const Field b{static_cast<std::uint16_t>(wa), wb};
-  const Field d{static_cast<std::uint16_t>(wa + wb), wd};
-  const auto va = fx.fill(a, rng);
-  const auto vb = fx.fill(b, rng);
-  ProgramBuilder pb(fx.alloc_);
-  pb.emit_add(a, b, d);
-  fx.xb_.execute(pb.program());
-  for (std::uint32_t r = 0; r < kRows; ++r) {
-    const std::uint64_t expected = (va[r] + vb[r]) & field_mask(wd);
-    ASSERT_EQ(fx.xb_.read_row_bits(r, d.offset, d.width), expected)
-        << "row " << r << " " << va[r] << "+" << vb[r];
-  }
-  EXPECT_EQ(fx.alloc_.available(), kCols - kScratchBegin);
-}
-
-TEST_P(Arithmetic, SubMatchesScalar) {
-  const auto [wa, wb, wd] = GetParam();
-  Rng rng(60 + wa * 100 + wb);
-  MicrocodeFixture fx;
-  const Field a{0, wa};
-  const Field b{static_cast<std::uint16_t>(wa), wb};
-  const Field d{static_cast<std::uint16_t>(wa + wb), wd};
-  const auto va = fx.fill(a, rng);
-  const auto vb = fx.fill(b, rng);
-  ProgramBuilder pb(fx.alloc_);
-  pb.emit_sub(a, b, d);
-  fx.xb_.execute(pb.program());
-  for (std::uint32_t r = 0; r < kRows; ++r) {
-    const std::uint64_t expected = (va[r] - vb[r]) & field_mask(wd);
-    ASSERT_EQ(fx.xb_.read_row_bits(r, d.offset, d.width), expected)
-        << "row " << r << " " << va[r] << "-" << vb[r];
-  }
-  EXPECT_EQ(fx.alloc_.available(), kCols - kScratchBegin);
-}
-
-TEST_P(Arithmetic, MulMatchesScalar) {
-  const auto [wa, wb, wd] = GetParam();
-  if (wa + wb > 40) GTEST_SKIP() << "mul sweep keeps operands modest";
-  Rng rng(70 + wa * 100 + wb);
-  MicrocodeFixture fx;
-  const Field a{0, wa};
-  const Field b{static_cast<std::uint16_t>(wa), wb};
-  const Field d{static_cast<std::uint16_t>(wa + wb),
-                static_cast<std::uint16_t>(wa + wb)};
-  const auto va = fx.fill(a, rng);
-  const auto vb = fx.fill(b, rng);
-  ProgramBuilder pb(fx.alloc_);
-  pb.emit_mul(a, b, d);
-  fx.xb_.execute(pb.program());
-  for (std::uint32_t r = 0; r < kRows; ++r) {
-    const std::uint64_t expected = (va[r] * vb[r]) & field_mask(d.width);
-    ASSERT_EQ(fx.xb_.read_row_bits(r, d.offset, d.width), expected)
-        << "row " << r << " " << va[r] << "*" << vb[r];
-  }
-  EXPECT_EQ(fx.alloc_.available(), kCols - kScratchBegin);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WidthCombos, Arithmetic,
-    ::testing::Values(ArithCase{1, 1, 4}, ArithCase{4, 4, 8},
-                      ArithCase{8, 3, 12}, ArithCase{3, 8, 16},
-                      ArithCase{16, 16, 20},  // dst narrower than full sum
-                      ArithCase{20, 4, 26}, ArithCase{12, 12, 30}));
-
-TEST(Arithmetic, OverlapRejected) {
-  MicrocodeFixture fx;
-  ProgramBuilder pb(fx.alloc_);
-  const Field a{0, 8};
-  const Field d{4, 12};  // overlaps a
-  EXPECT_THROW(pb.emit_add(a, a, d), std::invalid_argument);
-  EXPECT_THROW(pb.emit_sub(a, a, d), std::invalid_argument);
-  EXPECT_THROW(pb.emit_mul(a, a, d), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +292,7 @@ TEST(MuxConst, UpdatesOnlySelectedRows) {
   const std::uint64_t new_value = 0x1234 & field_mask(13);
   ProgramBuilder pb(fx.alloc_);
   pb.emit_mux_const(f, new_value, 40);
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     const std::uint64_t expected = (r % 3 == 0) ? new_value : vals[r];
     ASSERT_EQ(fx.xb_.read_row_bits(r, f.offset, f.width), expected)
@@ -394,23 +309,200 @@ TEST(MuxConst, NoSelectionIsIdentity) {
   ProgramBuilder pb(fx.alloc_);
   const std::uint16_t never = pb.emit_const(false);
   pb.emit_mux_const(f, 777, never);
-  fx.xb_.execute(pb.program());
+  fx.xb_.execute(pb.program().gates);
   for (std::uint32_t r = 0; r < kRows; ++r) {
     EXPECT_EQ(fx.xb_.read_row_bits(r, f.offset, f.width), vals[r]);
   }
   pb.release(never);
 }
 
-TEST(ClearField, ZeroesEveryRow) {
-  MicrocodeFixture fx;
-  Rng rng(101);
-  const Field f{3, 9};
-  fx.fill(f, rng);
-  ProgramBuilder pb(fx.alloc_);
-  pb.emit_clear_field(f);
-  fx.xb_.execute(pb.program());
+// ---------------------------------------------------------------------------
+// Recorded twins: each emitter's WordOp has the effect of its gates
+// ---------------------------------------------------------------------------
+
+/// Random bits in every column.
+void fill_all(Crossbar& xb, Rng& rng) {
+  for (std::uint32_t c = 0; c < xb.cols(); ++c) {
+    BitVec bits(xb.rows());
+    for (auto& w : bits.words()) w = rng.next_u64();
+    xb.write_column(c, bits);
+  }
+}
+
+/// One outermost emit_* call; returns its result column (the target column
+/// for the emitters that write a data column in place).
+using Emission = std::function<std::uint16_t(ProgramBuilder&)>;
+
+/// Runs `emit` on a fresh builder and checks that it recorded exactly one
+/// WordOp, and that the gates and the twin leave the same bits in every
+/// column except the call's scratch temporaries: every data column and the
+/// result column.
+void expect_twin_matches_gates(const Crossbar& start, const Emission& emit,
+                               const std::string& what) {
+  ColumnAlloc alloc(kScratchBegin, kCols);
+  ProgramBuilder pb(alloc);
+  const std::uint16_t result = emit(pb);
+  const Program& prog = pb.program();
+  ASSERT_EQ(prog.words.size(), 1u) << what;
+  Crossbar gates = start;
+  Crossbar words = start;
+  gates.execute(prog.gates);
+  execute_words(words, prog.words);
+  for (std::uint32_t c = 0; c < kCols; ++c) {
+    if (c >= kScratchBegin && c != result) continue;
+    ASSERT_EQ(words.column(c), gates.column(c)) << what << " column " << c;
+  }
+}
+
+TEST(Twin, GateEmittersMatchGates) {
+  Rng rng(500);
+  Crossbar start(kRows, kCols);
+  fill_all(start, rng);
+  const std::pair<const char*, Emission> cases[] = {
+      {"not", [](ProgramBuilder& pb) { return pb.emit_not(3); }},
+      {"nor", [](ProgramBuilder& pb) { return pb.emit_nor(3, 4); }},
+      {"or", [](ProgramBuilder& pb) { return pb.emit_or(3, 4); }},
+      {"and", [](ProgramBuilder& pb) { return pb.emit_and(3, 4); }},
+      {"andnot", [](ProgramBuilder& pb) { return pb.emit_andnot(3, 4); }},
+      {"xor", [](ProgramBuilder& pb) { return pb.emit_xor(3, 4); }},
+      {"xnor", [](ProgramBuilder& pb) { return pb.emit_xnor(3, 4); }},
+      {"same-input and", [](ProgramBuilder& pb) { return pb.emit_and(5, 5); }},
+      {"const0", [](ProgramBuilder& pb) { return pb.emit_const(false); }},
+      {"const1", [](ProgramBuilder& pb) { return pb.emit_const(true); }},
+      {"copy", [](ProgramBuilder& pb) { return pb.emit_copy(6); }},
+      {"copy_into", [](ProgramBuilder& pb) {
+         pb.emit_copy_into(6, 7);
+         return std::uint16_t{7};
+       }},
+  };
+  for (const auto& [name, emit] : cases) {
+    expect_twin_matches_gates(start, emit, name);
+  }
+}
+
+TEST(Twin, FieldEmittersMatchGates) {
+  Rng rng(501);
+  Crossbar start(kRows, kCols);
+  fill_all(start, rng);
+  for (const std::uint16_t width : {1, 13, 64}) {
+    const Field f{10, width};
+    const std::uint64_t max = field_mask(width);
+    // Edge values, random in-domain draws, and out-of-domain constants
+    // (max + 1 wraps to 0 at width 64).
+    const std::vector<std::uint64_t> consts = {
+        0, 1, max / 2, max - 1, max, max + 1, ~0ULL,
+        rng.next_u64() & max, rng.next_u64() & max};
+    // Rows holding the extremes, so eq/in can hit.
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      start.write_row_bits(r, f.offset, f.width, consts[r % consts.size()]);
+    }
+    for (const std::uint64_t c : consts) {
+      const std::string at =
+          " width " + std::to_string(width) + " const " + std::to_string(c);
+      const std::pair<const char*, Emission> cases[] = {
+          {"eq", [&](ProgramBuilder& pb) { return pb.emit_eq_const(f, c); }},
+          {"lt", [&](ProgramBuilder& pb) { return pb.emit_lt_const(f, c); }},
+          {"le", [&](ProgramBuilder& pb) { return pb.emit_le_const(f, c); }},
+          {"gt", [&](ProgramBuilder& pb) { return pb.emit_gt_const(f, c); }},
+          {"ge", [&](ProgramBuilder& pb) { return pb.emit_ge_const(f, c); }},
+          {"mux", [&](ProgramBuilder& pb) {
+             pb.emit_mux_const(f, c, 100);
+             return f.offset;
+           }},
+          // The select column aliases the field's lowest bit.
+          {"aliased mux", [&](ProgramBuilder& pb) {
+             pb.emit_mux_const(f, c, f.offset);
+             return f.offset;
+           }},
+      };
+      for (const auto& [name, emit] : cases) {
+        expect_twin_matches_gates(start, emit, name + at);
+      }
+      for (const std::uint64_t hi : consts) {
+        expect_twin_matches_gates(
+            start,
+            [&](ProgramBuilder& pb) { return pb.emit_between_const(f, c, hi); },
+            "between" + at + " hi " + std::to_string(hi));
+      }
+      const std::vector<std::uint64_t> set = {c, max / 3, ~0ULL};
+      expect_twin_matches_gates(
+          start, [&](ProgramBuilder& pb) { return pb.emit_in_set(f, set); },
+          "in" + at);
+    }
+    expect_twin_matches_gates(
+        start, [&](ProgramBuilder& pb) { return pb.emit_in_set(f, {}); },
+        "empty in width " + std::to_string(width));
+  }
+}
+
+TEST(Twin, OneWordOpPerOutermostCall) {
+  ColumnAlloc alloc(kScratchBegin, kCols);
+  ProgramBuilder pb(alloc);
+  const Field f{0, 13};
+  const std::vector<std::uint64_t> set = {3, 70, 9000};
+  const std::uint16_t eq = pb.emit_eq_const(f, 77);
+  const std::uint16_t in = pb.emit_in_set(f, set);
+  const std::uint16_t both = pb.emit_and(eq, in);
+  pb.emit_mux_const(f, 5, both);
+  const Program& prog = pb.program();
+  ASSERT_EQ(prog.words.size(), 4u);
+  EXPECT_EQ(prog.words[0].kind, WordOp::Kind::kEq);
+  EXPECT_EQ(prog.words[0].out, eq);
+  EXPECT_EQ(prog.words[1].kind, WordOp::Kind::kIn);
+  EXPECT_EQ(prog.words[1].values, set);
+  EXPECT_EQ(prog.words[2].kind, WordOp::Kind::kAnd);
+  EXPECT_EQ(prog.words[2].out, both);
+  EXPECT_EQ(prog.words[3].kind, WordOp::Kind::kMux);
+  EXPECT_EQ(prog.words[3].a, both);
+  EXPECT_GT(prog.gates.size(), prog.words.size());
+}
+
+TEST(Twin, MuxOnSharedSegmentDetachesOnlyOnChange) {
+  // Data [0, kScratchBegin) is the shareable segment.
+  Crossbar xb(kRows, kCols, kScratchBegin);
+  Rng rng(502);
+  fill_all(xb, rng);
+  const Field f{7, 13};
+  for (std::uint32_t r = 0; r < kRows; r += 4) {
+    xb.write_row_bits(r, f.offset, f.width, 1234);
+  }
+  Crossbar other(kRows, kCols, kScratchBegin);
+  other.adopt_data(xb.data_segment());
+  ASSERT_TRUE(xb.data_shared());
+  std::vector<BitVec> before;
+  for (std::uint32_t c = 0; c < kScratchBegin; ++c) {
+    before.push_back(xb.column(c));
+  }
+
+  // Selects exactly the rows that already hold the value: no bit changes.
+  ColumnAlloc alloc(kScratchBegin, kCols);
+  {
+    ProgramBuilder pb(alloc);
+    const std::uint16_t sel = pb.emit_eq_const(f, 1234);
+    pb.emit_mux_const(f, 1234, sel);
+    execute_words(xb, pb.program().words);
+    pb.release(sel);
+  }
+  EXPECT_TRUE(xb.data_shared());
+
+  // A new value for the same rows changes bits: the segment detaches.
+  {
+    ProgramBuilder pb(alloc);
+    const std::uint16_t sel = pb.emit_eq_const(f, 1234);
+    pb.emit_mux_const(f, 4321, sel);
+    execute_words(xb, pb.program().words);
+    pb.release(sel);
+  }
+  EXPECT_FALSE(xb.data_shared());
   for (std::uint32_t r = 0; r < kRows; ++r) {
-    EXPECT_EQ(fx.xb_.read_row_bits(r, f.offset, f.width), 0u);
+    const std::uint64_t was = other.read_row_bits(r, f.offset, f.width);
+    EXPECT_EQ(xb.read_row_bits(r, f.offset, f.width),
+              was == 1234 ? 4321u : was)
+        << "row " << r;
+  }
+  // The other holder keeps its old bits.
+  for (std::uint32_t c = 0; c < kScratchBegin; ++c) {
+    EXPECT_EQ(other.column(c), before[c]) << "column " << c;
   }
 }
 
