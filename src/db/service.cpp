@@ -14,6 +14,9 @@ namespace {
 /// Upper bound of one retry backoff (see RetryOptions).
 constexpr std::uint64_t kRetryBackoffCapUs = 5'000;
 
+/// Gather-window multiplier once a bounded queue fills past half its depth.
+constexpr std::uint64_t kOverloadWindowBoost = 4;
+
 /// Rendezvous for warm_up: each worker executes exactly one warm task
 /// because no worker can finish its task before every worker has one.
 /// Cancellable: when warm_up fails to enqueue the full set (shutdown raced
@@ -406,12 +409,12 @@ void QueryService::worker_loop(std::size_t index) {
         const BackendKind head_backend = batch.front().backend;
         const engine::ExecOptions head_opts = batch.front().opts;
         std::uint64_t window_us = shared.gather_window_us;
-        // Graceful degradation: a queue past half its bound widens the
-        // window so more statements fuse into each page pass — throughput
-        // over latency, before admission has to shed anything.
-        if (adm.max_queue_depth > 0 && shared.overload_window_boost > 1 &&
+        // Graceful degradation: a bounded queue past half its depth widens
+        // the window so more statements fuse into each page pass —
+        // throughput over latency, before admission has to shed anything.
+        if (adm.max_queue_depth > 0 &&
             external_queued_ >= (adm.max_queue_depth + 1) / 2) {
-          window_us *= shared.overload_window_boost;
+          window_us *= kOverloadWindowBoost;
           ++counters_.degraded_gathers;
         }
         const auto deadline = std::chrono::steady_clock::now() +

@@ -108,12 +108,6 @@ struct SharedScanOptions {
   /// How long the batch former keeps waiting for companions once it holds
   /// at least one statement and the queue is empty.
   std::uint64_t gather_window_us = 200;
-  /// Graceful degradation: when admission is bounded and the queue has
-  /// filled past half its depth, the gather window is multiplied by this
-  /// factor — wider gathers fuse more statements per page pass, raising
-  /// throughput before the service has to shed. 1 (or unbounded admission)
-  /// disables the boost.
-  std::size_t overload_window_boost = 4;
 };
 
 struct QueryServiceOptions {

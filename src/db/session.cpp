@@ -23,25 +23,28 @@
 namespace bbpim::db {
 namespace {
 
-std::vector<ResultSet::Column> result_columns(const sql::BoundQuery& q,
-                                              const rel::Schema& schema) {
+const rel::Attribute& attribute_of(const rel::Schema& schema,
+                                   std::size_t attr) {
+  return schema.attribute(attr);
+}
+
+const rel::Attribute& attribute_of(const std::vector<const rel::Table*>& tables,
+                                   const sql::BoundColumnRef& ref) {
+  return tables[ref.table]->schema().attribute(ref.attr);
+}
+
+/// The result header: the GROUP BY columns, named through `source` (the
+/// schema of a single-table query, the FROM tables of a join), then the
+/// aggregate.
+template <class Ref, class Source>
+std::vector<ResultSet::Column> result_columns(const sql::AggregateTail<Ref>& q,
+                                              const Source& source) {
   std::vector<ResultSet::Column> cols;
-  for (const std::size_t attr : q.group_by) {
-    const rel::Attribute& a = schema.attribute(attr);
+  for (const Ref& g : q.group_by) {
+    const rel::Attribute& a = attribute_of(source, g);
     cols.push_back({a.name, false, a.dict});
   }
   cols.push_back({q.agg_alias.empty() ? "agg" : q.agg_alias, true, nullptr});
-  return cols;
-}
-
-std::vector<ResultSet::Column> join_result_columns(
-    const sql::BoundJoin& jp, const std::vector<const rel::Table*>& tables) {
-  std::vector<ResultSet::Column> cols;
-  for (const sql::BoundColumnRef& g : jp.group_by) {
-    const rel::Attribute& a = tables[g.table]->schema().attribute(g.attr);
-    cols.push_back({a.name, false, a.dict});
-  }
-  cols.push_back({jp.agg_alias.empty() ? "agg" : jp.agg_alias, true, nullptr});
   return cols;
 }
 
@@ -661,8 +664,7 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
   engine::QueryOutput out;
   out.rows = std::move(joined.rows);
   out.stats = stats;
-  ResultSet rs(std::move(out), join_result_columns(jp, plan.join_tables),
-               backend);
+  ResultSet rs(std::move(out), result_columns(jp, plan.join_tables), backend);
   rs.set_data_version(fact_version);
   rs.set_table_versions(std::move(versions));
   return rs;

@@ -97,8 +97,8 @@ engine::UpdateStats SnapshotManager::apply_update(
 }
 
 int SnapshotManager::policy_part(const std::string& attr_name) const {
-  if (policy_->part_of) return policy_->part_of(attr_name);
-  return attr_name.rfind("lo_", 0) == 0 ? 0 : 1;  // PimStore's default rule
+  return policy_->part_of ? policy_->part_of(attr_name)
+                          : engine::PimStore::default_part(attr_name);
 }
 
 void SnapshotManager::validate_parts(const sql::BoundUpdate& update) const {

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "engine/filter_compiler.hpp"
-#include "pim/agg_circuit.hpp"
+#include "engine/query_exec.hpp"
 
 namespace bbpim::engine {
 namespace {
@@ -47,6 +47,43 @@ std::string pred_text(const sql::BoundPredicate& p, const rel::Schema& schema) {
     case Kind::kAlways: ss << "TRUE"; break;
   }
   return ss.str();
+}
+
+/// The aggregate as SQL text ("SUM(a * b) AS x"); `name` names a column.
+template <class Ref, class Name>
+std::string agg_text(const sql::AggregateTail<Ref>& q, Name&& name) {
+  // Indexed by sql::AggFunc and sql::Expr::Kind.
+  static const char* const kFunc[] = {"", "SUM", "MIN", "MAX", "COUNT"};
+  static const char* const kOp[] = {"", " * ", " - ", " + "};
+  std::string s = std::string(kFunc[static_cast<int>(q.agg_func)]) + "(";
+  if (q.agg_func == sql::AggFunc::kCount) {
+    s += "*";
+  } else {
+    s += name(q.agg_expr.a);
+    if (q.agg_expr.kind != sql::Expr::Kind::kColumn) {
+      s += kOp[static_cast<int>(q.agg_expr.kind)] + name(q.agg_expr.b);
+    }
+  }
+  s += ")";
+  if (!q.agg_alias.empty()) s += " AS " + q.agg_alias;
+  return s;
+}
+
+/// Writes the part-0 attribute holding bit column `col`, with the bit's
+/// position in it ("name[i]") when `bit` is set.
+void put_column(std::ostream& os, const PimStore& store, std::uint16_t col,
+                bool bit) {
+  const rel::Schema& schema = store.table().schema();
+  for (std::size_t a = 0; a < schema.attribute_count(); ++a) {
+    if (store.part_of_attr(a) != 0) continue;
+    const pim::Field f = store.field(a);
+    if (col >= f.offset && col < f.offset + f.width) {
+      os << schema.attribute(a).name;
+      if (bit) os << "[" << col - f.offset << "]";
+      return;
+    }
+  }
+  os << "c" << col;
 }
 
 /// FILTER + ZONE MAP sections shared by explain_query and explain_scan.
@@ -145,37 +182,33 @@ void explain_query(const sql::BoundQuery& q, const PimStore& store,
        << cfg.crossbar_rows << " lines/page each way), AND on part 0\n";
   }
 
-  // Aggregation passes (mirrors build_agg_passes).
-  os << "AGGREGATE: ";
-  if (q.agg_func == sql::AggFunc::kCount) {
-    os << "COUNT via SUM of the select column (1 pass, n=1)\n";
-  } else {
-    const std::string a = schema.attribute(q.agg_expr.a).name;
-    switch (q.agg_expr.kind) {
-      case sql::Expr::Kind::kColumn:
-        os << (q.agg_func == sql::AggFunc::kMin   ? "MIN("
-               : q.agg_func == sql::AggFunc::kMax ? "MAX("
-                                                  : "SUM(")
-           << a << "): 1 circuit pass, n="
-           << pim::chunk_span(store.field(q.agg_expr.a), cfg) << "\n";
-        break;
-      case sql::Expr::Kind::kSub:
-      case sql::Expr::Kind::kAdd:
-        os << "SUM(" << a
-           << (q.agg_expr.kind == sql::Expr::Kind::kSub ? " - " : " + ")
-           << schema.attribute(q.agg_expr.b).name
-           << "): 2 passes by linearity\n";
-        break;
-      case sql::Expr::Kind::kMul: {
-        const std::string b = schema.attribute(q.agg_expr.b).name;
-        const auto fa = store.field(q.agg_expr.a);
-        const auto fb = store.field(q.agg_expr.b);
-        const auto narrow = fa.width <= fb.width ? fa : fb;
-        os << "SUM(" << a << " * " << b << "): " << narrow.width
-           << " masked passes (one per multiplier bit) + 1 count pass\n";
-        break;
-      }
+  // The executed pass plan: EXPLAIN refuses exactly what execution does.
+  const AggPlan plan = plan_agg_passes(q, store);
+  os << "AGGREGATE: "
+     << agg_text(q, [&](std::size_t a) { return schema.attribute(a).name; })
+     << ": " << plan.passes.size() << " pass(es), n=" << plan.n_chunks
+     << ", s=" << plan.s_chunks << "\n";
+  static const char* const kOp[] = {"SUM", "MIN", "MAX"};  // pim::AggOp
+  for (std::size_t i = 0; i < plan.passes.size(); ++i) {
+    const AggPass& p = plan.passes[i];
+    os << "  pass " << i << ": " << kOp[static_cast<int>(p.op)] << "(";
+    if (p.use_select_as_value) {
+      os << "select";
+    } else {
+      put_column(os, store, p.value.offset, false);
     }
+    os << ")";
+    if (p.mask_attr_col) {
+      os << " where ";
+      put_column(os, store, *p.mask_attr_col, true);
+    }
+    if (p.scale == 0) {
+      os << ", count only";
+    } else if (p.scale != 1) {
+      os << ", x" << p.scale;
+    }
+    if (p.carries_count) os << ", with count";
+    os << "\n";
   }
 
   // GROUP BY.
@@ -245,28 +278,12 @@ void explain_join_tree(const sql::BoundJoin& plan,
      << tables[plan.fact]->row_count() << " rows, "
      << plan.filters[plan.fact].size() << " filter(s)): survivors cascade "
      << "through " << plan.builds.size() << " build side(s)\n";
-  os << "AGGREGATE ";
-  switch (plan.agg_func) {
-    case sql::AggFunc::kSum: os << "SUM"; break;
-    case sql::AggFunc::kMin: os << "MIN"; break;
-    case sql::AggFunc::kMax: os << "MAX"; break;
-    default: os << "COUNT"; break;
-  }
-  os << "(";
-  if (plan.agg_func == sql::AggFunc::kCount) {
-    os << "*";
-  } else {
-    os << attr_name(plan.agg_a.table, plan.agg_a.attr);
-    if (plan.agg_kind == sql::Expr::Kind::kMul) os << " * ";
-    if (plan.agg_kind == sql::Expr::Kind::kSub) os << " - ";
-    if (plan.agg_kind == sql::Expr::Kind::kAdd) os << " + ";
-    if (plan.agg_kind != sql::Expr::Kind::kColumn) {
-      os << attr_name(plan.agg_b.table, plan.agg_b.attr);
-    }
-  }
-  os << ") over joined rows";
-  if (!plan.agg_alias.empty()) os << " AS " << plan.agg_alias;
-  os << "\n";
+  os << "AGGREGATE "
+     << agg_text(plan,
+                 [&](const sql::BoundColumnRef& c) {
+                   return attr_name(c.table, c.attr);
+                 })
+     << " over joined rows\n";
   if (plan.has_group_by()) {
     os << "GROUP BY:";
     for (const sql::BoundColumnRef& g : plan.group_by) {

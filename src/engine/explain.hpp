@@ -2,9 +2,9 @@
 //
 // `explain_query` renders what the executor will do for a bound query on a
 // given store — which predicates compile to which part, the micro-program
-// cycle budget per phase, the aggregation passes (including the product
-// decomposition), and the model parameters (n, s) fed to the GROUP-BY
-// planner. `disassemble` prints a MicroProgram cycle by cycle. Both exist
+// cycle budget per phase, the aggregation passes (the engine's own
+// plan_agg_passes, so EXPLAIN throws what execution throws), and the model
+// parameters (n, s) fed to the GROUP-BY planner. `disassemble` prints a MicroProgram cycle by cycle. Both exist
 // for the same reason EXPLAIN exists in databases: trusting a 2000-cycle
 // NOR program requires being able to read it.
 #pragma once
@@ -21,7 +21,8 @@ namespace bbpim::engine {
 /// One micro-op per line: "0003 NOR  c041 c120 -> c200".
 void disassemble(const pim::MicroProgram& prog, std::ostream& os);
 
-/// Renders the physical plan for `q` on `store`.
+/// Renders the physical plan for `q` on `store`. Throws, like
+/// PimQueryEngine::execute, for an aggregate the engine refuses.
 void explain_query(const sql::BoundQuery& q, const PimStore& store,
                    std::ostream& os);
 

@@ -30,9 +30,9 @@ std::vector<std::vector<std::size_t>> join_scan_attrs(
     attrs[g.table].push_back(g.attr);
   }
   if (plan.agg_func != sql::AggFunc::kCount) {
-    attrs[plan.agg_a.table].push_back(plan.agg_a.attr);
-    if (plan.agg_kind != sql::Expr::Kind::kColumn) {
-      attrs[plan.agg_b.table].push_back(plan.agg_b.attr);
+    attrs[plan.agg_expr.a.table].push_back(plan.agg_expr.a.attr);
+    if (plan.agg_expr.kind != sql::Expr::Kind::kColumn) {
+      attrs[plan.agg_expr.b.table].push_back(plan.agg_expr.b.attr);
     }
   }
   for (std::vector<std::size_t>& v : attrs) {
@@ -186,28 +186,15 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
     group_slots.push_back(slot_of(g));
   }
   const bool want_values = plan.agg_func != sql::AggFunc::kCount;
-  const bool have_b = plan.agg_kind != sql::Expr::Kind::kColumn;
+  const bool have_b = plan.agg_expr.kind != sql::Expr::Kind::kColumn;
   RefSlot agg_a, agg_b;
   if (want_values) {
-    agg_a = slot_of(plan.agg_a);
-    if (have_b) agg_b = slot_of(plan.agg_b);
+    agg_a = slot_of(plan.agg_expr.a);
+    if (have_b) agg_b = slot_of(plan.agg_expr.b);
   }
-  sql::BoundAggExpr agg_eval;  // eval() dispatches on kind alone
-  agg_eval.kind = plan.agg_kind;
 
-  auto combine = [&](std::int64_t& slot, std::int64_t v) {
-    if (plan.agg_func == sql::AggFunc::kMin) {
-      slot = std::min(slot, v);
-    } else if (plan.agg_func == sql::AggFunc::kMax) {
-      slot = std::max(slot, v);
-    } else {
-      slot += v;
-    }
-  };
-
+  // Without GROUP BY every joined row folds into the empty key.
   std::unordered_map<GroupKey, std::int64_t, KeyHash> groups;
-  std::int64_t total = 0;
-  bool any = false;
   std::size_t joined = 0;
   std::vector<const std::vector<std::uint32_t>*> matches(builds.size());
   GroupKey probe_key;
@@ -260,21 +247,14 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
       if (want_values) {
         const std::uint64_t va = value_of(agg_a);
         const std::uint64_t vb = have_b ? value_of(agg_b) : 0;
-        v = static_cast<std::int64_t>(agg_eval.eval(va, vb));
+        v = static_cast<std::int64_t>(plan.agg_expr.eval(va, vb));
       }
-      if (plan.has_group_by()) {
-        for (std::size_t i = 0; i < group_slots.size(); ++i) {
-          key[i] = value_of(group_slots[i]);
-        }
-        // Copies the key only when the group is new.
-        const auto [it, fresh] = groups.try_emplace(key, v);
-        if (!fresh) combine(it->second, v);
-      } else if (!any) {
-        total = v;
-        any = true;
-      } else {
-        combine(total, v);
+      for (std::size_t i = 0; i < group_slots.size(); ++i) {
+        key[i] = value_of(group_slots[i]);
       }
+      // Copies the key only when the group is new.
+      const auto [it, fresh] = groups.try_emplace(key, v);
+      if (!fresh) it->second = fold_agg(plan.agg_func, it->second, v);
       std::size_t d = 0;
       for (; d < builds.size(); ++d) {
         if (++idx[d] < matches[d]->size()) break;
@@ -288,28 +268,11 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                 static_cast<double>(builds.size()) * hcfg.cpu_ns_per_record /
                 threads;
 
-  // --- finalize: the single-table engine's exact ordering -------------------
-  if (plan.has_group_by()) {
-    out.rows.reserve(groups.size());
-    for (auto& [key, v] : groups) out.rows.push_back(ResultRow{key, v});
-    std::sort(out.rows.begin(), out.rows.end(),
-              [&](const ResultRow& a, const ResultRow& b) {
-                for (const sql::BoundOrderItem& o : plan.order_by) {
-                  if (o.is_agg) {
-                    if (a.agg != b.agg) {
-                      return o.desc ? a.agg > b.agg : a.agg < b.agg;
-                    }
-                  } else {
-                    const std::uint64_t va = a.group[o.group_pos];
-                    const std::uint64_t vb = b.group[o.group_pos];
-                    if (va != vb) return o.desc ? va > vb : va < vb;
-                  }
-                }
-                return a.group < b.group;  // deterministic tiebreak
-              });
-  } else {
-    out.rows.push_back(ResultRow{{}, any ? total : 0});
-  }
+  // --- finalize: the single-table engine's sort ----------------------------
+  out.rows.reserve(groups.size());
+  for (auto& [key, v] : groups) out.rows.push_back(ResultRow{key, v});
+  if (!plan.has_group_by() && out.rows.empty()) out.rows.push_back({});
+  sort_rows(out.rows, plan.order_by);
   js.finalize_ns = static_cast<double>(out.rows.size()) * 50.0;
   return out;
 }

@@ -7,8 +7,8 @@
 // build a partitioned hash table per filtered dimension keyed by its join
 // attributes, probe with the fact survivors in build order (most filtered
 // dimension first, so misses drop rows out of the cascade early), and
-// aggregate/group the joined rows with the exact semantics — and the exact
-// final sort — of the single-table engine, so a normalized-schema query
+// aggregate/group the joined rows with the single-table engine's fold and
+// ORDER BY sort (fold_agg, sort_rows), so a normalized-schema query
 // returns row-identical results to the same query on the pre-joined
 // relation. Build and probe cost is modeled with the host CPU parameters
 // (cpu_ns_per_record across `threads` workers), the same knobs the host-gb

@@ -8,8 +8,8 @@
 
 namespace bbpim::engine {
 
-std::optional<std::vector<std::uint64_t>> scan_distinct(
-    const PimStore& store, std::size_t attr, std::size_t max_distinct) {
+std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
+                                                        std::size_t attr) {
   std::unordered_set<std::uint64_t> seen;
   bool capped = false;
   store.scan_blocks({&attr, 1}, 0, store.record_count(),
@@ -17,7 +17,7 @@ std::optional<std::vector<std::uint64_t>> scan_distinct(
                         std::span<const pim::RowBlock> blocks) {
                       for (std::uint32_t j = 0; j < count && !capped; ++j) {
                         seen.insert(blocks[0][j]);
-                        capped = seen.size() > max_distinct;
+                        capped = seen.size() > kMaxDistinct;
                       }
                       return !capped;
                     });
@@ -62,12 +62,9 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
   // Part assignment.
   attr_part_.resize(nattrs, 0);
   if (two_crossbar_) {
-    auto default_rule = [](const std::string& name) {
-      return name.rfind("lo_", 0) == 0 ? 0 : 1;
-    };
     for (std::size_t a = 0; a < nattrs; ++a) {
       attr_part_[a] = opt.part_of ? opt.part_of(schema.attribute(a).name)
-                                  : default_rule(schema.attribute(a).name);
+                                  : default_part(schema.attribute(a).name);
       if (attr_part_[a] < 0 || attr_part_[a] > 1) {
         throw std::invalid_argument("PimStore: part must be 0 or 1");
       }
@@ -133,7 +130,7 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
     bool capped = false;
     for (const std::uint64_t v : table.column(a)) {
       seen.insert(v);
-      if (seen.size() > opt.max_distinct) {
+      if (seen.size() > kMaxDistinct) {
         capped = true;
         break;
       }
@@ -145,7 +142,7 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
     }
   }
   derived_ = std::make_shared<const StoreDerived>(
-      std::move(zones), std::move(distinct), opt.max_distinct);
+      std::move(zones), std::move(distinct));
 }
 
 void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {

@@ -59,10 +59,13 @@ class PimStore {
     /// (fact attributes "lo_*" in part 0, dimension attributes in part 1 —
     /// the paper's worst-case partitioning).
     std::function<int(const std::string&)> part_of;
-    /// Distinct-value stats are kept only up to this cardinality; higher
-    /// attributes never qualify for pure-PIM group enumeration anyway.
-    std::size_t max_distinct = 4096;
   };
+
+  /// The default two-crossbar part of an attribute: SSB fact attributes
+  /// ("lo_*") in part 0, dimension attributes in part 1.
+  static int default_part(const std::string& attr_name) {
+    return attr_name.rfind("lo_", 0) == 0 ? 0 : 1;
+  }
 
   PimStore(pim::PimModule& module, const rel::Table& table, Options opt);
   /// One-crossbar store with default options.
@@ -124,7 +127,7 @@ class PimStore {
                                std::span<const pim::RowBlock>)>& visit) const;
 
   /// Sorted distinct values of an attribute, or nullopt when cardinality
-  /// exceeded Options::max_distinct. After an UPDATE of the attribute they
+  /// exceeded kMaxDistinct. After an UPDATE of the attribute they
   /// are rebuilt lazily from the crossbars on first access.
   const std::optional<std::vector<std::uint64_t>>& distinct_values(
       std::size_t attr) const {
@@ -265,10 +268,10 @@ class PimStore {
 // Statistics derived from a store's crossbars through PimStore::scan_blocks
 // (SnapshotStats' lazy rebuilds).
 
-/// Sorted distinct codes of `attr`, or nullopt once more than
-/// `max_distinct` are seen (PimStore::distinct_values' capping rule).
-std::optional<std::vector<std::uint64_t>> scan_distinct(
-    const PimStore& store, std::size_t attr, std::size_t max_distinct);
+/// Sorted distinct codes of `attr`, or nullopt once more than kMaxDistinct
+/// are seen (PimStore::distinct_values' capping rule).
+std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
+                                                        std::size_t attr);
 
 /// Sorted attr_b codes co-occurring with each attr_a code.
 std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>

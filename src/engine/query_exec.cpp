@@ -22,17 +22,6 @@
 namespace bbpim::engine {
 namespace {
 
-/// One aggregation pass (product/linearity decomposition; see header).
-struct AggPass {
-  bool use_select_as_value = false;  ///< value = the select bit column
-  pim::Field value{};                ///< on part 0
-  std::int64_t scale = 1;            ///< host-side multiplier for pass total
-  /// AND this attribute bit column into the select (mul decomposition).
-  std::optional<std::uint16_t> mask_attr_col;
-  pim::AggOp op = pim::AggOp::kSum;
-  bool carries_count = false;        ///< circuit also reports the row count
-};
-
 /// (part, chunk) pairs the host touches per record for the given attrs.
 std::set<std::pair<int, std::uint32_t>> read_chunks(
     const PimStore& store, const pim::PimConfig& cfg,
@@ -46,6 +35,19 @@ std::set<std::pair<int, std::uint32_t>> read_chunks(
     for (std::uint32_t c = first; c <= last; ++c) chunks.insert({part, c});
   }
   return chunks;
+}
+
+/// The attributes host-gb reads per record: the group attributes, then the
+/// aggregate's operands (none for COUNT).
+std::vector<std::size_t> host_read_attrs(const sql::BoundQuery& q) {
+  std::vector<std::size_t> attrs(q.group_by);
+  if (q.agg_func != sql::AggFunc::kCount) {
+    attrs.push_back(q.agg_expr.a);
+    if (q.agg_expr.kind != sql::Expr::Kind::kColumn) {
+      attrs.push_back(q.agg_expr.b);
+    }
+  }
+  return attrs;
 }
 
 /// The host's survivor walk over page `p`, 64 crossbar rows at a time,
@@ -87,6 +89,112 @@ constexpr std::size_t kCandidateCap = 65536;
 constexpr std::uint16_t kMulDecompositionMaxBits = 12;
 
 }  // namespace
+
+std::int64_t fold_agg(sql::AggFunc func, std::int64_t acc, std::int64_t v) {
+  if (func == sql::AggFunc::kMin) return std::min(acc, v);
+  if (func == sql::AggFunc::kMax) return std::max(acc, v);
+  return acc + v;
+}
+
+void sort_rows(std::vector<ResultRow>& rows,
+               const std::vector<sql::BoundOrderItem>& order_by) {
+  std::sort(rows.begin(), rows.end(), [&](const ResultRow& a,
+                                          const ResultRow& b) {
+    for (const sql::BoundOrderItem& o : order_by) {
+      if (o.is_agg) {
+        if (a.agg != b.agg) return o.desc ? a.agg > b.agg : a.agg < b.agg;
+      } else {
+        const std::uint64_t va = a.group[o.group_pos];
+        const std::uint64_t vb = b.group[o.group_pos];
+        if (va != vb) return o.desc ? va > vb : va < vb;
+      }
+    }
+    return a.group < b.group;  // deterministic tiebreak
+  });
+}
+
+AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store) {
+  using sql::AggFunc;
+  using sql::Expr;
+
+  auto part0_field = [&](std::size_t attr) {
+    if (store.part_of_attr(attr) != 0) {
+      throw std::runtime_error(
+          "aggregated attribute '" +
+          store.table().schema().attribute(attr).name +
+          "' must reside in the fact partition");
+    }
+    return store.field(attr);
+  };
+
+  AggPlan plan;
+  std::vector<AggPass>& passes = plan.passes;
+  if (q.agg_func == AggFunc::kCount) {
+    AggPass p;
+    p.use_select_as_value = true;
+    p.carries_count = false;  // the pass value IS the count
+    passes.push_back(p);
+  } else if (q.agg_expr.kind == Expr::Kind::kColumn) {
+    AggPass p;
+    p.value = part0_field(q.agg_expr.a);
+    p.op = q.agg_func == AggFunc::kMin   ? pim::AggOp::kMin
+           : q.agg_func == AggFunc::kMax ? pim::AggOp::kMax
+                                         : pim::AggOp::kSum;
+    p.carries_count = true;
+    passes.push_back(p);
+    plan.value_bits = p.value.width;
+  } else if (q.agg_expr.kind == Expr::Kind::kSub ||
+             q.agg_expr.kind == Expr::Kind::kAdd) {
+    if (q.agg_func != AggFunc::kSum) {
+      throw std::runtime_error("MIN/MAX over expressions is not supported");
+    }
+    // SUM(a +- b) = SUM(a) +- SUM(b).
+    AggPass pa;
+    pa.value = part0_field(q.agg_expr.a);
+    pa.carries_count = true;
+    passes.push_back(pa);
+    AggPass pb;
+    pb.value = part0_field(q.agg_expr.b);
+    pb.scale = q.agg_expr.kind == Expr::Kind::kSub ? -1 : 1;
+    passes.push_back(pb);
+    plan.value_bits = std::max(pa.value.width, pb.value.width);
+  } else {  // kMul
+    if (q.agg_func != AggFunc::kSum) {
+      throw std::runtime_error("MIN/MAX over expressions is not supported");
+    }
+    pim::Field fa = part0_field(q.agg_expr.a);
+    pim::Field fb = part0_field(q.agg_expr.b);
+    if (fb.width > fa.width) std::swap(fa, fb);  // fb is the narrow one
+    if (fb.width > kMulDecompositionMaxBits) {
+      throw std::runtime_error(
+          "SUM of a product needs one operand of <= 12 bits");
+    }
+    // SUM(a*b) = sum_i 2^i * SUM(a | b_i AND select).
+    for (std::uint16_t i = 0; i < fb.width; ++i) {
+      AggPass p;
+      p.value = fa;
+      p.scale = static_cast<std::int64_t>(1) << i;
+      p.mask_attr_col = static_cast<std::uint16_t>(fb.offset + i);
+      passes.push_back(p);
+    }
+    // All passes are masked; a dedicated pass recovers the subgroup count.
+    AggPass pc;
+    pc.use_select_as_value = true;
+    pc.scale = 0;
+    passes.push_back(pc);
+    plan.value_bits = fa.width;
+  }
+
+  const pim::PimConfig& cfg = store.module_config();
+  for (const AggPass& p : passes) {
+    const std::uint32_t n =
+        p.use_select_as_value ? 1 : pim::chunk_span(p.value, cfg);
+    plan.n_chunks = std::max(plan.n_chunks, n);
+  }
+  plan.s_chunks = static_cast<std::uint32_t>(
+      read_chunks(store, cfg, host_read_attrs(q)).size());
+  return plan;
+}
 
 // ===========================================================================
 // Execution context: one query run.
@@ -377,14 +485,6 @@ class Execution {
                   slot);
   }
 
-  /// One step of the aggregate's per-group fold: MIN, MAX, or a sum (COUNT
-  /// sums ones).
-  std::int64_t fold(std::int64_t acc, std::int64_t v) const {
-    if (q_.agg_func == sql::AggFunc::kMin) return std::min(acc, v);
-    if (q_.agg_func == sql::AggFunc::kMax) return std::max(acc, v);
-    return acc + v;
-  }
-
   // --- phases ---------------------------------------------------------------
   /// Stage 1: prune stats, program compilation (filter cache), per-part
   /// run-page and pending-synthesis lists. No gate program runs.
@@ -402,7 +502,6 @@ class Execution {
   /// (two-xb transfer + AND), and counts the selected records.
   void filter_finish();
   void build_agg_passes();
-  void no_groupby_aggregate();
   void sample_phase();
   void build_candidates();
   void plan_phase();
@@ -422,7 +521,9 @@ class Execution {
                              std::uint64_t* out_count, TimeNs* slot,
                              const std::vector<std::size_t>& on_pages);
 
-  /// Aggregates one subgroup (all passes); returns {agg value, count}.
+  /// Aggregates one subgroup (all passes); returns {agg value, count}. The
+  /// empty key is the whole filter result (no GROUP BY): its select is r_col_
+  /// itself and it reports selected_records as its count.
   std::pair<std::int64_t, std::uint64_t> aggregate_group(const GroupKey& key,
                                                          bool update_mask);
 
@@ -433,17 +534,6 @@ class Execution {
       key.push_back(store_.read_attr(record, a));
     }
     return key;
-  }
-
-  std::vector<std::size_t> host_read_attrs() const {
-    std::vector<std::size_t> attrs(q_.group_by);
-    if (!(q_.agg_func == sql::AggFunc::kCount)) {
-      attrs.push_back(q_.agg_expr.a);
-      if (q_.agg_expr.kind != sql::Expr::Kind::kColumn) {
-        attrs.push_back(q_.agg_expr.b);
-      }
-    }
-    return attrs;
   }
 
   // --- members ---------------------------------------------------------------
@@ -491,19 +581,16 @@ class Execution {
   bool mask_valid_ = false;
   std::optional<pim::Field> transfer_chunk_;  ///< part-0 chunk for transfers
 
-  std::vector<AggPass> passes_;
+  AggPlan plan_;  ///< empty passes until build_agg_passes
   pim::Field result_field_{};
   pim::Field count_field_{};
-  std::uint32_t n_chunks_ = 1;  ///< model parameter n
-  std::uint32_t s_chunks_ = 2;  ///< model parameter s
 
   std::vector<GroupCandidate> candidates_;
   bool candidates_complete_ = true;
   double selectivity_est_ = 0;
   std::size_t chosen_k_ = 0;
 
-  std::unordered_map<GroupKey, std::pair<std::int64_t, bool>, KeyHash>
-      results_;  ///< key -> (agg, from_pim)
+  std::unordered_map<GroupKey, std::int64_t, KeyHash> results_;
   std::vector<ResultRow> rows_;
 };
 
@@ -630,90 +717,13 @@ void Execution::filter_finish() {
 // ---------------------------------------------------------------------------
 
 void Execution::build_agg_passes() {
-  using sql::AggFunc;
-  using sql::Expr;
-
-  const rel::Schema& schema = store_.table().schema();
-  auto part0_field = [&](std::size_t attr) {
-    if (store_.part_of_attr(attr) != 0) {
-      throw std::runtime_error(
-          "aggregated attribute '" + schema.attribute(attr).name +
-          "' must reside in the fact partition");
-    }
-    return store_.field(attr);
-  };
-
-  std::uint32_t max_value_bits = 1;
-  if (q_.agg_func == AggFunc::kCount) {
-    AggPass p;
-    p.use_select_as_value = true;
-    p.carries_count = false;  // the pass value IS the count
-    passes_.push_back(p);
-  } else if (q_.agg_expr.kind == Expr::Kind::kColumn) {
-    AggPass p;
-    p.value = part0_field(q_.agg_expr.a);
-    p.op = q_.agg_func == AggFunc::kMin   ? pim::AggOp::kMin
-           : q_.agg_func == AggFunc::kMax ? pim::AggOp::kMax
-                                          : pim::AggOp::kSum;
-    p.carries_count = true;
-    passes_.push_back(p);
-    max_value_bits = p.value.width;
-  } else if (q_.agg_expr.kind == Expr::Kind::kSub ||
-             q_.agg_expr.kind == Expr::Kind::kAdd) {
-    if (q_.agg_func != AggFunc::kSum) {
-      throw std::runtime_error("MIN/MAX over expressions is not supported");
-    }
-    // SUM(a +- b) = SUM(a) +- SUM(b).
-    AggPass pa;
-    pa.value = part0_field(q_.agg_expr.a);
-    pa.carries_count = true;
-    passes_.push_back(pa);
-    AggPass pb;
-    pb.value = part0_field(q_.agg_expr.b);
-    pb.scale = q_.agg_expr.kind == Expr::Kind::kSub ? -1 : 1;
-    passes_.push_back(pb);
-    max_value_bits = std::max(pa.value.width, pb.value.width);
-  } else {  // kMul
-    if (q_.agg_func != AggFunc::kSum) {
-      throw std::runtime_error("MIN/MAX over expressions is not supported");
-    }
-    pim::Field fa = part0_field(q_.agg_expr.a);
-    pim::Field fb = part0_field(q_.agg_expr.b);
-    if (fb.width > fa.width) std::swap(fa, fb);  // fb is the narrow one
-    if (fb.width > kMulDecompositionMaxBits) {
-      throw std::runtime_error(
-          "SUM of a product needs one operand of <= 12 bits");
-    }
-    // SUM(a*b) = sum_i 2^i * SUM(a | b_i AND select).
-    for (std::uint16_t i = 0; i < fb.width; ++i) {
-      AggPass p;
-      p.value = fa;
-      p.scale = static_cast<std::int64_t>(1) << i;
-      p.mask_attr_col = static_cast<std::uint16_t>(fb.offset + i);
-      passes_.push_back(p);
-    }
-    // All passes are masked; a dedicated pass recovers the subgroup count.
-    AggPass pc;
-    pc.use_select_as_value = true;
-    pc.scale = 0;
-    passes_.push_back(pc);
-    max_value_bits = fa.width;
-  }
-
+  plan_ = plan_agg_passes(q_, store_);
   // Result slots: sums over 1024 rows add log2(rows) bits.
   const std::uint32_t result_bits = std::min<std::uint32_t>(
-      64, max_value_bits + rel::bits_for_max(rows() - 1));
+      64, plan_.value_bits + rel::bits_for_max(rows() - 1));
   result_field_ = alloc(0).alloc_field(static_cast<std::uint16_t>(result_bits));
   count_field_ =
       alloc(0).alloc_field(static_cast<std::uint16_t>(rel::bits_for_max(rows())));
-
-  for (const AggPass& p : passes_) {
-    const std::uint32_t n =
-        p.use_select_as_value ? 1 : pim::chunk_span(p.value, cfg_);
-    n_chunks_ = std::max(n_chunks_, n);
-  }
-  s_chunks_ = static_cast<std::uint32_t>(
-      read_chunks(store_, cfg_, host_read_attrs()).size());
 }
 
 // ---------------------------------------------------------------------------
@@ -856,6 +866,7 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
 std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     const GroupKey& key, bool update_mask) {
   TimeNs* slot = &stats_.phases.pim_gb;
+  const bool whole = key.empty();
 
   // Zone-map pruning, per subgroup: pages where the sketches refute the
   // group key on every crossbar cannot hold a member, so the group match,
@@ -864,7 +875,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   // exactly what the mask bookkeeping below synthesizes when needed.
   std::vector<std::size_t> group_pages;
   const std::vector<std::size_t>* on = &active_pages_;
-  if (prune_) {
+  if (prune_ && !whole) {
     const std::vector<std::uint8_t> possible =
         analyze_group_match(q_.group_by, key, store_, &active_pages_);
     for (const std::size_t p : active_pages_) {
@@ -877,7 +888,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
 
   // Part-1 group match (two-xb): compute, then transfer to part 0.
   bool have_transfer = false;
-  if (store_.parts() == 2) {
+  if (store_.parts() == 2 && !whole) {
     CompiledFilter match1 =
         compile_group_match(q_.group_by, key, store_.layout(1), alloc(1));
     if (match1.predicate_count > 0) {
@@ -896,14 +907,16 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   // Part-0 program: group match AND filter result (AND transferred bits),
   // plus mask bookkeeping and per-pass masked selects, in one request.
   pim::ProgramBuilder pb(alloc(0));
-  const std::optional<std::uint16_t> match =
-      emit_group_match(pb, q_.group_by, key, store_.layout(0));
-  std::uint16_t sg;
-  if (match) {
-    sg = pb.emit_and(*match, r_col_);
-    pb.release(*match);
-  } else {
-    sg = pb.emit_copy(r_col_);
+  std::uint16_t sg = r_col_;
+  if (!whole) {
+    const std::optional<std::uint16_t> match =
+        emit_group_match(pb, q_.group_by, key, store_.layout(0));
+    if (match) {
+      sg = pb.emit_and(*match, r_col_);
+      pb.release(*match);
+    } else {
+      sg = pb.emit_copy(r_col_);
+    }
   }
   if (have_transfer) {
     const std::uint16_t next = pb.emit_and(sg, transfer_chunk_->offset);
@@ -927,11 +940,12 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     }
   }
   // Per-pass masked selects (mul decomposition).
-  std::vector<std::uint16_t> pass_select(passes_.size(), sg);
+  const std::vector<AggPass>& passes = plan_.passes;
+  std::vector<std::uint16_t> pass_select(passes.size(), sg);
   std::vector<std::uint16_t> owned_selects;
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    if (passes_[i].mask_attr_col) {
-      pass_select[i] = pb.emit_and(sg, *passes_[i].mask_attr_col);
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    if (passes[i].mask_attr_col) {
+      pass_select[i] = pb.emit_and(sg, *passes[i].mask_attr_col);
       owned_selects.push_back(pass_select[i]);
     }
   }
@@ -940,17 +954,18 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     for (const std::size_t p : *on) mask_ready_[p] = 1;
   }
 
-  // Aggregation passes.
+  // Aggregation passes. The whole filter result's count is known already,
+  // so its circuits report none.
   std::int64_t total = 0;
-  std::uint64_t count = 0;
+  std::uint64_t count = whole ? stats_.selected_records : 0;
   bool have_minmax = false;
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    const AggPass& pass = passes_[i];
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const AggPass& pass = passes[i];
+    const bool want_count = pass.carries_count && !whole;
     std::uint64_t pass_count = 0;
     const std::uint64_t v = run_agg_pass(
-        pass, pass_select[i], pass.carries_count ? &pass_count : nullptr, slot,
-        *on);
-    if (pass.carries_count) count = pass_count;
+        pass, pass_select[i], want_count ? &pass_count : nullptr, slot, *on);
+    if (want_count) count = pass_count;
     if (q_.agg_func == sql::AggFunc::kCount) {
       total = static_cast<std::int64_t>(v);
       count = v;
@@ -968,7 +983,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   if (have_minmax && count == 0) total = 0;
 
   for (const std::uint16_t c : owned_selects) alloc(0).release(c);
-  alloc(0).release(sg);
+  if (!whole) alloc(0).release(sg);
   return {total, count};
 }
 
@@ -1136,11 +1151,7 @@ void Execution::build_candidates() {
     // records satisfied the filters) are kept — harmless.
   } else {
     candidates_complete_ = false;
-    stats_.total_subgroups =
-        product > static_cast<double>(kCandidateCap) || !candidates_complete_
-            ? static_cast<std::size_t>(
-                  std::min(product, 1e18))
-            : candidates_.size();
+    stats_.total_subgroups = static_cast<std::size_t>(std::min(product, 1e18));
   }
   sort_candidates(candidates_);
 }
@@ -1156,8 +1167,8 @@ void Execution::plan_phase() {
   }
   GroupByPlanInput in;
   in.pages = static_cast<double>(pages());
-  in.n = n_chunks_;
-  in.s = s_chunks_;
+  in.n = plan_.n_chunks;
+  in.s = plan_.s_chunks;
   in.selectivity_est = selectivity_est_;
   in.candidates = candidates_;
   in.candidates_complete = candidates_complete_;
@@ -1179,7 +1190,7 @@ void Execution::pim_gb_phase() {
     const auto [value, count] =
         aggregate_group(candidates_[g].key, /*update_mask=*/host_side_needed);
     if (count > 0) {
-      results_[candidates_[g].key] = {value, true};
+      results_[candidates_[g].key] = value;
     }
   }
   stats_.pim_subgroups = chosen_k_;
@@ -1209,13 +1220,13 @@ void Execution::host_gb_phase() {
   const std::vector<BitVec> bits =
       read_column_phase(0, residual, active_pages_, slot);
 
-  const auto chunks = read_chunks(store_, cfg_, host_read_attrs());
+  const std::vector<std::size_t> walk_attrs = host_read_attrs(q_);
+  const auto chunks = read_chunks(store_, cfg_, walk_attrs);
   std::size_t processed = 0;
   std::vector<std::uint32_t> page_lines(pages(), 0);
   auto merge = [&](const GroupKey& key, std::int64_t v) {
-    auto [it, fresh] =
-        results_.try_emplace(key, std::pair<std::int64_t, bool>{0, false});
-    it->second.first = fresh ? v : fold(it->second.first, v);
+    const auto [it, fresh] = results_.try_emplace(key, v);
+    if (!fresh) it->second = fold_agg(q_.agg_func, it->second, v);
   };
 
   if (!vectorized_) {
@@ -1269,7 +1280,6 @@ void Execution::host_gb_phase() {
     // One block read per live word covers the group attributes, then the
     // aggregate's operands: blocks[g] for g < |group_by|, then a, then b.
     const std::size_t ngroup = q_.group_by.size();
-    std::vector<std::size_t> walk_attrs(q_.group_by.begin(), q_.group_by.end());
     std::vector<std::uint32_t> widths;
     widths.reserve(ngroup);
     std::uint32_t key_bits = 0;
@@ -1282,10 +1292,6 @@ void Execution::host_gb_phase() {
     const bool pack_keys = key_bits <= 64;
     const bool want_values = q_.agg_func != sql::AggFunc::kCount;
     const bool have_b = q_.agg_expr.kind != sql::Expr::Kind::kColumn;
-    if (want_values) {
-      walk_attrs.push_back(q_.agg_expr.a);
-      if (have_b) walk_attrs.push_back(q_.agg_expr.b);
-    }
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
       PagePartial& part = partials[p];
@@ -1311,14 +1317,14 @@ void Execution::host_gb_phase() {
                   shift += widths[g];
                 }
                 const auto [it, fresh] = part.packed.try_emplace(pk, v);
-                if (!fresh) it->second = fold(it->second, v);
+                if (!fresh) it->second = fold_agg(q_.agg_func, it->second, v);
               } else {
                 for (std::size_t g = 0; g < ngroup; ++g) key[g] = blocks[g][j];
                 const auto it = part.groups.find(key);
                 if (it == part.groups.end()) {
                   part.groups.emplace(key, v);  // key copied on first sighting
                 } else {
-                  it->second = fold(it->second, v);
+                  it->second = fold_agg(q_.agg_func, it->second, v);
                 }
               }
             }
@@ -1347,67 +1353,12 @@ void Execution::host_gb_phase() {
 }
 
 // ---------------------------------------------------------------------------
-// No-GROUP-BY fast path (Q1.x): a single aggregation over R
-// ---------------------------------------------------------------------------
-
-void Execution::no_groupby_aggregate() {
-  TimeNs* slot = &stats_.phases.pim_gb;
-
-  // Per-pass masked selects.
-  std::vector<std::uint16_t> pass_select(passes_.size(), r_col_);
-  std::vector<std::uint16_t> owned;
-  {
-    pim::ProgramBuilder pb(alloc(0));
-    bool any = false;
-    for (std::size_t i = 0; i < passes_.size(); ++i) {
-      if (passes_[i].mask_attr_col) {
-        pass_select[i] = pb.emit_and(r_col_, *passes_[i].mask_attr_col);
-        owned.push_back(pass_select[i]);
-        any = true;
-      }
-    }
-    if (any) logic_phase(0, pb.take(), active_pages_, slot);
-  }
-
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    const AggPass& pass = passes_[i];
-    const std::uint64_t v =
-        run_agg_pass(pass, pass_select[i], nullptr, slot, active_pages_);
-    if (q_.agg_func == sql::AggFunc::kCount) {
-      total = static_cast<std::int64_t>(v);
-    } else if (pass.op == pim::AggOp::kSum) {
-      if (!(pass.use_select_as_value && pass.scale == 0)) {
-        total += pass.scale * static_cast<std::int64_t>(v);
-      }
-    } else {
-      total = stats_.selected_records > 0 ? static_cast<std::int64_t>(v) : 0;
-    }
-  }
-  rows_.push_back(ResultRow{{}, total});
-}
-
-// ---------------------------------------------------------------------------
 // Phase 6: finalize
 // ---------------------------------------------------------------------------
 
 void Execution::finalize_phase() {
-  for (auto& [key, value] : results_) {
-    rows_.push_back(ResultRow{key, value.first});
-  }
-  std::sort(rows_.begin(), rows_.end(), [&](const ResultRow& a,
-                                            const ResultRow& b) {
-    for (const sql::BoundOrderItem& o : q_.order_by) {
-      if (o.is_agg) {
-        if (a.agg != b.agg) return o.desc ? a.agg > b.agg : a.agg < b.agg;
-      } else {
-        const std::uint64_t va = a.group[o.group_pos];
-        const std::uint64_t vb = b.group[o.group_pos];
-        if (va != vb) return o.desc ? va > vb : va < vb;
-      }
-    }
-    return a.group < b.group;  // deterministic tiebreak
-  });
+  for (auto& [key, value] : results_) rows_.push_back(ResultRow{key, value});
+  sort_rows(rows_, q_.order_by);
   advance_clock(clock_ + static_cast<double>(rows_.size()) * 50.0,
                 &stats_.phases.finalize);
 }
@@ -1421,7 +1372,7 @@ QueryOutput Execution::finish_query() {
   // A lone member built its aggregation passes before the filter (see
   // run_pass); in a larger pass the tail allocates them here, reusing the
   // columns released by the previous member's tail.
-  if (passes_.empty()) build_agg_passes();
+  if (plan_.passes.empty()) build_agg_passes();
   cancel_.check();
   // Early-exit aggregation on statically empty selects: every page was
   // skipped by the zone maps, so the host knows — without one PIM request —
@@ -1432,11 +1383,8 @@ QueryOutput Execution::finish_query() {
   const bool statically_empty = prune_ && active_pages_.empty();
 
   if (!q_.has_group_by()) {
-    if (statically_empty) {
-      rows_.push_back(ResultRow{{}, 0});
-    } else {
-      no_groupby_aggregate();
-    }
+    rows_.push_back(ResultRow{
+        {}, statically_empty ? 0 : aggregate_group({}, false).first});
     stats_.total_subgroups = 1;  // Table II: Q1.x aggregate once, in PIM
     stats_.pim_subgroups = 1;
   } else {
@@ -1457,8 +1405,8 @@ QueryOutput Execution::finish_query() {
   }
 
   // Export the planner inputs for offline Equation-3 re-evaluation.
-  stats_.n_chunks = n_chunks_;
-  stats_.s_chunks = s_chunks_;
+  stats_.n_chunks = plan_.n_chunks;
+  stats_.s_chunks = plan_.s_chunks;
   stats_.selectivity_estimate = selectivity_est_;
   stats_.candidates_complete = candidates_complete_;
   stats_.candidate_masses.reserve(candidates_.size());

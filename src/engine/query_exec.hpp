@@ -37,6 +37,7 @@
 #include "engine/latency_model.hpp"
 #include "engine/pim_store.hpp"
 #include "host/config.hpp"
+#include "pim/agg_circuit.hpp"
 #include "pim/trackers.hpp"
 #include "sql/logical_plan.hpp"
 
@@ -199,6 +200,43 @@ struct ResultRow {
 
   bool operator==(const ResultRow&) const = default;
 };
+
+/// One step of an aggregate's per-group fold: MIN, MAX, or a sum (COUNT
+/// sums ones). The engine's host-gb and the host hash join both fold with it.
+std::int64_t fold_agg(sql::AggFunc func, std::int64_t acc, std::int64_t v);
+
+/// Sorts result rows by `order_by`, ties broken by the group key, so the
+/// order is total and deterministic. The engine's finalize and the host
+/// hash join both sort with it.
+void sort_rows(std::vector<ResultRow>& rows,
+               const std::vector<sql::BoundOrderItem>& order_by);
+
+/// One aggregation pass (product/linearity decomposition; see the top of
+/// this file).
+struct AggPass {
+  bool use_select_as_value = false;  ///< value = the select bit column
+  pim::Field value{};                ///< on part 0
+  std::int64_t scale = 1;            ///< host-side multiplier for pass total
+  /// AND this attribute bit column into the select (mul decomposition).
+  std::optional<std::uint16_t> mask_attr_col;
+  pim::AggOp op = pim::AggOp::kSum;
+  bool carries_count = false;        ///< circuit also reports the row count
+};
+
+/// The aggregation passes of a query on a store, as pim-gb runs them and
+/// EXPLAIN prints them.
+struct AggPlan {
+  std::vector<AggPass> passes;
+  std::uint32_t value_bits = 1;  ///< widest aggregated value
+  std::uint32_t n_chunks = 1;    ///< model parameter n
+  std::uint32_t s_chunks = 2;    ///< model parameter s
+};
+
+/// Plans the aggregation passes of `q` on `store`. Throws
+/// std::runtime_error for an aggregate the engine refuses: an aggregated
+/// attribute outside part 0, MIN/MAX over an expression, or a product with
+/// no operand of <= 12 bits.
+AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store);
 
 struct QueryOutput {
   std::vector<ResultRow> rows;

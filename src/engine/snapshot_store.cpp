@@ -4,15 +4,12 @@
 
 namespace bbpim::engine {
 
-SnapshotStats::SnapshotStats(std::vector<Distinct> distinct,
-                             std::size_t max_distinct)
-    : max_distinct_(max_distinct),
-      distinct_(std::move(distinct)),
+SnapshotStats::SnapshotStats(std::vector<Distinct> distinct)
+    : distinct_(std::move(distinct)),
       distinct_stale_(distinct_.size(), false) {}
 
 SnapshotStats::SnapshotStats(const SnapshotStats& prev,
-                             std::size_t touched_attr)
-    : max_distinct_(prev.max_distinct_) {
+                             std::size_t touched_attr) {
   // prev may be concurrently filling lazily; copy under its lock.
   std::lock_guard<std::mutex> lock(prev.mutex_);
   distinct_ = prev.distinct_;
@@ -31,7 +28,7 @@ const SnapshotStats::Distinct& SnapshotStats::distinct_locked(
   if (distinct_stale_.at(attr)) {
     // Same capping rule as the load-time stats, read through the reader's
     // crossbars.
-    distinct_[attr] = scan_distinct(reader, attr, max_distinct_);
+    distinct_[attr] = scan_distinct(reader, attr);
     distinct_stale_[attr] = false;
   }
   return distinct_.at(attr);
@@ -63,11 +60,10 @@ SnapshotStats::co_occurrence(std::size_t attr_a, std::size_t attr_b,
 }
 
 StoreDerived::StoreDerived(ZoneMaps zones,
-                           std::vector<SnapshotStats::Distinct> distinct,
-                           std::size_t max_distinct)
+                           std::vector<SnapshotStats::Distinct> distinct)
     : filter_cache(std::make_shared<FilterCache>()),
       zones(std::move(zones)),
-      stats(std::move(distinct), max_distinct) {}
+      stats(std::move(distinct)) {}
 
 StoreDerived::StoreDerived(const StoreDerived& prev, std::size_t attr)
     : filter_cache(prev.filter_cache),

@@ -38,6 +38,10 @@ namespace bbpim::engine {
 class PimStore;
 class FilterCache;
 
+/// Distinct-value stats are kept only up to this cardinality; higher
+/// attributes never qualify for pure-PIM group enumeration anyway.
+inline constexpr std::size_t kMaxDistinct = 4096;
+
 /// Derived statistics of one store version: distinct values per attribute
 /// and co-occurrence maps per attribute pair, filled lazily and internally
 /// synchronized. Carried forward across versions — an UPDATE to one
@@ -53,8 +57,8 @@ class SnapshotStats {
   using Distinct = std::optional<std::vector<std::uint64_t>>;
 
   /// Version-0 stats: the load-time distinct values (nullopt where the
-  /// cardinality exceeded `max_distinct`); co-occurrence fills on demand.
-  SnapshotStats(std::vector<Distinct> distinct, std::size_t max_distinct);
+  /// cardinality exceeded kMaxDistinct); co-occurrence fills on demand.
+  explicit SnapshotStats(std::vector<Distinct> distinct);
   /// Carries `prev` forward across an UPDATE of `touched_attr`: its
   /// distinct stats are marked stale and every co-occurrence entry
   /// involving it is dropped; everything else is shared by copy.
@@ -77,8 +81,6 @@ class SnapshotStats {
   const Distinct& distinct_locked(std::size_t attr,
                                   const PimStore& reader) const;
 
-  std::size_t max_distinct_ = 0;
-
   mutable std::mutex mutex_;
   mutable std::vector<Distinct> distinct_;
   mutable std::vector<bool> distinct_stale_;
@@ -94,8 +96,7 @@ class SnapshotStats {
 /// built from the predecessor, so a pinned version keeps its own.
 struct StoreDerived {
   /// Version 0 of a freshly loaded store.
-  StoreDerived(ZoneMaps zones, std::vector<SnapshotStats::Distinct> distinct,
-               std::size_t max_distinct);
+  StoreDerived(ZoneMaps zones, std::vector<SnapshotStats::Distinct> distinct);
   /// The successor of `prev` across an UPDATE of `attr`: the same filter
   /// cache, copied zones (the caller rebuilds the touched crossbars'
   /// sketches before publishing), stats carried forward and an empty

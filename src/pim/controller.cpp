@@ -98,7 +98,6 @@ RequestTrace read_bit_column(Page& page, std::uint16_t col, TimeNs line_ns,
                              const PimConfig& cfg, EnergyMeter* meter,
                              BitVec* out, bool vectorized) {
   const std::uint32_t rows = page.crossbar(0).rows();
-  const std::uint32_t reads_per_xbar = (rows + cfg.read_bits - 1) / cfg.read_bits;
 
   if (out != nullptr) {
     *out = BitVec(page.records());
@@ -133,7 +132,6 @@ RequestTrace read_bit_column(Page& page, std::uint16_t col, TimeNs line_ns,
   t.duration_ns = static_cast<double>(lines) * line_ns;
   const EnergyJ read_e = static_cast<double>(page.crossbar_count()) * rows *
                          cfg.read_energy_j();
-  (void)reads_per_xbar;
   const EnergyJ ctrl = controller_energy(cfg, t.duration_ns);
   if (meter != nullptr) {
     meter->add(EnergyCat::kRead, read_e);

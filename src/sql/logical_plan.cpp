@@ -22,16 +22,6 @@ bool BoundPredicate::matches(std::uint64_t value) const {
   return false;
 }
 
-std::uint64_t BoundAggExpr::eval(std::uint64_t va, std::uint64_t vb) const {
-  switch (kind) {
-    case Expr::Kind::kColumn: return va;
-    case Expr::Kind::kMul: return va * vb;
-    case Expr::Kind::kSub: return va - vb;
-    case Expr::Kind::kAdd: return va + vb;
-  }
-  return va;
-}
-
 namespace {
 
 [[noreturn]] void fail(const std::string& what) {
@@ -230,6 +220,18 @@ BoundPredicate bind_in(const rel::Schema& schema, const Predicate& p) {
   return b;
 }
 
+/// One comparison, BETWEEN or IN predicate; join predicates are the
+/// callers' business.
+BoundPredicate bind_predicate(const rel::Schema& schema, const Predicate& p) {
+  switch (p.kind) {
+    case Predicate::Kind::kCmp: return bind_cmp(schema, p);
+    case Predicate::Kind::kBetween: return bind_between(schema, p);
+    case Predicate::Kind::kIn: return bind_in(schema, p);
+    case Predicate::Kind::kJoinEq: break;
+  }
+  fail("unreachable filter kind");
+}
+
 // ---- multi-table resolution ------------------------------------------------
 
 /// Resolves an (optionally qualified) column against the FROM list.
@@ -272,65 +274,41 @@ BoundPredicate bind_filter(const std::vector<JoinTableRef>& tables,
   Predicate local = p;
   local.column = schema.attribute(ref.attr).name;
   *table_out = ref.table;
-  switch (p.kind) {
-    case Predicate::Kind::kCmp: return bind_cmp(schema, local);
-    case Predicate::Kind::kBetween: return bind_between(schema, local);
-    case Predicate::Kind::kIn: return bind_in(schema, local);
-    case Predicate::Kind::kJoinEq: break;
-  }
-  fail("unreachable filter kind");
+  return bind_predicate(schema, local);
 }
 
-}  // namespace
-
-BoundQuery bind(const SelectStmt& stmt, const rel::Schema& schema) {
-  BoundQuery q;
-
-  // WHERE conjunction.
-  for (const Predicate& p : stmt.where) {
-    switch (p.kind) {
-      case Predicate::Kind::kJoinEq:
-        q.join_predicates.emplace_back(p.column, p.join_right);
-        break;
-      case Predicate::Kind::kCmp:
-        q.filters.push_back(bind_cmp(schema, p));
-        break;
-      case Predicate::Kind::kBetween:
-        q.filters.push_back(bind_between(schema, p));
-        break;
-      case Predicate::Kind::kIn:
-        q.filters.push_back(bind_in(schema, p));
-        break;
-    }
-  }
-
-  // GROUP BY columns.
+/// Binds GROUP BY, the SELECT list and ORDER BY into `out`, resolving every
+/// column name through `resolve`. The SELECT list takes exactly one
+/// aggregate and plain columns must be grouped; ORDER BY takes the
+/// aggregate's alias or a GROUP BY column.
+template <class Ref, class Resolve>
+void bind_tail(const SelectStmt& stmt, Resolve&& resolve,
+               AggregateTail<Ref>& out) {
   for (const std::string& col : stmt.group_by) {
-    q.group_by.push_back(resolve(schema, col));
+    out.group_by.push_back(resolve(col));
   }
 
-  // SELECT items: exactly one aggregate; plain columns must be grouped.
   bool have_agg = false;
   for (const SelectItem& item : stmt.items) {
     if (item.func == AggFunc::kNone) {
-      const std::size_t idx = resolve(schema, item.expr.col_a);
-      if (std::find(q.group_by.begin(), q.group_by.end(), idx) ==
-          q.group_by.end()) {
+      const Ref ref = resolve(item.expr.col_a);
+      if (std::find(out.group_by.begin(), out.group_by.end(), ref) ==
+          out.group_by.end()) {
         fail("column '" + item.expr.col_a + "' is not in GROUP BY");
       }
       continue;
     }
     if (have_agg) fail("only one aggregate per query is supported");
     have_agg = true;
-    q.agg_func = item.func;
-    q.agg_alias = item.alias;
+    out.agg_func = item.func;
+    out.agg_alias = item.alias;
     if (item.func == AggFunc::kCount && item.expr.col_a.empty()) {
-      q.agg_expr.kind = Expr::Kind::kColumn;  // COUNT(*): expr unused
+      out.agg_expr.kind = Expr::Kind::kColumn;  // COUNT(*): operands unused
     } else {
-      q.agg_expr.kind = item.expr.kind;
-      q.agg_expr.a = resolve(schema, item.expr.col_a);
+      out.agg_expr.kind = item.expr.kind;
+      out.agg_expr.a = resolve(item.expr.col_a);
       if (item.expr.kind != Expr::Kind::kColumn) {
-        q.agg_expr.b = resolve(schema, item.expr.col_b);
+        out.agg_expr.b = resolve(item.expr.col_b);
       }
     }
   }
@@ -339,18 +317,33 @@ BoundQuery bind(const SelectStmt& stmt, const rel::Schema& schema) {
   for (const OrderItem& item : stmt.order_by) {
     BoundOrderItem bo;
     bo.desc = item.desc;
-    if (!q.agg_alias.empty() && item.column == q.agg_alias) {
+    if (!out.agg_alias.empty() && item.column == out.agg_alias) {
       bo.is_agg = true;
     } else {
-      const std::size_t idx = resolve(schema, item.column);
-      const auto it = std::find(q.group_by.begin(), q.group_by.end(), idx);
-      if (it == q.group_by.end()) {
+      const Ref ref = resolve(item.column);
+      const auto it = std::find(out.group_by.begin(), out.group_by.end(), ref);
+      if (it == out.group_by.end()) {
         fail("ORDER BY column '" + item.column + "' is not in GROUP BY");
       }
-      bo.group_pos = static_cast<std::size_t>(it - q.group_by.begin());
+      bo.group_pos = static_cast<std::size_t>(it - out.group_by.begin());
     }
-    q.order_by.push_back(bo);
+    out.order_by.push_back(bo);
   }
+}
+
+}  // namespace
+
+BoundQuery bind(const SelectStmt& stmt, const rel::Schema& schema) {
+  BoundQuery q;
+  for (const Predicate& p : stmt.where) {
+    if (p.kind == Predicate::Kind::kJoinEq) {
+      q.join_predicates.emplace_back(p.column, p.join_right);
+    } else {
+      q.filters.push_back(bind_predicate(schema, p));
+    }
+  }
+  bind_tail(
+      stmt, [&](const std::string& name) { return resolve(schema, name); }, q);
   return q;
 }
 
@@ -385,19 +378,10 @@ BoundUpdate bind_update(const UpdateStmt& stmt, const rel::Schema& schema) {
   }
 
   for (const Predicate& p : stmt.where) {
-    switch (p.kind) {
-      case Predicate::Kind::kJoinEq:
-        fail("UPDATE does not support join predicates");
-      case Predicate::Kind::kCmp:
-        u.filters.push_back(bind_cmp(schema, p));
-        break;
-      case Predicate::Kind::kBetween:
-        u.filters.push_back(bind_between(schema, p));
-        break;
-      case Predicate::Kind::kIn:
-        u.filters.push_back(bind_in(schema, p));
-        break;
+    if (p.kind == Predicate::Kind::kJoinEq) {
+      fail("UPDATE does not support join predicates");
     }
+    u.filters.push_back(bind_predicate(schema, p));
   }
   return u;
 }
@@ -510,54 +494,10 @@ BoundJoin bind_join(const SelectStmt& stmt,
                             tables[b.table].row_count;
                    });
 
-  // GROUP BY columns.
-  for (const std::string& col : stmt.group_by) {
-    q.group_by.push_back(resolve_multi(tables, col));
-  }
-
-  // SELECT items: exactly one aggregate; plain columns must be grouped.
-  bool have_agg = false;
-  for (const SelectItem& item : stmt.items) {
-    if (item.func == AggFunc::kNone) {
-      const BoundColumnRef ref = resolve_multi(tables, item.expr.col_a);
-      if (std::find(q.group_by.begin(), q.group_by.end(), ref) ==
-          q.group_by.end()) {
-        fail("column '" + item.expr.col_a + "' is not in GROUP BY");
-      }
-      continue;
-    }
-    if (have_agg) fail("only one aggregate per query is supported");
-    have_agg = true;
-    q.agg_func = item.func;
-    q.agg_alias = item.alias;
-    if (item.func == AggFunc::kCount && item.expr.col_a.empty()) {
-      q.agg_kind = Expr::Kind::kColumn;  // COUNT(*): operands unused
-    } else {
-      q.agg_kind = item.expr.kind;
-      q.agg_a = resolve_multi(tables, item.expr.col_a);
-      if (item.expr.kind != Expr::Kind::kColumn) {
-        q.agg_b = resolve_multi(tables, item.expr.col_b);
-      }
-    }
-  }
-  if (!have_agg) fail("query must contain an aggregate");
-
-  // ORDER BY: the aggregate's alias or a GROUP BY column.
-  for (const OrderItem& item : stmt.order_by) {
-    BoundOrderItem bo;
-    bo.desc = item.desc;
-    if (!q.agg_alias.empty() && item.column == q.agg_alias) {
-      bo.is_agg = true;
-    } else {
-      const BoundColumnRef ref = resolve_multi(tables, item.column);
-      const auto it = std::find(q.group_by.begin(), q.group_by.end(), ref);
-      if (it == q.group_by.end()) {
-        fail("ORDER BY column '" + item.column + "' is not in GROUP BY");
-      }
-      bo.group_pos = static_cast<std::size_t>(it - q.group_by.begin());
-    }
-    q.order_by.push_back(bo);
-  }
+  bind_tail(
+      stmt,
+      [&](const std::string& name) { return resolve_multi(tables, name); },
+      q);
   return q;
 }
 

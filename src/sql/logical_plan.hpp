@@ -50,15 +50,27 @@ struct BoundPredicate {
   bool matches(std::uint64_t value) const;
 };
 
-/// The aggregated expression: a column, a product, or a difference.
-struct BoundAggExpr {
+/// The aggregated expression: a column, a product, a difference or a sum.
+/// `Ref` names a column: an attribute index for one table, a
+/// BoundColumnRef for a join.
+template <class Ref>
+struct AggExprOf {
   Expr::Kind kind = Expr::Kind::kColumn;
-  std::size_t a = 0;
-  std::size_t b = 0;  // kMul/kSub/kAdd only
+  Ref a{};
+  Ref b{};  // kMul/kSub/kAdd only
 
   /// Exact evaluation over attribute codes.
-  std::uint64_t eval(std::uint64_t va, std::uint64_t vb) const;
+  std::uint64_t eval(std::uint64_t va, std::uint64_t vb) const {
+    switch (kind) {
+      case Expr::Kind::kColumn: return va;
+      case Expr::Kind::kMul: return va * vb;
+      case Expr::Kind::kSub: return va - vb;
+      case Expr::Kind::kAdd: return va + vb;
+    }
+    return va;
+  }
 };
+using BoundAggExpr = AggExprOf<std::size_t>;
 
 /// ORDER BY item: a group column (by index) or the aggregate value.
 struct BoundOrderItem {
@@ -67,19 +79,25 @@ struct BoundOrderItem {
   bool desc = false;
 };
 
-struct BoundQuery {
-  std::vector<BoundPredicate> filters;  ///< conjunction
-  std::vector<std::size_t> group_by;    ///< attr indices
+/// The aggregate tail of a SELECT, bound by one routine for both binders:
+/// GROUP BY columns, the one aggregate, and ORDER BY.
+template <class Ref>
+struct AggregateTail {
+  std::vector<Ref> group_by;
   AggFunc agg_func = AggFunc::kSum;
-  BoundAggExpr agg_expr;                ///< unused for COUNT(*)
-  std::vector<BoundOrderItem> order_by;
+  AggExprOf<Ref> agg_expr;  ///< unused for COUNT(*)
   std::string agg_alias;
+  std::vector<BoundOrderItem> order_by;
+
+  bool has_group_by() const { return !group_by.empty(); }
+};
+
+struct BoundQuery : AggregateTail<std::size_t> {
+  std::vector<BoundPredicate> filters;  ///< conjunction
 
   /// Join predicates in SQL text form (left/right column names), preserved
   /// for the star-schema baseline planner.
   std::vector<std::pair<std::string, std::string>> join_predicates;
-
-  bool has_group_by() const { return !group_by.empty(); }
 };
 
 /// Binds a parsed statement against the (pre-joined) schema.
@@ -130,20 +148,11 @@ struct BoundBuildSide {
 /// A bound multi-table star query: per-table filter conjunctions (each in
 /// the same BoundPredicate form the PIM filter compiler consumes), the join
 /// tree, and grouping/aggregation/ordering over joined rows.
-struct BoundJoin {
+struct BoundJoin : AggregateTail<BoundColumnRef> {
   std::vector<std::string> table_names;  ///< FROM order, aligned with filters
   std::vector<std::vector<BoundPredicate>> filters;
   std::size_t fact = 0;                ///< probe side
   std::vector<BoundBuildSide> builds;  ///< probe order: most filtered first
-  std::vector<BoundColumnRef> group_by;
-  AggFunc agg_func = AggFunc::kSum;
-  Expr::Kind agg_kind = Expr::Kind::kColumn;
-  BoundColumnRef agg_a;  ///< unused for COUNT(*)
-  BoundColumnRef agg_b;  ///< kMul/kSub/kAdd only
-  std::string agg_alias;
-  std::vector<BoundOrderItem> order_by;
-
-  bool has_group_by() const { return !group_by.empty(); }
 };
 
 /// Binds a multi-table SELECT against the FROM list. Unqualified columns

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <typeinfo>
+#include <utility>
 
 #include "engine/explain.hpp"
 #include "engine_test_util.hpp"
@@ -40,7 +42,12 @@ TEST(Explain, OneXbPlanMentionsEverything) {
   EXPECT_NE(plan.find("FILTER part 0: 2 predicate(s)"), std::string::npos);
   EXPECT_NE(plan.find("100 <= f_key <= 3000"), std::string::npos);
   EXPECT_NE(plan.find("d_tag IN {1,2}"), std::string::npos);
-  EXPECT_NE(plan.find("masked passes"), std::string::npos);
+  // f_val2 is the narrow operand: one masked pass per bit + a count pass.
+  EXPECT_NE(plan.find("SUM(f_val * f_val2) AS x: 7 pass(es)"),
+            std::string::npos);
+  EXPECT_NE(plan.find("pass 5: SUM(f_val) where f_val2[5], x32"),
+            std::string::npos);
+  EXPECT_NE(plan.find("pass 6: SUM(select), count only"), std::string::npos);
   EXPECT_NE(plan.find("GROUP BY: f_gid"), std::string::npos);
   EXPECT_NE(plan.find("Equation 3"), std::string::npos);
   EXPECT_EQ(plan.find("TRANSFER"), std::string::npos);  // one part
@@ -64,7 +71,9 @@ TEST(Explain, NoGroupByAndLinearity) {
   const sql::BoundQuery q =
       fx.bind_sql("SELECT SUM(f_val - f_val2) AS d FROM t");
   const std::string plan = explain_query(q, *fx.store);
-  EXPECT_NE(plan.find("2 passes by linearity"), std::string::npos);
+  EXPECT_NE(plan.find("SUM(f_val - f_val2) AS d: 2 pass(es)"),
+            std::string::npos);
+  EXPECT_NE(plan.find("pass 1: SUM(f_val2), x-1"), std::string::npos);
   EXPECT_NE(plan.find("NO GROUP BY"), std::string::npos);
 }
 
@@ -72,12 +81,44 @@ TEST(Explain, CountAndMin) {
   testutil::EngineFixture fx(EngineKind::kOneXb, 300, 93);
   const std::string count_plan = explain_query(
       fx.bind_sql("SELECT COUNT(*) AS c FROM t WHERE f_key < 10"), *fx.store);
-  EXPECT_NE(count_plan.find("COUNT via SUM of the select column"),
-            std::string::npos);
+  EXPECT_NE(count_plan.find("COUNT(*) AS c: 1 pass(es)"), std::string::npos);
+  EXPECT_NE(count_plan.find("pass 0: SUM(select)\n"), std::string::npos);
   const std::string min_plan = explain_query(
       fx.bind_sql("SELECT f_gid, MIN(f_val) AS m FROM t GROUP BY f_gid"),
       *fx.store);
-  EXPECT_NE(min_plan.find("MIN(f_val): 1 circuit pass"), std::string::npos);
+  EXPECT_NE(min_plan.find("MIN(f_val) AS m: 1 pass(es)"), std::string::npos);
+  EXPECT_NE(min_plan.find("pass 0: MIN(f_val), with count"), std::string::npos);
+}
+
+/// The dynamic type and what() of the exception `fn` throws.
+template <class Fn>
+std::pair<std::string, std::string> thrown(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {"", "nothing thrown"};
+}
+
+// EXPLAIN prints the executed pass plan, so it refuses every aggregate the
+// engine refuses, with the engine's exception.
+TEST(Explain, RefusesWhatExecutionRefuses) {
+  testutil::EngineFixture one(EngineKind::kOneXb, 300, 94);
+  testutil::EngineFixture two(EngineKind::kTwoXb, 300, 95);
+  struct Case {
+    testutil::EngineFixture* fx;
+    const char* sql;
+  };
+  for (const Case& c :
+       {Case{&one, "SELECT MIN(f_val - f_val2) AS m FROM t"},
+        Case{&two, "SELECT f_gid, SUM(d_tag) AS s FROM t GROUP BY f_gid"}}) {
+    const sql::BoundQuery q = c.fx->bind_sql(c.sql);
+    const auto by_engine = thrown([&] { c.fx->engine->execute(q); });
+    const auto by_explain = thrown([&] { explain_query(q, *c.fx->store); });
+    EXPECT_NE(by_engine.first, "") << c.sql;
+    EXPECT_EQ(by_explain, by_engine) << c.sql;
+  }
 }
 
 }  // namespace

@@ -137,6 +137,59 @@ TEST(HashJoin, EmptyBuildSideYieldsEmptyJoin) {
   EXPECT_EQ(rs.integer(0, 0), 0);
 }
 
+// The aggregate shapes the 13 SSB texts never use go through the same
+// binder tail, fold and ORDER BY sort on both catalogs: the host hash join
+// over normalized tables and the PIM engine over the pre-joined relation
+// must return identical rows.
+TEST(HashJoin, AggregateShapesMatchPrejoinedOnOneXbPim) {
+  JoinWorld& w = world();
+  db::Session join_session(w.normalized);
+  db::Session pre_session(w.prejoined_db);
+  const std::string date_join =
+      " FROM lineorder, date WHERE lo_orderdate = d_datekey";
+  const std::vector<std::string> texts = {
+      "SELECT d_year, MIN(lo_revenue) AS m" + date_join +
+          " GROUP BY d_year ORDER BY d_year",
+      "SELECT c_region, MAX(lo_quantity) AS m FROM lineorder, customer "
+      "WHERE lo_custkey = c_custkey GROUP BY c_region",
+      "SELECT s_nation, COUNT(*) AS c FROM lineorder, supplier "
+      "WHERE lo_suppkey = s_suppkey AND s_region = 'ASIA' "
+      "GROUP BY s_nation ORDER BY c DESC",
+      "SELECT SUM(lo_revenue) AS s" + date_join + " AND d_year = 1900",
+      "SELECT MIN(lo_revenue) AS m" + date_join + " AND d_year = 1900",
+      "SELECT COUNT(*) AS c" + date_join + " AND d_year = 1900",
+      // Every quantity's MAX(lo_discount) is the top discount: the DESC
+      // sort ties on the aggregate and falls through to the group key.
+      "SELECT lo_quantity, MAX(lo_discount) AS m" + date_join +
+          " GROUP BY lo_quantity ORDER BY m DESC",
+  };
+  for (const std::string& sql : texts) {
+    const db::ResultSet joined =
+        join_session.execute(sql, db::BackendKind::kOneXb);
+    const db::ResultSet pre = pre_session.execute(sql, db::BackendKind::kOneXb);
+    EXPECT_EQ(joined.rows(), pre.rows()) << sql;
+    EXPECT_EQ(joined.rows(),
+              join_session.execute(sql, db::BackendKind::kReference).rows())
+        << sql;
+    EXPECT_FALSE(joined.rows().empty()) << sql;
+  }
+  // An empty selection without GROUP BY is one row holding 0.
+  for (std::size_t i = 3; i < 6; ++i) {
+    const db::ResultSet rs =
+        join_session.execute(texts[i], db::BackendKind::kOneXb);
+    ASSERT_EQ(rs.row_count(), 1u) << texts[i];
+    EXPECT_EQ(rs.integer(0, 0), 0) << texts[i];
+  }
+  const db::ResultSet tied =
+      join_session.execute(texts.back(), db::BackendKind::kOneXb);
+  ASSERT_GT(tied.row_count(), 2u);
+  const std::vector<engine::ResultRow>& rows = tied.rows();
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].agg, rows[0].agg);  // all tied...
+    EXPECT_LT(rows[i - 1].group, rows[i].group);  // ...so keys ascend
+  }
+}
+
 TEST(HashJoin, SemijoinReductionNeverCostsMoreThanThePlainPlan) {
   JoinWorld& w = world();
   db::Session session(w.normalized);

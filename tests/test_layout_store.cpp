@@ -97,17 +97,23 @@ TEST(PimStoreTest, TwoCrossbarPartitioning) {
 
 TEST(PimStoreTest, DistinctStats) {
   pim::PimModule module(small_pim_config());
-  const rel::Table t = make_synthetic_table(500, 5);
-  PimStore::Options opt;
-  opt.max_distinct = 8;
-  PimStore store(module, t, opt);
-  // d_tag has 7 distinct values (gid % 7) — under the cap.
-  const auto& tags = store.distinct_values(4);
+  // `key` takes one more distinct value than the cap, `tag` seven.
+  rel::Table t(rel::Schema({{"key", rel::DataType::kInt, 13, nullptr},
+                            {"tag", rel::DataType::kInt, 3, nullptr}}),
+               "distinct");
+  for (std::uint64_t r = 0; r <= kMaxDistinct; ++r) {
+    const std::uint64_t row[] = {r, (r * 5) % 7};
+    t.append_row(row);
+  }
+  PimStore store(module, t);
+  // Under the cap: every value, sorted.
+  const auto& tags = store.distinct_values(1);
   ASSERT_TRUE(tags.has_value());
-  EXPECT_LE(tags->size(), 7u);
-  EXPECT_TRUE(std::is_sorted(tags->begin(), tags->end()));
-  // f_key has hundreds of distinct values — capped out.
+  EXPECT_EQ(*tags, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+  // Over the cap: no stats.
   EXPECT_FALSE(store.distinct_values(0).has_value());
+  EXPECT_EQ(scan_distinct(store, 0), std::nullopt);
+  EXPECT_EQ(scan_distinct(store, 1), tags);
 }
 
 TEST(PimStoreTest, RejectsEmptyRelation) {

@@ -299,7 +299,6 @@ TEST(ServiceOverload, PressureBoostsGatherWindowBeforeShedding) {
   opts.shared_scan.enabled = true;
   opts.shared_scan.max_batch = 8;
   opts.shared_scan.gather_window_us = 100;
-  opts.shared_scan.overload_window_boost = 4;
   opts.admission.max_queue_depth = 4;
   opts.admission.policy = db::OverloadPolicy::kShedOldest;
   Fixture fx(opts);

@@ -173,14 +173,13 @@ TEST(SnapshotStore, DerivedStateIsPerVersion) {
   }
   ASSERT_EQ(views.back()->store.data_version(), updates.size());
 
-  const std::size_t max_distinct = fx.mgr->store_options().max_distinct;
   bool saw_code_60 = false;
   for (const auto& view : views) {
     const engine::PimStore& store = view->store;
     const std::string what = "version " + std::to_string(store.data_version());
     for (std::size_t a = 0; a < nattrs; ++a) {
       EXPECT_EQ(store.distinct_values(a),
-                engine::scan_distinct(store, a, max_distinct))
+                engine::scan_distinct(store, a))
           << what << ", attr " << a;
     }
     const auto& f_val2_values = store.distinct_values(f_val2);

@@ -365,8 +365,8 @@ TEST(JoinBinder, StarShapeFactDetectionAndBuildOrder) {
   ASSERT_EQ(j.group_by.size(), 1u);
   EXPECT_EQ(j.group_by[0].table, 1u);
   EXPECT_EQ(j.group_by[0].attr, 1u);  // d1.g
-  EXPECT_EQ(j.agg_a.table, 0u);
-  EXPECT_EQ(j.agg_a.attr, 2u);  // f.v
+  EXPECT_EQ(j.agg_expr.a.table, 0u);
+  EXPECT_EQ(j.agg_expr.a.attr, 2u);  // f.v
 }
 
 TEST(JoinBinder, AmbiguousUnqualifiedColumn) {
@@ -385,8 +385,74 @@ TEST(JoinBinder, AmbiguousUnqualifiedColumn) {
   const BoundJoin j = bind_join(parse("SELECT SUM(f.dup) FROM f, d1, d2 "
                                       "WHERE fk1 = dk AND fk2 = ek"),
                                 w.tables);
-  EXPECT_EQ(j.agg_a.table, 0u);
-  EXPECT_EQ(j.agg_a.attr, 3u);
+  EXPECT_EQ(j.agg_expr.a.table, 0u);
+  EXPECT_EQ(j.agg_expr.a.attr, 3u);
+}
+
+// One routine binds the SELECT list, GROUP BY and ORDER BY for both
+// binders: over the pre-joined schema and over the FROM list, the same text
+// binds to the same aggregate and ordering, and fails with the same message.
+TEST(JoinBinder, SelectTailMatchesSingleTableBinder) {
+  JoinWorld w;
+  const rel::Schema joined{{{"fk1", rel::DataType::kInt, 16, nullptr},
+                            {"fk2", rel::DataType::kInt, 16, nullptr},
+                            {"v", rel::DataType::kInt, 20, nullptr},
+                            {"dk", rel::DataType::kInt, 16, nullptr},
+                            {"g", rel::DataType::kInt, 8, nullptr},
+                            {"ek", rel::DataType::kInt, 16, nullptr},
+                            {"h", rel::DataType::kInt, 8, nullptr}}};
+  const std::string from = " FROM f, d1, d2 WHERE fk1 = dk AND fk2 = ek";
+  for (const std::string& text :
+       {"SELECT g, h, SUM(v * fk1) AS x" + from +
+            " GROUP BY g, h ORDER BY x DESC, h",
+        "SELECT MIN(v) AS m" + from,
+        "SELECT g, COUNT(*) AS c" + from + " GROUP BY g ORDER BY g DESC",
+        "SELECT h, MAX(v - fk2)" + from + " GROUP BY h ORDER BY h",
+        "SELECT SUM(v + g) AS s" + from}) {
+    const SelectStmt stmt = parse(text);
+    const BoundQuery q = bind(stmt, joined);
+    const BoundJoin j = bind_join(stmt, w.tables);
+    EXPECT_EQ(q.agg_func, j.agg_func) << text;
+    EXPECT_EQ(q.agg_expr.kind, j.agg_expr.kind) << text;
+    EXPECT_EQ(q.agg_alias, j.agg_alias) << text;
+    ASSERT_EQ(q.group_by.size(), j.group_by.size()) << text;
+    for (std::size_t i = 0; i < q.group_by.size(); ++i) {
+      EXPECT_EQ(joined.attribute(q.group_by[i]).name,
+                w.tables[j.group_by[i].table]
+                    .schema->attribute(j.group_by[i].attr)
+                    .name)
+          << text;
+    }
+    ASSERT_EQ(q.order_by.size(), j.order_by.size()) << text;
+    for (std::size_t i = 0; i < q.order_by.size(); ++i) {
+      EXPECT_EQ(q.order_by[i].is_agg, j.order_by[i].is_agg) << text;
+      EXPECT_EQ(q.order_by[i].group_pos, j.order_by[i].group_pos) << text;
+      EXPECT_EQ(q.order_by[i].desc, j.order_by[i].desc) << text;
+    }
+  }
+
+  const auto message = [](const auto& bind_fn) {
+    try {
+      bind_fn();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("nothing thrown");
+  };
+  for (const auto& [text, error] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"SELECT g, SUM(v)" + from, "column 'g' is not in GROUP BY"},
+           {"SELECT g, SUM(v) AS s" + from + " GROUP BY g ORDER BY h",
+            "ORDER BY column 'h' is not in GROUP BY"},
+           {"SELECT SUM(v), MIN(v)" + from,
+            "only one aggregate per query is supported"},
+           {"SELECT g" + from + " GROUP BY g",
+            "query must contain an aggregate"}}) {
+    const SelectStmt stmt = parse(text);
+    const std::string single = message([&] { bind(stmt, joined); });
+    EXPECT_EQ(single, "SQL bind error: " + error) << text;
+    EXPECT_EQ(message([&] { bind_join(stmt, w.tables); }), single) << text;
+  }
 }
 
 TEST(JoinBinder, UnknownTableQualifier) {
