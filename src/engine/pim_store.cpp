@@ -1,51 +1,69 @@
 #include "engine/pim_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
+#include <string>
 
 namespace bbpim::engine {
 
 std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
                                                         std::size_t attr) {
-  std::unordered_set<std::uint64_t> seen;
-  bool capped = false;
+  DistinctCollector seen;
   store.scan_blocks({&attr, 1}, 0, store.record_count(),
                     [&](std::size_t, std::uint32_t count,
                         std::span<const pim::RowBlock> blocks) {
-                      for (std::uint32_t j = 0; j < count && !capped; ++j) {
-                        seen.insert(blocks[0][j]);
-                        capped = seen.size() > kMaxDistinct;
-                      }
-                      return !capped;
+                      return seen.add({blocks[0].data(), count});
                     });
-  if (capped) return std::nullopt;
-  std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-  std::sort(vals.begin(), vals.end());
-  return vals;
+  return std::move(seen).finish();
 }
 
 std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
 build_co_occurrence(const PimStore& store, std::size_t attr_a,
-                    std::size_t attr_b, std::size_t expected) {
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
-  map.reserve(expected);
+                    std::span<const std::uint64_t> distinct_a,
+                    std::size_t attr_b,
+                    std::span<const std::uint64_t> distinct_b) {
+  CodeIndex index_a(distinct_a.size());
+  CodeIndex index_b(distinct_b.size());
+  for (const std::uint64_t v : distinct_a) index_a.insert(v);
+  for (const std::uint64_t v : distinct_b) index_b.insert(v);
+  // Bit (ia, ib) of a row-padded na x nb bitmap: value ia of attr_a shares
+  // a record with value ib of attr_b.
+  const std::size_t words_per_a = (distinct_b.size() + 63) / 64;
+  std::vector<std::uint64_t> seen(distinct_a.size() * words_per_a, 0);
   const std::size_t attrs[2] = {attr_a, attr_b};
-  store.scan_blocks(attrs, 0, store.record_count(),
-                    [&](std::size_t, std::uint32_t count,
-                        std::span<const pim::RowBlock> blocks) {
-                      for (std::uint32_t j = 0; j < count; ++j) {
-                        std::vector<std::uint64_t>& vals = map[blocks[0][j]];
-                        if (std::find(vals.begin(), vals.end(),
-                                      blocks[1][j]) == vals.end()) {
-                          vals.push_back(blocks[1][j]);
-                        }
-                      }
-                      return true;
-                    });
-  for (auto& [a, vals] : map) std::sort(vals.begin(), vals.end());
+  store.scan_blocks(
+      attrs, 0, store.record_count(),
+      [&](std::size_t first, std::uint32_t count,
+          std::span<const pim::RowBlock> blocks) {
+        for (std::uint32_t j = 0; j < count; ++j) {
+          const std::uint32_t ia = index_a.find(blocks[0][j]);
+          const std::uint32_t ib = index_b.find(blocks[1][j]);
+          if (ia == CodeIndex::kAbsent || ib == CodeIndex::kAbsent) {
+            throw std::logic_error(
+                "build_co_occurrence: record " + std::to_string(first + j) +
+                " holds a value missing from the distinct list (stale stats)");
+          }
+          seen[ia * words_per_a + ib / 64] |= 1ULL << (ib % 64);
+        }
+        return true;
+      });
+  // Rows of the bitmap in order, set bits in order: each key's values come
+  // out sorted because distinct_b is.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
+  map.reserve(distinct_a.size());
+  for (std::size_t ia = 0; ia < distinct_a.size(); ++ia) {
+    std::vector<std::uint64_t> vals;
+    for (std::size_t w = 0; w < words_per_a; ++w) {
+      for (std::uint64_t bits = seen[ia * words_per_a + w]; bits != 0;
+           bits &= bits - 1) {
+        vals.push_back(distinct_b[w * 64 + std::countr_zero(bits)]);
+      }
+    }
+    if (!vals.empty()) map.emplace(distinct_a[ia], std::move(vals));
+  }
   return map;
 }
 
@@ -126,20 +144,9 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
   // Distinct stats for GROUP-BY candidate enumeration.
   std::vector<SnapshotStats::Distinct> distinct(nattrs);
   for (std::size_t a = 0; a < nattrs; ++a) {
-    std::unordered_set<std::uint64_t> seen;
-    bool capped = false;
-    for (const std::uint64_t v : table.column(a)) {
-      seen.insert(v);
-      if (seen.size() > kMaxDistinct) {
-        capped = true;
-        break;
-      }
-    }
-    if (!capped) {
-      std::vector<std::uint64_t> vals(seen.begin(), seen.end());
-      std::sort(vals.begin(), vals.end());
-      distinct[a] = std::move(vals);
-    }
+    DistinctCollector seen;
+    seen.add(table.column(a));
+    distinct[a] = std::move(seen).finish();
   }
   derived_ = std::make_shared<const StoreDerived>(
       std::move(zones), std::move(distinct));

@@ -273,9 +273,17 @@ class PimStore {
 std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
                                                         std::size_t attr);
 
-/// Sorted attr_b codes co-occurring with each attr_a code.
+/// Sorted attr_b codes co-occurring with each attr_a code, from one
+/// scan_blocks walk. `distinct_a` / `distinct_b` are the attributes' sorted
+/// distinct codes (capped lists, so at most kMaxDistinct each): each code is
+/// indexed by its list position through a CodeIndex, every record sets one
+/// bit of an |a| x |b| bitmap (at most 2 MB), and each a code's list is
+/// read off its bitmap row in order, already sorted. A stored code missing
+/// from either list means the lists are stale: throws std::logic_error.
 std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
 build_co_occurrence(const PimStore& store, std::size_t attr_a,
-                    std::size_t attr_b, std::size_t expected);
+                    std::span<const std::uint64_t> distinct_a,
+                    std::size_t attr_b,
+                    std::span<const std::uint64_t> distinct_b);
 
 }  // namespace bbpim::engine

@@ -1,6 +1,7 @@
 #include "engine/prejoin.hpp"
 
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -20,9 +21,8 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
   struct DimPlan {
     const rel::Table* dim;
     std::size_t fk_idx;                     // in fact
-    std::size_t key_idx;                    // in dim
     std::vector<std::size_t> carried;       // dim attribute indices
-    std::unordered_map<std::uint64_t, std::size_t> key_to_row;
+    std::unordered_map<std::uint64_t, std::uint32_t> key_to_row;
   };
   std::vector<DimPlan> plans;
 
@@ -35,11 +35,14 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
     plan.fk_idx = *fk;
     const auto key = spec.dim->schema().index_of(spec.dim_key);
     if (!key) throw std::invalid_argument("prejoin: unknown key " + spec.dim_key);
-    plan.key_idx = *key;
+    if (spec.dim->row_count() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("prejoin: dimension " + spec.dim->name() +
+                                  " has more than 2^32 - 1 rows");
+    }
 
     for (std::size_t a = 0; a < spec.dim->schema().attribute_count(); ++a) {
       const std::string& aname = spec.dim->schema().attribute(a).name;
-      if (a == plan.key_idx) continue;
+      if (a == *key) continue;
       bool excluded = false;
       for (const std::string& e : spec.exclude) {
         if (e == aname) {
@@ -52,9 +55,11 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
       attrs.push_back(spec.dim->schema().attribute(a));
     }
 
-    plan.key_to_row.reserve(spec.dim->row_count());
-    for (std::size_t r = 0; r < spec.dim->row_count(); ++r) {
-      if (!plan.key_to_row.emplace(spec.dim->value(r, plan.key_idx), r).second) {
+    const std::vector<std::uint64_t>& keys = spec.dim->column(*key);
+    plan.key_to_row.reserve(keys.size());
+    for (std::size_t r = 0; r < keys.size(); ++r) {
+      if (!plan.key_to_row.emplace(keys[r], static_cast<std::uint32_t>(r))
+               .second) {
         throw std::invalid_argument("prejoin: duplicate dimension key in " +
                                     spec.dim->name());
       }
@@ -62,27 +67,34 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
     plans.push_back(std::move(plan));
   }
 
-  rel::Table out(rel::Schema(std::move(attrs)), std::move(name));
-  out.reserve(fact.row_count());
-  std::vector<std::uint64_t> row;
-  for (std::size_t r = 0; r < fact.row_count(); ++r) {
-    row.clear();
-    for (std::size_t a = 0; a < fact.schema().attribute_count(); ++a) {
-      row.push_back(fact.value(r, a));
-    }
-    for (const DimPlan& plan : plans) {
-      const auto it = plan.key_to_row.find(fact.value(r, plan.fk_idx));
+  // Column at a time: the fact columns are copied whole; per dimension,
+  // every foreign key resolves once to a dimension row, and each carried
+  // column is gathered through those rows in one pass.
+  std::vector<std::vector<std::uint64_t>> columns;
+  columns.reserve(attrs.size());
+  for (std::size_t a = 0; a < fact.schema().attribute_count(); ++a) {
+    columns.push_back(fact.column(a));
+  }
+  const std::size_t n = fact.row_count();
+  std::vector<std::uint32_t> dim_row(n);
+  for (const DimPlan& plan : plans) {
+    const std::vector<std::uint64_t>& fks = fact.column(plan.fk_idx);
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto it = plan.key_to_row.find(fks[r]);
       if (it == plan.key_to_row.end()) {
         throw std::runtime_error("prejoin: dangling foreign key in row " +
                                  std::to_string(r));
       }
-      for (const std::size_t a : plan.carried) {
-        row.push_back(plan.dim->value(it->second, a));
-      }
+      dim_row[r] = it->second;
     }
-    out.append_row(row);
+    for (const std::size_t a : plan.carried) {
+      const std::vector<std::uint64_t>& src = plan.dim->column(a);
+      std::vector<std::uint64_t>& dst = columns.emplace_back(n);
+      for (std::size_t r = 0; r < n; ++r) dst[r] = src[dim_row[r]];
+    }
   }
-  return out;
+  return rel::Table::from_columns(rel::Schema(std::move(attrs)),
+                                  std::move(name), std::move(columns));
 }
 
 UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,

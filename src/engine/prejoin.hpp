@@ -39,8 +39,16 @@ struct DimensionSpec {
 /// Equi-joins the fact relation with every dimension on its key.
 /// The output keeps all fact attributes (including the foreign keys) and
 /// appends each dimension's attributes except its key and the excluded ones.
-/// Throws when a foreign key has no match (SSB guarantees referential
-/// integrity).
+///
+/// Built a column at a time: per dimension, a key -> row hash map is built
+/// once and every foreign key resolves once into a vector of dimension
+/// rows; the fact columns are copied whole, each carried dimension column
+/// is gathered through that vector in one pass, and rel::Table::from_columns
+/// checks each output column's width once.
+///
+/// Throws std::invalid_argument on an unknown attribute or a duplicate
+/// dimension key, and std::runtime_error naming the fact row when a foreign
+/// key has no match (SSB guarantees referential integrity).
 rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
                    std::string name = "prejoined");
 

@@ -1,8 +1,55 @@
 #include "engine/snapshot_store.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "engine/pim_store.hpp"
 
 namespace bbpim::engine {
+
+CodeIndex::CodeIndex(std::size_t max_codes) : max_codes_(max_codes) {
+  std::size_t slots = 2;
+  int bits = 1;
+  while (slots < 2 * max_codes) {
+    slots <<= 1;
+    ++bits;
+  }
+  shift_ = 64 - bits;
+  mask_ = slots - 1;
+  slots_.assign(slots, kAbsent);
+  codes_.reserve(max_codes);
+}
+
+std::uint32_t CodeIndex::insert(std::uint64_t code) {
+  std::size_t s = slot(code);
+  for (; slots_[s] != kAbsent; s = (s + 1) & mask_) {
+    if (codes_[slots_[s]] == code) return slots_[s];
+  }
+  if (codes_.size() == max_codes_) {
+    throw std::length_error("CodeIndex: more than " +
+                            std::to_string(max_codes_) + " codes");
+  }
+  slots_[s] = static_cast<std::uint32_t>(codes_.size());
+  codes_.push_back(code);
+  return slots_[s];
+}
+
+bool DistinctCollector::add(std::span<const std::uint64_t> codes) {
+  for (std::size_t i = 0; i < codes.size() && !capped_; ++i) {
+    if (i > 0 && codes[i] == codes[i - 1]) continue;  // a run probes once
+    seen_.insert(codes[i]);
+    capped_ = seen_.codes().size() > kMaxDistinct;
+  }
+  return !capped_;
+}
+
+std::optional<std::vector<std::uint64_t>> DistinctCollector::finish() && {
+  if (capped_) return std::nullopt;
+  std::vector<std::uint64_t> vals = seen_.codes();
+  std::sort(vals.begin(), vals.end());
+  return vals;
+}
 
 SnapshotStats::SnapshotStats(std::vector<Distinct> distinct)
     : distinct_(std::move(distinct)),
@@ -52,11 +99,11 @@ SnapshotStats::co_occurrence(std::size_t attr_a, std::size_t attr_b,
   const auto it = co_cache_.find(key);
   if (it != co_cache_.end()) return &it->second;
 
-  auto [stored, fresh] = co_cache_.emplace(
-      key, build_co_occurrence(reader, attr_a, attr_b,
-                               distinct_[attr_a]->size()));
-  (void)fresh;
-  return &stored->second;
+  return &co_cache_
+              .emplace(key, build_co_occurrence(reader, attr_a,
+                                                *distinct_[attr_a], attr_b,
+                                                *distinct_[attr_b]))
+              .first->second;
 }
 
 StoreDerived::StoreDerived(ZoneMaps zones,

@@ -26,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -42,6 +43,57 @@ class FilterCache;
 /// attributes never qualify for pure-PIM group enumeration anyway.
 inline constexpr std::size_t kMaxDistinct = 4096;
 
+/// Dense indices 0, 1, 2, ... for at most `max_codes` codes, in insertion
+/// order: a flat open-addressing table (Fibonacci hash, linear probing,
+/// load at most 1/2) over the inserted codes. Any code width is fine.
+class CodeIndex {
+ public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  explicit CodeIndex(std::size_t max_codes);
+
+  /// Index of `code`, inserting it as the next index when new. Throws
+  /// std::length_error when a new code would exceed max_codes.
+  std::uint32_t insert(std::uint64_t code);
+  /// Index of `code`, or kAbsent.
+  std::uint32_t find(std::uint64_t code) const {
+    for (std::size_t s = slot(code);; s = (s + 1) & mask_) {
+      const std::uint32_t i = slots_[s];
+      if (i == kAbsent || codes_[i] == code) return i;
+    }
+  }
+  /// The inserted codes, in index order.
+  const std::vector<std::uint64_t>& codes() const { return codes_; }
+
+ private:
+  std::size_t slot(std::uint64_t code) const {
+    return static_cast<std::size_t>((code * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::size_t max_codes_;
+  int shift_;
+  std::size_t mask_;
+  std::vector<std::uint32_t> slots_;  // index into codes_, or kAbsent
+  std::vector<std::uint64_t> codes_;
+};
+
+/// The kMaxDistinct capping rule, in one place: the load-time stats feed it
+/// whole table columns, scan_distinct feeds it 64-record blocks.
+class DistinctCollector {
+ public:
+  DistinctCollector() : seen_(kMaxDistinct + 1) {}
+
+  /// Adds `codes`; returns false (and ignores later calls) once more than
+  /// kMaxDistinct distinct codes have been seen.
+  bool add(std::span<const std::uint64_t> codes);
+  /// The sorted distinct codes, or nullopt past the cap.
+  std::optional<std::vector<std::uint64_t>> finish() &&;
+
+ private:
+  CodeIndex seen_;
+  bool capped_ = false;
+};
+
 /// Derived statistics of one store version: distinct values per attribute
 /// and co-occurrence maps per attribute pair, filled lazily and internally
 /// synchronized. Carried forward across versions — an UPDATE to one
@@ -50,8 +102,13 @@ inline constexpr std::size_t kMaxDistinct = 4096;
 ///
 /// Lazy computation reads the crossbars of a `reader` store (the caller's
 /// PimStore, which holds this version's data), 64 records at a time through
-/// PimStore::scan_blocks. All accessors are safe to call from any number of
-/// reader threads.
+/// PimStore::scan_blocks. A co-occurrence map is built only when both
+/// attributes have capped distinct lists; build_co_occurrence indexes both
+/// lists and fills a bitmap in one walk. Since both lists are settled from
+/// the same version first, a stored value missing from either can only mean
+/// stale stats, and the build throws std::logic_error rather than index
+/// out of bounds. All accessors are safe to call from any number of reader
+/// threads.
 class SnapshotStats {
  public:
   using Distinct = std::optional<std::vector<std::uint64_t>>;

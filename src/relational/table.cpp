@@ -1,6 +1,8 @@
 #include "relational/table.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace bbpim::rel {
 
@@ -8,6 +10,32 @@ Table::Table(Schema schema, std::string name)
     : schema_(std::move(schema)),
       name_(std::move(name)),
       columns_(schema_.attribute_count()) {}
+
+Table Table::from_columns(Schema schema, std::string name,
+                          std::vector<std::vector<std::uint64_t>> columns) {
+  if (columns.size() != schema.attribute_count()) {
+    throw std::invalid_argument("Table::from_columns: arity mismatch");
+  }
+  const std::size_t rows = columns.empty() ? 0 : columns.front().size();
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    const Attribute& a = schema.attribute(i);
+    if (columns[i].size() != rows) {
+      throw std::invalid_argument("Table::from_columns: column '" + a.name +
+                                  "' has " + std::to_string(columns[i].size()) +
+                                  " rows, expected " + std::to_string(rows));
+    }
+    std::uint64_t any = 0;
+    for (const std::uint64_t v : columns[i]) any |= v;
+    if (a.bits < 64 && any >> a.bits) {
+      throw std::invalid_argument("Table::from_columns: value overflows '" +
+                                  a.name + "'");
+    }
+  }
+  Table t(std::move(schema), std::move(name));
+  t.columns_ = std::move(columns);
+  t.rows_ = rows;
+  return t;
+}
 
 void Table::append_row(std::span<const std::uint64_t> values) {
   if (values.size() != schema_.attribute_count()) {

@@ -19,6 +19,12 @@ class Table {
   Table() = default;
   explicit Table(Schema schema, std::string name = {});
 
+  /// Builds a table from whole columns: one per attribute, all of one
+  /// length, every value within its attribute's bit width. Each column is
+  /// checked once, by OR-ing its values and testing the result's width.
+  static Table from_columns(Schema schema, std::string name,
+                            std::vector<std::vector<std::uint64_t>> columns);
+
   const Schema& schema() const { return schema_; }
   const std::string& name() const { return name_; }
   std::size_t row_count() const { return rows_; }

@@ -1,5 +1,6 @@
-// Tests for the CSV round-trip, the endurance report, the technology
-// presets, and LatencyModels serialization.
+// Tests for the endurance report, the technology presets, and
+// LatencyModels serialization. (The file name predates the removal of the
+// CSV reader and writer, whose cases lived here.)
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,61 +8,9 @@
 #include "engine/latency_model.hpp"
 #include "pim/endurance.hpp"
 #include "pim/technology.hpp"
-#include "relational/csv.hpp"
 
 namespace bbpim {
 namespace {
-
-TEST(Csv, RoundTripMixedTypes) {
-  std::istringstream in(
-      "id,city,amount\n"
-      "1,Haifa,100\n"
-      "2,\"Tel Aviv, Jaffa\",250\n"
-      "3,\"Quote \"\"this\"\"\",7\n");
-  const rel::Table t = rel::read_csv(in, "trips");
-  ASSERT_EQ(t.row_count(), 3u);
-  ASSERT_EQ(t.schema().attribute_count(), 3u);
-  EXPECT_EQ(t.schema().attribute(0).type, rel::DataType::kInt);
-  EXPECT_EQ(t.schema().attribute(1).type, rel::DataType::kString);
-  EXPECT_EQ(t.schema().attribute(2).type, rel::DataType::kInt);
-  EXPECT_EQ(t.display(1, 1), "Tel Aviv, Jaffa");
-  EXPECT_EQ(t.display(2, 1), "Quote \"this\"");
-  EXPECT_EQ(t.value(1, 2), 250u);
-
-  // Export -> import is lossless.
-  std::ostringstream out;
-  rel::write_csv(t, out);
-  std::istringstream in2(out.str());
-  const rel::Table t2 = rel::read_csv(in2);
-  ASSERT_EQ(t2.row_count(), t.row_count());
-  for (std::size_t r = 0; r < t.row_count(); ++r) {
-    for (std::size_t a = 0; a < 3; ++a) {
-      EXPECT_EQ(t2.display(r, a), t.display(r, a)) << r << "," << a;
-    }
-  }
-}
-
-TEST(Csv, IntWidthInference) {
-  std::istringstream in("a,b\n0,1023\n5,0\n");
-  const rel::Table t = rel::read_csv(in);
-  EXPECT_EQ(t.schema().attribute(0).bits, 3u);   // max 5
-  EXPECT_EQ(t.schema().attribute(1).bits, 10u);  // max 1023
-}
-
-TEST(Csv, Errors) {
-  std::istringstream empty("");
-  EXPECT_THROW(rel::read_csv(empty), std::invalid_argument);
-  std::istringstream ragged("a,b\n1\n");
-  EXPECT_THROW(rel::read_csv(ragged), std::invalid_argument);
-  std::istringstream unterminated("a\n\"oops\n");
-  EXPECT_THROW(rel::read_csv(unterminated), std::invalid_argument);
-}
-
-TEST(Csv, NegativeNumbersBecomeStrings) {
-  std::istringstream in("v\n-5\n3\n");
-  const rel::Table t = rel::read_csv(in);
-  EXPECT_EQ(t.schema().attribute(0).type, rel::DataType::kString);
-}
 
 TEST(Endurance, ReportMath) {
   pim::PimConfig cfg;  // 512 cells per row

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "engine/prejoin.hpp"
 #include "engine_test_util.hpp"
@@ -67,7 +68,14 @@ TEST(Prejoin, DanglingKeyAndDuplicatesRejected) {
   fact.append_row(bad);
   const rel::Table dim = make_dim();
   const DimensionSpec specs[] = {{&dim, "f_fk", "d_key", {}}};
-  EXPECT_THROW(prejoin(fact, specs), std::runtime_error);
+  try {
+    prejoin(fact, specs);
+    ADD_FAILURE() << "a dangling foreign key must throw";
+  } catch (const std::runtime_error& e) {
+    // The message names the fact row (the appended 101st row, index 100).
+    EXPECT_NE(std::string(e.what()).find("in row 100"), std::string::npos)
+        << e.what();
+  }
 
   rel::Table dup = make_dim();
   const std::uint64_t dup_row[] = {3, 0, 0, 0};

@@ -91,5 +91,34 @@ TEST(TableTest, AppendAndAccess) {
   EXPECT_THROW(t.append_row(wrong_arity), std::invalid_argument);
 }
 
+TEST(TableTest, FromColumns) {
+  const Schema schema({{"k", DataType::kInt, 10, nullptr},
+                       {"w", DataType::kInt, 64, nullptr}});
+  const Table t = Table::from_columns(schema, "cols",
+                                      {{5, 1023, 0}, {~0ULL, 1, 2}});
+  EXPECT_EQ(t.name(), "cols");
+  EXPECT_EQ(t.row_count(), 3u);
+  EXPECT_EQ(t.value(1, 0), 1023u);
+  EXPECT_EQ(t.value(0, 1), ~0ULL);
+  EXPECT_EQ(Table::from_columns(schema, "empty", {{}, {}}).row_count(), 0u);
+
+  // Arity: one column per attribute.
+  EXPECT_THROW(Table::from_columns(schema, "short", {{1, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(Table::from_columns(schema, "long", {{1}, {2}, {3}}),
+               std::invalid_argument);
+  // Ragged columns, either one shorter.
+  EXPECT_THROW(Table::from_columns(schema, "ragged", {{1, 2}, {3}}),
+               std::invalid_argument);
+  EXPECT_THROW(Table::from_columns(schema, "ragged", {{1}, {2, 3}}),
+               std::invalid_argument);
+  // A value past the attribute's width, anywhere in the column.
+  EXPECT_THROW(Table::from_columns(schema, "wide", {{5, 1024, 0}, {1, 2, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW(Table::from_columns(schema, "wide", {{5, 0, 1ULL << 40},
+                                                    {1, 2, 3}}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace bbpim::rel

@@ -23,9 +23,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "db/db.hpp"
@@ -122,98 +125,187 @@ TEST(SnapshotStore, CopyOnWriteIsolatesPinnedReaders) {
       << "a selective update must leave most crossbars shared";
 }
 
-TEST(SnapshotStore, DerivedStateIsPerVersion) {
-  // A seeded UPDATE sequence with a view pinned at every version. Each
-  // view's distinct stats, co-occurrence maps and zone sketches must equal a
-  // recompute from that view's own crossbars: no later UPDATE may leak
-  // into an earlier version's derived state, and no lazily filled entry
-  // may be computed from another version's data. Even versions warm their
-  // stats at pin time (so carry-forward copies see filled caches); odd
-  // versions fill lazily at the end, after every later version exists.
-  ManagerFixture fx(600, 5);
-  const rel::Schema& schema = fx.table->schema();
-  const std::size_t nattrs = schema.attribute_count();
-  const std::size_t f_val2 = *schema.index_of("f_val2");
-  const std::pair<std::size_t, std::size_t> pairs[] = {
-      {*schema.index_of("f_gid"), *schema.index_of("d_tag")},
-      {*schema.index_of("d_tag"), f_val2},
-      {f_val2, *schema.index_of("f_gid")},
-  };
-  const auto warm = [&](const engine::PimStore& store) {
-    for (std::size_t a = 0; a < nattrs; ++a) store.distinct_values(a);
-    for (const auto& [a, b] : pairs) store.co_occurrence(a, b);
-  };
-
-  // SET targets and their code ranges; d_tag never takes 7 here, so
-  // "WHERE d_tag = 7" matches nothing.
-  const std::pair<const char*, std::uint64_t> targets[] = {
-      {"f_gid", 10}, {"f_val2", 50}, {"d_tag", 7}, {"f_val", 1000}};
-  Rng rng(2024);
-  std::vector<std::string> updates;
-  for (int i = 0; i < 22; ++i) {
-    const auto& [set, set_codes] = targets[rng.next_below(4)];
-    const auto& [where, where_codes] = targets[rng.next_below(3)];
-    updates.push_back("UPDATE synthetic SET " + std::string(set) + " = " +
-                      std::to_string(rng.next_below(set_codes)) + " WHERE " +
-                      where + " = " +
-                      std::to_string(rng.next_below(where_codes)));
+/// Independent oracles for the derived statistics: plain ordered
+/// containers filled one record at a time through PimStore::read_attr.
+std::optional<std::vector<std::uint64_t>> reference_distinct(
+    const engine::PimStore& store, std::size_t attr) {
+  std::set<std::uint64_t> seen;
+  for (std::size_t r = 0; r < store.record_count(); ++r) {
+    seen.insert(store.read_attr(r, attr));
   }
-  updates[6] = "UPDATE synthetic SET f_val2 = 60 WHERE f_gid = 1";  // new code
-  updates[13] = "UPDATE synthetic SET f_val = 5 WHERE d_tag = 7";   // no match
+  if (seen.size() > engine::kMaxDistinct) return std::nullopt;
+  return std::vector<std::uint64_t>(seen.begin(), seen.end());
+}
 
-  std::vector<std::unique_ptr<ManagerFixture::View>> views;
-  views.push_back(
-      std::make_unique<ManagerFixture::View>(fx, fx.mgr->acquire(fx.hcfg)));
-  warm(views.back()->store);
-  for (const std::string& u : updates) {
-    fx.mgr->apply_update(bound(*fx.table, u), fx.hcfg, nullptr);
+std::map<std::uint64_t, std::vector<std::uint64_t>> reference_co_occurrence(
+    const engine::PimStore& store, std::size_t attr_a, std::size_t attr_b) {
+  std::map<std::uint64_t, std::set<std::uint64_t>> co;
+  for (std::size_t r = 0; r < store.record_count(); ++r) {
+    co[store.read_attr(r, attr_a)].insert(store.read_attr(r, attr_b));
+  }
+  std::map<std::uint64_t, std::vector<std::uint64_t>> out;
+  for (const auto& [a, bs] : co) out[a].assign(bs.begin(), bs.end());
+  return out;
+}
+
+/// The store's co-occurrence map in the oracle's shape; the per-key value
+/// order is kept, so comparing with the oracle also checks it is sorted.
+std::map<std::uint64_t, std::vector<std::uint64_t>> ordered(
+    const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>& co) {
+  return {co.begin(), co.end()};
+}
+
+TEST(SnapshotStore, DerivedStateIsPerVersion) {
+  // Seeded UPDATE sequences with a view pinned at every version. Each
+  // view's distinct stats and co-occurrence maps must equal a row-by-row
+  // reference over that view's own crossbars, and its zone sketches a
+  // recompute from them: no later UPDATE may leak into an earlier
+  // version's derived state, and no lazily filled entry may be computed
+  // from another version's data. Even versions warm their stats at pin
+  // time (so carry-forward copies see filled caches); odd versions fill
+  // lazily at the end, after every later version exists.
+  for (const std::uint64_t seed : {5u, 17u, 2024u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ManagerFixture fx(600, seed);
+    const rel::Schema& schema = fx.table->schema();
+    const std::size_t nattrs = schema.attribute_count();
+    const std::size_t f_val2 = *schema.index_of("f_val2");
+    const std::pair<std::size_t, std::size_t> pairs[] = {
+        {*schema.index_of("f_gid"), *schema.index_of("d_tag")},
+        {*schema.index_of("d_tag"), f_val2},
+        {f_val2, *schema.index_of("f_gid")},
+        {*schema.index_of("f_key"), *schema.index_of("f_val")},
+    };
+    const auto warm = [&](const engine::PimStore& store) {
+      for (std::size_t a = 0; a < nattrs; ++a) store.distinct_values(a);
+      for (const auto& [a, b] : pairs) store.co_occurrence(a, b);
+    };
+
+    // SET targets and their code ranges; d_tag never takes 7 here, so
+    // "WHERE d_tag = 7" matches nothing.
+    const std::pair<const char*, std::uint64_t> targets[] = {
+        {"f_gid", 10}, {"f_val2", 50}, {"d_tag", 7}, {"f_val", 1000}};
+    Rng rng(seed + 2019);
+    std::vector<std::string> updates;
+    for (int i = 0; i < 22; ++i) {
+      const auto& [set, set_codes] = targets[rng.next_below(4)];
+      const auto& [where, where_codes] = targets[rng.next_below(3)];
+      updates.push_back("UPDATE synthetic SET " + std::string(set) + " = " +
+                        std::to_string(rng.next_below(set_codes)) + " WHERE " +
+                        where + " = " +
+                        std::to_string(rng.next_below(where_codes)));
+    }
+    updates[6] = "UPDATE synthetic SET f_val2 = 60 WHERE f_gid = 1";  // new
+    updates[13] = "UPDATE synthetic SET f_val = 5 WHERE d_tag = 7";   // none
+
+    std::vector<std::unique_ptr<ManagerFixture::View>> views;
     views.push_back(
         std::make_unique<ManagerFixture::View>(fx, fx.mgr->acquire(fx.hcfg)));
-    if (views.size() % 2 == 1) warm(views.back()->store);
-  }
-  ASSERT_EQ(views.back()->store.data_version(), updates.size());
+    warm(views.back()->store);
+    for (const std::string& u : updates) {
+      fx.mgr->apply_update(bound(*fx.table, u), fx.hcfg, nullptr);
+      views.push_back(std::make_unique<ManagerFixture::View>(
+          fx, fx.mgr->acquire(fx.hcfg)));
+      if (views.size() % 2 == 1) warm(views.back()->store);
+    }
+    ASSERT_EQ(views.back()->store.data_version(), updates.size());
 
-  bool saw_code_60 = false;
-  for (const auto& view : views) {
-    const engine::PimStore& store = view->store;
-    const std::string what = "version " + std::to_string(store.data_version());
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      EXPECT_EQ(store.distinct_values(a),
-                engine::scan_distinct(store, a))
-          << what << ", attr " << a;
-    }
-    const auto& f_val2_values = store.distinct_values(f_val2);
-    saw_code_60 |= f_val2_values && std::binary_search(f_val2_values->begin(),
-                                                       f_val2_values->end(), 60);
-    for (const auto& [a, b] : pairs) {
-      const auto* co = store.co_occurrence(a, b);
-      ASSERT_NE(co, nullptr) << what;
-      EXPECT_EQ(*co, engine::build_co_occurrence(
-                         store, a, b, store.distinct_values(a)->size()))
-          << what << ", pair " << a << "," << b;
-    }
-    const engine::ZoneMaps& zones = store.zone_maps();
-    for (std::size_t a = 0; a < nattrs; ++a) {
-      for (std::size_t x = 0; x < zones.crossbar_count(); ++x) {
-        engine::ZoneSketch want;
-        const std::size_t first = x * fx.pim.crossbar_rows;
-        store.scan_blocks({&a, 1}, first, first + fx.pim.crossbar_rows,
-                          [&](std::size_t, std::uint32_t count,
-                              std::span<const pim::RowBlock> blocks) {
-                            for (std::uint32_t j = 0; j < count; ++j) {
-                              want.add(blocks[0][j], zones.bitmap_attr(a));
-                            }
-                            return true;
-                          });
-        const engine::ZoneSketch& got = zones.sketch(a, x);
-        EXPECT_EQ(got.min, want.min) << what << ", attr " << a << ", xb " << x;
-        EXPECT_EQ(got.max, want.max) << what << ", attr " << a << ", xb " << x;
-        EXPECT_EQ(got.codes, want.codes)
-            << what << ", attr " << a << ", xb " << x;
+    bool saw_code_60 = false;
+    for (const auto& view : views) {
+      const engine::PimStore& store = view->store;
+      const std::string what =
+          "version " + std::to_string(store.data_version());
+      for (std::size_t a = 0; a < nattrs; ++a) {
+        EXPECT_EQ(store.distinct_values(a), reference_distinct(store, a))
+            << what << ", attr " << a;
+      }
+      const auto& f_val2_values = store.distinct_values(f_val2);
+      saw_code_60 |= f_val2_values &&
+                     std::binary_search(f_val2_values->begin(),
+                                        f_val2_values->end(), 60);
+      for (const auto& [a, b] : pairs) {
+        const auto* co = store.co_occurrence(a, b);
+        ASSERT_NE(co, nullptr) << what;
+        EXPECT_EQ(ordered(*co), reference_co_occurrence(store, a, b))
+            << what << ", pair " << a << "," << b;
+      }
+      const engine::ZoneMaps& zones = store.zone_maps();
+      for (std::size_t a = 0; a < nattrs; ++a) {
+        for (std::size_t x = 0; x < zones.crossbar_count(); ++x) {
+          engine::ZoneSketch want;
+          const std::size_t first = x * fx.pim.crossbar_rows;
+          store.scan_blocks({&a, 1}, first, first + fx.pim.crossbar_rows,
+                            [&](std::size_t, std::uint32_t count,
+                                std::span<const pim::RowBlock> blocks) {
+                              for (std::uint32_t j = 0; j < count; ++j) {
+                                want.add(blocks[0][j], zones.bitmap_attr(a));
+                              }
+                              return true;
+                            });
+          const engine::ZoneSketch& got = zones.sketch(a, x);
+          EXPECT_EQ(got.min, want.min)
+              << what << ", attr " << a << ", xb " << x;
+          EXPECT_EQ(got.max, want.max)
+              << what << ", attr " << a << ", xb " << x;
+          EXPECT_EQ(got.codes, want.codes)
+              << what << ", attr " << a << ", xb " << x;
+        }
       }
     }
+    EXPECT_TRUE(saw_code_60) << "the new-code UPDATE must reach some version";
   }
-  EXPECT_TRUE(saw_code_60) << "the new-code UPDATE must reach some version";
+}
+
+/// A store over a table with a 40-bit attribute: `wide` takes 12 values
+/// spread above 2^32, `grp` 6 values, and `wide` is a function of the row
+/// index so every grp value pairs with several wide values.
+struct WideFixture {
+  pim::PimConfig pim = testutil::small_pim_config();
+  pim::PimModule module{pim};
+  rel::Table table;
+  std::unique_ptr<engine::PimStore> store;
+
+  WideFixture() {
+    table = rel::Table(rel::Schema({{"wide", rel::DataType::kInt, 40, nullptr},
+                                    {"grp", rel::DataType::kInt, 3, nullptr}}),
+                       "wide");
+    Rng rng(77);
+    for (std::uint64_t r = 0; r < 700; ++r) {
+      const std::uint64_t row[] = {(1ULL << 39) + (r % 12) * (1ULL << 33) + r % 5,
+                                   rng.next_below(6)};
+      table.append_row(row);
+    }
+    store = std::make_unique<engine::PimStore>(module, table);
+  }
+};
+
+TEST(SnapshotStore, CoOccurrenceOfWideAttribute) {
+  WideFixture fx;
+  for (const auto& [a, b] : {std::pair<std::size_t, std::size_t>{0, 1},
+                             std::pair<std::size_t, std::size_t>{1, 0}}) {
+    ASSERT_TRUE(fx.store->distinct_values(a).has_value());
+    EXPECT_EQ(fx.store->distinct_values(a), reference_distinct(*fx.store, a));
+    const auto* co = fx.store->co_occurrence(a, b);
+    ASSERT_NE(co, nullptr);
+    EXPECT_EQ(ordered(*co), reference_co_occurrence(*fx.store, a, b))
+        << "pair " << a << "," << b;
+  }
+  EXPECT_GT(fx.store->distinct_values(0)->front(), 1ULL << 32);
+}
+
+TEST(SnapshotStore, StaleDistinctListThrows) {
+  // A distinct list lacking a stored value can only be stale; the build
+  // must refuse it rather than index past its bitmap.
+  WideFixture fx;
+  std::vector<std::uint64_t> wide = *fx.store->distinct_values(0);
+  const std::vector<std::uint64_t> grp = *fx.store->distinct_values(1);
+  wide.erase(wide.begin() + 3);
+  EXPECT_THROW(engine::build_co_occurrence(*fx.store, 0, wide, 1, grp),
+               std::logic_error);
+  EXPECT_THROW(engine::build_co_occurrence(*fx.store, 1, grp, 0, wide),
+               std::logic_error);
+  EXPECT_NO_THROW(engine::build_co_occurrence(
+      *fx.store, 1, grp, 0, *fx.store->distinct_values(0)));
 }
 
 TEST(SnapshotStore, RetiredSnapshotsReclaimWhenReadersDrain) {

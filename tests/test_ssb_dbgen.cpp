@@ -2,7 +2,12 @@
 // preserved selectivities, and the pre-joined relation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "sql/logical_plan.hpp"
 #include "sql/parser.hpp"
@@ -178,6 +183,62 @@ TEST_F(DbgenFixture, PrejoinedShape) {
   }
   // One record fits a single 512-bit crossbar row (the paper's claim).
   EXPECT_LE(pj.schema().record_bits() + 1, 512u);
+
+  // Column for column, the same relation as a row-by-row reference join:
+  // the lineorder attributes, then each dimension's attributes other than
+  // its key and the dropped NAME/ADDRESS texts, looked up through an
+  // ordered key -> row map.
+  struct Dim {
+    const rel::Table* table;
+    const char* fk;
+    const char* key;
+    std::vector<std::string> drop;
+  };
+  const Dim dims[] = {
+      {&data().date, "lo_orderdate", "d_datekey", {"d_datekey"}},
+      {&data().customer, "lo_custkey", "c_custkey",
+       {"c_custkey", "c_name", "c_address"}},
+      {&data().supplier, "lo_suppkey", "s_suppkey",
+       {"s_suppkey", "s_name", "s_address"}},
+      {&data().part, "lo_partkey", "p_partkey", {"p_partkey"}},
+  };
+  const rel::Table& lo = data().lineorder;
+  std::vector<rel::Attribute> want_attrs = lo.schema().attributes();
+  std::vector<std::vector<std::uint64_t>> want(want_attrs.size());
+  for (std::size_t r = 0; r < lo.row_count(); ++r) {
+    for (std::size_t a = 0; a < lo.schema().attribute_count(); ++a) {
+      want[a].push_back(lo.value(r, a));
+    }
+  }
+  for (const Dim& dim : dims) {
+    const rel::Schema& ds = dim.table->schema();
+    const std::size_t key = *ds.index_of(dim.key);
+    std::map<std::uint64_t, std::size_t> row_of;
+    for (std::size_t r = 0; r < dim.table->row_count(); ++r) {
+      row_of.emplace(dim.table->value(r, key), r);
+    }
+    const std::size_t fk = *lo.schema().index_of(dim.fk);
+    for (std::size_t a = 0; a < ds.attribute_count(); ++a) {
+      if (std::find(dim.drop.begin(), dim.drop.end(), ds.attribute(a).name) !=
+          dim.drop.end()) {
+        continue;
+      }
+      want_attrs.push_back(ds.attribute(a));
+      std::vector<std::uint64_t>& col = want.emplace_back();
+      for (std::size_t r = 0; r < lo.row_count(); ++r) {
+        col.push_back(dim.table->value(row_of.at(lo.value(r, fk)), a));
+      }
+    }
+  }
+  ASSERT_EQ(pj.schema().attribute_count(), want_attrs.size());
+  for (std::size_t a = 0; a < want_attrs.size(); ++a) {
+    const rel::Attribute& got = pj.schema().attribute(a);
+    EXPECT_EQ(got.name, want_attrs[a].name) << a;
+    EXPECT_EQ(got.type, want_attrs[a].type) << got.name;
+    EXPECT_EQ(got.bits, want_attrs[a].bits) << got.name;
+    EXPECT_EQ(got.dict, want_attrs[a].dict) << got.name;
+    EXPECT_EQ(pj.column(a), want[a]) << got.name;
+  }
 }
 
 TEST_F(DbgenFixture, RevenueDerivation) {
