@@ -13,6 +13,7 @@
 #include "common/table_printer.hpp"
 #include "common/units.hpp"
 #include "db/db.hpp"
+#include "harness.hpp"
 #include "ssb/dbgen.hpp"
 #include "ssb/queries.hpp"
 
@@ -26,11 +27,10 @@ int main() {
   TablePrinter t({"theta", "sampled groups", "largest mass", "chosen k",
                   "hybrid [ms]", "k=0 [ms]", "pure-pim [ms]"});
   for (const double theta : {0.0, 0.4, 0.75, 1.1}) {
-    ssb::SsbConfig gen;
-    gen.scale_factor = 0.05;
-    gen.zipf_theta = theta;
-    std::cerr << "[ablation_skew] theta=" << theta << "...\n";
-    const ssb::SsbData data = ssb::generate(gen);
+    bench::BenchConfig cfg;
+    cfg.scale_factor = 0.05;
+    cfg.zipf_theta = theta;
+    const ssb::SsbData data = bench::generate_data(cfg);
     db::Database database;
     database.register_table(ssb::prejoin_ssb(data));
     db::Session session(database, opts);

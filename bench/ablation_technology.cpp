@@ -12,6 +12,7 @@
 #include "common/table_printer.hpp"
 #include "common/units.hpp"
 #include "db/db.hpp"
+#include "harness.hpp"
 #include "pim/endurance.hpp"
 #include "pim/technology.hpp"
 #include "ssb/dbgen.hpp"
@@ -20,11 +21,9 @@
 int main() {
   using namespace bbpim;
 
-  ssb::SsbConfig gen;
-  gen.scale_factor = 0.05;
-  std::cerr << "[ablation_technology] generating SSB sf=" << gen.scale_factor
-            << "...\n";
-  const ssb::SsbData data = ssb::generate(gen);
+  bench::BenchConfig cfg;
+  cfg.scale_factor = 0.05;
+  const ssb::SsbData data = bench::generate_data(cfg);
 
   db::Database database;
   database.register_table(ssb::prejoin_ssb(data));

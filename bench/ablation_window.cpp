@@ -19,14 +19,8 @@
 int main() {
   using namespace bbpim;
 
-  bench::BenchConfig wcfg = bench::BenchConfig::from_env();
-  ssb::SsbConfig gen;
-  gen.scale_factor = wcfg.scale_factor;
-  gen.zipf_theta = wcfg.zipf_theta;
-  gen.seed = wcfg.seed;
-  std::cerr << "[ablation_window] generating SSB sf=" << gen.scale_factor
-            << "...\n";
-  const ssb::SsbData data = ssb::generate(gen);
+  const ssb::SsbData data =
+      bench::generate_data(bench::BenchConfig::from_env());
 
   db::Database database;
   database.register_table(ssb::prejoin_ssb(data));

@@ -1,10 +1,16 @@
 #include "harness.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
+#include "common/parallel.hpp"
 #include "pim/endurance.hpp"
 
 namespace bbpim::bench {
@@ -13,19 +19,6 @@ namespace {
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atof(v) : fallback;
-}
-
-ssb::SsbData generate_data(const BenchConfig& cfg) {
-  if (cfg.verbose) {
-    std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor
-              << ", theta=" << cfg.zipf_theta << ", seed=" << cfg.seed
-              << ")...\n";
-  }
-  ssb::SsbConfig gen;
-  gen.scale_factor = cfg.scale_factor;
-  gen.zipf_theta = cfg.zipf_theta;
-  gen.seed = cfg.seed;
-  return ssb::generate(gen);
 }
 
 db::Database make_database(const ssb::SsbData& data, const BenchConfig& cfg) {
@@ -40,6 +33,19 @@ db::Database make_database(const ssb::SsbData& data, const BenchConfig& cfg) {
 }
 
 }  // namespace
+
+ssb::SsbData generate_data(const BenchConfig& cfg) {
+  if (cfg.verbose) {
+    std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor
+              << ", theta=" << cfg.zipf_theta << ", seed=" << kSeed
+              << ")...\n";
+  }
+  ssb::SsbConfig gen;
+  gen.scale_factor = cfg.scale_factor;
+  gen.zipf_theta = cfg.zipf_theta;
+  gen.seed = kSeed;
+  return ssb::generate(gen);
+}
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
@@ -73,7 +79,6 @@ BenchConfig BenchConfig::from_env() {
   BenchConfig cfg;
   cfg.scale_factor = env_double("BBPIM_SF", cfg.scale_factor);
   cfg.zipf_theta = env_double("BBPIM_THETA", cfg.zipf_theta);
-  cfg.seed = env_u64("BBPIM_SEED", cfg.seed);
   return cfg;
 }
 
@@ -104,6 +109,105 @@ db::SessionOptions bench_session_options(const BenchConfig& cfg) {
   opts.model_cache_tag = tag.str();
   opts.verbose = cfg.verbose;
   return opts;
+}
+
+db::SessionOptions serving_session_options(const BenchConfig& cfg) {
+  db::SessionOptions opts = bench_session_options(cfg);
+  opts.verbose = false;
+  opts.models = std::make_shared<db::ModelCache>(opts.model_cache_dir,
+                                                 opts.model_cache_tag);
+  return opts;
+}
+
+std::vector<std::uint64_t> reference_digests(const ssb::SsbData& data,
+                                             const db::SessionOptions& opts) {
+  db::Database database;
+  database.register_table(ssb::prejoin_ssb(data));
+  db::Session session(database, opts);
+  std::vector<std::uint64_t> digests;
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    digests.push_back(row_digest(session.execute(q.sql)));
+  }
+  return digests;
+}
+
+std::vector<std::size_t> hot_skew_stream(std::uint64_t seed, std::size_t count,
+                                         std::size_t n) {
+  std::vector<double> cdf(n);
+  double mass = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    mass += 1.0 / static_cast<double>(i + 1);
+    cdf[i] = mass;
+  }
+  std::uint64_t state = seed;
+  std::vector<std::size_t> stream;
+  stream.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u =
+        static_cast<double>(state >> 11) / 9007199254740992.0 * mass;
+    std::size_t idx = 0;
+    while (idx + 1 < n && cdf[idx] < u) ++idx;
+    stream.push_back(idx);
+  }
+  return stream;
+}
+
+double percentile(std::vector<double>& v, std::size_t num, std::size_t den) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1, v.size() * num / den)];
+}
+
+namespace {
+
+/// JSON has no NaN or infinity.
+double finite(const std::string& name, double value) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("Ledger: non-finite " + name);
+  }
+  return value;
+}
+
+}  // namespace
+
+Ledger::Ledger(std::string bench) : bench_(std::move(bench)) {}
+
+void Ledger::set(const std::string& key, double value) {
+  header_.emplace_back(key, finite(key, value));
+}
+
+void Ledger::record(const std::string& arm, const std::string& query,
+                    const std::string& layer, Clock clock,
+                    const std::string& metric, double value) {
+  static constexpr const char* kClockNames[] = {"modeled", "wall", "count"};
+  std::ostringstream out;
+  out.precision(std::numeric_limits<double>::max_digits10);
+  out << "{\"arm\": \"" << arm << "\", \"query\": \"" << query
+      << "\", \"layer\": \"" << layer << "\", \"clock\": \""
+      << kClockNames[static_cast<int>(clock)] << "\", \"metric\": \"" << metric
+      << "\", \"value\": " << finite(metric, value) << "}";
+  records_.push_back(out.str());
+}
+
+void Ledger::write() const {
+  const std::string path = "BENCH_" + bench_ + ".json";
+  std::ofstream json(path);
+  json.precision(std::numeric_limits<double>::max_digits10);
+  json << "{\n  \"bench\": \"" << bench_ << "\",\n  \"hardware_threads\": "
+       << hardware_threads() << ",\n";
+  for (const auto& [key, value] : header_) {
+    json << "  \"" << key << "\": " << value << ",\n";
+  }
+  json << "  \"records\": [\n";
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    json << "    " << records_[i] << (i + 1 < records_.size() ? "," : "")
+         << "\n";
+  }
+  json << "  ]\n}\n";
+  json.close();
+  if (!json) throw std::runtime_error("Ledger: cannot write " + path);
+  std::cout << "wrote " << path << "\n";
 }
 
 BenchWorld::BenchWorld(BenchConfig cfg)

@@ -7,6 +7,11 @@
 // owns the three PIM engines; the MonetDB-like baseline is kept alongside
 // for the mnt-reg star-schema plans the facade does not model. Each bench
 // binary regenerates one paper table/figure from the same runs.
+//
+// The speed programs share the pieces below the world as well: SSB
+// generation, the serving session options, the serial reference digests,
+// the hot-skewed statement stream, one percentile rule, and the Ledger, the
+// one writer of their BENCH_<bench>.json files.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +32,12 @@ namespace bbpim::bench {
 /// Ten years of back-to-back execution, the Fig. 9 horizon.
 inline constexpr double kTenYearsNs = 10 * 365.25 * 24 * 3600 * 1e9;
 
+/// Seed of the SSB generator and of every bench workload draw.
+inline constexpr std::uint64_t kSeed = 42;
+
 struct BenchConfig {
   double scale_factor = 0.1;   ///< BBPIM_SF
   double zipf_theta = 0.75;    ///< BBPIM_THETA
-  std::uint64_t seed = 42;     ///< BBPIM_SEED
   bool verbose = true;
 
   static BenchConfig from_env();
@@ -96,6 +103,9 @@ class BenchWorld {
   std::vector<QueryRun> runs_;
 };
 
+/// The SSB tables at the config's scale factor and skew, seeded by kSeed.
+ssb::SsbData generate_data(const BenchConfig& cfg);
+
 /// Unsigned integer from environment variable `name`, else `fallback`.
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
@@ -111,5 +121,56 @@ engine::FitConfig bench_fit_config();
 /// The session options every bench shares: bench fitting grid, disk model
 /// cache in the working directory, verbosity from the config.
 db::SessionOptions bench_session_options(const BenchConfig& cfg);
+
+/// bench_session_options for serving benches that open many sessions: quiet,
+/// and every session shares one ModelCache, so the models are fitted (or
+/// loaded from disk) once per process.
+db::SessionOptions serving_session_options(const BenchConfig& cfg);
+
+/// row_digest of each of the 13 SSB queries, in ssb::queries() order, from
+/// one serial session over a fresh pre-joined catalog: the row oracle every
+/// concurrently served result must match.
+std::vector<std::uint64_t> reference_digests(const ssb::SsbData& data,
+                                             const db::SessionOptions& opts);
+
+/// Deterministic hot-skewed stream of `count` indices below `n`: index r is
+/// drawn with probability proportional to 1/(r+1) from an LCG started at
+/// `seed`. Streams share the hot head, the duplicate traffic a shared scan
+/// deduplicates, while the tail keeps batches mixed.
+std::vector<std::size_t> hot_skew_stream(std::uint64_t seed, std::size_t count,
+                                         std::size_t n);
+
+/// Nearest-rank percentile num/den of `v` (sorts `v`; 0 when empty).
+double percentile(std::vector<double>& v, std::size_t num, std::size_t den);
+
+/// The one writer of BENCH_<bench>.json. The file holds a header (`bench`,
+/// `hardware_threads`, then the run's values set with set()) and `records`,
+/// a flat list of {arm, query, layer, clock, metric, value}. `layer` names
+/// the measured module (e.g. "db.service", "engine.query_exec"). Records
+/// hold raw values only: ratios between arms are for the text tables.
+/// Numbers print at max_digits10, so a file reads back bit for bit.
+class Ledger {
+ public:
+  enum class Clock { kModeled, kWall, kCount };
+
+  explicit Ledger(std::string bench);
+
+  /// One header value: a config value of the run. set() and record()
+  /// throw std::invalid_argument on a non-finite value.
+  void set(const std::string& key, double value);
+
+  void record(const std::string& arm, const std::string& query,
+              const std::string& layer, Clock clock, const std::string& metric,
+              double value);
+
+  /// Writes BENCH_<bench>.json in the working directory; throws
+  /// std::runtime_error when the file cannot be written.
+  void write() const;
+
+ private:
+  std::string bench_;
+  std::vector<std::pair<std::string, double>> header_;
+  std::vector<std::string> records_;  ///< rendered JSON objects
+};
 
 }  // namespace bbpim::bench

@@ -20,21 +20,20 @@
 // serve immutable epoch-pinned snapshots, updates copy-on-write a successor
 // version — measured rather than asserted.
 //
-// Emits BENCH_htap_mix.json in the working directory.
+// Writes BENCH_htap_mix.json (bench::Ledger) in the working directory.
 //
-// Env: BBPIM_SF (default 0.05), BBPIM_HTAP_OPS (statements per run, default
-// 64), BBPIM_HTAP_UPDATE_PCT (default 25), BBPIM_HTAP_MAX_WORKERS (default
-// 8), BBPIM_THETA (workload skew, default 0.75).
+// Env: BBPIM_SF (default 0.1), BBPIM_HTAP_OPS (statements per run, default
+// 64), BBPIM_HTAP_MAX_WORKERS (default 8), BBPIM_THETA (workload skew,
+// default 0.75). 25% of the statements are updates.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table_printer.hpp"
 #include "common/zipf.hpp"
@@ -54,53 +53,33 @@ struct Done {
   db::ResultSet result;
 };
 
-/// Order-independent digest of one result's rows.
-std::uint64_t row_checksum(const db::ResultSet& rs) {
-  std::uint64_t sum = 0;
-  for (const auto& row : rs.rows()) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint64_t g : row.group) h = (h ^ g) * 1099511628211ULL;
-    h = (h ^ static_cast<std::uint64_t>(row.agg)) * 1099511628211ULL;
-    sum += h;
-  }
-  return sum + rs.row_count() * 31;
-}
-
 }  // namespace
 
 int main() {
   using Clock = std::chrono::steady_clock;
+  using C = bench::Ledger::Clock;
+  constexpr std::size_t kUpdatePct = 25;
 
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
   const std::size_t ops = bench::env_u64("BBPIM_HTAP_OPS", 64);
-  const std::size_t update_pct = bench::env_u64("BBPIM_HTAP_UPDATE_PCT", 25);
   const std::size_t max_workers = bench::env_u64("BBPIM_HTAP_MAX_WORKERS", 8);
 
-  std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
-  ssb::SsbConfig gen;
-  gen.scale_factor = cfg.scale_factor;
-  gen.zipf_theta = cfg.zipf_theta;
-  gen.seed = cfg.seed;
-  const ssb::SsbData data = ssb::generate(gen);
+  const ssb::SsbData data = bench::generate_data(cfg);
   const rel::Table prejoined = ssb::prejoin_ssb(data);
   const std::size_t s_city = *prejoined.schema().index_of("s_city");
   const auto& city_dict = *prejoined.schema().attribute(s_city).dict;
 
-  db::SessionOptions session_opts = bench::bench_session_options(cfg);
-  session_opts.verbose = false;
-  auto models = std::make_shared<db::ModelCache>(session_opts.model_cache_dir,
-                                                 session_opts.model_cache_tag);
-  session_opts.models = models;
+  const db::SessionOptions session_opts = bench::serving_session_options(cfg);
 
   // The mixed workload: deterministic Zipf draws over queries and cities.
   const ZipfSampler query_skew(ssb::queries().size(), cfg.zipf_theta);
   const ZipfSampler city_skew(city_dict.size(), cfg.zipf_theta);
-  Rng rng(cfg.seed * 1000003 + 17);
+  Rng rng(bench::kSeed * 1000003 + 17);
   std::vector<Op> workload;
   std::size_t n_updates = 0;
   for (std::size_t i = 0; i < ops; ++i) {
     Op op;
-    op.is_update = rng.next_below(100) < update_pct;
+    op.is_update = rng.next_below(100) < kUpdatePct;
     if (op.is_update) {
       const std::string from = city_dict.value(city_skew.sample(rng));
       const std::string to =
@@ -118,20 +97,13 @@ int main() {
             << "ops/run: " << ops << " (" << n_updates << " updates, "
             << ops - n_updates << " reads), sf=" << cfg.scale_factor
             << ", theta=" << cfg.zipf_theta
-            << ", hardware threads: " << std::thread::hardware_concurrency()
-            << "\n\n";
+            << ", hardware threads: " << hardware_threads() << "\n\n";
 
-  struct RunResult {
-    std::size_t workers;
-    double wall_ms;
-    double qps;
-    double read_sim_ms;    ///< mean simulated read latency
-    double update_sim_ms;  ///< mean simulated update latency
-    std::uint64_t final_version;
-    std::uint64_t final_checksum;
-    bool parity_ok;
-  };
-  std::vector<RunResult> runs;
+  bench::Ledger ledger("htap_mix");
+  ledger.set("scale_factor", cfg.scale_factor);
+  ledger.set("zipf_theta", cfg.zipf_theta);
+  ledger.set("ops", ops);
+  ledger.set("updates", n_updates);
 
   TablePrinter t({"workers", "wall [ms]", "ops/s", "sim read [ms]",
                   "sim update [ms]", "parity"});
@@ -194,10 +166,11 @@ int main() {
         const Done& d = *reads[next_read];
         const db::ResultSet serial =
             oracle.execute(d.op->sql, db::BackendKind::kOneXb);
-        parity_ok &= row_checksum(serial) == row_checksum(d.result) &&
-                     engine::stats_equal(serial.stats(), d.result.stats(),
-                                         {engine::StatClass::kCost,
-                                          engine::StatClass::kPlan});
+        parity_ok &=
+            bench::row_digest(serial) == bench::row_digest(d.result) &&
+            engine::stats_equal(
+                serial.stats(), d.result.stats(),
+                {engine::StatClass::kCost, engine::StatClass::kPlan});
       }
       if (version == final_version) break;
       const Done& up = *updates_by_version.at(version + 1);
@@ -224,25 +197,30 @@ int main() {
     parity_ok &= concurrent_final == oracle_final;
     service.shutdown();
 
-    RunResult run;
-    run.workers = workers;
-    run.wall_ms = wall_ms;
-    run.qps = ops / (wall_ms / 1000.0);
-    run.read_sim_ms =
+    const double qps = ops / (wall_ms / 1000.0);
+    const double read_sim_ms =
         reads.empty() ? 0 : read_sim_ns / 1e6 / static_cast<double>(reads.size());
-    run.update_sim_ms = updates_by_version.empty()
-                            ? 0
-                            : update_sim_ns / 1e6 /
-                                  static_cast<double>(updates_by_version.size());
-    run.final_version = final_version;
-    run.final_checksum = concurrent_final;
-    run.parity_ok = parity_ok;
-    runs.push_back(run);
+    const double update_sim_ms =
+        updates_by_version.empty()
+            ? 0
+            : update_sim_ns / 1e6 /
+                  static_cast<double>(updates_by_version.size());
+    const std::string arm = "workers=" + std::to_string(workers);
+    ledger.record(arm, "all", "db.service", C::kWall, "wall_ms", wall_ms);
+    ledger.record(arm, "all", "db.service", C::kWall, "ops_per_s", qps);
+    ledger.record(arm, "read", "engine.query_exec", C::kModeled, "mean_ms",
+                  read_sim_ms);
+    ledger.record(arm, "update", "db.snapshot_manager", C::kModeled, "mean_ms",
+                  update_sim_ms);
+    ledger.record(arm, "all", "db.snapshot_manager", C::kCount,
+                  "final_version", final_version);
+    // The top 53 bits, which a double holds exactly.
+    ledger.record(arm, "all", "engine.pim_store", C::kCount,
+                  "contents_checksum_53", concurrent_final >> 11);
 
     t.add_row({std::to_string(workers), TablePrinter::fmt(wall_ms, 1),
-               TablePrinter::fmt(run.qps, 2),
-               TablePrinter::fmt(run.read_sim_ms, 3),
-               TablePrinter::fmt(run.update_sim_ms, 3),
+               TablePrinter::fmt(qps, 2), TablePrinter::fmt(read_sim_ms, 3),
+               TablePrinter::fmt(update_sim_ms, 3),
                parity_ok ? "ok" : "MISMATCH"});
     if (!parity_ok) {
       std::cerr << "FAIL: serial-oracle parity mismatch at " << workers
@@ -252,35 +230,9 @@ int main() {
     }
   }
   t.print(std::cout);
-
-  std::ofstream json("BENCH_htap_mix.json");
-  json << "{\n"
-       << "  \"bench\": \"htap_mix\",\n"
-       << "  \"scale_factor\": " << cfg.scale_factor << ",\n"
-       << "  \"ops\": " << ops << ",\n"
-       << "  \"updates\": " << n_updates << ",\n"
-       << "  \"update_pct\": " << update_pct << ",\n"
-       << "  \"zipf_theta\": " << cfg.zipf_theta << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    json << "    {\"workers\": " << r.workers << ", \"wall_ms\": " << r.wall_ms
-         << ", \"ops_per_s\": " << r.qps
-         << ", \"read_sim_ms\": " << r.read_sim_ms
-         << ", \"update_sim_ms\": " << r.update_sim_ms
-         << ", \"final_version\": " << r.final_version
-         << ", \"final_checksum\": \"" << std::hex << r.final_checksum
-         << std::dec << "\", \"parity\": \""
-         << (r.parity_ok ? "ok" : "mismatch") << "\"}"
-         << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"parity\": \"ok\"\n"
-       << "}\n";
-  std::cout << "\nwrote BENCH_htap_mix.json\n"
-            << "Every worker count matched its serial oracle: identical "
+  std::cout << "\n";
+  ledger.write();
+  std::cout << "Every worker count matched its serial oracle: identical "
                "rows, stats, and final store contents at the observed data "
                "versions.\n";
   return 0;

@@ -19,53 +19,25 @@
 // Reported per query: modeled ns both ways, the join's scan/join phase
 // split, fact-scan selectivity, the fact rows and unique lines the join
 // reads back (the readback volume the semijoin predicates cut), joined row
-// count, and simulator wall-clock.
-// Emits BENCH_join_speed.json in the working directory.
+// count, and simulator wall-clock (8 simulation threads).
+// Writes BENCH_join_speed.json (bench::Ledger) in the working directory.
 //
-// Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
-// BBPIM_SIM_REPS (best-of repetitions, default 3).
-#include <algorithm>
-#include <fstream>
+// Env: BBPIM_SF (default 0.1), BBPIM_SIM_REPS (best-of repetitions,
+// default 3).
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "common/parallel.hpp"
 #include "common/table_printer.hpp"
 #include "harness.hpp"
 
-namespace {
-
-using namespace bbpim;
-
-struct QueryResult {
-  std::string id;
-  std::size_t rows = 0;
-  double join_ns = 0;
-  double prejoin_ns = 0;
-  double join_scan_ns = 0;  ///< PIM filter + readback share of join_ns
-  double join_host_ns = 0;  ///< hash build/probe + finalize share
-  double join_selectivity = 0;
-  std::size_t fact_readback_rows = 0;  ///< fact survivors read back
-  std::size_t host_lines = 0;          ///< unique lines over every scan
-  double wall_join_ms = 0;
-  double wall_prejoin_ms = 0;
-};
-
-}  // namespace
-
 int main() {
-  const bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  const std::uint32_t threads =
-      static_cast<std::uint32_t>(bench::env_u64("BBPIM_SIM_THREADS", 8));
-  const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
+  using namespace bbpim;
+  using C = bench::Ledger::Clock;
+  constexpr std::uint32_t kSimThreads = 8;
 
-  std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
-  ssb::SsbConfig gen;
-  gen.scale_factor = cfg.scale_factor;
-  gen.zipf_theta = cfg.zipf_theta;
-  gen.seed = cfg.seed;
-  const ssb::SsbData data = ssb::generate(gen);
+  const bench::BenchConfig cfg = bench::BenchConfig::from_env();
+  const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
+  const ssb::SsbData data = bench::generate_data(cfg);
 
   // Normalized catalog: every FROM name the SSB texts use is a registered
   // table, which is exactly what routes a statement through the join
@@ -91,11 +63,11 @@ int main() {
             << "sf=" << cfg.scale_factor
             << ", lineorder=" << data.lineorder.row_count()
             << " rows, prejoined=" << prejoined.row_count()
-            << " rows, sim threads " << threads << ", best of " << reps
+            << " rows, sim threads " << kSimThreads << ", best of " << reps
             << "\n\n";
 
   engine::ExecOptions run_opts;
-  run_opts.sim_threads = threads;
+  run_opts.sim_threads = kSimThreads;
 
   // Warm-up: store loads, model fit (pre-joined GROUP BYs), plan and
   // compiled-filter caches for both catalogs.
@@ -104,9 +76,14 @@ int main() {
     pre_session.execute(q.sql, backend, run_opts);
   }
 
+  bench::Ledger ledger("join_speed");
+  ledger.set("scale_factor", cfg.scale_factor);
+  ledger.set("sim_threads", kSimThreads);
+  ledger.set("reps", reps);
+  ledger.set("lineorder_rows", data.lineorder.row_count());
+
   TablePrinter t({"query", "rows", "join sel", "fact readback", "join [ms]",
                   "prejoin [ms]", "modeled", "scan share", "wall"});
-  std::vector<QueryResult> results;
   bool parity_ok = true;
   double join_total = 0, prejoin_total = 0;
   double wall_join_total = 0, wall_prejoin_total = 0;
@@ -129,40 +106,46 @@ int main() {
       parity_ok = false;
     }
 
-    QueryResult r;
-    r.id = std::string(q.id);
-    r.rows = join_rs.row_count();
-    r.join_ns = join_rs.stats().total_ns;
-    r.prejoin_ns = pre_rs.stats().total_ns;
-    r.join_scan_ns =
-        join_rs.stats().phases.filter + join_rs.stats().phases.transfer;
-    r.join_host_ns =
-        join_rs.stats().phases.host_gb + join_rs.stats().phases.finalize;
-    r.join_selectivity = join_rs.stats().selectivity;
-    r.fact_readback_rows = join_rs.stats().selected_records;
-    r.host_lines = join_rs.stats().host_lines;
-    r.wall_join_ms = bench::best_of_ms(
+    const engine::QueryStats& js = join_rs.stats();
+    const double join_ns = js.total_ns;
+    const double prejoin_ns = pre_rs.stats().total_ns;
+    // PIM filter + readback share, and hash build/probe + finalize share.
+    const double scan_ns = js.phases.filter + js.phases.transfer;
+    const double host_ns = js.phases.host_gb + js.phases.finalize;
+    const double wall_join_ms = bench::best_of_ms(
         reps, [&] { join_session.execute(q.sql, backend, run_opts); });
-    r.wall_prejoin_ms = bench::best_of_ms(
+    const double wall_prejoin_ms = bench::best_of_ms(
         reps, [&] { pre_session.execute(q.sql, backend, run_opts); });
 
-    join_total += r.join_ns;
-    prejoin_total += r.prejoin_ns;
-    wall_join_total += r.wall_join_ms;
-    wall_prejoin_total += r.wall_prejoin_ms;
+    const std::string id(q.id);
+    const char* const exec = "engine.query_exec";
+    ledger.record("join", id, exec, C::kCount, "rows", join_rs.row_count());
+    ledger.record("join", id, exec, C::kModeled, "total_ns", join_ns);
+    ledger.record("join", id, exec, C::kModeled, "scan_ns", scan_ns);
+    ledger.record("join", id, exec, C::kModeled, "host_ns", host_ns);
+    // Fact survivors read back, and unique lines over every scan.
+    ledger.record("join", id, exec, C::kCount, "selected_records",
+                  js.selected_records);
+    ledger.record("join", id, exec, C::kCount, "host_lines", js.host_lines);
+    ledger.record("join", id, "db.session", C::kWall, "wall_ms", wall_join_ms);
+    ledger.record("prejoin", id, exec, C::kModeled, "total_ns", prejoin_ns);
+    ledger.record("prejoin", id, "db.session", C::kWall, "wall_ms",
+                  wall_prejoin_ms);
 
-    t.add_row({r.id, std::to_string(r.rows),
-               TablePrinter::fmt(r.join_selectivity, 4),
-               std::to_string(r.fact_readback_rows),
-               TablePrinter::fmt(r.join_ns / 1e6, 2),
-               TablePrinter::fmt(r.prejoin_ns / 1e6, 2),
-               TablePrinter::fmt(r.join_ns / r.prejoin_ns, 2) + "x",
-               TablePrinter::fmt(r.join_scan_ns / r.join_ns, 2),
-               TablePrinter::fmt(r.wall_join_ms / r.wall_prejoin_ms, 2) +
-                   "x"});
-    results.push_back(r);
+    join_total += join_ns;
+    prejoin_total += prejoin_ns;
+    wall_join_total += wall_join_ms;
+    wall_prejoin_total += wall_prejoin_ms;
+
+    t.add_row({id, std::to_string(join_rs.row_count()),
+               TablePrinter::fmt(js.selectivity, 4),
+               std::to_string(js.selected_records),
+               TablePrinter::fmt(join_ns / 1e6, 2),
+               TablePrinter::fmt(prejoin_ns / 1e6, 2),
+               TablePrinter::fmt(join_ns / prejoin_ns, 2) + "x",
+               TablePrinter::fmt(scan_ns / join_ns, 2),
+               TablePrinter::fmt(wall_join_ms / wall_prejoin_ms, 2) + "x"});
   }
-
   t.add_row({"total", "", "", "", TablePrinter::fmt(join_total / 1e6, 2),
              TablePrinter::fmt(prejoin_total / 1e6, 2),
              TablePrinter::fmt(join_total / prejoin_total, 2) + "x", "",
@@ -176,39 +159,11 @@ int main() {
             << TablePrinter::fmt(join_total / prejoin_total, 2)
             << "x the pre-joined plan\n";
 
-  std::ofstream json("BENCH_join_speed.json");
-  json << "{\n"
-       << "  \"bench\": \"join_speed\",\n"
-       << "  \"scale_factor\": " << cfg.scale_factor << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"hardware_threads\": " << hardware_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"lineorder_rows\": " << data.lineorder.row_count() << ",\n"
-       << "  \"parity\": " << (parity_ok ? "true" : "false") << ",\n"
-       << "  \"queries\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const QueryResult& r = results[i];
-    json << "    {\"id\": \"" << r.id << "\", \"rows\": " << r.rows
-         << ", \"join_ns\": " << r.join_ns
-         << ", \"prejoin_ns\": " << r.prejoin_ns
-         << ", \"join_scan_ns\": " << r.join_scan_ns
-         << ", \"join_host_ns\": " << r.join_host_ns
-         << ", \"join_selectivity\": " << r.join_selectivity
-         << ", \"fact_readback_rows\": " << r.fact_readback_rows
-         << ", \"host_lines\": " << r.host_lines
-         << ", \"wall_join_ms\": " << r.wall_join_ms
-         << ", \"wall_prejoin_ms\": " << r.wall_prejoin_ms << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"join_total_ns\": " << join_total << ",\n"
-       << "  \"prejoin_total_ns\": " << prejoin_total << "\n"
-       << "}\n";
-
   if (!parity_ok) {
     std::cerr << "\nRESULT: FAIL (join/pre-join divergence)\n";
     return 1;
   }
+  ledger.write();
   std::cout << "RESULT: OK\n";
   return 0;
 }

@@ -9,7 +9,7 @@
 // per-subgroup pim-gb phase can skip most pages.
 //
 // Two arms per query — ExecOptions::prune off (the default) and on — at 1
-// and N simulation threads:
+// and 8 simulation threads:
 //
 //   work      modeled PIM-module energy (thread-count-invariant): the
 //             operations the modeled hardware no longer performs. Energy is
@@ -28,18 +28,16 @@
 // pruned modeled cost must never exceed the unpruned one. Any divergence
 // exits non-zero — this is the CI smoke for the pruning subsystem.
 //
-// Emits BENCH_prune_speed.json in the working directory.
+// Writes BENCH_prune_speed.json (bench::Ledger) in the working directory.
 //
-// Env: BBPIM_SF (default 0.1), BBPIM_SIM_THREADS (default 8),
-// BBPIM_SIM_REPS (best-of repetitions, default 3).
+// Env: BBPIM_SF (default 0.1), BBPIM_SIM_REPS (best-of repetitions,
+// default 3).
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/table_printer.hpp"
 #include "harness.hpp"
 
@@ -50,53 +48,36 @@ using namespace bbpim;
 /// Stable re-sort of a relation by one attribute's codes (the clustering a
 /// chronological fact load produces for the date hierarchy).
 rel::Table cluster_by(const rel::Table& t, const std::string& attr) {
-  const std::size_t a = *t.schema().index_of(attr);
+  const std::vector<std::uint64_t>& key = t.column(*t.schema().index_of(attr));
   std::vector<std::size_t> order(t.row_count());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t i, std::size_t j) {
-                     return t.value(i, a) < t.value(j, a);
+                     return key[i] < key[j];
                    });
-  rel::Table out(t.schema(), t.name());
-  out.reserve(t.row_count());
-  const std::size_t nattrs = t.schema().attribute_count();
-  std::vector<std::uint64_t> row(nattrs);
-  for (const std::size_t r : order) {
-    for (std::size_t k = 0; k < nattrs; ++k) row[k] = t.value(r, k);
-    out.append_row(row);
+  std::vector<std::vector<std::uint64_t>> columns(
+      t.schema().attribute_count(),
+      std::vector<std::uint64_t>(t.row_count()));
+  for (std::size_t k = 0; k < columns.size(); ++k) {
+    const std::vector<std::uint64_t>& src = t.column(k);
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      columns[k][r] = src[order[r]];
+    }
   }
-  return out;
+  return rel::Table::from_columns(t.schema(), t.name(), std::move(columns));
 }
-
-struct QueryResult {
-  std::string id;
-  double modeled_off_ns = 0;
-  double modeled_on_ns = 0;
-  double energy_off_j = 0;
-  double energy_on_j = 0;
-  double wall1_off_ms = 0, wall1_on_ms = 0;
-  double walln_off_ms = 0, walln_on_ms = 0;
-  std::size_t pages_skipped = 0;
-  std::size_t group_pages_skipped = 0;
-  std::size_t predicates_short_circuited = 0;
-};
 
 }  // namespace
 
 int main() {
+  using C = bench::Ledger::Clock;
+  constexpr std::uint32_t kSimThreads = 8;
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
-  const std::uint32_t threads =
-      static_cast<std::uint32_t>(bench::env_u64("BBPIM_SIM_THREADS", 8));
   const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
   const std::vector<std::string> flight_ids = {"1.1", "1.2", "1.3", "3.1",
                                                "3.2", "3.3", "3.4"};
 
-  std::cerr << "[bench] generating SSB (sf=" << cfg.scale_factor << ")...\n";
-  ssb::SsbConfig gen;
-  gen.scale_factor = cfg.scale_factor;
-  gen.zipf_theta = cfg.zipf_theta;
-  gen.seed = cfg.seed;
-  const ssb::SsbData data = ssb::generate(gen);
+  const ssb::SsbData data = bench::generate_data(cfg);
 
   std::cerr << "[bench] clustering the pre-joined relation on lo_orderdate"
             << "...\n";
@@ -111,7 +92,7 @@ int main() {
   std::cout << "=== Zone-map pruning: SSB flights 1+3 on date-clustered data "
             << "===\n"
             << "sf=" << cfg.scale_factor << ", records="
-            << clustered.row_count() << ", sim threads 1/" << threads
+            << clustered.row_count() << ", sim threads 1/" << kSimThreads
             << ", best of " << reps << "\n\n";
 
   // Warm everything outside the timed region (store load, model fit, plan
@@ -124,10 +105,14 @@ int main() {
     session.execute(q.sql, backend, on);
   }
 
+  bench::Ledger ledger("prune_speed");
+  ledger.set("scale_factor", cfg.scale_factor);
+  ledger.set("sim_threads", kSimThreads);
+  ledger.set("reps", reps);
+
+  const std::string nt = std::to_string(kSimThreads) + "t";
   TablePrinter t({"query", "work off [uJ]", "work on [uJ]", "work", "modeled",
-                  "wall-1t", "wall-" + std::to_string(threads) + "t",
-                  "pages skipped"});
-  std::vector<QueryResult> results;
+                  "wall-1t", "wall-" + nt, "pages skipped"});
   bool parity_ok = true;
   double modeled_off_total = 0, modeled_on_total = 0;
   double energy_off_total = 0, energy_on_total = 0;
@@ -136,17 +121,14 @@ int main() {
 
   for (const std::string& id : flight_ids) {
     const auto& q = ssb::query(id);
-    QueryResult r;
-    r.id = id;
 
     engine::ExecOptions off1, on1, offn, onn;
     off1.sim_threads = 1;
     on1.sim_threads = 1;
     on1.prune = true;
-    offn.sim_threads = threads;
-    onn.sim_threads = threads;
+    offn.sim_threads = kSimThreads;
+    onn.sim_threads = kSimThreads;
     onn.prune = true;
-
     const db::ResultSet ref = session.execute(q.sql, backend, off1);
     const db::ResultSet pruned = session.execute(q.sql, backend, on1);
 
@@ -175,40 +157,49 @@ int main() {
       parity_ok = false;
     }
 
-    r.modeled_off_ns = ref.stats().total_ns;
-    r.modeled_on_ns = pruned.stats().total_ns;
-    r.energy_off_j = ref.stats().energy_j;
-    r.energy_on_j = pruned.stats().energy_j;
-    r.pages_skipped = pruned.stats().pages_skipped;
-    r.group_pages_skipped = pruned.stats().group_pages_skipped;
-    r.predicates_short_circuited = pruned.stats().predicates_short_circuited;
+    // Modeled values and zone-map counters of one arm (thread-count
+    // invariant, checked above) and its best-of wall-clock.
+    const auto record_arm = [&](const std::string& arm,
+                                const db::ResultSet& rs,
+                                const engine::ExecOptions& opts) {
+      const engine::QueryStats& s = rs.stats();
+      const double wall_ms = bench::best_of_ms(
+          reps, [&] { session.execute(q.sql, backend, opts); });
+      const char* const exec = "engine.query_exec";
+      ledger.record(arm, id, exec, C::kModeled, "total_ns", s.total_ns);
+      ledger.record(arm, id, exec, C::kModeled, "energy_j", s.energy_j);
+      ledger.record(arm, id, "engine.zone_map", C::kCount, "pages_skipped",
+                    s.pages_skipped);
+      ledger.record(arm, id, "engine.zone_map", C::kCount,
+                    "group_pages_skipped", s.group_pages_skipped);
+      ledger.record(arm, id, "engine.zone_map", C::kCount,
+                    "predicates_short_circuited", s.predicates_short_circuited);
+      ledger.record(arm, id, "db.session", C::kWall, "wall_ms", wall_ms);
+      return wall_ms;
+    };
+    const double wall1_off = record_arm("off-1t", ref, off1);
+    const double wall1_on = record_arm("on-1t", pruned, on1);
+    const double walln_off = record_arm("off-" + nt, refn, offn);
+    const double walln_on = record_arm("on-" + nt, prunedn, onn);
 
-    r.wall1_off_ms =
-        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, off1); });
-    r.wall1_on_ms =
-        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, on1); });
-    r.walln_off_ms =
-        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, offn); });
-    r.walln_on_ms =
-        bench::best_of_ms(reps, [&] { session.execute(q.sql, backend, onn); });
+    const engine::QueryStats& off = ref.stats();
+    const engine::QueryStats& on = pruned.stats();
+    modeled_off_total += off.total_ns;
+    modeled_on_total += on.total_ns;
+    energy_off_total += off.energy_j;
+    energy_on_total += on.energy_j;
+    wall1_off_total += wall1_off;
+    wall1_on_total += wall1_on;
+    walln_off_total += walln_off;
+    walln_on_total += walln_on;
 
-    modeled_off_total += r.modeled_off_ns;
-    modeled_on_total += r.modeled_on_ns;
-    energy_off_total += r.energy_off_j;
-    energy_on_total += r.energy_on_j;
-    wall1_off_total += r.wall1_off_ms;
-    wall1_on_total += r.wall1_on_ms;
-    walln_off_total += r.walln_off_ms;
-    walln_on_total += r.walln_on_ms;
-
-    t.add_row({r.id, TablePrinter::fmt(r.energy_off_j * 1e6, 2),
-               TablePrinter::fmt(r.energy_on_j * 1e6, 2),
-               TablePrinter::fmt(r.energy_off_j / r.energy_on_j, 2) + "x",
-               TablePrinter::fmt(r.modeled_off_ns / r.modeled_on_ns, 2) + "x",
-               TablePrinter::fmt(r.wall1_off_ms / r.wall1_on_ms, 2) + "x",
-               TablePrinter::fmt(r.walln_off_ms / r.walln_on_ms, 2) + "x",
-               std::to_string(r.pages_skipped)});
-    results.push_back(r);
+    t.add_row({id, TablePrinter::fmt(off.energy_j * 1e6, 2),
+               TablePrinter::fmt(on.energy_j * 1e6, 2),
+               TablePrinter::fmt(off.energy_j / on.energy_j, 2) + "x",
+               TablePrinter::fmt(off.total_ns / on.total_ns, 2) + "x",
+               TablePrinter::fmt(wall1_off / wall1_on, 2) + "x",
+               TablePrinter::fmt(walln_off / walln_on, 2) + "x",
+               std::to_string(on.pages_skipped)});
   }
 
   const double work_speedup = energy_off_total / energy_on_total;
@@ -230,47 +221,9 @@ int main() {
             << TablePrinter::fmt(modeled_speedup, 2)
             << "x\nwall-clock reduction: "
             << TablePrinter::fmt(wall1_speedup, 2) << "x (1t) / "
-            << TablePrinter::fmt(walln_speedup, 2) << "x (" << threads
-            << "t)\n";
+            << TablePrinter::fmt(walln_speedup, 2) << "x (" << nt << ")\n";
 
-  std::ofstream json("BENCH_prune_speed.json");
-  json << "{\n"
-       << "  \"bench\": \"prune_speed\",\n"
-       << "  \"scale_factor\": " << cfg.scale_factor << ",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"hardware_threads\": " << hardware_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"clustered_on\": \"lo_orderdate\",\n"
-       << "  \"queries\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const QueryResult& r = results[i];
-    json << "    {\"id\": \"" << r.id << "\", \"modeled_off_ns\": "
-         << r.modeled_off_ns << ", \"modeled_on_ns\": " << r.modeled_on_ns
-         << ", \"modeled_speedup\": " << r.modeled_off_ns / r.modeled_on_ns
-         << ", \"energy_off_j\": " << r.energy_off_j
-         << ", \"energy_on_j\": " << r.energy_on_j
-         << ", \"work_speedup\": " << r.energy_off_j / r.energy_on_j
-         << ", \"wall1_off_ms\": " << r.wall1_off_ms
-         << ", \"wall1_on_ms\": " << r.wall1_on_ms
-         << ", \"walln_off_ms\": " << r.walln_off_ms
-         << ", \"walln_on_ms\": " << r.walln_on_ms
-         << ", \"pages_skipped\": " << r.pages_skipped
-         << ", \"group_pages_skipped\": " << r.group_pages_skipped
-         << ", \"predicates_short_circuited\": "
-         << r.predicates_short_circuited << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"modeled_total_off_ns\": " << modeled_off_total << ",\n"
-       << "  \"modeled_total_on_ns\": " << modeled_on_total << ",\n"
-       << "  \"modeled_speedup\": " << modeled_speedup << ",\n"
-       << "  \"energy_total_off_j\": " << energy_off_total << ",\n"
-       << "  \"energy_total_on_j\": " << energy_on_total << ",\n"
-       << "  \"modeled_work_speedup\": " << work_speedup << ",\n"
-       << "  \"wall1_speedup\": " << wall1_speedup << ",\n"
-       << "  \"walln_speedup\": " << walln_speedup << ",\n"
-       << "  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n"
-       << "}\n";
-  std::cout << "wrote BENCH_prune_speed.json\n";
-  return parity_ok ? 0 : 1;
+  if (!parity_ok) return 1;
+  ledger.write();
+  return 0;
 }

@@ -11,7 +11,8 @@
 namespace bbpim::db {
 namespace {
 
-/// Upper bound of one retry backoff (see RetryOptions).
+/// Base and upper bound of one retry backoff (see RetryOptions).
+constexpr std::uint64_t kRetryBackoffBaseUs = 200;
 constexpr std::uint64_t kRetryBackoffCapUs = 5'000;
 
 /// Gather-window multiplier once a bounded queue fills past half its depth.
@@ -369,10 +370,8 @@ void QueryService::run_task(Session& session, Task& task,
         ++counters_.retries;
       }
       const std::uint64_t backoff =
-          std::min(retry.backoff_base_us << attempt, kRetryBackoffCapUs);
-      if (backoff > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-      }
+          std::min(kRetryBackoffBaseUs << attempt, kRetryBackoffCapUs);
+      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
     } catch (...) {
       settle_error(task, std::current_exception());
       return;

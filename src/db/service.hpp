@@ -84,10 +84,9 @@ struct AdmissionOptions {
 /// and subclasses — fault-injection faults, recoverable device hiccups).
 /// Anything else is permanent and settles the future on first throw.
 struct RetryOptions {
-  /// Re-executions after the first attempt. 0 disables retry.
+  /// Re-executions after the first attempt. 0 disables retry. Retry k
+  /// (1-based) backs off min(200 us << (k-1), 5 ms).
   std::size_t max_retries = 2;
-  /// Backoff before retry k (1-based): min(base << (k-1), 5 ms).
-  std::uint64_t backoff_base_us = 200;
 };
 
 /// Shared-scan admission (the batch former). When enabled, a worker that

@@ -127,7 +127,7 @@ std::shared_ptr<const CompiledFilter> FilterCache::get_or_compile(
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++hits_;
-      std::shared_ptr<const CompiledFilter> hit = it->second.filter;
+      std::shared_ptr<const CompiledFilter> hit = it->second;
       // Replay outside the map lookup scope is fine: the entry is immutable.
       alloc.acquire(hit->result_col);
       return hit;
@@ -138,16 +138,8 @@ std::shared_ptr<const CompiledFilter> FilterCache::get_or_compile(
       compile_filter(filters, layout, alloc));
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.size() >= kMaxEntries) entries_.clear();
-  entries_.emplace(std::move(key), Entry{part, compiled});
+  entries_.emplace(std::move(key), compiled);
   return compiled;
-}
-
-void FilterCache::invalidate(int part) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++invalidations_;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.part == part ? entries_.erase(it) : std::next(it);
-  }
 }
 
 std::size_t FilterCache::hit_count() const {
@@ -158,11 +150,6 @@ std::size_t FilterCache::hit_count() const {
 std::size_t FilterCache::miss_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return misses_;
-}
-
-std::size_t FilterCache::invalidation_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return invalidations_;
 }
 
 // --- zone-map static analysis ----------------------------------------------

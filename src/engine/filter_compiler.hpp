@@ -142,33 +142,19 @@ class FilterCache {
       const std::vector<sql::BoundPredicate>& filters, int part,
       const RecordLayout& layout, pim::ColumnAlloc& alloc);
 
-  /// Drops every entry compiled for `part`. Called by
-  /// PimStore::note_mutation when an in-place UPDATE rewrites the part's
-  /// crossbar data: the cache key (predicates, part, allocator state) does
-  /// not observe data mutation, so mutation-time invalidation is what keeps
-  /// the cache's behavior indistinguishable from compiling fresh.
-  void invalidate(int part);
-
   std::size_t hit_count() const;
   std::size_t miss_count() const;
-  /// invalidate() calls observed (regression-test observability).
-  std::size_t invalidation_count() const;
 
  private:
   /// Bounded so adversarial workloads (every query a distinct filter set)
   /// cannot grow the cache without limit; overflowing resets it.
   static constexpr std::size_t kMaxEntries = 512;
 
-  struct Entry {
-    int part = 0;
-    std::shared_ptr<const CompiledFilter> filter;
-  };
-
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, std::shared_ptr<const CompiledFilter>>
+      entries_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t invalidations_ = 0;
 };
 
 }  // namespace bbpim::engine

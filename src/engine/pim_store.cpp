@@ -303,12 +303,6 @@ void PimStore::note_mutation(
                 });
   }
   derived_ = std::move(next);
-
-  // Compiled-filter programs for the mutated part: the programs themselves
-  // are pure functions of (predicates, layout), but the cache key cannot
-  // observe data mutation — per-part invalidation keeps the contract simple
-  // and is what the regression tests pin.
-  derived_->filter_cache->invalidate(part_of_attr(attr));
 }
 
 }  // namespace bbpim::engine

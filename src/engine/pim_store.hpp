@@ -153,8 +153,8 @@ class PimStore {
   /// Memoized WHERE compilations against this store's layouts (repeated
   /// prepared-statement executions skip recompilation). One cache per
   /// builder, shared by all its versions and their views: programs are pure
-  /// functions of (predicates, layout, allocator state), and note_mutation
-  /// invalidates the mutated part.
+  /// functions of (predicates, layout, allocator state) and never read the
+  /// data, so an UPDATE leaves every entry valid.
   FilterCache& filter_cache() const { return *derived_->filter_cache; }
 
   /// Memoized static page classifications (see ClassificationMemo) of this
@@ -180,12 +180,11 @@ class PimStore {
   // --- mutation (Algorithm-1 UPDATE) ---------------------------------------
   // Crossbar data can be rewritten in place (engine::pim_update). Everything
   // derived from the data — distinct-value stats, co-occurrence maps, zone
-  // sketches, page classifications, compiled-filter programs — observes
-  // mutation through the protocol below: take the mutation lock, mutate,
-  // call note_mutation(attr, touched_crossbars). Queries racing a mutation
-  // on the SAME store are the caller's bug (the db facade's per-table writer
-  // gate enforces exclusion); the lock exists so that bug is caught, not
-  // silently raced.
+  // sketches, page classifications — observes mutation through the protocol
+  // below: take the mutation lock, mutate, call note_mutation(attr,
+  // touched_crossbars). Queries racing a mutation on the SAME store are the
+  // caller's bug (the db facade's per-table writer gate enforces exclusion);
+  // the lock exists so that bug is caught, not silently raced.
 
   /// RAII exclusive mutation lock. pim_update asserts (debug builds) that
   /// the calling thread holds it.
@@ -237,7 +236,7 @@ class PimStore {
   /// co-occurrence entries dropped, copies the zones and rebuilds the
   /// sketches of `touched_crossbars` (global crossbar indices whose rows
   /// were rewritten) exactly from the crossbars, and starts an empty
-  /// classification memo; the shared filter cache drops `attr`'s part.
+  /// classification memo; the shared filter cache stays as it is.
   /// Caller must hold the mutation lock.
   void note_mutation(std::size_t attr,
                      const std::vector<std::uint32_t>& touched_crossbars);

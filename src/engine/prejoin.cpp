@@ -188,9 +188,8 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   alloc.release(filter.result_col);
 
   // Derived state (distinct stats, co-occurrence maps, zone-map sketches of
-  // the touched crossbars, page classifications, compiled-filter programs
-  // of this part) observed old data; move to the next version's while the
-  // mutation lock is still held. A no-match update changed nothing, so its
+  // the touched crossbars, page classifications) observed old data; move to
+  // the next version's while the mutation lock is still held. A no-match update changed nothing, so its
   // derived state stays warm.
   if (updated > 0) store.note_mutation(attr, touched_crossbars);
   return stats;

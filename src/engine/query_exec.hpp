@@ -266,8 +266,8 @@ struct ExecOptions {
   /// wall-clock the simulation itself takes.
   std::optional<std::uint32_t> sim_threads;
   /// Run the scalar (pre-vectorization) simulation kernels and bypass the
-  /// compiled-filter cache: the measured baseline of bench/sim_speed and
-  /// the oracle of the kernel-equivalence tests. Same results, slower.
+  /// compiled-filter cache: the oracle of the kernel-equivalence tests
+  /// (test_db_parity, test_sim_determinism). Same results, slower.
   bool sim_scalar = false;
   /// Zone-map pruning: skip pages the sketches prove cannot match, replace
   /// provably all-true per-part filter programs by a synthesized validity

@@ -161,9 +161,9 @@ struct StoreDerived {
   StoreDerived(const StoreDerived& prev, std::size_t attr);
 
   /// Compiled-WHERE memo, one per builder and shared by all its versions:
-  /// programs depend on layout and predicates, not data, and the per-part
-  /// invalidation on mutation keeps hits indistinguishable from compiling
-  /// fresh. Thread-safe.
+  /// programs depend on layout, predicates and allocator state, never on
+  /// data, so a hit is indistinguishable from compiling fresh at any
+  /// version. Thread-safe.
   std::shared_ptr<FilterCache> filter_cache;
   ZoneMaps zones;
   SnapshotStats stats;

@@ -69,8 +69,8 @@ RequestTrace logic_trace_cost(const PimConfig& cfg, std::uint64_t cycles,
 // (a program's builder-recorded word-level twin, word-level column packing,
 // select-word-skipping aggregation) and the original scalar loops. Both
 // produce bit-identical functional results and identical cost traces; the
-// scalar path exists as the measured baseline of bench/sim_speed and as the
-// oracle the kernel-equivalence tests compare against.
+// scalar path exists as the oracle the kernel-equivalence tests compare
+// against.
 
 /// Executes a program on every crossbar of the page (bulk logic). The cost
 /// trace charges the gate program's cycles either way; the functional effect

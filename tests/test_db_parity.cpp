@@ -3,7 +3,9 @@
 // Runs the full SSB query set twice — once through a db::Session, once
 // through hand-wired PimStore + PimQueryEngine + fit_latency_models exactly
 // as the seed's call sites did — and asserts byte-identical
-// QueryOutput.rows for every query and engine variant.
+// QueryOutput.rows for every query and engine variant. The same world also
+// checks the vectorized kernels against the scalar gate-level oracle
+// (ExecOptions::sim_scalar) at 1 and 4 simulation threads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -119,6 +121,31 @@ std::string parity_name(const ::testing::TestParamInfo<ParityCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Ssb, FacadeMatchesRawEngine,
                          ::testing::ValuesIn(parity_cases()), parity_name);
+
+// The scalar kernels on one thread are the oracle: the vectorized kernels
+// must reproduce their rows, modeled cost and plan exactly at any thread
+// count.
+TEST(KernelParity, ScalarAndThreadedKernelsAgreeOnSsb) {
+  ParityWorld& w = ParityWorld::instance();
+  engine::ExecOptions scalar;
+  scalar.sim_scalar = true;
+  scalar.sim_threads = 1;
+  for (const auto& q : ssb::queries()) {
+    const db::ResultSet oracle =
+        w.session->execute(q.sql, db::BackendKind::kOneXb, scalar);
+    for (const std::uint32_t threads : {1u, 4u}) {
+      engine::ExecOptions vec;
+      vec.sim_threads = threads;
+      const db::ResultSet rs =
+          w.session->execute(q.sql, db::BackendKind::kOneXb, vec);
+      EXPECT_EQ(rs.rows(), oracle.rows()) << "Q" << q.id << " at " << threads;
+      EXPECT_TRUE(engine::stats_equal(
+          rs.stats(), oracle.stats(),
+          {engine::StatClass::kCost, engine::StatClass::kPlan}))
+          << "Q" << q.id << " at " << threads << " threads";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bbpim

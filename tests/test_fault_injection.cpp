@@ -43,7 +43,6 @@ db::QueryServiceOptions service_options() {
   opts.workers = 1;
   opts.session = fast_options();
   opts.retry.max_retries = 2;
-  opts.retry.backoff_base_us = 100;  // keep retried tests fast
   return opts;
 }
 

@@ -113,7 +113,8 @@ TEST(QueryStatsSpine, EqualitiesFlipOnlyOnTheirOwnClasses) {
 
 TEST(QueryStatsSpine, ClassesAreTheBenchComparatorFieldSets) {
   // plan = what prune_speed compares (pruning must not change it);
-  // cost + plan = what sim_speed compares (thread count must not change it).
+  // cost + plan = what the kernel-parity checks compare (thread count must
+  // not change it).
   std::vector<std::string> cost, plan, counter;
 #define BBPIM_NAME(member, rule, cls)              \
   (StatClass::cls == StatClass::kCost   ? cost     \
