@@ -6,7 +6,7 @@
 //
 //   join      the normalized star schema (lineorder + 4 dimensions), each
 //             table PIM-resident: per-table bulk-bitwise filter scans feed
-//             a host-side partitioned hash join (engine/hash_join), which
+//             a host-side hash join (engine/hash_join), which
 //             groups and aggregates the joined survivors;
 //   prejoin   the pre-joined relation on the same one-xb engine — the
 //             paper's configuration.

@@ -651,7 +651,7 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
                         attrs[jp.fact], jp.builds.size()));
   const std::uint64_t fact_version = versions[jp.fact].second;
 
-  // Host-side partitioned hash join over the survivors; its build/probe CPU
+  // Host-side hash join over the survivors; its build/probe CPU
   // time lands in the host-gb phase, the merge/sort in finalize.
   engine::JoinOutput joined =
       engine::hash_join_execute(jp, inputs, opts_.host, scan_opts.cancel);

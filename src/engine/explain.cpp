@@ -257,7 +257,7 @@ void explain_join_tree(const sql::BoundJoin& plan,
   os << "== join plan: star over fact '" << plan.table_names[plan.fact]
      << "' (" << plan.table_names.size() << " tables) ==\n";
   for (const sql::BoundBuildSide& b : plan.builds) {
-    os << "BUILD " << plan.table_names[b.table] << " (partitioned hash, "
+    os << "BUILD " << plan.table_names[b.table] << " (hash index, "
        << tables[b.table]->row_count() << " rows, "
        << plan.filters[b.table].size() << " filter(s)):";
     for (std::size_t i = 0; i < b.dim_attrs.size(); ++i) {

@@ -1,21 +1,131 @@
 #include "engine/hash_join.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
+
+#include "engine/snapshot_store.hpp"
 
 namespace bbpim::engine {
 namespace {
 
-/// splitmix64 finalizer: spreads dense dictionary codes across partitions.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Dense indices 0, 1, 2, ... for fixed-arity code tuples, in insertion
+/// order. Field widths come from the data: field i holds codes up to
+/// max_codes[i], so when the bit widths of the maxima sum to at most 64 (every
+/// key SSB joins or groups on) a tuple packs losslessly into one word and a
+/// CodeIndex indexes it, growing by doubling past `capacity`. Wider tuples
+/// fall back to a GroupKey hash map. A tuple with a field above its maximum
+/// was never inserted, so find returns kAbsent for it without a lookup.
+/// `field(i)` yields the tuple's i-th code.
+class TupleIndex {
+ public:
+  static constexpr std::uint32_t kAbsent = CodeIndex::kAbsent;
+
+  TupleIndex(std::vector<std::uint64_t> max_codes, std::size_t capacity)
+      : max_(std::move(max_codes)),
+        capacity_(capacity),
+        packed_index_(0),
+        scratch_(max_.size()) {
+    std::uint32_t bits = 0;
+    for (const std::uint64_t m : max_) {
+      shift_.push_back(bits);
+      bits += std::bit_width(m);
+    }
+    packed_ = bits <= 64;
+    if (packed_) packed_index_ = CodeIndex(capacity_);
+  }
+
+  template <class Field>
+  std::uint32_t insert(Field&& field) {
+    if (!packed_) {
+      const auto [it, fresh] = wide_.try_emplace(
+          gather(field), static_cast<std::uint32_t>(wide_keys_.size()));
+      if (fresh) wide_keys_.push_back(it->first);
+      return it->second;
+    }
+    const std::uint64_t pk = pack(field).value();
+    if (const std::uint32_t i = packed_index_.find(pk); i != kAbsent) {
+      return i;
+    }
+    if (packed_index_.codes().size() == capacity_) {
+      capacity_ = std::max<std::size_t>(2 * capacity_, 16);
+      CodeIndex grown(capacity_);
+      for (const std::uint64_t c : packed_index_.codes()) grown.insert(c);
+      packed_index_ = std::move(grown);
+    }
+    return packed_index_.insert(pk);
+  }
+
+  template <class Field>
+  std::uint32_t find(Field&& field) {
+    if (!packed_) {
+      const auto it = wide_.find(gather(field));
+      return it == wide_.end() ? kAbsent : it->second;
+    }
+    const std::optional<std::uint64_t> pk = pack(field);
+    return pk ? packed_index_.find(*pk) : kAbsent;
+  }
+
+  /// The tuple of index `i`.
+  GroupKey key(std::uint32_t i) const {
+    if (!packed_) return wide_keys_[i];
+    const std::uint64_t pk = packed_index_.codes()[i];
+    GroupKey key(max_.size());
+    for (std::size_t f = 0; f < max_.size(); ++f) {
+      const int width = std::bit_width(max_[f]);
+      if (width == 0) continue;
+      const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+      key[f] = (pk >> shift_[f]) & mask;
+    }
+    return key;
+  }
+
+ private:
+  /// The tuple packed into one word; nullopt when a field exceeds its
+  /// maximum.
+  template <class Field>
+  std::optional<std::uint64_t> pack(Field& field) const {
+    std::uint64_t pk = 0;
+    for (std::size_t i = 0; i < max_.size(); ++i) {
+      const std::uint64_t v = field(i);
+      if (v > max_[i]) return std::nullopt;
+      if (v != 0) pk |= v << shift_[i];
+    }
+    return pk;
+  }
+
+  template <class Field>
+  const GroupKey& gather(Field& field) {
+    for (std::size_t i = 0; i < max_.size(); ++i) scratch_[i] = field(i);
+    return scratch_;
+  }
+
+  std::vector<std::uint64_t> max_;
+  std::vector<std::uint32_t> shift_;
+  bool packed_ = true;
+  std::size_t capacity_;
+  CodeIndex packed_index_;
+  std::unordered_map<GroupKey, std::uint32_t, KeyHash> wide_;
+  std::vector<GroupKey> wide_keys_;
+  GroupKey scratch_;
+};
+
+/// The scan column of attribute `attr` of table `t`; `attrs` is
+/// join_scan_attrs of the plan `scans` were read for.
+const std::vector<std::uint64_t>& scan_column(
+    const std::vector<std::vector<std::size_t>>& attrs,
+    const std::vector<JoinScanInput>& scans, std::size_t t, std::size_t attr) {
+  const std::vector<std::size_t>& a = attrs[t];
+  return scans[t].columns.at(std::lower_bound(a.begin(), a.end(), attr) -
+                             a.begin());
 }
 
-constexpr std::size_t kPartitions = 16;
+/// The largest code of `col` (0 when empty).
+std::uint64_t max_code(const std::vector<std::uint64_t>& col) {
+  return col.empty() ? 0 : *std::max_element(col.begin(), col.end());
+}
 
 }  // namespace
 
@@ -50,12 +160,8 @@ std::vector<SemijoinCandidate> semijoin_candidates(
   std::vector<SemijoinCandidate> out;
   for (const sql::BoundBuildSide& side : plan.builds) {
     if (side.dim_attrs.size() != 1) continue;  // composite keys stay on host
-    const std::vector<std::size_t>& dim_attrs = attrs[side.table];
-    const std::size_t col =
-        std::lower_bound(dim_attrs.begin(), dim_attrs.end(),
-                         side.dim_attrs[0]) -
-        dim_attrs.begin();
-    std::vector<std::uint64_t> keys = scans[side.table].columns.at(col);
+    std::vector<std::uint64_t> keys =
+        scan_column(attrs, scans, side.table, side.dim_attrs[0]);
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     const std::size_t distinct = keys.size();
@@ -94,96 +200,80 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   }
   JoinOutput out;
   JoinStats& js = out.stats;
-  js.partitions = kPartitions;
   const double threads = hcfg.threads == 0 ? 1.0 : hcfg.threads;
 
   const auto attrs = join_scan_attrs(plan);
-  std::vector<std::unordered_map<std::size_t, std::size_t>> pos(attrs.size());
-  for (std::size_t t = 0; t < attrs.size(); ++t) {
-    for (std::size_t i = 0; i < attrs[t].size(); ++i) pos[t][attrs[t][i]] = i;
-  }
+  const auto column = [&](std::size_t t, std::size_t attr)
+      -> const std::vector<std::uint64_t>& {
+    return scan_column(attrs, scans, t, attr);
+  };
 
-  // --- build: one partitioned hash table per filtered dimension ------------
+  // --- build: one flat key index per filtered dimension --------------------
+  // Dimension rows sharing a key chain through head/next; built from the
+  // last row back, so every chain lists its rows in scan order.
+  constexpr std::uint32_t kEnd = ~std::uint32_t{0};
   struct Build {
-    const sql::BoundBuildSide* side = nullptr;
-    bool single = true;  ///< one key attribute (fast path; all of SSB)
-    std::vector<std::size_t> fact_pos;  ///< probe key columns in the fact scan
-    std::vector<std::size_t> dim_pos;   ///< build key columns in the dim scan
-    std::vector<std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>>
-        parts_single;
-    std::vector<std::unordered_map<GroupKey, std::vector<std::uint32_t>,
-                                   KeyHash>>
-        parts_multi;
+    std::size_t table = 0;
+    std::vector<const std::uint64_t*> probe;  ///< fact key columns
+    TupleIndex index;                         ///< dim key -> dense key id
+    std::vector<std::uint32_t> head;  ///< per key id: its first dim row
+    std::vector<std::uint32_t> next;  ///< per dim row: next row, or kEnd
   };
   std::vector<Build> builds;
   builds.reserve(plan.builds.size());
   std::size_t build_total = 0;
   for (const sql::BoundBuildSide& side : plan.builds) {
     cancel.check();  // per build side: each is a full pass over one dim scan
-    Build b;
-    b.side = &side;
-    b.single = side.dim_attrs.size() == 1;
-    for (const std::size_t a : side.fact_attrs) {
-      b.fact_pos.push_back(pos[plan.fact].at(a));
-    }
+    std::vector<const std::uint64_t*> keys;
+    std::vector<std::uint64_t> max_codes;
     for (const std::size_t a : side.dim_attrs) {
-      b.dim_pos.push_back(pos[side.table].at(a));
+      const std::vector<std::uint64_t>& col = column(side.table, a);
+      keys.push_back(col.data());
+      max_codes.push_back(max_code(col));
     }
-    const JoinScanInput& dim = scans[side.table];
-    const std::size_t rows = dim.row_count();
+    const std::size_t rows = scans[side.table].row_count();
+    Build b{side.table, {}, TupleIndex(std::move(max_codes), rows), {}, {}};
+    for (const std::size_t a : side.fact_attrs) {
+      b.probe.push_back(column(plan.fact, a).data());
+    }
+    b.next.resize(rows);
+    for (std::size_t r = rows; r-- > 0;) {
+      const std::uint32_t k =
+          b.index.insert([&](std::size_t i) { return keys[i][r]; });
+      if (k == b.head.size()) b.head.push_back(kEnd);
+      b.next[r] = b.head[k];
+      b.head[k] = static_cast<std::uint32_t>(r);
+    }
     js.build_rows.push_back(rows);
     build_total += rows;
-    if (b.single) {
-      b.parts_single.resize(kPartitions);
-      const std::vector<std::uint64_t>& col = dim.columns[b.dim_pos[0]];
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint64_t k = col[r];
-        b.parts_single[mix(k) & (kPartitions - 1)][k].push_back(
-            static_cast<std::uint32_t>(r));
-      }
-    } else {
-      b.parts_multi.resize(kPartitions);
-      GroupKey key(b.dim_pos.size(), 0);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < b.dim_pos.size(); ++i) {
-          key[i] = dim.columns[b.dim_pos[i]][r];
-        }
-        b.parts_multi[mix(KeyHash{}(key)) & (kPartitions - 1)][key].push_back(
-            static_cast<std::uint32_t>(r));
-      }
-    }
     builds.push_back(std::move(b));
   }
   js.build_ns = static_cast<double>(build_total) * hcfg.cpu_ns_per_record /
                 threads;
 
   // --- probe: fact survivors cascade through the build sides ---------------
-  const JoinScanInput& fact = scans[plan.fact];
-  js.probe_rows = fact.row_count();
+  js.probe_rows = scans[plan.fact].row_count();
 
-  // Group/aggregate column access for a joined combination.
+  // Group/aggregate column access for a joined combination: the fact row,
+  // or the current dim row of the build side owning the column.
+  constexpr std::size_t kOnFact = ~std::size_t{0};
   struct RefSlot {
-    bool on_fact = true;
-    std::size_t build = 0;  ///< index into `builds` when !on_fact
-    std::size_t col = 0;    ///< column position in that table's scan
+    const std::uint64_t* data = nullptr;
+    std::size_t build = kOnFact;  ///< index into `builds`, or kOnFact
   };
-  auto slot_of = [&](const sql::BoundColumnRef& ref) {
-    RefSlot s;
-    if (ref.table == plan.fact) {
-      s.col = pos[plan.fact].at(ref.attr);
-      return s;
-    }
-    s.on_fact = false;
+  const auto slot_of = [&](const sql::BoundColumnRef& ref) {
+    RefSlot s{column(ref.table, ref.attr).data()};
+    if (ref.table == plan.fact) return s;
     for (std::size_t b = 0; b < builds.size(); ++b) {
-      if (builds[b].side->table == ref.table) s.build = b;
+      if (builds[b].table == ref.table) s.build = b;
     }
-    s.col = pos[ref.table].at(ref.attr);
     return s;
   };
   std::vector<RefSlot> group_slots;
-  group_slots.reserve(plan.group_by.size());
+  std::vector<std::uint64_t> group_max;
   for (const sql::BoundColumnRef& g : plan.group_by) {
     group_slots.push_back(slot_of(g));
+    group_max.push_back(max_code(column(g.table, g.attr)));
   }
   const bool want_values = plan.agg_func != sql::AggFunc::kCount;
   const bool have_b = plan.agg_expr.kind != sql::Expr::Kind::kColumn;
@@ -194,71 +284,49 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   }
 
   // Without GROUP BY every joined row folds into the empty key.
-  std::unordered_map<GroupKey, std::int64_t, KeyHash> groups;
+  TupleIndex groups(std::move(group_max), 0);
+  std::vector<std::int64_t> acc;  // per group id
   std::size_t joined = 0;
-  std::vector<const std::vector<std::uint32_t>*> matches(builds.size());
-  GroupKey probe_key;
-  // Per-joined-row scratch, reused across the probe loop. The odometer
-  // below always finishes with every digit of `idx` back at 0.
-  std::vector<std::size_t> idx(builds.size(), 0);
-  GroupKey key(group_slots.size());
+  // Per build side: the current probe row's chain start and position.
+  std::vector<std::uint32_t> first(builds.size());
+  std::vector<std::uint32_t> cur(builds.size());
   for (std::size_t r = 0; r < js.probe_rows; ++r) {
     // Periodic checkpoint: one clock read per 64K probed rows.
     if ((r & 0xFFFF) == 0) cancel.check();
     bool ok = true;
-    for (std::size_t b = 0; b < builds.size(); ++b) {
+    for (std::size_t b = 0; b < builds.size() && ok; ++b) {
       Build& bd = builds[b];
-      if (bd.single) {
-        const std::uint64_t k = fact.columns[bd.fact_pos[0]][r];
-        const auto& part = bd.parts_single[mix(k) & (kPartitions - 1)];
-        const auto it = part.find(k);
-        if (it == part.end()) {
-          ok = false;
-          break;
-        }
-        matches[b] = &it->second;
-      } else {
-        probe_key.assign(bd.fact_pos.size(), 0);
-        for (std::size_t i = 0; i < bd.fact_pos.size(); ++i) {
-          probe_key[i] = fact.columns[bd.fact_pos[i]][r];
-        }
-        const auto& part =
-            bd.parts_multi[mix(KeyHash{}(probe_key)) & (kPartitions - 1)];
-        const auto it = part.find(probe_key);
-        if (it == part.end()) {
-          ok = false;
-          break;
-        }
-        matches[b] = &it->second;
-      }
+      const std::uint32_t k =
+          bd.index.find([&](std::size_t i) { return bd.probe[i][r]; });
+      ok = k != TupleIndex::kAbsent;
+      if (ok) first[b] = cur[b] = bd.head[k];
     }
     if (!ok) continue;
 
-    // Odometer over the per-dimension match lists: duplicate build keys
+    // Odometer over the per-dimension match chains: duplicate build keys
     // yield the cross product (unique SSB keys make this one iteration).
+    const auto value_of = [&](const RefSlot& s) {
+      return s.data[s.build == kOnFact ? r : cur[s.build]];
+    };
     while (true) {
       ++joined;
-      auto value_of = [&](const RefSlot& s) -> std::uint64_t {
-        if (s.on_fact) return fact.columns[s.col][r];
-        const std::uint32_t dim_row = (*matches[s.build])[idx[s.build]];
-        return scans[builds[s.build].side->table].columns[s.col][dim_row];
-      };
       std::int64_t v = 1;
       if (want_values) {
-        const std::uint64_t va = value_of(agg_a);
-        const std::uint64_t vb = have_b ? value_of(agg_b) : 0;
-        v = static_cast<std::int64_t>(plan.agg_expr.eval(va, vb));
+        v = static_cast<std::int64_t>(plan.agg_expr.eval(
+            value_of(agg_a), have_b ? value_of(agg_b) : 0));
       }
-      for (std::size_t i = 0; i < group_slots.size(); ++i) {
-        key[i] = value_of(group_slots[i]);
+      const std::uint32_t g = groups.insert(
+          [&](std::size_t i) { return value_of(group_slots[i]); });
+      if (g == acc.size()) {
+        acc.push_back(v);
+      } else {
+        acc[g] = fold_agg(plan.agg_func, acc[g], v);
       }
-      // Copies the key only when the group is new.
-      const auto [it, fresh] = groups.try_emplace(key, v);
-      if (!fresh) it->second = fold_agg(plan.agg_func, it->second, v);
       std::size_t d = 0;
       for (; d < builds.size(); ++d) {
-        if (++idx[d] < matches[d]->size()) break;
-        idx[d] = 0;
+        cur[d] = builds[d].next[cur[d]];
+        if (cur[d] != kEnd) break;
+        cur[d] = first[d];
       }
       if (d == builds.size()) break;
     }
@@ -269,8 +337,10 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                 threads;
 
   // --- finalize: the single-table engine's sort ----------------------------
-  out.rows.reserve(groups.size());
-  for (auto& [key, v] : groups) out.rows.push_back(ResultRow{key, v});
+  out.rows.reserve(acc.size());
+  for (std::uint32_t g = 0; g < acc.size(); ++g) {
+    out.rows.push_back(ResultRow{groups.key(g), acc[g]});
+  }
   if (!plan.has_group_by() && out.rows.empty()) out.rows.push_back({});
   sort_rows(out.rows, plan.order_by);
   js.finalize_ns = static_cast<double>(out.rows.size()) * 50.0;

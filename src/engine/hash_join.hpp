@@ -1,18 +1,21 @@
-// Host-side partitioned hash join over PIM scan survivors.
+// Host-side hash join over PIM scan survivors.
 //
 // The PIM store filters each table of a star query (bulk-bitwise WHERE,
 // zone-map pruning), the fact last: semijoin_candidates turns each filtered
 // dimension's surviving keys into a fact-key predicate the fact scan may
-// AND in when its cost model says so. The host then joins the survivors:
-// build a partitioned hash table per filtered dimension keyed by its join
-// attributes, probe with the fact survivors in build order (most filtered
-// dimension first, so misses drop rows out of the cascade early), and
-// aggregate/group the joined rows with the single-table engine's fold and
-// ORDER BY sort (fold_agg, sort_rows), so a normalized-schema query
-// returns row-identical results to the same query on the pre-joined
-// relation. Build and probe cost is modeled with the host CPU parameters
-// (cpu_ns_per_record across `threads` workers), the same knobs the host-gb
-// phase uses.
+// AND in when its cost model says so. The host then joins the survivors
+// column at a time: each filtered dimension's join keys get a flat index
+// (engine::CodeIndex over the key packed into one word; duplicate keys chain
+// through head/next row arrays), the fact survivors probe them in build
+// order (most filtered dimension first, so misses drop rows out of the
+// cascade early), and the joined rows fold over a packed group key with the
+// single-table engine's fold and ORDER BY sort (fold_agg, sort_rows), so a
+// normalized-schema query returns row-identical results to the same query
+// on the pre-joined relation. Packing takes each field's width from the
+// data (the bit width of its largest code); a key wider than 64 bits falls
+// back to a GroupKey hash map inside the same probe loop. Build and probe
+// cost is modeled with the host CPU parameters (cpu_ns_per_record across
+// `threads` workers), the same knobs the host-gb phase uses.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,6 @@ struct JoinStats {
   std::vector<std::size_t> build_rows;  ///< per build side, plan.builds order
   std::size_t probe_rows = 0;           ///< fact survivors entering the probe
   std::size_t joined_rows = 0;          ///< rows surviving every probe
-  std::size_t partitions = 0;           ///< hash partitions per build side
   TimeNs build_ns = 0;
   TimeNs probe_ns = 0;
   TimeNs finalize_ns = 0;

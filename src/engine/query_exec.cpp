@@ -50,6 +50,26 @@ std::vector<std::size_t> host_read_attrs(const sql::BoundQuery& q) {
   return attrs;
 }
 
+/// Word k of a page's survivor bits, masked to the page's first `valid`
+/// records (k must satisfy 64 * k < valid).
+std::uint64_t live_word(const std::vector<std::uint64_t>& words, std::size_t k,
+                        std::uint32_t valid) {
+  const std::uint64_t w = words[k];
+  return valid - 64 * k < 64 ? w & ((1ULL << (valid - 64 * k)) - 1) : w;
+}
+
+/// The number of records walk_survivor_blocks visits on page `p`.
+std::size_t count_survivors(const PimStore& store, std::size_t p,
+                            const BitVec& survivors) {
+  const std::uint32_t valid = store.page_records(p);
+  const std::vector<std::uint64_t>& words = survivors.words();
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < words.size() && 64 * k < valid; ++k) {
+    n += std::popcount(live_word(words, k, valid));
+  }
+  return n;
+}
+
 /// The host's survivor walk over page `p`, 64 crossbar rows at a time,
 /// shared by the join-feeder readback (finish_scan) and the vectorized
 /// host-gb walk. For every word of `survivors` holding a record below
@@ -72,8 +92,7 @@ std::uint32_t walk_survivor_blocks(const PimStore& store, std::size_t p,
   std::vector<pim::RowBlock> blocks(attrs.size());
   const std::size_t page_first = p * store.records_per_page();
   for (std::size_t k = 0; k < words.size() && 64 * k < valid; ++k) {
-    std::uint64_t live = words[k];
-    if (valid - 64 * k < 64) live &= (1ULL << (valid - 64 * k)) - 1;
+    const std::uint64_t live = live_word(words, k, valid);
     if (live == 0) continue;
     rows_live[k % rows_live.size()] |= live;
     const std::size_t first = page_first + 64 * k;
@@ -1563,45 +1582,35 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
     const std::vector<BitVec> bits =
         read_column_phase(0, r_col_, active_pages_, slot);
 
-    // Page-parallel survivor walk: each page collects its row ids and
-    // attribute codes privately, concatenated in page order.
+    // Count, then fill: each active page's survivor count (page order)
+    // gives its offset into the output, sized once; the page-parallel
+    // walk then writes every page's rows in place.
     const std::size_t chunks = read_chunks(store_, cfg_, attrs).size();
-    struct PageOut {
-      std::vector<std::uint64_t> ids;
-      std::vector<std::vector<std::uint64_t>> cols;
-      std::uint32_t lines = 0;
-    };
-    std::vector<PageOut> partials(pages());
+    std::vector<std::size_t> offsets(active_pages_.size() + 1, 0);
+    for (std::size_t job = 0; job < active_pages_.size(); ++job) {
+      const std::size_t p = active_pages_[job];
+      offsets[job + 1] = offsets[job] + count_survivors(store_, p, bits[p]);
+    }
+    const std::size_t processed = offsets.back();
+    out.row_ids.resize(processed);
+    for (std::vector<std::uint64_t>& col : out.columns) col.resize(processed);
+    std::vector<std::uint32_t> page_lines(pages(), 0);
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
-      PageOut& po = partials[p];
-      po.cols.resize(attrs.size());
-      po.lines = walk_survivor_blocks(
+      std::size_t at = offsets[job];
+      page_lines[p] = walk_survivor_blocks(
           store_, p, bits[p], attrs, chunks,
           [&](std::size_t first, std::uint64_t live,
               std::span<const pim::RowBlock> blocks) {
-            for (; live != 0; live &= live - 1) {
+            for (; live != 0; live &= live - 1, ++at) {
               const int j = std::countr_zero(live);
-              po.ids.push_back(first + j);
+              out.row_ids[at] = first + j;
               for (std::size_t a = 0; a < blocks.size(); ++a) {
-                po.cols[a].push_back(blocks[a][j]);
+                out.columns[a][at] = blocks[a][j];
               }
             }
           });
     });
-
-    std::size_t processed = 0;
-    std::vector<std::uint32_t> page_lines(pages(), 0);
-    for (std::size_t p = 0; p < pages(); ++p) {
-      PageOut& po = partials[p];
-      processed += po.ids.size();
-      page_lines[p] = po.lines;
-      out.row_ids.insert(out.row_ids.end(), po.ids.begin(), po.ids.end());
-      for (std::size_t a = 0; a < po.cols.size(); ++a) {
-        out.columns[a].insert(out.columns[a].end(), po.cols[a].begin(),
-                              po.cols[a].end());
-      }
-    }
     host_walk_phase(page_lines, processed, slot);
   }
 

@@ -246,7 +246,9 @@ struct QueryOutput {
 /// Survivors of a filter-only scan (the feeder of the host hash join):
 /// global record ids plus the requested attribute codes, aligned so that
 /// columns[i][k] is attribute attrs[i] of record row_ids[k]. Rows appear in
-/// page order — deterministic at any sim thread count.
+/// page order — deterministic at any sim thread count. The PIM engine sizes
+/// every vector once from per-page survivor counts and each page job writes
+/// its rows in place at its page's offset.
 struct ScanOutput {
   std::vector<std::uint64_t> row_ids;
   std::vector<std::vector<std::uint64_t>> columns;

@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "db/db.hpp"
 #include "engine/hash_join.hpp"
 #include "ssb/dbgen.hpp"
@@ -81,6 +86,68 @@ TEST(HashJoin, AllQueriesMatchReferenceOnOneXbPim) {
   }
 }
 
+/// One text of the key-shape world with what its nested-loop oracle needs:
+/// equality pairs (dimension table, fact attr, dimension attr) with tables
+/// numbered as in the oracle's table list (0 = the fact), one optional
+/// `dim_attr < lt` filter on a dimension, the grouping columns and the
+/// aggregate.
+struct OracleText {
+  using Col = std::pair<std::size_t, std::size_t>;  ///< (table, attr)
+  std::string sql;
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> eq;
+  std::optional<std::tuple<std::size_t, std::size_t, std::uint64_t>> lt;
+  std::vector<Col> group;
+  sql::AggFunc agg = sql::AggFunc::kCount;
+  Col value{0, 0};
+};
+
+/// Row-by-row oracle: every combination of one row per table that meets
+/// every equality pair and the filter, folded per group in key order (the
+/// order sort_rows gives rows without ORDER BY or ordered by their keys).
+std::vector<engine::ResultRow> nested_loop(
+    const std::vector<const rel::Table*>& tables, const OracleText& q) {
+  std::map<engine::GroupKey, std::int64_t> groups;
+  std::vector<std::size_t> row(tables.size(), 0);
+  const auto value = [&](const OracleText::Col& c) {
+    return tables[c.first]->value(row[c.first], c.second);
+  };
+  std::function<void(std::size_t)> walk = [&](std::size_t t) {
+    if (t < tables.size()) {
+      const bool joined =
+          t == 0 || std::any_of(q.eq.begin(), q.eq.end(), [&](const auto& e) {
+            return std::get<0>(e) == t;
+          });
+      if (!joined) return walk(t + 1);
+      for (row[t] = 0; row[t] < tables[t]->row_count(); ++row[t]) {
+        bool ok = !q.lt || std::get<0>(*q.lt) != t ||
+                  value({t, std::get<1>(*q.lt)}) < std::get<2>(*q.lt);
+        for (const auto& [d, fa, da] : q.eq) {
+          ok = ok && (d != t || value({0, fa}) == value({t, da}));
+        }
+        if (ok) walk(t + 1);
+      }
+      return;
+    }
+    engine::GroupKey key;
+    for (const OracleText::Col& c : q.group) key.push_back(value(c));
+    const auto v = static_cast<std::int64_t>(
+        q.agg == sql::AggFunc::kCount ? 1 : value(q.value));
+    const auto [it, fresh] = groups.try_emplace(key, v);
+    if (fresh) return;
+    if (q.agg == sql::AggFunc::kMin) {
+      it->second = std::min(it->second, v);
+    } else if (q.agg == sql::AggFunc::kMax) {
+      it->second = std::max(it->second, v);
+    } else {
+      it->second += v;
+    }
+  };
+  walk(0);
+  std::vector<engine::ResultRow> rows;
+  for (const auto& [key, v] : groups) rows.push_back({key, v});
+  return rows;
+}
+
 TEST(HashJoin, DuplicateBuildKeysYieldCrossProduct) {
   // A "dimension" with duplicate keys: each matching fact row must join
   // with every duplicate (odometer over the match lists).
@@ -97,9 +164,52 @@ TEST(HashJoin, DuplicateBuildKeysYieldCrossProduct) {
   dim.append_row(std::vector<std::uint64_t>{1, 2});  // duplicate key 1
   dim.append_row(std::vector<std::uint64_t>{2, 3});
 
+  // Key shapes beyond SSB's unique single-column keys, with duplicates on
+  // both dimensions: `ndim` joins on a composite key that packs into one
+  // word, `wdim` on two 40-bit columns whose packed width (80 bits) takes
+  // the wide fallback, and its 40-bit tag grouped with the fact's 40-bit
+  // s_g forms an 80-bit group key.
+  const std::uint64_t big = 1ULL << 39;
+  rel::Schema sale_schema{{{"s_a", rel::DataType::kInt, 40, nullptr},
+                           {"s_b", rel::DataType::kInt, 40, nullptr},
+                           {"s_c", rel::DataType::kInt, 8, nullptr},
+                           {"s_d", rel::DataType::kInt, 8, nullptr},
+                           {"s_g", rel::DataType::kInt, 40, nullptr},
+                           {"s_v", rel::DataType::kInt, 10, nullptr}}};
+  rel::Table sale(sale_schema, "sale");
+  Rng rng(7);
+  for (int r = 0; r < 300; ++r) {
+    sale.append_row(std::vector<std::uint64_t>{
+        big + rng.next_below(5), big + rng.next_below(4), rng.next_below(10),
+        rng.next_below(4), big + rng.next_below(6), rng.next_below(1000)});
+  }
+  rel::Schema ndim_schema{{{"n_c", rel::DataType::kInt, 8, nullptr},
+                           {"n_d", rel::DataType::kInt, 8, nullptr},
+                           {"n_t", rel::DataType::kInt, 8, nullptr}}};
+  rel::Table ndim(ndim_schema, "ndim");
+  rel::Schema wdim_schema{{{"w_a", rel::DataType::kInt, 40, nullptr},
+                           {"w_b", rel::DataType::kInt, 40, nullptr},
+                           {"w_t", rel::DataType::kInt, 40, nullptr}}};
+  rel::Table wdim(wdim_schema, "wdim");
+  for (int r = 0; r < 12; ++r) {
+    // Keys repeat (12 rows over 10 and 6 key pairs) and the fact holds
+    // pairs no dimension row has, s_c codes of 8 and 9 among them: wider
+    // than n_c's 3 bits, they would alias into n_d's field if packed.
+    ndim.append_row(std::vector<std::uint64_t>{
+        static_cast<std::uint64_t>(r % 5), static_cast<std::uint64_t>(r % 2),
+        rng.next_below(7)});
+    wdim.append_row(std::vector<std::uint64_t>{
+        big + static_cast<std::uint64_t>(r % 3),
+        big + static_cast<std::uint64_t>(r % 2), big + rng.next_below(6)});
+  }
+  const std::vector<const rel::Table*> oracle_tables = {&sale, &ndim, &wdim};
+
   db::Database database;
   database.register_table(std::move(fact));
   database.register_table(std::move(dim));
+  database.register_table(sale);
+  database.register_table(ndim);
+  database.register_table(wdim);
   db::Session session(database);
 
   // fk=1 matches twice, fk=2 once: SUM(v) = 10 + 10 + 20 = 40.
@@ -121,6 +231,44 @@ TEST(HashJoin, DuplicateBuildKeysYieldCrossProduct) {
   EXPECT_EQ(grouped.integer(1, 1), 10);
   EXPECT_EQ(grouped.integer(2, 0), 3);
   EXPECT_EQ(grouped.integer(2, 1), 20);
+
+  using sql::AggFunc;
+  const std::string n_pair = "s_c = n_c AND s_d = n_d";
+  const std::string w_pair = "s_a = w_a AND s_b = w_b";
+  const std::tuple<std::size_t, std::size_t, std::size_t> nc{1, 2, 0},
+      nd{1, 3, 1}, wa{2, 0, 0}, wb{2, 1, 1};
+  const std::vector<OracleText> texts = {
+      {"SELECT SUM(s_v) AS x FROM sale, ndim WHERE " + n_pair,
+       {nc, nd}, {}, {}, AggFunc::kSum, {0, 5}},
+      {"SELECT n_t, MIN(s_v) AS x FROM sale, ndim WHERE " + n_pair +
+           " GROUP BY n_t ORDER BY n_t",
+       {nc, nd}, {}, {{1, 2}}, AggFunc::kMin, {0, 5}},
+      {"SELECT w_t, MAX(s_v) AS x FROM sale, wdim WHERE " + w_pair +
+           " GROUP BY w_t",
+       {wa, wb}, {}, {{2, 2}}, AggFunc::kMax, {0, 5}},
+      {"SELECT n_t, w_t, COUNT(*) AS x FROM sale, ndim, wdim WHERE " +
+           n_pair + " AND " + w_pair + " GROUP BY n_t, w_t",
+       {nc, nd, wa, wb}, {}, {{1, 2}, {2, 2}}, AggFunc::kCount, {0, 0}},
+      {"SELECT w_t, s_g, MIN(s_v) AS x FROM sale, ndim, wdim WHERE " +
+           n_pair + " AND " + w_pair + " GROUP BY w_t, s_g",
+       {nc, nd, wa, wb}, {}, {{2, 2}, {0, 4}}, AggFunc::kMin, {0, 5}},
+      {"SELECT s_g, n_t, MAX(s_v) AS x FROM sale, ndim, wdim WHERE " +
+           n_pair + " AND " + w_pair + " GROUP BY s_g, n_t ORDER BY s_g, n_t",
+       {nc, nd, wa, wb}, {}, {{0, 4}, {1, 2}}, AggFunc::kMax, {0, 5}},
+      {"SELECT n_t, SUM(s_v) AS x FROM sale, ndim WHERE s_c = n_c AND n_t < 4 "
+       "GROUP BY n_t ORDER BY n_t",
+       {nc}, std::tuple<std::size_t, std::size_t, std::uint64_t>{1, 2, 4},
+       {{1, 2}}, AggFunc::kSum, {0, 5}},
+  };
+  for (const OracleText& t : texts) {
+    const std::vector<engine::ResultRow> want = nested_loop(oracle_tables, t);
+    ASSERT_FALSE(want.empty()) << t.sql;
+    for (const db::BackendKind backend :
+         {db::BackendKind::kReference, db::BackendKind::kOneXb}) {
+      EXPECT_EQ(session.execute(t.sql, backend).rows(), want)
+          << t.sql << " on " << db::backend_name(backend);
+    }
+  }
 }
 
 TEST(HashJoin, EmptyBuildSideYieldsEmptyJoin) {

@@ -3,7 +3,9 @@
 // behind loading and scan readback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "engine_test_util.hpp"
 #include "host/read_set.hpp"
@@ -201,17 +203,23 @@ TEST(PimStoreBlock, LoadMatchesPerRecordWritesTwoXb) {
 
 /// execute_scan against a record-at-a-time oracle: the survivors from the
 /// table, their codes through PimStore::read_attr, and the unique lines of
-/// one ReadSet::touch per survivor per chunk.
-void expect_scan_matches_per_record_walk(EngineKind kind, bool prune) {
+/// one ReadSet::touch per survivor per chunk. The scan sizes its output
+/// from per-page survivor counts and fills each page's rows in place, in
+/// parallel at sim_threads > 1.
+void expect_scan_matches_per_record_walk(EngineKind kind, bool prune,
+                                         std::uint32_t sim_threads) {
   testutil::EngineFixture fx(kind, 900, 31);  // partial last word and page
-  const sql::BoundQuery q = fx.bind_sql(
-      "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND f_gid BETWEEN 1 AND 4");
-  const std::vector<std::size_t> attrs = {1, 4, 2};
-  ExecOptions opts;
-  opts.prune = prune;
-  const ScanOutput out = fx.engine->execute_scan(q.filters, attrs, opts);
-
   const PimStore& store = *fx.store;
+  // A key range around record 5's key: survivors on page 0, while the
+  // other pages' zone maps (min/max over ~256 random 12-bit keys) cannot
+  // refute it, so pruning leaves them active with few or no survivors.
+  const std::uint64_t key = fx.table->value(5, 0);
+  const std::vector<std::string> texts = {
+      "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND f_gid BETWEEN 1 AND 4",
+      "SELECT COUNT(*) FROM t WHERE f_key BETWEEN " + std::to_string(key) +
+          " AND " + std::to_string(key + 2),
+  };
+  const std::vector<std::size_t> attrs = {1, 4, 2};
   std::set<std::pair<int, std::uint32_t>> chunks;
   for (const std::size_t a : attrs) {
     const pim::Field f = store.field(a);
@@ -220,39 +228,59 @@ void expect_scan_matches_per_record_walk(EngineKind kind, bool prune) {
       chunks.insert({store.part_of_attr(a), c});
     }
   }
-  std::vector<std::uint64_t> ids;
-  std::vector<std::vector<std::uint64_t>> cols(attrs.size());
-  host::ReadSet lines(store.pages_per_part());
-  for (std::size_t r = 0; r < store.record_count(); ++r) {
-    bool pass = true;
-    for (const sql::BoundPredicate& pred : q.filters) {
-      pass = pass && pred.matches(fx.table->value(r, pred.attr));
+  std::size_t empty_active_pages = 0;
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(text);
+    const sql::BoundQuery q = fx.bind_sql(text);
+    ExecOptions opts;
+    opts.prune = prune;
+    opts.sim_threads = sim_threads;
+    const ScanOutput out = fx.engine->execute_scan(q.filters, attrs, opts);
+
+    std::vector<std::uint64_t> ids;
+    std::vector<std::vector<std::uint64_t>> cols(attrs.size());
+    std::vector<std::size_t> page_survivors(store.pages_per_part(), 0);
+    host::ReadSet lines(store.pages_per_part());
+    for (std::size_t r = 0; r < store.record_count(); ++r) {
+      bool pass = true;
+      for (const sql::BoundPredicate& pred : q.filters) {
+        pass = pass && pred.matches(fx.table->value(r, pred.attr));
+      }
+      if (!pass) continue;
+      ids.push_back(r);
+      ++page_survivors[r / store.records_per_page()];
+      for (std::size_t k = 0; k < attrs.size(); ++k) {
+        cols[k].push_back(store.read_attr(r, attrs[k]));
+      }
+      const auto row = static_cast<std::uint32_t>(r % fx.cfg.crossbar_rows);
+      for (const auto& [part, chunk] : chunks) {
+        lines.touch(
+            static_cast<std::uint32_t>(r / store.records_per_page()), row,
+            static_cast<std::uint32_t>(part) * fx.cfg.chunks_per_row() +
+                chunk);
+      }
     }
-    if (!pass) continue;
-    ids.push_back(r);
-    for (std::size_t k = 0; k < attrs.size(); ++k) {
-      cols[k].push_back(store.read_attr(r, attrs[k]));
-    }
-    const auto row = static_cast<std::uint32_t>(r % fx.cfg.crossbar_rows);
-    for (const auto& [part, chunk] : chunks) {
-      lines.touch(static_cast<std::uint32_t>(r / store.records_per_page()), row,
-                  static_cast<std::uint32_t>(part) * fx.cfg.chunks_per_row() +
-                      chunk);
-    }
+    ASSERT_FALSE(ids.empty());
+    EXPECT_EQ(out.row_ids, ids);
+    EXPECT_EQ(out.columns, cols);
+    EXPECT_EQ(out.stats.host_lines, lines.unique_lines());
+    const std::size_t empty_pages = static_cast<std::size_t>(std::count(
+        page_survivors.begin(), page_survivors.end(), std::size_t{0}));
+    empty_active_pages += empty_pages - out.stats.pages_skipped;
   }
-  ASSERT_FALSE(ids.empty());
-  EXPECT_EQ(out.row_ids, ids);
-  EXPECT_EQ(out.columns, cols);
-  EXPECT_EQ(out.stats.host_lines, lines.unique_lines());
+  // Some page ran the filter yet kept no survivor.
+  EXPECT_GT(empty_active_pages, 0u);
 }
 
 TEST(PimStoreBlock, ScanMatchesPerRecordWalk) {
   for (const EngineKind kind : {EngineKind::kOneXb, EngineKind::kTwoXb}) {
     for (const bool prune : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << "two-xb " << (kind == EngineKind::kTwoXb) << " prune "
-                   << prune);
-      expect_scan_matches_per_record_walk(kind, prune);
+      for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "two-xb " << (kind == EngineKind::kTwoXb) << " prune "
+                     << prune << " sim_threads " << threads);
+        expect_scan_matches_per_record_walk(kind, prune, threads);
+      }
     }
   }
 }
