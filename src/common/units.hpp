@@ -37,8 +37,6 @@ inline constexpr double kSecondsPerYear = 365.25 * 24 * 3600;
 constexpr double ns_to_sec(TimeNs ns) { return ns / kNsPerSec; }
 /// Converts nanoseconds to milliseconds.
 constexpr double ns_to_ms(TimeNs ns) { return ns / kNsPerMs; }
-/// Converts seconds to nanoseconds.
-constexpr TimeNs sec_to_ns(double sec) { return sec * kNsPerSec; }
 
 }  // namespace units
 }  // namespace bbpim

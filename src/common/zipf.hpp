@@ -29,7 +29,6 @@ class ZipfSampler {
   /// Probability mass of a given rank.
   double mass(std::size_t rank) const;
 
-  std::size_t domain_size() const { return cdf_.size(); }
   double theta() const { return theta_; }
 
  private:

@@ -19,24 +19,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/group_index.hpp"
 #include "engine/latency_model.hpp"
 
 namespace bbpim::engine {
-
-/// The group-attribute codes of one group.
-using GroupKey = std::vector<std::uint64_t>;
-
-/// Group-key hash of every host-side group map: the engine's host-gb, the
-/// host hash join and the reference oracle.
-struct KeyHash {
-  std::size_t operator()(const GroupKey& k) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (const std::uint64_t v : k) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
 
 /// One candidate subgroup, sampled or enumerated from attribute domains.
 struct GroupCandidate {

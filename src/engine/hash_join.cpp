@@ -1,116 +1,12 @@
 #include "engine/hash_join.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "engine/snapshot_store.hpp"
+#include "engine/group_index.hpp"
 
 namespace bbpim::engine {
 namespace {
-
-/// Dense indices 0, 1, 2, ... for fixed-arity code tuples, in insertion
-/// order. Field widths come from the data: field i holds codes up to
-/// max_codes[i], so when the bit widths of the maxima sum to at most 64 (every
-/// key SSB joins or groups on) a tuple packs losslessly into one word and a
-/// CodeIndex indexes it, growing by doubling past `capacity`. Wider tuples
-/// fall back to a GroupKey hash map. A tuple with a field above its maximum
-/// was never inserted, so find returns kAbsent for it without a lookup.
-/// `field(i)` yields the tuple's i-th code.
-class TupleIndex {
- public:
-  static constexpr std::uint32_t kAbsent = CodeIndex::kAbsent;
-
-  TupleIndex(std::vector<std::uint64_t> max_codes, std::size_t capacity)
-      : max_(std::move(max_codes)),
-        capacity_(capacity),
-        packed_index_(0),
-        scratch_(max_.size()) {
-    std::uint32_t bits = 0;
-    for (const std::uint64_t m : max_) {
-      shift_.push_back(bits);
-      bits += std::bit_width(m);
-    }
-    packed_ = bits <= 64;
-    if (packed_) packed_index_ = CodeIndex(capacity_);
-  }
-
-  template <class Field>
-  std::uint32_t insert(Field&& field) {
-    if (!packed_) {
-      const auto [it, fresh] = wide_.try_emplace(
-          gather(field), static_cast<std::uint32_t>(wide_keys_.size()));
-      if (fresh) wide_keys_.push_back(it->first);
-      return it->second;
-    }
-    const std::uint64_t pk = pack(field).value();
-    if (const std::uint32_t i = packed_index_.find(pk); i != kAbsent) {
-      return i;
-    }
-    if (packed_index_.codes().size() == capacity_) {
-      capacity_ = std::max<std::size_t>(2 * capacity_, 16);
-      CodeIndex grown(capacity_);
-      for (const std::uint64_t c : packed_index_.codes()) grown.insert(c);
-      packed_index_ = std::move(grown);
-    }
-    return packed_index_.insert(pk);
-  }
-
-  template <class Field>
-  std::uint32_t find(Field&& field) {
-    if (!packed_) {
-      const auto it = wide_.find(gather(field));
-      return it == wide_.end() ? kAbsent : it->second;
-    }
-    const std::optional<std::uint64_t> pk = pack(field);
-    return pk ? packed_index_.find(*pk) : kAbsent;
-  }
-
-  /// The tuple of index `i`.
-  GroupKey key(std::uint32_t i) const {
-    if (!packed_) return wide_keys_[i];
-    const std::uint64_t pk = packed_index_.codes()[i];
-    GroupKey key(max_.size());
-    for (std::size_t f = 0; f < max_.size(); ++f) {
-      const int width = std::bit_width(max_[f]);
-      if (width == 0) continue;
-      const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
-      key[f] = (pk >> shift_[f]) & mask;
-    }
-    return key;
-  }
-
- private:
-  /// The tuple packed into one word; nullopt when a field exceeds its
-  /// maximum.
-  template <class Field>
-  std::optional<std::uint64_t> pack(Field& field) const {
-    std::uint64_t pk = 0;
-    for (std::size_t i = 0; i < max_.size(); ++i) {
-      const std::uint64_t v = field(i);
-      if (v > max_[i]) return std::nullopt;
-      if (v != 0) pk |= v << shift_[i];
-    }
-    return pk;
-  }
-
-  template <class Field>
-  const GroupKey& gather(Field& field) {
-    for (std::size_t i = 0; i < max_.size(); ++i) scratch_[i] = field(i);
-    return scratch_;
-  }
-
-  std::vector<std::uint64_t> max_;
-  std::vector<std::uint32_t> shift_;
-  bool packed_ = true;
-  std::size_t capacity_;
-  CodeIndex packed_index_;
-  std::unordered_map<GroupKey, std::uint32_t, KeyHash> wide_;
-  std::vector<GroupKey> wide_keys_;
-  GroupKey scratch_;
-};
 
 /// The scan column of attribute `attr` of table `t`; `attrs` is
 /// join_scan_attrs of the plan `scans` were read for.
@@ -284,8 +180,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   }
 
   // Without GROUP BY every joined row folds into the empty key.
-  TupleIndex groups(std::move(group_max), 0);
-  std::vector<std::int64_t> acc;  // per group id
+  GroupFold groups(plan.agg_func, std::move(group_max));
   std::size_t joined = 0;
   // Per build side: the current probe row's chain start and position.
   std::vector<std::uint32_t> first(builds.size());
@@ -315,13 +210,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
         v = static_cast<std::int64_t>(plan.agg_expr.eval(
             value_of(agg_a), have_b ? value_of(agg_b) : 0));
       }
-      const std::uint32_t g = groups.insert(
-          [&](std::size_t i) { return value_of(group_slots[i]); });
-      if (g == acc.size()) {
-        acc.push_back(v);
-      } else {
-        acc[g] = fold_agg(plan.agg_func, acc[g], v);
-      }
+      groups.add([&](std::size_t i) { return value_of(group_slots[i]); }, v);
       std::size_t d = 0;
       for (; d < builds.size(); ++d) {
         cur[d] = builds[d].next[cur[d]];
@@ -337,10 +226,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                 threads;
 
   // --- finalize: the single-table engine's sort ----------------------------
-  out.rows.reserve(acc.size());
-  for (std::uint32_t g = 0; g < acc.size(); ++g) {
-    out.rows.push_back(ResultRow{groups.key(g), acc[g]});
-  }
+  out.rows = groups.rows();
   if (!plan.has_group_by() && out.rows.empty()) out.rows.push_back({});
   sort_rows(out.rows, plan.order_by);
   js.finalize_ns = static_cast<double>(out.rows.size()) * 50.0;

@@ -4,18 +4,19 @@
 // zone-map pruning), the fact last: semijoin_candidates turns each filtered
 // dimension's surviving keys into a fact-key predicate the fact scan may
 // AND in when its cost model says so. The host then joins the survivors
-// column at a time: each filtered dimension's join keys get a flat index
-// (engine::CodeIndex over the key packed into one word; duplicate keys chain
-// through head/next row arrays), the fact survivors probe them in build
-// order (most filtered dimension first, so misses drop rows out of the
-// cascade early), and the joined rows fold over a packed group key with the
-// single-table engine's fold and ORDER BY sort (fold_agg, sort_rows), so a
-// normalized-schema query returns row-identical results to the same query
-// on the pre-joined relation. Packing takes each field's width from the
-// data (the bit width of its largest code); a key wider than 64 bits falls
-// back to a GroupKey hash map inside the same probe loop. Build and probe
-// cost is modeled with the host CPU parameters (cpu_ns_per_record across
-// `threads` workers), the same knobs the host-gb phase uses.
+// column at a time: each filtered dimension's join keys get a TupleIndex
+// (engine/group_index.hpp; duplicate keys chain through head/next row
+// arrays), the fact survivors probe them in build order (most filtered
+// dimension first, so misses drop rows out of the cascade early), and the
+// joined rows fold into one GroupFold, the single-table host-gb's group
+// fold, then sort with its ORDER BY sort (sort_rows), so a normalized-schema
+// query returns row-identical results to the same query on the pre-joined
+// relation. Field maxima come from the data (each column's largest code):
+// a key whose maxima fit 64 bits packs into one word, a wider one falls
+// back to a GroupKey hash map, and a probe field above its maximum misses
+// without a lookup. Build and probe cost is modeled with the host CPU
+// parameters (cpu_ns_per_record across `threads` workers), the same knobs
+// the host-gb phase uses.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,10 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "engine/filter_compiler.hpp"
+#include "engine/group_index.hpp"
 #include "host/pipeline.hpp"
 #include "pim/controller.hpp"
 #include "pim/trackers.hpp"
@@ -22,7 +22,7 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
     const rel::Table* dim;
     std::size_t fk_idx;                     // in fact
     std::vector<std::size_t> carried;       // dim attribute indices
-    std::unordered_map<std::uint64_t, std::uint32_t> key_to_row;
+    CodeIndex key_to_row{0};                // dim key -> dim row
   };
   std::vector<DimPlan> plans;
 
@@ -56,10 +56,9 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
     }
 
     const std::vector<std::uint64_t>& keys = spec.dim->column(*key);
-    plan.key_to_row.reserve(keys.size());
+    plan.key_to_row = CodeIndex(keys.size());
     for (std::size_t r = 0; r < keys.size(); ++r) {
-      if (!plan.key_to_row.emplace(keys[r], static_cast<std::uint32_t>(r))
-               .second) {
+      if (plan.key_to_row.insert(keys[r]) != r) {
         throw std::invalid_argument("prejoin: duplicate dimension key in " +
                                     spec.dim->name());
       }
@@ -80,12 +79,11 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
   for (const DimPlan& plan : plans) {
     const std::vector<std::uint64_t>& fks = fact.column(plan.fk_idx);
     for (std::size_t r = 0; r < n; ++r) {
-      const auto it = plan.key_to_row.find(fks[r]);
-      if (it == plan.key_to_row.end()) {
+      dim_row[r] = plan.key_to_row.find(fks[r]);
+      if (dim_row[r] == CodeIndex::kAbsent) {
         throw std::runtime_error("prejoin: dangling foreign key in row " +
                                  std::to_string(r));
       }
-      dim_row[r] = it->second;
     }
     for (const std::size_t a : plan.carried) {
       const std::vector<std::uint64_t>& src = plan.dim->column(a);
@@ -114,9 +112,7 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   }
   const RecordLayout& layout = store.layout(part);
   const pim::Field target = layout.field(attr);
-  const std::uint64_t max_v =
-      target.width >= 64 ? ~0ULL : (1ULL << target.width) - 1;
-  if (new_value > max_v) {
+  if (new_value > width_max(target.width)) {
     throw std::invalid_argument("pim_update: value overflows attribute");
   }
   // Raw width is not enough: a dictionary of 6 values packs into 3 bits,

@@ -23,10 +23,11 @@ namespace bbpim::engine {
 namespace {
 
 /// (part, chunk) pairs the host touches per record for the given attrs.
-std::set<std::pair<int, std::uint32_t>> read_chunks(
-    const PimStore& store, const pim::PimConfig& cfg,
-    const std::vector<std::size_t>& attrs) {
-  std::set<std::pair<int, std::uint32_t>> chunks;
+using ChunkSet = std::set<std::pair<int, std::uint32_t>>;
+
+ChunkSet read_chunks(const PimStore& store, const pim::PimConfig& cfg,
+                     const std::vector<std::size_t>& attrs) {
+  ChunkSet chunks;
   for (const std::size_t a : attrs) {
     const int part = store.part_of_attr(a);
     const pim::Field f = store.field(a);
@@ -107,13 +108,18 @@ std::uint32_t walk_survivor_blocks(const PimStore& store, std::size_t p,
 constexpr std::size_t kCandidateCap = 65536;
 constexpr std::uint16_t kMulDecompositionMaxBits = 12;
 
-}  // namespace
-
-std::int64_t fold_agg(sql::AggFunc func, std::int64_t acc, std::int64_t v) {
-  if (func == sql::AggFunc::kMin) return std::min(acc, v);
-  if (func == sql::AggFunc::kMax) return std::max(acc, v);
-  return acc + v;
+/// Group-fold field maxima of `attrs` on `store`: every code fits its
+/// field's width.
+std::vector<std::uint64_t> group_maxima(const PimStore& store,
+                                        const std::vector<std::size_t>& attrs) {
+  std::vector<std::uint64_t> max_codes;
+  for (const std::size_t a : attrs) {
+    max_codes.push_back(width_max(store.field(a).width));
+  }
+  return max_codes;
 }
+
+}  // namespace
 
 void sort_rows(std::vector<ResultRow>& rows,
                const std::vector<sql::BoundOrderItem>& order_by) {
@@ -242,7 +248,8 @@ class Execution {
         sim_threads_(resolve_threads(opts.sim_threads.value_or(hcfg.sim_threads))),
         vectorized_(!opts.sim_scalar),
         prune_(opts.prune.value_or(hcfg.prune)),
-        cancel_(std::move(cancel)) {
+        cancel_(std::move(cancel)),
+        results_(q.agg_func, group_maxima(store, q.group_by)) {
     // Selectivity-ordered execution: predicates compile most-selective
     // first (sketch-estimated; deterministic). AND is commutative and each
     // predicate costs the same cycles at any position, so rows and modeled
@@ -521,8 +528,11 @@ class Execution {
   /// (two-xb transfer + AND), and counts the selected records.
   void filter_finish();
   void build_agg_passes();
-  void sample_phase();
-  void build_candidates();
+  /// Samples page 0 into candidates_ (id order); returns the sample's
+  /// per-group survivor counts.
+  GroupFold sample_phase();
+  /// Appends the unsampled candidates (those `sampled` lacks) and sorts.
+  void build_candidates(const TupleIndex& sampled);
   void plan_phase();
   void pim_gb_phase();
   void host_gb_phase();
@@ -546,14 +556,13 @@ class Execution {
   std::pair<std::int64_t, std::uint64_t> aggregate_group(const GroupKey& key,
                                                          bool update_mask);
 
-  std::vector<std::uint64_t> group_attr_key(std::size_t record) const {
-    std::vector<std::uint64_t> key;
-    key.reserve(q_.group_by.size());
-    for (const std::size_t a : q_.group_by) {
-      key.push_back(store_.read_attr(record, a));
-    }
-    return key;
-  }
+  /// Record-at-a-time walk over page `p`'s survivors `bits`, shared by the
+  /// sample and the sim_scalar host-gb: touches each survivor's `chunks`
+  /// lines in `rs` and folds its group into `fold`, adding its aggregate
+  /// input when `values` and one otherwise. Returns the survivors walked.
+  std::size_t walk_records(std::size_t p, const BitVec& bits,
+                           const ChunkSet& chunks, host::ReadSet& rs,
+                           GroupFold& fold, bool values) const;
 
   // --- members ---------------------------------------------------------------
   EngineKind kind_;
@@ -609,7 +618,8 @@ class Execution {
   double selectivity_est_ = 0;
   std::size_t chosen_k_ = 0;
 
-  std::unordered_map<GroupKey, std::int64_t, KeyHash> results_;
+  /// pim-gb subgroups, then host-gb's folded survivors.
+  GroupFold results_;
   std::vector<ResultRow> rows_;
 };
 
@@ -773,8 +783,7 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
     std::uint64_t acc;
     std::uint64_t count;
   };
-  const std::uint64_t value_max =
-      req.value.width >= 64 ? ~0ULL : (1ULL << req.value.width) - 1;
+  const std::uint64_t value_max = width_max(req.value.width);
   std::vector<Partial> partials(
       on_pages.size(), Partial{req.op == pim::AggOp::kMin ? value_max : 0, 0});
   bool folded = false;
@@ -802,8 +811,7 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
         std::uint64_t count = 0;
         const std::uint64_t v = pim::compute_aggregate(
             xb, req.value, select_col, req.op, &count, vectorized_);
-        const std::uint64_t rmask =
-            req.result.width >= 64 ? ~0ULL : (1ULL << req.result.width) - 1;
+        const std::uint64_t rmask = width_max(req.result.width);
         xb.write_row_bits(0, req.result.offset, req.result.width, v & rmask);
         if (want_count) {
           xb.write_row_bits(0, req.count.offset, req.count.width, count);
@@ -811,8 +819,7 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
         xb.add_uniform_wear(total_cycles);
         if (vectorized_) {
           part.acc = pim::agg_fold(req.op, part.acc, v & rmask);
-          const std::uint64_t cmask =
-              req.count.width >= 64 ? ~0ULL : (1ULL << req.count.width) - 1;
+          const std::uint64_t cmask = width_max(req.count.width);
           if (want_count) part.count += count & cmask;
         }
       }
@@ -1010,7 +1017,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
 // Phase 2: sampling (Section IV)
 // ---------------------------------------------------------------------------
 
-void Execution::sample_phase() {
+GroupFold Execution::sample_phase() {
   TimeNs* slot = &stats_.phases.sample;
 
   // Read the filter bits of one page (32 K records), single thread. When
@@ -1036,22 +1043,11 @@ void Execution::sample_phase() {
                           static_cast<std::uint32_t>(store_.parts()) *
                               cfg_.chunks_per_row())
           : host::ReadSet(1);
-  const auto chunks = read_chunks(store_, cfg_, q_.group_by);
-  std::unordered_map<GroupKey, std::uint64_t, KeyHash> counts;
-  std::size_t hits = 0;
+  GroupFold counts(sql::AggFunc::kCount, results_.index().max_codes());
+  const std::size_t hits =
+      walk_records(0, bits, read_chunks(store_, cfg_, q_.group_by), rs, counts,
+                   /*values=*/false);
   const std::uint32_t valid = store_.page_records(0);
-  for (std::size_t i = bits.find_next(0); i < bits.size();
-       i = bits.find_next(i + 1)) {
-    if (i >= valid) break;
-    ++hits;
-    const pim::Page::RecordCoord c = store_.page(0, 0).locate(
-        static_cast<std::uint32_t>(i));
-    for (const auto& [part, chunk] : chunks) {
-      rs.touch(0, c.row,
-               static_cast<std::uint32_t>(part) * cfg_.chunks_per_row() + chunk);
-    }
-    ++counts[group_attr_key(i)];
-  }
   // Single-threaded sample walk (shared across threads, Section V-A).
   const TimeNs read_ns =
       static_cast<double>(rs.unique_lines()) * hcfg_.line_random_ns +
@@ -1062,21 +1058,19 @@ void Execution::sample_phase() {
   stats_.sampled_subgroups = counts.size();
   selectivity_est_ = valid > 0 ? static_cast<double>(hits) / valid : 0.0;
 
-  for (auto& [key, count] : counts) {
-    GroupCandidate c;
-    c.key = key;
-    c.sampled = true;
-    c.sample_count = count;
-    c.est_mass = hits > 0 ? static_cast<double>(count) / hits : 0.0;
-    candidates_.push_back(std::move(c));
+  for (ResultRow& row : counts.rows()) {
+    const double mass = hits > 0 ? static_cast<double>(row.agg) / hits : 0.0;
+    candidates_.push_back({std::move(row.group), mass, true,
+                           static_cast<std::uint64_t>(row.agg)});
   }
+  return counts;
 }
 
 // ---------------------------------------------------------------------------
 // Candidate enumeration ("total subgroups", Table II)
 // ---------------------------------------------------------------------------
 
-void Execution::build_candidates() {
+void Execution::build_candidates(const TupleIndex& sampled) {
   // Candidate values per group attribute: distinct values consistent with
   // the query's own predicates on that attribute.
   std::vector<std::vector<std::uint64_t>> domains;
@@ -1146,19 +1140,13 @@ void Execution::build_candidates() {
   if (candidates_complete_ && product <= static_cast<double>(kCandidateCap)) {
     stats_.total_subgroups = static_cast<std::size_t>(product);
     // Enumerate the cartesian product; merge with sampled candidates.
-    std::unordered_map<GroupKey, std::size_t, KeyHash> sampled_index;
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      sampled_index.emplace(candidates_[i].key, i);
-    }
     GroupKey key(domains.size(), 0);
     std::vector<std::size_t> idx(domains.size(), 0);
     const std::size_t total = stats_.total_subgroups;
     for (std::size_t count = 0; count < total; ++count) {
       for (std::size_t d = 0; d < domains.size(); ++d) key[d] = domains[d][idx[d]];
-      if (!sampled_index.contains(key)) {
-        GroupCandidate c;
-        c.key = key;
-        candidates_.push_back(std::move(c));
+      if (sampled.find(key) == TupleIndex::kAbsent) {
+        candidates_.push_back({key});
       }
       // Odometer increment.
       for (std::size_t d = domains.size(); d-- > 0;) {
@@ -1208,9 +1196,7 @@ void Execution::pim_gb_phase() {
     cancel_.check();  // per-subgroup boundary: each group is a full PIM pass
     const auto [value, count] =
         aggregate_group(candidates_[g].key, /*update_mask=*/host_side_needed);
-    if (count > 0) {
-      results_[candidates_[g].key] = value;
-    }
+    if (count > 0) results_.add(candidates_[g].key, value);
   }
   stats_.pim_subgroups = chosen_k_;
 }
@@ -1243,78 +1229,39 @@ void Execution::host_gb_phase() {
   const auto chunks = read_chunks(store_, cfg_, walk_attrs);
   std::size_t processed = 0;
   std::vector<std::uint32_t> page_lines(pages(), 0);
-  auto merge = [&](const GroupKey& key, std::int64_t v) {
-    const auto [it, fresh] = results_.try_emplace(key, v);
-    if (!fresh) it->second = fold_agg(q_.agg_func, it->second, v);
-  };
 
   if (!vectorized_) {
     // Scalar baseline: the seed's record-at-a-time walk (hash-set line
-    // dedupe, a key vector per record).
+    // dedupe, per-record attribute reads).
     host::ReadSet rs(pages());
     for (std::size_t p = 0; p < pages(); ++p) {
-      const std::uint32_t valid = store_.page_records(p);
-      for (std::size_t i = bits[p].find_next(0); i < bits[p].size();
-           i = bits[p].find_next(i + 1)) {
-        if (i >= valid) break;
-        ++processed;
-        const std::size_t record = p * store_.records_per_page() + i;
-        const pim::Page::RecordCoord c =
-            store_.page(0, p).locate(static_cast<std::uint32_t>(i));
-        for (const auto& [part, chunk] : chunks) {
-          rs.touch(static_cast<std::uint32_t>(p), c.row,
-                   static_cast<std::uint32_t>(part) * cfg_.chunks_per_row() +
-                       chunk);
-        }
-        // Classify + aggregate on the CPU.
-        std::int64_t v = 1;
-        if (q_.agg_func != sql::AggFunc::kCount) {
-          const std::uint64_t va = store_.read_attr(record, q_.agg_expr.a);
-          const std::uint64_t vb =
-              q_.agg_expr.kind == sql::Expr::Kind::kColumn
-                  ? 0
-                  : store_.read_attr(record, q_.agg_expr.b);
-          v = static_cast<std::int64_t>(q_.agg_expr.eval(va, vb));
-        }
-        merge(group_attr_key(record), v);
-      }
+      processed += walk_records(p, bits[p], chunks, rs, results_,
+                                q_.agg_func != sql::AggFunc::kCount);
     }
     page_lines.assign(rs.per_page_lines().begin(), rs.per_page_lines().end());
   } else {
-    // Page-parallel block walk (walk_survivor_blocks): every page
-    // classifies into a private group map with a reused key buffer and
-    // counts its unique lines word by word; partials are merged into
-    // results_ in page order. Per-key combines are exact integer ops, so
-    // the split is invisible: the merged map — and after the total-order
-    // sort, the rows — match the record-at-a-time walk bit for bit.
+    // Page-parallel block walk (walk_survivor_blocks): every page folds
+    // its survivors into a private GroupFold and counts its unique lines
+    // word by word; the partials merge into results_ in page order (packed
+    // keys are reinserted as words, never unpacked). Per-key combines are
+    // exact integer ops, so the split is invisible: the merged fold — and
+    // after the total-order sort, the rows — match the record-at-a-time
+    // walk bit for bit.
     struct PagePartial {
-      std::unordered_map<GroupKey, std::int64_t, KeyHash> groups;
-      /// Bit-packed variant used when the group attributes fit in 64 bits
-      /// (the common case): no vector hashing/compares per record.
-      std::unordered_map<std::uint64_t, std::int64_t> packed;
+      GroupFold fold;
       std::size_t processed = 0;
       std::uint32_t lines = 0;
     };
-    std::vector<PagePartial> partials(pages());
+    std::vector<PagePartial> partials(
+        pages(), {GroupFold(q_.agg_func, results_.index().max_codes())});
     // One block read per live word covers the group attributes, then the
     // aggregate's operands: blocks[g] for g < |group_by|, then a, then b.
     const std::size_t ngroup = q_.group_by.size();
-    std::vector<std::uint32_t> widths;
-    widths.reserve(ngroup);
-    std::uint32_t key_bits = 0;
-    for (const std::size_t a : q_.group_by) {
-      widths.push_back(store_.field(a).width);
-      key_bits += widths.back();
-    }
-    // Field values are < 2^width by construction, so concatenating them is
-    // a lossless key encoding whenever the total width fits a word.
-    const bool pack_keys = key_bits <= 64;
     const bool want_values = q_.agg_func != sql::AggFunc::kCount;
     const bool have_b = q_.agg_expr.kind != sql::Expr::Kind::kColumn;
     run_jobs(active_pages_.size(), [&](std::size_t job, pim::EnergyMeter&) {
       const std::size_t p = active_pages_[job];
       PagePartial& part = partials[p];
-      GroupKey key(ngroup, 0);
       part.lines = walk_survivor_blocks(
           store_, p, bits[p], walk_attrs, chunks.size(),
           [&](std::size_t, std::uint64_t live,
@@ -1328,41 +1275,14 @@ void Execution::host_gb_phase() {
                 v = static_cast<std::int64_t>(
                     q_.agg_expr.eval(blocks[ngroup][j], vb));
               }
-              if (pack_keys) {
-                std::uint64_t pk = 0;
-                std::uint32_t shift = 0;
-                for (std::size_t g = 0; g < ngroup; ++g) {
-                  pk |= blocks[g][j] << shift;
-                  shift += widths[g];
-                }
-                const auto [it, fresh] = part.packed.try_emplace(pk, v);
-                if (!fresh) it->second = fold_agg(q_.agg_func, it->second, v);
-              } else {
-                for (std::size_t g = 0; g < ngroup; ++g) key[g] = blocks[g][j];
-                const auto it = part.groups.find(key);
-                if (it == part.groups.end()) {
-                  part.groups.emplace(key, v);  // key copied on first sighting
-                } else {
-                  it->second = fold_agg(q_.agg_func, it->second, v);
-                }
-              }
+              part.fold.add([&](std::size_t g) { return blocks[g][j]; }, v);
             }
           });
     });
-    GroupKey unpacked(ngroup, 0);
     for (std::size_t p = 0; p < pages(); ++p) {
       processed += partials[p].processed;
       page_lines[p] = partials[p].lines;
-      for (const auto& [pk, v] : partials[p].packed) {
-        std::uint64_t rest = pk;
-        for (std::size_t a = 0; a < ngroup; ++a) {
-          const std::uint32_t w = widths[a];
-          unpacked[a] = w >= 64 ? rest : rest & ((1ULL << w) - 1);
-          rest = w >= 64 ? 0 : rest >> w;
-        }
-        merge(unpacked, v);
-      }
-      for (const auto& [key, v] : partials[p].groups) merge(key, v);
+      results_.merge(partials[p].fold);
     }
   }
 
@@ -1371,12 +1291,44 @@ void Execution::host_gb_phase() {
   if (residual_owned) alloc(0).release(residual);
 }
 
+std::size_t Execution::walk_records(std::size_t p, const BitVec& bits,
+                                    const ChunkSet& chunks, host::ReadSet& rs,
+                                    GroupFold& fold, bool values) const {
+  std::size_t walked = 0;
+  const std::uint32_t valid = store_.page_records(p);
+  for (std::size_t i = bits.find_next(0); i < bits.size();
+       i = bits.find_next(i + 1)) {
+    if (i >= valid) break;
+    ++walked;
+    const std::size_t record = p * store_.records_per_page() + i;
+    const pim::Page::RecordCoord c =
+        store_.page(0, p).locate(static_cast<std::uint32_t>(i));
+    for (const auto& [part, chunk] : chunks) {
+      rs.touch(static_cast<std::uint32_t>(p), c.row,
+               static_cast<std::uint32_t>(part) * cfg_.chunks_per_row() +
+                   chunk);
+    }
+    std::int64_t v = 1;
+    if (values) {
+      const std::uint64_t va = store_.read_attr(record, q_.agg_expr.a);
+      const std::uint64_t vb = q_.agg_expr.kind == sql::Expr::Kind::kColumn
+                                   ? 0
+                                   : store_.read_attr(record, q_.agg_expr.b);
+      v = static_cast<std::int64_t>(q_.agg_expr.eval(va, vb));
+    }
+    fold.add(
+        [&](std::size_t g) { return store_.read_attr(record, q_.group_by[g]); },
+        v);
+  }
+  return walked;
+}
+
 // ---------------------------------------------------------------------------
 // Phase 6: finalize
 // ---------------------------------------------------------------------------
 
 void Execution::finalize_phase() {
-  for (auto& [key, value] : results_) rows_.push_back(ResultRow{key, value});
+  rows_ = results_.rows();
   sort_rows(rows_, q_.order_by);
   advance_clock(clock_ + static_cast<double>(rows_.size()) * 50.0,
                 &stats_.phases.finalize);
@@ -1407,8 +1359,7 @@ QueryOutput Execution::finish_query() {
     stats_.total_subgroups = 1;  // Table II: Q1.x aggregate once, in PIM
     stats_.pim_subgroups = 1;
   } else {
-    sample_phase();
-    build_candidates();
+    build_candidates(sample_phase().index());
     plan_phase();
     if (statically_empty) {
       stats_.pim_subgroups = chosen_k_;

@@ -33,6 +33,7 @@
 
 #include "common/units.hpp"
 #include "engine/cancel.hpp"
+#include "engine/group_index.hpp"
 #include "engine/groupby.hpp"
 #include "engine/latency_model.hpp"
 #include "engine/pim_store.hpp"
@@ -193,17 +194,6 @@ enum class StatClass {
 /// class is in `classes`.
 bool stats_equal(const QueryStats& a, const QueryStats& b,
                  std::initializer_list<StatClass> classes);
-
-struct ResultRow {
-  std::vector<std::uint64_t> group;  ///< group-attribute codes
-  std::int64_t agg = 0;
-
-  bool operator==(const ResultRow&) const = default;
-};
-
-/// One step of an aggregate's per-group fold: MIN, MAX, or a sum (COUNT
-/// sums ones). The engine's host-gb and the host hash join both fold with it.
-std::int64_t fold_agg(sql::AggFunc func, std::int64_t acc, std::int64_t v);
 
 /// Sorts result rows by `order_by`, ties broken by the group key, so the
 /// order is total and deterministic. The engine's finalize and the host

@@ -1,39 +1,10 @@
 #include "engine/snapshot_store.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "engine/pim_store.hpp"
 
 namespace bbpim::engine {
-
-CodeIndex::CodeIndex(std::size_t max_codes) : max_codes_(max_codes) {
-  std::size_t slots = 2;
-  int bits = 1;
-  while (slots < 2 * max_codes) {
-    slots <<= 1;
-    ++bits;
-  }
-  shift_ = 64 - bits;
-  mask_ = slots - 1;
-  slots_.assign(slots, kAbsent);
-  codes_.reserve(max_codes);
-}
-
-std::uint32_t CodeIndex::insert(std::uint64_t code) {
-  std::size_t s = slot(code);
-  for (; slots_[s] != kAbsent; s = (s + 1) & mask_) {
-    if (codes_[slots_[s]] == code) return slots_[s];
-  }
-  if (codes_.size() == max_codes_) {
-    throw std::length_error("CodeIndex: more than " +
-                            std::to_string(max_codes_) + " codes");
-  }
-  slots_[s] = static_cast<std::uint32_t>(codes_.size());
-  codes_.push_back(code);
-  return slots_[s];
-}
 
 bool DistinctCollector::add(std::span<const std::uint64_t> codes) {
   for (std::size_t i = 0; i < codes.size() && !capped_; ++i) {

@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/group_index.hpp"
 #include "engine/zone_map.hpp"
 #include "pim/crossbar.hpp"
 
@@ -42,40 +43,6 @@ class FilterCache;
 /// Distinct-value stats are kept only up to this cardinality; higher
 /// attributes never qualify for pure-PIM group enumeration anyway.
 inline constexpr std::size_t kMaxDistinct = 4096;
-
-/// Dense indices 0, 1, 2, ... for at most `max_codes` codes, in insertion
-/// order: a flat open-addressing table (Fibonacci hash, linear probing,
-/// load at most 1/2) over the inserted codes. Any code width is fine.
-class CodeIndex {
- public:
-  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-
-  explicit CodeIndex(std::size_t max_codes);
-
-  /// Index of `code`, inserting it as the next index when new. Throws
-  /// std::length_error when a new code would exceed max_codes.
-  std::uint32_t insert(std::uint64_t code);
-  /// Index of `code`, or kAbsent.
-  std::uint32_t find(std::uint64_t code) const {
-    for (std::size_t s = slot(code);; s = (s + 1) & mask_) {
-      const std::uint32_t i = slots_[s];
-      if (i == kAbsent || codes_[i] == code) return i;
-    }
-  }
-  /// The inserted codes, in index order.
-  const std::vector<std::uint64_t>& codes() const { return codes_; }
-
- private:
-  std::size_t slot(std::uint64_t code) const {
-    return static_cast<std::size_t>((code * 0x9E3779B97F4A7C15ULL) >> shift_);
-  }
-
-  std::size_t max_codes_;
-  int shift_;
-  std::size_t mask_;
-  std::vector<std::uint32_t> slots_;  // index into codes_, or kAbsent
-  std::vector<std::uint64_t> codes_;
-};
 
 /// The kMaxDistinct capping rule, in one place: the load-time stats feed it
 /// whole table columns, scan_distinct feeds it 64-record blocks.

@@ -86,7 +86,6 @@ class ZoneMaps {
 
   bool enabled() const { return crossbars_ > 0; }
   std::size_t crossbar_count() const { return crossbars_; }
-  std::size_t attr_count() const { return bitmap_.size(); }
   bool bitmap_attr(std::size_t attr) const { return bitmap_.at(attr); }
 
   const ZoneSketch& sketch(std::size_t attr, std::size_t crossbar) const {

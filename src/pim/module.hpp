@@ -16,16 +16,6 @@
 
 namespace bbpim::pim {
 
-/// Identifies one 64 B host line inside the module: chunk `chunk` of the
-/// records at row `row` in all 32 crossbars of page `page`.
-struct LineAddr {
-  std::uint32_t page = 0;
-  std::uint32_t row = 0;
-  std::uint32_t chunk = 0;
-
-  friend bool operator==(const LineAddr&, const LineAddr&) = default;
-};
-
 class PimModule {
  public:
   explicit PimModule(PimConfig cfg = {}) : cfg_(cfg) {}
@@ -51,13 +41,6 @@ class PimModule {
   /// Functional write of one record field (bulk load / UPDATE paths).
   void write_record_field(std::size_t page_idx, std::uint32_t record,
                           const Field& f, std::uint64_t value);
-
-  /// The unique host line holding chunk `chunk` of `record` in `page`.
-  LineAddr line_of(std::uint32_t page_idx, std::uint32_t record,
-                   std::uint32_t chunk) const {
-    const Page& p = pages_.at(page_idx);
-    return LineAddr{page_idx, p.locate(record).row, chunk};
-  }
 
   // --- Wear accounting (Fig. 9) --------------------------------------------
   /// Worst-case writes experienced by a single crossbar row anywhere.

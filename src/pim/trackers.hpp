@@ -96,7 +96,6 @@ class PowerTracker {
   /// Maximum instantaneous module power across all recorded intervals.
   PowerW peak_module_w() const;
 
-  std::size_t interval_count() const { return events_.size() / 2; }
   void reset() { events_.clear(); }
 
  private:

@@ -3,7 +3,8 @@
 // normalized schema), on the reference backend for all 13 queries and on
 // the one-xb PIM engine end to end. Plus the host hash join's duplicate-key
 // cross product, empty build sides, the Database-scope plan cache, EXPLAIN
-// of the join tree, and the backends that must refuse.
+// of the join tree, and the backends that must refuse. Plus the group index
+// every host-side fold shares (TupleIndex, GroupFold).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "db/db.hpp"
+#include "engine/group_index.hpp"
 #include "engine/hash_join.hpp"
 #include "ssb/dbgen.hpp"
 #include "ssb/queries.hpp"
@@ -267,6 +269,104 @@ TEST(HashJoin, DuplicateBuildKeysYieldCrossProduct) {
          {db::BackendKind::kReference, db::BackendKind::kOneXb}) {
       EXPECT_EQ(session.execute(t.sql, backend).rows(), want)
           << t.sql << " on " << db::backend_name(backend);
+    }
+  }
+}
+
+TEST(GroupIndex, TupleIndexGrowsPastCapacityAndKeepsEarlierIds) {
+  engine::TupleIndex index({1023, 1023}, 4);
+  ASSERT_TRUE(index.packed());
+  const auto tuple = [](std::uint64_t n) {
+    return engine::GroupKey{n % 1000, n / 1000};
+  };
+  for (std::uint64_t n = 0; n < 3000; ++n) {
+    ASSERT_EQ(index.insert(tuple(n)), n);
+    ASSERT_EQ(index.insert(tuple(n / 2)), n / 2);  // an earlier tuple
+  }
+  for (std::uint32_t n = 0; n < 3000; ++n) {
+    EXPECT_EQ(index.find(tuple(n)), n);
+    EXPECT_EQ(index.key(n), tuple(n));
+  }
+}
+
+TEST(GroupIndex, FieldAboveItsMaximumMissesWithoutAliasing) {
+  // Fields of 2 and 3 bits: {5, 2} would pack as 5 | 2 << 2 = 13, the word
+  // of {1, 3}, were the maximum not checked.
+  engine::TupleIndex index({3, 7});
+  ASSERT_TRUE(index.packed());
+  EXPECT_EQ(index.insert(engine::GroupKey{1, 3}), 0u);
+  EXPECT_EQ(index.find(engine::GroupKey{5, 2}), engine::TupleIndex::kAbsent);
+  EXPECT_EQ(index.find(engine::GroupKey{1, 8}), engine::TupleIndex::kAbsent);
+  EXPECT_EQ(index.find(engine::GroupKey{1, 3}), 0u);
+  EXPECT_EQ(index.insert(engine::GroupKey{1, 4}), 1u);
+}
+
+TEST(GroupIndex, KeyRoundTripsAtFieldMaxima) {
+  // A zero-width field on both sides of a full 64-bit one: the last field
+  // sits at shift 64.
+  const std::uint64_t all = ~0ULL;
+  engine::TupleIndex index({0, all, 0});
+  ASSERT_TRUE(index.packed());
+  const std::vector<engine::GroupKey> tuples = {
+      {0, all, 0}, {0, 0, 0}, {0, all - 1, 0}, {0, 1ULL << 63, 0}};
+  for (std::uint32_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(index.insert(tuples[i]), i);
+  }
+  for (std::uint32_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(index.key(i), tuples[i]);
+    EXPECT_EQ(index.find(tuples[i]), i);
+  }
+  EXPECT_EQ(index.find(engine::GroupKey{1, all, 0}),
+            engine::TupleIndex::kAbsent);
+}
+
+TEST(GroupIndex, EightyBitTupleTakesTheWideFallback) {
+  const std::uint64_t max40 = engine::width_max(40);
+  engine::TupleIndex index({max40, max40});
+  EXPECT_FALSE(index.packed());
+  const engine::GroupKey a{max40, 1}, b{1, max40}, c{max40, max40};
+  EXPECT_EQ(index.insert(a), 0u);
+  EXPECT_EQ(index.insert(b), 1u);
+  EXPECT_EQ(index.insert(a), 0u);
+  EXPECT_EQ(index.insert(c), 2u);
+  EXPECT_EQ(index.find(b), 1u);
+  EXPECT_EQ(index.find(engine::GroupKey{max40 + 1, 1}),
+            engine::TupleIndex::kAbsent);
+  EXPECT_EQ(index.key(2), c);
+  EXPECT_TRUE(
+      engine::TupleIndex({engine::width_max(32), engine::width_max(32)})
+          .packed());
+}
+
+TEST(GroupIndex, MergeOfPartialsEqualsOneFold) {
+  using sql::AggFunc;
+  const std::uint64_t big = 1ULL << 39;
+  for (const bool wide : {false, true}) {
+    const std::uint64_t max = engine::width_max(wide ? 40 : 4);
+    const std::uint64_t base = wide ? big : 0;
+    Rng rng(wide ? 3 : 2);
+    std::vector<std::pair<engine::GroupKey, std::int64_t>> input;
+    for (int i = 0; i < 500; ++i) {
+      input.push_back({{base + rng.next_below(6), base + rng.next_below(5)},
+                       static_cast<std::int64_t>(rng.next_below(2000)) - 1000});
+    }
+    for (const AggFunc func :
+         {AggFunc::kSum, AggFunc::kMin, AggFunc::kMax, AggFunc::kCount}) {
+      engine::GroupFold whole(func, {max, max});
+      engine::GroupFold first(func, {max, max});
+      engine::GroupFold second(func, {max, max});
+      ASSERT_EQ(whole.index().packed(), !wide);
+      for (std::size_t i = 0; i < input.size(); ++i) {
+        const auto& [key, v0] = input[i];
+        const std::int64_t v = func == AggFunc::kCount ? 1 : v0;
+        whole.add(key, v);
+        (i < 230 ? first : second).add(key, v);
+      }
+      first.merge(second);
+      EXPECT_EQ(first.rows(), whole.rows())
+          << (wide ? "wide" : "packed") << " func "
+          << static_cast<int>(func);
+      EXPECT_EQ(whole.size(), 30u);
     }
   }
 }

@@ -4,8 +4,13 @@
 // reference executor's rows for every query shape — no-group-by, group-by
 // with any forced pim/host split (k = 0, 1, all), SUM over columns,
 // products, differences, COUNT, MIN, MAX. Cost accounting sanity (positive
-// phase times, energy categories, wear) is asserted alongside.
+// phase times, energy categories, wear) is asserted alongside, and the
+// host-gb page walk folds packed and 80-bit keys alike at any thread count.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 #include "baseline/reference.hpp"
 #include "engine_test_util.hpp"
@@ -248,6 +253,67 @@ TEST(QueryEngine, TwoXbPaysTransferOverhead) {
   EXPECT_DOUBLE_EQ(one.phases.transfer, 0.0);
   EXPECT_GT(two.phases.transfer, 0.0);
   EXPECT_GT(two.total_ns, one.total_ns);
+}
+
+TEST(QueryEngine, HostGbPageWalkFoldsWideAndPackedKeys) {
+  // force_k = 0 leaves every group to host-gb's page walk. g_a and g_b are
+  // 40-bit codes, so grouping on both folds an 80-bit key (the group
+  // index's wide fallback); n_a and n_b pack into one word.
+  const std::uint64_t big = 1ULL << 39;
+  rel::Schema schema{{{"g_a", rel::DataType::kInt, 40, nullptr},
+                      {"g_b", rel::DataType::kInt, 40, nullptr},
+                      {"n_a", rel::DataType::kInt, 3, nullptr},
+                      {"n_b", rel::DataType::kInt, 4, nullptr},
+                      {"f_key", rel::DataType::kInt, 8, nullptr},
+                      {"f_val", rel::DataType::kInt, 10, nullptr}}};
+  rel::Table t(schema, "t");
+  Rng rng(43);
+  for (int r = 0; r < 1000; ++r) {
+    t.append_row(std::vector<std::uint64_t>{
+        big + rng.next_below(5), big + 3 * rng.next_below(4),
+        rng.next_below(8), rng.next_below(16), rng.next_below(256),
+        rng.next_below(1000)});
+  }
+  pim::PimConfig cfg = testutil::small_pim_config();
+  cfg.crossbar_cols = 256;  // room for the two 40-bit fields
+  pim::PimModule module(cfg);
+  PimStore store(module, t);
+  PimQueryEngine engine(EngineKind::kOneXb, store, host::HostConfig{});
+
+  const std::string where = " FROM t WHERE f_key < 200 ";
+  std::set<std::size_t> survivor_pages;
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    if (t.value(r, 4) < 200) {
+      survivor_pages.insert(r / store.records_per_page());
+    }
+  }
+  ASSERT_GE(survivor_pages.size(), 2u);
+
+  for (const std::string& text :
+       {"SELECT g_a, g_b, SUM(f_val) AS s" + where +
+            "GROUP BY g_a, g_b ORDER BY g_a, g_b",
+        "SELECT n_a, n_b, MAX(f_val) AS m" + where +
+            "GROUP BY n_a, n_b ORDER BY m DESC"}) {
+    const sql::BoundQuery q = sql::bind(sql::parse(text), t.schema());
+    const auto ref = scan_execute(t, q);
+    ASSERT_GT(ref.rows.size(), 10u) << text;
+    std::vector<QueryOutput> outs;
+    for (const int variant : {1, 4, 0}) {  // sim_threads, 0 = sim_scalar
+      ExecOptions opts;
+      opts.force_k = 0;
+      opts.sim_threads = variant == 0 ? 1 : variant;
+      opts.sim_scalar = variant == 0;
+      outs.push_back(engine.execute(q, opts));
+      const std::string what = text + " variant " + std::to_string(variant);
+      expect_same_rows(outs.back().rows, ref.rows, what);
+      EXPECT_EQ(outs.back().stats.pim_subgroups, 0u) << what;
+      EXPECT_EQ(outs.back().stats.selected_records, ref.selected_records)
+          << what;
+      EXPECT_TRUE(stats_equal(outs.front().stats, outs.back().stats,
+                              {StatClass::kCost, StatClass::kPlan}))
+          << what;
+    }
+  }
 }
 
 TEST(QueryEngine, MismatchedStoreKindRejected) {
