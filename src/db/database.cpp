@@ -141,12 +141,6 @@ std::vector<std::string> Database::table_names() const {
   return order_;
 }
 
-void Database::set_default_target(std::string_view name) {
-  std::unique_lock lock(mutex_);
-  default_target_ = entry_locked(name).table->name();
-  version_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 const rel::Table& Database::default_target() const {
   std::shared_lock lock(mutex_);
   if (default_target_.empty()) {

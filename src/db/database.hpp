@@ -110,8 +110,8 @@ class Database {
   /// Registration order.
   std::vector<std::string> table_names() const;
 
-  /// Default query target for FROM lists naming no registered table.
-  void set_default_target(std::string_view name);
+  /// Default query target for FROM lists naming no registered table: the
+  /// first table registered.
   const rel::Table& default_target() const;
 
   /// Resolution rule for a statement's FROM list: the first name registered

@@ -175,10 +175,11 @@ class QueryService {
 
   /// Blocks until EVERY worker has built its executor for the default
   /// target on `backend` — the one shared snapshot-store load, per-worker
-  /// scratch allocation, and the one shared model fit all happen here, not
-  /// inside the first timed queries. Benches call this before the clock
+  /// page allocation, and the one shared model fit all happen here, not
+  /// inside the first timed queries (scratch groups are allocated by the
+  /// first query that writes them). Benches call this before the clock
   /// starts. (There is no per-worker replay to warm any more: workers pin
-  /// immutable snapshots and re-pin in O(crossbars) when behind.)
+  /// immutable snapshots and re-pin by pointer swings when behind.)
   void warm_up(BackendKind backend);
 
   /// Stops intake, settles still-queued statements with ServiceStopped

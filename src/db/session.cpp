@@ -50,10 +50,11 @@ std::vector<ResultSet::Column> result_columns(const sql::AggregateTail<Ref>& q,
 
 /// PIM backends: a zero-copy view over the table's shared snapshot store.
 /// The executor pins the current StoreSnapshot (published by the table's
-/// db::SnapshotManager), allocates only private scratch pages in its own
-/// module, and serves queries against the snapshot's immutable crossbar
-/// data. Updates route through the manager's single builder store; the
-/// executor then re-pins the version it produced (read-your-writes).
+/// db::SnapshotManager), allocates its own pages for private scratch (each
+/// scratch group on its first write), and serves queries against the
+/// snapshot's immutable crossbar data. Updates route through the manager's
+/// single builder store; the executor then re-pins the version it produced
+/// (read-your-writes).
 /// Models are fitted only when a query actually needs the GROUP-BY planner.
 class PimExecutor final : public Executor {
  public:

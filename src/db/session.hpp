@@ -141,11 +141,11 @@ struct UpdateResult {
 /// an immutable epoch-pinned snapshot of the table's shared store
 /// (db::SnapshotManager). A read whose pinned version is current runs
 /// entirely lock-free; a stale reader re-pins the newest snapshot first
-/// (O(crossbars) pointer swings, no replay). Updates route through the
-/// manager's single builder, which copy-on-writes only the crossbars whose
-/// bits change and atomically publishes the successor version. Every
-/// result therefore reflects a prefix of the table's update log, and
-/// last_data_version() reports which one.
+/// (pointer swings of the changed column groups, no replay). Updates route
+/// through the manager's single builder, which copy-on-writes only the
+/// column groups whose bits change and atomically publishes the successor
+/// version. Every result therefore reflects a prefix of the table's update
+/// log, and last_data_version() reports which one.
 class Executor {
  public:
   virtual ~Executor() = default;

@@ -26,6 +26,12 @@ engine::PimStore::Options SnapshotManager::store_options() const {
   return o;
 }
 
+pim::ResidentBytes SnapshotManager::builder_resident_bytes() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return builder_ != nullptr ? builder_->resident_bytes()
+                             : pim::ResidentBytes{};
+}
+
 void SnapshotManager::ensure_builder_locked() {
   if (builder_ != nullptr) return;
   module_ = std::make_unique<pim::PimModule>(pim_cfg_);
@@ -43,7 +49,8 @@ void SnapshotManager::catch_up_locked(const host::HostConfig& hcfg) {
 }
 
 void SnapshotManager::publish_locked() {
-  current_ = engine::freeze_snapshot(*builder_, applied_, live_);
+  current_ =
+      engine::freeze_snapshot(*builder_, applied_, live_, current_.get());
   published_.fetch_add(1, std::memory_order_acq_rel);
 }
 

@@ -12,13 +12,13 @@
 //                   when their pinned version is behind — the per-read fast
 //                   path is a lock-free atomic check they do themselves.
 //   apply_update()  the writer path: exclusive gate, catch-up, Algorithm-1
-//                   update on the builder (copy-on-write detaches only the
-//                   crossbars whose bits change), log append, atomic
+//                   update on the builder (copy-on-write clones only the
+//                   column groups whose bits change), log append, atomic
 //                   commit, publish.
 //
 // Reclamation is epoch-by-refcount: executors pin a snapshot by holding
 // its shared_ptr, publishing drops the manager's reference to the previous
-// version, and the retired snapshot (plus every crossbar segment only it
+// version, and the retired snapshot (plus every column group only it
 // still references) is destroyed when the last pinned reader drains.
 // live_snapshots() observes that for the lifecycle tests.
 //
@@ -77,6 +77,9 @@ class SnapshotManager {
   std::int64_t live_snapshots() const {
     return live_->load(std::memory_order_acquire);
   }
+  /// Bytes of the column groups the builder store holds allocated (zero
+  /// before the first acquire); diagnostics/tests.
+  pim::ResidentBytes builder_resident_bytes();
   /// Versions published so far (monotone; diagnostics/tests).
   std::uint64_t published_count() const {
     return published_.load(std::memory_order_acquire);

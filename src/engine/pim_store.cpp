@@ -110,7 +110,7 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
   pages_per_part_ = (records_ + records_per_page_ - 1) / records_per_page_;
   for (int part = 0; part < parts(); ++part) {
     // Data columns (attributes + validity, [0, scratch_begin)) form the
-    // shareable CoW segment of every crossbar; scratch stays private.
+    // shareable CoW groups of every crossbar; scratch groups stay private.
     base_page_.push_back(
         module.allocate_pages(pages_per_part_, layouts_[part].scratch_begin()));
   }
@@ -161,9 +161,14 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
   }
   for (int part = 0; part < parts(); ++part) {
     for (std::size_t p = 0; p < pages_per_part_; ++p) {
+      // A page table shared with the version held already holds its groups.
+      if (snap_ != nullptr &&
+          snap_->page_groups(part, p) == snap->page_groups(part, p)) {
+        continue;
+      }
       pim::Page& pg = page(part, p);
       for (std::uint32_t x = 0; x < pg.crossbar_count(); ++x) {
-        pg.crossbar(x).adopt_data(snap->segment(part, p, x));
+        pg.crossbar(x).adopt_data_groups(snap->data_groups(part, p, x));
       }
     }
   }
@@ -256,6 +261,19 @@ void PimStore::scan_blocks(
         static_cast<std::uint32_t>(std::min<std::size_t>(64, end - first));
     if (!visit(first, count, blocks)) return;
   }
+}
+
+pim::ResidentBytes PimStore::resident_bytes() const {
+  pim::ResidentBytes bytes;
+  for (int part = 0; part < parts(); ++part) {
+    for (std::size_t p = 0; p < pages_per_part_; ++p) {
+      const pim::Page& pg = module_->page(module_page_index(part, p));
+      for (std::uint32_t x = 0; x < pg.crossbar_count(); ++x) {
+        bytes += pg.crossbar(x).resident_bytes();
+      }
+    }
+  }
+  return bytes;
 }
 
 std::uint64_t PimStore::contents_checksum() const {

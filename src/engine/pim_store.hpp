@@ -42,11 +42,12 @@ namespace bbpim::engine {
 //     per table and publishes its state as StoreSnapshots.
 //
 //   view — an immutable serving store over one published StoreSnapshot:
-//     its crossbars' data segments point at the snapshot's shared segments
-//     (zero copy; see Crossbar::adopt_data), and it holds the snapshot's
-//     StoreDerived. Views skip loading entirely, never mutate
-//     (note_mutation throws), and re-point to a newer snapshot in
-//     O(crossbars) shared_ptr assignments via adopt().
+//     its crossbars' data groups point at the snapshot's shared groups
+//     (zero copy; see Crossbar::adopt_data_groups), and it holds the
+//     snapshot's StoreDerived. Its scratch groups are its own and are
+//     allocated only as queries write them. Views skip loading entirely,
+//     never mutate (note_mutation throws), and re-point to a newer snapshot
+//     via adopt(), which reassigns only the data groups that changed.
 //
 // Either way the derived-state accessors (distinct_values, co_occurrence,
 // zone_maps, classification_memo, filter_cache) read the one StoreDerived
@@ -72,14 +73,17 @@ class PimStore {
   PimStore(pim::PimModule& module, const rel::Table& table)
       : PimStore(module, table, Options()) {}
   /// View store over a published snapshot: allocates pages in `module`
-  /// (scratch only — the data segments are adopted from `snap`, not
-  /// loaded) and serves queries against that immutable version. `opt` must
-  /// describe the same placement the builder used.
+  /// (the data groups are adopted from `snap`, not loaded; scratch groups
+  /// are allocated on first write) and serves queries against that
+  /// immutable version. `opt` must describe the same placement the builder
+  /// used.
   PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
            std::shared_ptr<const StoreSnapshot> snap);
 
-  /// Re-points a view store at a newer snapshot of the same geometry
-  /// (O(crossbars) shared_ptr assignments; nothing is copied or replayed).
+  /// Re-points a view store at a newer snapshot of the same geometry:
+  /// skips every page whose group table the two versions share and
+  /// reassigns only the changed groups of the rest (nothing is copied or
+  /// replayed).
   void adopt(std::shared_ptr<const StoreSnapshot> snap);
 
   bool is_view() const { return snap_ != nullptr; }
@@ -134,6 +138,11 @@ class PimStore {
     return derived_->stats.distinct_values(attr, *this);
   }
 
+  /// Bytes of the data and scratch column groups this store's crossbars
+  /// hold allocated (a data group shared with a snapshot or another store
+  /// counts for each holder).
+  pim::ResidentBytes resident_bytes() const;
+
   /// Full-store FNV-1a digest over every record's attribute codes, read
   /// through the crossbars — the store-equivalence checksum the HTAP bench
   /// and determinism tests compare against their serial oracles.
@@ -172,7 +181,7 @@ class PimStore {
   const ZoneMaps& zone_maps() const { return derived_->zones; }
 
   /// The derived state of the version this store holds (what
-  /// freeze_snapshot publishes alongside the data segments).
+  /// freeze_snapshot publishes alongside the data groups).
   const std::shared_ptr<const StoreDerived>& derived() const {
     return derived_;
   }

@@ -89,12 +89,11 @@ StoreDerived::StoreDerived(const StoreDerived& prev, std::size_t attr)
       stats(prev.stats, attr) {}
 
 StoreSnapshot::StoreSnapshot(
-    std::uint64_t version,
-    std::vector<std::vector<pim::CrossbarSegment>> segments,
+    std::uint64_t version, std::vector<PageGroupsPtr> pages,
     std::size_t pages_per_part, std::shared_ptr<const StoreDerived> derived,
     std::shared_ptr<std::atomic<std::int64_t>> live_counter)
     : version_(version),
-      segments_(std::move(segments)),
+      pages_(std::move(pages)),
       pages_per_part_(pages_per_part),
       derived_(std::move(derived)),
       live_counter_(std::move(live_counter)) {
@@ -107,22 +106,39 @@ StoreSnapshot::~StoreSnapshot() {
 
 std::shared_ptr<const StoreSnapshot> freeze_snapshot(
     PimStore& builder, std::uint64_t version,
-    std::shared_ptr<std::atomic<std::int64_t>> live_counter) {
-  std::vector<std::vector<pim::CrossbarSegment>> segments;
-  segments.reserve(static_cast<std::size_t>(builder.parts()) *
-                   builder.pages_per_part());
+    std::shared_ptr<std::atomic<std::int64_t>> live_counter,
+    const StoreSnapshot* prev) {
+  std::vector<PageGroupsPtr> pages;
+  pages.reserve(static_cast<std::size_t>(builder.parts()) *
+                builder.pages_per_part());
   for (int part = 0; part < builder.parts(); ++part) {
     for (std::size_t p = 0; p < builder.pages_per_part(); ++p) {
-      pim::Page& page = builder.page(part, p);
-      std::vector<pim::CrossbarSegment> xbs;
-      xbs.reserve(page.crossbar_count());
-      for (std::uint32_t x = 0; x < page.crossbar_count(); ++x) {
-        xbs.push_back(page.crossbar(x).data_segment());
+      const pim::Page& page = builder.page(part, p);
+      if (prev != nullptr) {
+        const PageGroupsPtr& old = prev->page_groups(part, p);
+        bool same = true;
+        for (std::uint32_t x = 0; x < page.crossbar_count() && same; ++x) {
+          const auto now = page.crossbar(x).data_groups();
+          const auto was = prev->data_groups(part, p, x);
+          same = std::equal(now.begin(), now.end(), was.begin(), was.end());
+        }
+        if (same) {
+          pages.push_back(old);
+          continue;
+        }
       }
-      segments.push_back(std::move(xbs));
+      auto pg = std::make_shared<PageGroups>();
+      pg->per_crossbar = page.crossbar(0).data_group_count();
+      pg->groups.reserve(std::size_t{page.crossbar_count()} *
+                         pg->per_crossbar);
+      for (std::uint32_t x = 0; x < page.crossbar_count(); ++x) {
+        const auto groups = page.crossbar(x).data_groups();
+        pg->groups.insert(pg->groups.end(), groups.begin(), groups.end());
+      }
+      pages.push_back(std::move(pg));
     }
   }
-  return std::make_shared<StoreSnapshot>(version, std::move(segments),
+  return std::make_shared<StoreSnapshot>(version, std::move(pages),
                                          builder.pages_per_part(),
                                          builder.derived(),
                                          std::move(live_counter));

@@ -1,14 +1,15 @@
 // Immutable store snapshots: the engine half of MVCC serving.
 //
 // A StoreSnapshot is one published version of a PIM-resident relation: the
-// reference-counted data segments of every crossbar (see Crossbar's
-// copy-on-write split) and that version's StoreDerived — the zone-map
+// reference-counted data column groups of every crossbar (see Crossbar's
+// per-group copy-on-write) and that version's StoreDerived — the zone-map
 // sketches, the derived statistics (distinct values, co-occurrence maps)
 // the GROUP-BY planner consults, and the memoized page classifications.
 // Snapshots are immutable once published: an UPDATE builds the next version
-// by detaching only the crossbar segments it actually rewrites (value-aware
-// CoW) and by switching the builder to a successor StoreDerived, so the
-// published version keeps its own derived state untouched.
+// by cloning only the column groups whose bits it actually changes
+// (value-aware CoW) and by switching the builder to a successor
+// StoreDerived, so the published version keeps its own derived state
+// untouched.
 //
 // Readers pin a snapshot by holding its shared_ptr; that reference IS the
 // epoch. A retired version is reclaimed the moment its last pinned reader
@@ -139,14 +140,23 @@ struct StoreDerived {
   mutable ClassificationMemo class_memo;
 };
 
+/// The data groups of one page's crossbars, back to back: crossbar x owns
+/// groups [x * per_crossbar, (x + 1) * per_crossbar). Immutable once
+/// published; a successor version shares the table of every page whose
+/// groups it did not change.
+struct PageGroups {
+  std::uint32_t per_crossbar = 0;
+  std::vector<pim::ColumnGroup> groups;
+};
+using PageGroupsPtr = std::shared_ptr<const PageGroups>;
+
 /// One immutable published version of a PIM-resident relation.
 class StoreSnapshot {
  public:
-  /// `segments[part * pages_per_part + page][xb]` is that crossbar's data
-  /// segment. `live_counter` (shared with the owning manager) is bumped
+  /// `pages[part * pages_per_part + page]` holds that page's crossbars'
+  /// data groups. `live_counter` (shared with the owning manager) is bumped
   /// here and dropped in the destructor, making reclamation observable.
-  StoreSnapshot(std::uint64_t version,
-                std::vector<std::vector<pim::CrossbarSegment>> segments,
+  StoreSnapshot(std::uint64_t version, std::vector<PageGroupsPtr> pages,
                 std::size_t pages_per_part,
                 std::shared_ptr<const StoreDerived> derived,
                 std::shared_ptr<std::atomic<std::int64_t>> live_counter);
@@ -159,10 +169,16 @@ class StoreSnapshot {
   std::uint64_t version() const { return version_; }
 
   std::size_t pages_per_part() const { return pages_per_part_; }
-  const pim::CrossbarSegment& segment(int part, std::size_t page,
-                                      std::uint32_t xb) const {
-    return segments_.at(static_cast<std::size_t>(part) * pages_per_part_ +
-                        page)[xb];
+  /// The data-group table of `page` of `part`.
+  const PageGroupsPtr& page_groups(int part, std::size_t page) const {
+    return pages_.at(static_cast<std::size_t>(part) * pages_per_part_ + page);
+  }
+  /// The data groups of crossbar `xb` of `page` of `part`.
+  std::span<const pim::ColumnGroup> data_groups(int part, std::size_t page,
+                                                std::uint32_t xb) const {
+    const PageGroups& pg = *page_groups(part, page);
+    return std::span<const pim::ColumnGroup>(pg.groups)
+        .subspan(std::size_t{xb} * pg.per_crossbar, pg.per_crossbar);
   }
 
   /// This version's zone maps, stats, classification memo and the
@@ -173,19 +189,22 @@ class StoreSnapshot {
 
  private:
   std::uint64_t version_;
-  std::vector<std::vector<pim::CrossbarSegment>> segments_;
+  std::vector<PageGroupsPtr> pages_;
   std::size_t pages_per_part_;
   std::shared_ptr<const StoreDerived> derived_;
   std::shared_ptr<std::atomic<std::int64_t>> live_counter_;
 };
 
 /// Publishes the builder store's current contents as version `version`.
-/// Capturing a crossbar's segment bumps its reference count, which is what
-/// arms the builder's copy-on-write: its next functional change to that
-/// crossbar detaches a private copy, leaving this snapshot untouched. The
-/// snapshot shares the builder's current StoreDerived; nothing is copied.
+/// Capturing a crossbar's data groups bumps their reference counts, which
+/// is what arms the builder's copy-on-write: its next change to a group
+/// clones that group alone, leaving this snapshot untouched. A page whose
+/// groups all equal `prev`'s (the builder's previous version, if any)
+/// shares `prev`'s table. The snapshot shares the builder's current
+/// StoreDerived; nothing is copied.
 std::shared_ptr<const StoreSnapshot> freeze_snapshot(
     PimStore& builder, std::uint64_t version,
-    std::shared_ptr<std::atomic<std::int64_t>> live_counter);
+    std::shared_ptr<std::atomic<std::int64_t>> live_counter,
+    const StoreSnapshot* prev);
 
 }  // namespace bbpim::engine

@@ -15,7 +15,7 @@ namespace bbpim::pim {
 /// Static description of the PIM module (Table I, "Single RRAM PIM Module").
 struct PimConfig {
   /// Sentinel for Page / PimModule::allocate_pages `data_cols`: the whole
-  /// crossbar is the shareable data segment (no private scratch split).
+  /// crossbar is shareable data (no private scratch split).
   static constexpr std::uint32_t kAllData = 0xFFFFFFFFu;
 
   // --- Geometry -----------------------------------------------------------

@@ -8,7 +8,7 @@
 namespace bbpim::pim {
 
 namespace {
-/// Dimension checks must run before the segment allocations in the member
+/// Dimension checks must run before the group table is sized in the member
 /// initializer list (cols - data_cols underflows on bad input).
 std::uint32_t checked_data_cols(std::uint32_t rows, std::uint32_t cols,
                                 std::uint32_t data_cols) {
@@ -17,6 +17,9 @@ std::uint32_t checked_data_cols(std::uint32_t rows, std::uint32_t cols,
   }
   if (rows % 64 != 0) {
     throw std::invalid_argument("Crossbar: rows must be a multiple of 64");
+  }
+  if (rows > Crossbar::kMaxRows) {
+    throw std::invalid_argument("Crossbar: rows exceed kMaxRows");
   }
   if (data_cols > cols) {
     throw std::invalid_argument("Crossbar: data_cols exceeds cols");
@@ -84,25 +87,86 @@ Crossbar::Crossbar(std::uint32_t rows, std::uint32_t cols,
       cols_(cols),
       data_cols_(checked_data_cols(rows, cols, data_cols)),
       words_per_col_((rows + kWordBits - 1) / kWordBits),
-      data_(std::make_shared<std::vector<std::uint64_t>>(
-          static_cast<std::size_t>(data_cols) * words_per_col_, 0)),
-      scratch_(static_cast<std::size_t>(cols - data_cols) * words_per_col_,
-               0) {}
+      data_groups_((data_cols + kGroupCols - 1) / kGroupCols),
+      groups_(data_groups_ +
+              (cols - data_cols + kGroupCols - 1) / kGroupCols) {}
 
-void Crossbar::detach_data() {
-  data_ = std::make_shared<std::vector<std::uint64_t>>(*data_);
+Crossbar::Crossbar(const Crossbar& other)
+    : rows_(other.rows_),
+      cols_(other.cols_),
+      data_cols_(other.data_cols_),
+      words_per_col_(other.words_per_col_),
+      data_groups_(other.data_groups_),
+      groups_(other.groups_),
+      uniform_row_writes_(other.uniform_row_writes_),
+      max_extra_row_writes_(other.max_extra_row_writes_),
+      extra_row_writes_(other.extra_row_writes_) {
+  for (std::uint32_t g = data_groups_; g < group_count(); ++g) {
+    if (groups_[g] != nullptr) groups_[g] = clone_group(g);
+  }
 }
 
-void Crossbar::adopt_data(CrossbarSegment seg) {
-  if (!seg || seg->size() != data_->size()) {
-    throw std::invalid_argument("Crossbar::adopt_data: segment mismatch");
+Crossbar& Crossbar::operator=(const Crossbar& other) {
+  if (this != &other) *this = Crossbar(other);
+  return *this;
+}
+
+const std::uint64_t* Crossbar::zero_column() {
+  static constexpr std::uint64_t kZeros[kMaxRows / kWordBits] = {};
+  return kZeros;
+}
+
+std::uint32_t Crossbar::group_cols(std::uint32_t g) const {
+  if (g < data_groups_) {
+    return std::min(kGroupCols, data_cols_ - g * kGroupCols);
   }
-  data_ = std::move(seg);
+  return std::min(kGroupCols,
+                  cols_ - data_cols_ - (g - data_groups_) * kGroupCols);
+}
+
+ColumnGroup Crossbar::clone_group(std::uint32_t g) const {
+  const std::size_t n = std::size_t{group_cols(g)} * words_per_col_;
+  ColumnGroup copy = std::make_shared_for_overwrite<std::uint64_t[]>(n);
+  std::copy_n(groups_[g].get(), n, copy.get());
+  return copy;
+}
+
+std::uint64_t* Crossbar::own_group(std::uint32_t g) {
+  ColumnGroup& group = groups_[g];
+  if (group == nullptr) {
+    group = std::make_shared<std::uint64_t[]>(std::size_t{group_cols(g)} *
+                                              words_per_col_);
+  } else if (group.use_count() > 1) {
+    group = clone_group(g);
+  }
+  return group.get();
+}
+
+void Crossbar::adopt_data_groups(std::span<const ColumnGroup> groups) {
+  if (groups.size() != data_groups_) {
+    throw std::invalid_argument("Crossbar::adopt_data_groups: group mismatch");
+  }
+  // Skip the groups already held: re-pinning a successor version touches
+  // only the reference counts of the groups that changed.
+  for (std::uint32_t g = 0; g < data_groups_; ++g) {
+    if (groups_[g] != groups[g]) groups_[g] = groups[g];
+  }
+}
+
+ResidentBytes Crossbar::resident_bytes() const {
+  ResidentBytes bytes;
+  for (std::uint32_t g = 0; g < group_count(); ++g) {
+    if (groups_[g] == nullptr) continue;
+    const std::size_t n = std::size_t{group_cols(g)} * words_per_col_ *
+                          sizeof(std::uint64_t);
+    (g < data_groups_ ? bytes.data : bytes.scratch) += n;
+  }
+  return bytes;
 }
 
 void Crossbar::execute_op(const MicroOp& op) {
-  // Resolve the output first: detaching a shared segment moves the data
-  // columns the inputs may name.
+  // Resolve the output first: materializing its group moves the columns
+  // the inputs may name.
   std::uint64_t* out = column_data_mut(op.out);
   switch (op.kind) {
     case MicroOpKind::kInit0:
@@ -161,20 +225,28 @@ void Crossbar::write_row_bits(std::uint32_t row, std::uint32_t offset,
   extra_row_writes_[row] += width;
   max_extra_row_writes_ =
       std::max<std::uint64_t>(max_extra_row_writes_, extra_row_writes_[row]);
-  if (offset < data_cols_ && data_.use_count() > 1) {
-    const std::uint64_t masked =
-        width == 64 ? value : value & ((1ULL << width) - 1);
-    if (read_row_bits(row, offset, width) == masked) return;
-    detach_data();
-  }
   const std::uint32_t word = row / kWordBits;
-  const std::uint64_t mask = 1ULL << (row % kWordBits);
-  for (std::uint32_t i = 0; i < width; ++i) {
-    std::uint64_t* w = column_words(offset + i) + word;
-    if ((value >> i) & 1ULL)
-      *w |= mask;
-    else
-      *w &= ~mask;
+  const std::uint32_t bit = row % kWordBits;
+  // One run of field bits per group the field spans.
+  for (std::uint32_t i = 0; i < width;) {
+    const Slot s = slot(offset + i);
+    const std::uint32_t n = std::min(width - i, group_cols(s.group) - s.col);
+    // An owned group takes the write in place; a null or shared one only
+    // if some bit of the run changes.
+    bool write = group_owned(s.group);
+    for (std::uint32_t k = 0; k < n && !write; ++k) {
+      write = ((column_words(offset + i + k)[word] >> bit) & 1ULL) !=
+              ((value >> (i + k)) & 1ULL);
+    }
+    if (write) {
+      std::uint64_t* g =
+          own_group(s.group) + std::size_t{s.col} * words_per_col_;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        std::uint64_t& w = g[std::size_t{k} * words_per_col_ + word];
+        w = (w & ~(1ULL << bit)) | (((value >> (i + k)) & 1ULL) << bit);
+      }
+    }
+    i += n;
   }
 }
 
@@ -217,16 +289,22 @@ void Crossbar::write_field_block(std::uint32_t word, std::uint32_t offset,
     }
   }
   rows_to_columns(merged, width);
-  if (offset < data_cols_ && data_.use_count() > 1) {
-    bool changed = false;
-    for (std::uint32_t i = 0; i < width && !changed; ++i) {
-      changed = column_words(offset + i)[word] != merged[i];
+  // One run of field columns per group the field spans.
+  for (std::uint32_t i = 0; i < width;) {
+    const Slot s = slot(offset + i);
+    const std::uint32_t n = std::min(width - i, group_cols(s.group) - s.col);
+    bool write = group_owned(s.group);  // as in write_row_bits
+    for (std::uint32_t k = 0; k < n && !write; ++k) {
+      write = column_words(offset + i + k)[word] != merged[i + k];
     }
-    if (!changed) return;
-    detach_data();
-  }
-  for (std::uint32_t i = 0; i < width; ++i) {
-    column_words(offset + i)[word] = merged[i];
+    if (write) {
+      std::uint64_t* g =
+          own_group(s.group) + std::size_t{s.col} * words_per_col_;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        g[std::size_t{k} * words_per_col_ + word] = merged[i + k];
+      }
+    }
+    i += n;
   }
 }
 
@@ -254,15 +332,12 @@ void Crossbar::write_column(std::uint32_t col, const BitVec& bits) {
     throw std::invalid_argument("Crossbar::write_column: size mismatch");
   }
   ++uniform_row_writes_;
-  if (col < data_cols_ && data_.use_count() > 1) {
-    if (std::equal(bits.words().begin(), bits.words().end(),
-                   column_words(col))) {
-      return;
-    }
-    detach_data();
+  if (!group_owned(slot(col).group) &&
+      std::equal(bits.words().begin(), bits.words().end(),
+                 column_words(col))) {
+    return;
   }
-  std::uint64_t* dst = column_words(col);
-  std::copy(bits.words().begin(), bits.words().end(), dst);
+  std::copy(bits.words().begin(), bits.words().end(), column_data_mut(col));
 }
 
 bool Crossbar::bit(std::uint32_t row, std::uint32_t col) const {
@@ -272,11 +347,8 @@ bool Crossbar::bit(std::uint32_t row, std::uint32_t col) const {
 
 void Crossbar::set_bit(std::uint32_t row, std::uint32_t col, bool v) {
   if (row >= rows_ || col >= cols_) throw std::out_of_range("Crossbar::set_bit");
-  if (col < data_cols_ && data_.use_count() > 1) {
-    if (bit(row, col) == v) return;
-    detach_data();
-  }
-  std::uint64_t* w = column_words(col) + row / kWordBits;
+  if (!group_owned(slot(col).group) && bit(row, col) == v) return;
+  std::uint64_t* w = column_data_mut(col) + row / kWordBits;
   const std::uint64_t mask = 1ULL << (row % kWordBits);
   if (v)
     *w |= mask;

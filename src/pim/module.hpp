@@ -23,7 +23,7 @@ class PimModule {
   const PimConfig& config() const { return cfg_; }
 
   /// Materializes `n` fresh pages; returns the index of the first.
-  /// `data_cols` (see Crossbar) bounds the shareable data segment of every
+  /// `data_cols` (see Crossbar) bounds the shareable data groups of every
   /// crossbar in the new pages; the default keeps whole crossbars as data.
   std::size_t allocate_pages(std::size_t n,
                              std::uint32_t data_cols = PimConfig::kAllData);

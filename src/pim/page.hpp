@@ -17,9 +17,9 @@ namespace bbpim::pim {
 
 class Page {
  public:
-  /// `data_cols` splits every crossbar of the page into a shareable data
-  /// segment and private scratch (see Crossbar); the default keeps the
-  /// whole crossbar as data.
+  /// `data_cols` splits every crossbar of the page into shareable data
+  /// groups and private scratch groups (see Crossbar); the default keeps
+  /// the whole crossbar as data.
   Page(std::size_t id, const PimConfig& cfg,
        std::uint32_t data_cols = PimConfig::kAllData)
       : id_(id) {

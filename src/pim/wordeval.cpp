@@ -84,7 +84,7 @@ void eval_le(const Crossbar& xb, const Field& f, std::uint64_t v,
 /// Algorithm 1 over words: field bit i <- bit i of v1 on the rows where
 /// column a is set. Writes nothing unless some bit changes: the gates
 /// rewrite every row of the field, but only their net effect is observable,
-/// and writing detaches a shared data segment. The select column is re-read
+/// and writing clones a shared data group. The select column is re-read
 /// per bit, as the gates read it, in case it aliases a field bit.
 void eval_mux(Crossbar& xb, const WordOp& op, std::uint32_t words) {
   bool changed = false;

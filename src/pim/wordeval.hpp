@@ -21,8 +21,8 @@ namespace bbpim::pim {
 /// Evaluates a WordProgram on one crossbar: each op writes its output
 /// column's packed words. No wear is recorded — the caller charges the gate
 /// program's cycles (see Crossbar::add_uniform_wear). A kMux compares before
-/// it writes: one that changes no bit leaves a shared data segment shared,
-/// so an UPDATE detaches only the crossbars whose bits change.
+/// it writes: one that changes no bit leaves shared data groups shared, so
+/// an UPDATE clones only the groups of the crossbars whose bits change.
 void execute_words(Crossbar& xb, const WordProgram& prog);
 
 }  // namespace bbpim::pim

@@ -11,6 +11,7 @@ namespace {
 TEST(Crossbar, ConstructionValidation) {
   EXPECT_THROW(Crossbar(0, 8), std::invalid_argument);
   EXPECT_THROW(Crossbar(100, 8), std::invalid_argument);  // not multiple of 64
+  EXPECT_THROW(Crossbar(Crossbar::kMaxRows + 64, 8), std::invalid_argument);
   Crossbar xb(128, 32);
   EXPECT_EQ(xb.rows(), 128u);
   EXPECT_EQ(xb.cols(), 32u);
@@ -196,18 +197,19 @@ TEST(CrossbarBlock, WriteKeepsCopyOnWriteRule) {
 
   // Unchanged bits into a shared segment: still shared, wear still charged.
   Crossbar other(128, 64, 32);
-  other.adopt_data(xb.data_segment());
-  ASSERT_TRUE(xb.data_shared());
+  other.adopt_data_groups(xb.data_groups());
+  ASSERT_EQ(xb.data_group_count(), 1u);
+  ASSERT_TRUE(xb.group_shared(0));
   xb.reset_wear();
   xb.write_field_block(1, 19, 13, values, 0x00F0F0F0F0F0F0F0ULL);
-  EXPECT_TRUE(xb.data_shared());
+  EXPECT_TRUE(xb.group_shared(0));
   EXPECT_EQ(xb.max_extra_row_writes(), 13u);
 
   // A changed bit detaches; the other holder keeps the old value.
   RowBlock changed = values;
   changed[5] ^= 1;
   xb.write_field_block(1, 19, 13, changed, 1ULL << 5);
-  EXPECT_FALSE(xb.data_shared());
+  EXPECT_FALSE(xb.group_shared(0));
   EXPECT_EQ(xb.read_row_bits(64 + 5, 19, 13), changed[5]);
   EXPECT_EQ(other.read_row_bits(64 + 5, 19, 13), values[5]);
 }
@@ -225,6 +227,180 @@ TEST(CrossbarBlock, BoundsChecked) {
                std::out_of_range);
   EXPECT_THROW(xb.write_field_block(0, 33, 8, block, ~0ULL), std::out_of_range);
   EXPECT_NO_THROW(xb.read_field_block(1, 32, 8, block));
+}
+
+// --- Column groups: lazy allocation and per-group copy-on-write ----------
+
+/// 128 rows; data [0, 80) in groups {0, 1, 2} (the last 16 columns wide),
+/// scratch [80, 150) in groups {3, 4, 5} (the last 6 columns wide).
+Crossbar grouped() { return Crossbar(128, 150, 80); }
+
+std::size_t resident_groups(const Crossbar& xb) {
+  std::size_t n = 0;
+  for (std::uint32_t g = 0; g < xb.group_count(); ++g) {
+    n += xb.group_resident(g);
+  }
+  return n;
+}
+
+TEST(CrossbarGroups, GeometryAlignsDataAtZeroAndScratchAtDataCols) {
+  const Crossbar xb = grouped();
+  EXPECT_EQ(xb.group_count(), 6u);
+  EXPECT_EQ(xb.data_group_count(), 3u);
+  EXPECT_EQ(xb.group_of(0), 0u);
+  EXPECT_EQ(xb.group_of(kGroupCols - 1), 0u);
+  EXPECT_EQ(xb.group_of(kGroupCols), 1u);
+  EXPECT_EQ(xb.group_of(79), 2u);
+  EXPECT_EQ(xb.group_of(80), 3u);
+  EXPECT_EQ(xb.group_of(80 + kGroupCols - 1), 3u);
+  EXPECT_EQ(xb.group_of(80 + kGroupCols), 4u);
+  EXPECT_EQ(xb.group_of(149), 5u);
+  EXPECT_THROW(xb.group_of(150), std::out_of_range);
+}
+
+TEST(CrossbarGroups, UnwrittenColumnsReadAsZeros) {
+  const Crossbar xb = grouped();
+  EXPECT_EQ(resident_groups(xb), 0u);
+  for (std::uint32_t c = 0; c < xb.cols(); ++c) {
+    const std::uint64_t* words = xb.column_data(c);
+    for (std::uint32_t w = 0; w < xb.words_per_column(); ++w) {
+      EXPECT_EQ(words[w], 0u) << "column " << c;
+    }
+    EXPECT_EQ(xb.column_popcount(c), 0u);
+    for (std::uint32_t r = 0; r < xb.rows(); r += 37) {
+      EXPECT_FALSE(xb.bit(r, c)) << "row " << r << " column " << c;
+    }
+  }
+  // Fields inside data, inside scratch, and across the data/scratch split.
+  const std::pair<std::uint32_t, std::uint32_t> fields[] = {
+      {0, 64}, {70, 20}, {100, 50}};
+  for (const auto& [offset, width] : fields) {
+    for (std::uint32_t word = 0; word < xb.words_per_column(); ++word) {
+      RowBlock block;
+      block.fill(~0ULL);
+      xb.read_field_block(word, offset, width, block);
+      for (const std::uint64_t v : block) EXPECT_EQ(v, 0u);
+    }
+    for (std::uint32_t r = 0; r < xb.rows(); r += 13) {
+      EXPECT_EQ(xb.read_row_bits(r, offset, width), 0u);
+    }
+  }
+  EXPECT_EQ(xb.resident_bytes().data, 0u);
+  EXPECT_EQ(xb.resident_bytes().scratch, 0u);
+}
+
+TEST(CrossbarGroups, ZeroWritesMaterializeNothingButChargeWear) {
+  Crossbar xb = grouped();
+  const RowBlock zeros{};
+  xb.write_field_block(0, 20, 40, zeros, ~0ULL);   // data groups 0 and 1
+  xb.write_field_block(1, 75, 30, zeros, 0xF0ULL);  // data 2 + scratch 3
+  xb.write_row_bits(5, 60, 64, 0);                 // data 1, 2 + scratch 3
+  xb.write_row_bits(9, 140, 10, 0);                // scratch 5
+  xb.write_column(0, BitVec(128));
+  xb.write_column(120, BitVec(128));
+  xb.set_bit(3, 90, false);
+  EXPECT_EQ(resident_groups(xb), 0u);
+  EXPECT_EQ(xb.resident_bytes().data + xb.resident_bytes().scratch, 0u);
+  // Wear is charged as if the bits had been written: row 5 took the first
+  // block write's 40 and the 64-bit row write.
+  EXPECT_EQ(xb.uniform_row_writes(), 2u);
+  EXPECT_EQ(xb.max_extra_row_writes(), 40u + 64u);
+}
+
+TEST(CrossbarGroups, NonzeroWriteMaterializesOnlyTheGroupsItChanges) {
+  Crossbar xb = grouped();
+  // A field spanning data groups 1 and 2 whose bits change only in group 2.
+  xb.write_row_bits(7, 60, 10, 0b1111000000);
+  EXPECT_FALSE(xb.group_resident(1));
+  EXPECT_TRUE(xb.group_resident(2));
+  EXPECT_EQ(resident_groups(xb), 1u);
+  EXPECT_EQ(xb.read_row_bits(7, 60, 10), 0b1111000000u);
+  EXPECT_EQ(xb.resident_bytes().data, 16u * xb.words_per_column() * 8u);
+  EXPECT_EQ(xb.resident_bytes().scratch, 0u);
+}
+
+TEST(CrossbarGroups, GateOpOnScratchMaterializesExactlyItsGroup) {
+  Crossbar xb = grouped();
+  const std::uint16_t out = 80 + kGroupCols + 3;  // scratch group 4
+  // Even an all-zero result materializes the group a gate writes.
+  xb.execute(MicroOp::nor_op(0, 1, out));
+  EXPECT_TRUE(xb.group_resident(xb.group_of(out)));
+  EXPECT_EQ(resident_groups(xb), 1u);
+  EXPECT_EQ(xb.resident_bytes().scratch,
+            std::size_t{kGroupCols} * xb.words_per_column() * 8u);
+  EXPECT_EQ(xb.resident_bytes().data, 0u);
+  EXPECT_EQ(xb.column_popcount(out), xb.rows());  // NOR of two zero columns
+  EXPECT_EQ(xb.uniform_row_writes(), 1u);
+  xb.execute(MicroOp::init0(out));
+  EXPECT_EQ(xb.column_popcount(out), 0u);
+  EXPECT_EQ(resident_groups(xb), 1u);
+}
+
+TEST(CrossbarGroups, CopySharesDataAndDeepCopiesScratch) {
+  Crossbar xb = grouped();
+  Rng rng(61);
+  fill_random(xb, rng);
+  ASSERT_EQ(resident_groups(xb), xb.group_count());
+  const Crossbar copy(xb);
+  for (std::uint32_t g = 0; g < xb.group_count(); ++g) {
+    const bool data = g < xb.data_group_count();
+    EXPECT_EQ(copy.group_shared(g), data) << "group " << g;
+    EXPECT_EQ(xb.group_shared(g), data) << "group " << g;
+  }
+  for (std::uint32_t c = 0; c < xb.cols(); ++c) {
+    EXPECT_EQ(copy.column(c), xb.column(c)) << "column " << c;
+  }
+  // A scratch write on the original leaves the copy's scratch as it was.
+  const BitVec before = copy.column(100);
+  xb.execute(MicroOp::not_op(100, 100));
+  EXPECT_EQ(copy.column(100), before);
+  EXPECT_NE(xb.column(100), before);
+  EXPECT_TRUE(xb.group_shared(0));
+}
+
+TEST(CrossbarGroups, SharedWriteClonesOnlyItsGroup) {
+  Crossbar xb = grouped();
+  Rng rng(67);
+  fill_random(xb, rng);
+  Crossbar other = grouped();
+  other.adopt_data_groups(xb.data_groups());
+  std::vector<BitVec> before;
+  for (std::uint32_t c = 0; c < xb.data_cols(); ++c) {
+    before.push_back(xb.column(c));
+  }
+  for (std::uint32_t g = 0; g < xb.data_group_count(); ++g) {
+    ASSERT_TRUE(xb.group_shared(g));
+  }
+  // Scratch is never shared by adoption.
+  EXPECT_FALSE(other.group_resident(xb.data_group_count()));
+
+  // Flip one bit of group 1 through each value-aware writer in turn.
+  const std::uint32_t col = kGroupCols + 4;
+  xb.set_bit(11, col, !xb.bit(11, col));
+  EXPECT_FALSE(xb.group_shared(1));
+  EXPECT_TRUE(xb.group_shared(0));
+  EXPECT_TRUE(xb.group_shared(2));
+  EXPECT_EQ(other.column(col), before[col]);
+
+  // A field across groups 0 and 1 that changes only group 0's bits.
+  Crossbar third = grouped();
+  third.adopt_data_groups(xb.data_groups());
+  const std::uint32_t row = 70;
+  const std::uint64_t was = xb.read_row_bits(row, 28, 8);
+  xb.write_row_bits(row, 28, 8, was ^ 0b0001);
+  EXPECT_FALSE(xb.group_shared(0));
+  EXPECT_TRUE(xb.group_shared(1));
+  EXPECT_TRUE(xb.group_shared(2));
+  EXPECT_EQ(xb.read_row_bits(row, 28, 8), was ^ 0b0001);
+  EXPECT_EQ(third.read_row_bits(row, 28, 8), was);
+
+  // The first holder still reads every data column as it was.
+  for (std::uint32_t c = 0; c < xb.data_cols(); ++c) {
+    EXPECT_EQ(other.column(c), before[c]) << "column " << c;
+  }
+  // Adoption takes exactly data_group_count() groups.
+  const std::vector<ColumnGroup> too_few(2);
+  EXPECT_THROW(other.adopt_data_groups(too_few), std::invalid_argument);
 }
 
 }  // namespace

@@ -173,8 +173,14 @@ void expect_block_load_matches_per_record_writes(const PimStore::Options& opt) {
       const pim::Page& got = module.page(store.module_page_index(part, p));
       const pim::Page& want = ref.page(base + p);
       for (std::uint32_t x = 0; x < got.crossbar_count(); ++x) {
-        EXPECT_EQ(*got.crossbar(x).data_segment(),
-                  *want.crossbar(x).data_segment())
+        for (std::uint32_t c = 0; c < layout.scratch_begin(); ++c) {
+          EXPECT_EQ(got.crossbar(x).column(c), want.crossbar(x).column(c))
+              << "part " << part << " page " << p << " crossbar " << x
+              << " column " << c;
+        }
+        // Both writers are value-aware: the same groups hold bits.
+        EXPECT_EQ(got.crossbar(x).resident_bytes().data,
+                  want.crossbar(x).resident_bytes().data)
             << "part " << part << " page " << p << " crossbar " << x;
         EXPECT_EQ(got.crossbar(x).max_extra_row_writes(),
                   want.crossbar(x).max_extra_row_writes())

@@ -457,8 +457,9 @@ TEST(Twin, OneWordOpPerOutermostCall) {
   EXPECT_GT(prog.gates.size(), prog.words.size());
 }
 
-TEST(Twin, MuxOnSharedSegmentDetachesOnlyOnChange) {
-  // Data [0, kScratchBegin) is the shareable segment.
+TEST(Twin, MuxOnSharedGroupClonesOnlyOnChange) {
+  // Data [0, kScratchBegin) is shareable, in kScratchBegin / kGroupCols
+  // groups; the field lies in group 0.
   Crossbar xb(kRows, kCols, kScratchBegin);
   Rng rng(502);
   fill_all(xb, rng);
@@ -467,8 +468,10 @@ TEST(Twin, MuxOnSharedSegmentDetachesOnlyOnChange) {
     xb.write_row_bits(r, f.offset, f.width, 1234);
   }
   Crossbar other(kRows, kCols, kScratchBegin);
-  other.adopt_data(xb.data_segment());
-  ASSERT_TRUE(xb.data_shared());
+  other.adopt_data_groups(xb.data_groups());
+  const std::uint32_t g = xb.group_of(f.offset);
+  ASSERT_EQ(g, xb.group_of(f.offset + f.width - 1));
+  ASSERT_TRUE(xb.group_shared(g));
   std::vector<BitVec> before;
   for (std::uint32_t c = 0; c < kScratchBegin; ++c) {
     before.push_back(xb.column(c));
@@ -483,9 +486,10 @@ TEST(Twin, MuxOnSharedSegmentDetachesOnlyOnChange) {
     execute_words(xb, pb.program().words);
     pb.release(sel);
   }
-  EXPECT_TRUE(xb.data_shared());
+  EXPECT_TRUE(xb.group_shared(g));
 
-  // A new value for the same rows changes bits: the segment detaches.
+  // A new value for the same rows changes bits: the field's group alone is
+  // cloned.
   {
     ProgramBuilder pb(alloc);
     const std::uint16_t sel = pb.emit_eq_const(f, 1234);
@@ -493,7 +497,12 @@ TEST(Twin, MuxOnSharedSegmentDetachesOnlyOnChange) {
     execute_words(xb, pb.program().words);
     pb.release(sel);
   }
-  EXPECT_FALSE(xb.data_shared());
+  EXPECT_FALSE(xb.group_shared(g));
+  for (std::uint32_t h = 0; h < xb.data_group_count(); ++h) {
+    if (h != g) {
+      EXPECT_TRUE(xb.group_shared(h)) << "group " << h;
+    }
+  }
   for (std::uint32_t r = 0; r < kRows; ++r) {
     const std::uint64_t was = other.read_row_bits(r, f.offset, f.width);
     EXPECT_EQ(xb.read_row_bits(r, f.offset, f.width),

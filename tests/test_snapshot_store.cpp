@@ -3,8 +3,11 @@
 //
 // What must hold, and is asserted here:
 //   - Copy-on-write isolation: an UPDATE publishes a successor version
-//     without touching readers pinned to the old one, and detaches only
-//     the crossbars whose bits actually change (the rest share segments).
+//     without touching readers pinned to the old one, and clones only the
+//     column groups of the rewritten field on the crossbars whose bits
+//     actually change (every other group stays shared).
+//   - Lazy scratch: a view allocates only the scratch groups its queries
+//     write; a builder that only loads holds none.
 //   - Epoch reclamation: retired snapshots die exactly when their last
 //     pinned reader drains; live_snapshots() never grows with history.
 //   - Concurrent pin/unpin: readers racing a writer always observe a
@@ -35,6 +38,8 @@
 #include "db/snapshot_manager.hpp"
 #include "engine_test_util.hpp"
 #include "sql/parser.hpp"
+#include "ssb/dbgen.hpp"
+#include "ssb/queries.hpp"
 
 namespace bbpim {
 namespace {
@@ -111,18 +116,119 @@ TEST(SnapshotStore, CopyOnWriteIsolatesPinnedReaders) {
   EXPECT_NE(view1.store.contents_checksum(), checksum0);
   EXPECT_EQ(view1.store.read_attr(0, f_val2), fresh);
 
-  // CoW granularity: the versions share every crossbar segment except the
-  // few whose rows the update actually rewrote.
+  // CoW granularity: the versions share every data group except f_val2's,
+  // and those only on the crossbars holding a selected record.
+  const engine::PimStore& store = view1.store;
+  const pim::Field field = store.field(f_val2);
+  std::set<std::pair<std::size_t, std::uint32_t>> selected;
+  for (std::size_t r = 0; r < fx.table->row_count(); ++r) {
+    if (fx.table->column(f_key)[r] != key) continue;
+    const std::size_t in_page = r % store.records_per_page();
+    selected.emplace(
+        r / store.records_per_page(),
+        static_cast<std::uint32_t>(in_page / fx.pim.crossbar_rows));
+  }
+  ASSERT_FALSE(selected.empty());
   std::size_t shared = 0, total = 0;
-  for (std::size_t p = 0; p < view1.store.pages_per_part(); ++p) {
+  for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
     for (std::uint32_t x = 0; x < fx.pim.crossbars_per_page; ++x) {
-      ++total;
-      shared += snap0->segment(0, p, x).get() == snap1->segment(0, p, x).get();
+      const pim::Crossbar& xb = view1.module.page(store.module_page_index(0, p))
+                                    .crossbar(x);
+      const auto g0 = snap0->data_groups(0, p, x);
+      const auto g1 = snap1->data_groups(0, p, x);
+      ASSERT_EQ(g0.size(), xb.data_group_count());
+      ASSERT_EQ(g1.size(), g0.size());
+      const bool touched = selected.count({p, x}) != 0;
+      for (std::uint32_t g = 0; g < g0.size(); ++g) {
+        const bool holds_field =
+            g >= xb.group_of(field.offset) &&
+            g <= xb.group_of(field.offset + field.width - 1);
+        const bool same = g0[g].get() == g1[g].get();
+        EXPECT_EQ(same, !(holds_field && touched))
+            << "page " << p << " crossbar " << x << " group " << g;
+        // The view serves exactly the snapshot's groups.
+        EXPECT_EQ(xb.data_groups()[g].get(), g1[g].get())
+            << "page " << p << " crossbar " << x << " group " << g;
+        ++total;
+        shared += same;
+      }
     }
   }
-  EXPECT_LT(shared, total) << "the touched crossbar must have detached";
+  EXPECT_LT(shared, total) << "the touched crossbars' groups must be cloned";
   EXPECT_GT(shared, total / 2)
-      << "a selective update must leave most crossbars shared";
+      << "a selective update must leave most groups shared";
+
+  // A page with no selected record shares v0's whole group table, and
+  // re-pointing the v0 view at v1 leaves it serving exactly v1's groups.
+  view0.store.adopt(snap1);
+  for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
+    bool touched = false;
+    for (std::uint32_t x = 0; x < fx.pim.crossbars_per_page; ++x) {
+      touched |= selected.count({p, x}) != 0;
+      const pim::Crossbar& xb =
+          view0.module.page(view0.store.module_page_index(0, p)).crossbar(x);
+      const auto want = snap1->data_groups(0, p, x);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                             xb.data_groups().begin(), xb.data_groups().end()))
+          << "page " << p << " crossbar " << x;
+    }
+    EXPECT_EQ(snap0->page_groups(0, p) == snap1->page_groups(0, p), !touched)
+        << "page " << p;
+  }
+  EXPECT_EQ(view0.store.contents_checksum(), view1.store.contents_checksum());
+}
+
+TEST(SnapshotStore, ViewHoldsOnlyWrittenScratch) {
+  // The 13 SSB texts as star joins over the normalized SF-0.01 catalog.
+  ssb::SsbConfig cfg;
+  cfg.scale_factor = 0.01;
+  const ssb::SsbData data = ssb::generate(cfg);
+  db::Database database;
+  for (const rel::Table* t : {&data.lineorder, &data.date, &data.customer,
+                              &data.supplier, &data.part}) {
+    database.attach_table(*t);
+  }
+  db::Session session(database);
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    session.execute(q.sql, db::BackendKind::kOneXb);
+  }
+
+  const pim::PimConfig& pim = session.options().pim;
+  const std::size_t group_bytes = std::size_t{pim::kGroupCols} *
+                                  (pim.crossbar_rows / 64) *
+                                  sizeof(std::uint64_t);
+  for (const rel::Table* t : {&data.lineorder, &data.date, &data.customer,
+                              &data.supplier, &data.part}) {
+    const pim::ResidentBytes builder =
+        database.snapshot_manager(*t, /*two_crossbar=*/false, pim)
+            .builder_resident_bytes();
+    EXPECT_GT(builder.data, 0u) << t->name();
+    EXPECT_EQ(builder.scratch, 0u)
+        << t->name() << ": a builder that only loads writes no scratch";
+    // The view shares the builder's version-0 data groups one for one.
+    const engine::PimStore& view =
+        session.pim_engine(engine::EngineKind::kOneXb, t->name()).store();
+    ASSERT_TRUE(view.is_view());
+    EXPECT_EQ(view.resident_bytes().data, builder.data) << t->name();
+  }
+  // Each crossbar of the fact view wrote its few filter columns into at
+  // most its first scratch group.
+  engine::PimStore& fact =
+      session.pim_engine(engine::EngineKind::kOneXb, "lineorder").store();
+  const std::size_t crossbars = fact.pages_per_part() * pim.crossbars_per_page;
+  EXPECT_GT(fact.resident_bytes().scratch, 0u);
+  EXPECT_LE(fact.resident_bytes().scratch, crossbars * group_bytes);
+  for (std::size_t p = 0; p < fact.pages_per_part(); ++p) {
+    const pim::Page& page = fact.page(0, p);
+    for (std::uint32_t x = 0; x < page.crossbar_count(); ++x) {
+      const pim::Crossbar& xb = page.crossbar(x);
+      std::uint32_t scratch_groups = 0;
+      for (std::uint32_t g = xb.data_group_count(); g < xb.group_count(); ++g) {
+        scratch_groups += xb.group_resident(g);
+      }
+      EXPECT_LE(scratch_groups, 1u) << "page " << p << " crossbar " << x;
+    }
+  }
 }
 
 /// Independent oracles for the derived statistics: plain ordered
