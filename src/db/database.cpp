@@ -63,10 +63,8 @@ Database::Database(Database&& other) noexcept {
   writes_ = std::move(other.writes_);
   snapshots_ = std::move(other.snapshots_);
   plans_ = std::move(other.plans_);
-  plans_version_ = other.plans_version_;
   plan_hits_.store(other.plan_hits_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
-  binding_ = std::move(other.binding_);
 }
 
 const rel::Table& Database::add(Entry entry) {
@@ -84,6 +82,7 @@ const rel::Table& Database::add(Entry entry) {
   order_.push_back(name);
   if (default_target_.empty()) default_target_ = name;
   version_.fetch_add(1, std::memory_order_acq_rel);
+  plans_ = std::make_shared<Memo<std::string, Plan>>();
   return ref;
 }
 
@@ -192,57 +191,20 @@ SnapshotManager& Database::snapshot_manager(const rel::Table& table,
 }
 
 std::shared_ptr<const Plan> Database::find_or_bind(
-    std::string_view sql,
-    const std::function<std::shared_ptr<const Plan>()>& bind) {
-  std::uint64_t claim_version = 0;
+    std::string_view sql, const std::function<Plan()>& bind) {
+  std::shared_ptr<Memo<std::string, Plan>> plans;
   {
-    std::unique_lock lock(plans_mutex_);
-    for (;;) {
-      claim_version = catalog_version();
-      if (plans_version_ != claim_version) {
-        plans_.clear();
-        plans_version_ = claim_version;
-      }
-      const auto it = plans_.find(sql);
-      if (it != plans_.end()) {
-        plan_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-      if (binding_.insert(std::string(sql)).second) break;  // our claim
-      // Another worker is binding this text; wait for its publish (or
-      // failure) and re-check from the top — the catalog may have moved.
-      plans_cv_.wait(lock);
-    }
+    std::shared_lock lock(mutex_);
+    plans = plans_;
   }
-  std::shared_ptr<const Plan> plan;
-  try {
-    plan = bind();  // unlocked: binding may be expensive
-  } catch (...) {
-    std::lock_guard lock(plans_mutex_);
-    binding_.erase(binding_.find(sql));
-    plans_cv_.notify_all();
-    throw;
-  }
-  std::lock_guard lock(plans_mutex_);
-  binding_.erase(binding_.find(sql));
-  // Publish only if the catalog has not moved since the claim: a plan bound
-  // against a superseded catalog must not outlive it in the cache.
-  if (plan != nullptr && plans_version_ == claim_version &&
-      catalog_version() == claim_version) {
-    plans_.emplace(plan->sql, plan);
-  }
-  plans_cv_.notify_all();
+  auto [plan, hit] = plans->get_or_compute(sql, bind);
+  if (hit) plan_hits_.fetch_add(1, std::memory_order_relaxed);
   return plan;
 }
 
-std::size_t Database::plan_cache_size() {
-  const std::uint64_t version = catalog_version();
-  std::lock_guard lock(plans_mutex_);
-  if (plans_version_ != version) {
-    plans_.clear();
-    plans_version_ = version;
-  }
-  return plans_.size();
+std::size_t Database::plan_cache_size() const {
+  std::shared_lock lock(mutex_);
+  return plans_->size();
 }
 
 Session Database::connect() { return Session(*this); }

@@ -9,19 +9,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "pim/config.hpp"
 #include "relational/table.hpp"
 #include "sql/logical_plan.hpp"
@@ -119,8 +118,7 @@ class Database {
   /// std::invalid_argument when nothing resolves (empty catalog).
   const rel::Table& resolve_target(const std::vector<std::string>& from) const;
 
-  /// Bumped on every catalog mutation (registration, default-target change);
-  /// sessions use it to invalidate plans whose FROM resolution could change.
+  /// Bumped on every catalog mutation (registration).
   std::uint64_t catalog_version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -145,9 +143,10 @@ class Database {
   // --- bound-plan cache ----------------------------------------------------
   // Database-scope: N sessions (QueryService workers) preparing the same SQL
   // text bind it ONCE — the first session's plan is shared by all. Keyed by
-  // exact SQL text; the whole cache is invalidated when the catalog version
-  // moves (registration / default-target change can alter FROM resolution),
-  // so a cached plan is always bound against the current catalog.
+  // exact SQL text. Every catalog mutation (registration can alter FROM
+  // resolution) starts a fresh memo, so a plan bound against a superseded
+  // catalog is never served: a bind still in flight across the mutation
+  // publishes into the retired memo, which only its own waiters read.
 
   /// The bind-once front door of the cache: returns the cached plan for
   /// `sql`, or runs `bind` to produce, publish, and return it. When N
@@ -156,12 +155,12 @@ class Database {
   /// once per catalog version no matter how many workers prepare it. A
   /// throwing `bind` releases the claim (the exception propagates to its
   /// caller; the next waiter retries the bind).
-  std::shared_ptr<const Plan> find_or_bind(
-      std::string_view sql,
-      const std::function<std::shared_ptr<const Plan>()>& bind);
-  std::size_t plan_cache_size();
+  std::shared_ptr<const Plan> find_or_bind(std::string_view sql,
+                                           const std::function<Plan()>& bind);
+  /// Plans cached for the current catalog.
+  std::size_t plan_cache_size() const;
   /// find_or_bind calls served from the cache (the observable half of the
-  /// prepare-once guarantee across workers).
+  /// prepare-once guarantee across workers), across catalog versions.
   std::uint64_t plan_cache_hits() const {
     return plan_hits_.load(std::memory_order_relaxed);
   }
@@ -198,17 +197,12 @@ class Database {
   std::map<std::tuple<const rel::Table*, bool, std::uint64_t>,
            std::unique_ptr<SnapshotManager>>
       snapshots_;
-  /// Shared bound plans keyed by SQL text, valid for catalog version
-  /// plans_version_ (lazily cleared when the catalog moves). Guarded by
-  /// plans_mutex_; hit counting is lock-free.
-  std::mutex plans_mutex_;
-  std::map<std::string, std::shared_ptr<const Plan>, std::less<>> plans_;
-  std::uint64_t plans_version_ = 0;
+  /// Shared bound plans of the current catalog, keyed by SQL text; replaced
+  /// on every catalog mutation. Guarded by mutex_ (the pointer only — the
+  /// memo synchronizes itself).
+  std::shared_ptr<Memo<std::string, Plan>> plans_ =
+      std::make_shared<Memo<std::string, Plan>>();
   std::atomic<std::uint64_t> plan_hits_{0};
-  /// SQL texts a find_or_bind caller is currently binding (its claim);
-  /// guarded by plans_mutex_, waited on via plans_cv_.
-  std::set<std::string, std::less<>> binding_;
-  std::condition_variable plans_cv_;
 };
 
 }  // namespace bbpim::db

@@ -242,9 +242,6 @@ void QueryService::warm_up(BackendKind backend) {
           // timed region. No replay happens here or later: serving a newer
           // version is a snapshot re-pin, not a log replay.
           session.executor(backend);
-          if (const auto kind = engine_kind_of(backend)) {
-            session.models(*kind);  // fit-once across the pool
-          }
         } catch (...) {
           error = std::current_exception();
         }

@@ -174,12 +174,14 @@ class QueryService {
                                        BackendKind backend);
 
   /// Blocks until EVERY worker has built its executor for the default
-  /// target on `backend` — the one shared snapshot-store load, per-worker
-  /// page allocation, and the one shared model fit all happen here, not
-  /// inside the first timed queries (scratch groups are allocated by the
-  /// first query that writes them). Benches call this before the clock
-  /// starts. (There is no per-worker replay to warm any more: workers pin
-  /// immutable snapshots and re-pin by pointer swings when behind.)
+  /// target on `backend` — the one shared snapshot-store load and the
+  /// per-worker page allocation happen here, not inside the first timed
+  /// queries (scratch groups are allocated by the first query that writes
+  /// them). Benches call this before the clock starts. Latency models are
+  /// not fitted here: only single-table GROUP-BY statements read them, so
+  /// a caller that times those fits first through model_cache()->get_or_fit.
+  /// (There is no per-worker replay to warm any more: workers pin immutable
+  /// snapshots and re-pin by pointer swings when behind.)
   void warm_up(BackendKind backend);
 
   /// Stops intake, settles still-queued statements with ServiceStopped

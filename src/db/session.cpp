@@ -317,38 +317,24 @@ std::string ModelCache::cache_path(engine::EngineKind kind,
 }
 
 bool ModelCache::contains(engine::EngineKind kind) const {
-  std::lock_guard lock(mutex_);
-  for (auto it = slots_.lower_bound({kind, 0});
-       it != slots_.end() && it->first.first == kind; ++it) {
-    if (it->second.ready) return true;
-  }
-  return false;
+  return models_.count_if([kind](const Key& k) { return k.first == kind; }) !=
+         0;
 }
 
 void ModelCache::put(engine::EngineKind kind, engine::LatencyModels models) {
-  std::lock_guard lock(mutex_);
-  Slot& slot = slots_[{kind, 0}];
-  if (slot.ready) {
+  if (!models_.put({kind, 0}, std::move(models))) {
     // Resident models are immutable — other threads may hold references
     // into them — so injection only works before first use.
     throw std::logic_error(std::string("ModelCache::put: models for '") +
                            engine::engine_kind_name(kind) +
                            "' already resident");
   }
-  slot.models = std::move(models);
-  slot.ready = true;
-}
-
-std::size_t ModelCache::fit_count() const {
-  std::lock_guard lock(mutex_);
-  return fits_;
 }
 
 engine::LatencyModels ModelCache::load_or_fit(
     engine::EngineKind kind, std::uint64_t fingerprint,
     const pim::PimConfig& pim, const host::HostConfig& host,
-    const engine::FitConfig& fit, bool verbose, bool& did_fit) const {
-  did_fit = false;
+    const engine::FitConfig& fit, bool verbose) {
   const std::string path = cache_path(kind, fingerprint);
   if (!dir_.empty()) {
     if (std::ifstream in(path); in.good()) {
@@ -387,7 +373,7 @@ engine::LatencyModels ModelCache::load_or_fit(
   }
   engine::LatencyModels models =
       engine::fit_latency_models(kind, pim, host, fit).models;
-  did_fit = true;
+  fits_.fetch_add(1, std::memory_order_relaxed);
   if (!dir_.empty()) {
     // Write a temp file and rename it into place (atomic on POSIX) so a
     // concurrent reader never sees a partial write. Writers that race on
@@ -412,40 +398,16 @@ engine::LatencyModels ModelCache::load_or_fit(
 const engine::LatencyModels& ModelCache::get_or_fit(
     engine::EngineKind kind, const pim::PimConfig& pim,
     const host::HostConfig& host, const engine::FitConfig& fit, bool verbose) {
-  const std::uint64_t fingerprint = engine::config_fingerprint(pim, host, fit);
-  std::unique_lock lock(mutex_);
   // Explicitly injected models (put) pre-empt fitting for their kind.
-  if (const auto it = slots_.find({kind, 0});
-      it != slots_.end() && it->second.ready) {
-    return it->second.models;
-  }
-  // Node-based map: the slot reference stays stable across the unlock.
-  Slot& slot = slots_[{kind, fingerprint}];
-  cv_.wait(lock, [&] { return !slot.busy; });
-  if (slot.ready) return slot.models;
-
-  // First caller for this configuration: fit (or load) outside the lock so
-  // waiters block on the condition variable instead of serializing behind a
-  // held mutex, and so contains()/put() on other slots stay responsive.
-  slot.busy = true;
-  lock.unlock();
-  engine::LatencyModels models;
-  bool did_fit = false;
-  try {
-    models = load_or_fit(kind, fingerprint, pim, host, fit, verbose, did_fit);
-  } catch (...) {
-    lock.lock();
-    slot.busy = false;
-    cv_.notify_all();
-    throw;
-  }
-  lock.lock();
-  if (did_fit) ++fits_;
-  slot.models = std::move(models);
-  slot.ready = true;
-  slot.busy = false;
-  cv_.notify_all();
-  return slot.models;
+  if (const auto injected = models_.find(Key{kind, 0})) return *injected;
+  const std::uint64_t fingerprint = engine::config_fingerprint(pim, host, fit);
+  return *models_
+              .get_or_compute(Key{kind, fingerprint},
+                              [&] {
+                                return load_or_fit(kind, fingerprint, pim,
+                                                   host, fit, verbose);
+                              })
+              .value;
 }
 
 // --- PreparedStatement -----------------------------------------------------
@@ -558,22 +520,22 @@ PreparedStatement Session::prepare(std::string_view sql_text) {
       *this, db_->find_or_bind(sql_text, [&] { return build_plan(sql_text); }));
 }
 
-std::shared_ptr<const Plan> Session::build_plan(std::string_view sql_text) {
+Plan Session::build_plan(std::string_view sql_text) {
   // Fault seam: binding sits before any shared state mutates (a throwing
   // bind releases the Database plan-cache claim), so an injected fault here
   // is transient — the service's retry re-binds cleanly.
   engine::fault_point(engine::FaultSeam::kPlanBind);
-  auto plan = std::make_shared<Plan>();
-  plan->sql = std::string(sql_text);
-  const sql::Statement stmt = sql::parse_statement(plan->sql);
-  plan->kind = stmt.kind;
+  Plan plan;
+  plan.sql = std::string(sql_text);
+  const sql::Statement stmt = sql::parse_statement(plan.sql);
+  plan.kind = stmt.kind;
   if (stmt.kind == sql::Statement::Kind::kUpdate) {
     // UPDATE targets resolve like FROM lists: a registered table by name,
     // else the default target (SSB updates name logical source tables the
     // pre-joined relation subsumes).
     const rel::Table& target = db_->resolve_target({stmt.update.table});
-    plan->update = sql::bind_update(stmt.update, target.schema());
-    plan->target = &target;
+    plan.update = sql::bind_update(stmt.update, target.schema());
+    plan.target = &target;
     return plan;
   }
   // The join path triggers only when EVERY name in a multi-table FROM list
@@ -592,19 +554,19 @@ std::shared_ptr<const Plan> Session::build_plan(std::string_view sql_text) {
   if (join_path) {
     std::vector<sql::JoinTableRef> refs;
     refs.reserve(from.size());
-    plan->join_tables.reserve(from.size());
+    plan.join_tables.reserve(from.size());
     for (const std::string& name : from) {
       const rel::Table& t = db_->table(name);
       refs.push_back({name, &t.schema(), t.row_count()});
-      plan->join_tables.push_back(&t);
+      plan.join_tables.push_back(&t);
     }
-    plan->join = sql::bind_join(stmt.select, refs);
-    plan->target = plan->join_tables[plan->join.fact];
+    plan.join = sql::bind_join(stmt.select, refs);
+    plan.target = plan.join_tables[plan.join.fact];
     return plan;
   }
   const rel::Table& target = db_->resolve_target(stmt.select.from);
-  plan->bound = sql::bind(stmt.select, target.schema());
-  plan->target = &target;
+  plan.bound = sql::bind(stmt.select, target.schema());
+  plan.target = &target;
   return plan;
 }
 

@@ -16,7 +16,7 @@
 //       "SELECT region, SUM(qty) FROM sales GROUP BY region");
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "db/backend.hpp"
 #include "db/database.hpp"
 #include "db/result_set.hpp"
@@ -47,12 +48,12 @@ engine::FitConfig quick_fit_config();
 /// match (the models depend on those, not on the data); optionally backed
 /// by a directory of plain-text cache files.
 ///
-/// Thread-safe: N threads calling get_or_fit for the same engine kind run
-/// exactly one fitting campaign — the first caller fits outside the lock
-/// while the rest block until the slot is ready. Cache files carry a
-/// fingerprint of the (pim, host, fit) configuration that produced them; a
-/// mismatching, truncated, or otherwise unreadable file is a cache miss
-/// (refit and overwrite), never an error.
+/// Thread-safe: N threads calling get_or_fit for the same configuration run
+/// exactly one fitting campaign — one Memo entry per (kind, config
+/// fingerprint), computed once outside the lock while the rest wait for it.
+/// Cache files carry a fingerprint of the (pim, host, fit) configuration
+/// that produced them; a mismatching, truncated, or otherwise unreadable
+/// file is a cache miss (refit and overwrite), never an error.
 class ModelCache {
  public:
   ModelCache() = default;
@@ -71,7 +72,8 @@ class ModelCache {
   /// Memory hit, else disk hit, else runs the fitting campaign (and saves).
   /// In-memory entries are keyed by (kind, config fingerprint) just like
   /// the disk files, so callers with different configurations sharing one
-  /// cache never see each other's models.
+  /// cache never see each other's models. The reference stays valid for the
+  /// cache's lifetime (entries are never dropped).
   const engine::LatencyModels& get_or_fit(engine::EngineKind kind,
                                           const pim::PimConfig& pim,
                                           const host::HostConfig& host,
@@ -80,39 +82,30 @@ class ModelCache {
 
   /// Fitting campaigns this cache actually ran (memory and valid disk hits
   /// don't count) — the observable half of the fit-once guarantee.
-  std::size_t fit_count() const;
+  std::size_t fit_count() const {
+    return fits_.load(std::memory_order_relaxed);
+  }
 
  private:
-  /// One (kind, fingerprint) cache line; fingerprint 0 holds put()-injected
-  /// models. `busy` marks a thread loading/fitting it; `models` is immutable
-  /// once `ready` flips (map nodes are stable, so the reference returned by
-  /// get_or_fit stays valid for the cache's lifetime).
-  struct Slot {
-    bool ready = false;
-    bool busy = false;
-    engine::LatencyModels models;
-  };
-  using SlotKey = std::pair<engine::EngineKind, std::uint64_t>;
+  /// (kind, config fingerprint); fingerprint 0 holds put()-injected models.
+  using Key = std::pair<engine::EngineKind, std::uint64_t>;
 
   /// One file per (kind, tag, fingerprint): configurations sharing a cache
   /// dir coexist on disk instead of overwriting each other's campaigns.
   std::string cache_path(engine::EngineKind kind,
                          std::uint64_t fingerprint) const;
-  /// Validated disk load, else fitting campaign. Runs unlocked; sets
-  /// `did_fit` when a campaign ran.
+  /// Validated disk load, else fitting campaign (counted in fits_).
   engine::LatencyModels load_or_fit(engine::EngineKind kind,
                                     std::uint64_t fingerprint,
                                     const pim::PimConfig& pim,
                                     const host::HostConfig& host,
-                                    const engine::FitConfig& fit, bool verbose,
-                                    bool& did_fit) const;
+                                    const engine::FitConfig& fit,
+                                    bool verbose);
 
   std::string dir_;
   std::string tag_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::map<SlotKey, Slot> slots_;
-  std::size_t fits_ = 0;
+  Memo<Key, engine::LatencyModels> models_;
+  std::atomic<std::size_t> fits_{0};
 };
 
 struct SessionOptions {
@@ -292,7 +285,7 @@ class Session {
   /// Parses and binds `sql_text` against the current catalog: UPDATE, the
   /// multi-table join path (every FROM name registered), or the seed's
   /// single-table resolution. Front-end only — no executors touched.
-  std::shared_ptr<const Plan> build_plan(std::string_view sql_text);
+  Plan build_plan(std::string_view sql_text);
   /// Runs a bound join plan: one snapshot-pinned scan per touched table,
   /// the dimensions first and the fact last with the semijoin predicates
   /// its executor accepts (Executor::semijoin_filters), then the host hash

@@ -120,36 +120,15 @@ std::string classification_memo_key(
 
 std::shared_ptr<const CompiledFilter> FilterCache::get_or_compile(
     const std::vector<sql::BoundPredicate>& filters, int part,
-    const RecordLayout& layout, pim::ColumnAlloc& alloc) {
-  std::string key = filter_cache_key(filters, part, alloc.state_key());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      std::shared_ptr<const CompiledFilter> hit = it->second;
-      // Replay outside the map lookup scope is fine: the entry is immutable.
-      alloc.acquire(hit->result_col);
-      return hit;
-    }
-    ++misses_;
-  }
-  auto compiled = std::make_shared<const CompiledFilter>(
-      compile_filter(filters, layout, alloc));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.size() >= kMaxEntries) entries_.clear();
-  entries_.emplace(std::move(key), compiled);
+    const RecordLayout& layout, pim::ColumnAlloc& alloc, bool* hit) {
+  // The key pins the allocator state, so a caller that waited on another's
+  // compile holds the same state and replays the same effect.
+  auto [compiled, found] =
+      get_or_compute(filter_cache_key(filters, part, alloc.state_key()),
+                     [&] { return compile_filter(filters, layout, alloc); });
+  if (found) alloc.acquire(compiled->result_col);
+  if (hit != nullptr) *hit = found;
   return compiled;
-}
-
-std::size_t FilterCache::hit_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t FilterCache::miss_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 // --- zone-map static analysis ----------------------------------------------
@@ -272,18 +251,13 @@ FilterPruneAnalysis analyze_filters(
 std::shared_ptr<const FilterPruneAnalysis> analyze_filters_cached(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store,
     std::size_t* memo_pages_reused) {
-  ClassificationMemo& memo = store.classification_memo();
-  const std::string key = classification_memo_key(filters);
-  if (std::shared_ptr<const FilterPruneAnalysis> hit = memo.find(key)) {
-    if (memo_pages_reused != nullptr) {
-      *memo_pages_reused += hit->page_skip.size();
-    }
-    return hit;
+  auto [analysis, hit] = store.classification_memo().get_or_compute(
+      classification_memo_key(filters),
+      [&] { return analyze_filters(filters, store); });
+  if (hit && memo_pages_reused != nullptr) {
+    *memo_pages_reused += analysis->page_skip.size();
   }
-  auto fresh = std::make_shared<const FilterPruneAnalysis>(
-      analyze_filters(filters, store));
-  memo.insert(key, fresh);
-  return fresh;
+  return analysis;
 }
 
 std::vector<std::uint8_t> analyze_group_match(

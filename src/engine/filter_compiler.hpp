@@ -10,12 +10,11 @@
 #include <array>
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "engine/layout.hpp"
 #include "pim/microcode.hpp"
 #include "sql/logical_plan.hpp"
@@ -75,11 +74,13 @@ struct FilterPruneAnalysis {
 FilterPruneAnalysis analyze_filters(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store);
 
-/// analyze_filters through the store's ClassificationMemo: queries whose
-/// WHERE normalizes to the same ordered predicate list — batch members
-/// sharing a filter, repeated prepared-statement executions — classify each
-/// (page, predicate) pair once per store version instead of once per query.
-/// On a memo hit, `*memo_pages_reused` (when non-null) is incremented by the
+/// analyze_filters through the store version's classification memo
+/// (StoreDerived::class_memo): queries whose WHERE normalizes to the same
+/// ordered predicate list — batch members sharing a filter, repeated
+/// prepared-statement executions — classify each (page, predicate) pair
+/// once per store version instead of once per query. On a memo hit
+/// (including a wait on another caller's classification),
+/// `*memo_pages_reused` (when non-null) is incremented by the
 /// number of pages whose classification was reused (the per-query
 /// `classification_memo_hits` stat). The returned analysis is immutable and
 /// shared; it stays valid for the lifetime of the pinned snapshot (views) or
@@ -125,36 +126,32 @@ CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
                                    const RecordLayout& layout,
                                    pim::ColumnAlloc& alloc);
 
-/// Thread-safe memo of compiled WHERE programs, keyed by the exact predicate
-/// list, the part, and the scratch allocator's state fingerprint. Compiling
-/// is a pure function of (predicates, layout, allocator state), so a hit
-/// returns the cached program and merely replays its allocator effect
-/// (acquiring the result column) — repeated prepared-statement executions
-/// skip recompilation entirely. One cache lives in each PimStore; the
-/// layouts the key refers to are the store's own.
-class FilterCache {
+/// Memo of compiled WHERE programs, keyed by the exact predicate list, the
+/// part, and the scratch allocator's state fingerprint. Compiling is a pure
+/// function of (predicates, layout, allocator state), so a hit returns the
+/// cached program and merely replays its allocator effect (acquiring the
+/// result column) — repeated prepared-statement executions skip
+/// recompilation entirely. One cache lives in each PimStore; the layouts
+/// the key refers to are the store's own. Single-flight and bounded at
+/// kCapacity entries (overflow clears it), like every Memo; the base is
+/// private so that every hit goes through the allocator replay.
+class FilterCache : private Memo<std::string, CompiledFilter> {
  public:
+  static constexpr std::size_t kCapacity = 512;
+  using Memo::hit_count;
+  using Memo::miss_count;
+
+  FilterCache() : Memo(kCapacity) {}
+
   /// On miss, compiles via compile_filter (mutating `alloc` exactly as a
   /// direct call would) and caches the result; on hit, re-acquires the
   /// cached program's result column from `alloc`. Either way the returned
   /// program's result column is owned by the caller until released.
+  /// `*hit` (when non-null) says which of the two this call was.
   std::shared_ptr<const CompiledFilter> get_or_compile(
       const std::vector<sql::BoundPredicate>& filters, int part,
-      const RecordLayout& layout, pim::ColumnAlloc& alloc);
-
-  std::size_t hit_count() const;
-  std::size_t miss_count() const;
-
- private:
-  /// Bounded so adversarial workloads (every query a distinct filter set)
-  /// cannot grow the cache without limit; overflowing resets it.
-  static constexpr std::size_t kMaxEntries = 512;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const CompiledFilter>>
-      entries_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
+      const RecordLayout& layout, pim::ColumnAlloc& alloc,
+      bool* hit = nullptr);
 };
 
 }  // namespace bbpim::engine

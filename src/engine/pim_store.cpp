@@ -20,11 +20,10 @@ std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
   return std::move(seen).finish();
 }
 
-std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-build_co_occurrence(const PimStore& store, std::size_t attr_a,
-                    std::span<const std::uint64_t> distinct_a,
-                    std::size_t attr_b,
-                    std::span<const std::uint64_t> distinct_b) {
+SnapshotStats::CoOccurrence build_co_occurrence(
+    const PimStore& store, std::size_t attr_a,
+    std::span<const std::uint64_t> distinct_a, std::size_t attr_b,
+    std::span<const std::uint64_t> distinct_b) {
   CodeIndex index_a(distinct_a.size());
   CodeIndex index_b(distinct_b.size());
   for (const std::uint64_t v : distinct_a) index_a.insert(v);
@@ -52,7 +51,7 @@ build_co_occurrence(const PimStore& store, std::size_t attr_a,
       });
   // Rows of the bitmap in order, set bits in order: each key's values come
   // out sorted because distinct_b is.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> map;
+  SnapshotStats::CoOccurrence map;
   map.reserve(distinct_a.size());
   for (std::size_t ia = 0; ia < distinct_a.size(); ++ia) {
     std::vector<std::uint64_t> vals;

@@ -154,8 +154,8 @@ class PimStore {
   /// planner derive Table II's "total subgroups according to query and
   /// database details". nullptr when either side's cardinality is uncapped.
   /// Computed lazily, cached per version.
-  const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
-  co_occurrence(std::size_t attr_a, std::size_t attr_b) const {
+  const SnapshotStats::CoOccurrence* co_occurrence(std::size_t attr_a,
+                                                   std::size_t attr_b) const {
     return derived_->stats.co_occurrence(attr_a, attr_b, *this);
   }
 
@@ -166,9 +166,9 @@ class PimStore {
   /// data, so an UPDATE leaves every entry valid.
   FilterCache& filter_cache() const { return *derived_->filter_cache; }
 
-  /// Memoized static page classifications (see ClassificationMemo) of this
-  /// version; a mutation starts the next version with an empty memo.
-  ClassificationMemo& classification_memo() const {
+  /// Memoized static page classifications (StoreDerived::class_memo) of
+  /// this version; a mutation starts the next version with an empty memo.
+  const Memo<std::string, FilterPruneAnalysis>& classification_memo() const {
     return derived_->class_memo;
   }
 
@@ -288,10 +288,9 @@ std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
 /// bit of an |a| x |b| bitmap (at most 2 MB), and each a code's list is
 /// read off its bitmap row in order, already sorted. A stored code missing
 /// from either list means the lists are stale: throws std::logic_error.
-std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-build_co_occurrence(const PimStore& store, std::size_t attr_a,
-                    std::span<const std::uint64_t> distinct_a,
-                    std::size_t attr_b,
-                    std::span<const std::uint64_t> distinct_b);
+SnapshotStats::CoOccurrence build_co_occurrence(
+    const PimStore& store, std::size_t attr_a,
+    std::span<const std::uint64_t> distinct_a, std::size_t attr_b,
+    std::span<const std::uint64_t> distinct_b);
 
 }  // namespace bbpim::engine

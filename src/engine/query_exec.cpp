@@ -638,22 +638,19 @@ void Execution::filter_compile() {
   // Memoized compilation: the key covers (predicates, part, allocator
   // state), so repeated prepared-statement executions reuse the program and
   // only replay its result-column allocation. The scalar baseline compiles
-  // from scratch, matching the pre-cache behavior it measures.
-  const std::size_t cache_h0 = store_.filter_cache().hit_count();
-  const std::size_t cache_m0 = store_.filter_cache().miss_count();
+  // from scratch, matching the pre-cache behavior it measures. The counts
+  // are this execution's own lookups: the cache is shared by every view of
+  // the builder, so its totals also move with other workers' lookups.
   for (int part = 0; part < store_.parts(); ++part) {
     if (vectorized_) {
+      bool hit = false;
       compiled_.push_back(store_.filter_cache().get_or_compile(
-          filters_, part, store_.layout(part), alloc(part)));
+          filters_, part, store_.layout(part), alloc(part), &hit));
+      ++(hit ? stats_.filter_cache_hits : stats_.filter_cache_misses);
     } else {
       compiled_.push_back(std::make_shared<const CompiledFilter>(
           compile_filter(filters_, store_.layout(part), alloc(part))));
     }
-  }
-  if (vectorized_) {
-    stats_.filter_cache_hits = store_.filter_cache().hit_count() - cache_h0;
-    stats_.filter_cache_misses =
-        store_.filter_cache().miss_count() - cache_m0;
   }
 
   // Per-part gate-program page lists: active pages minus the pages whose

@@ -1,6 +1,7 @@
 #include "engine/snapshot_store.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "engine/pim_store.hpp"
 
@@ -23,58 +24,43 @@ std::optional<std::vector<std::uint64_t>> DistinctCollector::finish() && {
 }
 
 SnapshotStats::SnapshotStats(std::vector<Distinct> distinct)
-    : distinct_(std::move(distinct)),
-      distinct_stale_(distinct_.size(), false) {}
-
-SnapshotStats::SnapshotStats(const SnapshotStats& prev,
-                             std::size_t touched_attr) {
-  // prev may be concurrently filling lazily; copy under its lock.
-  std::lock_guard<std::mutex> lock(prev.mutex_);
-  distinct_ = prev.distinct_;
-  distinct_stale_ = prev.distinct_stale_;
-  co_cache_ = prev.co_cache_;
-  distinct_stale_.at(touched_attr) = true;
-  for (auto it = co_cache_.begin(); it != co_cache_.end();) {
-    it = (it->first.first == touched_attr || it->first.second == touched_attr)
-             ? co_cache_.erase(it)
-             : std::next(it);
+    : attrs_(distinct.size()) {
+  for (std::size_t a = 0; a < attrs_; ++a) {
+    distinct_.put(a, std::move(distinct[a]));
   }
 }
 
-const SnapshotStats::Distinct& SnapshotStats::distinct_locked(
-    std::size_t attr, const PimStore& reader) const {
-  if (distinct_stale_.at(attr)) {
-    // Same capping rule as the load-time stats, read through the reader's
-    // crossbars.
-    distinct_[attr] = scan_distinct(reader, attr);
-    distinct_stale_[attr] = false;
-  }
-  return distinct_.at(attr);
-}
+SnapshotStats::SnapshotStats(const SnapshotStats& prev, std::size_t touched)
+    : attrs_(prev.attrs_),
+      distinct_(prev.distinct_,
+                [touched](std::size_t a) { return a != touched; }),
+      co_(prev.co_, [touched](const std::pair<std::size_t, std::size_t>& k) {
+        return k.first != touched && k.second != touched;
+      }) {}
 
 const SnapshotStats::Distinct& SnapshotStats::distinct_values(
     std::size_t attr, const PimStore& reader) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return distinct_locked(attr, reader);
+  if (attr >= attrs_) throw std::out_of_range("SnapshotStats: attribute");
+  // Same capping rule as the load-time stats, read through the reader's
+  // crossbars.
+  return *distinct_
+              .get_or_compute(attr, [&] { return scan_distinct(reader, attr); })
+              .value;
 }
 
-const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
-SnapshotStats::co_occurrence(std::size_t attr_a, std::size_t attr_b,
-                             const PimStore& reader) const {
+const SnapshotStats::CoOccurrence* SnapshotStats::co_occurrence(
+    std::size_t attr_a, std::size_t attr_b, const PimStore& reader) const {
   if (attr_a == attr_b) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!distinct_locked(attr_a, reader) || !distinct_locked(attr_b, reader)) {
-    return nullptr;
-  }
-  const auto key = std::make_pair(attr_a, attr_b);
-  const auto it = co_cache_.find(key);
-  if (it != co_cache_.end()) return &it->second;
-
-  return &co_cache_
-              .emplace(key, build_co_occurrence(reader, attr_a,
-                                                *distinct_[attr_a], attr_b,
-                                                *distinct_[attr_b]))
-              .first->second;
+  const Distinct& a = distinct_values(attr_a, reader);
+  const Distinct& b = distinct_values(attr_b, reader);
+  if (!a || !b) return nullptr;
+  return co_
+      .get_or_compute(std::make_pair(attr_a, attr_b),
+                      [&] {
+                        return build_co_occurrence(reader, attr_a, *a, attr_b,
+                                                   *b);
+                      })
+      .value.get();
 }
 
 StoreDerived::StoreDerived(ZoneMaps zones,

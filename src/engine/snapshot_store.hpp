@@ -23,15 +23,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "engine/group_index.hpp"
 #include "engine/zone_map.hpp"
 #include "pim/crossbar.hpp"
@@ -40,6 +40,7 @@ namespace bbpim::engine {
 
 class PimStore;
 class FilterCache;
+struct FilterPruneAnalysis;
 
 /// Distinct-value stats are kept only up to this cardinality; higher
 /// attributes never qualify for pure-PIM group enumeration anyway.
@@ -63,10 +64,11 @@ class DistinctCollector {
 };
 
 /// Derived statistics of one store version: distinct values per attribute
-/// and co-occurrence maps per attribute pair, filled lazily and internally
-/// synchronized. Carried forward across versions — an UPDATE to one
-/// attribute invalidates only the entries involving that attribute, so a
-/// planner-warmed cache survives unrelated writes.
+/// and co-occurrence maps per attribute pair, each an unbounded Memo filled
+/// lazily (single-flight, built outside any lock). Carried forward across
+/// versions — an UPDATE to one attribute drops only the entries involving
+/// that attribute and shares every other entry by pointer, so a
+/// planner-warmed cache survives unrelated writes without a deep copy.
 ///
 /// Lazy computation reads the crossbars of a `reader` store (the caller's
 /// PimStore, which holds this version's data), 64 records at a time through
@@ -80,39 +82,34 @@ class DistinctCollector {
 class SnapshotStats {
  public:
   using Distinct = std::optional<std::vector<std::uint64_t>>;
+  using CoOccurrence =
+      std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>;
 
   /// Version-0 stats: the load-time distinct values (nullopt where the
   /// cardinality exceeded kMaxDistinct); co-occurrence fills on demand.
   explicit SnapshotStats(std::vector<Distinct> distinct);
-  /// Carries `prev` forward across an UPDATE of `touched_attr`: its
-  /// distinct stats are marked stale and every co-occurrence entry
-  /// involving it is dropped; everything else is shared by copy.
-  SnapshotStats(const SnapshotStats& prev, std::size_t touched_attr);
+  /// Carries `prev` forward across an UPDATE of `touched`: every entry
+  /// not involving it is shared by pointer; its distinct values and its
+  /// co-occurrence maps are rebuilt on first use.
+  SnapshotStats(const SnapshotStats& prev, std::size_t touched);
 
   /// Sorted distinct values of `attr`, or nullopt above the cap. The
-  /// returned reference is stable: entries settle exactly once and the slot
-  /// vector never resizes.
+  /// returned reference is stable: entries settle exactly once and are
+  /// never dropped. Throws std::out_of_range for an unknown attribute.
   const Distinct& distinct_values(std::size_t attr,
                                   const PimStore& reader) const;
 
   /// Sorted attr_b values co-occurring with each attr_a value, or nullptr
-  /// when either side's cardinality is uncapped.
-  const std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>*
-  co_occurrence(std::size_t attr_a, std::size_t attr_b,
-                const PimStore& reader) const;
+  /// when either side's cardinality is uncapped. Stable like
+  /// distinct_values, and the same address on every version that carried
+  /// the entry forward.
+  const CoOccurrence* co_occurrence(std::size_t attr_a, std::size_t attr_b,
+                                    const PimStore& reader) const;
 
  private:
-  /// distinct_values body; caller holds mutex_.
-  const Distinct& distinct_locked(std::size_t attr,
-                                  const PimStore& reader) const;
-
-  mutable std::mutex mutex_;
-  mutable std::vector<Distinct> distinct_;
-  mutable std::vector<bool> distinct_stale_;
-  mutable std::map<
-      std::pair<std::size_t, std::size_t>,
-      std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>>
-      co_cache_;
+  std::size_t attrs_;  ///< attribute count of the relation
+  Memo<std::size_t, Distinct> distinct_;
+  Memo<std::pair<std::size_t, std::size_t>, CoOccurrence> co_;
 };
 
 /// Everything derived from one store version's data, shared by the builder
@@ -131,13 +128,18 @@ struct StoreDerived {
   /// Compiled-WHERE memo, one per builder and shared by all its versions:
   /// programs depend on layout, predicates and allocator state, never on
   /// data, so a hit is indistinguishable from compiling fresh at any
-  /// version. Thread-safe.
+  /// version.
   std::shared_ptr<FilterCache> filter_cache;
   ZoneMaps zones;
   SnapshotStats stats;
-  /// Static page classifications of this version. They depend on the
-  /// sketches, so each version starts its own, which dies with it.
-  mutable ClassificationMemo class_memo;
+  /// Static page classifications of this version — the full
+  /// FilterPruneAnalysis of one ordered predicate list (see
+  /// analyze_filters_cached), keyed by its textual serialization. They
+  /// depend on the sketches, so each version starts its own, which dies
+  /// with it. Distinct WHERE shapes per version are few; overflowing
+  /// kClassificationCapacity clears it.
+  static constexpr std::size_t kClassificationCapacity = 256;
+  Memo<std::string, FilterPruneAnalysis> class_memo{kClassificationCapacity};
 };
 
 /// The data groups of one page's crossbars, back to back: crossbar x owns

@@ -144,39 +144,4 @@ ZoneMaps::ZoneMaps(std::size_t crossbars,
   }
 }
 
-std::shared_ptr<const FilterPruneAnalysis> ClassificationMemo::find(
-    const std::string& key) const {
-  std::lock_guard lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void ClassificationMemo::insert(
-    const std::string& key,
-    std::shared_ptr<const FilterPruneAnalysis> analysis) {
-  std::lock_guard lock(mutex_);
-  if (entries_.size() >= kMaxEntries) entries_.clear();
-  entries_.emplace(key, std::move(analysis));
-}
-
-std::uint64_t ClassificationMemo::hit_count() const {
-  std::lock_guard lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ClassificationMemo::miss_count() const {
-  std::lock_guard lock(mutex_);
-  return misses_;
-}
-
-std::size_t ClassificationMemo::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
-}
-
 }  // namespace bbpim::engine

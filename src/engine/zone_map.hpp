@@ -25,17 +25,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sql/logical_plan.hpp"
 
 namespace bbpim::engine {
-
-struct FilterPruneAnalysis;
 
 /// Codes of an attribute fit the distinct-code bitmap when they are < 64.
 /// Codes are < 2^bits by construction, so the packed width decides.
@@ -106,39 +100,6 @@ class ZoneMaps {
   std::size_t crossbars_ = 0;
   std::vector<bool> bitmap_;           // per attr
   std::vector<ZoneSketch> sketches_;   // [attr * crossbars_ + crossbar]
-};
-
-/// Memoized static page classifications: the full FilterPruneAnalysis of one
-/// ordered predicate list against one store version, shared by every query
-/// whose WHERE normalizes to the same predicates. Classification is a pure
-/// function of (predicates, sketches), so a batch of N queries sharing a
-/// filter — or one prepared statement re-executed — classifies each (page,
-/// predicate) pair once instead of N times. Keys are the textual predicate
-/// serialization (see classification_memo_key); entries are shared_ptrs so a
-/// hit costs one refcount bump. Thread-safe. Each store version owns one
-/// (StoreDerived), which a mutation never reuses, so a query can never
-/// observe a stale classification.
-class ClassificationMemo {
- public:
-  /// The memoized analysis for `key`, or nullptr on miss. Counts the lookup.
-  std::shared_ptr<const FilterPruneAnalysis> find(const std::string& key) const;
-  /// Publishes an analysis; first writer wins on a racing double-compute.
-  void insert(const std::string& key,
-              std::shared_ptr<const FilterPruneAnalysis> analysis);
-
-  std::uint64_t hit_count() const;
-  std::uint64_t miss_count() const;
-  std::size_t size() const;
-
- private:
-  /// Distinct WHERE shapes per table version are few; overflow just resets.
-  static constexpr std::size_t kMaxEntries = 256;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const FilterPruneAnalysis>>
-      entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
 };
 
 }  // namespace bbpim::engine

@@ -140,6 +140,42 @@ TEST(QueryService, ManySubmitterThreadsHammerOnePool) {
       << "N workers sharing a cache must trigger exactly one fit";
 }
 
+TEST(QueryService, FilterCacheStatsCountEachQuerysOwnLookups) {
+  // Every worker's view shares the builder's one FilterCache. A result's
+  // filter_cache_hits + filter_cache_misses must still be exactly the parts
+  // its own execution compiled (one on one-xb), however the other workers'
+  // lookups interleave with it.
+  ConcurrencyFixture fx;
+  db::QueryServiceOptions opts;
+  opts.workers = 4;
+  opts.session = fast_options();
+  db::QueryService service(fx.database, opts);
+  service.warm_up(db::BackendKind::kOneXb);
+
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kPerThread = 60;
+  std::vector<std::thread> submitters;
+  std::vector<std::string> failures(kSubmitters);
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<db::ResultSet>> futures;
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        futures.push_back(service.submit(kQueries[(t + i) % kQueryCount]));
+      }
+      for (std::future<db::ResultSet>& f : futures) {
+        const db::ResultSet rs = f.get();
+        const engine::QueryStats& s = rs.stats();
+        if (s.filter_cache_hits + s.filter_cache_misses != 1) {
+          failures[t] = "hits " + std::to_string(s.filter_cache_hits) +
+                        " + misses " + std::to_string(s.filter_cache_misses);
+        }
+      }
+    });
+  }
+  for (std::thread& s : submitters) s.join();
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+}
+
 TEST(QueryService, ConcurrentWarmUpCallsAreSerialized) {
   // Two interleaved warm-up barriers on one FIFO queue would each capture
   // half the workers forever; warm_up must serialize instead.

@@ -202,6 +202,39 @@ TEST(FilterCache, HitReplaysAllocatorEffectAndSkipsRecompile) {
   }
 }
 
+TEST(FilterCache, ExecutionCountsOnlyItsOwnLookups) {
+  // Each execution reports one hit or one miss per part it compiled, from
+  // its own lookups. The store's cache is shared (every view of a builder
+  // and every worker use it), so a lookup made elsewhere between or during
+  // executions must not show up in a query's counts.
+  for (const EngineKind kind : {EngineKind::kOneXb, EngineKind::kTwoXb}) {
+    EngineFixture fx(kind, 300, 23);
+    const std::size_t parts = static_cast<std::size_t>(fx.store->parts());
+    const sql::BoundQuery q = fx.bind_sql(
+        "SELECT SUM(f_val) FROM t WHERE f_key < 1500 AND f_gid = 2");
+    const QueryOutput first = fx.engine->execute(q);
+    EXPECT_EQ(first.stats.filter_cache_misses, parts);
+    EXPECT_EQ(first.stats.filter_cache_hits, 0u);
+
+    // Another worker's lookups: one miss and one hit on the shared cache.
+    const sql::BoundQuery other =
+        fx.bind_sql("SELECT SUM(f_val) FROM t WHERE f_key < 7");
+    bool hit = true;
+    for (int i = 0; i < 2; ++i) {
+      pim::ColumnAlloc alloc = fx.store->layout(0).make_alloc();
+      fx.store->filter_cache().get_or_compile(other.filters, 0,
+                                              fx.store->layout(0), alloc, &hit);
+      EXPECT_EQ(hit, i == 1);
+    }
+
+    const QueryOutput second = fx.engine->execute(q);
+    EXPECT_EQ(second.stats.filter_cache_hits, parts);
+    EXPECT_EQ(second.stats.filter_cache_misses, 0u);
+    EXPECT_EQ(fx.store->filter_cache().hit_count(), parts + 1);
+    EXPECT_EQ(fx.store->filter_cache().miss_count(), parts + 1);
+  }
+}
+
 TEST(ColumnAlloc, AcquireMarksSpecificColumn) {
   pim::ColumnAlloc alloc(10, 20);
   alloc.acquire(14);

@@ -362,6 +362,53 @@ TEST(SnapshotStore, DerivedStateIsPerVersion) {
   }
 }
 
+TEST(SnapshotStore, CarryForwardSharesStatsByPointer) {
+  // An UPDATE of X builds the successor's stats by sharing every entry that
+  // does not involve X: the same distinct list and co-occurrence map, at
+  // the same address. Entries involving X are rebuilt from the successor's
+  // own crossbars, while the old version keeps its own.
+  ManagerFixture fx(600, 5);
+  const rel::Schema& schema = fx.table->schema();
+  const std::size_t f_gid = *schema.index_of("f_gid");
+  const std::size_t d_tag = *schema.index_of("d_tag");
+  const std::size_t x = *schema.index_of("f_val2");
+  using Pairs = std::vector<std::pair<std::size_t, std::size_t>>;
+  const Pairs kept = {{f_gid, d_tag}, {d_tag, f_gid}};
+  const Pairs rebuilt = {{d_tag, x}, {x, f_gid}};
+
+  ManagerFixture::View v0(fx, fx.mgr->acquire(fx.hcfg));
+  for (const auto& pairs : {kept, rebuilt}) {
+    for (const auto& [a, b] : pairs) {
+      ASSERT_NE(v0.store.co_occurrence(a, b), nullptr);
+    }
+  }
+
+  fx.mgr->apply_update(
+      bound(*fx.table, "UPDATE synthetic SET f_val2 = 60 WHERE f_gid = 1"),
+      fx.hcfg, nullptr);
+  ManagerFixture::View v1(fx, fx.mgr->acquire(fx.hcfg));
+  ASSERT_EQ(v1.store.data_version(), 1u);
+
+  for (const auto& [a, b] : kept) {
+    EXPECT_EQ(v1.store.co_occurrence(a, b), v0.store.co_occurrence(a, b))
+        << "pair " << a << "," << b;
+  }
+  for (const std::size_t a : {f_gid, d_tag}) {
+    EXPECT_EQ(&v1.store.distinct_values(a), &v0.store.distinct_values(a))
+        << "attr " << a;
+  }
+  EXPECT_NE(&v1.store.distinct_values(x), &v0.store.distinct_values(x));
+  EXPECT_EQ(v1.store.distinct_values(x), reference_distinct(v1.store, x));
+  for (const auto& [a, b] : rebuilt) {
+    const auto* now = v1.store.co_occurrence(a, b);
+    const auto* was = v0.store.co_occurrence(a, b);
+    ASSERT_NE(now, nullptr);
+    EXPECT_NE(now, was) << "pair " << a << "," << b;
+    EXPECT_EQ(ordered(*now), reference_co_occurrence(v1.store, a, b));
+    EXPECT_EQ(ordered(*was), reference_co_occurrence(v0.store, a, b));
+  }
+}
+
 /// A store over a table with a 40-bit attribute: `wide` takes 12 values
 /// spread above 2^32, `grp` 6 values, and `wide` is a function of the row
 /// index so every grp value pairs with several wide values.
