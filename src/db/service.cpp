@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,41 +19,22 @@ constexpr std::uint64_t kRetryBackoffCapUs = 5'000;
 /// Gather-window multiplier once a bounded queue fills past half its depth.
 constexpr std::uint64_t kOverloadWindowBoost = 4;
 
-/// Rendezvous for warm_up: each worker executes exactly one warm task
-/// because no worker can finish its task before every worker has one.
-/// Cancellable: when warm_up fails to enqueue the full set (shutdown raced
-/// it), the workers already parked here must be released or the drain in
-/// shutdown() would join forever.
-struct WarmBarrier {
-  explicit WarmBarrier(std::size_t n) : remaining(n) {}
-
-  void arrive_and_wait() {
-    std::unique_lock lock(mutex);
-    if (--remaining == 0 || cancelled) {
-      cv.notify_all();
-    } else {
-      cv.wait(lock, [&] { return remaining == 0 || cancelled; });
-    }
-  }
-
-  void cancel() {
-    std::lock_guard lock(mutex);
-    cancelled = true;
-    cv.notify_all();
-  }
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t remaining;
-  bool cancelled = false;
-};
-
 std::uint64_t wall_us(std::chrono::steady_clock::time_point from,
                       std::chrono::steady_clock::time_point to) {
   if (to <= from) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(to - from)
           .count());
+}
+
+bool is_transient(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const engine::TransientFault&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
 }
 
 }  // namespace
@@ -110,8 +92,7 @@ std::future<ResultSet> QueryService::enqueue(Task task) {
     if (!accepting_) {
       throw ServiceStopped("QueryService: submit after shutdown");
     }
-    if (!task.internal && adm.max_queue_depth > 0 &&
-        external_queued_ >= adm.max_queue_depth) {
+    if (adm.max_queue_depth > 0 && queue_.size() >= adm.max_queue_depth) {
       switch (adm.policy) {
         case OverloadPolicy::kReject:
           ++counters_.rejected;
@@ -119,8 +100,7 @@ std::future<ResultSet> QueryService::enqueue(Task task) {
         case OverloadPolicy::kBlock: {
           const bool room = queue_not_full_.wait_for(
               lock, std::chrono::microseconds(adm.block_timeout_us), [&] {
-                return !accepting_ ||
-                       external_queued_ < adm.max_queue_depth;
+                return !accepting_ || queue_.size() < adm.max_queue_depth;
               });
           if (!accepting_) {
             throw ServiceStopped(
@@ -133,28 +113,18 @@ std::future<ResultSet> QueryService::enqueue(Task task) {
           }
           break;
         }
-        case OverloadPolicy::kShedOldest: {
-          // The head of the queue is the longest-waiting statement; sweep
-          // past internal tasks (they bypass admission and must run).
-          for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (it->internal) continue;
-            shed_victim = std::move(*it);
-            queue_.erase(it);
-            --external_queued_;
-            ++counters_.shed;
-            break;
-          }
+        case OverloadPolicy::kShedOldest:
+          // The head of the queue is the longest-waiting statement.
+          shed_victim = std::move(queue_.front());
+          queue_.pop_front();
+          ++counters_.shed;
           break;
-        }
       }
     }
     task.enqueued = std::chrono::steady_clock::now();
-    if (!task.internal) {
-      ++external_queued_;
-      counters_.peak_queue_depth =
-          std::max(counters_.peak_queue_depth, external_queued_);
-    }
     queue_.push_back(std::move(task));
+    counters_.peak_queue_depth =
+        std::max(counters_.peak_queue_depth, queue_.size());
   }
   work_available_.notify_one();
   // Settle outside the lock: the submitter waiting on this future may react
@@ -175,18 +145,12 @@ std::future<ResultSet> QueryService::submit(std::string sql_text,
                                             BackendKind backend,
                                             const engine::ExecOptions& opts) {
   Task task;
-  task.batchable = true;
   task.sql = std::move(sql_text);
   task.backend = backend;
   // Arm the deadline NOW: queue wait counts against it. The armed token
   // rides inside the options the worker executes with.
-  engine::ExecOptions eopts = opts;
-  eopts.cancel = engine::resolve_cancel(opts);
-  task.opts = eopts;
-  task.cancel = eopts.cancel;
-  task.run = [sql = task.sql, backend, eopts](Session& session) {
-    return session.execute(sql, backend, eopts);
-  };
+  task.opts = opts;
+  task.opts.cancel = engine::resolve_cancel(opts);
   return enqueue(std::move(task));
 }
 
@@ -221,71 +185,30 @@ std::vector<ResultSet> QueryService::execute_batch(
 }
 
 void QueryService::warm_up(BackendKind backend) {
-  // One warm-up at a time: two interleaved barriers on one FIFO queue could
-  // each capture half the workers and park them forever.
-  std::lock_guard warm_lock(warm_mutex_);
-  const auto barrier = std::make_shared<WarmBarrier>(sessions_.size());
-  std::vector<std::future<ResultSet>> futures;
-  futures.reserve(sessions_.size());
-  try {
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      Task warm_task;
-      warm_task.internal = true;
-      warm_task.run = [backend, barrier](Session& session) {
-        // Always arrive, even on failure: a worker that threw before the
-        // barrier would otherwise park its siblings forever.
-        std::exception_ptr error;
-        try {
-          // First touch: the worker pins the table's current snapshot (the
-          // shared store loads once, on whichever worker gets there first)
-          // and allocates its private scratch pages — outside the caller's
-          // timed region. No replay happens here or later: serving a newer
-          // version is a snapshot re-pin, not a log replay.
-          session.executor(backend);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        barrier->arrive_and_wait();
-        if (error != nullptr) std::rethrow_exception(error);
-        return ResultSet();
-      };
-      futures.push_back(enqueue(std::move(warm_task)));
+  {
+    std::lock_guard lock(mutex_);
+    if (!accepting_) {
+      throw ServiceStopped("QueryService: warm_up after shutdown");
     }
-  } catch (...) {
-    // shutdown() raced us mid-enqueue: a partial barrier can never fill, so
-    // release the workers already parked in it, let the queued remainder
-    // finish, then surface the shutdown error.
-    barrier->cancel();
-    for (std::future<ResultSet>& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        // already reporting the enqueue failure
-      }
-    }
-    throw;
   }
-  for (std::future<ResultSet>& f : futures) f.get();
+  // First touch on the caller's thread: each worker's session pins the
+  // table's current snapshot (the shared store loads once, on the first
+  // session) and allocates its private pages. Session::executor_for holds
+  // the session's executor lock across construction, so this is safe while
+  // the workers serve.
+  for (const std::unique_ptr<Session>& session : sessions_) {
+    session->executor(backend);
+  }
 }
 
 void QueryService::shutdown() {
-  // Sweep still-queued external statements out before the workers drain:
-  // their submitters get a prompt typed answer instead of a shutdown-length
-  // wait. Internal (warm-up) tasks stay queued — each holds a seat in a
-  // WarmBarrier that must fill before any of its siblings can finish.
-  std::vector<Task> orphans;
+  // Sweep still-queued statements out before the workers drain: their
+  // submitters get a prompt typed answer instead of a shutdown-length wait.
+  std::deque<Task> orphans;
   {
     std::lock_guard lock(mutex_);
     accepting_ = false;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->internal) {
-        ++it;
-        continue;
-      }
-      orphans.push_back(std::move(*it));
-      it = queue_.erase(it);
-      --external_queued_;
-    }
+    orphans.swap(queue_);
   }
   work_available_.notify_all();
   queue_not_full_.notify_all();
@@ -308,7 +231,7 @@ std::size_t QueryService::executed_count() const {
 
 std::size_t QueryService::queue_depth() const {
   std::lock_guard lock(mutex_);
-  return external_queued_;
+  return queue_.size();
 }
 
 QueryService::Counters QueryService::counters() const {
@@ -317,11 +240,9 @@ QueryService::Counters QueryService::counters() const {
 }
 
 void QueryService::settle_success(Task& task, ResultSet rs) {
-  if (!task.internal) {
-    const auto now = std::chrono::steady_clock::now();
-    rs.set_service_timing(wall_us(task.enqueued, task.dequeued),
-                          wall_us(task.dequeued, now));
-  }
+  rs.set_service_timing(
+      wall_us(task.enqueued, task.dequeued),
+      wall_us(task.dequeued, std::chrono::steady_clock::now()));
   // Count before fulfilling the promise: a caller that drained its future
   // must never read an executed_count below what it submitted.
   {
@@ -347,35 +268,6 @@ void QueryService::settle_error(Task& task, std::exception_ptr error) {
   task.result.set_exception(std::move(error));
 }
 
-void QueryService::run_task(Session& session, Task& task,
-                            std::size_t consumed_attempts) {
-  const RetryOptions& retry = opts_.retry;
-  for (std::size_t attempt = consumed_attempts;; ++attempt) {
-    try {
-      // A deadline that expired during backoff (or while queued) settles
-      // here instead of burning a full execution.
-      if (task.cancel.valid()) task.cancel.check();
-      settle_success(task, task.run(session));
-      return;
-    } catch (const engine::TransientFault&) {
-      if (attempt >= retry.max_retries) {
-        settle_error(task, std::current_exception());
-        return;
-      }
-      {
-        std::lock_guard lock(mutex_);
-        ++counters_.retries;
-      }
-      const std::uint64_t backoff =
-          std::min(kRetryBackoffBaseUs << attempt, kRetryBackoffCapUs);
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-    } catch (...) {
-      settle_error(task, std::current_exception());
-      return;
-    }
-  }
-}
-
 void QueryService::worker_loop(std::size_t index) {
   Session& session = *sessions_[index];
   const SharedScanOptions& shared = opts_.shared_scan;
@@ -390,16 +282,13 @@ void QueryService::worker_loop(std::size_t index) {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       batch.front().dequeued = std::chrono::steady_clock::now();
-      if (!batch.front().internal) {
-        --external_queued_;
-        queue_not_full_.notify_one();
-      }
+      queue_not_full_.notify_one();
       // Batch former: gather the other in-flight statements whose admission
       // signature matches the one just popped. The queue is drained of
       // compatible tasks first; when it runs dry the worker waits out the
       // remainder of the gather window for stragglers. Incompatible tasks
       // stay queued for other workers (or for this one's next iteration).
-      if (shared.enabled && shared.max_batch > 1 && batch.front().batchable) {
+      if (shared.enabled && shared.max_batch > 1) {
         // Copies, not references: gathering grows `batch`, which would
         // invalidate a reference into it.
         const BackendKind head_backend = batch.front().backend;
@@ -409,7 +298,7 @@ void QueryService::worker_loop(std::size_t index) {
         // the window so more statements fuse into each page pass —
         // throughput over latency, before admission has to shed anything.
         if (adm.max_queue_depth > 0 &&
-            external_queued_ >= (adm.max_queue_depth + 1) / 2) {
+            queue_.size() >= (adm.max_queue_depth + 1) / 2) {
           window_us *= kOverloadWindowBoost;
           ++counters_.degraded_gathers;
         }
@@ -419,13 +308,9 @@ void QueryService::worker_loop(std::size_t index) {
           bool gathered = false;
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < shared.max_batch;) {
-            if (it->batchable && it->backend == head_backend &&
-                it->opts == head_opts) {
+            if (it->backend == head_backend && it->opts == head_opts) {
               it->dequeued = std::chrono::steady_clock::now();
-              if (!it->internal) {
-                --external_queued_;
-                queue_not_full_.notify_one();
-              }
+              queue_not_full_.notify_one();
               batch.push_back(std::move(*it));
               it = queue_.erase(it);
               gathered = true;
@@ -443,95 +328,73 @@ void QueryService::worker_loop(std::size_t index) {
         }
       }
     }
-    // Statements already dead at dequeue (deadline spent in the queue,
-    // caller cancelled) settle typed without costing an execution — and
-    // without dragging live batchmates through a doomed fused pass.
-    std::vector<Task> live;
-    live.reserve(batch.size());
-    for (Task& t : batch) {
-      if (!t.internal && t.cancel.valid() && t.cancel.should_stop()) {
-        try {
-          t.cancel.check();
-        } catch (...) {
-          settle_error(t, std::current_exception());
-        }
-      } else {
-        live.push_back(std::move(t));
-      }
-    }
-    if (live.empty()) continue;
-    if (live.size() > 1) {
-      serve_batch(session, live);
-      continue;
-    }
-    run_task(session, live.front());
+    serve(session, std::move(batch));
   }
 }
 
-void QueryService::serve_batch(Session& session, std::vector<Task>& batch) {
-  std::vector<std::string> sqls;
-  std::vector<engine::CancelToken> cancels;
-  sqls.reserve(batch.size());
-  cancels.reserve(batch.size());
-  bool any_token = false;
-  for (const Task& t : batch) {
-    sqls.push_back(t.sql);
-    cancels.push_back(t.cancel);
-    any_token |= t.cancel.valid();
-  }
-  if (!any_token) cancels.clear();
+void QueryService::serve(Session& session, std::vector<Task> batch) {
+  const BackendKind backend = batch.front().backend;
   // The head's armed token must not leak into the shared options: members
   // carry their own (or none) through `cancels`.
   engine::ExecOptions shared_opts = batch.front().opts;
   shared_opts.cancel = engine::CancelToken{};
   shared_opts.deadline_us = 0;
-
-  std::vector<Session::BatchItem> items;
-  try {
-    items = session.execute_batch(sqls, batch.front().backend, shared_opts,
-                                  cancels);
-  } catch (const engine::TransientFault&) {
-    // The batch entry point failed before per-statement isolation (snapshot
-    // pin, plan-cache claim) on something retryable: re-run every member
-    // solo; run_task retries within the budget and settles each promise.
+  for (std::size_t attempt = 0;; ++attempt) {
+    // Statements already dead (deadline spent queued or backing off, caller
+    // cancelled) settle typed without costing an execution — and without
+    // dragging live batchmates through a doomed fused pass.
+    std::vector<Task> live;
+    std::vector<std::string> sqls;
+    std::vector<engine::CancelToken> cancels;
     for (Task& t : batch) {
-      {
-        std::lock_guard lock(mutex_);
-        ++counters_.retries;
+      const engine::CancelToken& token = t.opts.cancel;
+      if (token.valid() && token.should_stop()) {
+        try {
+          token.check();
+        } catch (...) {
+          settle_error(t, std::current_exception());
+        }
+        continue;
       }
-      run_task(session, t, /*consumed_attempts=*/1);
+      sqls.push_back(t.sql);
+      cancels.push_back(token);
+      live.push_back(std::move(t));
     }
-    return;
-  } catch (...) {
-    // Permanent service-level fault (per-statement problems come back as
-    // items): every member gets it.
-    const std::exception_ptr error = std::current_exception();
-    for (Task& t : batch) settle_error(t, error);
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (items[i].error == nullptr) {
-      settle_success(batch[i], std::move(items[i].result));
-      continue;
-    }
-    bool transient = false;
+    if (live.empty()) return;
+
+    std::vector<Session::BatchItem> items;
     try {
-      std::rethrow_exception(items[i].error);
-    } catch (const engine::TransientFault&) {
-      transient = true;
+      items = session.execute_batch(sqls, backend, shared_opts, cancels);
     } catch (...) {
-    }
-    if (transient && opts_.retry.max_retries > 0) {
-      // This member already burned one transient attempt inside the batch;
-      // its solo re-execution is retry #1 against the same budget.
-      {
-        std::lock_guard lock(mutex_);
-        ++counters_.retries;
+      // A fault before per-statement isolation (snapshot pin, plan-cache
+      // claim) is every member's error; per-statement problems come back
+      // as items.
+      items.resize(live.size());
+      for (Session::BatchItem& item : items) {
+        item.error = std::current_exception();
       }
-      run_task(session, batch[i], /*consumed_attempts=*/1);
-    } else {
-      settle_error(batch[i], items[i].error);
     }
+    batch.clear();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (items[i].error == nullptr) {
+        settle_success(live[i], std::move(items[i].result));
+      } else if (attempt < opts_.retry.max_retries &&
+                 is_transient(items[i].error)) {
+        batch.push_back(std::move(live[i]));
+      } else {
+        settle_error(live[i], items[i].error);
+      }
+    }
+    if (batch.empty()) return;
+    {
+      std::lock_guard lock(mutex_);
+      counters_.retries += batch.size();
+    }
+    // Saturate the shift: the cap binds long before it could overflow.
+    const std::uint64_t backoff =
+        std::min(kRetryBackoffBaseUs << std::min<std::size_t>(attempt, 16),
+                 kRetryBackoffCapUs);
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff));
   }
 }
 

@@ -1,16 +1,21 @@
 // QueryService: concurrent query serving over one Database.
 //
-// A fixed pool of std::thread workers drains a FIFO task queue; each worker
-// owns a private Session (per-worker session affinity), so the stateful PIM
-// executors — private scratch the simulator mutates per query — are never
-// shared across threads. What IS shared is thread-safe: the Database
-// catalog (shared-locked reads), one ModelCache (fit-once under lock: N
-// workers needing the same engine kind trigger exactly one fitting
-// campaign), and the per-table snapshot store — every worker's executor
-// pins the same immutable StoreSnapshot for its data version, so there is
-// no per-worker data replica and no catch-up replay. The simulator is
+// A fixed pool of std::thread workers drains one FIFO queue of submitted
+// statements; each worker owns a private Session (per-worker session
+// affinity), so the stateful PIM executors — private scratch the simulator
+// mutates per query — are never shared across threads. What IS shared is
+// thread-safe: the Database catalog (shared-locked reads), one ModelCache
+// (fit-once under lock: N workers needing the same engine kind trigger
+// exactly one fitting campaign), and the per-table snapshot store — every
+// worker's executor pins the same immutable StoreSnapshot for its data
+// version, so there is no per-worker data replica and no catch-up replay. The simulator is
 // deterministic, so a query returns byte-identical rows and stats no
 // matter which worker serves it.
+//
+// Every set of statements a worker takes off the queue — a lone statement
+// or a shared-scan batch — is served by one function through
+// Session::execute_batch; the members that fail transiently re-run through
+// the same call.
 //
 //   db::QueryService service(database, {.workers = 4});
 //   std::future<db::ResultSet> f = service.submit(
@@ -36,11 +41,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -68,8 +71,7 @@ enum class OverloadPolicy {
   kShedOldest,
 };
 
-/// Bounded admission. Internal work (warm_up's barrier tasks) bypasses
-/// admission entirely and never counts against the depth.
+/// Bounded admission: every queued statement counts against the depth.
 struct AdmissionOptions {
   /// Most statements that may wait in the queue. 0 = unbounded (the
   /// pre-admission behavior).
@@ -173,15 +175,15 @@ class QueryService {
   std::vector<ResultSet> execute_batch(std::span<const std::string> sqls,
                                        BackendKind backend);
 
-  /// Blocks until EVERY worker has built its executor for the default
-  /// target on `backend` — the one shared snapshot-store load and the
-  /// per-worker page allocation happen here, not inside the first timed
-  /// queries (scratch groups are allocated by the first query that writes
-  /// them). Benches call this before the clock starts. Latency models are
+  /// Builds every worker session's executor for the default target on
+  /// `backend`, on the caller's thread and without touching the queue — the
+  /// one shared snapshot-store load and the per-worker page allocation
+  /// happen here, not inside the first timed queries (scratch groups are
+  /// allocated by the first query that writes them). Safe while workers
+  /// serve. Benches call this before the clock starts. Latency models are
   /// not fitted here: only single-table GROUP-BY statements read them, so
   /// a caller that times those fits first through model_cache()->get_or_fit.
-  /// (There is no per-worker replay to warm any more: workers pin immutable
-  /// snapshots and re-pin by pointer swings when behind.)
+  /// Throws ServiceStopped once shutdown() has been called.
   void warm_up(BackendKind backend);
 
   /// Stops intake, settles still-queued statements with ServiceStopped
@@ -194,7 +196,7 @@ class QueryService {
   /// and shed statements never executed and are counted in counters(), not
   /// here.
   std::size_t executed_count() const;
-  /// Statements currently waiting in the queue (internal work excluded).
+  /// Statements currently waiting in the queue.
   std::size_t queue_depth() const;
   Counters counters() const;
   const std::shared_ptr<ModelCache>& model_cache() const {
@@ -203,21 +205,13 @@ class QueryService {
 
  private:
   struct Task {
-    std::function<ResultSet(Session&)> run;
-    std::promise<ResultSet> result;
-    /// Shared-scan admission metadata; set by submit() only (warm-up and
-    /// other internal tasks never fuse).
-    bool batchable = false;
     std::string sql;
     BackendKind backend = BackendKind::kOneXb;
+    /// Carries the deadline/cancellation token armed at submit() (so queue
+    /// wait counts against the deadline); the token is invalid when the
+    /// statement has neither.
     engine::ExecOptions opts;
-    /// Internal pool maintenance (warm_up): bypasses admission, survives
-    /// shutdown's queue sweep (a WarmBarrier member that never ran would
-    /// park its siblings forever), carries no serving timings.
-    bool internal = false;
-    /// Deadline/cancellation token, armed at submit() so queue wait counts
-    /// against the deadline. Invalid when the statement has neither.
-    engine::CancelToken cancel;
+    std::promise<ResultSet> result;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point dequeued;
   };
@@ -228,14 +222,12 @@ class QueryService {
   static std::vector<ResultSet> drain(
       std::vector<std::future<ResultSet>> futures);
   void worker_loop(std::size_t index);
-  /// Serves >= 2 gathered statements through session.execute_batch and
-  /// settles each task's promise (counting every member in executed_).
-  void serve_batch(Session& session, std::vector<Task>& batch);
-  /// Executes `task` with the transient-retry budget and settles its
-  /// promise. `consumed_attempts` counts executions that already failed
-  /// transiently elsewhere (a batch member retried solo) against the budget.
-  void run_task(Session& session, Task& task,
-                std::size_t consumed_attempts = 0);
+  /// Serves one dequeued set (all of one backend and option signature)
+  /// through session.execute_batch and settles every promise. Members
+  /// already dead settle without executing; members that failed with
+  /// engine::TransientFault re-run through the same call within the retry
+  /// budget.
+  void serve(Session& session, std::vector<Task> batch);
   void settle_success(Task& task, ResultSet rs);
   /// Settles with `error`, counting it (timed_out/cancelled/executed_).
   void settle_error(Task& task, std::exception_ptr error);
@@ -244,7 +236,8 @@ class QueryService {
   QueryServiceOptions opts_;
   std::shared_ptr<ModelCache> model_cache_;
   /// One session per worker, index-aligned with workers_; built before the
-  /// threads start and only ever touched by its own worker afterwards.
+  /// threads start. Only its own worker executes on it; warm_up may build
+  /// its executors concurrently (Session::executor_for locks).
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::thread> workers_;
 
@@ -255,13 +248,7 @@ class QueryService {
   std::deque<Task> queue_;
   bool accepting_ = true;
   std::size_t executed_ = 0;
-  /// Statements in queue_ that count against admission (== queue_ minus
-  /// internal tasks).
-  std::size_t external_queued_ = 0;
   Counters counters_;
-  /// Serializes warm_up calls: two interleaved warm-up barriers on one FIFO
-  /// queue could each hold half the workers forever.
-  std::mutex warm_mutex_;
 };
 
 }  // namespace bbpim::db

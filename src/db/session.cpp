@@ -734,10 +734,6 @@ std::vector<Session::BatchItem> Session::execute_batch(
     std::vector<std::size_t> dup_count(unique.size(), 0);
     for (const std::size_t u : slot_of) ++dup_count[u];
 
-    bool any_token = false;
-    for (const engine::CancelToken& t : unique_cancels) any_token |= t.valid();
-    if (!any_token) unique_cancels.clear();
-
     Executor& ex = executor_for(backend, *g.target);
     engine::PimQueryEngine::BatchOutput out =
         ex.execute_many(queries, opts, unique_cancels);

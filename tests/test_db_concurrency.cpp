@@ -177,8 +177,9 @@ TEST(QueryService, FilterCacheStatsCountEachQuerysOwnLookups) {
 }
 
 TEST(QueryService, ConcurrentWarmUpCallsAreSerialized) {
-  // Two interleaved warm-up barriers on one FIFO queue would each capture
-  // half the workers forever; warm_up must serialize instead.
+  // Concurrent warm_up calls build executors for different backends on the
+  // same worker sessions; each session's executor lock serializes them, and
+  // the pool serves exactly afterwards.
   ConcurrencyFixture fx;
   db::QueryServiceOptions opts;
   opts.workers = 3;

@@ -4,14 +4,19 @@
 // fatal fault surfaces immediately with zero retries; and a fault striking
 // one member of a fused shared-scan batch never disturbs its batchmates'
 // rows or semantic stats (the fused pass falls back to solo execution and
-// says so via batch_fallbacks). Seeded injectors make every firing pattern
-// reproducible. Run under ThreadSanitizer in CI.
+// says so via batch_fallbacks). A gathered shared-scan batch whose members
+// all fail transiently, at the batch entry or inside its one execution,
+// retries every member to the exact answer. Seeded injectors make every
+// firing pattern reproducible. Run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "db/db.hpp"
@@ -273,6 +278,93 @@ TEST(FaultInjection, FusedBatchMemberFaultNeverCorruptsBatchmates) {
     // Every member was served by the fused pass' solo fallback — and the
     // result says so.
     EXPECT_EQ(items[i].result.stats().batch_fallbacks, 1u) << sqls[i];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Gathered shared-scan batches through the service's retry loop
+// ---------------------------------------------------------------------------
+
+bool wait_until(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(FaultInjection, SharedScanBatchRetriesEachMemberToTheExactAnswer) {
+  struct BatchCase {
+    const char* name;
+    engine::FaultSeam seam;
+    std::vector<std::string> sqls;
+  };
+  const std::string kSum =
+      "SELECT SUM(f_val) AS s FROM synthetic WHERE f_key < 1024";
+  const BatchCase cases[] = {
+      // The batch entry point throws: the one-xb executor's first snapshot
+      // pin fails before any member ran.
+      {"snapshot pin at batch entry",
+       engine::FaultSeam::kSnapshotPin,
+       {"SELECT COUNT(*) FROM synthetic WHERE f_key < 512", kSum,
+        "SELECT SUM(f_val2) AS s FROM synthetic WHERE f_gid < 4"}},
+      // Three submissions of one text intern into one execution inside the
+      // batch; the fault kills it, so every member fails transiently.
+      {"crossbar visit inside the batch",
+       engine::FaultSeam::kCrossbarVisit,
+       {kSum, kSum, kSum}},
+  };
+  for (const BatchCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    db::Database reference_db;
+    reference_db.register_table(testutil::make_synthetic_table(400, 13),
+                                synthetic_policy());
+    db::Session reference(reference_db, fast_options());
+
+    db::Database database;
+    database.register_table(testutil::make_synthetic_table(400, 13),
+                            synthetic_policy());
+    // Bind the members up front (the plan cache is the Database's), so only
+    // the occupier below crosses the plan-bind seam.
+    db::Session binder(database, fast_options());
+    for (const std::string& sql : c.sqls) binder.prepare(sql);
+
+    db::QueryServiceOptions opts = service_options();
+    opts.shared_scan.enabled = true;
+    opts.shared_scan.max_batch = c.sqls.size();  // the gather ends when full
+    db::QueryService service(database, opts);
+
+    // The occupier: an unbound statement on the reference backend stalls in
+    // its bind while the members queue behind it. It never pins a PIM
+    // snapshot or visits a crossbar, and its backend keeps it from
+    // gathering the members, so they gather into one batch after it.
+    engine::FaultInjector fi;
+    engine::FaultRule stall;
+    stall.stall_us = 200'000;
+    fi.arm(engine::FaultSeam::kPlanBind, stall);
+    engine::FaultRule once;
+    once.nth = 1;  // the batch's first crossing fails, the retry's succeeds
+    fi.arm(c.seam, once);
+    engine::ScopedFaultInjection scope(fi);
+
+    std::future<db::ResultSet> occupier =
+        service.submit("SELECT COUNT(*) FROM synthetic WHERE d_tag >= 2",
+                       db::BackendKind::kReference);
+    ASSERT_TRUE(wait_until([&] { return service.queue_depth() == 0; }))
+        << "worker never picked up the occupying statement";
+    std::vector<std::future<db::ResultSet>> futures;
+    for (const std::string& sql : c.sqls) futures.push_back(service.submit(sql));
+
+    EXPECT_EQ(occupier.get().row_count(), 1u);
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      const db::ResultSet got = futures[i].get();
+      expect_rows_equal(got, reference.execute(c.sqls[i]), c.sqls[i]);
+    }
+    EXPECT_EQ(fi.fired(c.seam), 1u);
+    // One retry per member: every member failed once, transiently.
+    EXPECT_EQ(service.counters().retries, c.sqls.size());
   }
 }
 

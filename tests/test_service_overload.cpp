@@ -126,7 +126,7 @@ TEST(ServiceOverload, RejectPolicyRefusesWithTypedError) {
   EXPECT_EQ(counters.rejected, 2u);
   EXPECT_EQ(counters.shed, 0u);
   EXPECT_EQ(counters.peak_queue_depth, 2u);
-  EXPECT_EQ(fx.service->executed_count(), 4u);  // occupier + 2 queued + warm
+  EXPECT_EQ(fx.service->executed_count(), 3u);  // occupier + 2 queued
 }
 
 TEST(ServiceOverload, BlockPolicyAppliesBackpressureThenAdmits) {
@@ -195,8 +195,8 @@ TEST(ServiceOverload, ShedOldestDropsTheLongestWaitingStatement) {
   const db::QueryService::Counters counters = fx.service->counters();
   EXPECT_EQ(counters.shed, 1u);
   EXPECT_EQ(counters.rejected, 0u);
-  // Shed statements never executed: occupier + second + newest + warm-up.
-  EXPECT_EQ(fx.service->executed_count(), 4u);
+  // Shed statements never executed: occupier + second + newest.
+  EXPECT_EQ(fx.service->executed_count(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +288,56 @@ TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
               want[i].stats().selected_records)
         << sqls[i];
   }
+}
+
+// ---------------------------------------------------------------------------
+// warm_up: executor construction beside the queue, never through it
+// ---------------------------------------------------------------------------
+
+TEST(ServiceOverload, WarmUpLeavesNoServingTrace) {
+  Fixture fx;  // warmed on one-xb by the fixture
+  fx.service->warm_up(db::BackendKind::kReference);
+  EXPECT_EQ(fx.service->executed_count(), 0u);
+  EXPECT_EQ(fx.service->queue_depth(), 0u);
+  EXPECT_EQ(fx.service->counters().peak_queue_depth, 0u);
+}
+
+TEST(ServiceOverload, WarmUpReturnsWhileRejectQueueIsFullAndWorkerStalled) {
+  db::QueryServiceOptions opts;
+  opts.admission.max_queue_depth = 2;
+  opts.admission.policy = db::OverloadPolicy::kReject;
+  Fixture fx(opts);
+
+  engine::FaultInjector fi;
+  fi.arm(engine::FaultSeam::kCrossbarVisit, stall_rule(200'000));
+  engine::ScopedFaultInjection scope(fi);
+
+  std::future<db::ResultSet> busy = fx.occupy_worker();
+  std::vector<std::future<db::ResultSet>> queued;
+  queued.push_back(fx.service->submit(kCount));
+  queued.push_back(fx.service->submit(kCount));
+  ASSERT_EQ(fx.service->queue_depth(), 2u);
+  // Neither admission nor the stalled worker stands in the way: warm_up
+  // builds the two-xb executors on this thread.
+  fx.service->warm_up(db::BackendKind::kTwoXb);
+  EXPECT_EQ(busy.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the stall outlasts the warm-up";
+  EXPECT_EQ(fx.service->queue_depth(), 2u);
+
+  EXPECT_EQ(busy.get().row_count(), 1u);
+  for (std::future<db::ResultSet>& f : queued) {
+    EXPECT_EQ(f.get().row_count(), 1u);
+  }
+  EXPECT_EQ(fx.service->counters().rejected, 0u);
+  EXPECT_EQ(fx.service->executed_count(), 3u);
+}
+
+TEST(ServiceOverload, WarmUpAfterShutdownThrowsServiceStopped) {
+  Fixture fx;
+  fx.service->shutdown();
+  EXPECT_THROW(fx.service->warm_up(db::BackendKind::kOneXb),
+               db::ServiceStopped);
 }
 
 // ---------------------------------------------------------------------------
