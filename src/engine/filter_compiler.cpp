@@ -41,39 +41,47 @@ std::uint16_t emit_predicate(pim::ProgramBuilder& pb, const RecordLayout& layout
   throw std::logic_error("emit_predicate: unhandled kind");
 }
 
+/// Does the predicate compile into `layout`'s part? kAlways never compiles,
+/// kNever compiles on every part (a statically-false column), everything
+/// else follows its attribute.
+bool in_part(const sql::BoundPredicate& p, const RecordLayout& layout) {
+  using Kind = sql::BoundPredicate::Kind;
+  if (p.kind == Kind::kAlways) return false;
+  return p.kind == Kind::kNever || layout.has(p.attr);
+}
+
 }  // namespace
+
+std::optional<std::uint16_t> emit_conjunction(
+    pim::ProgramBuilder& pb, const std::vector<sql::BoundPredicate>& preds,
+    const RecordLayout& layout) {
+  std::optional<std::uint16_t> acc;
+  for (const sql::BoundPredicate& p : preds) {
+    if (!in_part(p, layout)) continue;
+    const std::uint16_t term = emit_predicate(pb, layout, p);
+    if (!acc) {
+      acc = term;
+    } else {
+      const std::uint16_t next = pb.emit_and(*acc, term);
+      pb.release(*acc);
+      pb.release(term);
+      acc = next;
+    }
+  }
+  return acc;
+}
 
 CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
                               const RecordLayout& layout,
                               pim::ColumnAlloc& alloc) {
   pim::ProgramBuilder pb(alloc);
-  std::uint16_t acc = 0;
-  bool have_acc = false;
-  std::size_t compiled = 0;
-
-  for (const sql::BoundPredicate& p : filters) {
-    if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;
-    if (p.kind != sql::BoundPredicate::Kind::kNever && !layout.has(p.attr)) {
-      continue;  // another part's predicate
-    }
-    const std::uint16_t term = emit_predicate(pb, layout, p);
-    ++compiled;
-    if (!have_acc) {
-      acc = term;
-      have_acc = true;
-    } else {
-      const std::uint16_t next = pb.emit_and(acc, term);
-      pb.release(acc);
-      pb.release(term);
-      acc = next;
-    }
-  }
+  const std::optional<std::uint16_t> acc = emit_conjunction(pb, filters, layout);
 
   // Fold in validity: padding rows must never pass.
   std::uint16_t result;
-  if (have_acc) {
-    result = pb.emit_and(acc, layout.valid_col());
-    pb.release(acc);
+  if (acc) {
+    result = pb.emit_and(*acc, layout.valid_col());
+    pb.release(*acc);
   } else {
     result = pb.emit_copy(layout.valid_col());
   }
@@ -81,7 +89,9 @@ CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
   CompiledFilter out;
   out.program = pb.take();
   out.result_col = result;
-  out.predicate_count = compiled;
+  out.predicate_count = static_cast<std::size_t>(std::count_if(
+      filters.begin(), filters.end(),
+      [&](const sql::BoundPredicate& p) { return in_part(p, layout); }));
   return out;
 }
 
@@ -135,14 +145,31 @@ std::shared_ptr<const CompiledFilter> FilterCache::get_or_compile(
 
 namespace {
 
-/// Does the predicate compile into `part`'s program? Mirrors the skip rule
-/// of compile_filter: kAlways never compiles, kNever compiles on every part
-/// (a statically-false column), everything else follows its attribute.
-bool predicate_in_part(const sql::BoundPredicate& p, int part,
-                       const PimStore& store) {
-  if (p.kind == sql::BoundPredicate::Kind::kAlways) return false;
-  if (p.kind == sql::BoundPredicate::Kind::kNever) return true;
-  return store.part_of_attr(p.attr) == part;
+/// Sketch classification of one compiled predicate on crossbar `xb`.
+ZoneClass classify_on(const sql::BoundPredicate& p, const ZoneMaps& zones,
+                      std::size_t xb) {
+  if (p.kind == sql::BoundPredicate::Kind::kNever) {
+    return ZoneClass::kAlwaysFalse;
+  }
+  return classify_predicate(p, zones.sketch(p.attr, xb),
+                            zones.bitmap_attr(p.attr));
+}
+
+/// Can no record of crossbar `xb` satisfy the conjunction `preds`? True as
+/// soon as the sketches refute one predicate (kAlways refutes nothing).
+bool crossbar_refuted(const std::vector<sql::BoundPredicate>& preds,
+                      const ZoneMaps& zones, std::size_t xb) {
+  for (const sql::BoundPredicate& p : preds) {
+    if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;
+    if (classify_on(p, zones, xb) == ZoneClass::kAlwaysFalse) return true;
+  }
+  return false;
+}
+
+/// Crossbars per page of the store's zone maps.
+std::uint32_t crossbars_per_page(const PimStore& store) {
+  return static_cast<std::uint32_t>(store.zone_maps().crossbar_count() /
+                                    store.pages_per_part());
 }
 
 }  // namespace
@@ -151,8 +178,7 @@ FilterPruneAnalysis analyze_filters(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store) {
   const ZoneMaps& zones = store.zone_maps();
   const std::size_t pages = store.pages_per_part();
-  const std::uint32_t xpp =
-      static_cast<std::uint32_t>(zones.crossbar_count() / pages);
+  const std::uint32_t xpp = crossbars_per_page(store);
   const int parts = store.parts();
 
   FilterPruneAnalysis out;
@@ -164,14 +190,13 @@ FilterPruneAnalysis analyze_filters(
   std::size_t compiled_preds = 0;
   for (const sql::BoundPredicate& p : filters) {
     for (int part = 0; part < parts; ++part) {
-      if (predicate_in_part(p, part, store)) ++part_preds[part];
+      if (in_part(p, store.layout(part))) ++part_preds[part];
     }
     if (p.kind != sql::BoundPredicate::Kind::kAlways) ++compiled_preds;
   }
 
   for (std::size_t pg = 0; pg < pages; ++pg) {
     bool all_false = true;
-    std::array<bool, 2> part_true{true, true};
     std::size_t valid_crossbars = 0;
     for (std::uint32_t x = 0; x < xpp; ++x) {
       const std::size_t xb = pg * xpp + x;
@@ -180,24 +205,7 @@ FilterPruneAnalysis analyze_filters(
       // validity column already rejects its rows.
       if (zones.sketch(0, xb).empty()) continue;
       ++valid_crossbars;
-      bool xb_false = false;
-      for (const sql::BoundPredicate& p : filters) {
-        if (p.kind == sql::BoundPredicate::Kind::kAlways) continue;
-        const ZoneClass cls =
-            p.kind == sql::BoundPredicate::Kind::kNever
-                ? ZoneClass::kAlwaysFalse
-                : classify_predicate(p, zones.sketch(p.attr, xb),
-                                     zones.bitmap_attr(p.attr));
-        if (cls == ZoneClass::kAlwaysFalse) {
-          xb_false = true;
-          break;  // conjunction dead on this crossbar
-        }
-        if (cls != ZoneClass::kAlwaysTrue) {
-          // Residual here is never kNever (that classified false above).
-          part_true[store.part_of_attr(p.attr)] = false;
-        }
-      }
-      if (!xb_false) all_false = false;
+      if (!crossbar_refuted(filters, zones, xb)) all_false = false;
     }
     if (all_false) {
       out.page_skip[pg] = 1;
@@ -210,9 +218,7 @@ FilterPruneAnalysis analyze_filters(
     // part (a single residual or refuted crossbar forces the real program —
     // its true select differs from the validity column). Crossbars with no
     // valid records are fine: their validity column zeroes the synthesized
-    // copy. part_true is only a cheap pre-filter; the first pass breaks out
-    // of refuted crossbars early, so it can be optimistically true and the
-    // loop below re-checks every crossbar exhaustively.
+    // copy.
     for (int part = 0; part < parts; ++part) {
       if (part_preds[part] == 0) {
         // Vacuously true: the part's program would be a bare validity copy.
@@ -220,19 +226,14 @@ FilterPruneAnalysis analyze_filters(
         ++out.pages_synthesized;
         continue;
       }
-      if (!part_true[part]) continue;
+      const RecordLayout& layout = store.layout(part);
       bool synth = true;
       for (std::uint32_t x = 0; x < xpp && synth; ++x) {
         const std::size_t xb = pg * xpp + x;
         if (zones.sketch(0, xb).empty()) continue;
         for (const sql::BoundPredicate& p : filters) {
-          if (!predicate_in_part(p, part, store)) continue;
-          const ZoneClass cls =
-              p.kind == sql::BoundPredicate::Kind::kNever
-                  ? ZoneClass::kAlwaysFalse
-                  : classify_predicate(p, zones.sketch(p.attr, xb),
-                                       zones.bitmap_attr(p.attr));
-          if (cls != ZoneClass::kAlwaysTrue) {
+          if (in_part(p, layout) &&
+              classify_on(p, zones, xb) != ZoneClass::kAlwaysTrue) {
             synth = false;
             break;
           }
@@ -260,48 +261,23 @@ std::shared_ptr<const FilterPruneAnalysis> analyze_filters_cached(
   return analysis;
 }
 
-std::vector<std::uint8_t> analyze_group_match(
-    const std::vector<std::size_t>& group_attrs,
-    const std::vector<std::uint64_t>& key, const PimStore& store,
-    const std::vector<std::size_t>* candidate_pages) {
+std::vector<std::size_t> pages_may_match(
+    const std::vector<sql::BoundPredicate>& preds, const PimStore& store,
+    const std::vector<std::size_t>& candidate_pages) {
   const ZoneMaps& zones = store.zone_maps();
-  const std::size_t pages = store.pages_per_part();
-  const std::uint32_t xpp =
-      static_cast<std::uint32_t>(zones.crossbar_count() / pages);
-
-  std::vector<std::size_t> all;
-  if (candidate_pages == nullptr) {
-    all.resize(pages);
-    std::iota(all.begin(), all.end(), 0);
-  }
-  const std::vector<std::size_t>& candidates =
-      candidate_pages != nullptr ? *candidate_pages : all;
-
-  std::vector<std::uint8_t> possible(pages, 0);
-  for (const std::size_t pg : candidates) {
+  const std::uint32_t xpp = crossbars_per_page(store);
+  std::vector<std::size_t> out;
+  for (const std::size_t pg : candidate_pages) {
     for (std::uint32_t x = 0; x < xpp; ++x) {
       const std::size_t xb = pg * xpp + x;
       if (zones.sketch(0, xb).empty()) continue;
-      bool match = true;
-      for (std::size_t i = 0; i < group_attrs.size(); ++i) {
-        sql::BoundPredicate eq;
-        eq.kind = sql::BoundPredicate::Kind::kEq;
-        eq.attr = group_attrs[i];
-        eq.v1 = key[i];
-        if (classify_predicate(eq, zones.sketch(eq.attr, xb),
-                               zones.bitmap_attr(eq.attr)) ==
-            ZoneClass::kAlwaysFalse) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        possible[pg] = 1;
+      if (!crossbar_refuted(preds, zones, xb)) {
+        out.push_back(pg);
         break;
       }
     }
   }
-  return possible;
+  return out;
 }
 
 std::vector<sql::BoundPredicate> order_by_selectivity(
@@ -371,45 +347,6 @@ std::vector<sql::BoundPredicate> order_by_selectivity(
     out.push_back(std::move(filters[i]));
     if (estimates != nullptr) estimates->push_back(est[i]);
   }
-  return out;
-}
-
-std::optional<std::uint16_t> emit_group_match(
-    pim::ProgramBuilder& pb, const std::vector<std::size_t>& group_attrs,
-    const std::vector<std::uint64_t>& key, const RecordLayout& layout) {
-  if (group_attrs.size() != key.size()) {
-    throw std::invalid_argument("emit_group_match: key arity mismatch");
-  }
-  std::optional<std::uint16_t> acc;
-  for (std::size_t i = 0; i < group_attrs.size(); ++i) {
-    if (!layout.has(group_attrs[i])) continue;
-    const std::uint16_t eq =
-        pb.emit_eq_const(layout.field(group_attrs[i]), key[i]);
-    if (!acc) {
-      acc = eq;
-    } else {
-      const std::uint16_t next = pb.emit_and(*acc, eq);
-      pb.release(*acc);
-      pb.release(eq);
-      acc = next;
-    }
-  }
-  return acc;
-}
-
-CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
-                                   const std::vector<std::uint64_t>& key,
-                                   const RecordLayout& layout,
-                                   pim::ColumnAlloc& alloc) {
-  pim::ProgramBuilder pb(alloc);
-  const std::optional<std::uint16_t> match =
-      emit_group_match(pb, group_attrs, key, layout);
-  CompiledFilter out;
-  out.result_col = match ? *match : pb.emit_const(true);
-  out.program = pb.take();
-  out.predicate_count = static_cast<std::size_t>(
-      std::count_if(group_attrs.begin(), group_attrs.end(),
-                    [&](std::size_t a) { return layout.has(a); }));
   return out;
 }
 

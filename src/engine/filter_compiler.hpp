@@ -33,10 +33,20 @@ struct CompiledFilter {
   std::size_t predicate_count = 0;
 };
 
-/// Compiles the predicates that touch attributes of `layout` (others are
-/// another part's business). The result column evaluates to
-/// AND(predicates) AND valid. A part with no predicates yields a copy of the
-/// validity column so that downstream code can treat all parts uniformly.
+/// Emits into `pb` the AND of the predicates that touch attributes of
+/// `layout` (others are another part's business; kAlways is skipped, kNever
+/// compiles on every part). No validity is folded in. Returns the owned
+/// result column, or nullopt when this part holds none of the predicates.
+/// The WHERE compiler and pim-gb's subgroup match (a conjunction of kEq
+/// predicates on the group key, Section IV) both lower through it.
+std::optional<std::uint16_t> emit_conjunction(
+    pim::ProgramBuilder& pb, const std::vector<sql::BoundPredicate>& preds,
+    const RecordLayout& layout);
+
+/// emit_conjunction as a program of its own, with validity folded in: the
+/// result column evaluates to AND(predicates) AND valid. A part with no
+/// predicates yields a copy of the validity column so that downstream code
+/// can treat all parts uniformly.
 CompiledFilter compile_filter(const std::vector<sql::BoundPredicate>& filters,
                               const RecordLayout& layout,
                               pim::ColumnAlloc& alloc);
@@ -89,15 +99,13 @@ std::shared_ptr<const FilterPruneAnalysis> analyze_filters_cached(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store,
     std::size_t* memo_pages_reused = nullptr);
 
-/// Pages where an equality match on `group_attrs` == `key` could select at
-/// least one record (out[p] = 1). Used by pim-gb to skip pages that cannot
-/// contain a subgroup — the per-subgroup analogue of analyze_filters. Only
-/// the pages in `candidate_pages` are inspected (the caller intersects with
-/// its filter-active set anyway; nullptr = every page).
-std::vector<std::uint8_t> analyze_group_match(
-    const std::vector<std::size_t>& group_attrs,
-    const std::vector<std::uint64_t>& key, const PimStore& store,
-    const std::vector<std::size_t>* candidate_pages = nullptr);
+/// The pages of `candidate_pages` (in order) where the conjunction `preds`
+/// could select at least one record: some valid crossbar of the page is not
+/// refuted by the sketches. Used by pim-gb to skip pages that cannot contain
+/// a subgroup; analyze_filters skips pages by the same rule.
+std::vector<std::size_t> pages_may_match(
+    const std::vector<sql::BoundPredicate>& preds, const PimStore& store,
+    const std::vector<std::size_t>& candidate_pages);
 
 /// Returns `filters` reordered most-selective-first by the sketch-estimated
 /// selectivity (ties: cheaper compiled predicate first, then original
@@ -110,21 +118,6 @@ std::vector<std::uint8_t> analyze_group_match(
 std::vector<sql::BoundPredicate> order_by_selectivity(
     std::vector<sql::BoundPredicate> filters, const PimStore& store,
     std::vector<double>* estimates = nullptr);
-
-/// Emits an equality match on a subgroup's identifier values into `pb`:
-/// result = AND_i (group_attr_i == key_i) for the attrs present in `layout`.
-/// Used by pim-gb (Section IV). Attrs absent from this part are skipped;
-/// returns the owned result column, or nullopt when none is present.
-std::optional<std::uint16_t> emit_group_match(
-    pim::ProgramBuilder& pb, const std::vector<std::size_t>& group_attrs,
-    const std::vector<std::uint64_t>& key, const RecordLayout& layout);
-
-/// emit_group_match as a program of its own; a part holding none of the
-/// attrs matches every row.
-CompiledFilter compile_group_match(const std::vector<std::size_t>& group_attrs,
-                                   const std::vector<std::uint64_t>& key,
-                                   const RecordLayout& layout,
-                                   pim::ColumnAlloc& alloc);
 
 /// Memo of compiled WHERE programs, keyed by the exact predicate list, the
 /// part, and the scratch allocator's state fingerprint. Compiling is a pure

@@ -119,6 +119,19 @@ std::vector<std::uint64_t> group_maxima(const PimStore& store,
   return max_codes;
 }
 
+/// The subgroup `key` of `group_by` as a conjunction of equalities: pim-gb
+/// selects a subgroup with the same filter as a WHERE (Section IV).
+std::vector<sql::BoundPredicate> key_predicates(
+    const std::vector<std::size_t>& group_by, const GroupKey& key) {
+  std::vector<sql::BoundPredicate> preds(group_by.size());
+  for (std::size_t i = 0; i < group_by.size(); ++i) {
+    preds[i].kind = sql::BoundPredicate::Kind::kEq;
+    preds[i].attr = group_by[i];
+    preds[i].v1 = key[i];
+  }
+  return preds;
+}
+
 }  // namespace
 
 void sort_rows(std::vector<ResultRow>& rows,
@@ -550,11 +563,12 @@ class Execution {
                              std::uint64_t* out_count, TimeNs* slot,
                              const std::vector<std::size_t>& on_pages);
 
-  /// Aggregates one subgroup (all passes); returns {agg value, count}. The
-  /// empty key is the whole filter result (no GROUP BY): its select is r_col_
-  /// itself and it reports selected_records as its count.
-  std::pair<std::int64_t, std::uint64_t> aggregate_group(const GroupKey& key,
-                                                         bool update_mask);
+  /// Aggregates one subgroup (all passes), the filter result AND the
+  /// conjunction `match`; returns {agg value, count}. The empty conjunction
+  /// is the whole filter result (no GROUP BY): its select is r_col_ itself
+  /// and it reports selected_records as its count.
+  std::pair<std::int64_t, std::uint64_t> aggregate_group(
+      const std::vector<sql::BoundPredicate>& match, bool update_mask);
 
   /// Record-at-a-time walk over page `p`'s survivors `bits`, shared by the
   /// sample and the sim_scalar host-gb: touches each survivor's `chunks`
@@ -887,56 +901,49 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
 // ---------------------------------------------------------------------------
 
 std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
-    const GroupKey& key, bool update_mask) {
+    const std::vector<sql::BoundPredicate>& match, bool update_mask) {
   TimeNs* slot = &stats_.phases.pim_gb;
-  const bool whole = key.empty();
+  const bool whole = match.empty();
 
   // Zone-map pruning, per subgroup: pages where the sketches refute the
-  // group key on every crossbar cannot hold a member, so the group match,
-  // the aggregation passes, and the result readback are all skipped there.
+  // match on every crossbar cannot hold a member, so the match, the
+  // aggregation passes, and the result readback are all skipped there.
   // The subgroup select is provably all-zero on those pages, which is
   // exactly what the mask bookkeeping below synthesizes when needed.
   std::vector<std::size_t> group_pages;
   const std::vector<std::size_t>* on = &active_pages_;
   if (prune_ && !whole) {
-    const std::vector<std::uint8_t> possible =
-        analyze_group_match(q_.group_by, key, store_, &active_pages_);
-    for (const std::size_t p : active_pages_) {
-      if (possible[p]) group_pages.push_back(p);
-    }
+    group_pages = pages_may_match(match, store_, active_pages_);
     stats_.group_pages_skipped += active_pages_.size() - group_pages.size();
     on = &group_pages;
     if (on->empty()) return {0, 0};  // no page can hold this subgroup
   }
 
-  // Part-1 group match (two-xb): compute, then transfer to part 0.
+  // Part-1 match (two-xb): compute, then transfer to part 0.
   bool have_transfer = false;
   if (store_.parts() == 2 && !whole) {
-    CompiledFilter match1 =
-        compile_group_match(q_.group_by, key, store_.layout(1), alloc(1));
-    if (match1.predicate_count > 0) {
-      logic_phase(1, match1.program, *on, slot);
+    pim::ProgramBuilder pb1(alloc(1));
+    if (const auto match1 = emit_conjunction(pb1, match, store_.layout(1))) {
+      logic_phase(1, pb1.take(), *on, slot);
       const std::vector<BitVec> bits =
-          read_column_phase(1, match1.result_col, *on, slot);
+          read_column_phase(1, *match1, *on, slot);
       if (!transfer_chunk_) {
         transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
       }
       write_column_phase(0, transfer_chunk_->offset, bits, *on, slot);
       have_transfer = true;
+      alloc(1).release(*match1);
     }
-    alloc(1).release(match1.result_col);
   }
 
-  // Part-0 program: group match AND filter result (AND transferred bits),
-  // plus mask bookkeeping and per-pass masked selects, in one request.
+  // Part-0 program: match AND filter result (AND transferred bits), plus
+  // mask bookkeeping and per-pass masked selects, in one request.
   pim::ProgramBuilder pb(alloc(0));
   std::uint16_t sg = r_col_;
   if (!whole) {
-    const std::optional<std::uint16_t> match =
-        emit_group_match(pb, q_.group_by, key, store_.layout(0));
-    if (match) {
-      sg = pb.emit_and(*match, r_col_);
-      pb.release(*match);
+    if (const auto match0 = emit_conjunction(pb, match, store_.layout(0))) {
+      sg = pb.emit_and(*match0, r_col_);
+      pb.release(*match0);
     } else {
       sg = pb.emit_copy(r_col_);
     }
@@ -1192,7 +1199,8 @@ void Execution::pim_gb_phase() {
   for (std::size_t g = 0; g < chosen_k_; ++g) {
     cancel_.check();  // per-subgroup boundary: each group is a full PIM pass
     const auto [value, count] =
-        aggregate_group(candidates_[g].key, /*update_mask=*/host_side_needed);
+        aggregate_group(key_predicates(q_.group_by, candidates_[g].key),
+                        /*update_mask=*/host_side_needed);
     if (count > 0) results_.add(candidates_[g].key, value);
   }
   stats_.pim_subgroups = chosen_k_;

@@ -39,6 +39,26 @@ bool scalar_matches(const rel::Table& t, std::size_t row,
   return true;
 }
 
+/// A subgroup key as a bound WHERE, lowered by emit_conjunction on `part`.
+/// Returns the program (validity not folded in) and its result column.
+std::optional<CompiledFilter> compile_key(EngineFixture& fx,
+                                          const std::string& where, int part,
+                                          pim::ColumnAlloc& alloc) {
+  const sql::BoundQuery q =
+      fx.bind_sql("SELECT SUM(f_val) FROM t WHERE " + where);
+  pim::ProgramBuilder pb(alloc);
+  const std::optional<std::uint16_t> m =
+      emit_conjunction(pb, q.filters, fx.store->layout(part));
+  if (!m) {
+    EXPECT_TRUE(pb.take().gates.empty());
+    return std::nullopt;
+  }
+  CompiledFilter f;
+  f.program = pb.take();
+  f.result_col = *m;
+  return f;
+}
+
 TEST(FilterCompiler, ConjunctionMatchesScalar) {
   EngineFixture fx(EngineKind::kOneXb, 700, 21);
   const sql::BoundQuery q = fx.bind_sql(
@@ -132,15 +152,17 @@ TEST(FilterCompiler, WordProgramMatchesGateProgram) {
     }
   }
 
-  // Group matches too (the pim-gb hot path).
+  // Subgroup matches too (the pim-gb hot path): a conjunction with no
+  // validity fold.
   pim::ColumnAlloc alloc = fx.store->layout(0).make_alloc();
-  const CompiledFilter m = compile_group_match(
-      {1, 4}, {2, 2}, fx.store->layout(0), alloc);
+  const std::optional<CompiledFilter> m =
+      compile_key(fx, "f_gid = 2 AND d_tag = 2", 0, alloc);
+  ASSERT_TRUE(m.has_value());
   pim::Crossbar gate = fx.store->page(0, 0).crossbar(0);
   pim::Crossbar word = gate;
-  gate.execute(m.program.gates);
-  pim::execute_words(word, m.program.words);
-  EXPECT_EQ(word.column(m.result_col), gate.column(m.result_col));
+  gate.execute(m->program.gates);
+  pim::execute_words(word, m->program.words);
+  EXPECT_EQ(word.column(m->result_col), gate.column(m->result_col));
 }
 
 TEST(FilterCompiler, NeverPredicateOnForeignPartAttr) {
@@ -254,16 +276,33 @@ TEST(ColumnAlloc, AcquireMarksSpecificColumn) {
 TEST(GroupMatch, EqualityOnKeyMatchesScalar) {
   EngineFixture fx(EngineKind::kOneXb, 300, 25);
   pim::ColumnAlloc alloc = fx.store->layout(0).make_alloc();
-  const std::vector<std::size_t> attrs = {1, 4};  // f_gid, d_tag
-  const std::vector<std::uint64_t> key = {2, 2};
-  const CompiledFilter f =
-      compile_group_match(attrs, key, fx.store->layout(0), alloc);
-  EXPECT_EQ(f.predicate_count, 2u);
-  const std::vector<bool> got = run_filter(*fx.store, 0, f);
+  const std::optional<CompiledFilter> f =
+      compile_key(fx, "f_gid = 2 AND d_tag = 2", 0, alloc);
+  ASSERT_TRUE(f.has_value());
+  const std::vector<bool> got = run_filter(*fx.store, 0, *f);
   for (std::size_t r = 0; r < fx.table->row_count(); ++r) {
     const bool expect =
         fx.table->value(r, 1) == 2 && fx.table->value(r, 4) == 2;
     ASSERT_EQ(got[r], expect);
+  }
+}
+
+TEST(GroupMatch, PartWithoutKeyAttrsEmitsNothing) {
+  // Two-xb: d_tag lives in part 1. Part 0 holds none of the key, so it
+  // emits no gate and allocates no column; part 1 matches the key.
+  EngineFixture fx(EngineKind::kTwoXb, 300, 25);
+  pim::ColumnAlloc alloc0 = fx.store->layout(0).make_alloc();
+  const std::string before = alloc0.state_key();
+  EXPECT_FALSE(compile_key(fx, "d_tag = 3", 0, alloc0).has_value());
+  EXPECT_EQ(alloc0.state_key(), before);
+
+  pim::ColumnAlloc alloc1 = fx.store->layout(1).make_alloc();
+  const std::optional<CompiledFilter> f1 =
+      compile_key(fx, "d_tag = 3", 1, alloc1);
+  ASSERT_TRUE(f1.has_value());
+  const std::vector<bool> got = run_filter(*fx.store, 1, *f1);
+  for (std::size_t r = 0; r < fx.table->row_count(); ++r) {
+    ASSERT_EQ(got[r], fx.table->value(r, 4) == 3) << "row " << r;
   }
 }
 

@@ -255,6 +255,90 @@ TEST(SimDeterminism, GoldenPrunedTwoXb) {
                 "pruned two-xb");
 }
 
+/// Subgroup keys in part 1 of a two-xb store: every pim-gb subgroup runs
+/// the part-1 match program and transfers its bits to part 0. The first key
+/// lies entirely in part 1, the second spans both parts. Pruning is pinned
+/// on and off; at k = 6 it skips pages of the spanning key's rare subgroups.
+TEST(SimDeterminism, GoldenPartOneGroupKeyTwoXb) {
+  struct Case {
+    std::string sql;
+    std::size_t k;
+    bool prune;
+    Golden golden;
+  };
+  const std::string by_tag =
+      "SELECT d_tag, SUM(f_val) FROM t WHERE f_key < 3000 "
+      "GROUP BY d_tag ORDER BY d_tag";
+  const std::string by_gid_tag =
+      "SELECT f_gid, d_tag, SUM(f_val) FROM t WHERE d_tag <= 4 "
+      "GROUP BY f_gid, d_tag ORDER BY f_gid";
+  const std::vector<Case> cases = {
+      {by_tag, 3, false,
+       {0x1.788fbp+20, 0x1.196bcbe68898bp-20,
+        {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
+         0x1.4bc28p+17, 0x1.895cp+15},
+        305}},
+      {by_tag, 3, true,
+       {0x1.4ead3p+20, 0x1.c11d16886e548p-21,
+        {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
+         0x1.4bc28p+17, 0x1.895cp+15},
+        283}},
+      {by_tag, 6, false,
+       {0x1.321c7p+21, 0x1.dc93307f7e93ep-20,
+        {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
+         0x1.3c62p+17, 0x1.895cp+15},
+        476}},
+      {by_tag, 6, true,
+       {0x1.1d2b3p+21, 0x1.a3b5efdd2d255p-20,
+        {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
+         0x1.3c62p+17, 0x1.895cp+15},
+        454}},
+      {by_gid_tag, 3, false,
+       {0x1.7d42ap+20, 0x1.1a54de4a6127ep-20,
+        {0x1.92f8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
+         0x1.585bp+17, 0x1.89cp+15},
+        257}},
+      {by_gid_tag, 3, true,
+       {0x1.7d10ap+20, 0x1.1a1ca6966b5d5p-20,
+        {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
+         0x1.585bp+17, 0x1.89cp+15},
+        253}},
+      {by_gid_tag, 6, false,
+       {0x1.33db8cp+21, 0x1.df95b20e23343p-20,
+        {0x1.92f8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dc07cp+20,
+         0x1.3b94cp+17, 0x1.89cp+15},
+        490}},
+      {by_gid_tag, 6, true,
+       {0x1.33bd8cp+21, 0x1.bdf0f4554712dp-20,
+        {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbfdcp+20,
+         0x1.3b94cp+17, 0x1.89cp+15},
+        486}},
+  };
+  EngineFixture fx(EngineKind::kTwoXb, 900, 31);
+  for (const Case& c : cases) {
+    const std::string label = c.sql + " k=" + std::to_string(c.k) +
+                              (c.prune ? " pruned" : " unpruned");
+    const sql::BoundQuery q = fx.bind_sql(c.sql);
+    ExecOptions opts;
+    opts.force_k = c.k;
+    opts.sim_threads = 1;
+    opts.prune = c.prune;
+    const QueryOutput out = fx.engine->execute(q, opts);
+    EXPECT_EQ(out.stats.pim_subgroups, c.k) << label;
+    expect_golden(out.stats, c.golden, label);
+    if (c.prune) {
+      ExecOptions off = opts;
+      off.prune = false;
+      const QueryOutput want = fx.engine->execute(q, off);
+      ASSERT_EQ(out.rows.size(), want.rows.size()) << label;
+      for (std::size_t i = 0; i < out.rows.size(); ++i) {
+        EXPECT_EQ(out.rows[i].group, want.rows[i].group) << label;
+        EXPECT_EQ(out.rows[i].agg, want.rows[i].agg) << label;
+      }
+    }
+  }
+}
+
 /// The join feeder: a filter-only scan reading back two attributes.
 TEST(SimDeterminism, GoldenScan) {
   EngineFixture fx(EngineKind::kOneXb, 900, 31);

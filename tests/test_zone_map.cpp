@@ -236,20 +236,25 @@ TEST(ZonePruning, NothingPrunableMeansBitIdenticalStats) {
 
 TEST(ZonePruning, GroupPagePruningMatchesUnpruned) {
   // Group by the clustered key's high bits: each subgroup lives in a narrow
-  // page range, so pim-gb skips most (subgroup, page) pairs.
-  ClusteredFixture fx(EngineKind::kOneXb, 1500, 31);
-  const sql::BoundQuery q = sql::bind(
-      sql::parse("SELECT f_gid, SUM(f_val) AS s FROM t WHERE f_gid <= 5 "
-                 "GROUP BY f_gid ORDER BY f_gid"),
-      fx.table.schema());
-  ExecOptions off;
-  off.force_k = 1000;  // clamp to kmax: pure pim-gb
-  ExecOptions on = off;
-  on.prune = true;
-  const QueryOutput a = fx.engine.execute(q, off);
-  const QueryOutput b = fx.engine.execute(q, on);
-  expect_same_rows(a, b);
-  expect_prune_invariants(a.stats, b.stats);
+  // page range, so pim-gb skips (subgroup, page) pairs.
+  for (const EngineKind kind :
+       {EngineKind::kOneXb, EngineKind::kTwoXb, EngineKind::kPimdb}) {
+    ClusteredFixture fx(kind, 1500, 31);
+    const sql::BoundQuery q = sql::bind(
+        sql::parse("SELECT f_gid, SUM(f_val) AS s FROM t WHERE f_gid <= 5 "
+                   "GROUP BY f_gid ORDER BY f_gid"),
+        fx.table.schema());
+    ExecOptions off;
+    off.force_k = 1000;  // clamp to kmax: pure pim-gb
+    ExecOptions on = off;
+    on.prune = true;
+    const QueryOutput a = fx.engine.execute(q, off);
+    const QueryOutput b = fx.engine.execute(q, on);
+    expect_same_rows(a, b);
+    expect_prune_invariants(a.stats, b.stats);
+    EXPECT_GT(b.stats.group_pages_skipped, 0u) << engine_kind_name(kind);
+    EXPECT_EQ(a.stats.group_pages_skipped, 0u);  // counters stay zero when off
+  }
 }
 
 TEST(ZonePruning, UpdateRefreshesSketches) {
