@@ -32,44 +32,15 @@
 //
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_REPS (best-of repetitions,
 // default 3).
-#include <algorithm>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/table_printer.hpp"
 #include "harness.hpp"
 
-namespace {
-
-using namespace bbpim;
-
-/// Stable re-sort of a relation by one attribute's codes (the clustering a
-/// chronological fact load produces for the date hierarchy).
-rel::Table cluster_by(const rel::Table& t, const std::string& attr) {
-  const std::vector<std::uint64_t>& key = t.column(*t.schema().index_of(attr));
-  std::vector<std::size_t> order(t.row_count());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t i, std::size_t j) {
-                     return key[i] < key[j];
-                   });
-  std::vector<std::vector<std::uint64_t>> columns(
-      t.schema().attribute_count(),
-      std::vector<std::uint64_t>(t.row_count()));
-  for (std::size_t k = 0; k < columns.size(); ++k) {
-    const std::vector<std::uint64_t>& src = t.column(k);
-    for (std::size_t r = 0; r < order.size(); ++r) {
-      columns[k][r] = src[order[r]];
-    }
-  }
-  return rel::Table::from_columns(t.schema(), t.name(), std::move(columns));
-}
-
-}  // namespace
-
 int main() {
+  using namespace bbpim;
   using C = bench::Ledger::Clock;
   constexpr std::uint32_t kSimThreads = 8;
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
@@ -82,8 +53,10 @@ int main() {
   std::cerr << "[bench] clustering the pre-joined relation on lo_orderdate"
             << "...\n";
   db::Database database;
-  const rel::Table& clustered = database.register_table(
-      cluster_by(ssb::prejoin_ssb(data), "lo_orderdate"));
+  rel::Table prejoined = ssb::prejoin_ssb(data);
+  const std::size_t orderdate = *prejoined.schema().index_of("lo_orderdate");
+  const rel::Table& clustered =
+      database.register_table(rel::cluster_by(prejoined, orderdate));
 
   db::SessionOptions opts = bench::bench_session_options(cfg);
   db::Session session(database, opts);

@@ -15,7 +15,8 @@ std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
   store.scan_blocks({&attr, 1}, 0, store.record_count(),
                     [&](std::size_t, std::uint32_t count,
                         std::span<const pim::RowBlock> blocks) {
-                      return seen.add({blocks[0].data(), count});
+                      return seen.add(std::span<const std::uint64_t>(
+                          blocks[0].data(), count));
                     });
   return std::move(seen).finish();
 }
@@ -134,17 +135,18 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
   }
   ZoneMaps zones(pages_per_part_ * cfg.crossbars_per_page, attr_bits);
   for (std::size_t a = 0; a < nattrs; ++a) {
-    const std::vector<std::uint64_t>& col = table.column(a);
-    for (std::size_t r = 0; r < records_; ++r) {
-      zones.add(a, r / rows_per_crossbar_, col[r]);
-    }
+    table.visit_column(a, [&](auto col) {
+      for (std::size_t r = 0; r < records_; ++r) {
+        zones.add(a, r / rows_per_crossbar_, col[r]);
+      }
+    });
   }
 
   // Distinct stats for GROUP-BY candidate enumeration.
   std::vector<SnapshotStats::Distinct> distinct(nattrs);
   for (std::size_t a = 0; a < nattrs; ++a) {
     DistinctCollector seen;
-    seen.add(table.column(a));
+    table.visit_column(a, [&seen](auto col) { seen.add(col); });
     distinct[a] = std::move(seen).finish();
   }
   derived_ = std::make_shared<const StoreDerived>(
@@ -177,7 +179,8 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
 
 void PimStore::load_part(int part) {
   // One block write per (64-record word, attribute), straight from the
-  // table's columns; a partial last word writes only its valid rows.
+  // table's columns at their native widths; a partial last word writes only
+  // its valid rows.
   const RecordLayout& layout = layouts_[part];
   pim::RowBlock values{};
   pim::RowBlock ones{};
@@ -192,9 +195,10 @@ void PimStore::load_part(int part) {
     const std::size_t count = std::min<std::size_t>(64, records_ - first);
     const std::uint64_t rows = count == 64 ? ~0ULL : (1ULL << count) - 1;
     for (const std::size_t a : layout.attrs()) {
-      const std::vector<std::uint64_t>& col = table_->column(a);
-      std::copy_n(col.begin() + static_cast<std::ptrdiff_t>(first), count,
-                  values.begin());
+      table_->visit_column(a, [&](auto col) {
+        std::copy_n(col.begin() + static_cast<std::ptrdiff_t>(first), count,
+                    values.begin());
+      });
       const pim::Field f = layout.field(a);
       xb.write_field_block(word, f.offset, f.width, values, rows);
     }

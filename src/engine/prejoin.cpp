@@ -55,40 +55,47 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
       attrs.push_back(spec.dim->schema().attribute(a));
     }
 
-    const std::vector<std::uint64_t>& keys = spec.dim->column(*key);
-    plan.key_to_row = CodeIndex(keys.size());
-    for (std::size_t r = 0; r < keys.size(); ++r) {
-      if (plan.key_to_row.insert(keys[r]) != r) {
-        throw std::invalid_argument("prejoin: duplicate dimension key in " +
-                                    spec.dim->name());
+    spec.dim->visit_column(*key, [&](auto keys) {
+      plan.key_to_row = CodeIndex(keys.size());
+      for (std::size_t r = 0; r < keys.size(); ++r) {
+        if (plan.key_to_row.insert(keys[r]) != r) {
+          throw std::invalid_argument("prejoin: duplicate dimension key in " +
+                                      spec.dim->name());
+        }
       }
-    }
+    });
     plans.push_back(std::move(plan));
   }
 
-  // Column at a time: the fact columns are copied whole; per dimension,
-  // every foreign key resolves once to a dimension row, and each carried
-  // column is gathered through those rows in one pass.
-  std::vector<std::vector<std::uint64_t>> columns;
+  // Column at a time, each at its native width: the fact columns are
+  // copied whole; per dimension, every foreign key resolves once to a
+  // dimension row, and each carried column is gathered through those rows
+  // in one pass.
+  std::vector<rel::Table::Column> columns;
   columns.reserve(attrs.size());
   for (std::size_t a = 0; a < fact.schema().attribute_count(); ++a) {
-    columns.push_back(fact.column(a));
+    fact.visit_column(a, [&](auto col) {
+      columns.emplace_back(std::vector(col.begin(), col.end()));
+    });
   }
   const std::size_t n = fact.row_count();
   std::vector<std::uint32_t> dim_row(n);
   for (const DimPlan& plan : plans) {
-    const std::vector<std::uint64_t>& fks = fact.column(plan.fk_idx);
-    for (std::size_t r = 0; r < n; ++r) {
-      dim_row[r] = plan.key_to_row.find(fks[r]);
-      if (dim_row[r] == CodeIndex::kAbsent) {
-        throw std::runtime_error("prejoin: dangling foreign key in row " +
-                                 std::to_string(r));
+    fact.visit_column(plan.fk_idx, [&](auto fks) {
+      for (std::size_t r = 0; r < n; ++r) {
+        dim_row[r] = plan.key_to_row.find(fks[r]);
+        if (dim_row[r] == CodeIndex::kAbsent) {
+          throw std::runtime_error("prejoin: dangling foreign key in row " +
+                                   std::to_string(r));
+        }
       }
-    }
+    });
     for (const std::size_t a : plan.carried) {
-      const std::vector<std::uint64_t>& src = plan.dim->column(a);
-      std::vector<std::uint64_t>& dst = columns.emplace_back(n);
-      for (std::size_t r = 0; r < n; ++r) dst[r] = src[dim_row[r]];
+      plan.dim->visit_column(a, [&](auto src) {
+        std::vector<typename decltype(src)::value_type> dst(n);
+        for (std::size_t r = 0; r < n; ++r) dst[r] = src[dim_row[r]];
+        columns.emplace_back(std::move(dst));
+      });
     }
   }
   return rel::Table::from_columns(rel::Schema(std::move(attrs)),

@@ -40,11 +40,12 @@ struct DimensionSpec {
 /// The output keeps all fact attributes (including the foreign keys) and
 /// appends each dimension's attributes except its key and the excluded ones.
 ///
-/// Built a column at a time: per dimension, a key -> row hash map is built
-/// once and every foreign key resolves once into a vector of dimension
-/// rows; the fact columns are copied whole, each carried dimension column
-/// is gathered through that vector in one pass, and rel::Table::from_columns
-/// checks each output column's width once.
+/// Built a column at a time, at native widths: per dimension, a key -> row
+/// hash map is built once and every foreign key resolves once into a vector
+/// of dimension rows; the fact columns are copied whole, each carried
+/// dimension column is gathered through that vector in one pass into a
+/// column of its own element type, and rel::Table::from_columns checks each
+/// output column's width once. No uint64 copy of the relation is built.
 ///
 /// Throws std::invalid_argument on an unknown attribute or a duplicate
 /// dimension key, and std::runtime_error naming the fact row when a foreign

@@ -7,15 +7,6 @@
 
 namespace bbpim::engine {
 
-bool DistinctCollector::add(std::span<const std::uint64_t> codes) {
-  for (std::size_t i = 0; i < codes.size() && !capped_; ++i) {
-    if (i > 0 && codes[i] == codes[i - 1]) continue;  // a run probes once
-    seen_.insert(codes[i]);
-    capped_ = seen_.codes().size() > kMaxDistinct;
-  }
-  return !capped_;
-}
-
 std::optional<std::vector<std::uint64_t>> DistinctCollector::finish() && {
   if (capped_) return std::nullopt;
   std::vector<std::uint64_t> vals = seen_.codes();

@@ -52,9 +52,17 @@ class DistinctCollector {
  public:
   DistinctCollector() : seen_(kMaxDistinct + 1) {}
 
-  /// Adds `codes`; returns false (and ignores later calls) once more than
-  /// kMaxDistinct distinct codes have been seen.
-  bool add(std::span<const std::uint64_t> codes);
+  /// Adds `codes` (of any unsigned width); returns false (and ignores
+  /// later calls) once more than kMaxDistinct distinct codes have been seen.
+  template <class T>
+  bool add(std::span<const T> codes) {
+    for (std::size_t i = 0; i < codes.size() && !capped_; ++i) {
+      if (i > 0 && codes[i] == codes[i - 1]) continue;  // a run probes once
+      seen_.insert(codes[i]);
+      capped_ = seen_.codes().size() > kMaxDistinct;
+    }
+    return !capped_;
+  }
   /// The sorted distinct codes, or nullopt past the cap.
   std::optional<std::vector<std::uint64_t>> finish() &&;
 

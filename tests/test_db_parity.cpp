@@ -147,5 +147,42 @@ TEST(KernelParity, ScalarAndThreadedKernelsAgreeOnSsb) {
   }
 }
 
+// No bulk reader widens a host column: the pre-join, the store load and its
+// version-0 stats, the one-xb, two-xb and reference backends and a pruned
+// shared scan all read the relations at their native widths, so every
+// table still holds its 1/2/4/8-byte columns alone (Table::column's uint64
+// copies would show in resident_bytes).
+TEST(HostTables, BulkReadersKeepNativeWidths) {
+  ParityWorld& w = ParityWorld::instance();
+  std::vector<std::string> texts;
+  for (const auto& q : ssb::queries()) {
+    texts.emplace_back(q.sql);
+    for (const db::BackendKind backend :
+         {db::BackendKind::kOneXb, db::BackendKind::kTwoXb,
+          db::BackendKind::kReference}) {
+      w.session->execute(q.sql, backend);
+    }
+  }
+  engine::ExecOptions pruned;
+  pruned.prune = true;
+  for (const auto& item :
+       w.session->execute_batch(texts, db::BackendKind::kOneXb, pruned)) {
+    EXPECT_FALSE(item.error);
+  }
+
+  const auto native_bytes = [](const rel::Table& t) {
+    std::size_t bytes = 0;
+    for (std::size_t a = 0; a < t.schema().attribute_count(); ++a) {
+      bytes += t.visit_column(a, [](auto col) { return col.size_bytes(); });
+    }
+    return bytes;
+  };
+  for (const rel::Table* t : std::initializer_list<const rel::Table*>{
+           &w.prejoined(), &w.data.lineorder, &w.data.date,
+           &w.data.customer, &w.data.supplier, &w.data.part}) {
+    EXPECT_EQ(t->resident_bytes(), native_bytes(*t)) << t->name();
+  }
+}
+
 }  // namespace
 }  // namespace bbpim
