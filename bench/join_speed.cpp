@@ -14,7 +14,9 @@
 // Parity is enforced, not assumed: for every query the join rows must be
 // byte-identical to the pre-joined rows (dictionaries are shared through
 // the pre-joiner, so group codes are directly comparable). Any divergence
-// exits non-zero — this is the CI smoke for the join subsystem.
+// exits non-zero — this is the CI smoke for the join subsystem. So does a
+// modeled cost of normalization above kMaxNormalization times the
+// pre-joined plan over the 13 texts.
 //
 // Reported per query: modeled ns both ways, the join's scan/join phase
 // split, fact-scan selectivity, the fact rows and unique lines the join
@@ -34,6 +36,10 @@ int main() {
   using namespace bbpim;
   using C = bench::Ledger::Clock;
   constexpr std::uint32_t kSimThreads = 8;
+  // Hierarchy-ordered dimension keys and prefix-priced semijoins put the
+  // normalized plan near 2x the pre-joined one (SF 0.02 and 0.1); 2.5x
+  // fails a return to full fact readback (3.1x at SF 0.02, 5.1x at 0.1).
+  constexpr double kMaxNormalization = 2.5;
 
   const bench::BenchConfig cfg = bench::BenchConfig::from_env();
   const std::size_t reps = bench::env_u64("BBPIM_SIM_REPS", 3);
@@ -161,6 +167,12 @@ int main() {
 
   if (!parity_ok) {
     std::cerr << "\nRESULT: FAIL (join/pre-join divergence)\n";
+    return 1;
+  }
+  if (join_total > kMaxNormalization * prejoin_total) {
+    std::cerr << "\nRESULT: FAIL (normalization "
+              << TablePrinter::fmt(join_total / prejoin_total, 2) << "x > "
+              << kMaxNormalization << "x the pre-joined plan)\n";
     return 1;
   }
   ledger.write();

@@ -1692,8 +1692,7 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
     const std::vector<sql::BoundPredicate>& filters,
     const std::vector<SemijoinCandidate>& candidates,
     const std::vector<std::size_t>& attrs, std::size_t probe_builds) const {
-  std::vector<sql::BoundPredicate> out = filters;
-  if (candidates.empty()) return out;
+  if (candidates.empty()) return filters;
   PimStore& store = *store_;
   const pim::PimConfig& cfg = store.module().config();
 
@@ -1755,32 +1754,53 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
   order_by_selectivity(filters, store, &est);
   double sel = 1;
   for (const double e : est) sel *= e;
-  double base_cycles = cycles(out);
+
+  // Prefix search: one survivor line is skipped only when all its records
+  // miss, so two candidates can pay together where neither pays alone. Each
+  // prefix is priced as extra gate cycles plus the readback and probes its
+  // survivors still cost; the cheapest prefix in time wins among those not
+  // above the plain scan's energy. Candidates rank by survivor reduction per
+  // gate cycle (-ln of the key fraction over the candidate's own extra
+  // cycles): at equal gate cost the most selective comes first, and a long
+  // IN list ranks behind the cheap ranges it would otherwise block. An IN
+  // list emits at least one gate cycle per key, so one longer than the
+  // cycles removing every survivor could buy pays in no prefix and is
+  // dropped without compiling it.
+  const double base_cycles = cycles(filters);
+  const Cost plain = survivor_cost(sel);
+  const Cost none = survivor_cost(0);
+  const double max_keys =
+      base_cycles + std::min((plain.ns - none.ns) / per_cycle.ns,
+                             (plain.j - none.j) / per_cycle.j);
+  struct Ranked {
+    const SemijoinCandidate* c;
+    double gain;  ///< -ln(key fraction) per extra gate cycle
+  };
+  std::vector<Ranked> ranked;
   for (const SemijoinCandidate& c : candidates) {
-    const double next_sel = sel * c.key_fraction;
-    const Cost before = survivor_cost(sel);
-    const Cost after = survivor_cost(next_sel);
-    const double saved_ns = before.ns - after.ns;
-    const double saved_j = before.j - after.j;
-    // An IN list emits at least one gate cycle per key: a list longer than
-    // the cycles the saving could buy is refused without compiling it.
-    const double affordable =
-        std::min(saved_ns / per_cycle.ns, saved_j / per_cycle.j);
-    if (static_cast<double>(c.predicate.in_values.size()) >
-        base_cycles + affordable) {
-      continue;
-    }
-    std::vector<sql::BoundPredicate> next = out;
-    next.push_back(c.predicate);
-    const double next_cycles = cycles(next);
-    const double extra = next_cycles - base_cycles;
-    if (extra * per_cycle.ns < saved_ns && extra * per_cycle.j <= saved_j) {
-      out = std::move(next);
-      base_cycles = next_cycles;
-      sel = next_sel;
+    if (static_cast<double>(c.predicate.in_values.size()) > max_keys) continue;
+    std::vector<sql::BoundPredicate> one = filters;
+    one.push_back(c.predicate);
+    ranked.push_back({&c, -std::log(c.key_fraction) /
+                              std::max(1.0, cycles(one) - base_cycles)});
+  }
+  std::ranges::stable_sort(ranked, std::ranges::greater{}, &Ranked::gain);
+  double best_ns = plain.ns;
+  std::size_t best_len = 0;
+  std::vector<sql::BoundPredicate> prefix = filters;
+  for (const Ranked& r : ranked) {
+    prefix.push_back(r.c->predicate);
+    sel *= r.c->key_fraction;
+    const Cost after = survivor_cost(sel);
+    const double extra = cycles(prefix) - base_cycles;
+    const double ns = after.ns + extra * per_cycle.ns;
+    if (ns < best_ns && after.j + extra * per_cycle.j <= plain.j) {
+      best_ns = ns;
+      best_len = prefix.size() - filters.size();
     }
   }
-  return out;
+  prefix.resize(filters.size() + best_len);
+  return prefix;
 }
 
 // ---------------------------------------------------------------------------

@@ -356,13 +356,17 @@ class PimQueryEngine {
                           const ExecOptions& opts = {});
 
   /// Semijoin reduction for a join's scan of this store: returns `filters`
-  /// with each candidate ANDed in, in order, whose extra gate cycles the
-  /// cost model prices below the readback and host probe they remove, in
-  /// modeled time strictly and in modeled energy. The cost is the compiled
-  /// cycle delta over every crossbar; the saving follows from the survivor
-  /// fraction (sketch estimate of `filters` times the key fractions of the
-  /// candidates taken), the expected unique lines of a walk reading
-  /// `attrs`, and one probe per survivor and build side (`probe_builds`).
+  /// with the best prefix of the candidates ANDed in, candidates ranked by
+  /// -ln(key fraction) per extra gate cycle of their own (at equal gate
+  /// cost, most selective first). A prefix is priced as its extra gate
+  /// cycles plus the readback and host probes its survivors still cost; the
+  /// prefix with the lowest modeled time wins among those whose modeled
+  /// energy is not above the plain scan's, and the empty prefix (the plain
+  /// scan) keeps ties. The cycle cost is the compiled cycle delta over
+  /// every crossbar; the survivor cost follows from the survivor fraction
+  /// (sketch estimate of `filters` times the prefix's key fractions), the
+  /// expected unique lines of a walk reading `attrs`, and one probe per
+  /// survivor and build side (`probe_builds`).
   std::vector<sql::BoundPredicate> with_semijoins(
       const std::vector<sql::BoundPredicate>& filters,
       const std::vector<SemijoinCandidate>& candidates,

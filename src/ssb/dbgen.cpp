@@ -1,8 +1,11 @@
 #include "ssb/dbgen.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -107,6 +110,52 @@ std::string random_phone(std::size_t nation, Rng& rng) {
   return buf;
 }
 
+/// "<prefix>#<key>" for the keys 1..n, 9 digits zero padded.
+std::vector<std::string> key_names(const char* prefix, std::size_t n) {
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (std::size_t k = 1; k <= n; ++k) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s#%09zu", prefix, k);
+    names.emplace_back(buf);
+  }
+  return names;
+}
+
+/// A Zipf rank's hierarchy codes, coarsest level first.
+using Level = std::array<std::uint64_t, 3>;
+
+/// Surrogate keys in hierarchy order, the way a warehouse loader assigns
+/// them: drawn entities sort by the levels of their ranks, ties in draw
+/// order, so every value of every level covers one run of consecutive keys.
+struct KeyOrder {
+  std::vector<std::size_t> drawn;     ///< per key - 1: the drawn entity
+  std::vector<std::uint64_t> key_of;  ///< per drawn entity: its key
+
+  KeyOrder(const std::vector<Level>& of_rank,
+           const std::vector<std::size_t>& ranks)
+      : drawn(ranks.size()), key_of(ranks.size()) {
+    std::iota(drawn.begin(), drawn.end(), std::size_t{0});
+    std::stable_sort(drawn.begin(), drawn.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return of_rank[ranks[a]] < of_rank[ranks[b]];
+                     });
+    for (std::size_t k = 0; k < drawn.size(); ++k) key_of[drawn[k]] = k + 1;
+  }
+};
+
+/// (region, nation, city) codes of each of the 250 city ranks under a
+/// customer or supplier schema (attributes 3, 4 and 5: city, nation, region).
+std::vector<Level> city_levels(const rel::Schema& s) {
+  std::vector<Level> of_rank(250);
+  for (std::size_t r = 0; r < of_rank.size(); ++r) {
+    of_rank[r] = {code_of(s.attribute(5), std::string(kRegions[city_region(r)])),
+                  code_of(s.attribute(4), std::string(kNations[city_nation(r)])),
+                  code_of(s.attribute(3), city_name(r))};
+  }
+  return of_rank;
+}
+
 }  // namespace
 
 SsbData generate(const SsbConfig& cfg) {
@@ -195,20 +244,24 @@ SsbData generate(const SsbConfig& cfg) {
   }();
 
   // ==========================================================================
-  // CUSTOMER — city drawn from the Zipf hierarchy.
+  // CUSTOMER — city drawn from the Zipf hierarchy; keys in (region, nation,
+  // city) order, the drawn attributes unchanged.
   // ==========================================================================
   const ZipfSampler city_zipf(250, cfg.zipf_theta);
+  std::vector<std::uint64_t> cust_key;  // per drawn customer: its key
   rel::Table customer_table = [&] {
-    std::vector<std::string> names, addresses, phones;
+    const std::vector<std::string> names = key_names("Customer", customers);
+    std::vector<std::string> addresses, phones;
     std::vector<std::size_t> city_ranks(customers);
     for (std::size_t i = 0; i < customers; ++i) {
       const std::size_t rank = city_zipf.sample(rng_cust);
       city_ranks[i] = rank;
-      char nbuf[32];
-      std::snprintf(nbuf, sizeof nbuf, "Customer#%09zu", i + 1);
-      names.emplace_back(nbuf);
       addresses.push_back(random_address(rng_cust));
       phones.push_back(random_phone(city_nation(rank), rng_cust));
+    }
+    std::vector<std::uint64_t> segments(customers);
+    for (std::uint64_t& m : segments) {
+      m = rng_cust.next_below(kMktSegments.size());
     }
     std::vector<rel::Attribute> attrs;
     attrs.push_back(int_attr("c_custkey", customers));
@@ -221,11 +274,13 @@ SsbData generate(const SsbConfig& cfg) {
     attrs.push_back(str_attr("c_mktsegment", make_dict_of(kMktSegments)));
     rel::Table t(rel::Schema(std::move(attrs)), "customer");
     t.reserve(customers);
-    for (std::size_t i = 0; i < customers; ++i) {
+    const KeyOrder order(city_levels(t.schema()), city_ranks);
+    for (std::size_t k = 0; k < customers; ++k) {
+      const std::size_t i = order.drawn[k];
       const std::size_t rank = city_ranks[i];
       const std::uint64_t row[] = {
-          i + 1,
-          code_of(t.schema().attribute(1), names[i]),
+          k + 1,
+          code_of(t.schema().attribute(1), names[k]),
           code_of(t.schema().attribute(2), addresses[i]),
           code_of(t.schema().attribute(3), city_name(rank)),
           code_of(t.schema().attribute(4),
@@ -233,25 +288,25 @@ SsbData generate(const SsbConfig& cfg) {
           code_of(t.schema().attribute(5),
                   std::string(kRegions[city_region(rank)])),
           code_of(t.schema().attribute(6), phones[i]),
-          rng_cust.next_below(kMktSegments.size()),
+          segments[i],
       };
       t.append_row(row);
     }
+    cust_key = order.key_of;
     return t;
   }();
 
   // ==========================================================================
-  // SUPPLIER — same hierarchy, independent Zipf stream.
+  // SUPPLIER — same hierarchy and key order, independent Zipf stream.
   // ==========================================================================
+  std::vector<std::uint64_t> supp_key;  // per drawn supplier: its key
   rel::Table supplier_table = [&] {
-    std::vector<std::string> names, addresses, phones;
+    const std::vector<std::string> names = key_names("Supplier", suppliers);
+    std::vector<std::string> addresses, phones;
     std::vector<std::size_t> city_ranks(suppliers);
     for (std::size_t i = 0; i < suppliers; ++i) {
       const std::size_t rank = city_zipf.sample(rng_supp);
       city_ranks[i] = rank;
-      char nbuf[32];
-      std::snprintf(nbuf, sizeof nbuf, "Supplier#%09zu", i + 1);
-      names.emplace_back(nbuf);
       addresses.push_back(random_address(rng_supp));
       phones.push_back(random_phone(city_nation(rank), rng_supp));
     }
@@ -265,11 +320,13 @@ SsbData generate(const SsbConfig& cfg) {
     attrs.push_back(str_attr("s_phone", make_dict(phones)));
     rel::Table t(rel::Schema(std::move(attrs)), "supplier");
     t.reserve(suppliers);
-    for (std::size_t i = 0; i < suppliers; ++i) {
+    const KeyOrder order(city_levels(t.schema()), city_ranks);
+    for (std::size_t k = 0; k < suppliers; ++k) {
+      const std::size_t i = order.drawn[k];
       const std::size_t rank = city_ranks[i];
       const std::uint64_t row[] = {
-          i + 1,
-          code_of(t.schema().attribute(1), names[i]),
+          k + 1,
+          code_of(t.schema().attribute(1), names[k]),
           code_of(t.schema().attribute(2), addresses[i]),
           code_of(t.schema().attribute(3), city_name(rank)),
           code_of(t.schema().attribute(4),
@@ -280,14 +337,17 @@ SsbData generate(const SsbConfig& cfg) {
       };
       t.append_row(row);
     }
+    supp_key = order.key_of;
     return t;
   }();
 
   // ==========================================================================
-  // PART — brand drawn from the Zipf hierarchy; price kept for lineorder.
+  // PART — brand drawn from the Zipf hierarchy; keys in (mfgr, category,
+  // brand) order; price kept per drawn part for lineorder.
   // ==========================================================================
   const ZipfSampler brand_zipf(1000, cfg.zipf_theta);
   std::vector<std::uint32_t> part_price(parts);
+  std::vector<std::uint64_t> part_key;  // per drawn part: its key
   rel::Table part_table = [&] {
     std::vector<std::string> mfgrs, categories, brands;
     for (std::size_t c = 0; c < 25; ++c) categories.push_back(category_name(c));
@@ -314,33 +374,58 @@ SsbData generate(const SsbConfig& cfg) {
     t.reserve(parts);
     const auto& types = part_types();
     const auto& containers = part_containers();
+    struct Drawn {
+      std::size_t color1, color2;
+      std::uint64_t color, type, size, container;
+    };
+    std::vector<std::size_t> brand_ranks(parts);
+    std::vector<Drawn> drawn(parts);
     for (std::size_t i = 0; i < parts; ++i) {
-      const std::size_t rank = brand_zipf.sample(rng_part);
-      const std::size_t color1 = rng_part.next_below(colors.size());
-      std::size_t color2 = rng_part.next_below(colors.size());
-      if (color2 == color1) color2 = (color2 + 1) % colors.size();
+      Drawn& d = drawn[i];
+      brand_ranks[i] = brand_zipf.sample(rng_part);
+      d.color1 = rng_part.next_below(colors.size());
+      d.color2 = rng_part.next_below(colors.size());
+      if (d.color2 == d.color1) d.color2 = (d.color2 + 1) % colors.size();
       part_price[i] = static_cast<std::uint32_t>(
           kMinPartPrice + rng_part.next_below(kMaxPartPrice - kMinPartPrice));
+      d.color = rng_part.next_below(colors.size());
+      d.type = rng_part.next_below(types.size());
+      d.size = 1 + rng_part.next_below(50);
+      d.container = rng_part.next_below(containers.size());
+    }
+    std::vector<Level> of_rank(1000);  // (mfgr, category, brand) codes
+    for (std::size_t r = 0; r < of_rank.size(); ++r) {
+      of_rank[r] = {code_of(t.schema().attribute(2), mfgr_name(r % 25)),
+                    code_of(t.schema().attribute(3), category_name(r % 25)),
+                    code_of(t.schema().attribute(4), brand_name(r))};
+    }
+    const KeyOrder order(of_rank, brand_ranks);
+    for (std::size_t k = 0; k < parts; ++k) {
+      const std::size_t i = order.drawn[k];
+      const Drawn& d = drawn[i];
+      const Level& level = of_rank[brand_ranks[i]];
       const std::uint64_t row[] = {
-          i + 1,
+          k + 1,
           code_of(t.schema().attribute(1),
-                  colors[color1] + " " + colors[color2]),
-          code_of(t.schema().attribute(2), mfgr_name(rank % 25)),
-          code_of(t.schema().attribute(3), category_name(rank % 25)),
-          code_of(t.schema().attribute(4), brand_name(rank)),
-          rng_part.next_below(colors.size()),
-          rng_part.next_below(types.size()),
-          1 + rng_part.next_below(50),
-          rng_part.next_below(containers.size()),
+                  colors[d.color1] + " " + colors[d.color2]),
+          level[0],
+          level[1],
+          level[2],
+          d.color,
+          d.type,
+          d.size,
+          d.container,
       };
       t.append_row(row);
     }
+    part_key = order.key_of;
     return t;
   }();
 
   // ==========================================================================
   // LINEORDER — uniform foreign keys and filter attributes; skew enters
-  // through the dimension hierarchies above.
+  // through the dimension hierarchies above. Keys are drawn per drawn
+  // dimension entity and stored as that entity's hierarchy-ordered key.
   // ==========================================================================
   rel::Table lineorder_table = [&] {
     const std::uint64_t max_ext = 50ULL * kMaxPartPrice;
@@ -365,23 +450,23 @@ SsbData generate(const SsbConfig& cfg) {
     rel::Table t(rel::Schema(std::move(attrs)), "lineorder");
     t.reserve(orders * kLinesPerOrder);
 
-    struct Line {
+    struct Line {  // `part` is the drawn part, `supp` a supplier key
       std::uint64_t part, supp, quantity, price, discount, tax, shipmode;
     };
     std::array<Line, kLinesPerOrder> lines;
     for (std::size_t o = 0; o < orders; ++o) {
       const std::uint64_t orderdate = rng_lo.next_below(kDays);
-      const std::uint64_t custkey = 1 + rng_lo.next_below(customers);
+      const std::uint64_t custkey = cust_key[rng_lo.next_below(customers)];
       const std::uint64_t priority = rng_lo.next_below(kOrderPriorities.size());
       std::uint64_t ordtotal = 0;
       for (auto& ln : lines) {
-        ln.part = 1 + rng_lo.next_below(parts);
-        ln.supp = 1 + rng_lo.next_below(suppliers);
+        ln.part = rng_lo.next_below(parts);
+        ln.supp = supp_key[rng_lo.next_below(suppliers)];
         ln.quantity = 1 + rng_lo.next_below(50);
         ln.discount = rng_lo.next_below(11);
         ln.tax = rng_lo.next_below(9);
         ln.shipmode = rng_lo.next_below(kShipModes.size());
-        ln.price = ln.quantity * part_price[ln.part - 1];
+        ln.price = ln.quantity * part_price[ln.part];
         ordtotal += ln.price;
       }
       const std::uint64_t commitdate =
@@ -391,9 +476,9 @@ SsbData generate(const SsbConfig& cfg) {
         const Line& ln = lines[l];
         const std::uint64_t revenue = ln.price * (100 - ln.discount) / 100;
         const std::uint64_t supplycost =
-            1000 + part_price[ln.part - 1] * 55 / 100;
+            1000 + part_price[ln.part] * 55 / 100;
         const std::uint64_t row[] = {
-            o + 1,      l + 1,      custkey,      ln.part,
+            o + 1,      l + 1,      custkey,      part_key[ln.part],
             ln.supp,    orderdate,  priority,     0,
             ln.quantity, ln.price,  ordtotal,     ln.discount,
             revenue,    supplycost, ln.tax,       commitdate,

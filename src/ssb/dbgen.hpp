@@ -37,6 +37,11 @@ struct SsbData {
 };
 
 /// Generates the five relations. Deterministic for a given config.
+/// Surrogate keys run 1..n in row order and follow the hierarchies, as a
+/// warehouse loader assigns them: customer and supplier by (region, nation,
+/// city), part by (mfgr, category, brand), ties in draw order; lineorder's
+/// foreign keys name the same entities. So every value of a hierarchy level
+/// covers one run of consecutive keys.
 SsbData generate(const SsbConfig& cfg);
 
 /// The paper's pre-joined relation: lineorder equi-joined with all four

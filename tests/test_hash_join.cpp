@@ -21,24 +21,24 @@
 #include "engine/group_index.hpp"
 #include "engine/hash_join.hpp"
 #include "ssb/dbgen.hpp"
+#include "ssb/names.hpp"
 #include "ssb/queries.hpp"
 
 namespace bbpim {
 namespace {
 
-/// One SSB world at a tiny scale factor, both catalogs: the normalized star
-/// schema (all five tables registered -> join path) and the paper's
-/// pre-joined relation (only it registered -> seed path). Generated once
-/// for the whole binary.
+/// One SSB world, both catalogs: the normalized star schema (all five
+/// tables registered -> join path) and the paper's pre-joined relation (only
+/// it registered -> seed path).
 struct JoinWorld {
   ssb::SsbData data;
   rel::Table prejoined;
   db::Database normalized;
   db::Database prejoined_db;
 
-  JoinWorld() {
+  explicit JoinWorld(double scale_factor) {
     ssb::SsbConfig cfg;
-    cfg.scale_factor = 0.01;
+    cfg.scale_factor = scale_factor;
     data = ssb::generate(cfg);
     prejoined = ssb::prejoin_ssb(data);
     normalized.attach_table(data.lineorder);
@@ -50,8 +50,17 @@ struct JoinWorld {
   }
 };
 
+/// The world at a tiny scale factor, generated once for the whole binary.
 JoinWorld& world() {
-  static JoinWorld w;
+  static JoinWorld w(0.01);
+  return w;
+}
+
+/// The world at SF 0.1 (600,000 fact rows, ~30 records per page-row line),
+/// the scale of BENCH_join_speed.json: a semijoin pays there only when it
+/// leaves whole lines without survivors.
+JoinWorld& line_scale_world() {
+  static JoinWorld w(0.1);
   return w;
 }
 
@@ -442,10 +451,13 @@ TEST(HashJoin, SemijoinReductionNeverCostsMoreThanThePlainPlan) {
   JoinWorld& w = world();
   db::Session session(w.normalized);
   const db::BackendKind backend = db::BackendKind::kOneXb;
-  // The texts whose filtered dimension keys are cheap enough (a date range,
-  // a few customers or suppliers) for the fact scan to take them in PIM.
-  const std::vector<std::string> reduced = {"1.1", "1.2", "1.3", "3.2",
-                                            "3.3", "3.4", "4.3"};
+  // The texts whose filtered dimension keys (one key range each, as the
+  // keys follow the hierarchies) pay for the fact scan to take them in PIM.
+  // 3.1 is reduced at this scale too, but not at SF 0.1
+  // (SemijoinPrefixPaysJointlyOrNotAtAll).
+  const std::vector<std::string> reduced = {"1.1", "1.2", "1.3", "2.1",
+                                            "2.2", "2.3", "3.2", "3.3",
+                                            "3.4", "4.1", "4.2", "4.3"};
   for (const ssb::SsbQuery& q : ssb::queries()) {
     const db::PreparedStatement st = session.prepare(q.sql);
     const sql::BoundJoin& jp = st.join();
@@ -498,6 +510,110 @@ TEST(HashJoin, SemijoinReductionNeverCostsMoreThanThePlainPlan) {
   }
 }
 
+// At SF 0.1 a page-row line is read unless all ~30 of its records miss, so
+// the fact scan prices candidates as prefixes, ranked by selectivity per
+// gate cycle. Q2.1's part (p_category, ~6% of the keys) and supplier
+// (s_region, ~20%) candidates each save too few lines for their energy
+// alone; together they leave ~1% of the records and pay. Every prefix of
+// Q3.1's candidates would be faster but costs more energy than the plain
+// scan, so its fact scan stays unreduced. A p_color filter selects ~1% of
+// the parts, scattered: its long IN list is more selective than Q1.1's year
+// range yet costs far more gate cycles, so it ranks behind the range
+// instead of blocking it.
+TEST(HashJoin, SemijoinPrefixPaysJointlyOrNotAtAll) {
+  JoinWorld& w = line_scale_world();
+  db::Session session(w.normalized);
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  struct Priced {
+    std::vector<sql::BoundPredicate> filters;  ///< the fact's own
+    std::vector<engine::SemijoinCandidate> candidates;
+    std::vector<std::size_t> attrs;
+    std::size_t builds = 0;
+    std::size_t fact_rows = 0;
+  };
+  const auto priced = [&](std::string_view sql) {
+    const db::PreparedStatement st = session.prepare(sql);
+    const sql::BoundJoin& jp = st.join();
+    const auto attrs = engine::join_scan_attrs(jp);
+    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
+    std::vector<std::size_t> rows(jp.table_names.size());
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
+      if (t == jp.fact) continue;
+      inputs[t].columns = session.executor(backend, jp.table_names[t])
+                              .execute_scan(jp.filters[t], attrs[t], {})
+                              .columns;
+    }
+    return Priced{jp.filters[jp.fact],
+                  engine::semijoin_candidates(jp, inputs, rows),
+                  attrs[jp.fact], jp.builds.size(), rows[jp.fact]};
+  };
+  db::Executor& fact = session.executor(backend, "lineorder");
+  const rel::Schema& lo = w.data.lineorder.schema();
+  const auto fk = [&](const engine::SemijoinCandidate& c) {
+    return lo.attribute(c.predicate.attr).name;
+  };
+  // The foreign keys whose candidates the fact scan takes, sorted.
+  const auto takes = [&](const Priced& p,
+                         std::vector<engine::SemijoinCandidate> offered) {
+    std::vector<std::string> taken;
+    const auto f =
+        fact.semijoin_filters(p.filters, offered, p.attrs, p.builds);
+    for (std::size_t i = p.filters.size(); i < f.size(); ++i) {
+      taken.push_back(lo.attribute(f[i].attr).name);
+    }
+    std::sort(taken.begin(), taken.end());
+    return taken;
+  };
+
+  const Priced q21 = priced(ssb::query("2.1").sql);
+  const engine::SemijoinCandidate* supp = nullptr;
+  const engine::SemijoinCandidate* part = nullptr;
+  for (const engine::SemijoinCandidate& c : q21.candidates) {
+    if (fk(c) == "lo_suppkey") supp = &c;
+    if (fk(c) == "lo_partkey") part = &c;
+  }
+  ASSERT_NE(supp, nullptr);
+  ASSERT_NE(part, nullptr);
+  EXPECT_LT(part->key_fraction, supp->key_fraction);
+  EXPECT_TRUE(takes(q21, {*supp}).empty());
+  EXPECT_TRUE(takes(q21, {*part}).empty());
+  const std::vector<std::string> both = {"lo_partkey", "lo_suppkey"};
+  EXPECT_EQ(takes(q21, {*supp, *part}), both);
+  // The session's fact scan takes both and reads back only their survivors.
+  EXPECT_EQ(takes(q21, q21.candidates), both);
+  const db::ResultSet rs21 = session.execute(ssb::query("2.1").sql, backend);
+  EXPECT_LT(rs21.stats().selected_records, q21.fact_rows / 50);
+
+  const Priced q31 = priced(ssb::query("3.1").sql);
+  EXPECT_TRUE(takes(q31, q31.candidates).empty());
+  std::vector<sql::BoundPredicate> all = q31.filters;
+  for (const engine::SemijoinCandidate& c : q31.candidates) {
+    all.push_back(c.predicate);
+  }
+  EXPECT_GT(fact.execute_scan(all, q31.attrs, {}).stats.energy_j,
+            fact.execute_scan(q31.filters, q31.attrs, {}).stats.energy_j);
+  const db::ResultSet rs31 = session.execute(ssb::query("3.1").sql, backend);
+  EXPECT_EQ(rs31.stats().selected_records, q31.fact_rows);
+
+  const Priced color = priced(
+      "SELECT SUM(lo_revenue) AS r FROM lineorder, part, date "
+      "WHERE lo_partkey = p_partkey AND lo_orderdate = d_datekey "
+      "AND d_year = 1993 AND lo_discount BETWEEN 1 AND 3 "
+      "AND lo_quantity < 25 AND p_color = '" +
+      ssb::part_colors().front() + "'");
+  ASSERT_EQ(color.candidates.size(), 2u);
+  const engine::SemijoinCandidate* list = &color.candidates[0];
+  const engine::SemijoinCandidate* year = &color.candidates[1];
+  if (fk(*list) != "lo_partkey") std::swap(list, year);
+  EXPECT_EQ(list->predicate.kind, sql::BoundPredicate::Kind::kIn);
+  EXPECT_EQ(year->predicate.kind, sql::BoundPredicate::Kind::kBetween);
+  EXPECT_LT(list->key_fraction, year->key_fraction);
+  EXPECT_TRUE(takes(color, {*list}).empty());
+  EXPECT_EQ(takes(color, color.candidates),
+            std::vector<std::string>{"lo_orderdate"});
+}
+
 TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
   JoinWorld& w = world();
   db::Session session(w.normalized);
@@ -527,13 +643,22 @@ TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
   EXPECT_EQ(year.predicate.v2 - year.predicate.v1 + 1, 365u);
   EXPECT_DOUBLE_EQ(year.key_fraction,
                    365.0 / static_cast<double>(w.data.date.row_count()));
-  // Scattered supplier keys: a membership list.
+  // Supplier keys follow (region, nation, city): one region is one range.
   const engine::SemijoinCandidate region = first_candidate(
       "SELECT SUM(lo_revenue) AS r FROM lineorder, supplier "
       "WHERE lo_suppkey = s_suppkey AND s_region = 'AMERICA'");
-  EXPECT_EQ(region.predicate.kind, Kind::kIn);
-  EXPECT_TRUE(std::is_sorted(region.predicate.in_values.begin(),
-                             region.predicate.in_values.end()));
+  EXPECT_EQ(region.predicate.kind, Kind::kBetween);
+  EXPECT_LT(region.predicate.v1, region.predicate.v2);
+  // Cities of two regions with a third between them: scattered keys, a
+  // membership list.
+  const engine::SemijoinCandidate cities = first_candidate(
+      "SELECT SUM(lo_revenue) AS r FROM lineorder, supplier "
+      "WHERE lo_suppkey = s_suppkey AND s_city IN ('" +
+      ssb::city_name(0) + "', '" + ssb::city_name(2) + "')");
+  EXPECT_EQ(ssb::city_region(0) + 2, ssb::city_region(2));
+  EXPECT_EQ(cities.predicate.kind, Kind::kIn);
+  EXPECT_TRUE(std::is_sorted(cities.predicate.in_values.begin(),
+                             cities.predicate.in_values.end()));
   // No survivors: statically false.
   const engine::SemijoinCandidate none = first_candidate(
       "SELECT SUM(lo_revenue) AS r FROM lineorder, date "
@@ -618,17 +743,32 @@ TEST(HashJoin, JoinReportsWearOfItsScans) {
     st.execute(db::BackendKind::kOneXb);
     const std::vector<std::vector<std::size_t>> attrs =
         engine::join_scan_attrs(jp);
-    // Wear merges as the max over the per-table scans (each scan is its own
-    // device epoch); the classification memo hits add up.
+    // Wear merges as the max over the per-table scans the join runs (each
+    // scan is its own device epoch): the dimensions with their own filters,
+    // then the fact with the semijoin predicates its executor takes. The
+    // classification memo hits add up.
     std::uint64_t want_wear = 0;
     std::size_t want_memo = 0;
-    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-      const engine::ScanOutput scan =
+    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
+    std::vector<std::size_t> rows(jp.table_names.size());
+    const auto scan = [&](std::size_t t,
+                          const std::vector<sql::BoundPredicate>& filters) {
+      engine::ScanOutput out =
           session.executor(db::BackendKind::kOneXb, jp.table_names[t])
-              .execute_scan(jp.filters[t], attrs[t], {});
-      want_wear = std::max(want_wear, scan.stats.wear_row_writes);
-      want_memo += scan.stats.classification_memo_hits;
+              .execute_scan(filters, attrs[t], {});
+      want_wear = std::max(want_wear, out.stats.wear_row_writes);
+      want_memo += out.stats.classification_memo_hits;
+      inputs[t].columns = std::move(out.columns);
+    };
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
+      if (t != jp.fact) scan(t, jp.filters[t]);
     }
+    scan(jp.fact,
+         session.executor(db::BackendKind::kOneXb, jp.table_names[jp.fact])
+             .semijoin_filters(jp.filters[jp.fact],
+                               engine::semijoin_candidates(jp, inputs, rows),
+                               attrs[jp.fact], jp.builds.size()));
     const db::ResultSet rs = st.execute(db::BackendKind::kOneXb);
     EXPECT_GT(rs.stats().wear_row_writes, 0u) << "q" << id;
     EXPECT_EQ(rs.stats().wear_row_writes, want_wear) << "q" << id;

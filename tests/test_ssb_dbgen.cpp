@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -239,6 +241,80 @@ TEST_F(DbgenFixture, PrejoinedShape) {
     EXPECT_EQ(got.dict, want_attrs[a].dict) << got.name;
     EXPECT_EQ(pj.column(a), want[a]) << got.name;
   }
+}
+
+/// Checks that every value of each of `attrs` of `t` covers one contiguous
+/// run of the key attribute `key`.
+void expect_key_ranges(const rel::Table& t, const char* key,
+                       std::initializer_list<const char*> attrs) {
+  const rel::Schema& s = t.schema();
+  const std::size_t k = *s.index_of(key);
+  for (const char* name : attrs) {
+    const std::size_t a = *s.index_of(name);
+    std::map<std::uint64_t, std::vector<std::uint64_t>> keys_of;
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      keys_of[t.value(r, a)].push_back(t.value(r, k));
+    }
+    EXPECT_GT(keys_of.size(), 1u) << name;
+    for (const auto& [code, keys] : keys_of) {
+      const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+      EXPECT_EQ(*hi - *lo + 1, keys.size())
+          << name << " = '" << s.attribute(a).dict->value(code) << "'";
+    }
+  }
+}
+
+TEST_F(DbgenFixture, HierarchyValuesAreKeyRanges) {
+  // Surrogate keys follow the hierarchy, so every SSB dimension filter
+  // selects one run of keys.
+  expect_key_ranges(data().customer, "c_custkey",
+                    {"c_region", "c_nation", "c_city"});
+  expect_key_ranges(data().supplier, "s_suppkey",
+                    {"s_region", "s_nation", "s_city"});
+  expect_key_ranges(data().part, "p_partkey",
+                    {"p_mfgr", "p_category", "p_brand1"});
+}
+
+TEST_F(DbgenFixture, KeysRunInRowOrderAndNameTheirRow) {
+  const auto check = [](const rel::Table& t, const char* key,
+                        const char* name, const char* prefix) {
+    const rel::Schema& s = t.schema();
+    const std::size_t k = *s.index_of(key);
+    const std::size_t n = name ? *s.index_of(name) : 0;
+    for (std::size_t r = 0; r < t.row_count(); ++r) {
+      ASSERT_EQ(t.value(r, k), r + 1) << key;
+      if (name == nullptr) continue;
+      char want[32];
+      std::snprintf(want, sizeof want, "%s#%09zu", prefix, r + 1);
+      ASSERT_EQ(s.attribute(n).dict->value(t.value(r, n)), want) << name;
+    }
+  };
+  check(data().customer, "c_custkey", "c_name", "Customer");
+  check(data().supplier, "s_suppkey", "s_name", "Supplier");
+  check(data().part, "p_partkey", nullptr, nullptr);
+}
+
+TEST_F(DbgenFixture, PrejoinedNonKeyColumnsKeepTheirDigest) {
+  // The key order is a loader choice: apart from the three surrogate
+  // foreign keys, the pre-joined relation keeps every value and row order
+  // of the draw-order generator (FNV-1a over name and values per column).
+  const rel::Table& pj = prejoined();
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t a = 0; a < pj.schema().attribute_count(); ++a) {
+    const std::string& name = pj.schema().attribute(a).name;
+    if (name == "lo_custkey" || name == "lo_partkey" || name == "lo_suppkey") {
+      continue;
+    }
+    for (const char c : name) mix(static_cast<unsigned char>(c));
+    for (std::size_t r = 0; r < pj.row_count(); ++r) mix(pj.value(r, a));
+  }
+  EXPECT_EQ(h, 0xDBF4B3B2EC9F1249ULL);  // recorded before the re-key
 }
 
 TEST_F(DbgenFixture, RevenueDerivation) {
