@@ -129,6 +129,12 @@ class PimExecutor final : public Executor {
     return observed_version_;
   }
 
+  std::uint64_t pin_version() override {
+    refresh();
+    observed_version_ = snap_->version();
+    return observed_version_;
+  }
+
   engine::ScanOutput execute_scan(
       const std::vector<sql::BoundPredicate>& filters,
       const std::vector<std::size_t>& attrs,
@@ -581,41 +587,54 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
   engine::ExecOptions scan_opts = opts;
   scan_opts.cancel = engine::resolve_cancel(opts);
 
-  // One snapshot-pinned scan per touched table, run sequentially through
-  // this session's executors: the dimensions first, the fact last, so the
-  // dimensions' surviving join keys can reach the fact scan as semijoin
-  // predicates. Each scan pins exactly one store version, reported per
-  // table (FROM order) in the result's table_versions().
+  // One snapshot-pinned scan per touched table through this session's
+  // executors, each pinning exactly one store version, reported per table
+  // (FROM order) in the result's table_versions().
   std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
   std::vector<std::pair<std::string, std::uint64_t>> versions(
       jp.table_names.size());
-  engine::QueryStats stats;
+  std::vector<std::size_t> table_rows(jp.table_names.size());
   const auto run_scan = [&](std::size_t t,
                             const std::vector<sql::BoundPredicate>& filters) {
     Executor& ex = executor_for(backend, *plan.join_tables[t]);
     engine::ScanOutput scan = ex.execute_scan(filters, attrs[t], scan_opts);
     versions[t] = {jp.table_names[t], ex.last_data_version()};
-    // Scans are independent devices running back to back in the model.
-    stats.merge(scan.stats, t == jp.fact);
     inputs[t].columns = std::move(scan.columns);
+    return scan;
   };
-  std::vector<std::size_t> table_rows(jp.table_names.size());
+
+  // Stage 1, the dimensions: each lives on its own pages, so their scans
+  // run as one concurrent stage and are priced by its shared schedule.
+  std::vector<engine::ScanOutput> dims;
   for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
     table_rows[t] = plan.join_tables[t]->row_count();
-    if (t != jp.fact) run_scan(t, jp.filters[t]);
+    if (t != jp.fact) dims.push_back(run_scan(t, jp.filters[t]));
   }
-  // Semijoin reduction: the fact's executor ANDs in each filtered
-  // dimension's key predicate that its cost model prices as a win, so the
-  // PIM filter drops non-joining rows before any readback.
-  Executor& fact = executor_for(backend, *plan.join_tables[jp.fact]);
-  run_scan(jp.fact, fact.semijoin_filters(
-                        jp.filters[jp.fact],
-                        engine::semijoin_candidates(jp, inputs, table_rows),
-                        attrs[jp.fact], jp.builds.size()));
-  const std::uint64_t fact_version = versions[jp.fact].second;
+  engine::QueryStats stats =
+      engine::price_concurrent_scans(dims, opts_.host, opts_.pim);
+  stats.dims_ns = stats.total_ns;
 
-  // Host-side hash join over the survivors; its build/probe CPU
-  // time lands in the host-gb phase, the merge/sort in finalize.
+  // Stage 2, the fact, with each filtered dimension's key predicate that
+  // its executor prices as a win (the PIM filter drops non-joining rows
+  // before any readback). A build side without survivors empties the inner
+  // join, so the fact is not scanned at all; its version is still pinned.
+  Executor& fact = executor_for(backend, *plan.join_tables[jp.fact]);
+  if (engine::join_is_empty(jp, inputs)) {
+    versions[jp.fact] = {jp.table_names[jp.fact], fact.pin_version()};
+    inputs[jp.fact].columns.resize(attrs[jp.fact].size());
+  } else {
+    stats.merge(
+        run_scan(jp.fact,
+                 fact.semijoin_filters(
+                     jp.filters[jp.fact],
+                     engine::semijoin_candidates(jp, inputs, table_rows),
+                     attrs[jp.fact], jp.builds.size()))
+            .stats,
+        true);
+  }
+
+  // Stage 3, the host hash join over the survivors: build/probe CPU time
+  // lands in the host-gb phase, the merge/sort in finalize.
   engine::JoinOutput joined =
       engine::hash_join_execute(jp, inputs, opts_.host, scan_opts.cancel);
   engine::QueryStats host;
@@ -628,7 +647,7 @@ ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
   out.rows = std::move(joined.rows);
   out.stats = stats;
   ResultSet rs(std::move(out), result_columns(jp, plan.join_tables), backend);
-  rs.set_data_version(fact_version);
+  rs.set_data_version(versions[jp.fact].second);
   rs.set_table_versions(std::move(versions));
   return rs;
 }

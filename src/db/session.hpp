@@ -166,6 +166,11 @@ class Executor {
   /// through this executor (sessions are single-threaded per the threading
   /// model, so this pairs with the call that just returned).
   virtual std::uint64_t last_data_version() const { return 0; }
+  /// Pins the version a read through this executor would see now, without
+  /// reading, and returns it (last_data_version() reports it too): a join
+  /// that skips its fact scan still reports the fact's version. The host
+  /// baselines read the immutable catalog table: 0.
+  virtual std::uint64_t pin_version() { return 0; }
   /// Physical-plan rendering; throws std::invalid_argument for backends
   /// without one (the host baselines).
   virtual std::string explain(const sql::BoundQuery& q);
@@ -286,10 +291,12 @@ class Session {
   /// multi-table join path (every FROM name registered), or the seed's
   /// single-table resolution. Front-end only — no executors touched.
   Plan build_plan(std::string_view sql_text);
-  /// Runs a bound join plan: one snapshot-pinned scan per touched table,
-  /// the dimensions first and the fact last with the semijoin predicates
-  /// its executor accepts (Executor::semijoin_filters), then the host hash
-  /// join (engine/hash_join) over the survivors.
+  /// Runs a bound join plan in three stages, one after another: the
+  /// dimension scans as one concurrent stage
+  /// (engine::price_concurrent_scans); the fact scan with the semijoin
+  /// predicates its executor accepts (Executor::semijoin_filters), skipped
+  /// when a build side is empty; the host hash join (engine/hash_join) over
+  /// the survivors. Every scan is snapshot-pinned.
   ResultSet execute_join(const Plan& plan, BackendKind backend,
                          const engine::ExecOptions& opts);
 

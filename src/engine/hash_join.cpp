@@ -87,6 +87,13 @@ std::vector<SemijoinCandidate> semijoin_candidates(
   return out;
 }
 
+bool join_is_empty(const sql::BoundJoin& plan,
+                   const std::vector<JoinScanInput>& scans) {
+  return std::ranges::any_of(plan.builds, [&](const sql::BoundBuildSide& b) {
+    return scans[b.table].row_count() == 0;
+  });
+}
+
 JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                              const std::vector<JoinScanInput>& scans,
                              const host::HostConfig& hcfg,

@@ -3,7 +3,8 @@
 // The PIM store filters each table of a star query (bulk-bitwise WHERE,
 // zone-map pruning), the fact last: semijoin_candidates turns each filtered
 // dimension's surviving keys into a fact-key predicate the fact scan may
-// AND in when its cost model says so. The host then joins the survivors
+// AND in when its cost model says so, and join_is_empty finds the empty
+// joins whose fact scan can be skipped. The host then joins the survivors
 // column at a time: each filtered dimension's join keys get a TupleIndex
 // (engine/group_index.hpp; duplicate keys chain through head/next row
 // arrays), the fact survivors probe them in build order (most filtered
@@ -70,6 +71,12 @@ struct JoinOutput {
 std::vector<SemijoinCandidate> semijoin_candidates(
     const sql::BoundJoin& plan, const std::vector<JoinScanInput>& scans,
     const std::vector<std::size_t>& table_rows);
+
+/// True when a build side of `plan` has no survivors in `scans` (aligned
+/// with plan.table_names): the inner join is then empty, whatever the fact
+/// holds.
+bool join_is_empty(const sql::BoundJoin& plan,
+                   const std::vector<JoinScanInput>& scans);
 
 /// Executes the join tree over per-table scan survivors (`scans` aligned
 /// with plan.table_names). Duplicate build keys produce the full cross

@@ -132,6 +132,67 @@ std::vector<sql::BoundPredicate> key_predicates(
   return preds;
 }
 
+/// Where a phase's modeled time lands.
+using Slot = TimeNs QueryPhaseBreakdown::*;
+
+/// The modeled host clock of Section V-A: phases run one after another,
+/// and each ends in a thread barrier that costs phase_overhead_ns. Request
+/// and walk phases split their pages contiguously across the host threads.
+/// With a log attached, every request and walk phase is also appended to it
+/// (a scan's ScanOutput::phases).
+class PhaseClock {
+ public:
+  explicit PhaseClock(const host::HostConfig& hcfg) : hcfg_(hcfg) {}
+
+  void log_to(std::vector<ScanPhase>* log) { log_ = log; }
+  TimeNs now() const { return now_; }
+  const QueryPhaseBreakdown& phases() const { return phases_; }
+  PowerW peak_module_w() const { return tracker_.peak_module_w(); }
+
+  /// Ends the current phase at `end`, plus the barrier.
+  void advance(TimeNs end, Slot slot) {
+    const TimeNs dur = end - now_ + hcfg_.phase_overhead_ns;
+    phases_.*slot += dur;
+    now_ += dur;
+  }
+
+  /// One phase of per-page requests (traces[i] on the phase's page i).
+  void requests(std::span<const pim::RequestTrace> traces,
+                std::uint32_t window, TimeNs issue_gap, Slot slot) {
+    host::ScheduleParams params;
+    params.threads = hcfg_.threads;
+    params.window = window;
+    params.issue_gap_ns = issue_gap;
+    const TimeNs end =
+        host::schedule_requests(traces, params, now_, &tracker_);
+    if (log_ != nullptr) {
+      log_->push_back({slot, {traces.begin(), traces.end()}, window,
+                       issue_gap, false, {}, 0});
+    }
+    advance(end, slot);
+  }
+
+  /// A host walk: the unique lines `page_lines` counts per page, plus CPU
+  /// for `processed` records shared by the threads.
+  void walk(std::span<const std::uint32_t> page_lines, std::size_t processed,
+            Slot slot) {
+    const TimeNs cpu = static_cast<double>(processed) *
+                       hcfg_.cpu_ns_per_record / hcfg_.threads;
+    if (log_ != nullptr) {
+      log_->push_back({slot, {}, 0, 0, true,
+                       {page_lines.begin(), page_lines.end()}, processed});
+    }
+    advance(now_ + host::lines_phase_time_ns(page_lines, hcfg_) + cpu, slot);
+  }
+
+ private:
+  const host::HostConfig& hcfg_;
+  std::vector<ScanPhase>* log_ = nullptr;
+  TimeNs now_ = 0;
+  QueryPhaseBreakdown phases_;
+  pim::PowerTracker tracker_;
+};
+
 }  // namespace
 
 void sort_rows(std::vector<ResultRow>& rows,
@@ -261,6 +322,7 @@ class Execution {
         sim_threads_(resolve_threads(opts.sim_threads.value_or(hcfg.sim_threads))),
         vectorized_(!opts.sim_scalar),
         prune_(opts.prune.value_or(hcfg.prune)),
+        clock_(hcfg),
         cancel_(std::move(cancel)),
         results_(q.agg_func, group_maxima(store, q.group_by)) {
     // Selectivity-ordered execution: predicates compile most-selective
@@ -352,23 +414,16 @@ class Execution {
   std::uint32_t rows() const { return cfg_.crossbar_rows; }
   pim::ColumnAlloc& alloc(int part) { return allocs_[part]; }
 
-  void advance_clock(TimeNs phase_end, TimeNs* slot) {
-    const TimeNs dur = phase_end - clock_ + hcfg_.phase_overhead_ns;
-    *slot += dur;
-    clock_ += dur;
+  /// Ends a host-only phase `duration` after the clock's current time.
+  void host_phase(TimeNs duration, Slot slot) {
+    clock_.advance(clock_.now() + duration, slot);
   }
 
   /// Schedules one phase of per-page requests and advances the clock.
   void schedule_phase(const std::vector<pim::RequestTrace>& traces,
-                      std::uint32_t window, TimeNs issue_gap, TimeNs* slot) {
-    host::ScheduleParams params;
-    params.threads = hcfg_.threads;
-    params.window = window;
-    params.issue_gap_ns = issue_gap;
-    const TimeNs end =
-        host::schedule_requests(traces, params, clock_, &tracker_);
+                      std::uint32_t window, TimeNs issue_gap, Slot slot) {
     stats_.pim_requests += traces.size();
-    advance_clock(end, slot);
+    clock_.requests(traces, window, issue_gap, slot);
   }
 
   /// Runs fn(job_index, meter) for every index in [0, n), split across the
@@ -401,7 +456,7 @@ class Execution {
   /// Unlisted pages get no request, no modeled cost, and no functional
   /// effect — zone-map pruning in action.
   void logic_phase(int part, const pim::Program& prog,
-                   const std::vector<std::size_t>& on_pages, TimeNs* slot) {
+                   const std::vector<std::size_t>& on_pages, Slot slot) {
     if (prog.gates.empty() || on_pages.empty()) return;
     // Cooperative checkpoint + fault seam at page-loop entry: unwinding here
     // is clean (no job has touched a crossbar yet), and the check stays off
@@ -422,7 +477,7 @@ class Execution {
   /// modeled (or performed) for them.
   std::vector<BitVec> read_column_phase(
       int part, std::uint16_t col, const std::vector<std::size_t>& on_pages,
-      TimeNs* slot) {
+      Slot slot) {
     cancel_.check();
     fault_point(FaultSeam::kReadback);
     std::vector<BitVec> out(pages());
@@ -443,7 +498,7 @@ class Execution {
   void write_column_phase(int part, std::uint16_t col,
                           const std::vector<BitVec>& bits,
                           const std::vector<std::size_t>& on_pages,
-                          TimeNs* slot) {
+                          Slot slot) {
     std::vector<pim::RequestTrace> traces(on_pages.size());
     run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
       const std::size_t p = on_pages[i];
@@ -502,26 +557,23 @@ class Execution {
   }
 
   /// Charges a host read of `total_lines` result lines (streaming).
-  void line_read_phase(std::size_t total_lines, TimeNs* slot) {
+  void line_read_phase(std::size_t total_lines, Slot slot) {
     const double per_thread =
         std::ceil(static_cast<double>(total_lines) / hcfg_.threads);
     meter_line_reads(total_lines);
-    advance_clock(clock_ + per_thread * hcfg_.line_stream_ns, slot);
+    host_phase(per_thread * hcfg_.line_stream_ns, slot);
   }
 
   /// Charges a host survivor walk: the unique lines `page_lines` counts per
   /// page (read energy, line time) plus per-record CPU for `processed`
   /// records.
   void host_walk_phase(const std::vector<std::uint32_t>& page_lines,
-                       std::size_t processed, TimeNs* slot) {
+                       std::size_t processed, Slot slot) {
     std::size_t unique_lines = 0;
     for (const std::uint32_t n : page_lines) unique_lines += n;
     stats_.host_lines = unique_lines;
     meter_line_reads(unique_lines);
-    const TimeNs cpu = static_cast<double>(processed) *
-                       hcfg_.cpu_ns_per_record / hcfg_.threads;
-    advance_clock(clock_ + host::lines_phase_time_ns(page_lines, hcfg_) + cpu,
-                  slot);
+    clock_.walk(page_lines, processed, slot);
   }
 
   // --- phases ---------------------------------------------------------------
@@ -560,7 +612,7 @@ class Execution {
   /// Unlisted pages provably contribute the fold identity (their select is
   /// statically empty), so skipping them is exact.
   std::uint64_t run_agg_pass(const AggPass& pass, std::uint16_t select_col,
-                             std::uint64_t* out_count, TimeNs* slot,
+                             std::uint64_t* out_count, Slot slot,
                              const std::vector<std::size_t>& on_pages);
 
   /// Aggregates one subgroup (all passes), the filter result AND the
@@ -612,8 +664,7 @@ class Execution {
   /// filter_finish into the member's own clock.
   std::vector<pim::RequestTrace> pending_traces_;
   pim::EnergyMeter meter_;
-  pim::PowerTracker tracker_;
-  TimeNs clock_ = 0;
+  PhaseClock clock_;
   QueryStats stats_;
   /// Effective abort token (empty = every check free); see the ctor.
   CancelToken cancel_;
@@ -700,7 +751,7 @@ void Execution::filter_finish() {
   // empty list (everything synthesized or pruned) means no phase at all.
   if (!pending_traces_.empty()) {
     schedule_phase(pending_traces_, hcfg_.request_window, hcfg_.issue_ns,
-                   &stats_.phases.filter);
+                   &QueryPhaseBreakdown::filter);
     pending_traces_.clear();
   }
   // Synthesis waits until the member's own tail: every batchmate program
@@ -720,14 +771,15 @@ void Execution::filter_finish() {
   } else {
     // two-xb: ship part 1's bits through the host and AND them into part 0.
     transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
-    const std::vector<BitVec> bits = read_column_phase(
-        1, compiled_[1]->result_col, active_pages_, &stats_.phases.transfer);
+    const std::vector<BitVec> bits =
+        read_column_phase(1, compiled_[1]->result_col, active_pages_,
+                          &QueryPhaseBreakdown::transfer);
     write_column_phase(0, transfer_chunk_->offset, bits, active_pages_,
-                       &stats_.phases.transfer);
+                       &QueryPhaseBreakdown::transfer);
     pim::ProgramBuilder pb(alloc(0));
     const std::uint16_t combined =
         pb.emit_and(compiled_[0]->result_col, transfer_chunk_->offset);
-    logic_phase(0, pb.take(), active_pages_, &stats_.phases.transfer);
+    logic_phase(0, pb.take(), active_pages_, &QueryPhaseBreakdown::transfer);
     alloc(0).release(compiled_[0]->result_col);
     alloc(1).release(compiled_[1]->result_col);
     r_col_ = combined;
@@ -772,7 +824,7 @@ void Execution::build_agg_passes() {
 
 std::uint64_t Execution::run_agg_pass(const AggPass& pass,
                                       std::uint16_t select_col,
-                                      std::uint64_t* out_count, TimeNs* slot,
+                                      std::uint64_t* out_count, Slot slot,
                                       const std::vector<std::size_t>& on_pages) {
   const bool want_count = pass.carries_count && out_count != nullptr;
   pim::AggRequest req;
@@ -902,7 +954,7 @@ std::uint64_t Execution::run_agg_pass(const AggPass& pass,
 
 std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
     const std::vector<sql::BoundPredicate>& match, bool update_mask) {
-  TimeNs* slot = &stats_.phases.pim_gb;
+  const Slot slot = &QueryPhaseBreakdown::pim_gb;
   const bool whole = match.empty();
 
   // Zone-map pruning, per subgroup: pages where the sketches refute the
@@ -1022,7 +1074,7 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
 // ---------------------------------------------------------------------------
 
 GroupFold Execution::sample_phase() {
-  TimeNs* slot = &stats_.phases.sample;
+  const Slot slot = &QueryPhaseBreakdown::sample;
 
   // Read the filter bits of one page (32 K records), single thread. When
   // the zone maps skipped page 0, its select is statically empty — the
@@ -1035,7 +1087,7 @@ GroupFold Execution::sample_phase() {
     pim::RequestTrace t =
         pim::read_bit_column(store_.page(0, 0), r_col_, hcfg_.line_stream_ns,
                              cfg_, &meter_, &bits, vectorized_);
-    advance_clock(clock_ + t.duration_ns, slot);
+    host_phase(t.duration_ns, slot);
     ++stats_.pim_requests;
   }
 
@@ -1057,7 +1109,7 @@ GroupFold Execution::sample_phase() {
       static_cast<double>(rs.unique_lines()) * hcfg_.line_random_ns +
       static_cast<double>(hits) * hcfg_.cpu_ns_per_sample;
   meter_line_reads(rs.unique_lines());
-  advance_clock(clock_ + read_ns, slot);
+  host_phase(read_ns, slot);
 
   stats_.sampled_subgroups = counts.size();
   selectivity_est_ = valid > 0 ? static_cast<double>(hits) / valid : 0.0;
@@ -1185,7 +1237,7 @@ void Execution::plan_phase() {
   in.candidates_complete = candidates_complete_;
   const GroupByPlan plan = choose_k(models_, in);
   chosen_k_ = plan.k;
-  advance_clock(clock_ + hcfg_.plan_overhead_ns, &stats_.phases.plan);
+  host_phase(hcfg_.plan_overhead_ns, &QueryPhaseBreakdown::plan);
 }
 
 // ---------------------------------------------------------------------------
@@ -1211,7 +1263,7 @@ void Execution::pim_gb_phase() {
 // ---------------------------------------------------------------------------
 
 void Execution::host_gb_phase() {
-  TimeNs* slot = &stats_.phases.host_gb;
+  const Slot slot = &QueryPhaseBreakdown::host_gb;
 
   // Residual selection R' = R AND NOT mask (mask = union of pim-gb groups).
   std::uint16_t residual = r_col_;
@@ -1335,8 +1387,8 @@ std::size_t Execution::walk_records(std::size_t p, const BitVec& bits,
 void Execution::finalize_phase() {
   rows_ = results_.rows();
   sort_rows(rows_, q_.order_by);
-  advance_clock(clock_ + static_cast<double>(rows_.size()) * 50.0,
-                &stats_.phases.finalize);
+  host_phase(static_cast<double>(rows_.size()) * 50.0,
+             &QueryPhaseBreakdown::finalize);
 }
 
 // ---------------------------------------------------------------------------
@@ -1405,7 +1457,8 @@ QueryOutput Execution::finish_query() {
 }
 
 void Execution::finish_stats() {
-  stats_.total_ns = clock_;
+  stats_.total_ns = clock_.now();
+  stats_.phases = clock_.phases();
   const pim::EnergyBreakdown energy = pim::energy_breakdown(meter_);
   stats_.energy_j = energy.total;
   stats_.energy_logic_j = energy.logic;
@@ -1413,7 +1466,7 @@ void Execution::finish_stats() {
   stats_.energy_write_j = energy.write;
   stats_.energy_controller_j = energy.controller;
   stats_.energy_agg_circuit_j = energy.agg_circuit;
-  stats_.peak_chip_w = tracker_.peak_module_w() / cfg_.chips;
+  stats_.peak_chip_w = clock_.peak_module_w() / cfg_.chips;
   stats_.wear_row_writes = store_.module().max_row_writes();
 }
 
@@ -1526,15 +1579,15 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
 // ---------------------------------------------------------------------------
 
 ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
-  filter_finish();
-
   ScanOutput out;
+  clock_.log_to(&out.phases);
+  filter_finish();
   out.columns.resize(attrs.size());
 
   // Statically empty: every page refuted by the zone maps — the host knows
   // there are no survivors without a single readback.
   if (!(prune_ && active_pages_.empty())) {
-    TimeNs* slot = &stats_.phases.host_gb;
+    const Slot slot = &QueryPhaseBreakdown::host_gb;
     const std::vector<BitVec> bits =
         read_column_phase(0, r_col_, active_pages_, slot);
 
@@ -1738,12 +1791,16 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
     }
   }
   per_cycle.ns = cfg.logic_cycle_ns;
+  // Compiled through the store's filter cache: a repeated text prices its
+  // candidates and prefixes without compiling them again.
   const auto cycles = [&](const std::vector<sql::BoundPredicate>& f) {
     double n = 0;
     for (int part = 0; part < store.parts(); ++part) {
       pim::ColumnAlloc alloc = store.layout(part).make_alloc();
-      n += static_cast<double>(
-          compile_filter(f, store.layout(part), alloc).program.gates.size());
+      n += static_cast<double>(store.filter_cache()
+                                   .get_or_compile(f, part, store.layout(part),
+                                                   alloc)
+                                   ->program.gates.size());
     }
     return n;
   };
@@ -1801,6 +1858,48 @@ std::vector<sql::BoundPredicate> PimQueryEngine::with_semijoins(
   }
   prefix.resize(filters.size() + best_len);
   return prefix;
+}
+
+QueryStats price_concurrent_scans(std::span<const ScanOutput> scans,
+                                  const host::HostConfig& hcfg,
+                                  const pim::PimConfig& pim) {
+  QueryStats stage;
+  for (const ScanOutput& scan : scans) stage.merge(scan.stats, false);
+  // A scan logs its phases in slot order and drops a phase only with the
+  // rest of its slot (the two-xb AND, the read and walk of an empty scan),
+  // so the i-th phase of one slot is the same phase in every scan.
+  PhaseClock clock(hcfg);
+  for (const Slot slot :
+       {&QueryPhaseBreakdown::filter, &QueryPhaseBreakdown::transfer,
+        &QueryPhaseBreakdown::host_gb}) {
+    for (std::size_t nth = 0;; ++nth) {
+      const ScanPhase* some = nullptr;  // one scan's instance of the phase
+      std::vector<pim::RequestTrace> traces;
+      std::vector<std::uint32_t> page_lines;
+      std::size_t processed = 0;
+      for (const ScanOutput& scan : scans) {
+        std::size_t seen = 0;
+        for (const ScanPhase& ph : scan.phases) {
+          if (ph.slot != slot || seen++ != nth) continue;
+          some = &ph;
+          traces.insert(traces.end(), ph.traces.begin(), ph.traces.end());
+          page_lines.insert(page_lines.end(), ph.page_lines.begin(),
+                            ph.page_lines.end());
+          processed += ph.processed;
+        }
+      }
+      if (some == nullptr) break;
+      if (some->walk) {
+        clock.walk(page_lines, processed, slot);
+      } else {
+        clock.requests(traces, some->window, some->issue_gap_ns, slot);
+      }
+    }
+  }
+  stage.total_ns = clock.now();
+  stage.phases = clock.phases();
+  stage.peak_chip_w = clock.peak_module_w() / pim.chips;
+  return stage;
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@
 #include <exception>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -39,6 +40,8 @@
 #include "engine/pim_store.hpp"
 #include "host/config.hpp"
 #include "pim/agg_circuit.hpp"
+#include "pim/config.hpp"
+#include "pim/controller.hpp"
 #include "pim/trackers.hpp"
 #include "sql/logical_plan.hpp"
 
@@ -78,6 +81,9 @@ struct QueryStats {
   std::size_t pim_subgroups = 0;      ///< chosen k (Table II "PIM agg")
   std::size_t host_lines = 0;         ///< unique record lines read by host-gb
   std::size_t pim_requests = 0;
+  /// Star joins: the modeled time of the dimension stage, a share of
+  /// total_ns (0 for single-table queries).
+  TimeNs dims_ns = 0;
 
   // Planner inputs (exported so benches can re-evaluate Equation 3 at other
   // relation sizes, e.g. the paper's M = 1831 pages at SF = 10).
@@ -124,17 +130,23 @@ struct QueryStats {
   /// Records the filter's survivors: their count and fraction of `rows`.
   void set_selected(std::size_t selected, std::size_t rows);
 
-  /// Adds one per-table scan of a star join (or the join's host build /
-  /// probe / finalize term) into the join's stats, every field by its
-  /// BBPIM_QUERY_STATS_FIELDS rule; `fact` marks the fact table's scan.
+  /// Adds one part of a star join into the join's stats, every field by its
+  /// BBPIM_QUERY_STATS_FIELDS rule: a dimension scan into the dimension
+  /// stage (price_concurrent_scans), or one of the join's stages — the
+  /// dimension stage, the fact scan, the host build / probe / finalize
+  /// term — into the join. `fact` marks the fact table's scan.
   void merge(const QueryStats& part, bool fact);
 };
 
-/// How QueryStats::merge folds a star join's per-table scans into one.
+/// How QueryStats::merge folds the parts of a star join into one.
 enum class StatMerge {
-  kSum,   ///< the scans run back to back: latency, energy and work add up
+  kSum,   ///< adds up: every scan's energy, work and traffic, and the time
+          ///< of the join's stages, which run one after another (inside
+          ///< the dimension stage, price_concurrent_scans replaces the
+          ///< scans' summed time by their shared schedule)
   kMax,   ///< each scan is its own device epoch: the worst scan's peak
-          ///< power and worst-row wear
+          ///< power and worst-row wear (the dimension stage's peak power
+          ///< comes from its shared schedule)
   kFact,  ///< the join's result semantics: the fact scan's value
   kNone,  ///< no join meaning (group-by planner, batching): left as is
 };
@@ -173,6 +185,7 @@ enum class StatClass {
   X(pim_subgroups, kNone, kPlan)                 \
   X(host_lines, kSum, kCost)                     \
   X(pim_requests, kSum, kCost)                   \
+  X(dims_ns, kSum, kCost)                        \
   X(n_chunks, kNone, kPlan)                      \
   X(s_chunks, kNone, kPlan)                      \
   X(selectivity_estimate, kNone, kPlan)          \
@@ -233,6 +246,26 @@ struct QueryOutput {
   QueryStats stats;
 };
 
+/// One barrier-delimited phase of a filter-only scan as the host model
+/// schedules it, logged so that several scans can be scheduled as one
+/// stage (price_concurrent_scans). A PIM scan logs, in order: the filter
+/// programs (slot `filter`); on two-xb, the transfer's result-bit read,
+/// column write and AND (slot `transfer`); the result-bit read and the
+/// survivor walk (slot `host_gb`). Any of them may be missing — no gate
+/// program to run, or pages pruned away — and the rest keep their order.
+struct ScanPhase {
+  /// The QueryPhaseBreakdown field the phase's time lands in.
+  TimeNs QueryPhaseBreakdown::*slot = nullptr;
+  /// A request phase: one trace per page, issued as schedule_requests does.
+  std::vector<pim::RequestTrace> traces;
+  std::uint32_t window = 0;
+  TimeNs issue_gap_ns = 0;
+  /// The survivor walk instead: unique host lines per page, records walked.
+  bool walk = false;
+  std::vector<std::uint32_t> page_lines;
+  std::size_t processed = 0;
+};
+
 /// Survivors of a filter-only scan (the feeder of the host hash join):
 /// global record ids plus the requested attribute codes, aligned so that
 /// columns[i][k] is attribute attrs[i] of record row_ids[k]. Rows appear in
@@ -243,7 +276,23 @@ struct ScanOutput {
   std::vector<std::uint64_t> row_ids;
   std::vector<std::vector<std::uint64_t>> columns;
   QueryStats stats;
+  /// The phases behind stats' modeled time (empty for the host baselines).
+  std::vector<ScanPhase> phases;
 };
+
+/// Prices scans over disjoint pages as one concurrent stage: a star join's
+/// dimension scans, which the simulator runs one after another. The host
+/// model of Section V-A applies to the union of the scans' pages: each
+/// phase any scan runs is scheduled once, over the union of the scans'
+/// requests or walk lines, with the host's `threads` workers owning whole
+/// pages of that union, and ends in one phase_overhead_ns barrier. The
+/// stage's total_ns, phases and peak_chip_w come from that schedule; every
+/// other field merges by its BBPIM_QUERY_STATS_FIELDS rule, so energy,
+/// wear, host lines and requests are the scans' own. One scan prices
+/// exactly as it ran alone.
+QueryStats price_concurrent_scans(std::span<const ScanOutput> scans,
+                                  const host::HostConfig& hcfg,
+                                  const pim::PimConfig& pim);
 
 struct ExecOptions {
   /// Bypass the planner and aggregate exactly this many subgroups with PIM

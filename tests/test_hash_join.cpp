@@ -1,10 +1,11 @@
 // Tests for the multi-table join path: normalized SSB flights 1-4 must be
 // row-identical to the pre-joined execution (the acceptance bar of the
 // normalized schema), on the reference backend for all 13 queries and on
-// the one-xb PIM engine end to end. Plus the host hash join's duplicate-key
-// cross product, empty build sides, the Database-scope plan cache, EXPLAIN
-// of the join tree, and the backends that must refuse. Plus the group index
-// every host-side fold shares (TupleIndex, GroupFold).
+// the one-xb PIM engine end to end. Plus the dimension stage's shared
+// schedule, the skipped fact scan of an empty join, the host hash join's
+// duplicate-key cross product, empty build sides, the Database-scope plan
+// cache, EXPLAIN of the join tree, and the backends that must refuse. Plus
+// the group index every host-side fold shares (TupleIndex, GroupFold).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,14 +13,17 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "db/db.hpp"
+#include "engine/filter_compiler.hpp"
 #include "engine/group_index.hpp"
 #include "engine/hash_join.hpp"
+#include "engine_test_util.hpp"
 #include "ssb/dbgen.hpp"
 #include "ssb/names.hpp"
 #include "ssb/queries.hpp"
@@ -667,19 +671,231 @@ TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
   EXPECT_EQ(none.key_fraction, 0.0);
 }
 
+/// The scans of a join's dimensions with their own filters (dimension
+/// order), and the join inputs they give (the fact's entry left empty).
+struct DimensionScans {
+  std::vector<engine::ScanOutput> scans;
+  std::vector<engine::JoinScanInput> inputs;
+};
+
+DimensionScans scan_dimensions(db::Session& session, db::BackendKind backend,
+                               const sql::BoundJoin& jp) {
+  const auto attrs = engine::join_scan_attrs(jp);
+  DimensionScans d;
+  d.inputs.resize(jp.table_names.size());
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    if (t == jp.fact) continue;
+    d.scans.push_back(session.executor(backend, jp.table_names[t])
+                          .execute_scan(jp.filters[t], attrs[t], {}));
+    d.inputs[t].columns = d.scans.back().columns;
+  }
+  return d;
+}
+
 TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
   JoinWorld& w = world();
   db::Session session(w.normalized);
-  // No date survives, so the fact scan takes a statically false semijoin
-  // predicate: not one lineorder record is read back or probed.
-  const db::ResultSet rs = session.execute(
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  // A group-free text whose date filter keeps no day, and Q3.3, whose
+  // supplier city pair selects no supplier at this scale: the inner join
+  // is empty, so the fact is never scanned. Nothing of lineorder is
+  // filtered, read back or probed, yet its version is still pinned.
+  const std::string group_free =
       "SELECT SUM(lo_extendedprice) AS s FROM lineorder, date "
-      "WHERE lo_orderdate = d_datekey AND d_year = 1900",
-      db::BackendKind::kOneXb);
-  ASSERT_EQ(rs.row_count(), 1u);
-  EXPECT_EQ(rs.integer(0, 0), 0);
-  EXPECT_EQ(rs.stats().selected_records, 0u);
-  EXPECT_EQ(rs.stats().host_lines, 0u);
+      "WHERE lo_orderdate = d_datekey AND d_year = 1900";
+  const std::string grouped(ssb::query("3.3").sql);
+  for (const std::string& sql : {group_free, grouped}) {
+    SCOPED_TRACE(sql);
+    const db::PreparedStatement st = session.prepare(sql);
+    const sql::BoundJoin& jp = st.join();
+    const DimensionScans dims = scan_dimensions(session, backend, jp);
+    ASSERT_TRUE(engine::join_is_empty(jp, dims.inputs));
+    const engine::QueryStats stage = engine::price_concurrent_scans(
+        dims.scans, session.options().host, session.options().pim);
+
+    const db::ResultSet rs = st.execute(backend);
+    EXPECT_EQ(rs.rows(), session.execute(sql, db::BackendKind::kReference)
+                             .rows());
+    if (jp.has_group_by()) {
+      EXPECT_EQ(rs.row_count(), 0u);
+    } else {
+      ASSERT_EQ(rs.row_count(), 1u);
+      EXPECT_EQ(rs.integer(0, 0), 0);
+    }
+    // The dimension stage is all the PIM work there is.
+    EXPECT_EQ(rs.stats().selected_records, 0u);
+    EXPECT_EQ(rs.stats().pim_requests, stage.pim_requests);
+    EXPECT_EQ(rs.stats().energy_j, stage.energy_j);
+    EXPECT_EQ(rs.stats().host_lines, stage.host_lines);
+    EXPECT_EQ(rs.stats().dims_ns, stage.total_ns);
+    ASSERT_EQ(rs.table_versions().size(), jp.table_names.size());
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      EXPECT_EQ(rs.table_versions()[t].first, jp.table_names[t]);
+    }
+    EXPECT_EQ(rs.table_versions()[jp.fact].first, "lineorder");
+  }
+}
+
+// A join with one dimension has a stage of one scan, which prices exactly
+// as that scan ran alone: the join's stats are its scans and its host join
+// added up back to back, to the last bit.
+TEST(HashJoin, OneDimensionJoinPricesAsItsScansInTurn) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  for (const char* id : {"1.1", "1.2", "1.3"}) {
+    SCOPED_TRACE(id);
+    const db::PreparedStatement st = session.prepare(ssb::query(id).sql);
+    const sql::BoundJoin& jp = st.join();
+    const auto attrs = engine::join_scan_attrs(jp);
+    DimensionScans dims = scan_dimensions(session, backend, jp);
+    ASSERT_EQ(dims.scans.size(), 1u);
+    const engine::QueryStats& dim = dims.scans.front().stats;
+    EXPECT_TRUE(engine::stats_equal(
+        engine::price_concurrent_scans(dims.scans, session.options().host,
+                                       session.options().pim),
+        dim, {engine::StatClass::kCost}));
+
+    std::vector<std::size_t> rows(jp.table_names.size());
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
+    }
+    db::Executor& fact = session.executor(backend, "lineorder");
+    engine::ScanOutput fact_scan = fact.execute_scan(
+        fact.semijoin_filters(
+            jp.filters[jp.fact],
+            engine::semijoin_candidates(jp, dims.inputs, rows),
+            attrs[jp.fact], jp.builds.size()),
+        attrs[jp.fact], {});
+    dims.inputs[jp.fact].columns = std::move(fact_scan.columns);
+    const engine::JoinOutput joined =
+        engine::hash_join_execute(jp, dims.inputs, session.options().host);
+    engine::QueryStats host;
+    host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
+    host.phases.finalize = joined.stats.finalize_ns;
+    host.total_ns = host.phases.host_gb + host.phases.finalize;
+    engine::QueryStats want;
+    want.merge(dim, false);
+    want.merge(fact_scan.stats, true);
+    want.merge(host, false);
+    want.dims_ns = dim.total_ns;
+
+    const db::ResultSet rs = st.execute(backend);
+    EXPECT_EQ(rs.rows(), joined.rows);
+    EXPECT_TRUE(engine::stats_equal(
+        rs.stats(), want,
+        {engine::StatClass::kCost, engine::StatClass::kPlan}));
+  }
+}
+
+// Several dimensions share one stage: every phase is scheduled once over
+// the union of their pages and pays one barrier, so the stage ends sooner
+// than the scans back to back but no sooner than the slowest scan alone.
+// Work, energy and wear are the scans' own, and a stage of one scan prices
+// exactly as the scan alone, with pruned pages too.
+TEST(HashJoin, DimensionScansPriceAsOneConcurrentStage) {
+  JoinWorld& w = world();
+  for (const bool prune : {false, true}) {
+    db::SessionOptions opts;
+    opts.host.prune = prune;
+    db::Session session(w.normalized, opts);
+    const db::BackendKind backend = db::BackendKind::kOneXb;
+    {
+      for (const char* id : {"2.1", "3.1", "4.1", "4.3"}) {
+        SCOPED_TRACE(std::string(id) + (prune ? ", pruned" : ""));
+        const db::PreparedStatement st = session.prepare(ssb::query(id).sql);
+        const DimensionScans dims =
+            scan_dimensions(session, backend, st.join());
+        ASSERT_GE(dims.scans.size(), 2u);
+        const auto stage_of = [&](std::span<const engine::ScanOutput> scans) {
+          return engine::price_concurrent_scans(scans, opts.host, opts.pim);
+        };
+        const engine::QueryStats stage = stage_of(dims.scans);
+        engine::QueryStats in_turn;
+        double slowest = 0;
+        for (const engine::ScanOutput& scan : dims.scans) {
+          EXPECT_TRUE(engine::stats_equal(stage_of({&scan, 1}), scan.stats,
+                                          {engine::StatClass::kCost}));
+          in_turn.merge(scan.stats, false);
+          slowest = std::max(slowest, scan.stats.total_ns);
+        }
+        EXPECT_LT(stage.total_ns, in_turn.total_ns);
+        EXPECT_GE(stage.total_ns, slowest);
+        // A phase every scan runs pays its barrier once, not once per scan.
+        const double saved_barriers =
+            static_cast<double>(dims.scans.size() - 1) *
+            opts.host.phase_overhead_ns;
+        EXPECT_LE(stage.total_ns, in_turn.total_ns - saved_barriers);
+        EXPECT_EQ(stage.energy_j, in_turn.energy_j);
+        EXPECT_EQ(stage.pim_requests, in_turn.pim_requests);
+        EXPECT_EQ(stage.host_lines, in_turn.host_lines);
+        EXPECT_EQ(stage.wear_row_writes, in_turn.wear_row_writes);
+        EXPECT_EQ(st.execute(backend).stats().dims_ns, stage.total_ns);
+      }
+    }
+  }
+}
+
+// The SSB dimensions are too narrow to split over two crossbars, so two-xb
+// scans of synthetic relations check the transfer's three phases: each
+// scan alone prices as it ran, and two scans share their transfer.
+TEST(HashJoin, TwoXbScansShareTheirTransferPhases) {
+  testutil::EngineFixture a(engine::EngineKind::kTwoXb, 900, 31);
+  testutil::EngineFixture b(engine::EngineKind::kTwoXb, 500, 7);
+  const std::string sql =
+      "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND d_tag <= 4";
+  const std::vector<engine::ScanOutput> scans = {
+      a.engine->execute_scan(a.bind_sql(sql).filters, {1, 4}, {}),
+      b.engine->execute_scan(b.bind_sql(sql).filters, {1, 4}, {})};
+  const auto stage_of = [&](std::span<const engine::ScanOutput> s) {
+    return engine::price_concurrent_scans(s, a.hcfg, a.cfg);
+  };
+  for (const engine::ScanOutput& scan : scans) {
+    EXPECT_GT(scan.stats.phases.transfer, 0.0);
+    EXPECT_TRUE(engine::stats_equal(stage_of({&scan, 1}), scan.stats,
+                                    {engine::StatClass::kCost}));
+  }
+  const engine::QueryStats stage = stage_of(scans);
+  EXPECT_LT(stage.phases.transfer,
+            scans[0].stats.phases.transfer + scans[1].stats.phases.transfer);
+  EXPECT_GE(stage.phases.transfer, std::max(scans[0].stats.phases.transfer,
+                                            scans[1].stats.phases.transfer));
+  EXPECT_LT(stage.total_ns, scans[0].stats.total_ns + scans[1].stats.total_ns);
+}
+
+// Semijoin pricing compiles its candidates and prefixes through each
+// store's filter cache: after one pass over the 13 texts a second pass
+// compiles nothing, and its cache hits exceed the scans' own lookups by
+// the pricing's.
+TEST(HashJoin, WarmRepeatPricesSemijoinsFromTheFilterCache) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  for (const ssb::SsbQuery& q : ssb::queries()) session.execute(q.sql, backend);
+  const auto cache_counts = [&] {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    for (const char* table :
+         {"lineorder", "date", "customer", "supplier", "part"}) {
+      const engine::FilterCache& cache =
+          session.pim_engine(engine::EngineKind::kOneXb, table)
+              .store()
+              .filter_cache();
+      hits += cache.hit_count();
+      misses += cache.miss_count();
+    }
+    return std::pair{hits, misses};
+  };
+  const auto [hits_before, misses_before] = cache_counts();
+  std::size_t scan_hits = 0;
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    const db::ResultSet rs = session.execute(q.sql, backend);
+    EXPECT_EQ(rs.stats().filter_cache_misses, 0u) << "q" << q.id;
+    scan_hits += rs.stats().filter_cache_hits;
+  }
+  const auto [hits_after, misses_after] = cache_counts();
+  EXPECT_EQ(misses_after, misses_before);
+  EXPECT_GT(hits_after - hits_before, scan_hits);
 }
 
 TEST(HashJoin, QualifiedColumnsRunOnBothCatalogs) {

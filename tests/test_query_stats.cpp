@@ -130,7 +130,7 @@ TEST(QueryStatsSpine, ClassesAreTheBenchComparatorFieldSets) {
                       "energy_logic_j", "energy_read_j", "energy_write_j",
                       "energy_controller_j", "energy_agg_circuit_j",
                       "peak_chip_w", "wear_row_writes", "host_lines",
-                      "pim_requests"}));
+                      "pim_requests", "dims_ns"}));
   EXPECT_EQ(plan, (std::vector<std::string>{
                       "selectivity", "selected_records", "total_subgroups",
                       "sampled_subgroups", "pim_subgroups", "n_chunks",

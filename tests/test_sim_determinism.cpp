@@ -7,6 +7,9 @@
 // promise covers the vectorized kernels against the scalar baseline. These
 // tests pin that contract for all three engine kinds.
 //
+// The star-join path is held to the same promise end to end: the dimension
+// stage, the semijoin-reduced fact scan and the host join of every SSB text.
+//
 // The serial runs are also pinned to golden modeled values (hex-float
 // literals compared with ==): any change to the cost model or to the order
 // in which the engine accumulates it shows up here as an exact diff.
@@ -15,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "db/db.hpp"
 #include "engine_test_util.hpp"
+#include "ssb/dbgen.hpp"
+#include "ssb/queries.hpp"
 
 namespace bbpim::engine {
 namespace {
@@ -354,6 +360,37 @@ TEST(SimDeterminism, GoldenScan) {
                   0x0p+0},
                  146},
                 "scan");
+}
+
+/// Star joins: all 13 SSB texts on the normalized catalog through the
+/// facade, at 1 and 4 simulation threads. Rows, cost and plan stats are
+/// bit-identical, and so are the pinned table versions.
+TEST(SimDeterminism, StarJoinsMatchAcrossThreadCounts) {
+  ssb::SsbConfig cfg;
+  cfg.scale_factor = 0.01;
+  const ssb::SsbData data = ssb::generate(cfg);
+  db::Database normalized;
+  for (const rel::Table* t : {&data.lineorder, &data.date, &data.customer,
+                              &data.supplier, &data.part}) {
+    normalized.attach_table(*t);
+  }
+  db::Session serial(normalized);
+  db::Session parallel(normalized);
+  ExecOptions one;
+  one.sim_threads = 1;
+  ExecOptions four;
+  four.sim_threads = 4;
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    SCOPED_TRACE(std::string("q") + std::string(q.id));
+    const db::ResultSet a = serial.execute(q.sql, db::BackendKind::kOneXb, one);
+    const db::ResultSet b =
+        parallel.execute(q.sql, db::BackendKind::kOneXb, four);
+    EXPECT_EQ(a.rows(), b.rows());
+    EXPECT_TRUE(stats_equal(a.stats(), b.stats(),
+                            {StatClass::kCost, StatClass::kPlan}));
+    EXPECT_GT(a.stats().dims_ns, 0.0);
+    EXPECT_EQ(a.table_versions(), b.table_versions());
+  }
 }
 
 /// The knob also threads through HostConfig (the facade path).
