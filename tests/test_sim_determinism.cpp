@@ -362,9 +362,91 @@ TEST(SimDeterminism, GoldenScan) {
                 "scan");
 }
 
+/// Golden modeled stats of one star join: the single-table fields plus the
+/// dimension stage's time and the fact scan's survivors.
+struct JoinGolden {
+  Golden cost;
+  TimeNs dims_ns;
+  std::size_t selected_records;
+};
+
+/// The 13 SSB texts in ssb::queries() order on the normalized catalog at
+/// SF 0.01, one-xb, one sim thread.
+const std::vector<JoinGolden>& join_golden() {
+  static const std::vector<JoinGolden> goldens = {
+      {{0x1.23637p+20, 0x1.828ee5fe66a35p-18,
+        {0x1.b418p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.081edp+20,
+         0x1.9p+5},
+        326},
+       0x1.7cd66p+18, 1086},
+      {{0x1.4d20cp+19, 0x1.23ac0fb5643e6p-18,
+        {0x1.c00cp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1519p+19,
+         0x1.9p+5},
+        396},
+       0x1.3b662p+18, 57},
+      {{0x1.3d6fap+19, 0x1.10ba20bd22a5p-18,
+        {0x1.bcc4p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.05d0ep+19,
+         0x1.9p+5},
+        360},
+       0x1.36dd2p+18, 10},
+      {{0x1.b1a79p+20, 0x1.08db962d4c54ap-17,
+        {0x1.a824p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.9521bp+20,
+         0x1.01dp+13},
+        260},
+       0x1.ca371p+19, 895},
+      {{0x1.417d4p+20, 0x1.c8bcb50382d76p-18,
+        {0x1.c174p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.2517ep+20,
+         0x1.388p+10},
+        320},
+       0x1.cc4dcp+19, 59},
+      {{0x1.385eep+20, 0x1.a0096154a0bb4p-18,
+        {0x1.afep+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1d4e2p+20,
+         0x1.2cp+8},
+        294},
+       0x1.ca794p+19, 13},
+      {{0x1.f785bp+20, 0x1.4f6926efe3efap-17,
+        {0x1.c8b8p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.d9289p+20,
+         0x1.d1ap+12},
+        346},
+       0x1.cc4a1p+19, 1728},
+      {{0x1.455c3p+20, 0x1.dceebfe058868p-18,
+        {0x1.c66p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.285d1p+20,
+         0x1.324p+11},
+        326},
+       0x1.cc327p+19, 87},
+      {{0x1.cfee6p+19, 0x1.1b102aeeff469p-18,
+        {0x1.b9b8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.b452ep+19,
+         0x0p+0},
+        218},
+       0x1.cc2efp+19, 0},
+      {{0x1.47848p+18, 0x1.48d61ba529736p-19,
+        {0x1.9bb8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.140d8p+18,
+         0x0p+0},
+        90},
+       0x1.4766cp+18, 0},
+      {{0x1.070b1p+21, 0x1.73eb6e27b4072p-17,
+        {0x1.ba3p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f205cp+20,
+         0x1.b58p+10},
+        404},
+       0x1.cbe11p+19, 1554},
+      {{0x1.7f9be8p+20, 0x1.71ce9238b4d88p-17,
+        {0x1.e064p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.607628p+20,
+         0x1.1f8p+12},
+        636},
+       0x1.b2fe2p+19, 443},
+      {{0x1.173678p+20, 0x1.16a5e5e434d32p-17,
+        {0x1.d308p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f3183p+19,
+         0x1.e78p+10},
+        522},
+       0x1.72ef4p+19, 57},
+  };
+  return goldens;
+}
+
 /// Star joins: all 13 SSB texts on the normalized catalog through the
 /// facade, at 1 and 4 simulation threads. Rows, cost and plan stats are
-/// bit-identical, and so are the pinned table versions.
+/// bit-identical, and so are the pinned table versions. The serial runs
+/// match their goldens.
 TEST(SimDeterminism, StarJoinsMatchAcrossThreadCounts) {
   ssb::SsbConfig cfg;
   cfg.scale_factor = 0.01;
@@ -380,9 +462,14 @@ TEST(SimDeterminism, StarJoinsMatchAcrossThreadCounts) {
   one.sim_threads = 1;
   ExecOptions four;
   four.sim_threads = 4;
-  for (const ssb::SsbQuery& q : ssb::queries()) {
+  ASSERT_EQ(join_golden().size(), ssb::queries().size());
+  for (std::size_t i = 0; i < ssb::queries().size(); ++i) {
+    const ssb::SsbQuery& q = ssb::queries()[i];
     SCOPED_TRACE(std::string("q") + std::string(q.id));
     const db::ResultSet a = serial.execute(q.sql, db::BackendKind::kOneXb, one);
+    expect_golden(a.stats(), join_golden()[i].cost, "serial");
+    EXPECT_EQ(a.stats().dims_ns, join_golden()[i].dims_ns);
+    EXPECT_EQ(a.stats().selected_records, join_golden()[i].selected_records);
     const db::ResultSet b =
         parallel.execute(q.sql, db::BackendKind::kOneXb, four);
     EXPECT_EQ(a.rows(), b.rows());
