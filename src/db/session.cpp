@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "engine/fault_injector.hpp"
 #include "engine/hash_join.hpp"
 #include "engine/pim_store.hpp"
-#include "engine/prejoin.hpp"
 #include "pim/module.hpp"
 #include "sql/parser.hpp"
 #include "ssb/dbgen.hpp"
@@ -129,10 +127,13 @@ class PimExecutor final : public Executor {
     return observed_version_;
   }
 
-  std::uint64_t pin_version() override {
+  /// The store at the version a read through this executor would see now,
+  /// pinned without reading (last_data_version() reports it): a join prices
+  /// its fact scan on it, and reports it when the scan is skipped.
+  engine::PimStore& pin_store() {
     refresh();
     observed_version_ = snap_->version();
-    return observed_version_;
+    return store_;
   }
 
   engine::ScanOutput execute_scan(
@@ -143,24 +144,6 @@ class PimExecutor final : public Executor {
     engine::ScanOutput out = engine_.execute_scan(filters, attrs, opts);
     observed_version_ = snap_->version();
     return out;
-  }
-
-  std::vector<sql::BoundPredicate> semijoin_filters(
-      const std::vector<sql::BoundPredicate>& filters,
-      const std::vector<engine::SemijoinCandidate>& candidates,
-      const std::vector<std::size_t>& attrs,
-      std::size_t probe_builds) override {
-    refresh();  // price against the version the scan will read
-    return engine_.with_semijoins(filters, candidates, attrs, probe_builds);
-  }
-
-  std::string explain(const sql::BoundQuery& q) override {
-    return engine::explain_query(q, store_);
-  }
-
-  std::string explain_scan(
-      const std::vector<sql::BoundPredicate>& filters) override {
-    return engine::explain_scan(filters, store_);
   }
 
   void ensure_models() {
@@ -297,6 +280,41 @@ class ReferenceExecutor final : public Executor {
   Database* db_;
   const rel::Table* table_;
 };
+
+/// A star join's dimension scans through `session`'s executors, each
+/// snapshot-pinned, then the engine's plan for the rest
+/// (engine::plan_star_join), priced on the fact's PIM store at the version
+/// pinned after them.
+engine::StarJoin plan_join(Session& session, const Plan& plan,
+                           BackendKind backend,
+                           const engine::ExecOptions& opts) {
+  const sql::BoundJoin& jp = plan.join;
+  const auto attrs = engine::join_scan_attrs(jp);
+  std::vector<engine::ScanOutput> scans(jp.table_names.size());
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    if (t == jp.fact) continue;
+    scans[t] = session.executor_for(backend, *plan.join_tables[t])
+                   .execute_scan(jp.filters[t], attrs[t], opts);
+  }
+  auto* pim = dynamic_cast<PimExecutor*>(
+      &session.executor_for(backend, *plan.join_tables[jp.fact]));
+  return engine::plan_star_join(jp, std::move(scans), plan.join_tables,
+                                pim != nullptr ? &pim->pin_store() : nullptr,
+                                session.options().host);
+}
+
+/// The store EXPLAIN renders `table` from on `backend`; throws
+/// std::invalid_argument for the host baselines, which have none.
+const engine::PimStore& explained_store(Session& session, BackendKind backend,
+                                        const rel::Table& table) {
+  auto* pim = dynamic_cast<PimExecutor*>(&session.executor_for(backend, table));
+  if (pim == nullptr) {
+    throw std::invalid_argument(std::string("explain: backend '") +
+                                backend_name(backend) +
+                                "' has no physical plan rendering");
+  }
+  return pim->engine().store();
+}
 
 }  // namespace
 
@@ -457,12 +475,6 @@ UpdateResult Executor::execute_update(const sql::BoundUpdate&,
       "catalog table; route updates through a PIM backend)");
 }
 
-std::string Executor::explain(const sql::BoundQuery&) {
-  throw std::invalid_argument(std::string("explain: backend '") +
-                              backend_name(backend()) +
-                              "' has no physical plan rendering");
-}
-
 engine::ScanOutput Executor::execute_scan(
     const std::vector<sql::BoundPredicate>&, const std::vector<std::size_t>&,
     const engine::ExecOptions&) {
@@ -470,19 +482,6 @@ engine::ScanOutput Executor::execute_scan(
       std::string("execute: backend '") + backend_name(backend()) +
       "' has no per-table scan path (joins run on PIM or reference "
       "backends; the columnar baseline models pre-joined plans only)");
-}
-
-std::vector<sql::BoundPredicate> Executor::semijoin_filters(
-    const std::vector<sql::BoundPredicate>& filters,
-    const std::vector<engine::SemijoinCandidate>&,
-    const std::vector<std::size_t>&, std::size_t) {
-  return filters;
-}
-
-std::string Executor::explain_scan(const std::vector<sql::BoundPredicate>&) {
-  throw std::invalid_argument(std::string("explain: backend '") +
-                              backend_name(backend()) +
-                              "' has no physical plan rendering");
 }
 
 engine::PimQueryEngine::BatchOutput Executor::execute_many(
@@ -579,75 +578,28 @@ Plan Session::build_plan(std::string_view sql_text) {
 ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
                                 const engine::ExecOptions& opts) {
   const sql::BoundJoin& jp = plan.join;
-  const std::vector<std::vector<std::size_t>> attrs =
-      engine::join_scan_attrs(jp);
-
   // Resolve the abort token ONCE for the whole join: the deadline covers
   // every per-table scan plus the host build/probe, not each scan afresh.
   engine::ExecOptions scan_opts = opts;
   scan_opts.cancel = engine::resolve_cancel(opts);
-
-  // One snapshot-pinned scan per touched table through this session's
-  // executors, each pinning exactly one store version, reported per table
-  // (FROM order) in the result's table_versions().
-  std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
-  std::vector<std::pair<std::string, std::uint64_t>> versions(
-      jp.table_names.size());
-  std::vector<std::size_t> table_rows(jp.table_names.size());
-  const auto run_scan = [&](std::size_t t,
-                            const std::vector<sql::BoundPredicate>& filters) {
-    Executor& ex = executor_for(backend, *plan.join_tables[t]);
-    engine::ScanOutput scan = ex.execute_scan(filters, attrs[t], scan_opts);
-    versions[t] = {jp.table_names[t], ex.last_data_version()};
-    inputs[t].columns = std::move(scan.columns);
-    return scan;
-  };
-
-  // Stage 1, the dimensions: each lives on its own pages, so their scans
-  // run as one concurrent stage and are priced by its shared schedule.
-  std::vector<engine::ScanOutput> dims;
-  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-    table_rows[t] = plan.join_tables[t]->row_count();
-    if (t != jp.fact) dims.push_back(run_scan(t, jp.filters[t]));
-  }
-  engine::QueryStats stats =
-      engine::price_concurrent_scans(dims, opts_.host, opts_.pim);
-  stats.dims_ns = stats.total_ns;
-
-  // Stage 2, the fact, with each filtered dimension's key predicate that
-  // its executor prices as a win (the PIM filter drops non-joining rows
-  // before any readback). A build side without survivors empties the inner
-  // join, so the fact is not scanned at all; its version is still pinned.
+  engine::StarJoin join = plan_join(*this, plan, backend, scan_opts);
   Executor& fact = executor_for(backend, *plan.join_tables[jp.fact]);
-  if (engine::join_is_empty(jp, inputs)) {
-    versions[jp.fact] = {jp.table_names[jp.fact], fact.pin_version()};
-    inputs[jp.fact].columns.resize(attrs[jp.fact].size());
-  } else {
-    stats.merge(
-        run_scan(jp.fact,
-                 fact.semijoin_filters(
-                     jp.filters[jp.fact],
-                     engine::semijoin_candidates(jp, inputs, table_rows),
-                     attrs[jp.fact], jp.builds.size()))
-            .stats,
-        true);
+  if (join.scans_fact()) {
+    join.scans[jp.fact] = fact.execute_scan(
+        join.fact_filters, engine::join_scan_attrs(jp)[jp.fact], scan_opts);
   }
-
-  // Stage 3, the host hash join over the survivors: build/probe CPU time
-  // lands in the host-gb phase, the merge/sort in finalize.
-  engine::JoinOutput joined =
-      engine::hash_join_execute(jp, inputs, opts_.host, scan_opts.cancel);
-  engine::QueryStats host;
-  host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
-  host.phases.finalize = joined.stats.finalize_ns;
-  host.total_ns = host.phases.host_gb + host.phases.finalize;
-  stats.merge(host, false);
-
-  engine::QueryOutput out;
-  out.rows = std::move(joined.rows);
-  out.stats = stats;
-  ResultSet rs(std::move(out), result_columns(jp, plan.join_tables), backend);
-  rs.set_data_version(versions[jp.fact].second);
+  // The version each table's executor read (or, for a skipped fact scan,
+  // pinned), in FROM order.
+  std::vector<std::pair<std::string, std::uint64_t>> versions;
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    versions.emplace_back(
+        jp.table_names[t],
+        executor_for(backend, *plan.join_tables[t]).last_data_version());
+  }
+  ResultSet rs(engine::finish_star_join(jp, std::move(join), opts_.host,
+                                        scan_opts.cancel),
+               result_columns(jp, plan.join_tables), backend);
+  rs.set_data_version(fact.last_data_version());
   rs.set_table_versions(std::move(versions));
   return rs;
 }
@@ -815,18 +767,22 @@ std::string Session::explain(std::string_view sql_text, BackendKind backend) {
     throw std::invalid_argument(
         "explain: UPDATE statements have no physical plan rendering");
   }
+  // Throws for the host baselines before a join runs any scan.
+  const engine::PimStore& target = explained_store(*this, backend, st.target());
   if (st.is_join()) {
     const Plan& plan = *st.plan_;
     std::ostringstream ss;
-    engine::explain_join_tree(plan.join, plan.join_tables, ss);
+    engine::explain_join_tree(plan.join, plan.join_tables,
+                              plan_join(*this, plan, backend, {}), ss);
     for (std::size_t t = 0; t < plan.join.table_names.size(); ++t) {
-      ss << "-- scan " << plan.join.table_names[t] << " --\n"
-         << executor_for(backend, *plan.join_tables[t])
-                .explain_scan(plan.join.filters[t]);
+      ss << "-- scan " << plan.join.table_names[t] << " --\n";
+      engine::explain_scan(
+          plan.join.filters[t],
+          explained_store(*this, backend, *plan.join_tables[t]), ss);
     }
     return ss.str();
   }
-  return executor_for(backend, st.target()).explain(st.bound());
+  return engine::explain_query(st.bound(), target);
 }
 
 Executor& Session::executor(BackendKind backend) {

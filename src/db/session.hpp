@@ -166,14 +166,6 @@ class Executor {
   /// through this executor (sessions are single-threaded per the threading
   /// model, so this pairs with the call that just returned).
   virtual std::uint64_t last_data_version() const { return 0; }
-  /// Pins the version a read through this executor would see now, without
-  /// reading, and returns it (last_data_version() reports it too): a join
-  /// that skips its fact scan still reports the fact's version. The host
-  /// baselines read the immutable catalog table: 0.
-  virtual std::uint64_t pin_version() { return 0; }
-  /// Physical-plan rendering; throws std::invalid_argument for backends
-  /// without one (the host baselines).
-  virtual std::string explain(const sql::BoundQuery& q);
   /// Filter-only scan feeding the host hash join: survivor row ids plus the
   /// requested attribute columns, snapshot-pinned exactly like execute().
   /// Throws std::invalid_argument for backends without a scan path (the
@@ -181,17 +173,6 @@ class Executor {
   virtual engine::ScanOutput execute_scan(
       const std::vector<sql::BoundPredicate>& filters,
       const std::vector<std::size_t>& attrs, const engine::ExecOptions& opts);
-  /// Semijoin reduction of a join's scan of this table: `filters` plus the
-  /// candidates worth ANDing in (engine::PimQueryEngine::with_semijoins).
-  /// The default keeps the plain plan: the host baselines have no cost
-  /// model to price a candidate with.
-  virtual std::vector<sql::BoundPredicate> semijoin_filters(
-      const std::vector<sql::BoundPredicate>& filters,
-      const std::vector<engine::SemijoinCandidate>& candidates,
-      const std::vector<std::size_t>& attrs, std::size_t probe_builds);
-  /// Per-table scan half of a join EXPLAIN; throws like explain().
-  virtual std::string explain_scan(
-      const std::vector<sql::BoundPredicate>& filters);
 };
 
 /// Threading model: a session's executor registry and model lookups are
@@ -257,7 +238,10 @@ class Session {
       const engine::ExecOptions& opts = {},
       const std::vector<engine::CancelToken>& cancels = {});
 
-  /// EXPLAIN on the one-xb (or given) PIM backend.
+  /// EXPLAIN on the one-xb (or given) PIM backend; throws
+  /// std::invalid_argument for the host baselines, which have no physical
+  /// plan. A join's EXPLAIN runs its dimension scans: the stages after them
+  /// depend on their survivors.
   std::string explain(std::string_view sql_text);
   std::string explain(std::string_view sql_text, BackendKind backend);
 
@@ -291,12 +275,11 @@ class Session {
   /// multi-table join path (every FROM name registered), or the seed's
   /// single-table resolution. Front-end only — no executors touched.
   Plan build_plan(std::string_view sql_text);
-  /// Runs a bound join plan in three stages, one after another: the
-  /// dimension scans as one concurrent stage
-  /// (engine::price_concurrent_scans); the fact scan with the semijoin
-  /// predicates its executor accepts (Executor::semijoin_filters), skipped
-  /// when a build side is empty; the host hash join (engine/hash_join) over
-  /// the survivors. Every scan is snapshot-pinned.
+  /// Runs a bound join plan: the dimension scans, then the fact scan that
+  /// engine::plan_star_join asks for (none when a build side is empty; on a
+  /// PIM backend, with the semijoin prefix it prices on the fact's store),
+  /// then engine::finish_star_join's host join and stats. Every scan is
+  /// snapshot-pinned, and so is the fact's version when its scan is skipped.
   ResultSet execute_join(const Plan& plan, BackendKind backend,
                          const engine::ExecOptions& opts);
 

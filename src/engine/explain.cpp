@@ -240,16 +240,9 @@ void explain_scan(const std::vector<sql::BoundPredicate>& filters,
      << "(unique-line accounting)\n";
 }
 
-std::string explain_scan(const std::vector<sql::BoundPredicate>& filters,
-                         const PimStore& store) {
-  std::ostringstream ss;
-  explain_scan(filters, store, ss);
-  return ss.str();
-}
-
 void explain_join_tree(const sql::BoundJoin& plan,
                        const std::vector<const rel::Table*>& tables,
-                       std::ostream& os) {
+                       const StarJoin& join, std::ostream& os) {
   const auto attr_name = [&](std::size_t table, std::size_t attr) {
     return plan.table_names[table] + "." +
            tables[table]->schema().attribute(attr).name;
@@ -274,10 +267,6 @@ void explain_join_tree(const sql::BoundJoin& plan,
             "time without raising modeled energy\n";
     }
   }
-  os << "PROBE " << plan.table_names[plan.fact] << " ("
-     << tables[plan.fact]->row_count() << " rows, "
-     << plan.filters[plan.fact].size() << " filter(s)): survivors cascade "
-     << "through " << plan.builds.size() << " build side(s)\n";
   os << "AGGREGATE "
      << agg_text(plan,
                  [&](const sql::BoundColumnRef& c) {
@@ -291,6 +280,25 @@ void explain_join_tree(const sql::BoundJoin& plan,
     }
     os << "\n";
   }
+
+  const std::string& fact = plan.table_names[plan.fact];
+  os << "STAGE 1, dimension scans as one concurrent stage (modeled "
+     << join.stage.dims_ns / 1000.0 << " us)\n";
+  if (join.empty_dimension) {
+    os << "STAGE 2, host join: no fact scan, build side "
+       << plan.table_names[*join.empty_dimension]
+       << " has no survivors, so the join is empty\n";
+    return;
+  }
+  const std::size_t own = plan.filters[plan.fact].size();
+  os << "STAGE 2, fact scan " << fact << " (" << tables[plan.fact]->row_count()
+     << " rows, " << own << " filter(s), " << join.fact_filters.size() - own
+     << " semijoin(s)):";
+  for (std::size_t i = own; i < join.fact_filters.size(); ++i) {
+    os << " " << attr_name(plan.fact, join.fact_filters[i].attr);
+  }
+  os << "\nSTAGE 3, host join: PROBE " << fact << " survivors cascade through "
+     << plan.builds.size() << " build side(s)\n";
 }
 
 }  // namespace bbpim::engine

@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "engine/hash_join.hpp"
 #include "engine/pim_store.hpp"
 #include "pim/microop.hpp"
 #include "sql/logical_plan.hpp"
@@ -34,16 +35,17 @@ std::string explain_query(const sql::BoundQuery& q, const PimStore& store);
 /// exactly as explain_query prints them.
 void explain_scan(const std::vector<sql::BoundPredicate>& filters,
                   const PimStore& store, std::ostream& os);
-std::string explain_scan(const std::vector<sql::BoundPredicate>& filters,
-                         const PimStore& store);
 
-/// Renders the logical join tree of a bound multi-table query: build sides
-/// in probe order with their keys (and, for single-key sides, the fact-scan
-/// semijoin predicate the cost model may push), the probe (fact) side, and the
-/// grouping/aggregation over joined rows. `tables` is the catalog tables
-/// aligned with plan.table_names (attribute names come from their schemas).
+/// Renders the join tree of a bound multi-table query: build sides in probe
+/// order with their keys (and, for single-key sides, the fact-scan semijoin
+/// predicate the cost model may push), the aggregation over joined rows,
+/// then the stages that run as `join` (plan_star_join) decided them: the
+/// dimension scans as one concurrent stage, the fact scan with the semijoin
+/// predicates it takes (only when every build side has survivors), and the
+/// host join. `tables` is the catalog tables aligned with plan.table_names
+/// (attribute names come from their schemas).
 void explain_join_tree(const sql::BoundJoin& plan,
                        const std::vector<const rel::Table*>& tables,
-                       std::ostream& os);
+                       const StarJoin& join, std::ostream& os);
 
 }  // namespace bbpim::engine

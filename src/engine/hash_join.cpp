@@ -1,21 +1,23 @@
 #include "engine/hash_join.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
+#include "engine/filter_compiler.hpp"
 #include "engine/group_index.hpp"
+#include "host/read_set.hpp"
 
 namespace bbpim::engine {
 namespace {
 
-/// The scan column of attribute `attr` of table `t`; `attrs` is
-/// join_scan_attrs of the plan `scans` were read for.
+/// The column of attribute `attr` among one table's scan `columns`, read
+/// for `attrs` (its join_scan_attrs entry).
 const std::vector<std::uint64_t>& scan_column(
-    const std::vector<std::vector<std::size_t>>& attrs,
-    const std::vector<JoinScanInput>& scans, std::size_t t, std::size_t attr) {
-  const std::vector<std::size_t>& a = attrs[t];
-  return scans[t].columns.at(std::lower_bound(a.begin(), a.end(), attr) -
-                             a.begin());
+    const std::vector<std::size_t>& attrs,
+    const std::vector<std::vector<std::uint64_t>>& columns, std::size_t attr) {
+  return columns.at(std::lower_bound(attrs.begin(), attrs.end(), attr) -
+                    attrs.begin());
 }
 
 /// The largest code of `col` (0 when empty).
@@ -48,16 +50,20 @@ std::vector<std::vector<std::size_t>> join_scan_attrs(
   return attrs;
 }
 
-std::vector<SemijoinCandidate> semijoin_candidates(
-    const sql::BoundJoin& plan, const std::vector<JoinScanInput>& scans,
-    const std::vector<std::size_t>& table_rows) {
+StarJoin plan_star_join(const sql::BoundJoin& plan,
+                        std::vector<ScanOutput> scans,
+                        const std::vector<const rel::Table*>& tables,
+                        PimStore* fact, const host::HostConfig& hcfg) {
   using Kind = sql::BoundPredicate::Kind;
+  StarJoin out;
   const auto attrs = join_scan_attrs(plan);
-  std::vector<SemijoinCandidate> out;
   for (const sql::BoundBuildSide& side : plan.builds) {
+    if (!out.empty_dimension && scans[side.table].row_ids.empty()) {
+      out.empty_dimension = side.table;
+    }
     if (side.dim_attrs.size() != 1) continue;  // composite keys stay on host
-    std::vector<std::uint64_t> keys =
-        scan_column(attrs, scans, side.table, side.dim_attrs[0]);
+    std::vector<std::uint64_t> keys = scan_column(
+        attrs[side.table], scans[side.table].columns, side.dim_attrs[0]);
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     const std::size_t distinct = keys.size();
@@ -78,20 +84,145 @@ std::vector<SemijoinCandidate> semijoin_candidates(
       p.kind = Kind::kIn;
       p.in_values = std::move(keys);
     }
-    const std::size_t rows = table_rows[side.table];
+    const std::size_t rows = tables[side.table]->row_count();
     c.key_fraction = rows == 0 ? 0.0
                                : static_cast<double>(distinct) /
                                      static_cast<double>(rows);
-    out.push_back(std::move(c));
+    out.candidates.push_back(std::move(c));
   }
+
+  out.fact_filters = plan.filters[plan.fact];
+  if (fact != nullptr) {
+    // The fact's entry is empty, so it adds nothing to the stage.
+    out.stage = price_concurrent_scans(scans, hcfg, fact->module_config());
+    out.stage.dims_ns = out.stage.total_ns;
+    if (out.scans_fact()) {
+      out.fact_filters =
+          semijoin_prefix(out.fact_filters, out.candidates, attrs[plan.fact],
+                          plan.builds.size(), *fact, hcfg);
+    }
+  }
+  out.scans = std::move(scans);
   return out;
 }
 
-bool join_is_empty(const sql::BoundJoin& plan,
-                   const std::vector<JoinScanInput>& scans) {
-  return std::ranges::any_of(plan.builds, [&](const sql::BoundBuildSide& b) {
-    return scans[b.table].row_count() == 0;
-  });
+std::vector<sql::BoundPredicate> semijoin_prefix(
+    const std::vector<sql::BoundPredicate>& filters,
+    const std::vector<SemijoinCandidate>& candidates,
+    const std::vector<std::size_t>& attrs, std::size_t probe_builds,
+    PimStore& store, const host::HostConfig& hcfg) {
+  if (candidates.empty()) return filters;
+  const pim::PimConfig& cfg = store.module().config();
+
+  // Modeled readback + probe of a scan whose records survive independently
+  // with probability `sel`: a page-row line (one chunk of the row's record
+  // in every crossbar of the page) is read unless all those records miss,
+  // and every survivor costs the walk's CPU plus one probe per build side.
+  struct Cost {
+    TimeNs ns = 0;
+    EnergyJ j = 0;
+  };
+  const double chunks =
+      static_cast<double>(read_chunks(store, cfg, attrs).size());
+  const EnergyJ line_j = static_cast<double>(cfg.line_bytes()) * 8 *
+                         cfg.read_energy_pj_per_bit * units::kJoulePerPj;
+  const auto survivor_cost = [&](double sel) {
+    std::vector<std::uint32_t> lines(store.pages_per_part());
+    double total = 0;
+    for (std::size_t p = 0; p < lines.size(); ++p) {
+      const std::uint32_t n = store.page_records(p);
+      const std::uint32_t full = n / cfg.crossbar_rows;  // records per row
+      const std::uint32_t tail = n % cfg.crossbar_rows;  // rows with one more
+      const double per_chunk =
+          tail * (1 - std::pow(1 - sel, full + 1)) +
+          (cfg.crossbar_rows - tail) * (1 - std::pow(1 - sel, full));
+      lines[p] = static_cast<std::uint32_t>(std::lround(per_chunk * chunks));
+      total += lines[p];
+    }
+    const double survivors = sel * static_cast<double>(store.record_count());
+    return Cost{host::lines_phase_time_ns(lines, hcfg) +
+                    survivors * static_cast<double>(1 + probe_builds) *
+                        hcfg.cpu_ns_per_record / hcfg.threads,
+                total * line_j};
+  };
+
+  // One more gate cycle of the scan's filter program on every crossbar.
+  Cost per_cycle;
+  for (int part = 0; part < store.parts(); ++part) {
+    for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
+      per_cycle.j +=
+          pim::logic_trace_cost(cfg, 1, store.page(part, p).crossbar_count())
+              .energy_j;
+    }
+  }
+  per_cycle.ns = cfg.logic_cycle_ns;
+  // Compiled through the store's filter cache: a repeated text prices its
+  // candidates and prefixes without compiling them again.
+  const auto cycles = [&](const std::vector<sql::BoundPredicate>& f) {
+    double n = 0;
+    for (int part = 0; part < store.parts(); ++part) {
+      pim::ColumnAlloc alloc = store.layout(part).make_alloc();
+      n += static_cast<double>(store.filter_cache()
+                                   .get_or_compile(f, part, store.layout(part),
+                                                   alloc)
+                                   ->program.gates.size());
+    }
+    return n;
+  };
+
+  // The plain scan's survivor fraction: the sketch estimates the Execution
+  // orders its predicates by, taken as independent.
+  std::vector<double> est;
+  order_by_selectivity(filters, store, &est);
+  double sel = 1;
+  for (const double e : est) sel *= e;
+
+  // Prefix search: one survivor line is skipped only when all its records
+  // miss, so two candidates can pay together where neither pays alone. Each
+  // prefix is priced as extra gate cycles plus the readback and probes its
+  // survivors still cost; the cheapest prefix in time wins among those not
+  // above the plain scan's energy. Candidates rank by survivor reduction per
+  // gate cycle (-ln of the key fraction over the candidate's own extra
+  // cycles): at equal gate cost the most selective comes first, and a long
+  // IN list ranks behind the cheap ranges it would otherwise block. An IN
+  // list emits at least one gate cycle per key, so one longer than the
+  // cycles removing every survivor could buy pays in no prefix and is
+  // dropped without compiling it.
+  const double base_cycles = cycles(filters);
+  const Cost plain = survivor_cost(sel);
+  const Cost none = survivor_cost(0);
+  const double max_keys =
+      base_cycles + std::min((plain.ns - none.ns) / per_cycle.ns,
+                             (plain.j - none.j) / per_cycle.j);
+  struct Ranked {
+    const SemijoinCandidate* c;
+    double gain;  ///< -ln(key fraction) per extra gate cycle
+  };
+  std::vector<Ranked> ranked;
+  for (const SemijoinCandidate& c : candidates) {
+    if (static_cast<double>(c.predicate.in_values.size()) > max_keys) continue;
+    std::vector<sql::BoundPredicate> one = filters;
+    one.push_back(c.predicate);
+    ranked.push_back({&c, -std::log(c.key_fraction) /
+                              std::max(1.0, cycles(one) - base_cycles)});
+  }
+  std::ranges::stable_sort(ranked, std::ranges::greater{}, &Ranked::gain);
+  double best_ns = plain.ns;
+  std::size_t best_len = 0;
+  std::vector<sql::BoundPredicate> prefix = filters;
+  for (const Ranked& r : ranked) {
+    prefix.push_back(r.c->predicate);
+    sel *= r.c->key_fraction;
+    const Cost after = survivor_cost(sel);
+    const double extra = cycles(prefix) - base_cycles;
+    const double ns = after.ns + extra * per_cycle.ns;
+    if (ns < best_ns && after.j + extra * per_cycle.j <= plain.j) {
+      best_ns = ns;
+      best_len = prefix.size() - filters.size();
+    }
+  }
+  prefix.resize(filters.size() + best_len);
+  return prefix;
 }
 
 JoinOutput hash_join_execute(const sql::BoundJoin& plan,
@@ -108,7 +239,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   const auto attrs = join_scan_attrs(plan);
   const auto column = [&](std::size_t t, std::size_t attr)
       -> const std::vector<std::uint64_t>& {
-    return scan_column(attrs, scans, t, attr);
+    return scan_column(attrs[t], scans[t].columns, attr);
   };
 
   // --- build: one flat key index per filtered dimension --------------------
@@ -134,7 +265,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
       keys.push_back(col.data());
       max_codes.push_back(max_code(col));
     }
-    const std::size_t rows = scans[side.table].row_count();
+    const std::size_t rows = column(side.table, side.dim_attrs[0]).size();
     Build b{side.table, {}, TupleIndex(std::move(max_codes), rows), {}, {}};
     for (const std::size_t a : side.fact_attrs) {
       b.probe.push_back(column(plan.fact, a).data());
@@ -155,7 +286,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
                 threads;
 
   // --- probe: fact survivors cascade through the build sides ---------------
-  js.probe_rows = scans[plan.fact].row_count();
+  js.probe_rows = scans[plan.fact].columns.front().size();
 
   // Group/aggregate column access for a joined combination: the fact row,
   // or the current dim row of the build side owning the column.
@@ -188,7 +319,6 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
 
   // Without GROUP BY every joined row folds into the empty key.
   GroupFold groups(plan.agg_func, std::move(group_max));
-  std::size_t joined = 0;
   // Per build side: the current probe row's chain start and position.
   std::vector<std::uint32_t> first(builds.size());
   std::vector<std::uint32_t> cur(builds.size());
@@ -211,7 +341,6 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
       return s.data[s.build == kOnFact ? r : cur[s.build]];
     };
     while (true) {
-      ++joined;
       std::int64_t v = 1;
       if (want_values) {
         v = static_cast<std::int64_t>(plan.agg_expr.eval(
@@ -227,7 +356,6 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
       if (d == builds.size()) break;
     }
   }
-  js.joined_rows = joined;
   js.probe_ns = static_cast<double>(js.probe_rows) *
                 static_cast<double>(builds.size()) * hcfg.cpu_ns_per_record /
                 threads;
@@ -237,6 +365,28 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   if (!plan.has_group_by() && out.rows.empty()) out.rows.push_back({});
   sort_rows(out.rows, plan.order_by);
   js.finalize_ns = static_cast<double>(out.rows.size()) * 50.0;
+  return out;
+}
+
+QueryOutput finish_star_join(const sql::BoundJoin& plan, StarJoin join,
+                             const host::HostConfig& hcfg,
+                             const CancelToken& cancel) {
+  // A skipped fact scan is empty: its stats add nothing, and the host join
+  // reads its columns empty.
+  ScanOutput& fact = join.scans[plan.fact];
+  fact.columns.resize(join_scan_attrs(plan)[plan.fact].size());
+  QueryOutput out{{}, join.stage};
+  out.stats.merge(fact.stats, true);
+  // The host join reads only the columns: release the fact's row ids, the
+  // largest of the rest, before it builds its indexes.
+  std::vector<std::uint64_t>().swap(fact.row_ids);
+  JoinOutput joined = hash_join_execute(plan, join.scans, hcfg, cancel);
+  QueryStats host;
+  host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
+  host.phases.finalize = joined.stats.finalize_ns;
+  host.total_ns = host.phases.host_gb + host.phases.finalize;
+  out.stats.merge(host, false);
+  out.rows = std::move(joined.rows);
   return out;
 }
 

@@ -29,7 +29,9 @@
 #include <exception>
 #include <initializer_list>
 #include <optional>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -241,6 +243,12 @@ struct AggPlan {
 /// no operand of <= 12 bits.
 AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store);
 
+/// (part, chunk) pairs the host touches per record to read `attrs`: a
+/// record line holds one `read_bits` chunk of one crossbar row.
+using ChunkSet = std::set<std::pair<int, std::uint32_t>>;
+ChunkSet read_chunks(const PimStore& store, const pim::PimConfig& cfg,
+                     const std::vector<std::size_t>& attrs);
+
 struct QueryOutput {
   std::vector<ResultRow> rows;
   QueryStats stats;
@@ -340,14 +348,6 @@ struct ExecOptions {
   }
 };
 
-/// A run-time semijoin predicate a star join may AND into its fact scan:
-/// it keeps exactly the fact rows whose foreign key occurs among one
-/// filtered dimension's surviving keys.
-struct SemijoinCandidate {
-  sql::BoundPredicate predicate;  ///< on the fact's foreign-key attribute
-  double key_fraction = 1;        ///< distinct surviving keys / dimension rows
-};
-
 /// The effective token of an execution: the explicit token when set (arming
 /// its deadline from deadline_us if it carries none), else a fresh token
 /// armed deadline_us from now, else the empty (free) token.
@@ -403,23 +403,6 @@ class PimQueryEngine {
   ScanOutput execute_scan(const std::vector<sql::BoundPredicate>& filters,
                           const std::vector<std::size_t>& attrs,
                           const ExecOptions& opts = {});
-
-  /// Semijoin reduction for a join's scan of this store: returns `filters`
-  /// with the best prefix of the candidates ANDed in, candidates ranked by
-  /// -ln(key fraction) per extra gate cycle of their own (at equal gate
-  /// cost, most selective first). A prefix is priced as its extra gate
-  /// cycles plus the readback and host probes its survivors still cost; the
-  /// prefix with the lowest modeled time wins among those whose modeled
-  /// energy is not above the plain scan's, and the empty prefix (the plain
-  /// scan) keeps ties. The cycle cost is the compiled cycle delta over
-  /// every crossbar; the survivor cost follows from the survivor fraction
-  /// (sketch estimate of `filters` times the prefix's key fractions), the
-  /// expected unique lines of a walk reading `attrs`, and one probe per
-  /// survivor and build side (`probe_builds`).
-  std::vector<sql::BoundPredicate> with_semijoins(
-      const std::vector<sql::BoundPredicate>& filters,
-      const std::vector<SemijoinCandidate>& candidates,
-      const std::vector<std::size_t>& attrs, std::size_t probe_builds) const;
 
   EngineKind kind() const { return kind_; }
   const LatencyModels& models() const { return models_; }

@@ -68,6 +68,42 @@ JoinWorld& line_scale_world() {
   return w;
 }
 
+/// A star join run step by step through the engine's planner, as
+/// Session::execute_join runs it: the dimension scans, the plan
+/// (engine::plan_star_join), the fact scan it asks for, and the finished
+/// join (engine::finish_star_join).
+struct JoinRun {
+  engine::StarJoin join;
+  engine::QueryOutput out;
+};
+
+JoinRun run_join(db::Session& session, db::BackendKind backend,
+                 const sql::BoundJoin& jp) {
+  const auto attrs = engine::join_scan_attrs(jp);
+  std::vector<engine::ScanOutput> scans(jp.table_names.size());
+  std::vector<const rel::Table*> tables;
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    tables.push_back(&session.database().table(jp.table_names[t]));
+    if (t == jp.fact) continue;
+    scans[t] = session.executor(backend, jp.table_names[t])
+                   .execute_scan(jp.filters[t], attrs[t], {});
+  }
+  const std::string& fact = jp.table_names[jp.fact];
+  engine::PimStore* store = nullptr;
+  if (const auto kind = db::engine_kind_of(backend)) {
+    store = &session.pim_engine(*kind, fact).store();
+  }
+  JoinRun run{engine::plan_star_join(jp, std::move(scans), tables, store,
+                                     session.options().host),
+              {}};
+  if (run.join.scans_fact()) {
+    run.join.scans[jp.fact] = session.executor(backend, fact).execute_scan(
+        run.join.fact_filters, attrs[jp.fact], {});
+  }
+  run.out = engine::finish_star_join(jp, run.join, session.options().host);
+  return run;
+}
+
 TEST(HashJoin, AllQueriesMatchPrejoinedOnReference) {
   JoinWorld& w = world();
   db::Session join_session(w.normalized);
@@ -538,20 +574,13 @@ TEST(HashJoin, SemijoinPrefixPaysJointlyOrNotAtAll) {
   const auto priced = [&](std::string_view sql) {
     const db::PreparedStatement st = session.prepare(sql);
     const sql::BoundJoin& jp = st.join();
-    const auto attrs = engine::join_scan_attrs(jp);
-    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
-    std::vector<std::size_t> rows(jp.table_names.size());
-    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
-      if (t == jp.fact) continue;
-      inputs[t].columns = session.executor(backend, jp.table_names[t])
-                              .execute_scan(jp.filters[t], attrs[t], {})
-                              .columns;
-    }
     return Priced{jp.filters[jp.fact],
-                  engine::semijoin_candidates(jp, inputs, rows),
-                  attrs[jp.fact], jp.builds.size(), rows[jp.fact]};
+                  run_join(session, backend, jp).join.candidates,
+                  engine::join_scan_attrs(jp)[jp.fact], jp.builds.size(),
+                  w.normalized.table(jp.table_names[jp.fact]).row_count()};
   };
+  engine::PimStore& fact_store =
+      session.pim_engine(engine::EngineKind::kOneXb, "lineorder").store();
   db::Executor& fact = session.executor(backend, "lineorder");
   const rel::Schema& lo = w.data.lineorder.schema();
   const auto fk = [&](const engine::SemijoinCandidate& c) {
@@ -562,7 +591,8 @@ TEST(HashJoin, SemijoinPrefixPaysJointlyOrNotAtAll) {
                          std::vector<engine::SemijoinCandidate> offered) {
     std::vector<std::string> taken;
     const auto f =
-        fact.semijoin_filters(p.filters, offered, p.attrs, p.builds);
+        engine::semijoin_prefix(p.filters, offered, p.attrs, p.builds,
+                                fact_store, session.options().host);
     for (std::size_t i = p.filters.size(); i < f.size(); ++i) {
       taken.push_back(lo.attribute(f[i].attr).name);
     }
@@ -625,17 +655,8 @@ TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
   const auto first_candidate = [&](const std::string& sql) {
     const db::PreparedStatement st = session.prepare(sql);
     const sql::BoundJoin& jp = st.join();
-    const auto attrs = engine::join_scan_attrs(jp);
-    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
-    std::vector<std::size_t> rows(jp.table_names.size());
-    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
-      inputs[t].columns =
-          session.executor(db::BackendKind::kReference, jp.table_names[t])
-              .execute_scan(jp.filters[t], attrs[t], {})
-              .columns;
-    }
-    const auto candidates = engine::semijoin_candidates(jp, inputs, rows);
+    const auto candidates =
+        run_join(session, db::BackendKind::kReference, jp).join.candidates;
     EXPECT_EQ(candidates.size(), jp.builds.size());
     return candidates.front();
   };
@@ -671,27 +692,6 @@ TEST(HashJoin, SemijoinCandidatesTakeTheCheapestPredicateForm) {
   EXPECT_EQ(none.key_fraction, 0.0);
 }
 
-/// The scans of a join's dimensions with their own filters (dimension
-/// order), and the join inputs they give (the fact's entry left empty).
-struct DimensionScans {
-  std::vector<engine::ScanOutput> scans;
-  std::vector<engine::JoinScanInput> inputs;
-};
-
-DimensionScans scan_dimensions(db::Session& session, db::BackendKind backend,
-                               const sql::BoundJoin& jp) {
-  const auto attrs = engine::join_scan_attrs(jp);
-  DimensionScans d;
-  d.inputs.resize(jp.table_names.size());
-  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-    if (t == jp.fact) continue;
-    d.scans.push_back(session.executor(backend, jp.table_names[t])
-                          .execute_scan(jp.filters[t], attrs[t], {}));
-    d.inputs[t].columns = d.scans.back().columns;
-  }
-  return d;
-}
-
 TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
   JoinWorld& w = world();
   db::Session session(w.normalized);
@@ -708,12 +708,12 @@ TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
     SCOPED_TRACE(sql);
     const db::PreparedStatement st = session.prepare(sql);
     const sql::BoundJoin& jp = st.join();
-    const DimensionScans dims = scan_dimensions(session, backend, jp);
-    ASSERT_TRUE(engine::join_is_empty(jp, dims.inputs));
-    const engine::QueryStats stage = engine::price_concurrent_scans(
-        dims.scans, session.options().host, session.options().pim);
+    const JoinRun run = run_join(session, backend, jp);
+    ASSERT_FALSE(run.join.scans_fact());
+    const engine::QueryStats& stage = run.join.stage;
 
     const db::ResultSet rs = st.execute(backend);
+    EXPECT_EQ(rs.rows(), run.out.rows);
     EXPECT_EQ(rs.rows(), session.execute(sql, db::BackendKind::kReference)
                              .rows());
     if (jp.has_group_by()) {
@@ -747,43 +747,29 @@ TEST(HashJoin, OneDimensionJoinPricesAsItsScansInTurn) {
     SCOPED_TRACE(id);
     const db::PreparedStatement st = session.prepare(ssb::query(id).sql);
     const sql::BoundJoin& jp = st.join();
-    const auto attrs = engine::join_scan_attrs(jp);
-    DimensionScans dims = scan_dimensions(session, backend, jp);
-    ASSERT_EQ(dims.scans.size(), 1u);
-    const engine::QueryStats& dim = dims.scans.front().stats;
+    const JoinRun run = run_join(session, backend, jp);
+    ASSERT_EQ(jp.table_names.size(), 2u);
+    const std::span<const engine::ScanOutput> dims(&run.join.scans[1 - jp.fact],
+                                                   1);
+    const engine::QueryStats& dim = dims.front().stats;
     EXPECT_TRUE(engine::stats_equal(
-        engine::price_concurrent_scans(dims.scans, session.options().host,
+        engine::price_concurrent_scans(dims, session.options().host,
                                        session.options().pim),
         dim, {engine::StatClass::kCost}));
-
-    std::vector<std::size_t> rows(jp.table_names.size());
-    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
-    }
-    db::Executor& fact = session.executor(backend, "lineorder");
-    engine::ScanOutput fact_scan = fact.execute_scan(
-        fact.semijoin_filters(
-            jp.filters[jp.fact],
-            engine::semijoin_candidates(jp, dims.inputs, rows),
-            attrs[jp.fact], jp.builds.size()),
-        attrs[jp.fact], {});
-    dims.inputs[jp.fact].columns = std::move(fact_scan.columns);
-    const engine::JoinOutput joined =
-        engine::hash_join_execute(jp, dims.inputs, session.options().host);
-    engine::QueryStats host;
-    host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
-    host.phases.finalize = joined.stats.finalize_ns;
-    host.total_ns = host.phases.host_gb + host.phases.finalize;
-    engine::QueryStats want;
-    want.merge(dim, false);
-    want.merge(fact_scan.stats, true);
-    want.merge(host, false);
-    want.dims_ns = dim.total_ns;
+    EXPECT_EQ(run.join.stage.dims_ns, dim.total_ns);
+    // The join adds its stages up in turn: the dimension, the fact scan,
+    // then the host build, probe and finalize.
+    const engine::QueryStats& fact = run.join.scans[jp.fact].stats;
+    EXPECT_EQ(run.out.stats.phases.filter,
+              dim.phases.filter + fact.phases.filter);
+    EXPECT_EQ(run.out.stats.energy_j, dim.energy_j + fact.energy_j);
+    EXPECT_GT(run.out.stats.phases.host_gb,
+              dim.phases.host_gb + fact.phases.host_gb);
 
     const db::ResultSet rs = st.execute(backend);
-    EXPECT_EQ(rs.rows(), joined.rows);
+    EXPECT_EQ(rs.rows(), run.out.rows);
     EXPECT_TRUE(engine::stats_equal(
-        rs.stats(), want,
+        rs.stats(), run.out.stats,
         {engine::StatClass::kCost, engine::StatClass::kPlan}));
   }
 }
@@ -804,16 +790,21 @@ TEST(HashJoin, DimensionScansPriceAsOneConcurrentStage) {
       for (const char* id : {"2.1", "3.1", "4.1", "4.3"}) {
         SCOPED_TRACE(std::string(id) + (prune ? ", pruned" : ""));
         const db::PreparedStatement st = session.prepare(ssb::query(id).sql);
-        const DimensionScans dims =
-            scan_dimensions(session, backend, st.join());
-        ASSERT_GE(dims.scans.size(), 2u);
+        const sql::BoundJoin& jp = st.join();
+        const JoinRun run = run_join(session, backend, jp);
+        std::vector<engine::ScanOutput> dims;
+        for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+          if (t != jp.fact) dims.push_back(run.join.scans[t]);
+        }
+        ASSERT_GE(dims.size(), 2u);
         const auto stage_of = [&](std::span<const engine::ScanOutput> scans) {
           return engine::price_concurrent_scans(scans, opts.host, opts.pim);
         };
-        const engine::QueryStats stage = stage_of(dims.scans);
+        const engine::QueryStats& stage = run.join.stage;
+        EXPECT_EQ(stage.total_ns, stage_of(dims).total_ns);
         engine::QueryStats in_turn;
         double slowest = 0;
-        for (const engine::ScanOutput& scan : dims.scans) {
+        for (const engine::ScanOutput& scan : dims) {
           EXPECT_TRUE(engine::stats_equal(stage_of({&scan, 1}), scan.stats,
                                           {engine::StatClass::kCost}));
           in_turn.merge(scan.stats, false);
@@ -823,7 +814,7 @@ TEST(HashJoin, DimensionScansPriceAsOneConcurrentStage) {
         EXPECT_GE(stage.total_ns, slowest);
         // A phase every scan runs pays its barrier once, not once per scan.
         const double saved_barriers =
-            static_cast<double>(dims.scans.size() - 1) *
+            static_cast<double>(dims.size() - 1) *
             opts.host.phase_overhead_ns;
         EXPECT_LE(stage.total_ns, in_turn.total_ns - saved_barriers);
         EXPECT_EQ(stage.energy_j, in_turn.energy_j);
@@ -957,34 +948,17 @@ TEST(HashJoin, JoinReportsWearOfItsScans) {
     const sql::BoundJoin& jp = st.join();
     // Warm-up: afterwards every scan below classifies from the memo.
     st.execute(db::BackendKind::kOneXb);
-    const std::vector<std::vector<std::size_t>> attrs =
-        engine::join_scan_attrs(jp);
     // Wear merges as the max over the per-table scans the join runs (each
     // scan is its own device epoch): the dimensions with their own filters,
-    // then the fact with the semijoin predicates its executor takes. The
+    // then the fact with the semijoin predicates its plan takes. The
     // classification memo hits add up.
     std::uint64_t want_wear = 0;
     std::size_t want_memo = 0;
-    std::vector<engine::JoinScanInput> inputs(jp.table_names.size());
-    std::vector<std::size_t> rows(jp.table_names.size());
-    const auto scan = [&](std::size_t t,
-                          const std::vector<sql::BoundPredicate>& filters) {
-      engine::ScanOutput out =
-          session.executor(db::BackendKind::kOneXb, jp.table_names[t])
-              .execute_scan(filters, attrs[t], {});
-      want_wear = std::max(want_wear, out.stats.wear_row_writes);
-      want_memo += out.stats.classification_memo_hits;
-      inputs[t].columns = std::move(out.columns);
-    };
-    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-      rows[t] = w.normalized.table(jp.table_names[t]).row_count();
-      if (t != jp.fact) scan(t, jp.filters[t]);
+    for (const engine::ScanOutput& scan :
+         run_join(session, db::BackendKind::kOneXb, jp).join.scans) {
+      want_wear = std::max(want_wear, scan.stats.wear_row_writes);
+      want_memo += scan.stats.classification_memo_hits;
     }
-    scan(jp.fact,
-         session.executor(db::BackendKind::kOneXb, jp.table_names[jp.fact])
-             .semijoin_filters(jp.filters[jp.fact],
-                               engine::semijoin_candidates(jp, inputs, rows),
-                               attrs[jp.fact], jp.builds.size()));
     const db::ResultSet rs = st.execute(db::BackendKind::kOneXb);
     EXPECT_GT(rs.stats().wear_row_writes, 0u) << "q" << id;
     EXPECT_EQ(rs.stats().wear_row_writes, want_wear) << "q" << id;
@@ -1009,6 +983,34 @@ TEST(HashJoin, ExplainRendersJoinTreeAndPerTableScans) {
   EXPECT_NE(plan.find("-- scan customer --"), std::string::npos);
   EXPECT_NE(plan.find("ZONE MAP"), std::string::npos);
   EXPECT_NE(plan.find("GROUP BY:"), std::string::npos);
+  // The stages that run, in order: Q3.1's dimensions, then its fact scan
+  // with the semijoin prefix it takes at this scale, then the host join.
+  const std::size_t dims = plan.find(
+      "STAGE 1, dimension scans as one concurrent stage (modeled ");
+  const std::size_t fact = plan.find(
+      "STAGE 2, fact scan lineorder (60000 rows, 0 filter(s), 3 semijoin(s)): "
+      "lineorder.lo_suppkey lineorder.lo_custkey lineorder.lo_orderdate\n");
+  const std::size_t host = plan.find(
+      "STAGE 3, host join: PROBE lineorder survivors cascade through 3 build "
+      "side(s)");
+  EXPECT_LT(dims, fact);
+  EXPECT_LT(fact, host);
+  EXPECT_NE(host, std::string::npos);
+  EXPECT_LT(host, plan.find("-- scan lineorder --"));
+
+  // Q3.3's supplier city pair selects no supplier: no fact scan runs.
+  const std::string empty = session.explain(
+      std::string(ssb::query("3.3").sql), db::BackendKind::kOneXb);
+  EXPECT_NE(empty.find("STAGE 2, host join: no fact scan, build side "
+                       "supplier has no survivors, so the join is empty"),
+            std::string::npos);
+  EXPECT_EQ(empty.find("STAGE 2, fact scan"), std::string::npos);
+  EXPECT_EQ(empty.find("STAGE 3"), std::string::npos);
+  EXPECT_EQ(empty.find("PROBE lineorder"), std::string::npos);
+  // The host baselines have no physical plan to render.
+  EXPECT_THROW(session.explain(std::string(ssb::query("3.1").sql),
+                               db::BackendKind::kReference),
+               std::invalid_argument);
 }
 
 TEST(HashJoin, ColumnarBackendRefusesJoins) {
