@@ -1,12 +1,9 @@
 #include "engine/hash_join.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "engine/filter_compiler.hpp"
 #include "engine/group_index.hpp"
-#include "host/read_set.hpp"
 
 namespace bbpim::engine {
 namespace {
@@ -104,125 +101,6 @@ StarJoin plan_star_join(const sql::BoundJoin& plan,
   }
   out.scans = std::move(scans);
   return out;
-}
-
-std::vector<sql::BoundPredicate> semijoin_prefix(
-    const std::vector<sql::BoundPredicate>& filters,
-    const std::vector<SemijoinCandidate>& candidates,
-    const std::vector<std::size_t>& attrs, std::size_t probe_builds,
-    PimStore& store, const host::HostConfig& hcfg) {
-  if (candidates.empty()) return filters;
-  const pim::PimConfig& cfg = store.module().config();
-
-  // Modeled readback + probe of a scan whose records survive independently
-  // with probability `sel`: a page-row line (one chunk of the row's record
-  // in every crossbar of the page) is read unless all those records miss,
-  // and every survivor costs the walk's CPU plus one probe per build side.
-  struct Cost {
-    TimeNs ns = 0;
-    EnergyJ j = 0;
-  };
-  const double chunks =
-      static_cast<double>(read_chunks(store, cfg, attrs).size());
-  const EnergyJ line_j = static_cast<double>(cfg.line_bytes()) * 8 *
-                         cfg.read_energy_pj_per_bit * units::kJoulePerPj;
-  const auto survivor_cost = [&](double sel) {
-    std::vector<std::uint32_t> lines(store.pages_per_part());
-    double total = 0;
-    for (std::size_t p = 0; p < lines.size(); ++p) {
-      const std::uint32_t n = store.page_records(p);
-      const std::uint32_t full = n / cfg.crossbar_rows;  // records per row
-      const std::uint32_t tail = n % cfg.crossbar_rows;  // rows with one more
-      const double per_chunk =
-          tail * (1 - std::pow(1 - sel, full + 1)) +
-          (cfg.crossbar_rows - tail) * (1 - std::pow(1 - sel, full));
-      lines[p] = static_cast<std::uint32_t>(std::lround(per_chunk * chunks));
-      total += lines[p];
-    }
-    const double survivors = sel * static_cast<double>(store.record_count());
-    return Cost{host::lines_phase_time_ns(lines, hcfg) +
-                    survivors * static_cast<double>(1 + probe_builds) *
-                        hcfg.cpu_ns_per_record / hcfg.threads,
-                total * line_j};
-  };
-
-  // One more gate cycle of the scan's filter program on every crossbar.
-  Cost per_cycle;
-  for (int part = 0; part < store.parts(); ++part) {
-    for (std::size_t p = 0; p < store.pages_per_part(); ++p) {
-      per_cycle.j +=
-          pim::logic_trace_cost(cfg, 1, store.page(part, p).crossbar_count())
-              .energy_j;
-    }
-  }
-  per_cycle.ns = cfg.logic_cycle_ns;
-  // Compiled through the store's filter cache: a repeated text prices its
-  // candidates and prefixes without compiling them again.
-  const auto cycles = [&](const std::vector<sql::BoundPredicate>& f) {
-    double n = 0;
-    for (int part = 0; part < store.parts(); ++part) {
-      pim::ColumnAlloc alloc = store.layout(part).make_alloc();
-      n += static_cast<double>(store.filter_cache()
-                                   .get_or_compile(f, part, store.layout(part),
-                                                   alloc)
-                                   ->program.gates.size());
-    }
-    return n;
-  };
-
-  // The plain scan's survivor fraction: the sketch estimates the Execution
-  // orders its predicates by, taken as independent.
-  std::vector<double> est;
-  order_by_selectivity(filters, store, &est);
-  double sel = 1;
-  for (const double e : est) sel *= e;
-
-  // Prefix search: one survivor line is skipped only when all its records
-  // miss, so two candidates can pay together where neither pays alone. Each
-  // prefix is priced as extra gate cycles plus the readback and probes its
-  // survivors still cost; the cheapest prefix in time wins among those not
-  // above the plain scan's energy. Candidates rank by survivor reduction per
-  // gate cycle (-ln of the key fraction over the candidate's own extra
-  // cycles): at equal gate cost the most selective comes first, and a long
-  // IN list ranks behind the cheap ranges it would otherwise block. An IN
-  // list emits at least one gate cycle per key, so one longer than the
-  // cycles removing every survivor could buy pays in no prefix and is
-  // dropped without compiling it.
-  const double base_cycles = cycles(filters);
-  const Cost plain = survivor_cost(sel);
-  const Cost none = survivor_cost(0);
-  const double max_keys =
-      base_cycles + std::min((plain.ns - none.ns) / per_cycle.ns,
-                             (plain.j - none.j) / per_cycle.j);
-  struct Ranked {
-    const SemijoinCandidate* c;
-    double gain;  ///< -ln(key fraction) per extra gate cycle
-  };
-  std::vector<Ranked> ranked;
-  for (const SemijoinCandidate& c : candidates) {
-    if (static_cast<double>(c.predicate.in_values.size()) > max_keys) continue;
-    std::vector<sql::BoundPredicate> one = filters;
-    one.push_back(c.predicate);
-    ranked.push_back({&c, -std::log(c.key_fraction) /
-                              std::max(1.0, cycles(one) - base_cycles)});
-  }
-  std::ranges::stable_sort(ranked, std::ranges::greater{}, &Ranked::gain);
-  double best_ns = plain.ns;
-  std::size_t best_len = 0;
-  std::vector<sql::BoundPredicate> prefix = filters;
-  for (const Ranked& r : ranked) {
-    prefix.push_back(r.c->predicate);
-    sel *= r.c->key_fraction;
-    const Cost after = survivor_cost(sel);
-    const double extra = cycles(prefix) - base_cycles;
-    const double ns = after.ns + extra * per_cycle.ns;
-    if (ns < best_ns && after.j + extra * per_cycle.j <= plain.j) {
-      best_ns = ns;
-      best_len = prefix.size() - filters.size();
-    }
-  }
-  prefix.resize(filters.size() + best_len);
-  return prefix;
 }
 
 JoinOutput hash_join_execute(const sql::BoundJoin& plan,

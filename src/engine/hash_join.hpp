@@ -114,7 +114,8 @@ StarJoin plan_star_join(const sql::BoundJoin& plan,
 /// crossbar; the survivor cost follows from the survivor fraction (sketch
 /// estimate of `filters` times the prefix's key fractions), the expected
 /// unique lines of a walk reading `attrs`, and one probe per survivor and
-/// build side (`probe_builds`).
+/// build side (`probe_builds`). Defined in query_exec.cpp, beside the scan
+/// readback model it prices with.
 std::vector<sql::BoundPredicate> semijoin_prefix(
     const std::vector<sql::BoundPredicate>& filters,
     const std::vector<SemijoinCandidate>& candidates,

@@ -29,9 +29,7 @@
 #include <exception>
 #include <initializer_list>
 #include <optional>
-#include <set>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -242,12 +240,6 @@ struct AggPlan {
 /// attribute outside part 0, MIN/MAX over an expression, or a product with
 /// no operand of <= 12 bits.
 AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store);
-
-/// (part, chunk) pairs the host touches per record to read `attrs`: a
-/// record line holds one `read_bits` chunk of one crossbar row.
-using ChunkSet = std::set<std::pair<int, std::uint32_t>>;
-ChunkSet read_chunks(const PimStore& store, const pim::PimConfig& cfg,
-                     const std::vector<std::size_t>& attrs);
 
 struct QueryOutput {
   std::vector<ResultRow> rows;

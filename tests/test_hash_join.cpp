@@ -710,7 +710,17 @@ TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
     const sql::BoundJoin& jp = st.join();
     const JoinRun run = run_join(session, backend, jp);
     ASSERT_FALSE(run.join.scans_fact());
-    const engine::QueryStats& stage = run.join.stage;
+    std::vector<engine::ScanOutput> dims;
+    for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+      if (t != jp.fact) dims.push_back(run.join.scans[t]);
+    }
+    const engine::QueryStats stage = engine::price_concurrent_scans(
+        dims, session.options().host, session.options().pim);
+    // The plan's stage is that pricing, its total booked as dims_ns.
+    engine::QueryStats planned = stage;
+    planned.dims_ns = stage.total_ns;
+    EXPECT_TRUE(engine::stats_equal(run.join.stage, planned,
+                                    {engine::StatClass::kCost}));
 
     const db::ResultSet rs = st.execute(backend);
     EXPECT_EQ(rs.rows(), run.out.rows);
@@ -757,9 +767,35 @@ TEST(HashJoin, OneDimensionJoinPricesAsItsScansInTurn) {
                                        session.options().pim),
         dim, {engine::StatClass::kCost}));
     EXPECT_EQ(run.join.stage.dims_ns, dim.total_ns);
+
+    // The join rebuilt by hand: the fact scan over the prefix the pricing
+    // entry picks from the plan's candidates, then the host join alone.
+    const auto attrs = engine::join_scan_attrs(jp);
+    engine::PimStore& fact_store =
+        session.pim_engine(engine::EngineKind::kOneXb, "lineorder").store();
+    std::vector<engine::ScanOutput> scans = run.join.scans;
+    scans[jp.fact] = session.executor(backend, "lineorder")
+                         .execute_scan(engine::semijoin_prefix(
+                                           jp.filters[jp.fact],
+                                           run.join.candidates, attrs[jp.fact],
+                                           jp.builds.size(), fact_store,
+                                           session.options().host),
+                                       attrs[jp.fact], {});
+    const engine::QueryStats& fact = scans[jp.fact].stats;
+    EXPECT_EQ(run.join.scans[jp.fact].row_ids, scans[jp.fact].row_ids);
+    const engine::JoinOutput joined =
+        engine::hash_join_execute(jp, scans, session.options().host);
+    engine::QueryStats host;
+    host.phases.host_gb = joined.stats.build_ns + joined.stats.probe_ns;
+    host.phases.finalize = joined.stats.finalize_ns;
+    host.total_ns = host.phases.host_gb + host.phases.finalize;
     // The join adds its stages up in turn: the dimension, the fact scan,
     // then the host build, probe and finalize.
-    const engine::QueryStats& fact = run.join.scans[jp.fact].stats;
+    engine::QueryStats want;
+    want.merge(dim, false);
+    want.merge(fact, true);
+    want.merge(host, false);
+    want.dims_ns = dim.total_ns;
     EXPECT_EQ(run.out.stats.phases.filter,
               dim.phases.filter + fact.phases.filter);
     EXPECT_EQ(run.out.stats.energy_j, dim.energy_j + fact.energy_j);
@@ -767,9 +803,13 @@ TEST(HashJoin, OneDimensionJoinPricesAsItsScansInTurn) {
               dim.phases.host_gb + fact.phases.host_gb);
 
     const db::ResultSet rs = st.execute(backend);
-    EXPECT_EQ(rs.rows(), run.out.rows);
+    EXPECT_EQ(rs.rows(), joined.rows);
+    EXPECT_EQ(run.out.rows, joined.rows);
     EXPECT_TRUE(engine::stats_equal(
-        rs.stats(), run.out.stats,
+        rs.stats(), want,
+        {engine::StatClass::kCost, engine::StatClass::kPlan}));
+    EXPECT_TRUE(engine::stats_equal(
+        run.out.stats, want,
         {engine::StatClass::kCost, engine::StatClass::kPlan}));
   }
 }
