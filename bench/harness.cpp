@@ -104,9 +104,6 @@ db::SessionOptions bench_session_options(const BenchConfig& cfg) {
   db::SessionOptions opts;
   opts.fit = bench_fit_config();
   opts.model_cache_dir = ".";
-  std::ostringstream tag;
-  tag << "_sf" << cfg.scale_factor;
-  opts.model_cache_tag = tag.str();
   opts.verbose = cfg.verbose;
   return opts;
 }
@@ -114,8 +111,7 @@ db::SessionOptions bench_session_options(const BenchConfig& cfg) {
 db::SessionOptions serving_session_options(const BenchConfig& cfg) {
   db::SessionOptions opts = bench_session_options(cfg);
   opts.verbose = false;
-  opts.models = std::make_shared<db::ModelCache>(opts.model_cache_dir,
-                                                 opts.model_cache_tag);
+  opts.models = std::make_shared<db::ModelCache>(opts.model_cache_dir);
   return opts;
 }
 
@@ -237,7 +233,7 @@ const std::vector<QueryRun>& BenchWorld::run_all() {
     run.mnt_reg = monet_->execute_star(stmt.bound());
     if (cfg_.verbose) {
       // FilterCache and zone-map effectiveness of the one-xb run (the
-      // counters are all-zero unless ExecOptions::prune was on).
+      // counters are all-zero unless HostConfig::prune was on).
       const engine::QueryStats& s = run.one_xb.stats;
       std::cerr << "[bench]   filter-cache hits/misses="
                 << s.filter_cache_hits << "/" << s.filter_cache_misses

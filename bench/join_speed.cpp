@@ -64,7 +64,8 @@ int main() {
   const rel::Table& prejoined =
       prejoined_db.register_table(ssb::prejoin_ssb(data));
 
-  const db::SessionOptions opts = bench::bench_session_options(cfg);
+  db::SessionOptions opts = bench::bench_session_options(cfg);
+  opts.host.sim_threads = kSimThreads;
   db::Session join_session(normalized, opts);
   db::Session pre_session(prejoined_db, opts);
   const db::BackendKind backend = db::BackendKind::kOneXb;
@@ -76,14 +77,11 @@ int main() {
             << " rows, sim threads " << kSimThreads << ", best of " << reps
             << "\n\n";
 
-  engine::ExecOptions run_opts;
-  run_opts.sim_threads = kSimThreads;
-
   // Warm-up: store loads, model fit (pre-joined GROUP BYs), plan and
   // compiled-filter caches for both catalogs.
   for (const ssb::SsbQuery& q : ssb::queries()) {
-    join_session.execute(q.sql, backend, run_opts);
-    pre_session.execute(q.sql, backend, run_opts);
+    join_session.execute(q.sql, backend);
+    pre_session.execute(q.sql, backend);
   }
 
   bench::Ledger ledger("join_speed");
@@ -99,9 +97,8 @@ int main() {
   double wall_join_total = 0, wall_prejoin_total = 0;
 
   for (const ssb::SsbQuery& q : ssb::queries()) {
-    const db::ResultSet join_rs =
-        join_session.execute(q.sql, backend, run_opts);
-    const db::ResultSet pre_rs = pre_session.execute(q.sql, backend, run_opts);
+    const db::ResultSet join_rs = join_session.execute(q.sql, backend);
+    const db::ResultSet pre_rs = pre_session.execute(q.sql, backend);
 
     // --- parity: the whole point of the normalized path ------------------
     if (join_rs.rows() != pre_rs.rows()) {
@@ -124,9 +121,9 @@ int main() {
     const double scan_ns = js.phases.filter + js.phases.transfer;
     const double host_ns = js.phases.host_gb + js.phases.finalize;
     const double wall_join_ms = bench::best_of_ms(
-        reps, [&] { join_session.execute(q.sql, backend, run_opts); });
+        reps, [&] { join_session.execute(q.sql, backend); });
     const double wall_prejoin_ms = bench::best_of_ms(
-        reps, [&] { pre_session.execute(q.sql, backend, run_opts); });
+        reps, [&] { pre_session.execute(q.sql, backend); });
 
     const std::string id(q.id);
     const char* const exec = "engine.query_exec";

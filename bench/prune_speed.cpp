@@ -8,8 +8,9 @@
 // week), flight-3 queries group by d_year, so both the filter phase and the
 // per-subgroup pim-gb phase can skip most pages.
 //
-// Two arms per query — ExecOptions::prune off (the default) and on — at 1
-// and 8 simulation threads:
+// Two arms per query — HostConfig::prune off (the default) and on — at 1
+// and 8 simulation threads, each arm one session over the same catalog
+// (they share one snapshot and one model fit):
 //
 //   work      modeled PIM-module energy (thread-count-invariant): the
 //             operations the modeled hardware no longer performs. Energy is
@@ -33,6 +34,7 @@
 // Env: BBPIM_SF (default 0.1), BBPIM_SIM_REPS (best-of repetitions,
 // default 3).
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,8 +60,20 @@ int main() {
   const rel::Table& clustered =
       database.register_table(rel::cluster_by(prejoined, orderdate));
 
+  // One session per arm: sim_threads and prune are HostConfig settings.
+  // Every arm pins the same snapshot (keyed by the PIM config) and shares
+  // one ModelCache (the fit fingerprint leaves both settings out).
   db::SessionOptions opts = bench::bench_session_options(cfg);
-  db::Session session(database, opts);
+  opts.models = std::make_shared<db::ModelCache>(opts.model_cache_dir);
+  const auto arm_session = [&](std::uint32_t sim_threads, bool prune) {
+    db::SessionOptions arm = opts;
+    arm.host.sim_threads = sim_threads;
+    arm.host.prune = prune;
+    return std::make_unique<db::Session>(database, arm);
+  };
+  const auto off1 = arm_session(1, false), on1 = arm_session(1, true);
+  const auto offn = arm_session(kSimThreads, false);
+  const auto onn = arm_session(kSimThreads, true);
   const db::BackendKind backend = db::BackendKind::kOneXb;
 
   std::cout << "=== Zone-map pruning: SSB flights 1+3 on date-clustered data "
@@ -68,14 +82,13 @@ int main() {
             << clustered.row_count() << ", sim threads 1/" << kSimThreads
             << ", best of " << reps << "\n\n";
 
-  // Warm everything outside the timed region (store load, model fit, plan
-  // and compiled-filter caches for both predicate orders).
+  // Warm everything outside the timed region (store load, model fit, each
+  // session's plan cache, compiled-filter caches for both predicate orders).
   for (const std::string& id : flight_ids) {
-    const auto& q = ssb::query(id);
-    session.execute(q.sql, backend);
-    engine::ExecOptions on;
-    on.prune = true;
-    session.execute(q.sql, backend, on);
+    for (db::Session* session :
+         {off1.get(), on1.get(), offn.get(), onn.get()}) {
+      session->execute(ssb::query(id).sql, backend);
+    }
   }
 
   bench::Ledger ledger("prune_speed");
@@ -95,15 +108,8 @@ int main() {
   for (const std::string& id : flight_ids) {
     const auto& q = ssb::query(id);
 
-    engine::ExecOptions off1, on1, offn, onn;
-    off1.sim_threads = 1;
-    on1.sim_threads = 1;
-    on1.prune = true;
-    offn.sim_threads = kSimThreads;
-    onn.sim_threads = kSimThreads;
-    onn.prune = true;
-    const db::ResultSet ref = session.execute(q.sql, backend, off1);
-    const db::ResultSet pruned = session.execute(q.sql, backend, on1);
+    const db::ResultSet ref = off1->execute(q.sql, backend);
+    const db::ResultSet pruned = on1->execute(q.sql, backend);
 
     // --- parity: rows byte-identical, semantic stats exact, cost <= -------
     if (pruned.rows() != ref.rows()) {
@@ -121,8 +127,8 @@ int main() {
       parity_ok = false;
     }
     // Thread-count invariance of both arms.
-    const db::ResultSet refn = session.execute(q.sql, backend, offn);
-    const db::ResultSet prunedn = session.execute(q.sql, backend, onn);
+    const db::ResultSet refn = offn->execute(q.sql, backend);
+    const db::ResultSet prunedn = onn->execute(q.sql, backend);
     if (refn.rows() != ref.rows() || prunedn.rows() != ref.rows() ||
         refn.stats().total_ns != ref.stats().total_ns ||
         prunedn.stats().total_ns != pruned.stats().total_ns) {
@@ -134,10 +140,10 @@ int main() {
     // invariant, checked above) and its best-of wall-clock.
     const auto record_arm = [&](const std::string& arm,
                                 const db::ResultSet& rs,
-                                const engine::ExecOptions& opts) {
+                                db::Session& session) {
       const engine::QueryStats& s = rs.stats();
-      const double wall_ms = bench::best_of_ms(
-          reps, [&] { session.execute(q.sql, backend, opts); });
+      const double wall_ms =
+          bench::best_of_ms(reps, [&] { session.execute(q.sql, backend); });
       const char* const exec = "engine.query_exec";
       ledger.record(arm, id, exec, C::kModeled, "total_ns", s.total_ns);
       ledger.record(arm, id, exec, C::kModeled, "energy_j", s.energy_j);
@@ -150,10 +156,10 @@ int main() {
       ledger.record(arm, id, "db.session", C::kWall, "wall_ms", wall_ms);
       return wall_ms;
     };
-    const double wall1_off = record_arm("off-1t", ref, off1);
-    const double wall1_on = record_arm("on-1t", pruned, on1);
-    const double walln_off = record_arm("off-" + nt, refn, offn);
-    const double walln_on = record_arm("on-" + nt, prunedn, onn);
+    const double wall1_off = record_arm("off-1t", ref, *off1);
+    const double wall1_on = record_arm("on-1t", pruned, *on1);
+    const double walln_off = record_arm("off-" + nt, refn, *offn);
+    const double walln_on = record_arm("on-" + nt, prunedn, *onn);
 
     const engine::QueryStats& off = ref.stats();
     const engine::QueryStats& on = pruned.stats();

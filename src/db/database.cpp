@@ -1,6 +1,5 @@
 #include "db/database.hpp"
 
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -10,43 +9,6 @@
 #include "db/statement.hpp"
 
 namespace bbpim::db {
-
-namespace {
-
-/// FNV-1a over a PimConfig's fields: distinguishes snapshot managers when
-/// tests run the same table under different module geometries or timings.
-/// Doubles hash by bit pattern — config equality, not numeric tolerance.
-std::uint64_t pim_config_fingerprint(const pim::PimConfig& cfg) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mix_double = [&mix](double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
-  mix(cfg.crossbar_rows);
-  mix(cfg.crossbar_cols);
-  mix(cfg.crossbars_per_page);
-  mix(cfg.chips);
-  mix(cfg.capacity_bytes);
-  mix(cfg.read_bits);
-  mix_double(cfg.logic_cycle_ns);
-  mix_double(cfg.read_cycle_ns);
-  mix_double(cfg.write_cycle_ns);
-  mix_double(cfg.logic_energy_fj_per_bit);
-  mix_double(cfg.read_energy_pj_per_bit);
-  mix_double(cfg.write_energy_pj_per_bit);
-  mix_double(cfg.agg_circuit_power_uw);
-  mix_double(cfg.controller_power_uw);
-  return h;
-}
-
-}  // namespace
 
 // Out of line: SnapshotManager is forward-declared in the header, so the
 // unique_ptr map's destructor must be instantiated here.
@@ -179,8 +141,7 @@ SnapshotManager& Database::snapshot_manager(const rel::Table& table,
   // snapshots_mutex_ (both take their own locks; keep the order acyclic).
   const LoadPolicy& policy = policy_of(table);
   TableWrites& writes_state = writes(table);
-  const auto key =
-      std::make_tuple(&table, two_crossbar, pim_config_fingerprint(pim));
+  const auto key = std::make_tuple(&table, two_crossbar, pim);
   std::lock_guard lock(snapshots_mutex_);
   std::unique_ptr<SnapshotManager>& slot = snapshots_[key];
   if (slot == nullptr) {

@@ -18,6 +18,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/memo.hpp"
@@ -194,7 +195,7 @@ class Database {
   /// unique_ptr keeps addresses stable. Guarded by snapshots_mutex_
   /// (creation only — managers synchronize themselves afterwards).
   std::mutex snapshots_mutex_;
-  std::map<std::tuple<const rel::Table*, bool, std::uint64_t>,
+  std::map<std::tuple<const rel::Table*, bool, pim::PimConfig>,
            std::unique_ptr<SnapshotManager>>
       snapshots_;
   /// Shared bound plans of the current catalog, keyed by SQL text; replaced

@@ -12,7 +12,11 @@
 namespace bbpim::db {
 namespace {
 
-/// Base and upper bound of one retry backoff (see RetryOptions).
+/// Re-executions of a transiently failed statement (engine::TransientFault
+/// and subclasses) after its first attempt; anything else is permanent and
+/// settles on first throw. Retry k (1-based) backs off
+/// min(kRetryBackoffBaseUs << (k-1), kRetryBackoffCapUs).
+constexpr std::size_t kMaxRetries = 2;
 constexpr std::uint64_t kRetryBackoffBaseUs = 200;
 constexpr std::uint64_t kRetryBackoffCapUs = 5'000;
 
@@ -47,21 +51,16 @@ QueryService::QueryService(Database& db, QueryServiceOptions opts)
     if (workers == 0) workers = 1;
   }
 
-  // One ModelCache across the pool: either the caller's, or one built from
-  // the template's disk-cache settings. Without this, every worker would run
-  // its own fitting campaign — the exact duplication fit-once exists to stop.
-  model_cache_ = opts_.session.models;
-  if (model_cache_ == nullptr) {
-    model_cache_ = std::make_shared<ModelCache>(opts_.session.model_cache_dir,
-                                                opts_.session.model_cache_tag);
-  }
-
+  // One ModelCache across the pool: the first session's (the caller's, or
+  // the one it builds from the template's model_cache_dir), injected into
+  // every other worker. Without this, every worker would run its own
+  // fitting campaign — the exact duplication fit-once exists to stop.
   sessions_.reserve(workers);
   workers_.reserve(workers);
+  SessionOptions worker_opts = opts_.session;
   for (std::size_t i = 0; i < workers; ++i) {
-    SessionOptions worker_opts = opts_.session;
-    worker_opts.models = model_cache_;
-    sessions_.push_back(std::make_unique<Session>(*db_, std::move(worker_opts)));
+    sessions_.push_back(std::make_unique<Session>(*db_, worker_opts));
+    worker_opts.models = sessions_.front()->model_cache();
   }
   try {
     for (std::size_t i = 0; i < workers; ++i) {
@@ -378,8 +377,7 @@ void QueryService::serve(Session& session, std::vector<Task> batch) {
     for (std::size_t i = 0; i < live.size(); ++i) {
       if (items[i].error == nullptr) {
         settle_success(live[i], std::move(items[i].result));
-      } else if (attempt < opts_.retry.max_retries &&
-                 is_transient(items[i].error)) {
+      } else if (attempt < kMaxRetries && is_transient(items[i].error)) {
         batch.push_back(std::move(live[i]));
       } else {
         settle_error(live[i], items[i].error);

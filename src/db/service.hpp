@@ -31,7 +31,7 @@
 //     statements with engine::QueryTimeout without executing them, and the
 //     engine aborts in-flight ones cooperatively at phase boundaries.
 //   - Failures classified transient (engine::TransientFault) are retried
-//     with capped exponential backoff within RetryOptions' budget.
+//     with capped exponential backoff, at most twice.
 //   - shutdown() settles still-queued statements with ServiceStopped;
 //     statements a worker already picked up complete normally.
 #pragma once
@@ -82,15 +82,6 @@ struct AdmissionOptions {
   std::uint64_t block_timeout_us = 1'000'000;
 };
 
-/// Retry budget for failures classified transient (engine::TransientFault
-/// and subclasses — fault-injection faults, recoverable device hiccups).
-/// Anything else is permanent and settles the future on first throw.
-struct RetryOptions {
-  /// Re-executions after the first attempt. 0 disables retry. Retry k
-  /// (1-based) backs off min(200 us << (k-1), 5 ms).
-  std::size_t max_retries = 2;
-};
-
 /// Shared-scan admission (the batch former). When enabled, a worker that
 /// pops a submitted statement gathers the other in-flight statements with a
 /// matching (backend, options) signature — waiting out a small window for
@@ -115,16 +106,14 @@ struct QueryServiceOptions {
   /// Worker threads (each with a private Session). 0 = hardware concurrency
   /// (at least 1).
   std::size_t workers = 0;
-  /// Template for every worker's session. When `session.models` is null one
-  /// shared ModelCache is created from `model_cache_dir`/`model_cache_tag`
-  /// and injected into all workers, preserving fit-once across the pool.
+  /// Template for every worker's session. When `session.models` is null the
+  /// first worker's ModelCache (built from `model_cache_dir`) is injected
+  /// into all the others, preserving fit-once across the pool.
   SessionOptions session;
   /// Shared-scan batched execution of concurrent submissions.
   SharedScanOptions shared_scan;
   /// Bounded admission; unbounded by default.
   AdmissionOptions admission;
-  /// Transient-failure retry budget.
-  RetryOptions retry;
 };
 
 class QueryService {
@@ -200,7 +189,7 @@ class QueryService {
   std::size_t queue_depth() const;
   Counters counters() const;
   const std::shared_ptr<ModelCache>& model_cache() const {
-    return model_cache_;
+    return sessions_.front()->model_cache();
   }
 
  private:
@@ -234,7 +223,6 @@ class QueryService {
 
   Database* db_;
   QueryServiceOptions opts_;
-  std::shared_ptr<ModelCache> model_cache_;
   /// One session per worker, index-aligned with workers_; built before the
   /// threads start. Only its own worker executes on it; warm_up may build
   /// its executors concurrently (Session::executor_for locks).

@@ -130,7 +130,7 @@ class PimExecutor final : public Executor {
   /// The store at the version a read through this executor would see now,
   /// pinned without reading (last_data_version() reports it): a join prices
   /// its fact scan on it, and reports it when the scan is skipped.
-  engine::PimStore& pin_store() {
+  const engine::PimStore& pin_store() {
     refresh();
     observed_version_ = snap_->version();
     return store_;
@@ -189,8 +189,8 @@ void reject_pim_exec_options(BackendKind backend,
   if (opts != engine::ExecOptions{}) {  // any simulation knob set
     throw std::invalid_argument(
         std::string("execute: backend '") + backend_name(backend) +
-        "' does not honor ExecOptions (force_k / skip_host_gb / sim_threads /"
-        " sim_scalar / prune are PIM-only)");
+        "' does not honor ExecOptions (force_k / skip_host_gb / sim_scalar"
+        " are PIM-only)");
   }
 }
 
@@ -329,14 +329,13 @@ engine::FitConfig quick_fit_config() {
 
 // --- ModelCache ------------------------------------------------------------
 
-ModelCache::ModelCache(std::string dir, std::string tag)
-    : dir_(std::move(dir)), tag_(std::move(tag)) {}
+ModelCache::ModelCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::string ModelCache::cache_path(engine::EngineKind kind,
                                    std::uint64_t fingerprint) const {
   std::ostringstream ss;
-  ss << dir_ << "/bbpim_models_" << engine::engine_kind_name(kind) << tag_
-     << '_' << fingerprint << ".txt";
+  ss << dir_ << "/bbpim_models_" << engine::engine_kind_name(kind) << '_'
+     << fingerprint << ".txt";
   return ss.str();
 }
 
@@ -511,8 +510,7 @@ Session::Session(Database& db, SessionOptions opts)
     : db_(&db), opts_(std::move(opts)) {
   model_cache_ = opts_.models != nullptr
                      ? opts_.models
-                     : std::make_shared<ModelCache>(opts_.model_cache_dir,
-                                                    opts_.model_cache_tag);
+                     : std::make_shared<ModelCache>(opts_.model_cache_dir);
 }
 
 Session::~Session() = default;

@@ -57,9 +57,9 @@ engine::FitConfig quick_fit_config();
 class ModelCache {
  public:
   ModelCache() = default;
-  /// `dir` of "" disables disk persistence; `tag` disambiguates cache files
-  /// fitted under different configurations.
-  explicit ModelCache(std::string dir, std::string tag = {});
+  /// `dir` of "" disables disk persistence. Files are named by kind and
+  /// config fingerprint, so configurations sharing a dir never collide.
+  explicit ModelCache(std::string dir);
 
   bool contains(engine::EngineKind kind) const;
   /// Injects externally fitted models for `kind`, bypassing the campaign;
@@ -90,8 +90,8 @@ class ModelCache {
   /// (kind, config fingerprint); fingerprint 0 holds put()-injected models.
   using Key = std::pair<engine::EngineKind, std::uint64_t>;
 
-  /// One file per (kind, tag, fingerprint): configurations sharing a cache
-  /// dir coexist on disk instead of overwriting each other's campaigns.
+  /// One file per (kind, fingerprint): configurations sharing a cache dir
+  /// coexist on disk instead of overwriting each other's campaigns.
   std::string cache_path(engine::EngineKind kind,
                          std::uint64_t fingerprint) const;
   /// Validated disk load, else fitting campaign (counted in fits_).
@@ -103,7 +103,6 @@ class ModelCache {
                                     bool verbose);
 
   std::string dir_;
-  std::string tag_;
   Memo<Key, engine::LatencyModels> models_;
   std::atomic<std::size_t> fits_{0};
 };
@@ -114,10 +113,9 @@ struct SessionOptions {
   engine::FitConfig fit = quick_fit_config();
   /// Shared fit-once cache; a private one is created when null.
   std::shared_ptr<ModelCache> models;
-  /// Disk cache location/tag for the private ModelCache ("" = memory only).
+  /// Disk cache location for the private ModelCache ("" = memory only).
   /// Ignored when `models` is provided.
   std::string model_cache_dir;
-  std::string model_cache_tag;
   bool verbose = false;
 };
 

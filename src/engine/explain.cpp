@@ -117,7 +117,7 @@ void filter_section(const std::vector<sql::BoundPredicate>& filters,
     }
   }
 
-  // Zone-map classification: what pruning (ExecOptions::prune) would skip.
+  // Zone-map classification: what pruning (HostConfig::prune) would skip.
   // Routed through the store's classification memo, so explaining a query a
   // pruned execution already classified reuses the cached analysis — and
   // the memo line below reports exactly that reuse.

@@ -120,7 +120,7 @@ std::vector<sql::BoundPredicate> order_by_selectivity(
     std::vector<double>* estimates = nullptr);
 
 /// Memo of compiled WHERE programs, keyed by the exact predicate list, the
-/// part, and the scratch allocator's state fingerprint. Compiling is a pure
+/// part, and the scratch allocator's state key. Compiling is a pure
 /// function of (predicates, layout, allocator state), so a hit returns the
 /// cached program and merely replays its allocator effect (acquiring the
 /// result column) — repeated prepared-statement executions skip

@@ -50,7 +50,7 @@ std::vector<std::vector<std::size_t>> join_scan_attrs(
 StarJoin plan_star_join(const sql::BoundJoin& plan,
                         std::vector<ScanOutput> scans,
                         const std::vector<const rel::Table*>& tables,
-                        PimStore* fact, const host::HostConfig& hcfg) {
+                        const PimStore* fact, const host::HostConfig& hcfg) {
   using Kind = sql::BoundPredicate::Kind;
   StarJoin out;
   const auto attrs = join_scan_attrs(plan);

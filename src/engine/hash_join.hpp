@@ -101,7 +101,7 @@ struct StarJoin {
 StarJoin plan_star_join(const sql::BoundJoin& plan,
                         std::vector<ScanOutput> scans,
                         const std::vector<const rel::Table*>& tables,
-                        PimStore* fact, const host::HostConfig& hcfg);
+                        const PimStore* fact, const host::HostConfig& hcfg);
 
 /// Semijoin reduction for a join's scan of the fact store `fact`: returns
 /// `filters` with the best prefix of the candidates ANDed in, candidates
@@ -120,7 +120,7 @@ std::vector<sql::BoundPredicate> semijoin_prefix(
     const std::vector<sql::BoundPredicate>& filters,
     const std::vector<SemijoinCandidate>& candidates,
     const std::vector<std::size_t>& attrs, std::size_t probe_builds,
-    PimStore& fact, const host::HostConfig& hcfg);
+    const PimStore& fact, const host::HostConfig& hcfg);
 
 /// Finishes a star join once its fact scan, if any, is in join.scans: the
 /// host hash join over the scans and the join's stats, its stages added up

@@ -24,7 +24,6 @@ struct FitConfig {
   std::vector<double> ratios = {0.005, 0.02, 0.08, 0.2, 0.4, 0.8};
   std::vector<std::uint32_t> s_values = {2, 3, 4, 5};
   std::vector<std::uint32_t> n_values = {1, 2, 3, 4};
-  std::uint64_t seed = 7;
 };
 
 struct FitObservation {

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bbpim::engine {
 
@@ -208,6 +209,10 @@ void PimStore::load_part(int part) {
 
 pim::Page& PimStore::page(int part, std::size_t i) {
   return module_->page(module_page_index(part, i));
+}
+
+const pim::Page& PimStore::page(int part, std::size_t i) const {
+  return std::as_const(*module_).page(module_page_index(part, i));
 }
 
 std::size_t PimStore::module_page_index(int part, std::size_t i) const {

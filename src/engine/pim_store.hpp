@@ -106,6 +106,7 @@ class PimStore {
 
   /// Module page holding page `i` of `part`.
   pim::Page& page(int part, std::size_t i);
+  const pim::Page& page(int part, std::size_t i) const;
   std::size_t module_page_index(int part, std::size_t i) const;
 
   /// Valid records in page i (the last page may be partial).

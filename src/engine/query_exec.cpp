@@ -320,9 +320,9 @@ class Execution {
         q_(q),
         opts_(opts),
         allocs_(allocs),
-        sim_threads_(resolve_threads(opts.sim_threads.value_or(hcfg.sim_threads))),
+        sim_threads_(resolve_threads(hcfg.sim_threads)),
         vectorized_(!opts.sim_scalar),
-        prune_(opts.prune.value_or(hcfg.prune)),
+        prune_(hcfg.prune),
         clock_(hcfg),
         cancel_(std::move(cancel)),
         results_(q.agg_func, group_maxima(store, q.group_by)) {
@@ -1746,9 +1746,9 @@ std::vector<sql::BoundPredicate> semijoin_prefix(
     const std::vector<sql::BoundPredicate>& filters,
     const std::vector<SemijoinCandidate>& candidates,
     const std::vector<std::size_t>& attrs, std::size_t probe_builds,
-    PimStore& store, const host::HostConfig& hcfg) {
+    const PimStore& store, const host::HostConfig& hcfg) {
   if (candidates.empty()) return filters;
-  const pim::PimConfig& cfg = store.module().config();
+  const pim::PimConfig& cfg = store.module_config();
 
   // Modeled readback + probe of a scan whose records survive independently
   // with probability `sel`: a page-row line (one chunk of the row's record

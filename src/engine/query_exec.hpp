@@ -301,24 +301,10 @@ struct ExecOptions {
   std::optional<std::size_t> force_k;
   /// Skip the host-gb phase (measurement of pure pim-gb cost).
   bool skip_host_gb = false;
-  /// Simulation worker threads for this execution; unset defers to
-  /// HostConfig::sim_threads (0 there = all hardware threads). Any value
-  /// produces bit-identical rows and stats — the knob only changes how much
-  /// wall-clock the simulation itself takes.
-  std::optional<std::uint32_t> sim_threads;
   /// Run the scalar (pre-vectorization) simulation kernels and bypass the
   /// compiled-filter cache: the oracle of the kernel-equivalence tests
   /// (test_db_parity, test_sim_determinism). Same results, slower.
   bool sim_scalar = false;
-  /// Zone-map pruning: skip pages the sketches prove cannot match, replace
-  /// provably all-true per-part filter programs by a synthesized validity
-  /// copy, skip refuted (subgroup, page) pairs in pim-gb, and early-exit
-  /// aggregation when every page is statically skipped. Result rows are
-  /// byte-identical with pruning on or off, and pages that do execute run
-  /// the exact same programs at the exact same modeled cost — pruning only
-  /// removes work, which is why it is excluded from the model-cache config
-  /// fingerprint. Unset defers to HostConfig::prune.
-  std::optional<bool> prune;
 
   /// Wall-clock budget for this statement in microseconds; 0 = none. The
   /// clock starts at submission (db::QueryService arms it in submit()) or at
@@ -335,8 +321,7 @@ struct ExecOptions {
   /// its own token).
   bool operator==(const ExecOptions& o) const {
     return force_k == o.force_k && skip_host_gb == o.skip_host_gb &&
-           sim_threads == o.sim_threads && sim_scalar == o.sim_scalar &&
-           prune == o.prune;
+           sim_scalar == o.sim_scalar;
   }
 };
 

@@ -64,10 +64,15 @@ struct HostConfig {
   /// times, energy, wear, and traces are bit-identical at any value.
   std::uint32_t sim_threads = 0;
 
-  /// Default for ExecOptions::prune (zone-map data skipping). Like
+  /// Zone-map pruning: skip pages the sketches prove cannot match, replace
+  /// provably all-true per-part filter programs by a synthesized validity
+  /// copy, skip refuted (subgroup, page) pairs in pim-gb, and early-exit
+  /// aggregation when every page is statically skipped. Result rows are
+  /// byte-identical with pruning on or off, and pages that do execute run
+  /// the exact same programs at the exact same modeled cost. Like
   /// sim_threads, deliberately excluded from the model-cache config
-  /// fingerprint: pruning never changes the modeled per-page cost of a page
-  /// that executes, so models fitted without pruning stay valid with it.
+  /// fingerprint: pruning only removes work, so models fitted without it
+  /// stay valid with it.
   bool prune = false;
 };
 

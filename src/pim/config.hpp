@@ -6,6 +6,7 @@
 // 16-bit fixed crossbar reads, 30 ns bulk logic cycle, MAGIC-style energy.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "common/units.hpp"
@@ -41,6 +42,10 @@ struct PimConfig {
   // --- Power (active components) -------------------------------------------
   double agg_circuit_power_uw = 25.4;   ///< one aggregation circuit, active
   double controller_power_uw = 126.0;   ///< one PIM controller, active [1]
+
+  /// Field-by-field, doubles compared exactly: the identity that keys
+  /// db::Database's snapshot managers.
+  auto operator<=>(const PimConfig&) const = default;
 
   // --- Derived geometry -----------------------------------------------------
   std::uint32_t records_per_page() const {

@@ -61,26 +61,6 @@ std::string ColumnAlloc::state_key() const {
   return key;
 }
 
-std::uint64_t ColumnAlloc::state_fingerprint() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  auto mix = [&hash](std::uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ULL;
-  };
-  mix(begin_);
-  mix(end_);
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < in_use_.size(); ++i) {
-    word = (word << 1) | static_cast<std::uint64_t>(in_use_[i]);
-    if ((i & 63) == 63) {
-      mix(word);
-      word = 0;
-    }
-  }
-  mix(word);
-  return hash;
-}
-
 Field ColumnAlloc::alloc_field(std::uint16_t width) {
   if (width == 0) throw std::invalid_argument("ColumnAlloc: zero-width field");
   const std::size_t n = in_use_.size();

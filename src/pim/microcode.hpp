@@ -93,15 +93,12 @@ class ColumnAlloc {
   /// allocated). Throws std::logic_error when the column is already taken.
   void acquire(std::uint16_t col);
 
-  /// Digest of the current in-use set (and region bounds). Allocation is a
-  /// pure function of this state, so two allocators with equal state hand
-  /// out identical columns for identical request sequences.
-  std::uint64_t state_fingerprint() const;
-
-  /// Verbatim (collision-free) encoding of the same state — bounds plus the
-  /// in-use bitmap in hex. What the compiled-filter cache keys on: a hash
-  /// collision there would replay a program compiled for a different
-  /// allocator state.
+  /// Verbatim (collision-free) encoding of the current state — region
+  /// bounds plus the in-use bitmap in hex. Allocation is a pure function of
+  /// this state, so two allocators with equal keys hand out identical
+  /// columns for identical request sequences. What the compiled-filter
+  /// cache keys on: a hash collision there would replay a program compiled
+  /// for a different allocator state.
   std::string state_key() const;
 
   /// Allocates `width` columns (not necessarily contiguous is NOT acceptable

@@ -78,6 +78,16 @@ struct EngineFixture {
                                                       std::move(models));
   }
 
+  /// An engine over this fixture's store with other simulation settings:
+  /// one arm of a parity test (HostConfig is where both settings live).
+  engine::PimQueryEngine arm(std::uint32_t sim_threads,
+                             bool prune = false) const {
+    host::HostConfig h = hcfg;
+    h.sim_threads = sim_threads;
+    h.prune = prune;
+    return engine::PimQueryEngine(engine->kind(), *store, h, engine->models());
+  }
+
   sql::BoundQuery bind_sql(const std::string& sql_text) {
     return sql::bind(sql::parse(sql_text), table->schema());
   }

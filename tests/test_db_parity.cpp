@@ -47,6 +47,16 @@ struct ParityWorld {
     return *raw[static_cast<int>(kind)];
   }
 
+  /// A session over the same catalog with other simulation settings: it
+  /// pins the same snapshots and shares the default session's model fit.
+  db::Session arm(std::uint32_t sim_threads, bool prune = false) {
+    db::SessionOptions opts = session->options();
+    opts.models = session->model_cache();
+    opts.host.sim_threads = sim_threads;
+    opts.host.prune = prune;
+    return db::Session(database, std::move(opts));
+  }
+
  private:
   ParityWorld() {
     ssb::SsbConfig gen;
@@ -127,17 +137,16 @@ INSTANTIATE_TEST_SUITE_P(Ssb, FacadeMatchesRawEngine,
 // count.
 TEST(KernelParity, ScalarAndThreadedKernelsAgreeOnSsb) {
   ParityWorld& w = ParityWorld::instance();
+  db::Session serial = w.arm(1);
+  db::Session threaded = w.arm(4);
   engine::ExecOptions scalar;
   scalar.sim_scalar = true;
-  scalar.sim_threads = 1;
   for (const auto& q : ssb::queries()) {
     const db::ResultSet oracle =
-        w.session->execute(q.sql, db::BackendKind::kOneXb, scalar);
-    for (const std::uint32_t threads : {1u, 4u}) {
-      engine::ExecOptions vec;
-      vec.sim_threads = threads;
-      const db::ResultSet rs =
-          w.session->execute(q.sql, db::BackendKind::kOneXb, vec);
+        serial.execute(q.sql, db::BackendKind::kOneXb, scalar);
+    for (db::Session* arm : {&serial, &threaded}) {
+      const std::uint32_t threads = arm->options().host.sim_threads;
+      const db::ResultSet rs = arm->execute(q.sql, db::BackendKind::kOneXb);
       EXPECT_EQ(rs.rows(), oracle.rows()) << "Q" << q.id << " at " << threads;
       EXPECT_TRUE(engine::stats_equal(
           rs.stats(), oracle.stats(),
@@ -163,10 +172,9 @@ TEST(HostTables, BulkReadersKeepNativeWidths) {
       w.session->execute(q.sql, backend);
     }
   }
-  engine::ExecOptions pruned;
-  pruned.prune = true;
+  db::Session pruned = w.arm(0, true);  // 0: all hardware threads
   for (const auto& item :
-       w.session->execute_batch(texts, db::BackendKind::kOneXb, pruned)) {
+       pruned.execute_batch(texts, db::BackendKind::kOneXb)) {
     EXPECT_FALSE(item.error);
   }
 

@@ -4,12 +4,16 @@
 // cross-backend agreement with the scalar reference on a seeded query set.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "db/db.hpp"
+#include "db/snapshot_manager.hpp"
 #include "engine_test_util.hpp"
 
 namespace bbpim {
@@ -33,13 +37,23 @@ db::SessionOptions fast_options() {
 }
 
 /// The on-disk model cache file for `opts`' configuration (one file per
-/// kind + tag + config fingerprint).
-std::string model_cache_file(const std::string& dir, const std::string& tag,
+/// kind + config fingerprint).
+std::string model_cache_file(const std::string& dir,
                              const db::SessionOptions& opts) {
-  return dir + "/bbpim_models_one_xb" + tag + "_" +
+  return dir + "/bbpim_models_one_xb_" +
          std::to_string(
              engine::config_fingerprint(opts.pim, opts.host, opts.fit)) +
          ".txt";
+}
+
+/// An empty directory `name` under the test temp dir: each disk-cache test
+/// keeps its files apart from the others'.
+std::string fresh_cache_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 /// A database holding one seeded synthetic relation.
@@ -297,10 +311,63 @@ TEST(ModelCacheTest, SharedAcrossSessionsFitsOnce) {
   EXPECT_EQ(&second.models(engine::EngineKind::kOneXb), &m);
 }
 
+// sim_threads and prune are HostConfig settings that change neither the
+// snapshot a session pins nor the models it fits: sessions that differ only
+// there share one snapshot manager, one published version and one fit.
+TEST(ModelCacheTest, SimulationSettingsShareSnapshotAndFit) {
+  auto cache = std::make_shared<db::ModelCache>();
+  db::Database database;
+  const rel::Table& table = database.register_table(
+      testutil::make_synthetic_table(400, 34), synthetic_policy());
+  // Grouped without force_k: the planner needs the fitted models.
+  const char* sql =
+      "SELECT f_gid, SUM(f_val) AS s FROM synthetic WHERE f_key < 2000 "
+      "GROUP BY f_gid ORDER BY f_gid";
+  std::vector<std::unique_ptr<db::Session>> sessions;
+  std::vector<db::ResultSet> results;
+  for (const std::uint32_t sim_threads : {1u, 4u}) {
+    for (const bool prune : {false, true}) {
+      db::SessionOptions opts = fast_options();
+      opts.models = cache;
+      opts.host.sim_threads = sim_threads;
+      opts.host.prune = prune;
+      sessions.push_back(std::make_unique<db::Session>(database, opts));
+      results.push_back(sessions.back()->execute(sql));
+      EXPECT_EQ(results.back().rows(), results.front().rows())
+          << sim_threads << " threads, prune " << prune;
+    }
+  }
+  EXPECT_EQ(cache->fit_count(), 1u);
+  // One manager built one version, and all four sessions pin it.
+  const db::SnapshotManager& manager = database.snapshot_manager(
+      table, /*two_crossbar=*/false, fast_options().pim);
+  EXPECT_EQ(manager.published_count(), 1u);
+  EXPECT_EQ(manager.live_snapshots(), 1);
+}
+
+// Snapshot managers are keyed by the PIM config's value: an equal config
+// finds the same manager, one differing in a single double field (by one
+// ulp) gets its own.
+TEST(SnapshotManagers, KeyedByExactPimConfig) {
+  db::Database database;
+  const rel::Table& table = database.register_table(
+      testutil::make_synthetic_table(400, 35), synthetic_policy());
+  const pim::PimConfig base = fast_options().pim;
+  pim::PimConfig equal = base;
+  pim::PimConfig other = base;
+  other.read_energy_pj_per_bit =
+      std::nextafter(other.read_energy_pj_per_bit, 1.0e9);
+  const db::SnapshotManager* const manager =
+      &database.snapshot_manager(table, /*two_crossbar=*/false, base);
+  EXPECT_EQ(&database.snapshot_manager(table, false, equal), manager);
+  EXPECT_NE(&database.snapshot_manager(table, false, other), manager);
+  EXPECT_EQ(&database.snapshot_manager(table, false, other),
+            &database.snapshot_manager(table, false, other));
+}
+
 TEST(ModelCacheTest, DiskRoundTrip) {
   db::SessionOptions opts = fast_options();
-  opts.model_cache_dir = ::testing::TempDir();
-  opts.model_cache_tag = "_dbsession_test";
+  opts.model_cache_dir = fresh_cache_dir("bbpim_dbsession_test");
 
   db::Database database;
   database.register_table(testutil::make_synthetic_table(400, 32),
@@ -317,19 +384,15 @@ TEST(ModelCacheTest, DiskRoundTrip) {
   const auto& mb = b.models(engine::EngineKind::kOneXb);
   EXPECT_DOUBLE_EQ(ma.host_gb_ns(8.0, 2, 0.3), mb.host_gb_ns(8.0, 2, 0.3));
   EXPECT_DOUBLE_EQ(ma.pim_gb_ns(8.0, 2), mb.pim_gb_ns(8.0, 2));
-  std::remove(
-      model_cache_file(opts.model_cache_dir, opts.model_cache_tag, opts)
-          .c_str());
+  std::remove(model_cache_file(opts.model_cache_dir, opts).c_str());
 }
 
 TEST(ModelCacheTest, ConfigFingerprintMismatchIsACacheMiss) {
-  const std::string dir = ::testing::TempDir();
-  const std::string tag = "_fingerprint_test";
+  const std::string dir = fresh_cache_dir("bbpim_fingerprint_test");
   const db::SessionOptions opts = fast_options();
-  const std::string path = model_cache_file(dir, tag, opts);
-  std::remove(path.c_str());
+  const std::string path = model_cache_file(dir, opts);
 
-  db::ModelCache writer(dir, tag);
+  db::ModelCache writer(dir);
   EXPECT_TRUE(writer
                   .get_or_fit(engine::EngineKind::kOneXb, opts.pim, opts.host,
                               opts.fit)
@@ -337,18 +400,18 @@ TEST(ModelCacheTest, ConfigFingerprintMismatchIsACacheMiss) {
   EXPECT_EQ(writer.fit_count(), 1u);
 
   // Same configuration, fresh cache: valid disk hit, no refit.
-  db::ModelCache same(dir, tag);
+  db::ModelCache same(dir);
   EXPECT_TRUE(same.get_or_fit(engine::EngineKind::kOneXb, opts.pim, opts.host,
                               opts.fit)
                   .fitted());
   EXPECT_EQ(same.fit_count(), 0u);
 
-  // Same cache dir + tag but a different host configuration: the saved
+  // Same cache dir but a different host configuration: the saved
   // models must NOT be silently reused (the pre-fix behavior) — the
   // fingerprint separates the entries and forces a refit.
   host::HostConfig other_host = opts.host;
   other_host.line_random_ns *= 4;
-  db::ModelCache different(dir, tag);
+  db::ModelCache different(dir);
   const engine::LatencyModels& refitted = different.get_or_fit(
       engine::EngineKind::kOneXb, opts.pim, other_host, opts.fit);
   EXPECT_TRUE(refitted.fitted());
@@ -359,11 +422,11 @@ TEST(ModelCacheTest, ConfigFingerprintMismatchIsACacheMiss) {
   {
     db::SessionOptions other = opts;
     other.host = other_host;
-    std::ifstream src(model_cache_file(dir, tag, other));
+    std::ifstream src(model_cache_file(dir, other));
     std::ofstream dst(path);
     dst << src.rdbuf();  // other config's models under OUR file name
   }
-  db::ModelCache forged(dir, tag);
+  db::ModelCache forged(dir);
   EXPECT_TRUE(forged
                   .get_or_fit(engine::EngineKind::kOneXb, opts.pim, opts.host,
                               opts.fit)
@@ -373,18 +436,17 @@ TEST(ModelCacheTest, ConfigFingerprintMismatchIsACacheMiss) {
   std::remove(path.c_str());
   db::SessionOptions other = opts;
   other.host = other_host;
-  std::remove(model_cache_file(dir, tag, other).c_str());
+  std::remove(model_cache_file(dir, other).c_str());
 }
 
 TEST(ModelCacheTest, TruncatedOrEmptyCacheFileIsACacheMiss) {
-  const std::string dir = ::testing::TempDir();
-  const std::string tag = "_truncated_test";
+  const std::string dir = fresh_cache_dir("bbpim_truncated_test");
   const db::SessionOptions opts = fast_options();
-  const std::string path = model_cache_file(dir, tag, opts);
+  const std::string path = model_cache_file(dir, opts);
 
   // Empty file: loads as an unfitted model — must refit, not poison.
   { std::ofstream out(path); }
-  db::ModelCache empty_cache(dir, tag);
+  db::ModelCache empty_cache(dir);
   EXPECT_TRUE(empty_cache
                   .get_or_fit(engine::EngineKind::kOneXb, opts.pim, opts.host,
                               opts.fit)
@@ -396,7 +458,7 @@ TEST(ModelCacheTest, TruncatedOrEmptyCacheFileIsACacheMiss) {
     std::ofstream out(path);
     out << "fingerprint 12345\nhost 2 1.5";  // record cut short
   }
-  db::ModelCache truncated_cache(dir, tag);
+  db::ModelCache truncated_cache(dir);
   EXPECT_TRUE(truncated_cache
                   .get_or_fit(engine::EngineKind::kOneXb, opts.pim, opts.host,
                               opts.fit)
@@ -458,10 +520,8 @@ TEST(ModelCacheTest, PoisonedDiskCacheDoesNotBreakQueries) {
   // Regression: a truncated cache file used to be loaded as-is; the planner
   // then died inside nearest() with "empty model" at query time.
   db::SessionOptions opts = fast_options();
-  opts.model_cache_dir = ::testing::TempDir();
-  opts.model_cache_tag = "_poisoned_test";
-  const std::string path =
-      model_cache_file(opts.model_cache_dir, opts.model_cache_tag, opts);
+  opts.model_cache_dir = fresh_cache_dir("bbpim_poisoned_test");
+  const std::string path = model_cache_file(opts.model_cache_dir, opts);
   { std::ofstream out(path); }  // empty = unfitted
 
   db::Database database;

@@ -197,11 +197,10 @@ TEST(FilterCache, HitReplaysAllocatorEffectAndSkipsRecompile) {
   EXPECT_EQ(cache.hit_count(), 1u);
   EXPECT_EQ(second.get(), first.get());
   EXPECT_EQ(a2.available(), a1.available());
-  EXPECT_EQ(a2.state_fingerprint(), a1.state_fingerprint());
+  EXPECT_EQ(a2.state_key(), a1.state_key());
   // The result column is owned: releasing it restores a fresh allocator.
   a2.release(second->result_col);
-  EXPECT_EQ(a2.state_fingerprint(),
-            fx.store->layout(0).make_alloc().state_fingerprint());
+  EXPECT_EQ(a2.state_key(), fx.store->layout(0).make_alloc().state_key());
 
   // A different allocator state (column taken up front) is a different key —
   // the cached program's scratch columns would be unsafe to replay there.

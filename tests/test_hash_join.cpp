@@ -89,7 +89,7 @@ JoinRun run_join(db::Session& session, db::BackendKind backend,
                    .execute_scan(jp.filters[t], attrs[t], {});
   }
   const std::string& fact = jp.table_names[jp.fact];
-  engine::PimStore* store = nullptr;
+  const engine::PimStore* store = nullptr;
   if (const auto kind = db::engine_kind_of(backend)) {
     store = &session.pim_engine(*kind, fact).store();
   }
@@ -579,7 +579,7 @@ TEST(HashJoin, SemijoinPrefixPaysJointlyOrNotAtAll) {
                   engine::join_scan_attrs(jp)[jp.fact], jp.builds.size(),
                   w.normalized.table(jp.table_names[jp.fact]).row_count()};
   };
-  engine::PimStore& fact_store =
+  const engine::PimStore& fact_store =
       session.pim_engine(engine::EngineKind::kOneXb, "lineorder").store();
   db::Executor& fact = session.executor(backend, "lineorder");
   const rel::Schema& lo = w.data.lineorder.schema();
@@ -771,7 +771,7 @@ TEST(HashJoin, OneDimensionJoinPricesAsItsScansInTurn) {
     // The join rebuilt by hand: the fact scan over the prefix the pricing
     // entry picks from the plan's candidates, then the host join alone.
     const auto attrs = engine::join_scan_attrs(jp);
-    engine::PimStore& fact_store =
+    const engine::PimStore& fact_store =
         session.pim_engine(engine::EngineKind::kOneXb, "lineorder").store();
     std::vector<engine::ScanOutput> scans = run.join.scans;
     scans[jp.fact] = session.executor(backend, "lineorder")

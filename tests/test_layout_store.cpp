@@ -238,10 +238,8 @@ void expect_scan_matches_per_record_walk(EngineKind kind, bool prune,
   for (const std::string& text : texts) {
     SCOPED_TRACE(text);
     const sql::BoundQuery q = fx.bind_sql(text);
-    ExecOptions opts;
-    opts.prune = prune;
-    opts.sim_threads = sim_threads;
-    const ScanOutput out = fx.engine->execute_scan(q.filters, attrs, opts);
+    const ScanOutput out =
+        fx.arm(sim_threads, prune).execute_scan(q.filters, attrs, {});
 
     std::vector<std::uint64_t> ids;
     std::vector<std::vector<std::uint64_t>> cols(attrs.size());

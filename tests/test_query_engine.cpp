@@ -278,7 +278,6 @@ TEST(QueryEngine, HostGbPageWalkFoldsWideAndPackedKeys) {
   cfg.crossbar_cols = 256;  // room for the two 40-bit fields
   pim::PimModule module(cfg);
   PimStore store(module, t);
-  PimQueryEngine engine(EngineKind::kOneXb, store, host::HostConfig{});
 
   const std::string where = " FROM t WHERE f_key < 200 ";
   std::set<std::size_t> survivor_pages;
@@ -299,11 +298,13 @@ TEST(QueryEngine, HostGbPageWalkFoldsWideAndPackedKeys) {
     ASSERT_GT(ref.rows.size(), 10u) << text;
     std::vector<QueryOutput> outs;
     for (const int variant : {1, 4, 0}) {  // sim_threads, 0 = sim_scalar
+      host::HostConfig hcfg;
+      hcfg.sim_threads = variant == 0 ? 1 : variant;
       ExecOptions opts;
       opts.force_k = 0;
-      opts.sim_threads = variant == 0 ? 1 : variant;
       opts.sim_scalar = variant == 0;
-      outs.push_back(engine.execute(q, opts));
+      outs.push_back(
+          PimQueryEngine(EngineKind::kOneXb, store, hcfg).execute(q, opts));
       const std::string what = text + " variant " + std::to_string(variant);
       expect_same_rows(outs.back().rows, ref.rows, what);
       EXPECT_EQ(outs.back().stats.pim_subgroups, 0u) << what;

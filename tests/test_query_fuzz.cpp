@@ -150,9 +150,8 @@ TEST_P(FuzzCase, AllEnginesMatchReference) {
       // byte-identical, result-semantic stats must match exactly, and when
       // the sketches found nothing to skip the cost stats must be
       // bit-identical too (pages that execute run the exact same programs).
-      ExecOptions pruned = opts;
-      pruned.prune = true;
-      const QueryOutput pr = fx.engine->execute(q, pruned);
+      const QueryOutput pr =
+          fx.arm(fx.hcfg.sim_threads, /*prune=*/true).execute(q, opts);
       ASSERT_EQ(pr.rows.size(), out.rows.size())
           << "prune " << engine_kind_name(kind) << " seed=" << seed << " "
           << describe(q);
@@ -222,11 +221,9 @@ TEST_P(FuzzCase, PrunedQueriesStayExactAcrossUpdates) {
     q.filters.push_back(eq);
     q.agg_func = sql::AggFunc::kCount;
 
-    ExecOptions off;
-    ExecOptions on;
-    on.prune = true;
-    const QueryOutput a = fx.engine->execute(q, off);
-    const QueryOutput b = fx.engine->execute(q, on);
+    const QueryOutput a = fx.engine->execute(q);
+    const QueryOutput b =
+        fx.arm(fx.hcfg.sim_threads, /*prune=*/true).execute(q);
     ASSERT_EQ(a.rows.size(), b.rows.size()) << "seed=" << seed;
     ASSERT_EQ(a.rows.at(0).agg, b.rows.at(0).agg)
         << "seed=" << seed << " round=" << round << " value=" << value;

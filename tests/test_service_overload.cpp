@@ -359,9 +359,9 @@ TEST(ServiceOverload, PressureBoostsGatherWindowBeforeShedding) {
 
   // Admission-incompatible occupant: its own gather window must not absorb
   // the four statements queued behind it.
-  engine::ExecOptions serial;
-  serial.sim_threads = 1;
-  std::future<db::ResultSet> busy = fx.occupy_worker(serial);
+  engine::ExecOptions scalar;
+  scalar.sim_scalar = true;
+  std::future<db::ResultSet> busy = fx.occupy_worker(scalar);
   std::vector<std::future<db::ResultSet>> queued;
   for (std::size_t i = 0; i < 4; ++i) {
     queued.push_back(fx.service->submit(kCount));

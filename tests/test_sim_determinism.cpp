@@ -208,29 +208,24 @@ void check_kind(EngineKind kind) {
     const Workload& w = ws[i];
     const sql::BoundQuery q = fx.bind_sql(w.sql);
 
-    ExecOptions serial;
-    serial.force_k = w.force_k;
-    serial.sim_threads = 1;
-    const QueryOutput reference = fx.engine->execute(q, serial);
+    ExecOptions opts;
+    opts.force_k = w.force_k;
+    const QueryOutput reference = fx.arm(1).execute(q, opts);
     expect_golden(reference.stats, golden(kind)[i], w.sql);
 
     for (const std::uint32_t threads : {2u, 8u}) {
-      ExecOptions opts = serial;
-      opts.sim_threads = threads;
-      expect_identical(fx.engine->execute(q, opts), reference,
+      expect_identical(fx.arm(threads).execute(q, opts), reference,
                        w.sql + " @ " + std::to_string(threads) + " threads");
     }
 
     // The scalar kernel baseline (also serial) must be indistinguishable.
-    ExecOptions scalar = serial;
+    ExecOptions scalar = opts;
     scalar.sim_scalar = true;
-    expect_identical(fx.engine->execute(q, scalar), reference,
+    expect_identical(fx.arm(1).execute(q, scalar), reference,
                      w.sql + " @ scalar kernels");
 
     // And scalar kernels under parallelism, for completeness.
-    ExecOptions scalar_mt = scalar;
-    scalar_mt.sim_threads = 8;
-    expect_identical(fx.engine->execute(q, scalar_mt), reference,
+    expect_identical(fx.arm(8).execute(q, scalar), reference,
                      w.sql + " @ scalar kernels, 8 threads");
   }
 }
@@ -246,9 +241,7 @@ TEST(SimDeterminism, GoldenPrunedTwoXb) {
   EngineFixture fx(EngineKind::kTwoXb, 900, 31);
   ExecOptions opts;
   opts.force_k = 2;
-  opts.sim_threads = 1;
-  opts.prune = true;
-  const QueryOutput out = fx.engine->execute(
+  const QueryOutput out = fx.arm(1, /*prune=*/true).execute(
       fx.bind_sql("SELECT f_gid, SUM(f_val) FROM t WHERE f_key < 4096 AND "
                   "d_tag <= 4 GROUP BY f_gid ORDER BY f_gid"),
       opts);
@@ -327,15 +320,11 @@ TEST(SimDeterminism, GoldenPartOneGroupKeyTwoXb) {
     const sql::BoundQuery q = fx.bind_sql(c.sql);
     ExecOptions opts;
     opts.force_k = c.k;
-    opts.sim_threads = 1;
-    opts.prune = c.prune;
-    const QueryOutput out = fx.engine->execute(q, opts);
+    const QueryOutput out = fx.arm(1, c.prune).execute(q, opts);
     EXPECT_EQ(out.stats.pim_subgroups, c.k) << label;
     expect_golden(out.stats, c.golden, label);
     if (c.prune) {
-      ExecOptions off = opts;
-      off.prune = false;
-      const QueryOutput want = fx.engine->execute(q, off);
+      const QueryOutput want = fx.arm(1).execute(q, opts);
       ASSERT_EQ(out.rows.size(), want.rows.size()) << label;
       for (std::size_t i = 0; i < out.rows.size(); ++i) {
         EXPECT_EQ(out.rows[i].group, want.rows[i].group) << label;
@@ -348,11 +337,9 @@ TEST(SimDeterminism, GoldenPartOneGroupKeyTwoXb) {
 /// The join feeder: a filter-only scan reading back two attributes.
 TEST(SimDeterminism, GoldenScan) {
   EngineFixture fx(EngineKind::kOneXb, 900, 31);
-  ExecOptions opts;
-  opts.sim_threads = 1;
   const sql::BoundQuery q = fx.bind_sql(
       "SELECT COUNT(*) FROM t WHERE f_key < 2400 AND f_gid BETWEEN 1 AND 4");
-  const ScanOutput out = fx.engine->execute_scan(q.filters, {1, 2}, opts);
+  const ScanOutput out = fx.arm(1).execute_scan(q.filters, {1, 2}, {});
   EXPECT_EQ(out.row_ids.size(), 258u);
   expect_golden(out.stats,
                 {0x1.68018p+17, 0x1.baba8b94ac66ep-24,
@@ -456,22 +443,21 @@ TEST(SimDeterminism, StarJoinsMatchAcrossThreadCounts) {
                               &data.supplier, &data.part}) {
     normalized.attach_table(*t);
   }
-  db::Session serial(normalized);
-  db::Session parallel(normalized);
-  ExecOptions one;
-  one.sim_threads = 1;
-  ExecOptions four;
-  four.sim_threads = 4;
+  db::SessionOptions one;
+  one.host.sim_threads = 1;
+  db::SessionOptions four;
+  four.host.sim_threads = 4;
+  db::Session serial(normalized, one);
+  db::Session parallel(normalized, four);
   ASSERT_EQ(join_golden().size(), ssb::queries().size());
   for (std::size_t i = 0; i < ssb::queries().size(); ++i) {
     const ssb::SsbQuery& q = ssb::queries()[i];
     SCOPED_TRACE(std::string("q") + std::string(q.id));
-    const db::ResultSet a = serial.execute(q.sql, db::BackendKind::kOneXb, one);
+    const db::ResultSet a = serial.execute(q.sql, db::BackendKind::kOneXb);
     expect_golden(a.stats(), join_golden()[i].cost, "serial");
     EXPECT_EQ(a.stats().dims_ns, join_golden()[i].dims_ns);
     EXPECT_EQ(a.stats().selected_records, join_golden()[i].selected_records);
-    const db::ResultSet b =
-        parallel.execute(q.sql, db::BackendKind::kOneXb, four);
+    const db::ResultSet b = parallel.execute(q.sql, db::BackendKind::kOneXb);
     EXPECT_EQ(a.rows(), b.rows());
     EXPECT_TRUE(stats_equal(a.stats(), b.stats(),
                             {StatClass::kCost, StatClass::kPlan}));
@@ -480,7 +466,7 @@ TEST(SimDeterminism, StarJoinsMatchAcrossThreadCounts) {
   }
 }
 
-/// The knob also threads through HostConfig (the facade path).
+/// Two stores built alike, one serial engine and one at 8 threads.
 TEST(SimDeterminism, HostConfigDefaultMatchesExplicit) {
   testutil::EngineFixture serial_fx(EngineKind::kOneXb, 600, 7);
   serial_fx.hcfg.sim_threads = 1;

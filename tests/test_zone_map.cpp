@@ -105,7 +105,8 @@ struct ClusteredFixture {
   pim::PimModule module{cfg};
   rel::Table table;
   PimStore store;
-  PimQueryEngine engine;
+  PimQueryEngine engine;  ///< pruning off (the default)
+  PimQueryEngine pruned;  ///< the same store with HostConfig::prune on
 
   static PimStore::Options options(EngineKind kind) {
     PimStore::Options opt;
@@ -121,7 +122,12 @@ struct ClusteredFixture {
   ClusteredFixture(EngineKind kind, std::size_t rows, std::uint64_t seed)
       : table(make_clustered_table(rows, seed)),
         store(module, table, options(kind)),
-        engine(kind, store, hcfg) {}
+        engine(kind, store, hcfg),
+        pruned(kind, store, [this] {
+          host::HostConfig h = hcfg;
+          h.prune = true;
+          return h;
+        }()) {}
 };
 
 void expect_same_rows(const QueryOutput& a, const QueryOutput& b) {
@@ -158,13 +164,11 @@ TEST(ZonePruning, ClusteredRangeSkipsPagesSameRows) {
         sql::parse("SELECT d_tag, SUM(f_val) AS s FROM t WHERE f_key < 700 "
                    "GROUP BY d_tag ORDER BY d_tag"),
         fx.table.schema());
-    ExecOptions off;
-    off.force_k = 2;
-    ExecOptions on = off;
-    on.prune = true;
+    ExecOptions opts;
+    opts.force_k = 2;
 
-    const QueryOutput a = fx.engine.execute(q, off);
-    const QueryOutput b = fx.engine.execute(q, on);
+    const QueryOutput a = fx.engine.execute(q, opts);
+    const QueryOutput b = fx.pruned.execute(q, opts);
     expect_same_rows(a, b);
     expect_prune_invariants(a.stats, b.stats);
     EXPECT_GT(b.stats.pages_skipped, 0u) << engine_kind_name(kind);
@@ -185,12 +189,10 @@ TEST(ZonePruning, StaticallyEmptySelectEarlyExits) {
           "GROUP BY d_tag"}) {
       const sql::BoundQuery q =
           sql::bind(sql::parse(sql), fx.table.schema());
-      ExecOptions off;
-      off.force_k = 1;
-      ExecOptions on = off;
-      on.prune = true;
-      const QueryOutput a = fx.engine.execute(q, off);
-      const QueryOutput b = fx.engine.execute(q, on);
+      ExecOptions opts;
+      opts.force_k = 1;
+      const QueryOutput a = fx.engine.execute(q, opts);
+      const QueryOutput b = fx.pruned.execute(q, opts);
       expect_same_rows(a, b);
       expect_prune_invariants(a.stats, b.stats);
       EXPECT_EQ(b.stats.pages_skipped, fx.store.pages_per_part());
@@ -210,12 +212,11 @@ TEST(ZonePruning, NothingPrunableMeansBitIdenticalStats) {
       "SELECT f_gid, COUNT(*) AS c FROM t "
       "WHERE f_key >= 1 AND f_gid <= 8 AND f_val > 0 AND f_val2 <= 48 "
       "AND d_tag >= 0 GROUP BY f_gid ORDER BY f_gid");
-  ExecOptions off;
-  off.force_k = 3;
-  ExecOptions on = off;
-  on.prune = true;
-  const QueryOutput a = fx.engine->execute(q, off);
-  const QueryOutput b = fx.engine->execute(q, on);
+  ExecOptions opts;
+  opts.force_k = 3;
+  const QueryOutput a = fx.engine->execute(q, opts);
+  const QueryOutput b =
+      fx.arm(fx.hcfg.sim_threads, /*prune=*/true).execute(q, opts);
   if (b.stats.pages_skipped == 0 && b.stats.pages_synthesized == 0 &&
       b.stats.group_pages_skipped == 0) {
     expect_same_rows(a, b);
@@ -244,12 +245,10 @@ TEST(ZonePruning, GroupPagePruningMatchesUnpruned) {
         sql::parse("SELECT f_gid, SUM(f_val) AS s FROM t WHERE f_gid <= 5 "
                    "GROUP BY f_gid ORDER BY f_gid"),
         fx.table.schema());
-    ExecOptions off;
-    off.force_k = 1000;  // clamp to kmax: pure pim-gb
-    ExecOptions on = off;
-    on.prune = true;
-    const QueryOutput a = fx.engine.execute(q, off);
-    const QueryOutput b = fx.engine.execute(q, on);
+    ExecOptions opts;
+    opts.force_k = 1000;  // clamp to kmax: pure pim-gb
+    const QueryOutput a = fx.engine.execute(q, opts);
+    const QueryOutput b = fx.pruned.execute(q, opts);
     expect_same_rows(a, b);
     expect_prune_invariants(a.stats, b.stats);
     EXPECT_GT(b.stats.group_pages_skipped, 0u) << engine_kind_name(kind);
@@ -263,9 +262,7 @@ TEST(ZonePruning, UpdateRefreshesSketches) {
   const sql::BoundQuery q = sql::bind(
       sql::parse("SELECT COUNT(*) AS c FROM t WHERE f_val2 = 60"),
       fx.table.schema());
-  ExecOptions on;
-  on.prune = true;
-  const QueryOutput before = fx.engine.execute(q, on);
+  const QueryOutput before = fx.pruned.execute(q);
   EXPECT_EQ(before.rows.at(0).agg, 0);
   EXPECT_EQ(before.stats.pages_skipped, fx.store.pages_per_part());
 
@@ -282,8 +279,8 @@ TEST(ZonePruning, UpdateRefreshesSketches) {
     EXPECT_GT(up.updated_records, 0u);
   }
 
-  const QueryOutput pruned = fx.engine.execute(q, on);
-  const QueryOutput unpruned = fx.engine.execute(q, ExecOptions{});
+  const QueryOutput pruned = fx.pruned.execute(q);
+  const QueryOutput unpruned = fx.engine.execute(q);
   expect_same_rows(unpruned, pruned);
   EXPECT_GT(pruned.rows.at(0).agg, 0);
   // Only the untouched pages stay skippable.
