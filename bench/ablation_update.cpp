@@ -25,7 +25,7 @@ int main() {
   std::cout << "UPDATE ssb_prejoined SET s_city = <city> WHERE s_city = "
                "<city>\n\n";
   TablePrinter t({"city", "records", "share", "PIM [ms]", "host est. [ms]",
-                  "PIM cycles", "host lines read by PIM"});
+                  "PIM cycles"});
 
   // A mix of hot (Zipf head) and cold cities. Rewriting the same code has
   // identical cost (Algorithm 1's work does not depend on the value) and
@@ -43,7 +43,7 @@ int main() {
                                  2) + "%",
                TablePrinter::fmt(units::ns_to_ms(st.total_ns), 3),
                TablePrinter::fmt(units::ns_to_ms(st.host_path_estimate_ns), 3),
-               std::to_string(st.cycles), std::to_string(st.host_lines_read)});
+               std::to_string(st.cycles)});
   }
   t.print(std::cout);
   std::cout << "\nThe PIM path reads nothing from memory (Algorithm 1's "

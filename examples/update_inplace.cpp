@@ -52,8 +52,6 @@ int main() {
              TablePrinter::fmt(units::ns_to_ms(st.total_ns), 3) + " ms",
              TablePrinter::fmt(units::ns_to_ms(st.host_path_estimate_ns), 3) +
                  " ms"});
-  t.add_row({"Host lines read", std::to_string(st.host_lines_read),
-             "filter bits + 2/record"});
   t.add_row({"Bulk-bitwise cycles/page", std::to_string(st.cycles), "0"});
   t.add_row({"Data version", std::to_string(rs.data_version()), "-"});
   t.print(std::cout);

@@ -31,12 +31,6 @@ class Rng {
         (static_cast<unsigned __int128>(next_u64()) * bound) >> 64);
   }
 
-  /// Uniform integer in the inclusive range [lo, hi].
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi) {
-    return lo + static_cast<std::int64_t>(
-                    next_below(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
-
   /// Uniform double in [0, 1).
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

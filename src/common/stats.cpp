@@ -5,23 +5,6 @@
 
 namespace bbpim {
 
-double mean(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("mean: empty input");
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double geomean(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("geomean: empty input");
-  double log_sum = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) throw std::invalid_argument("geomean: non-positive value");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 double geomean_ratio(std::span<const double> numer,
                      std::span<const double> denom) {
   if (numer.size() != denom.size() || numer.empty()) {

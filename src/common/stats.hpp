@@ -6,12 +6,6 @@
 
 namespace bbpim {
 
-/// Arithmetic mean; requires a non-empty span.
-double mean(std::span<const double> xs);
-
-/// Geometric mean; requires a non-empty span of positive values.
-double geomean(std::span<const double> xs);
-
 /// Geometric-mean ratio of a/b element-wise (the paper's "geo-mean speedup").
 /// Requires equal non-empty sizes and positive values.
 double geomean_ratio(std::span<const double> numer,

@@ -1,15 +1,6 @@
 #include "db/backend.hpp"
 
 namespace bbpim::db {
-namespace {
-
-constexpr BackendKind kAll[] = {BackendKind::kOneXb, BackendKind::kTwoXb,
-                                BackendKind::kPimdb, BackendKind::kColumnar,
-                                BackendKind::kReference};
-constexpr BackendKind kPim[] = {BackendKind::kOneXb, BackendKind::kTwoXb,
-                                BackendKind::kPimdb};
-
-}  // namespace
 
 const char* backend_name(BackendKind kind) {
   switch (kind) {
@@ -22,19 +13,6 @@ const char* backend_name(BackendKind kind) {
   }
   return "?";
 }
-
-std::optional<BackendKind> parse_backend(std::string_view name) {
-  if (const auto kind = engine::parse_engine_kind(name)) {
-    return backend_of(*kind);
-  }
-  if (name == "columnar") return BackendKind::kColumnar;
-  if (name == "reference") return BackendKind::kReference;
-  return std::nullopt;
-}
-
-std::span<const BackendKind> all_backends() { return kAll; }
-
-std::span<const BackendKind> pim_backends() { return kPim; }
 
 std::optional<engine::EngineKind> engine_kind_of(BackendKind kind) {
   switch (kind) {

@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string_view>
 
 #include "engine/latency_model.hpp"
 
@@ -26,15 +24,6 @@ enum class BackendKind : std::uint8_t {
 };
 
 const char* backend_name(BackendKind kind);
-
-/// Inverse of backend_name; nullopt for unknown names.
-std::optional<BackendKind> parse_backend(std::string_view name);
-
-/// Every backend, in the order of the paper's Fig. 6 bars.
-std::span<const BackendKind> all_backends();
-
-/// The three PIM-resident backends only.
-std::span<const BackendKind> pim_backends();
 
 /// The engine variant behind a PIM backend; nullopt for the host baselines.
 std::optional<engine::EngineKind> engine_kind_of(BackendKind kind);

@@ -31,18 +31,6 @@ const std::string& ResultSet::column_name(std::size_t col) const {
   return columns_.at(col).name;
 }
 
-bool ResultSet::is_agg_column(std::size_t col) const {
-  return columns_.at(col).is_agg;
-}
-
-std::optional<std::size_t> ResultSet::column_index(
-    std::string_view name) const {
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
-  }
-  return std::nullopt;
-}
-
 const engine::ResultRow& ResultSet::row(std::size_t r) const {
   return out_.rows.at(r);
 }

@@ -17,7 +17,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "db/backend.hpp"
@@ -45,8 +44,6 @@ class ResultSet {
   std::size_t row_count() const { return out_.rows.size(); }
   std::size_t column_count() const { return columns_.size(); }
   const std::string& column_name(std::size_t col) const;
-  bool is_agg_column(std::size_t col) const;
-  std::optional<std::size_t> column_index(std::string_view name) const;
   const std::vector<Column>& columns() const { return columns_; }
 
   /// Raw attribute code of a group column; the aggregate cast to uint64.

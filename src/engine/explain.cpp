@@ -12,16 +12,6 @@
 namespace bbpim::engine {
 namespace {
 
-const char* op_name(pim::MicroOpKind kind) {
-  switch (kind) {
-    case pim::MicroOpKind::kInit0: return "INIT0";
-    case pim::MicroOpKind::kInit1: return "INIT1";
-    case pim::MicroOpKind::kNot: return "NOT  ";
-    case pim::MicroOpKind::kNor: return "NOR  ";
-  }
-  return "?";
-}
-
 std::string pred_text(const sql::BoundPredicate& p, const rel::Schema& schema) {
   const std::string name = schema.attribute(p.attr).name;
   using Kind = sql::BoundPredicate::Kind;
@@ -143,28 +133,6 @@ void filter_section(const std::vector<sql::BoundPredicate>& filters,
 }
 
 }  // namespace
-
-void disassemble(const pim::MicroProgram& prog, std::ostream& os) {
-  for (std::size_t i = 0; i < prog.size(); ++i) {
-    const pim::MicroOp& op = prog[i];
-    os << std::setw(4) << std::setfill('0') << i << ' ' << op_name(op.kind);
-    switch (op.kind) {
-      case pim::MicroOpKind::kInit0:
-      case pim::MicroOpKind::kInit1:
-        os << "              -> c" << op.out;
-        break;
-      case pim::MicroOpKind::kNot:
-        os << " c" << std::setw(3) << op.a << "       -> c" << op.out;
-        break;
-      case pim::MicroOpKind::kNor:
-        os << " c" << std::setw(3) << op.a << " c" << std::setw(3) << op.b
-           << " -> c" << op.out;
-        break;
-    }
-    os << '\n';
-  }
-  os << std::setfill(' ');
-}
 
 void explain_query(const sql::BoundQuery& q, const PimStore& store,
                    std::ostream& os) {

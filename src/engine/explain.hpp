@@ -1,12 +1,10 @@
-// EXPLAIN: human-readable physical plans and micro-program disassembly.
+// EXPLAIN: human-readable physical plans.
 //
 // `explain_query` renders what the executor will do for a bound query on a
 // given store — which predicates compile to which part, the micro-program
 // cycle budget per phase, the aggregation passes (the engine's own
 // plan_agg_passes, so EXPLAIN throws what execution throws), and the model
-// parameters (n, s) fed to the GROUP-BY planner. `disassemble` prints a MicroProgram cycle by cycle. Both exist
-// for the same reason EXPLAIN exists in databases: trusting a 2000-cycle
-// NOR program requires being able to read it.
+// parameters (n, s) fed to the GROUP-BY planner.
 #pragma once
 
 #include <iosfwd>
@@ -14,13 +12,9 @@
 
 #include "engine/hash_join.hpp"
 #include "engine/pim_store.hpp"
-#include "pim/microop.hpp"
 #include "sql/logical_plan.hpp"
 
 namespace bbpim::engine {
-
-/// One micro-op per line: "0003 NOR  c041 c120 -> c200".
-void disassemble(const pim::MicroProgram& prog, std::ostream& os);
 
 /// Renders the physical plan for `q` on `store`. Throws, like
 /// PimQueryEngine::execute, for an aggregate the engine refuses.

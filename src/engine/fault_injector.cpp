@@ -40,8 +40,6 @@ void FaultInjector::arm(FaultSeam seam, FaultRule rule) {
   s.rule = rule;
 }
 
-void FaultInjector::disarm(FaultSeam seam) { arm(seam, FaultRule{}); }
-
 std::uint64_t FaultInjector::traversals(FaultSeam seam) const {
   return seams_[static_cast<std::size_t>(seam)].traversals.load(
       std::memory_order_relaxed);

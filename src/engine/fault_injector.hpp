@@ -76,14 +76,13 @@ struct FaultRule {
   std::uint64_t stall_us = 0;
 };
 
-/// Seeded per-process injector. arm()/disarm() are test-setup operations;
+/// Seeded per-process injector. arm() is a test-setup operation;
 /// traverse() is called concurrently from workers and is thread-safe.
 class FaultInjector {
  public:
   explicit FaultInjector(std::uint64_t seed = 0x5eedf417ULL);
 
   void arm(FaultSeam seam, FaultRule rule);
-  void disarm(FaultSeam seam);
 
   /// Times the seam was crossed / times it threw, since construction.
   std::uint64_t traversals(FaultSeam seam) const;

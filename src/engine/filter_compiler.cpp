@@ -172,8 +172,9 @@ std::uint32_t crossbars_per_page(const PimStore& store) {
                                     store.pages_per_part());
 }
 
-}  // namespace
-
+/// Runs the analyzer over every page of the store. Sound under the sketch
+/// over-approximation: a skipped page provably selects zero records, a
+/// synthesized (part, page) provably selects exactly its valid records.
 FilterPruneAnalysis analyze_filters(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store) {
   const ZoneMaps& zones = store.zone_maps();
@@ -248,6 +249,8 @@ FilterPruneAnalysis analyze_filters(
   }
   return out;
 }
+
+}  // namespace
 
 std::shared_ptr<const FilterPruneAnalysis> analyze_filters_cached(
     const std::vector<sql::BoundPredicate>& filters, const PimStore& store,

@@ -78,14 +78,11 @@ struct FilterPruneAnalysis {
   std::size_t predicates_short_circuited = 0;
 };
 
-/// Runs the analyzer over every page of the store. Sound under the sketch
-/// over-approximation: a skipped page provably selects zero records, a
-/// synthesized (part, page) provably selects exactly its valid records.
-FilterPruneAnalysis analyze_filters(
-    const std::vector<sql::BoundPredicate>& filters, const PimStore& store);
-
-/// analyze_filters through the store version's classification memo
-/// (StoreDerived::class_memo): queries whose WHERE normalizes to the same
+/// Runs the static analyzer over every page of the store, through the store
+/// version's classification memo. Sound under the sketch over-approximation:
+/// a skipped page provably selects zero records, a synthesized (part, page)
+/// provably selects exactly its valid records. In the memo
+/// (StoreDerived::class_memo), queries whose WHERE normalizes to the same
 /// ordered predicate list — batch members sharing a filter, repeated
 /// prepared-statement executions — classify each (page, predicate) pair
 /// once per store version instead of once per query. On a memo hit
@@ -102,7 +99,7 @@ std::shared_ptr<const FilterPruneAnalysis> analyze_filters_cached(
 /// The pages of `candidate_pages` (in order) where the conjunction `preds`
 /// could select at least one record: some valid crossbar of the page is not
 /// refuted by the sketches. Used by pim-gb to skip pages that cannot contain
-/// a subgroup; analyze_filters skips pages by the same rule.
+/// a subgroup; analyze_filters_cached skips pages by the same rule.
 std::vector<std::size_t> pages_may_match(
     const std::vector<sql::BoundPredicate>& preds, const PimStore& store,
     const std::vector<std::size_t>& candidate_pages);

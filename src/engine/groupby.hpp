@@ -29,7 +29,6 @@ struct GroupCandidate {
   std::vector<std::uint64_t> key;  ///< group-attribute codes
   double est_mass = 0.0;  ///< estimated share of selected records (0 if unseen)
   bool sampled = false;
-  std::uint64_t sample_count = 0;
 };
 
 struct GroupByPlanInput {

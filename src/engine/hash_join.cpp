@@ -241,8 +241,7 @@ JoinOutput hash_join_execute(const sql::BoundJoin& plan,
   // --- finalize: the single-table engine's sort ----------------------------
   out.rows = groups.rows();
   if (!plan.has_group_by() && out.rows.empty()) out.rows.push_back({});
-  sort_rows(out.rows, plan.order_by);
-  js.finalize_ns = static_cast<double>(out.rows.size()) * 50.0;
+  js.finalize_ns = finalize_rows(out.rows, plan.order_by);
   return out;
 }
 

@@ -12,8 +12,8 @@
 // duplicate keys chain through head/next row arrays), the fact survivors
 // probe them in build order (most filtered dimension first, so misses drop
 // rows out of the cascade early), and the joined rows fold into one
-// GroupFold, the single-table host-gb's group fold, then sort with its
-// ORDER BY sort (sort_rows), so a normalized-schema query returns
+// GroupFold, the single-table host-gb's group fold, then sort in its
+// finalize (finalize_rows), so a normalized-schema query returns
 // row-identical results to the same query on the pre-joined relation.
 // Field maxima come from the data (each column's largest code): a key whose
 // maxima fit 64 bits packs into one word, a wider one falls back to a

@@ -17,13 +17,6 @@ const char* engine_kind_name(EngineKind kind) {
   return "?";
 }
 
-std::optional<EngineKind> parse_engine_kind(std::string_view name) {
-  for (const EngineKind kind : kAllEngineKinds) {
-    if (name == engine_kind_name(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 /// Nearest key in a lookup table (s and n are small discrete sets).

@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
-#include <string_view>
 
 #include "common/fit.hpp"
 #include "common/units.hpp"
@@ -35,9 +33,6 @@ inline constexpr EngineKind kAllEngineKinds[] = {
     EngineKind::kOneXb, EngineKind::kTwoXb, EngineKind::kPimdb};
 
 const char* engine_kind_name(EngineKind kind);
-
-/// Inverse of engine_kind_name; nullopt for unknown names.
-std::optional<EngineKind> parse_engine_kind(std::string_view name);
 
 struct LatencyModels {
   /// Per s: slope of T_host-gb in M as a function of r (Equation 1).

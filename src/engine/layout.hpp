@@ -33,7 +33,6 @@ class RecordLayout {
 
   std::uint16_t valid_col() const { return valid_col_; }
   std::uint16_t scratch_begin() const { return scratch_begin_; }
-  std::uint16_t total_cols() const { return total_cols_; }
   std::uint16_t scratch_cols() const {
     return static_cast<std::uint16_t>(total_cols_ - scratch_begin_);
   }

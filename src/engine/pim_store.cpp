@@ -8,18 +8,30 @@
 #include <string>
 #include <utility>
 
+#include "engine/group_index.hpp"
+
 namespace bbpim::engine {
 
 std::optional<std::vector<std::uint64_t>> scan_distinct(const PimStore& store,
                                                         std::size_t attr) {
-  DistinctCollector seen;
-  store.scan_blocks({&attr, 1}, 0, store.record_count(),
-                    [&](std::size_t, std::uint32_t count,
-                        std::span<const pim::RowBlock> blocks) {
-                      return seen.add(std::span<const std::uint64_t>(
-                          blocks[0].data(), count));
-                    });
-  return std::move(seen).finish();
+  CodeIndex seen(kMaxDistinct + 1);
+  bool capped = false;
+  store.scan_blocks(
+      {&attr, 1}, 0, store.record_count(),
+      [&](std::size_t, std::uint32_t count,
+          std::span<const pim::RowBlock> blocks) {
+        const pim::RowBlock& codes = blocks[0];
+        for (std::uint32_t i = 0; i < count && !capped; ++i) {
+          if (i > 0 && codes[i] == codes[i - 1]) continue;  // a run probes once
+          seen.insert(codes[i]);
+          capped = seen.codes().size() > kMaxDistinct;
+        }
+        return !capped;
+      });
+  if (capped) return std::nullopt;
+  std::vector<std::uint64_t> vals = seen.codes();
+  std::sort(vals.begin(), vals.end());
+  return vals;
 }
 
 SnapshotStats::CoOccurrence build_co_occurrence(
@@ -124,34 +136,17 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
     return;
   }
 
-  for (int part = 0; part < parts(); ++part) load_part(part);
-
-  // Version 0's derived state, from the backing table. Zone-map sketches:
-  // record r lives in crossbar r / rows; the partial last crossbar's sketch
-  // covers only its valid records.
+  // Version 0's derived state: the zone sketches fold from the blocks the
+  // load writes; the stats fill on demand from the crossbars, as every
+  // later version's do.
   std::vector<std::uint32_t> attr_bits;
   attr_bits.reserve(nattrs);
   for (std::size_t a = 0; a < nattrs; ++a) {
     attr_bits.push_back(schema.attribute(a).bits);
   }
   ZoneMaps zones(pages_per_part_ * cfg.crossbars_per_page, attr_bits);
-  for (std::size_t a = 0; a < nattrs; ++a) {
-    table.visit_column(a, [&](auto col) {
-      for (std::size_t r = 0; r < records_; ++r) {
-        zones.add(a, r / rows_per_crossbar_, col[r]);
-      }
-    });
-  }
-
-  // Distinct stats for GROUP-BY candidate enumeration.
-  std::vector<SnapshotStats::Distinct> distinct(nattrs);
-  for (std::size_t a = 0; a < nattrs; ++a) {
-    DistinctCollector seen;
-    table.visit_column(a, [&seen](auto col) { seen.add(col); });
-    distinct[a] = std::move(seen).finish();
-  }
-  derived_ = std::make_shared<const StoreDerived>(
-      std::move(zones), std::move(distinct));
+  for (int part = 0; part < parts(); ++part) load_part(part, zones);
+  derived_ = std::make_shared<const StoreDerived>(std::move(zones), nattrs);
 }
 
 void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
@@ -178,10 +173,11 @@ void PimStore::adopt(std::shared_ptr<const StoreSnapshot> snap) {
   snap_ = std::move(snap);
 }
 
-void PimStore::load_part(int part) {
+void PimStore::load_part(int part, ZoneMaps& zones) {
   // One block write per (64-record word, attribute), straight from the
   // table's columns at their native widths; a partial last word writes only
-  // its valid rows.
+  // its valid rows, and only they widen the sketch of their crossbar
+  // (record r lives in crossbar r / rows).
   const RecordLayout& layout = layouts_[part];
   pim::RowBlock values{};
   pim::RowBlock ones{};
@@ -193,6 +189,7 @@ void PimStore::load_part(int part) {
     const auto word =
         static_cast<std::uint32_t>((first % rows_per_crossbar_) / 64);
     pim::Crossbar& xb = page(part, p).crossbar(x);
+    const std::size_t zone = first / rows_per_crossbar_;
     const std::size_t count = std::min<std::size_t>(64, records_ - first);
     const std::uint64_t rows = count == 64 ? ~0ULL : (1ULL << count) - 1;
     for (const std::size_t a : layout.attrs()) {
@@ -202,6 +199,9 @@ void PimStore::load_part(int part) {
       });
       const pim::Field f = layout.field(a);
       xb.write_field_block(word, f.offset, f.width, values, rows);
+      for (std::size_t j = 0; j < count; ++j) {
+        zones.add(a, zone, values[j]);
+      }
     }
     xb.write_field_block(word, layout.valid_col(), 1, ones, rows);
   }

@@ -36,8 +36,8 @@ namespace bbpim::engine {
 // A PimStore runs in one of two modes:
 //
 //   builder — the classic mutable store: loads the relation into its
-//     module's crossbars, builds version 0's StoreDerived from the table
-//     columns, and accepts in-place mutation through the lock +
+//     module's crossbars, folds version 0's zone sketches from the blocks
+//     it writes, and accepts in-place mutation through the lock +
 //     note_mutation protocol. db::SnapshotManager keeps exactly one builder
 //     per table and publishes its state as StoreSnapshots.
 //
@@ -132,8 +132,8 @@ class PimStore {
                                std::span<const pim::RowBlock>)>& visit) const;
 
   /// Sorted distinct values of an attribute, or nullopt when cardinality
-  /// exceeded kMaxDistinct. After an UPDATE of the attribute they
-  /// are rebuilt lazily from the crossbars on first access.
+  /// exceeded kMaxDistinct. Filled lazily from the crossbars on first
+  /// access, per version (an UPDATE of the attribute starts them over).
   const std::optional<std::vector<std::uint64_t>>& distinct_values(
       std::size_t attr) const {
     return derived_->stats.distinct_values(attr, *this);
@@ -174,8 +174,8 @@ class PimStore {
   }
 
   /// Zone-map sketches: per (attribute, crossbar) min/max code plus a
-  /// distinct-code bitmap for low-cardinality attributes. Built from the
-  /// backing table at load time and kept exact across in-place mutation
+  /// distinct-code bitmap for low-cardinality attributes. Folded from the
+  /// blocks the load writes and kept exact across in-place mutation
   /// (note_mutation rebuilds the touched crossbars' sketches). Crossbar
   /// index = record / rows — parts share coordinates, so one index space
   /// covers both layouts.
@@ -252,7 +252,9 @@ class PimStore {
                      const std::vector<std::uint32_t>& touched_crossbars);
 
  private:
-  void load_part(int part);
+  /// Writes `part`'s attributes from the table, 64 records at a time, and
+  /// folds each block into its crossbar's `zones` sketches.
+  void load_part(int part, ZoneMaps& zones);
 
   pim::PimModule* module_;
   const rel::Table* table_;

@@ -153,7 +153,7 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
     traces.push_back(pim::execute_program(page, program, cfg, &meter));
     for (std::uint32_t x = 0; x < page.crossbar_count(); ++x) {
       const std::size_t selected =
-          page.crossbar(x).column(filter.result_col).popcount();
+          page.crossbar(x).column_popcount(filter.result_col);
       if (selected > 0) {
         touched_crossbars.push_back(
             static_cast<std::uint32_t>(p * cfg.crossbars_per_page + x));

@@ -66,7 +66,6 @@ struct UpdateStats {
   std::uint64_t wear_row_writes = 0;  ///< worst per-row write cycles
   std::size_t cycles = 0;          ///< bulk-bitwise cycles executed per page
   std::size_t updated_records = 0;
-  std::size_t host_lines_read = 0; ///< always 0 — the point of Algorithm 1
 
   /// What the same update would cost without PIM: read the filter result,
   /// then read-modify-write each matching record through the host.

@@ -72,16 +72,16 @@ std::size_t count_survivors(const PimStore& store, std::size_t p,
   return n;
 }
 
-/// The host's survivor walk over page `p`, 64 crossbar rows at a time,
-/// shared by the join-feeder readback (finish_scan) and the vectorized
-/// host-gb walk. For every word of `survivors` holding a record below
+/// The host's survivor walk over page `p`, 64 crossbar rows at a time, shared
+/// by the join-feeder readback (finish_scan) and the vectorized sample and
+/// host-gb walks. For every word of `survivors` holding a record below
 /// page_records(p), reads `attrs` with one PimStore::read_block and calls
-/// visit(first, live, blocks): `first` is the word's first store record,
-/// `live` its survivor bits, blocks[k][j] the code of attrs[k] for record
-/// first + j. Returns the page's unique host lines: a line is one chunk of
-/// one row across the page's crossbars and every survivor reads all
-/// `chunks`, so the lines are chunks x the distinct rows holding a survivor
-/// (the live words OR-ed across crossbars).
+/// visit(first, live, blocks): `first` is the word's first store record, `live`
+/// its survivor bits, blocks[k][j] the code of attrs[k] for record first + j.
+/// Returns the page's unique host lines: a line is one chunk of one row across
+/// the page's crossbars and every survivor reads all `chunks`, so the lines are
+/// chunks x the distinct rows holding a survivor (the live words OR-ed across
+/// crossbars).
 template <class Visit>
 std::uint32_t walk_survivor_blocks(const PimStore& store, std::size_t p,
                                    const BitVec& survivors,
@@ -104,6 +104,13 @@ std::uint32_t walk_survivor_blocks(const PimStore& store, std::size_t p,
   std::size_t rows = 0;
   for (const std::uint64_t w : rows_live) rows += std::popcount(w);
   return static_cast<std::uint32_t>(chunks * rows);
+}
+
+/// Read energy of `lines` host line reads: the engine's read meter and the
+/// semijoin planner's survivor cost.
+EnergyJ line_read_energy(double lines, const pim::PimConfig& cfg) {
+  return lines * cfg.line_bytes() * 8 * cfg.read_energy_pj_per_bit *
+         units::kJoulePerPj;
 }
 
 constexpr std::size_t kCandidateCap = 65536;
@@ -196,8 +203,8 @@ class PhaseClock {
 
 }  // namespace
 
-void sort_rows(std::vector<ResultRow>& rows,
-               const std::vector<sql::BoundOrderItem>& order_by) {
+TimeNs finalize_rows(std::vector<ResultRow>& rows,
+                     const std::vector<sql::BoundOrderItem>& order_by) {
   std::sort(rows.begin(), rows.end(), [&](const ResultRow& a,
                                           const ResultRow& b) {
     for (const sql::BoundOrderItem& o : order_by) {
@@ -211,6 +218,7 @@ void sort_rows(std::vector<ResultRow>& rows,
     }
     return a.group < b.group;  // deterministic tiebreak
   });
+  return static_cast<double>(rows.size()) * 50.0;
 }
 
 AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store) {
@@ -553,8 +561,7 @@ class Execution {
   /// Read energy of `lines` host line reads.
   void meter_line_reads(std::size_t lines) {
     meter_.add(pim::EnergyCat::kRead,
-               static_cast<double>(lines) * cfg_.line_bytes() * 8 *
-                   cfg_.read_energy_pj_per_bit * units::kJoulePerPj);
+               line_read_energy(static_cast<double>(lines), cfg_));
   }
 
   /// Charges a host read of `total_lines` result lines (streaming).
@@ -623,10 +630,11 @@ class Execution {
   std::pair<std::int64_t, std::uint64_t> aggregate_group(
       const std::vector<sql::BoundPredicate>& match, bool update_mask);
 
-  /// Record-at-a-time walk over page `p`'s survivors `bits`, shared by the
-  /// sample and the sim_scalar host-gb: touches each survivor's `chunks`
-  /// lines in `rs` and folds its group into `fold`, adding its aggregate
-  /// input when `values` and one otherwise. Returns the survivors walked.
+  /// Record-at-a-time walk over page `p`'s survivors `bits`, the sim_scalar
+  /// reference for walk_survivor_blocks in the sample and host-gb: touches
+  /// each survivor's `chunks` lines in `rs` and folds its group into
+  /// `fold`, adding its aggregate input when `values` and one otherwise.
+  /// Returns the survivors walked.
   std::size_t walk_records(std::size_t p, const BitVec& bits,
                            const ChunkSet& chunks, host::ReadSet& rs,
                            GroupFold& fold, bool values) const;
@@ -1092,24 +1100,33 @@ GroupFold Execution::sample_phase() {
     ++stats_.pim_requests;
   }
 
-  // Read the group attributes of every sampled survivor. The dense read-set
-  // variant dedupes lines on a bitmap instead of a hash set.
-  host::ReadSet rs =
-      vectorized_
-          ? host::ReadSet(1, rows(),
-                          static_cast<std::uint32_t>(store_.parts()) *
-                              cfg_.chunks_per_row())
-          : host::ReadSet(1);
+  // Read the group attributes of every sampled survivor: the host-gb walk
+  // over page 0 (walk_survivor_blocks, or walk_records for sim_scalar).
+  const ChunkSet chunks = read_chunks(store_, cfg_, q_.group_by);
   GroupFold counts(sql::AggFunc::kCount, results_.index().max_codes());
-  const std::size_t hits =
-      walk_records(0, bits, read_chunks(store_, cfg_, q_.group_by), rs, counts,
-                   /*values=*/false);
+  std::size_t hits = 0;
+  std::size_t lines = 0;
+  if (vectorized_) {
+    lines = walk_survivor_blocks(
+        store_, 0, bits, q_.group_by, chunks.size(),
+        [&](std::size_t, std::uint64_t live,
+            std::span<const pim::RowBlock> blocks) {
+          for (; live != 0; live &= live - 1) {
+            const int j = std::countr_zero(live);
+            ++hits;
+            counts.add([&](std::size_t g) { return blocks[g][j]; }, 1);
+          }
+        });
+  } else {
+    host::ReadSet rs(1);
+    hits = walk_records(0, bits, chunks, rs, counts, /*values=*/false);
+    lines = rs.unique_lines();
+  }
   const std::uint32_t valid = store_.page_records(0);
   // Single-threaded sample walk (shared across threads, Section V-A).
-  const TimeNs read_ns =
-      static_cast<double>(rs.unique_lines()) * hcfg_.line_random_ns +
-      static_cast<double>(hits) * hcfg_.cpu_ns_per_sample;
-  meter_line_reads(rs.unique_lines());
+  const TimeNs read_ns = static_cast<double>(lines) * hcfg_.line_random_ns +
+                         static_cast<double>(hits) * hcfg_.cpu_ns_per_sample;
+  meter_line_reads(lines);
   host_phase(read_ns, slot);
 
   stats_.sampled_subgroups = counts.size();
@@ -1117,8 +1134,7 @@ GroupFold Execution::sample_phase() {
 
   for (ResultRow& row : counts.rows()) {
     const double mass = hits > 0 ? static_cast<double>(row.agg) / hits : 0.0;
-    candidates_.push_back({std::move(row.group), mass, true,
-                           static_cast<std::uint64_t>(row.agg)});
+    candidates_.push_back({std::move(row.group), mass, true});
   }
   return counts;
 }
@@ -1387,8 +1403,7 @@ std::size_t Execution::walk_records(std::size_t p, const BitVec& bits,
 
 void Execution::finalize_phase() {
   rows_ = results_.rows();
-  sort_rows(rows_, q_.order_by);
-  host_phase(static_cast<double>(rows_.size()) * 50.0,
+  host_phase(finalize_rows(rows_, q_.order_by),
              &QueryPhaseBreakdown::finalize);
 }
 
@@ -1760,8 +1775,6 @@ std::vector<sql::BoundPredicate> semijoin_prefix(
   };
   const double chunks =
       static_cast<double>(read_chunks(store, cfg, attrs).size());
-  const EnergyJ line_j = static_cast<double>(cfg.line_bytes()) * 8 *
-                         cfg.read_energy_pj_per_bit * units::kJoulePerPj;
   const auto survivor_cost = [&](double sel) {
     std::vector<std::uint32_t> lines(store.pages_per_part());
     double total = 0;
@@ -1779,7 +1792,7 @@ std::vector<sql::BoundPredicate> semijoin_prefix(
     return Cost{host::lines_phase_time_ns(lines, hcfg) +
                     survivors * static_cast<double>(1 + probe_builds) *
                         hcfg.cpu_ns_per_record / hcfg.threads,
-                total * line_j};
+                line_read_energy(total, cfg)};
   };
 
   // One more gate cycle of the scan's filter program on every crossbar.

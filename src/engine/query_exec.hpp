@@ -208,11 +208,11 @@ enum class StatClass {
 bool stats_equal(const QueryStats& a, const QueryStats& b,
                  std::initializer_list<StatClass> classes);
 
-/// Sorts result rows by `order_by`, ties broken by the group key, so the
-/// order is total and deterministic. The engine's finalize and the host
-/// hash join both sort with it.
-void sort_rows(std::vector<ResultRow>& rows,
-               const std::vector<sql::BoundOrderItem>& order_by);
+/// The finalize step of the engine and of the host hash join: sorts result
+/// rows by `order_by`, ties broken by the group key, so the order is total
+/// and deterministic, and returns its modeled host time, 50 ns per row.
+TimeNs finalize_rows(std::vector<ResultRow>& rows,
+                     const std::vector<sql::BoundOrderItem>& order_by);
 
 /// One aggregation pass (product/linearity decomposition; see the top of
 /// this file).

@@ -7,20 +7,6 @@
 
 namespace bbpim::engine {
 
-std::optional<std::vector<std::uint64_t>> DistinctCollector::finish() && {
-  if (capped_) return std::nullopt;
-  std::vector<std::uint64_t> vals = seen_.codes();
-  std::sort(vals.begin(), vals.end());
-  return vals;
-}
-
-SnapshotStats::SnapshotStats(std::vector<Distinct> distinct)
-    : attrs_(distinct.size()) {
-  for (std::size_t a = 0; a < attrs_; ++a) {
-    distinct_.put(a, std::move(distinct[a]));
-  }
-}
-
 SnapshotStats::SnapshotStats(const SnapshotStats& prev, std::size_t touched)
     : attrs_(prev.attrs_),
       distinct_(prev.distinct_,
@@ -32,8 +18,7 @@ SnapshotStats::SnapshotStats(const SnapshotStats& prev, std::size_t touched)
 const SnapshotStats::Distinct& SnapshotStats::distinct_values(
     std::size_t attr, const PimStore& reader) const {
   if (attr >= attrs_) throw std::out_of_range("SnapshotStats: attribute");
-  // Same capping rule as the load-time stats, read through the reader's
-  // crossbars.
+  // Read through the reader's crossbars, 64 records at a time.
   return *distinct_
               .get_or_compute(attr, [&] { return scan_distinct(reader, attr); })
               .value;
@@ -54,11 +39,10 @@ const SnapshotStats::CoOccurrence* SnapshotStats::co_occurrence(
       .value.get();
 }
 
-StoreDerived::StoreDerived(ZoneMaps zones,
-                           std::vector<SnapshotStats::Distinct> distinct)
+StoreDerived::StoreDerived(ZoneMaps zones, std::size_t attrs)
     : filter_cache(std::make_shared<FilterCache>()),
       zones(std::move(zones)),
-      stats(std::move(distinct)) {}
+      stats(attrs) {}
 
 StoreDerived::StoreDerived(const StoreDerived& prev, std::size_t attr)
     : filter_cache(prev.filter_cache),

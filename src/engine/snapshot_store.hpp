@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/memo.hpp"
-#include "engine/group_index.hpp"
 #include "engine/zone_map.hpp"
 #include "pim/crossbar.hpp"
 
@@ -46,37 +45,13 @@ struct FilterPruneAnalysis;
 /// attributes never qualify for pure-PIM group enumeration anyway.
 inline constexpr std::size_t kMaxDistinct = 4096;
 
-/// The kMaxDistinct capping rule, in one place: the load-time stats feed it
-/// whole table columns, scan_distinct feeds it 64-record blocks.
-class DistinctCollector {
- public:
-  DistinctCollector() : seen_(kMaxDistinct + 1) {}
-
-  /// Adds `codes` (of any unsigned width); returns false (and ignores
-  /// later calls) once more than kMaxDistinct distinct codes have been seen.
-  template <class T>
-  bool add(std::span<const T> codes) {
-    for (std::size_t i = 0; i < codes.size() && !capped_; ++i) {
-      if (i > 0 && codes[i] == codes[i - 1]) continue;  // a run probes once
-      seen_.insert(codes[i]);
-      capped_ = seen_.codes().size() > kMaxDistinct;
-    }
-    return !capped_;
-  }
-  /// The sorted distinct codes, or nullopt past the cap.
-  std::optional<std::vector<std::uint64_t>> finish() &&;
-
- private:
-  CodeIndex seen_;
-  bool capped_ = false;
-};
-
 /// Derived statistics of one store version: distinct values per attribute
 /// and co-occurrence maps per attribute pair, each an unbounded Memo filled
-/// lazily (single-flight, built outside any lock). Carried forward across
-/// versions — an UPDATE to one attribute drops only the entries involving
-/// that attribute and shares every other entry by pointer, so a
-/// planner-warmed cache survives unrelated writes without a deep copy.
+/// lazily (single-flight, built outside any lock), version 0 included.
+/// Carried forward across versions — an UPDATE to one attribute drops only
+/// the entries involving that attribute and shares every other entry by
+/// pointer, so a planner-warmed cache survives unrelated writes without a
+/// deep copy.
 ///
 /// Lazy computation reads the crossbars of a `reader` store (the caller's
 /// PimStore, which holds this version's data), 64 records at a time through
@@ -93,9 +68,9 @@ class SnapshotStats {
   using CoOccurrence =
       std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>;
 
-  /// Version-0 stats: the load-time distinct values (nullopt where the
-  /// cardinality exceeded kMaxDistinct); co-occurrence fills on demand.
-  explicit SnapshotStats(std::vector<Distinct> distinct);
+  /// Version-0 stats of a relation with `attrs` attributes: every entry
+  /// fills on demand.
+  explicit SnapshotStats(std::size_t attrs) : attrs_(attrs) {}
   /// Carries `prev` forward across an UPDATE of `touched`: every entry
   /// not involving it is shared by pointer; its distinct values and its
   /// co-occurrence maps are rebuilt on first use.
@@ -125,8 +100,9 @@ class SnapshotStats {
 /// published: PimStore::note_mutation switches the builder to a successor
 /// built from the predecessor, so a pinned version keeps its own.
 struct StoreDerived {
-  /// Version 0 of a freshly loaded store.
-  StoreDerived(ZoneMaps zones, std::vector<SnapshotStats::Distinct> distinct);
+  /// Version 0 of a freshly loaded store of `attrs` attributes: its zones,
+  /// and stats that fill on demand.
+  StoreDerived(ZoneMaps zones, std::size_t attrs);
   /// The successor of `prev` across an UPDATE of `attr`: the same filter
   /// cache, copied zones (the caller rebuilds the touched crossbars'
   /// sketches before publishing), stats carried forward and an empty

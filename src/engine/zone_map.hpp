@@ -86,7 +86,8 @@ class ZoneMaps {
     return sketches_[attr * crossbars_ + crossbar];
   }
 
-  /// Widens the sketch with one observed value (load-time accumulation).
+  /// Widens the sketch with one observed value (the load's block fold and
+  /// note_mutation's rebuild).
   void add(std::size_t attr, std::size_t crossbar, std::uint64_t v) {
     sketches_[attr * crossbars_ + crossbar].add(v, bitmap_[attr]);
   }

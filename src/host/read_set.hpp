@@ -4,8 +4,9 @@
 // crossbars of a page. Reading a single record therefore drags 31 other
 // records' chunks along (the paper's read amplification), and conversely two
 // selected records in the same page row share their lines. host-gb latency
-// is driven by the number of *unique* lines touched — this set computes it
-// and converts it to time under the page-per-thread partitioning.
+// is driven by the number of *unique* lines touched — ReadSet counts them
+// and lines_phase_time_ns converts the counts to time under the
+// page-per-thread partitioning.
 #pragma once
 
 #include <cstdint>
@@ -19,27 +20,19 @@
 namespace bbpim::host {
 
 /// Phase latency of streaming per-page unique-line counts under the
-/// page-per-thread partitioning (ReadSet::phase_time_ns and the engine's
-/// page-parallel host-gb walk, which counts lines without a ReadSet).
+/// page-per-thread partitioning: pages are split contiguously across
+/// threads; each thread streams its pages' unique lines at line_random_ns
+/// apiece; the phase ends when the slowest thread finishes.
 TimeNs lines_phase_time_ns(std::span<const std::uint32_t> per_page_lines,
                            const HostConfig& cfg);
 
+/// The record-at-a-time line dedupe of the scalar host walk (the
+/// vectorized walk counts the same lines word by word, without a set).
 class ReadSet {
  public:
-  /// `pages` is the number of pages the relation spans (for per-thread
-  /// partitioning when converting to time). Dedupe uses a hash set.
+  /// `pages` is the number of pages the relation spans (the per-page counts
+  /// feed lines_phase_time_ns). Dedupe uses a hash set.
   explicit ReadSet(std::size_t pages) : per_page_lines_(pages, 0) {}
-
-  /// Dense variant: when the per-page line-id space (rows x chunks) is known
-  /// and small — it always is, a page has a fixed geometry — dedupe uses
-  /// lazily allocated per-page bitmaps instead of a hash set. O(1) with no
-  /// hashing per touch; identical observable behavior.
-  ReadSet(std::size_t pages, std::uint32_t rows_per_page,
-          std::uint32_t chunks_per_row)
-      : per_page_lines_(pages, 0),
-        page_bits_(static_cast<std::size_t>(rows_per_page) * chunks_per_row),
-        chunks_per_row_(chunks_per_row),
-        dense_pages_(pages) {}
 
   /// Registers a read of chunk `chunk` of the record at row `row` of page
   /// `page`; dedupes against previous touches of the same line.
@@ -50,19 +43,10 @@ class ReadSet {
     return per_page_lines_;
   }
 
-  /// Phase latency: pages are split contiguously across threads; each thread
-  /// streams its pages' unique lines at line_ns apiece; the phase ends when
-  /// the slowest thread finishes.
-  TimeNs phase_time_ns(const HostConfig& cfg) const;
-
  private:
   std::unordered_set<std::uint64_t> seen_;
   std::vector<std::uint32_t> per_page_lines_;
   std::size_t unique_lines_ = 0;
-  /// Dense mode state (page_bits_ == 0 selects the hash set).
-  std::size_t page_bits_ = 0;
-  std::uint32_t chunks_per_row_ = 0;
-  std::vector<std::vector<std::uint64_t>> dense_pages_;
 };
 
 }  // namespace bbpim::host

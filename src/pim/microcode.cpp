@@ -174,26 +174,6 @@ std::uint16_t ProgramBuilder::emit_andnot(std::uint16_t a, std::uint16_t b) {
   return twin(WordOp::Kind::kAndNot, r, a, b);
 }
 
-std::uint16_t ProgramBuilder::emit_xnor(std::uint16_t a, std::uint16_t b) {
-  const Nest nest(*this);
-  const std::uint16_t n1 = emit_nor(a, b);
-  const std::uint16_t n2 = emit_nor(a, n1);
-  const std::uint16_t n3 = emit_nor(b, n1);
-  const std::uint16_t r = emit_nor(n2, n3);
-  release(n1);
-  release(n2);
-  release(n3);
-  return twin(WordOp::Kind::kXnor, r, a, b);
-}
-
-std::uint16_t ProgramBuilder::emit_xor(std::uint16_t a, std::uint16_t b) {
-  const Nest nest(*this);
-  const std::uint16_t x = emit_xnor(a, b);
-  const std::uint16_t r = emit_not(x);
-  release(x);
-  return twin(WordOp::Kind::kXor, r, a, b);
-}
-
 std::uint16_t ProgramBuilder::emit_const(bool value) {
   const Nest nest(*this);
   const std::uint16_t t = alloc_.alloc();

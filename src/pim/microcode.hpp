@@ -45,8 +45,6 @@ struct WordOp {
     kOr,       ///< out = a OR b
     kNor,      ///< out = NOT (a OR b)
     kAndNot,   ///< out = a AND NOT b
-    kXor,      ///< out = a XOR b
-    kXnor,     ///< out = NOT (a XOR b)
     kEq,       ///< out = (field == v1)
     kLt,       ///< out = (field < v1)
     kLe,       ///< out = (field <= v1)
@@ -142,8 +140,6 @@ class ProgramBuilder {
   std::uint16_t emit_and(std::uint16_t a, std::uint16_t b);
   /// a AND (NOT b)
   std::uint16_t emit_andnot(std::uint16_t a, std::uint16_t b);
-  std::uint16_t emit_xor(std::uint16_t a, std::uint16_t b);
-  std::uint16_t emit_xnor(std::uint16_t a, std::uint16_t b);
   /// Sets a column to a constant across all rows (1 cycle).
   std::uint16_t emit_const(bool value);
   /// Copies a bit column into a fresh scratch column (2 NOTs = 4 cycles).

@@ -24,13 +24,6 @@ std::uint64_t PimModule::read_record_field(std::size_t page_idx,
   return p.crossbar(c.crossbar).read_row_bits(c.row, f.offset, f.width);
 }
 
-void PimModule::write_record_field(std::size_t page_idx, std::uint32_t record,
-                                   const Field& f, std::uint64_t value) {
-  Page& p = pages_.at(page_idx);
-  const Page::RecordCoord c = p.locate(record);
-  p.crossbar(c.crossbar).write_row_bits(c.row, f.offset, f.width, value);
-}
-
 std::uint64_t PimModule::max_row_writes() const {
   std::uint64_t worst = 0;
   for (const Page& p : pages_) {

@@ -38,10 +38,6 @@ class PimModule {
   std::uint64_t read_record_field(std::size_t page_idx, std::uint32_t record,
                                   const Field& f) const;
 
-  /// Functional write of one record field (bulk load / UPDATE paths).
-  void write_record_field(std::size_t page_idx, std::uint32_t record,
-                          const Field& f, std::uint64_t value);
-
   // --- Wear accounting (Fig. 9) --------------------------------------------
   /// Worst-case writes experienced by a single crossbar row anywhere.
   std::uint64_t max_row_writes() const;

@@ -165,18 +165,6 @@ void execute_words(Crossbar& xb, const WordProgram& prog) {
         for (std::uint32_t w = 0; w < words; ++w) out[w] = a[w] & ~b[w];
         break;
       }
-      case WordOp::Kind::kXor: {
-        const std::uint64_t* a = xb.column_data(op.a);
-        const std::uint64_t* b = xb.column_data(op.b);
-        for (std::uint32_t w = 0; w < words; ++w) out[w] = a[w] ^ b[w];
-        break;
-      }
-      case WordOp::Kind::kXnor: {
-        const std::uint64_t* a = xb.column_data(op.a);
-        const std::uint64_t* b = xb.column_data(op.b);
-        for (std::uint32_t w = 0; w < words; ++w) out[w] = ~(a[w] ^ b[w]);
-        break;
-      }
       case WordOp::Kind::kEq:
         eval_eq(xb, op.f, op.v1, out, words);
         break;

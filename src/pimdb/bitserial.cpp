@@ -47,19 +47,4 @@ std::vector<std::uint64_t> bitserial_agg_phases(std::uint32_t value_bits,
   return phases;
 }
 
-std::uint64_t bitserial_agg_cycles(std::uint32_t value_bits,
-                                   std::uint32_t rows, pim::AggOp op) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : bitserial_agg_phases(value_bits, rows, op)) {
-    total += c;
-  }
-  return total;
-}
-
-double bitserial_agg_duration_ns(std::uint32_t value_bits, std::uint32_t rows,
-                                 pim::AggOp op, const pim::PimConfig& cfg) {
-  return static_cast<double>(bitserial_agg_cycles(value_bits, rows, op)) *
-         cfg.logic_cycle_ns;
-}
-
 }  // namespace bbpim::pimdb

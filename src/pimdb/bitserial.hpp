@@ -16,30 +16,20 @@
 #include <vector>
 
 #include "pim/agg_circuit.hpp"
-#include "pim/config.hpp"
 
 namespace bbpim::pimdb {
 
-/// Cycle cost of one in-crossbar reduction over `rows` values of
-/// `value_bits` width. SUM grows one bit per tree level; MIN/MAX compare and
-/// select at constant width.
-std::uint64_t bitserial_agg_cycles(std::uint32_t value_bits,
-                                   std::uint32_t rows, pim::AggOp op);
-
-/// Per-request cycle counts of the same reduction: the select-mask pass
-/// followed by one entry per tree level. Each entry is a separate PIM macro
-/// request — the level l+1 operands are level l outputs, and the PIM
-/// controller's broadcast sequencer only covers one row-aligned step, so
-/// the host must issue (and fence) every level. This per-level issue cost
-/// is what makes PIMDB's aggregation unattractive to the planner on most
-/// GROUP-BY queries (Table II's pimdb column).
+/// Per-request cycle counts of one in-crossbar reduction over `rows` values
+/// of `value_bits` width: the select-mask pass followed by one entry per
+/// tree level. SUM grows one bit per tree level; MIN/MAX compare and select
+/// at constant width. Each entry is a separate PIM macro request — the
+/// level l+1 operands are level l outputs, and the PIM controller's
+/// broadcast sequencer only covers one row-aligned step, so the host must
+/// issue (and fence) every level. This per-level issue cost is what makes
+/// PIMDB's aggregation unattractive to the planner on most GROUP-BY
+/// queries (Table II's pimdb column).
 std::vector<std::uint64_t> bitserial_agg_phases(std::uint32_t value_bits,
                                                 std::uint32_t rows,
                                                 pim::AggOp op);
-
-/// Convenience: duration of the reduction on one page (all crossbars run the
-/// broadcast sequence concurrently).
-double bitserial_agg_duration_ns(std::uint32_t value_bits, std::uint32_t rows,
-                                 pim::AggOp op, const pim::PimConfig& cfg);
 
 }  // namespace bbpim::pimdb

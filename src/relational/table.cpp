@@ -176,13 +176,6 @@ std::size_t Table::resident_bytes() const {
   return bytes;
 }
 
-std::string Table::display(std::size_t row, std::size_t attr) const {
-  const Attribute& a = schema_.attribute(attr);
-  const std::uint64_t v = value(row, attr);
-  if (a.type == DataType::kString) return a.dict->value(v);
-  return std::to_string(v);
-}
-
 Table cluster_by(const Table& table, std::size_t attr) {
   std::vector<std::size_t> order(table.row_count());
   std::iota(order.begin(), order.end(), 0);

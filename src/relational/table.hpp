@@ -103,10 +103,6 @@ class Table {
   /// uint64 copy column() has made. Counts values, not allocator slack.
   std::size_t resident_bytes() const;
 
-  /// Renders a value for display (decodes through the dictionary when the
-  /// attribute is a string).
-  std::string display(std::size_t row, std::size_t attr) const;
-
  private:
   /// column()'s widened copies, one slot per attribute.
   struct WideCache {

@@ -336,9 +336,7 @@ void bind_tail(const SelectStmt& stmt, Resolve&& resolve,
 BoundQuery bind(const SelectStmt& stmt, const rel::Schema& schema) {
   BoundQuery q;
   for (const Predicate& p : stmt.where) {
-    if (p.kind == Predicate::Kind::kJoinEq) {
-      q.join_predicates.emplace_back(p.column, p.join_right);
-    } else {
+    if (p.kind != Predicate::Kind::kJoinEq) {
       q.filters.push_back(bind_predicate(schema, p));
     }
   }

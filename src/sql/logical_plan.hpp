@@ -94,10 +94,6 @@ struct AggregateTail {
 
 struct BoundQuery : AggregateTail<std::size_t> {
   std::vector<BoundPredicate> filters;  ///< conjunction
-
-  /// Join predicates in SQL text form (left/right column names), preserved
-  /// for the star-schema baseline planner.
-  std::vector<std::pair<std::string, std::string>> join_predicates;
 };
 
 /// Binds a parsed statement against the (pre-joined) schema.

@@ -247,10 +247,6 @@ class Parser {
 
 SelectStmt parse(std::string_view sql) { return Parser(sql).parse_select(); }
 
-UpdateStmt parse_update(std::string_view sql) {
-  return Parser(sql).parse_update();
-}
-
 Statement parse_statement(std::string_view sql) {
   Parser parser(sql);
   Statement stmt;

@@ -12,10 +12,8 @@ namespace bbpim::sql {
 /// accept both kinds use parse_statement).
 SelectStmt parse(std::string_view sql);
 
-/// Parses one UPDATE <table> SET <col> = <literal> [WHERE ...] statement.
-UpdateStmt parse_update(std::string_view sql);
-
-/// Parses either statement kind, dispatching on the leading keyword.
+/// Parses either statement kind, dispatching on the leading keyword: a
+/// SELECT, or UPDATE <table> SET <col> = <literal> [WHERE ...].
 Statement parse_statement(std::string_view sql);
 
 }  // namespace bbpim::sql

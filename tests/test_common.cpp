@@ -209,9 +209,6 @@ TEST(Rng, DeterministicAndBounded) {
     const double d = r.next_double();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
-    const std::int64_t v = r.next_in(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
   }
 }
 
@@ -287,15 +284,12 @@ TEST(Fit, DegenerateInputs) {
   EXPECT_NEAR(f.intercept, 2.0, 1e-12);
 }
 
-TEST(Stats, MeanGeomeanRatios) {
-  std::vector<double> xs{1.0, 2.0, 4.0};
-  EXPECT_NEAR(mean(xs), 7.0 / 3, 1e-12);
-  EXPECT_NEAR(geomean(xs), 2.0, 1e-12);
+TEST(Stats, GeomeanRatio) {
   std::vector<double> a{2.0, 8.0};
   std::vector<double> b{1.0, 2.0};
   EXPECT_NEAR(geomean_ratio(a, b), std::sqrt(8.0), 1e-12);
   std::vector<double> bad{0.0};
-  EXPECT_THROW(geomean(bad), std::invalid_argument);
+  EXPECT_THROW(geomean_ratio(bad, bad), std::invalid_argument);
 }
 
 TEST(TablePrinter, AlignsAndCounts) {

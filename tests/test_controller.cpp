@@ -46,7 +46,8 @@ TEST(PimModule, RecordFieldRoundTripAndWear) {
   PimModule m(small_config());
   m.allocate_pages(2);
   const pim::Field f{10, 12};
-  m.write_record_field(1, 70, f, 0xABC);  // record 70 -> crossbar 1, row 6
+  // Record 70 of page 1 lives in crossbar 1, row 6.
+  m.page(1).crossbar(1).write_row_bits(6, f.offset, f.width, 0xABC);
   EXPECT_EQ(m.read_record_field(1, 70, f), 0xABCu);
   EXPECT_GT(m.max_row_writes(), 0u);
   m.reset_wear();

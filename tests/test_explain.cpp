@@ -1,4 +1,4 @@
-// Tests for the EXPLAIN facility and the micro-program disassembler.
+// Tests for the EXPLAIN facility.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,26 +10,6 @@
 
 namespace bbpim::engine {
 namespace {
-
-TEST(Disassemble, RendersEveryOpKind) {
-  pim::MicroProgram prog = {
-      pim::MicroOp::init1(200),
-      pim::MicroOp::nor_op(3, 7, 200),
-      pim::MicroOp::init0(201),
-      pim::MicroOp::not_op(200, 201),
-  };
-  std::ostringstream os;
-  disassemble(prog, os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("INIT1"), std::string::npos);
-  EXPECT_NE(s.find("INIT0"), std::string::npos);
-  EXPECT_NE(s.find("NOR"), std::string::npos);
-  EXPECT_NE(s.find("NOT"), std::string::npos);
-  EXPECT_NE(s.find("-> c200"), std::string::npos);
-  EXPECT_NE(s.find("-> c201"), std::string::npos);
-  // One line per op.
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
-}
 
 TEST(Explain, OneXbPlanMentionsEverything) {
   testutil::EngineFixture fx(EngineKind::kOneXb, 300, 90);

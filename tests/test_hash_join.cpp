@@ -154,7 +154,7 @@ struct OracleText {
 
 /// Row-by-row oracle: every combination of one row per table that meets
 /// every equality pair and the filter, folded per group in key order (the
-/// order sort_rows gives rows without ORDER BY or ordered by their keys).
+/// order finalize_rows gives rows without ORDER BY or ordered by their keys).
 std::vector<engine::ResultRow> nested_loop(
     const std::vector<const rel::Table*>& tables, const OracleText& q) {
   std::map<engine::GroupKey, std::int64_t> groups;

@@ -103,7 +103,8 @@ TEST(ReadSetProps, PhaseTimeUsesWorstThread) {
   rs.touch(0, 1, 0);
   rs.touch(0, 2, 0);
   rs.touch(3, 0, 0);
-  EXPECT_DOUBLE_EQ(rs.phase_time_ns(cfg), 300.0);  // thread 0 has 3 lines
+  // Thread 0 has 3 lines.
+  EXPECT_DOUBLE_EQ(host::lines_phase_time_ns(rs.per_page_lines(), cfg), 300.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,38 +163,46 @@ TEST(AreaModelProps, MatchesPaperBreakdown) {
 // PIMDB bit-serial cost structure
 // ---------------------------------------------------------------------------
 
-TEST(BitSerialProps, PhasesSumAndGrow) {
+/// Total cycles of one bit-serial reduction: the sum of its phases.
+std::uint64_t bitserial_cycles(std::uint32_t value_bits, std::uint32_t rows,
+                               pim::AggOp op) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c :
+       pimdb::bitserial_agg_phases(value_bits, rows, op)) {
+    sum += c;
+  }
+  return sum;
+}
+
+TEST(BitSerialProps, PhasesGrow) {
   const auto phases = pimdb::bitserial_agg_phases(16, 1024, pim::AggOp::kSum);
   EXPECT_EQ(phases.size(), 11u);  // mask + log2(1024) levels
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    sum += phases[i];
-    if (i >= 2) {  // SUM widths grow
-      EXPECT_GE(phases[i], phases[i - 1]);
-    }
+  for (std::size_t i = 2; i < phases.size(); ++i) {  // SUM widths grow
+    EXPECT_GE(phases[i], phases[i - 1]);
   }
-  EXPECT_EQ(sum, pimdb::bitserial_agg_cycles(16, 1024, pim::AggOp::kSum));
 }
 
 TEST(BitSerialProps, SumCostsMoreThanMinAtWidth) {
   // The adder chain is pricier than compare+select per level.
-  EXPECT_GT(pimdb::bitserial_agg_cycles(32, 1024, pim::AggOp::kSum),
-            pimdb::bitserial_agg_cycles(32, 1024, pim::AggOp::kMin));
+  EXPECT_GT(bitserial_cycles(32, 1024, pim::AggOp::kSum),
+            bitserial_cycles(32, 1024, pim::AggOp::kMin));
 }
 
 TEST(BitSerialProps, MonotoneInWidthAndRows) {
-  EXPECT_GT(pimdb::bitserial_agg_cycles(32, 1024, pim::AggOp::kSum),
-            pimdb::bitserial_agg_cycles(16, 1024, pim::AggOp::kSum));
-  EXPECT_GT(pimdb::bitserial_agg_cycles(16, 1024, pim::AggOp::kSum),
-            pimdb::bitserial_agg_cycles(16, 256, pim::AggOp::kSum));
+  EXPECT_GT(bitserial_cycles(32, 1024, pim::AggOp::kSum),
+            bitserial_cycles(16, 1024, pim::AggOp::kSum));
+  EXPECT_GT(bitserial_cycles(16, 1024, pim::AggOp::kSum),
+            bitserial_cycles(16, 256, pim::AggOp::kSum));
 }
 
 TEST(BitSerialProps, DwarfsTheAggregationCircuit) {
   // The paper's whole point: the circuit replaces thousands of bulk cycles
   // with ~1k serial reads.
   const pim::PimConfig cfg;
+  // All crossbars of a page run the broadcast sequence concurrently.
   const double bit_serial_ns =
-      pimdb::bitserial_agg_duration_ns(16, 1024, pim::AggOp::kSum, cfg);
+      static_cast<double>(bitserial_cycles(16, 1024, pim::AggOp::kSum)) *
+      cfg.logic_cycle_ns;
   const double circuit_ns = (1024 * 1 + 64) * cfg.read_cycle_ns;
   EXPECT_GT(bit_serial_ns, 5 * circuit_ns);
 }

@@ -112,8 +112,6 @@ TEST(Gates, TruthTables) {
   ProgramBuilder pb(fx.alloc_);
   const std::uint16_t c_and = pb.emit_and(0, 1);
   const std::uint16_t c_or = pb.emit_or(0, 1);
-  const std::uint16_t c_xor = pb.emit_xor(0, 1);
-  const std::uint16_t c_xnor = pb.emit_xnor(0, 1);
   const std::uint16_t c_andnot = pb.emit_andnot(0, 1);
   const std::uint16_t c_not = pb.emit_not(0);
   const std::uint16_t c_copy = pb.emit_copy(1);
@@ -123,13 +121,11 @@ TEST(Gates, TruthTables) {
     const bool b = (r & 2) != 0;
     EXPECT_EQ(fx.xb_.bit(r, c_and), a && b);
     EXPECT_EQ(fx.xb_.bit(r, c_or), a || b);
-    EXPECT_EQ(fx.xb_.bit(r, c_xor), a != b);
-    EXPECT_EQ(fx.xb_.bit(r, c_xnor), a == b);
     EXPECT_EQ(fx.xb_.bit(r, c_andnot), a && !b);
     EXPECT_EQ(fx.xb_.bit(r, c_not), !a);
     EXPECT_EQ(fx.xb_.bit(r, c_copy), b);
   }
-  for (std::uint16_t c : {c_and, c_or, c_xor, c_xnor, c_andnot, c_not, c_copy}) {
+  for (std::uint16_t c : {c_and, c_or, c_andnot, c_not, c_copy}) {
     pb.release(c);
   }
   EXPECT_EQ(fx.alloc_.available(), kCols - kScratchBegin);  // no leaks
@@ -364,8 +360,6 @@ TEST(Twin, GateEmittersMatchGates) {
       {"or", [](ProgramBuilder& pb) { return pb.emit_or(3, 4); }},
       {"and", [](ProgramBuilder& pb) { return pb.emit_and(3, 4); }},
       {"andnot", [](ProgramBuilder& pb) { return pb.emit_andnot(3, 4); }},
-      {"xor", [](ProgramBuilder& pb) { return pb.emit_xor(3, 4); }},
-      {"xnor", [](ProgramBuilder& pb) { return pb.emit_xnor(3, 4); }},
       {"same-input and", [](ProgramBuilder& pb) { return pb.emit_and(5, 5); }},
       {"const0", [](ProgramBuilder& pb) { return pb.emit_const(false); }},
       {"const1", [](ProgramBuilder& pb) { return pb.emit_const(true); }},

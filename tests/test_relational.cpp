@@ -84,8 +84,6 @@ TEST(TableTest, AppendAndAccess) {
   t.append_row(r1);
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_EQ(t.value(1, 0), 1023u);
-  EXPECT_EQ(t.display(0, 1), "hi");
-  EXPECT_EQ(t.display(1, 0), "1023");
   EXPECT_EQ(t.column(0).size(), 2u);
 
   const std::uint64_t overflow[] = {1024, 0};

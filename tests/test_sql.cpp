@@ -156,13 +156,10 @@ TEST(Binder, StaticFolding) {
   EXPECT_EQ(neg.filters[0].kind, BoundPredicate::Kind::kGe);
 }
 
-TEST(Binder, JoinPredicatesPreserved) {
+TEST(Binder, JoinPredicatesAreNotFilters) {
   const rel::Schema schema = test_schema();
   const BoundQuery q =
       bind(parse("SELECT SUM(v) FROM t WHERE k = w"), schema);
-  ASSERT_EQ(q.join_predicates.size(), 1u);
-  EXPECT_EQ(q.join_predicates[0].first, "k");
-  EXPECT_EQ(q.join_predicates[0].second, "w");
   EXPECT_TRUE(q.filters.empty());
 }
 
@@ -206,8 +203,8 @@ TEST(BoundAggExprTest, EvalWrapsExactly) {
 }
 
 TEST(Parser, UpdateShape) {
-  const UpdateStmt u = parse_update(
-      "UPDATE t SET s = 'beta' WHERE k >= 5 AND w BETWEEN 1 AND 3;");
+  const UpdateStmt u = parse_statement(
+      "UPDATE t SET s = 'beta' WHERE k >= 5 AND w BETWEEN 1 AND 3;").update;
   EXPECT_EQ(u.table, "t");
   EXPECT_EQ(u.column, "s");
   EXPECT_EQ(u.value.kind, Literal::Kind::kString);
@@ -217,7 +214,7 @@ TEST(Parser, UpdateShape) {
   EXPECT_EQ(u.where[1].kind, Predicate::Kind::kBetween);
 
   // WHERE is optional; integer values parse.
-  const UpdateStmt all = parse_update("UPDATE t SET w = 3");
+  const UpdateStmt all = parse_statement("UPDATE t SET w = 3").update;
   EXPECT_TRUE(all.where.empty());
   EXPECT_EQ(all.value.int_value, 3);
 }
@@ -232,16 +229,17 @@ TEST(Parser, ParseStatementDispatches) {
 }
 
 TEST(Parser, UpdateSyntaxErrors) {
-  EXPECT_THROW(parse_update("UPDATE t w = 1"), std::invalid_argument);
-  EXPECT_THROW(parse_update("UPDATE t SET w 1"), std::invalid_argument);
-  EXPECT_THROW(parse_update("UPDATE t SET w = x"), std::invalid_argument);
-  EXPECT_THROW(parse_update("UPDATE t SET w = 1 2"), std::invalid_argument);
+  EXPECT_THROW(parse_statement("UPDATE t w = 1"), std::invalid_argument);
+  EXPECT_THROW(parse_statement("UPDATE t SET w 1"), std::invalid_argument);
+  EXPECT_THROW(parse_statement("UPDATE t SET w = x"), std::invalid_argument);
+  EXPECT_THROW(parse_statement("UPDATE t SET w = 1 2"), std::invalid_argument);
 }
 
 TEST(Binder, BindsUpdateThroughEncoding) {
   const rel::Schema schema = test_schema();
   const BoundUpdate u = bind_update(
-      parse_update("UPDATE t SET s = 'gamma' WHERE s = 'beta' AND k < 9"),
+      parse_statement("UPDATE t SET s = 'gamma' WHERE s = 'beta' AND k < 9")
+          .update,
       schema);
   EXPECT_EQ(u.attr, 3u);
   EXPECT_EQ(u.value, 3u);  // 'gamma' sorts after 'delta'
@@ -252,25 +250,22 @@ TEST(Binder, BindsUpdateThroughEncoding) {
 
 TEST(Binder, UpdateRejectsUnencodableValues) {
   const rel::Schema schema = test_schema();
+  const auto bind_text = [&](std::string_view sql) {
+    return bind_update(parse_statement(sql).update, schema);
+  };
   // A string with no dictionary code is an error for SET (not kNever like
   // WHERE literals): it would write an undecodable record.
-  EXPECT_THROW(bind_update(parse_update("UPDATE t SET s = 'zeta'"), schema),
-               std::invalid_argument);
+  EXPECT_THROW(bind_text("UPDATE t SET s = 'zeta'"), std::invalid_argument);
   // Type mismatches both ways.
-  EXPECT_THROW(bind_update(parse_update("UPDATE t SET s = 3"), schema),
-               std::invalid_argument);
-  EXPECT_THROW(bind_update(parse_update("UPDATE t SET w = 'beta'"), schema),
-               std::invalid_argument);
+  EXPECT_THROW(bind_text("UPDATE t SET s = 3"), std::invalid_argument);
+  EXPECT_THROW(bind_text("UPDATE t SET w = 'beta'"), std::invalid_argument);
   // Out of the 8-bit packed domain of w.
-  EXPECT_THROW(bind_update(parse_update("UPDATE t SET w = 256"), schema),
-               std::invalid_argument);
+  EXPECT_THROW(bind_text("UPDATE t SET w = 256"), std::invalid_argument);
   // Join predicates make no sense in this UPDATE subset.
-  EXPECT_THROW(
-      bind_update(parse_update("UPDATE t SET w = 1 WHERE k = v"), schema),
-      std::invalid_argument);
-  // Unknown column.
-  EXPECT_THROW(bind_update(parse_update("UPDATE t SET nope = 1"), schema),
+  EXPECT_THROW(bind_text("UPDATE t SET w = 1 WHERE k = v"),
                std::invalid_argument);
+  // Unknown column.
+  EXPECT_THROW(bind_text("UPDATE t SET nope = 1"), std::invalid_argument);
 }
 
 // --- qualified names and the multi-table join binder -----------------------

@@ -71,7 +71,6 @@ TEST(UpdatePath, ExecutesThroughSessionOnOneXb) {
   EXPECT_TRUE(up.is_update());
   EXPECT_EQ(up.row_count(), 0u);
   EXPECT_EQ(up.updated_records(), static_cast<std::size_t>(tagged2));
-  EXPECT_EQ(up.update_stats().host_lines_read, 0u);  // Algorithm 1
   EXPECT_GT(up.update_stats().total_ns, 0.0);
   EXPECT_EQ(up.data_version(), 1u);
 

@@ -256,6 +256,55 @@ TEST(ZonePruning, GroupPagePruningMatchesUnpruned) {
   }
 }
 
+TEST(ZoneMaps, Version0DerivedStateMatchesTable) {
+  // A freshly built store folds its sketches from the blocks it loads and
+  // fills its distinct values from the crossbars; both must equal a fold of
+  // the table itself. 1,100 records on 128-row crossbars, 4 per page: the
+  // last 64-record word, crossbar (76 records) and page (76 records of 512)
+  // are partial, and the last page's three other crossbars are empty.
+  pim::PimConfig cfg = testutil::small_pim_config();
+  cfg.crossbar_rows = 128;
+  const rel::Table table = testutil::make_synthetic_table(1100, 23);
+  const rel::Schema& schema = table.schema();
+  for (const EngineKind kind : {EngineKind::kOneXb, EngineKind::kTwoXb}) {
+    SCOPED_TRACE(engine_kind_name(kind));
+    pim::PimModule module(cfg);
+    const PimStore store(module, table, ClusteredFixture::options(kind));
+    const ZoneMaps& zones = store.zone_maps();
+    ASSERT_EQ(zones.crossbar_count(), 12u);
+    for (std::size_t a = 0; a < schema.attribute_count(); ++a) {
+      SCOPED_TRACE(schema.attribute(a).name);
+      const bool bitmap = schema.attribute(a).bits <= kZoneBitmapMaxBits;
+      std::vector<ZoneSketch> want(zones.crossbar_count());
+      std::vector<std::uint64_t> codes;
+      table.visit_column(a, [&](auto col) {
+        for (std::size_t r = 0; r < col.size(); ++r) {
+          ZoneSketch& s = want[r / cfg.crossbar_rows];
+          s.min = std::min<std::uint64_t>(s.min, col[r]);
+          s.max = std::max<std::uint64_t>(s.max, col[r]);
+          if (bitmap) s.codes |= 1ULL << col[r];
+          codes.push_back(col[r]);
+        }
+      });
+      for (std::size_t x = 0; x < want.size(); ++x) {
+        const ZoneSketch& got = zones.sketch(a, x);
+        EXPECT_EQ(got.min, want[x].min) << "crossbar " << x;
+        EXPECT_EQ(got.max, want[x].max) << "crossbar " << x;
+        EXPECT_EQ(got.codes, want[x].codes) << "crossbar " << x;
+      }
+      std::sort(codes.begin(), codes.end());
+      codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+      const auto& distinct = store.distinct_values(a);
+      if (codes.size() > kMaxDistinct) {
+        EXPECT_FALSE(distinct.has_value());
+      } else {
+        ASSERT_TRUE(distinct.has_value());
+        EXPECT_EQ(*distinct, codes);
+      }
+    }
+  }
+}
+
 TEST(ZonePruning, UpdateRefreshesSketches) {
   ClusteredFixture fx(EngineKind::kOneXb, 1200, 43);
   // f_val2 is 0..49 by construction; 60 is initially impossible.
