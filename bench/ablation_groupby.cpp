@@ -44,7 +44,8 @@ int main() {
     for (const std::size_t k : ks) {
       engine::ExecOptions opts;
       opts.force_k = k;
-      const engine::QueryOutput out = stmt.execute(opts).output();
+      const engine::QueryOutput out =
+          stmt.execute(db::BackendKind::kOneXb, opts).output();
       const double ms = units::ns_to_ms(out.stats.total_ns);
       if (best < 0 || ms < best) {
         best = ms;

@@ -39,10 +39,10 @@ int main() {
     const db::ResultSet hybrid = stmt.execute();
     engine::ExecOptions k0;
     k0.force_k = 0;
-    const db::ResultSet host_only = stmt.execute(k0);
+    const db::ResultSet host_only = stmt.execute(db::BackendKind::kOneXb, k0);
     engine::ExecOptions kall;
     kall.force_k = hybrid.stats().total_subgroups;
-    const db::ResultSet pim_all = stmt.execute(kall);
+    const db::ResultSet pim_all = stmt.execute(db::BackendKind::kOneXb, kall);
 
     const auto& st = hybrid.stats();
     const double top_mass =

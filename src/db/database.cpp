@@ -84,11 +84,6 @@ const rel::Table& Database::table(std::string_view name) const {
   return *entry_locked(name).table;
 }
 
-const LoadPolicy& Database::policy(std::string_view name) const {
-  std::shared_lock lock(mutex_);
-  return entry_locked(name).policy;
-}
-
 const LoadPolicy& Database::policy_of(const rel::Table& table) const {
   std::shared_lock lock(mutex_);
   for (const auto& [name, e] : tables_) {

@@ -105,7 +105,6 @@ class Database {
   bool has_table(std::string_view name) const;
   /// Throws std::invalid_argument for unknown names.
   const rel::Table& table(std::string_view name) const;
-  const LoadPolicy& policy(std::string_view name) const;
   const LoadPolicy& policy_of(const rel::Table& table) const;
   /// Registration order.
   std::vector<std::string> table_names() const;

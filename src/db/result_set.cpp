@@ -9,8 +9,10 @@ ResultSet::ResultSet(engine::QueryOutput out, std::vector<Column> columns,
                      BackendKind backend)
     : out_(std::move(out)), columns_(std::move(columns)), backend_(backend) {}
 
-ResultSet::ResultSet(engine::UpdateStats update, BackendKind backend)
-    : backend_(backend), update_stats_(update) {}
+ResultSet::ResultSet(const UpdateResult& update, BackendKind backend)
+    : backend_(backend), update_stats_(update.stats) {
+  out_.data_version = update.data_version;
+}
 
 const engine::UpdateStats& ResultSet::update_stats() const {
   if (!update_stats_) {

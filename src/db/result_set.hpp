@@ -9,7 +9,8 @@
 // An UPDATE statement also yields a ResultSet: zero rows, is_update() true,
 // and update_stats() carrying the Algorithm-1 cost record. Both kinds carry
 // data_version() — the number of updates the producing execution observed
-// on its target table — which is what the HTAP benches use to match
+// on its target table, taken at construction from the execution's output
+// or the UpdateResult — which is what the HTAP benches use to match
 // concurrent results against a serial oracle.
 #pragma once
 
@@ -26,6 +27,13 @@
 
 namespace bbpim::db {
 
+/// Result of one facade UPDATE execution.
+struct UpdateResult {
+  engine::UpdateStats stats;
+  /// The update's position in the table's log (its new data version).
+  std::uint64_t data_version = 0;
+};
+
 class ResultSet {
  public:
   struct Column {
@@ -36,10 +44,12 @@ class ResultSet {
   };
 
   ResultSet() = default;
+  /// SELECT result: data_version() is the output's.
   ResultSet(engine::QueryOutput out, std::vector<Column> columns,
             BackendKind backend);
-  /// UPDATE result: no rows/columns, stats of the Algorithm-1 execution.
-  ResultSet(engine::UpdateStats update, BackendKind backend);
+  /// UPDATE result: no rows/columns, stats of the Algorithm-1 execution,
+  /// data_version() the update's position in the log.
+  ResultSet(const UpdateResult& update, BackendKind backend);
 
   std::size_t row_count() const { return out_.rows.size(); }
   std::size_t column_count() const { return columns_.size(); }
@@ -93,9 +103,7 @@ class ResultSet {
   /// committed updates replayed into the executing store (for an UPDATE,
   /// including itself — its position in the table's update log). 0 for
   /// backends without update support and for pre-update-era results.
-  std::uint64_t data_version() const { return data_version_; }
-  /// Facade-internal (set by PreparedStatement::execute).
-  void set_data_version(std::uint64_t version) { data_version_ = version; }
+  std::uint64_t data_version() const { return out_.data_version; }
 
   /// Join results: the (table name, data version) pair each per-table scan
   /// was pinned to — exactly one consistent snapshot per touched table.
@@ -116,7 +124,6 @@ class ResultSet {
   std::vector<Column> columns_;
   BackendKind backend_ = BackendKind::kReference;
   std::optional<engine::UpdateStats> update_stats_;
-  std::uint64_t data_version_ = 0;
   std::uint64_t queue_wait_us_ = 0;
   std::uint64_t service_us_ = 0;
   std::vector<std::pair<std::string, std::uint64_t>> table_versions_;

@@ -136,20 +136,14 @@ std::future<ResultSet> QueryService::enqueue(Task task) {
 }
 
 std::future<ResultSet> QueryService::submit(std::string sql_text,
-                                            const engine::ExecOptions& opts) {
-  return submit(std::move(sql_text), BackendKind::kOneXb, opts);
-}
-
-std::future<ResultSet> QueryService::submit(std::string sql_text,
                                             BackendKind backend,
                                             const engine::ExecOptions& opts) {
   Task task;
   task.sql = std::move(sql_text);
   task.backend = backend;
-  // Arm the deadline NOW: queue wait counts against it. The armed token
-  // rides inside the options the worker executes with.
+  // The token (armed by the caller, so queue wait counts against its
+  // deadline) rides inside the options the worker executes with.
   task.opts = opts;
-  task.opts.cancel = engine::resolve_cancel(opts);
   return enqueue(std::move(task));
 }
 
@@ -168,11 +162,6 @@ std::vector<ResultSet> QueryService::drain(
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
   return out;
-}
-
-std::vector<ResultSet> QueryService::execute_batch(
-    std::span<const std::string> sqls) {
-  return execute_batch(sqls, BackendKind::kOneXb);
 }
 
 std::vector<ResultSet> QueryService::execute_batch(
@@ -337,7 +326,6 @@ void QueryService::serve(Session& session, std::vector<Task> batch) {
   // carry their own (or none) through `cancels`.
   engine::ExecOptions shared_opts = batch.front().opts;
   shared_opts.cancel = engine::CancelToken{};
-  shared_opts.deadline_us = 0;
   for (std::size_t attempt = 0;; ++attempt) {
     // Statements already dead (deadline spent queued or backing off, caller
     // cancelled) settle typed without costing an execution — and without

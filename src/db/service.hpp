@@ -26,10 +26,11 @@
 // pre-admission service):
 //   - AdmissionOptions bounds the queue; a full queue rejects, blocks, or
 //     sheds the longest-waiting statement depending on the policy.
-//   - ExecOptions::deadline_us starts the statement's deadline clock at
-//     submit(), so time spent queued counts; workers settle already-expired
-//     statements with engine::QueryTimeout without executing them, and the
-//     engine aborts in-flight ones cooperatively at phase boundaries.
+//   - A deadline lives on the statement's ExecOptions::cancel token, which
+//     the caller arms (CancelState::set_deadline) before submit(), so time
+//     spent queued counts; workers settle already-expired statements with
+//     engine::QueryTimeout without executing them, and the engine aborts
+//     in-flight ones cooperatively at phase boundaries.
 //   - Failures classified transient (engine::TransientFault) are retried
 //     with capped exponential backoff, at most twice.
 //   - shutdown() settles still-queued statements with ServiceStopped;
@@ -136,7 +137,7 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   // --- asynchronous serving ----------------------------------------------
-  /// Enqueues one statement on the one-xb backend — SELECT or UPDATE; the
+  /// Enqueues one statement on `backend` — SELECT or UPDATE; the
   /// pool serves mixed read/write traffic. An UPDATE executed by any worker
   /// goes through the table's SnapshotManager: Algorithm 1 runs once in the
   /// shared builder store under the exclusive writer gate, commits to the
@@ -147,22 +148,19 @@ class QueryService {
   /// (reported by ResultSet::data_version). The future delivers the
   /// ResultSet, or rethrows whatever the statement raised on the worker.
   /// Throws ServiceStopped once shutdown() has been called, OverloadError
-  /// when bounded admission refuses the statement; `opts.deadline_us` (when
-  /// nonzero) starts counting here, queue wait included. The overload
-  /// without a backend is submit(sql_text, BackendKind::kOneXb, opts): both
-  /// spellings fuse into one shared-scan batch.
+  /// when bounded admission refuses the statement. `opts.cancel` is used as
+  /// given: a deadline armed on it before this call counts queue wait.
   std::future<ResultSet> submit(std::string sql_text,
-                                const engine::ExecOptions& opts = {});
-  std::future<ResultSet> submit(std::string sql_text, BackendKind backend,
+                                BackendKind backend = BackendKind::kOneXb,
                                 const engine::ExecOptions& opts = {});
 
   // --- synchronous batches -----------------------------------------------
   /// Submits the whole batch, then blocks; results come back in input
   /// order. The first failing query's exception is rethrown after the
   /// remaining queries finished (workers never die with the batch).
-  std::vector<ResultSet> execute_batch(std::span<const std::string> sqls);
-  std::vector<ResultSet> execute_batch(std::span<const std::string> sqls,
-                                       BackendKind backend);
+  std::vector<ResultSet> execute_batch(
+      std::span<const std::string> sqls,
+      BackendKind backend = BackendKind::kOneXb);
 
   /// Builds every worker session's executor for the default target on
   /// `backend`, on the caller's thread and without touching the queue — the
@@ -196,9 +194,9 @@ class QueryService {
   struct Task {
     std::string sql;
     BackendKind backend = BackendKind::kOneXb;
-    /// Carries the deadline/cancellation token armed at submit() (so queue
-    /// wait counts against the deadline); the token is invalid when the
-    /// statement has neither.
+    /// Carries the caller's cancellation token as given (armed before
+    /// submit(), so queue wait counts against its deadline); the token is
+    /// invalid when the statement has neither.
     engine::ExecOptions opts;
     std::promise<ResultSet> result;
     std::chrono::steady_clock::time_point enqueued;

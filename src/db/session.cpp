@@ -60,7 +60,6 @@ class PimExecutor final : public Executor {
               const rel::Table& table)
       : session_(&session),
         kind_(kind),
-        table_(&table),
         writes_(&session.database().writes(table)),
         manager_(&session.database().snapshot_manager(
             table, kind == engine::EngineKind::kTwoXb,
@@ -79,7 +78,6 @@ class PimExecutor final : public Executor {
   }
 
   BackendKind backend() const override { return backend_of(kind_); }
-  const rel::Table& target() const override { return *table_; }
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
@@ -102,37 +100,26 @@ class PimExecutor final : public Executor {
     // member reads the same prefix of the table's update log, and a commit
     // landing mid-batch is observed by all members or by none.
     refresh();
-    engine::PimQueryEngine::BatchOutput out =
-        engine_.execute_batch(queries, opts, cancels);
-    observed_version_ = snap_->version();
-    return out;
+    return engine_.execute_batch(queries, opts, cancels);
   }
 
   UpdateResult execute_update(const sql::BoundUpdate& update,
                               const engine::ExecOptions&) override {
     UpdateResult result;
-    std::uint64_t version = 0;
-    result.stats =
-        manager_->apply_update(update, session_->options().host, &version);
+    result.stats = manager_->apply_update(update, session_->options().host,
+                                          &result.data_version);
     // Read-your-writes: re-pin at (at least) the version this update
     // produced before the caller's next read through this executor.
     snap_ = manager_->acquire(session_->options().host);
     store_.adopt(snap_);
-    observed_version_ = version;
-    result.data_version = version;
     return result;
   }
 
-  std::uint64_t last_data_version() const override {
-    return observed_version_;
-  }
-
   /// The store at the version a read through this executor would see now,
-  /// pinned without reading (last_data_version() reports it): a join prices
-  /// its fact scan on it, and reports it when the scan is skipped.
+  /// pinned without reading: a join prices its fact scan on it, and reports
+  /// its data_version when the scan is skipped.
   const engine::PimStore& pin_store() {
     refresh();
-    observed_version_ = snap_->version();
     return store_;
   }
 
@@ -141,9 +128,7 @@ class PimExecutor final : public Executor {
       const std::vector<std::size_t>& attrs,
       const engine::ExecOptions& opts) override {
     refresh();
-    engine::ScanOutput out = engine_.execute_scan(filters, attrs, opts);
-    observed_version_ = snap_->version();
-    return out;
+    return engine_.execute_scan(filters, attrs, opts);
   }
 
   void ensure_models() {
@@ -171,14 +156,12 @@ class PimExecutor final : public Executor {
 
   Session* session_;
   engine::EngineKind kind_;
-  const rel::Table* table_;
   TableWrites* writes_;
   SnapshotManager* manager_;
   std::shared_ptr<const engine::StoreSnapshot> snap_;  ///< pinned version
   pim::PimModule module_;      ///< scratch pages only (data is the snapshot's)
   engine::PimStore store_;     ///< view over snap_
   engine::PimQueryEngine engine_;
-  std::uint64_t observed_version_ = 0;  ///< version of the last execution
 };
 
 /// The PIM-only execution knobs are meaningless for the host baselines;
@@ -214,7 +197,6 @@ class ColumnarExecutor final : public Executor {
       : db_(&db), table_(&table), monet_(no_dimensions_, table) {}
 
   BackendKind backend() const override { return BackendKind::kColumnar; }
-  const rel::Table& target() const override { return *table_; }
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
@@ -242,7 +224,6 @@ class ReferenceExecutor final : public Executor {
       : db_(&db), table_(&table) {}
 
   BackendKind backend() const override { return BackendKind::kReference; }
-  const rel::Table& target() const override { return *table_; }
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
@@ -435,13 +416,6 @@ const engine::LatencyModels& ModelCache::get_or_fit(
 
 // --- PreparedStatement -----------------------------------------------------
 
-ResultSet PreparedStatement::execute(const engine::ExecOptions& opts) const {
-  if (session_ == nullptr) {
-    throw std::logic_error("PreparedStatement: not prepared by a session");
-  }
-  return execute(BackendKind::kOneXb, opts);
-}
-
 ResultSet PreparedStatement::execute(BackendKind backend,
                                      const engine::ExecOptions& opts) const {
   if (session_ == nullptr) {
@@ -452,16 +426,11 @@ ResultSet PreparedStatement::execute(BackendKind backend,
   }
   Executor& ex = session_->executor_for(backend, *plan_->target);
   if (plan_->kind == sql::Statement::Kind::kUpdate) {
-    const UpdateResult result = ex.execute_update(plan_->update, opts);
-    ResultSet rs(result.stats, backend);
-    rs.set_data_version(result.data_version);
-    return rs;
+    return ResultSet(ex.execute_update(plan_->update, opts), backend);
   }
-  engine::QueryOutput out = ex.execute(plan_->bound, opts);
-  ResultSet rs(std::move(out),
-               result_columns(plan_->bound, plan_->target->schema()), backend);
-  rs.set_data_version(ex.last_data_version());
-  return rs;
+  return ResultSet(ex.execute(plan_->bound, opts),
+                   result_columns(plan_->bound, plan_->target->schema()),
+                   backend);
 }
 
 // --- Session ---------------------------------------------------------------
@@ -576,46 +545,31 @@ Plan Session::build_plan(std::string_view sql_text) {
 ResultSet Session::execute_join(const Plan& plan, BackendKind backend,
                                 const engine::ExecOptions& opts) {
   const sql::BoundJoin& jp = plan.join;
-  // Resolve the abort token ONCE for the whole join: the deadline covers
-  // every per-table scan plus the host build/probe, not each scan afresh.
-  engine::ExecOptions scan_opts = opts;
-  scan_opts.cancel = engine::resolve_cancel(opts);
-  engine::StarJoin join = plan_join(*this, plan, backend, scan_opts);
-  Executor& fact = executor_for(backend, *plan.join_tables[jp.fact]);
+  // One token for the whole join: its deadline covers every per-table scan
+  // plus the host build/probe.
+  engine::StarJoin join = plan_join(*this, plan, backend, opts);
   if (join.scans_fact()) {
-    join.scans[jp.fact] = fact.execute_scan(
-        join.fact_filters, engine::join_scan_attrs(jp)[jp.fact], scan_opts);
+    join.scans[jp.fact] =
+        executor_for(backend, *plan.join_tables[jp.fact])
+            .execute_scan(join.fact_filters,
+                          engine::join_scan_attrs(jp)[jp.fact], opts);
   }
-  // The version each table's executor read (or, for a skipped fact scan,
+  // The version each table's scan read (or, for a skipped fact scan,
   // pinned), in FROM order.
   std::vector<std::pair<std::string, std::uint64_t>> versions;
   for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
-    versions.emplace_back(
-        jp.table_names[t],
-        executor_for(backend, *plan.join_tables[t]).last_data_version());
+    versions.emplace_back(jp.table_names[t], join.scans[t].data_version);
   }
   ResultSet rs(engine::finish_star_join(jp, std::move(join), opts_.host,
-                                        scan_opts.cancel),
+                                        opts.cancel),
                result_columns(jp, plan.join_tables), backend);
-  rs.set_data_version(fact.last_data_version());
   rs.set_table_versions(std::move(versions));
   return rs;
-}
-
-ResultSet Session::execute(std::string_view sql_text,
-                           const engine::ExecOptions& opts) {
-  return prepare(sql_text).execute(opts);
 }
 
 ResultSet Session::execute(std::string_view sql_text, BackendKind backend,
                            const engine::ExecOptions& opts) {
   return prepare(sql_text).execute(backend, opts);
-}
-
-std::vector<Session::BatchItem> Session::execute_batch(
-    const std::vector<std::string>& sqls, const engine::ExecOptions& opts,
-    const std::vector<engine::CancelToken>& cancels) {
-  return execute_batch(sqls, BackendKind::kOneXb, opts, cancels);
 }
 
 std::vector<Session::BatchItem> Session::execute_batch(
@@ -706,7 +660,6 @@ std::vector<Session::BatchItem> Session::execute_batch(
     Executor& ex = executor_for(backend, *g.target);
     engine::PimQueryEngine::BatchOutput out =
         ex.execute_many(queries, opts, unique_cancels);
-    const std::uint64_t version = ex.last_data_version();
     for (std::size_t m = 0; m < g.members.size(); ++m) {
       const std::size_t i = g.members[m];
       if (out.errors[slot_of[m]] != nullptr) {
@@ -723,11 +676,10 @@ std::vector<Session::BatchItem> Session::execute_batch(
       } else if (dup_count[slot_of[m]] > 1) {
         qo.stats.batched_queries = dup_count[slot_of[m]];
       }
-      ResultSet rs(std::move(qo),
-                   result_columns(plans[i]->bound, plans[i]->target->schema()),
-                   backend);
-      rs.set_data_version(version);
-      items[i].result = std::move(rs);
+      items[i].result = ResultSet(
+          std::move(qo),
+          result_columns(plans[i]->bound, plans[i]->target->schema()),
+          backend);
     }
   }
 
@@ -753,10 +705,6 @@ std::vector<Session::BatchItem> Session::execute_batch(
     }
   }
   return items;
-}
-
-std::string Session::explain(std::string_view sql_text) {
-  return explain(sql_text, BackendKind::kOneXb);
 }
 
 std::string Session::explain(std::string_view sql_text, BackendKind backend) {
@@ -811,10 +759,6 @@ Executor& Session::executor_for(BackendKind backend, const rel::Table& table) {
 const engine::LatencyModels& Session::models(engine::EngineKind kind) {
   return model_cache_->get_or_fit(kind, opts_.pim, opts_.host, opts_.fit,
                                   opts_.verbose);
-}
-
-void Session::set_models(engine::EngineKind kind, engine::LatencyModels m) {
-  model_cache_->put(kind, std::move(m));
 }
 
 engine::PimQueryEngine& Session::pim_engine(engine::EngineKind kind) {

@@ -119,13 +119,6 @@ struct SessionOptions {
   bool verbose = false;
 };
 
-/// Result of one facade UPDATE execution.
-struct UpdateResult {
-  engine::UpdateStats stats;
-  /// The update's position in the table's log (its new data version).
-  std::uint64_t data_version = 0;
-};
-
 /// Uniform execution interface over one (backend, relation) pair.
 ///
 /// Mutation-safe serving contract: PIM executors serve every read against
@@ -136,12 +129,11 @@ struct UpdateResult {
 /// through the manager's single builder, which copy-on-writes only the
 /// column groups whose bits change and atomically publishes the successor
 /// version. Every result therefore reflects a prefix of the table's update
-/// log, and last_data_version() reports which one.
+/// log, and its output's data_version reports which one.
 class Executor {
  public:
   virtual ~Executor() = default;
   virtual BackendKind backend() const = 0;
-  virtual const rel::Table& target() const = 0;
   virtual engine::QueryOutput execute(const sql::BoundQuery& q,
                                       const engine::ExecOptions& opts) = 0;
   /// Executes several bound SELECTs over this executor's relation in one
@@ -160,10 +152,6 @@ class Executor {
   /// mutate (the host baselines read the immutable catalog table).
   virtual UpdateResult execute_update(const sql::BoundUpdate& update,
                                       const engine::ExecOptions& opts);
-  /// Data version observed by the most recent execute()/execute_update()
-  /// through this executor (sessions are single-threaded per the threading
-  /// model, so this pairs with the call that just returned).
-  virtual std::uint64_t last_data_version() const { return 0; }
   /// Filter-only scan feeding the host hash join: survivor row ids plus the
   /// requested attribute columns, snapshot-pinned exactly like execute().
   /// Throws std::invalid_argument for backends without a scan path (the
@@ -203,8 +191,7 @@ class Session {
   /// unencodable SET values.
   PreparedStatement prepare(std::string_view sql_text);
   ResultSet execute(std::string_view sql_text,
-                    const engine::ExecOptions& opts = {});
-  ResultSet execute(std::string_view sql_text, BackendKind backend,
+                    BackendKind backend = BackendKind::kOneXb,
                     const engine::ExecOptions& opts = {});
 
   /// One statement's outcome in execute_batch: exactly one of `result` /
@@ -229,10 +216,7 @@ class Session {
   /// duplicate's result (or fate) with it.
   std::vector<BatchItem> execute_batch(
       const std::vector<std::string>& sqls,
-      const engine::ExecOptions& opts = {},
-      const std::vector<engine::CancelToken>& cancels = {});
-  std::vector<BatchItem> execute_batch(
-      const std::vector<std::string>& sqls, BackendKind backend,
+      BackendKind backend = BackendKind::kOneXb,
       const engine::ExecOptions& opts = {},
       const std::vector<engine::CancelToken>& cancels = {});
 
@@ -240,8 +224,8 @@ class Session {
   /// std::invalid_argument for the host baselines, which have no physical
   /// plan. A join's EXPLAIN runs its dimension scans: the stages after them
   /// depend on their survivors.
-  std::string explain(std::string_view sql_text);
-  std::string explain(std::string_view sql_text, BackendKind backend);
+  std::string explain(std::string_view sql_text,
+                      BackendKind backend = BackendKind::kOneXb);
 
   // --- backends -----------------------------------------------------------
   /// The executor of `backend` over the default target relation.
@@ -251,7 +235,6 @@ class Session {
 
   // --- models (fit-once-and-cache) ----------------------------------------
   const engine::LatencyModels& models(engine::EngineKind kind);
-  void set_models(engine::EngineKind kind, engine::LatencyModels m);
   const std::shared_ptr<ModelCache>& model_cache() { return model_cache_; }
 
   // --- low-level escape hatches ------------------------------------------

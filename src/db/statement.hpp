@@ -46,12 +46,10 @@ class PreparedStatement {
  public:
   PreparedStatement() = default;
 
-  /// Executes on the one-xb backend.
-  ResultSet execute(const engine::ExecOptions& opts = {}) const;
-  /// Executes on an explicit backend. UPDATE statements require a PIM
-  /// backend (the host baselines read the immutable catalog table and
-  /// cannot observe crossbar mutation).
-  ResultSet execute(BackendKind backend,
+  /// Executes on `backend`. UPDATE statements require a PIM backend (the
+  /// host baselines read the immutable catalog table and cannot observe
+  /// crossbar mutation).
+  ResultSet execute(BackendKind backend = BackendKind::kOneXb,
                     const engine::ExecOptions& opts = {}) const;
 
   const std::string& sql() const { return plan().sql; }

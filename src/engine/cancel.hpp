@@ -1,7 +1,8 @@
 // Cooperative cancellation and per-query deadlines.
 //
-// A CancelToken is a shared handle to one query's abort state: the service
-// (or any caller) arms a wall-clock deadline and/or flips the cancelled
+// A CancelToken is a shared handle to one query's abort state and the only
+// carrier of its deadline: the caller arms a wall-clock deadline (before
+// submitting to a service, so queue wait counts) and/or flips the cancelled
 // flag, and the execution paths check the token at phase boundaries and
 // page-loop entries — the points where unwinding is safe and prompt. A
 // query never observes a torn state: cancellation only ever takes effect
@@ -56,9 +57,6 @@ class CancelState {
   void set_deadline(std::chrono::steady_clock::time_point tp) noexcept {
     deadline_ns_.store(tp.time_since_epoch().count(),
                        std::memory_order_release);
-  }
-  bool has_deadline() const noexcept {
-    return deadline_ns_.load(std::memory_order_acquire) != 0;
   }
   bool expired() const noexcept {
     const auto d = deadline_ns_.load(std::memory_order_acquire);

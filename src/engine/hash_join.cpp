@@ -90,7 +90,9 @@ StarJoin plan_star_join(const sql::BoundJoin& plan,
 
   out.fact_filters = plan.filters[plan.fact];
   if (fact != nullptr) {
-    // The fact's entry is empty, so it adds nothing to the stage.
+    // The fact's entry is empty, so it adds nothing to the stage; it holds
+    // the version the fact scan will read, and a skipped scan reports it.
+    scans[plan.fact].data_version = fact->data_version();
     out.stage = price_concurrent_scans(scans, hcfg, fact->module_config());
     out.stage.dims_ns = out.stage.total_ns;
     if (out.scans_fact()) {
@@ -252,7 +254,7 @@ QueryOutput finish_star_join(const sql::BoundJoin& plan, StarJoin join,
   // reads its columns empty.
   ScanOutput& fact = join.scans[plan.fact];
   fact.columns.resize(join_scan_attrs(plan)[plan.fact].size());
-  QueryOutput out{{}, join.stage};
+  QueryOutput out{{}, join.stage, fact.data_version};
   out.stats.merge(fact.stats, true);
   // The host join reads only the columns: release the fact's row ids, the
   // largest of the rest, before it builds its indexes.

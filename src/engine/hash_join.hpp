@@ -71,7 +71,8 @@ struct SemijoinCandidate {
 /// what runs next.
 struct StarJoin {
   /// Every table's scan, aligned with plan.table_names. The fact's entry
-  /// stays empty until its scan runs, and it runs only when scans_fact().
+  /// holds only the version its scan will read until that scan runs, and
+  /// it runs only when scans_fact().
   std::vector<ScanOutput> scans;
   /// The dimension stage: the dimension scans priced as one concurrent
   /// stage (price_concurrent_scans), with dims_ns its total_ns.
@@ -97,7 +98,8 @@ struct StarJoin {
 /// and its entry is empty. `fact` is the fact's store at the version its
 /// scan will read, or null for the host baselines: they have no cost model,
 /// so their join is not priced (a zero stage) and their fact scan keeps its
-/// own filters.
+/// own filters. The fact's entry in join.scans records that version, so a
+/// join that skips the fact scan still reports what it pinned.
 StarJoin plan_star_join(const sql::BoundJoin& plan,
                         std::vector<ScanOutput> scans,
                         const std::vector<const rel::Table*>& tables,
@@ -125,7 +127,8 @@ std::vector<sql::BoundPredicate> semijoin_prefix(
 /// Finishes a star join once its fact scan, if any, is in join.scans: the
 /// host hash join over the scans and the join's stats, its stages added up
 /// in the order they run: the dimension stage, the fact scan, then the
-/// host build and probe (host-gb) and merge and sort (finalize).
+/// host build and probe (host-gb) and merge and sort (finalize). The
+/// output's data_version is the fact entry's.
 QueryOutput finish_star_join(const sql::BoundJoin& plan, StarJoin join,
                              const host::HostConfig& hcfg,
                              const CancelToken& cancel = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -518,6 +517,20 @@ class Execution {
     schedule_phase(traces, /*window=*/1, /*issue_gap=*/0.0, slot);
   }
 
+  /// The two-xb inter-part transfer: reads part 1's `col` on the listed
+  /// pages and writes it into part 0's transfer chunk (allocated on first
+  /// use, reused after); returns the chunk's column.
+  std::uint16_t transfer_to_part0(std::uint16_t col,
+                                  const std::vector<std::size_t>& on_pages,
+                                  Slot slot) {
+    const std::vector<BitVec> bits = read_column_phase(1, col, on_pages, slot);
+    if (!transfer_chunk_) {
+      transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
+    }
+    write_column_phase(0, transfer_chunk_->offset, bits, on_pages, slot);
+    return transfer_chunk_->offset;
+  }
+
   /// Host-known-constant column synthesis: functionally fills `col` of the
   /// listed pages with a copy of the part's validity column. Used when the
   /// zone-map analyzer proved the page's predicate subset always-true (the
@@ -779,15 +792,12 @@ void Execution::filter_finish() {
     r_col_ = compiled_[0]->result_col;
   } else {
     // two-xb: ship part 1's bits through the host and AND them into part 0.
-    transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
-    const std::vector<BitVec> bits =
-        read_column_phase(1, compiled_[1]->result_col, active_pages_,
+    const std::uint16_t shipped =
+        transfer_to_part0(compiled_[1]->result_col, active_pages_,
                           &QueryPhaseBreakdown::transfer);
-    write_column_phase(0, transfer_chunk_->offset, bits, active_pages_,
-                       &QueryPhaseBreakdown::transfer);
     pim::ProgramBuilder pb(alloc(0));
     const std::uint16_t combined =
-        pb.emit_and(compiled_[0]->result_col, transfer_chunk_->offset);
+        pb.emit_and(compiled_[0]->result_col, shipped);
     logic_phase(0, pb.take(), active_pages_, &QueryPhaseBreakdown::transfer);
     alloc(0).release(compiled_[0]->result_col);
     alloc(1).release(compiled_[1]->result_col);
@@ -981,18 +991,12 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
   }
 
   // Part-1 match (two-xb): compute, then transfer to part 0.
-  bool have_transfer = false;
+  std::optional<std::uint16_t> shipped;
   if (store_.parts() == 2 && !whole) {
     pim::ProgramBuilder pb1(alloc(1));
     if (const auto match1 = emit_conjunction(pb1, match, store_.layout(1))) {
       logic_phase(1, pb1.take(), *on, slot);
-      const std::vector<BitVec> bits =
-          read_column_phase(1, *match1, *on, slot);
-      if (!transfer_chunk_) {
-        transfer_chunk_ = alloc(0).alloc_aligned_chunk(cfg_.read_bits);
-      }
-      write_column_phase(0, transfer_chunk_->offset, bits, *on, slot);
-      have_transfer = true;
+      shipped = transfer_to_part0(*match1, *on, slot);
       alloc(1).release(*match1);
     }
   }
@@ -1009,8 +1013,8 @@ std::pair<std::int64_t, std::uint64_t> Execution::aggregate_group(
       sg = pb.emit_copy(r_col_);
     }
   }
-  if (have_transfer) {
-    const std::uint16_t next = pb.emit_and(sg, transfer_chunk_->offset);
+  if (shipped) {
+    const std::uint16_t next = pb.emit_and(sg, *shipped);
     pb.release(sg);
     sg = next;
   }
@@ -1462,6 +1466,7 @@ QueryOutput Execution::finish_query() {
   QueryOutput out;
   out.rows = std::move(rows_);
   out.stats = stats_;
+  out.data_version = store_.data_version();
 
   // Return held scratch to the shared allocator for the next member's tail.
   alloc(0).release(r_col_);
@@ -1596,6 +1601,7 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
 
 ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
   ScanOutput out;
+  out.data_version = store_.data_version();
   clock_.log_to(&out.phases);
   filter_finish();
   out.columns.resize(attrs.size());
@@ -1646,25 +1652,6 @@ ScanOutput Execution::finish_scan(const std::vector<std::size_t>& attrs) {
 
 }  // namespace
 
-CancelToken resolve_cancel(const ExecOptions& opts) {
-  if (opts.cancel.state != nullptr) {
-    // Arm the caller's token from deadline_us exactly once: a token that
-    // already carries a deadline (e.g. armed at submission so queue wait
-    // counts against the budget) keeps it.
-    if (opts.deadline_us > 0 && !opts.cancel.state->has_deadline()) {
-      opts.cancel.state->set_deadline(
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(opts.deadline_us));
-    }
-    return opts.cancel;
-  }
-  if (opts.deadline_us == 0) return {};
-  CancelToken token = make_cancel_token();
-  token.state->set_deadline(std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(opts.deadline_us));
-  return token;
-}
-
 // ===========================================================================
 // PimQueryEngine
 // ===========================================================================
@@ -1694,17 +1681,11 @@ PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
   out.outputs.resize(queries.size());
   out.errors.resize(queries.size());
   if (queries.empty()) return out;
-  // Per-member effective tokens: the aligned override when given, else the
-  // one token `opts` resolves to (shared by every member, as for a solo run).
-  std::vector<CancelToken> tokens;
-  tokens.reserve(queries.size());
-  if (cancels.empty()) {
-    const CancelToken shared_token = resolve_cancel(opts);
-    tokens.assign(queries.size(), shared_token);
-  } else {
-    for (const CancelToken& t : cancels) {
-      tokens.push_back(t.valid() ? t : resolve_cancel(opts));
-    }
+  // Per-member tokens: the member's own when given, else opts.cancel
+  // (shared by every member, as for a solo run).
+  std::vector<CancelToken> tokens(queries.size(), opts.cancel);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (i < cancels.size() && cancels[i].valid()) tokens[i] = cancels[i];
   }
   // A lone member has no batchmates: its batched_queries stays 0, and its
   // error is its answer (there is nobody to shield by falling back).
@@ -1750,7 +1731,7 @@ ScanOutput PimQueryEngine::execute_scan(
   q.filters = filters;
   q.agg_func = sql::AggFunc::kNone;
   ScanOutput out;
-  Execution::run_pass(*this, {&q}, opts, {resolve_cancel(opts)},
+  Execution::run_pass(*this, {&q}, opts, {opts.cancel},
                       [&](std::size_t, Execution& member) {
                         out = member.finish_scan(attrs);
                       });

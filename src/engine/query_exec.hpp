@@ -244,6 +244,9 @@ AggPlan plan_agg_passes(const sql::BoundQuery& q, const PimStore& store);
 struct QueryOutput {
   std::vector<ResultRow> rows;
   QueryStats stats;
+  /// The store version the execution read (PimStore::data_version; a
+  /// snapshot view's pinned version). 0 for the host baselines.
+  std::uint64_t data_version = 0;
 };
 
 /// One barrier-delimited phase of a filter-only scan as the host model
@@ -278,6 +281,8 @@ struct ScanOutput {
   QueryStats stats;
   /// The phases behind stats' modeled time (empty for the host baselines).
   std::vector<ScanPhase> phases;
+  /// The store version the scan read, as QueryOutput::data_version.
+  std::uint64_t data_version = 0;
 };
 
 /// Prices scans over disjoint pages as one concurrent stage: a star join's
@@ -306,29 +311,21 @@ struct ExecOptions {
   /// (test_db_parity, test_sim_determinism). Same results, slower.
   bool sim_scalar = false;
 
-  /// Wall-clock budget for this statement in microseconds; 0 = none. The
-  /// clock starts at submission (db::QueryService arms it in submit()) or at
-  /// execution start for direct Session/engine use. Expiry unwinds the query
-  /// with engine::QueryTimeout at the next cooperative checkpoint.
-  std::uint64_t deadline_us = 0;
   /// Cooperative cancellation handle; empty = never cancelled, all checks
-  /// free. See engine/cancel.hpp.
+  /// free. A deadline is armed on the token (CancelState::set_deadline) by
+  /// whoever makes it, so its clock starts there: a caller of
+  /// db::QueryService::submit arms it before submitting, and queue wait
+  /// counts. See engine/cancel.hpp.
   CancelToken cancel;
 
   /// Batch admission groups only executions with identical simulation knobs.
-  /// deadline_us and cancel are deliberately excluded: statements with
-  /// different deadlines still fuse into one shared scan (each member checks
-  /// its own token).
+  /// cancel is deliberately excluded: statements with different deadlines
+  /// still fuse into one shared scan (each member checks its own token).
   bool operator==(const ExecOptions& o) const {
     return force_k == o.force_k && skip_host_gb == o.skip_host_gb &&
            sim_scalar == o.sim_scalar;
   }
 };
-
-/// The effective token of an execution: the explicit token when set (arming
-/// its deadline from deadline_us if it carries none), else a fresh token
-/// armed deadline_us from now, else the empty (free) token.
-CancelToken resolve_cancel(const ExecOptions& opts);
 
 class PimQueryEngine {
  public:
@@ -362,11 +359,11 @@ class PimQueryEngine {
   /// sim_threads. A single-member batch is exactly execute(): no
   /// fallback, batched_queries = 0.
   /// `cancels`, when non-empty, carries one CancelToken per member (aligned
-  /// with `queries`), overriding opts.cancel member-by-member: a cancelled
-  /// or expired member aborts the fused pass, which falls back to solo
-  /// re-execution of every member — batchmates get their exact solo rows
-  /// and stats (with stats.batch_fallbacks = 1), the aborted member gets
-  /// its typed QueryTimeout/QueryCancelled.
+  /// with `queries`); a member whose entry is empty runs under opts.cancel.
+  /// A cancelled or expired member aborts the fused pass, which falls back
+  /// to solo re-execution of every member — batchmates get their exact solo
+  /// rows and stats (with stats.batch_fallbacks = 1), the aborted member
+  /// gets its typed QueryTimeout/QueryCancelled.
   BatchOutput execute_batch(const std::vector<const sql::BoundQuery*>& queries,
                             const ExecOptions& opts = {},
                             const std::vector<CancelToken>& cancels = {});

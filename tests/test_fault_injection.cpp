@@ -165,7 +165,8 @@ TEST(FaultInjection, TransientFaultAtEverySeamRetriesToTheExactAnswer) {
     reference_db.register_table(testutil::make_synthetic_table(400, 13),
                                 synthetic_policy());
     db::Session reference(reference_db, fast_options());
-    const db::ResultSet want = reference.execute(c.sql, eopts);
+    const db::ResultSet want =
+        reference.execute(c.sql, db::BackendKind::kOneXb, eopts);
 
     db::Database database;
     database.register_table(testutil::make_synthetic_table(400, 13),
@@ -178,7 +179,8 @@ TEST(FaultInjection, TransientFaultAtEverySeamRetriesToTheExactAnswer) {
     fi.arm(c.seam, rule);
     engine::ScopedFaultInjection scope(fi);
 
-    const db::ResultSet got = service.submit(c.sql, eopts).get();
+    const db::ResultSet got =
+        service.submit(c.sql, db::BackendKind::kOneXb, eopts).get();
     EXPECT_GE(fi.fired(c.seam), 1u);
     EXPECT_GE(service.counters().retries, 1u);
     if (c.is_update) {

@@ -746,6 +746,41 @@ TEST(HashJoin, EmptyDimensionSkipsFactReadback) {
   }
 }
 
+// A skipped fact scan still reports the version the join pinned. The
+// database is its own (the shared worlds stay at version 0): one UPDATE
+// commits to lineorder, then a join whose date side keeps no day skips the
+// fact scan. It must report lineorder at version 1 and the dimension at 0.
+TEST(HashJoin, SkippedFactScanReportsPinnedVersion) {
+  const ssb::SsbData& data = world().data;
+  db::Database database;
+  database.attach_table(data.lineorder);
+  database.attach_table(data.date);
+  db::Session session(database);
+  const db::BackendKind backend = db::BackendKind::kOneXb;
+  const db::ResultSet update = session.execute(
+      "UPDATE lineorder SET lo_discount = 0 WHERE lo_discount = 10", backend);
+  ASSERT_GT(update.updated_records(), 0u);
+  ASSERT_EQ(update.data_version(), 1u);
+
+  const db::PreparedStatement st = session.prepare(
+      "SELECT SUM(lo_extendedprice) AS s FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND d_year = 1900");
+  const sql::BoundJoin& jp = st.join();
+  const JoinRun run = run_join(session, backend, jp);
+  ASSERT_FALSE(run.join.scans_fact());
+  EXPECT_EQ(run.join.scans[jp.fact].data_version, 1u);
+
+  const db::ResultSet rs = st.execute(backend);
+  EXPECT_EQ(rs.stats().selected_records, 0u);
+  EXPECT_EQ(rs.data_version(), 1u);
+  ASSERT_EQ(rs.table_versions().size(), jp.table_names.size());
+  for (std::size_t t = 0; t < jp.table_names.size(); ++t) {
+    SCOPED_TRACE(jp.table_names[t]);
+    EXPECT_EQ(rs.table_versions()[t].first, jp.table_names[t]);
+    EXPECT_EQ(rs.table_versions()[t].second, t == jp.fact ? 1u : 0u);
+  }
+}
+
 // A join with one dimension has a stage of one scan, which prices exactly
 // as that scan ran alone: the join's stats are its scans and its host join
 // added up back to back, to the last bit.

@@ -45,6 +45,15 @@ db::SessionOptions fast_options() {
   return opts;
 }
 
+/// A token whose deadline is `us` microseconds from now: its clock starts
+/// here, before the statement is submitted or executed.
+engine::CancelToken deadline_token(std::uint64_t us) {
+  engine::CancelToken token = engine::make_cancel_token();
+  token.state->set_deadline(std::chrono::steady_clock::now() +
+                            std::chrono::microseconds(us));
+  return token;
+}
+
 /// Polls until `done` holds or ~2 s pass; the conditions waited on are
 /// guaranteed by the stall rules, the timeout only bounds a broken build.
 bool wait_until(const std::function<bool()>& done) {
@@ -76,7 +85,8 @@ struct Fixture {
   /// gathering them into its own batch.
   std::future<db::ResultSet> occupy_worker(
       const engine::ExecOptions& opts = {}) {
-    std::future<db::ResultSet> f = service->submit(kCount, opts);
+    std::future<db::ResultSet> f =
+        service->submit(kCount, db::BackendKind::kOneXb, opts);
     if (!wait_until([&] { return service->queue_depth() == 0; })) {
       ADD_FAILURE() << "worker never picked up the occupying statement";
     }
@@ -212,9 +222,11 @@ TEST(ServiceOverload, DeadlineSpentInQueueSettlesWithoutExecuting) {
   engine::ScopedFaultInjection scope(fi);
 
   std::future<db::ResultSet> busy = fx.occupy_worker();
+  // Armed before submit: it expires while queued behind the stalled worker.
   engine::ExecOptions doomed;
-  doomed.deadline_us = 1;  // expires while queued behind the stalled worker
-  std::future<db::ResultSet> f = fx.service->submit(kCount, doomed);
+  doomed.cancel = deadline_token(1);
+  std::future<db::ResultSet> f =
+      fx.service->submit(kCount, db::BackendKind::kOneXb, doomed);
   EXPECT_THROW(f.get(), engine::QueryTimeout);
   EXPECT_EQ(busy.get().row_count(), 1u);
   EXPECT_EQ(fx.service->counters().timed_out, 1u);
@@ -232,8 +244,9 @@ TEST(ServiceOverload, DeadlineExpiresMidExecution) {
   engine::ScopedFaultInjection scope(fi);
 
   engine::ExecOptions opts;
-  opts.deadline_us = 2'000;  // shorter than a single stalled crossbar visit
-  EXPECT_THROW(session.execute(kCount, opts), engine::QueryTimeout);
+  opts.cancel = deadline_token(2'000);  // shorter than one stalled visit
+  EXPECT_THROW(session.execute(kCount, db::BackendKind::kOneXb, opts),
+               engine::QueryTimeout);
 }
 
 TEST(ServiceOverload, ExplicitCancellationWinsOverExpiry) {
@@ -243,11 +256,11 @@ TEST(ServiceOverload, ExplicitCancellationWinsOverExpiry) {
   db::Session session(database, fast_options());
 
   engine::ExecOptions opts;
-  opts.deadline_us = 1;
-  opts.cancel = engine::make_cancel_token();
+  opts.cancel = deadline_token(1);
   opts.cancel.state->cancel();
   std::this_thread::sleep_for(std::chrono::milliseconds(1));  // both apply
-  EXPECT_THROW(session.execute(kCount, opts), engine::QueryCancelled);
+  EXPECT_THROW(session.execute(kCount, db::BackendKind::kOneXb, opts),
+               engine::QueryCancelled);
 }
 
 TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
@@ -272,7 +285,7 @@ TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
   cancels[1] = engine::make_cancel_token();
   cancels[1].state->cancel();
   std::vector<db::Session::BatchItem> items =
-      session.execute_batch(sqls, engine::ExecOptions{}, cancels);
+      session.execute_batch(sqls, db::BackendKind::kOneXb, {}, cancels);
   ASSERT_EQ(items.size(), sqls.size());
   ASSERT_TRUE(items[1].error != nullptr);
   EXPECT_THROW(std::rethrow_exception(items[1].error),
