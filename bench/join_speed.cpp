@@ -12,12 +12,12 @@
 //   prejoin   the pre-joined relation on the same one-xb engine — the
 //             paper's configuration.
 //
-// Parity is enforced, not assumed: for every query the join rows must be
-// byte-identical to the pre-joined rows (dictionaries are shared through
-// the pre-joiner, so group codes are directly comparable). Any divergence
-// exits non-zero — this is the CI smoke for the join subsystem. So does a
-// modeled cost of normalization above kMaxNormalization times the
-// pre-joined plan over the 13 texts.
+// Parity is enforced, not assumed: for every query the join rows, on
+// one_xb and on two_xb, must be byte-identical to the pre-joined rows
+// (dictionaries are shared through the pre-joiner, so group codes are
+// directly comparable). Any divergence exits non-zero — this is the CI
+// smoke for the join subsystem. So does a modeled cost of normalization
+// above kMaxNormalization times the pre-joined plan over the 13 texts.
 //
 // Reported per query: modeled ns both ways, the join's scan/join phase
 // split and its dimension stage, fact-scan selectivity, the fact rows and
@@ -105,6 +105,14 @@ int main() {
       std::cerr << "FAIL: join rows diverge from pre-joined rows for q" << q.id
                 << " (" << join_rs.row_count() << " vs " << pre_rs.row_count()
                 << ")\n";
+      parity_ok = false;
+    }
+    // Two-xb runs each normalized table, which has no dimension attribute,
+    // as one part: its join must return the same rows.
+    if (join_session.execute(q.sql, db::BackendKind::kTwoXb).rows() !=
+        pre_rs.rows()) {
+      std::cerr << "FAIL: two_xb join rows diverge from pre-joined rows for q"
+                << q.id << "\n";
       parity_ok = false;
     }
     if (join_rs.table_versions().size() < 2) {

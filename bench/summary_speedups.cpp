@@ -63,6 +63,7 @@ int main() {
   t.print(std::cout);
   std::cout << "\nAbsolute factors shift with the scale factor and the "
                "modeled-server constants; the directions and relative "
-               "orderings are the reproduction target (see EXPERIMENTS.md).\n";
+               "orderings are the reproduction target (see README.md, "
+               "\"Deviations from the paper\").\n";
   return 0;
 }

@@ -9,7 +9,7 @@
 // hash builds on qualifying dimension rows, FK probe cascades ordered by
 // selectivity, and per-survivor aggregation. Deterministic modeled time
 // keeps the benchmark machine-independent; real wall time is also reported
-// for reference (see DESIGN.md substitutions).
+// for reference (README, "Deviations from the paper").
 #pragma once
 
 #include <cstdint>

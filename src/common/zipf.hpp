@@ -2,8 +2,9 @@
 //
 // Used by the SSB data generator to produce skewed GROUP-BY subgroup sizes
 // (Rabl et al., "Variations of the Star Schema Benchmark to Test the Effects
-// of Data Skew on Query Performance", ICPE'13). See DESIGN.md for how rank
-// interleaving keeps coarse selectivities uniform while leaf subgroups skew.
+// of Data Skew on Query Performance", ICPE'13). README, "Deviations from the
+// paper", says how rank interleaving keeps coarse selectivities uniform
+// while leaf subgroups skew.
 #pragma once
 
 #include <cstddef>

@@ -48,21 +48,15 @@ const rel::Table& Database::add(Entry entry) {
   return ref;
 }
 
-const rel::Table& Database::register_table(rel::Table table,
-                                           LoadPolicy policy) {
+const rel::Table& Database::register_table(rel::Table table) {
   Entry e;
   e.owned = std::make_unique<rel::Table>(std::move(table));
   e.table = e.owned.get();
-  e.policy = std::move(policy);
   return add(std::move(e));
 }
 
-const rel::Table& Database::attach_table(const rel::Table& table,
-                                         LoadPolicy policy) {
-  Entry e;
-  e.table = &table;
-  e.policy = std::move(policy);
-  return add(std::move(e));
+const rel::Table& Database::attach_table(const rel::Table& table) {
+  return add(Entry{nullptr, &table});
 }
 
 const Database::Entry& Database::entry_locked(std::string_view name) const {
@@ -82,14 +76,6 @@ bool Database::has_table(std::string_view name) const {
 const rel::Table& Database::table(std::string_view name) const {
   std::shared_lock lock(mutex_);
   return *entry_locked(name).table;
-}
-
-const LoadPolicy& Database::policy_of(const rel::Table& table) const {
-  std::shared_lock lock(mutex_);
-  for (const auto& [name, e] : tables_) {
-    if (e.table == &table) return e.policy;
-  }
-  throw std::invalid_argument("Database::policy_of: table not registered");
 }
 
 std::vector<std::string> Database::table_names() const {
@@ -132,15 +118,14 @@ std::uint64_t Database::update_version(const rel::Table& table) {
 SnapshotManager& Database::snapshot_manager(const rel::Table& table,
                                             bool two_crossbar,
                                             const pim::PimConfig& pim) {
-  // Resolve the policy reference and write state BEFORE taking
-  // snapshots_mutex_ (both take their own locks; keep the order acyclic).
-  const LoadPolicy& policy = policy_of(table);
+  // Resolve the write state BEFORE taking snapshots_mutex_ (it takes its
+  // own lock; keep the order acyclic).
   TableWrites& writes_state = writes(table);
   const auto key = std::make_tuple(&table, two_crossbar, pim);
   std::lock_guard lock(snapshots_mutex_);
   std::unique_ptr<SnapshotManager>& slot = snapshots_[key];
   if (slot == nullptr) {
-    slot = std::make_unique<SnapshotManager>(table, policy, writes_state,
+    slot = std::make_unique<SnapshotManager>(table, writes_state,
                                              two_crossbar, pim);
   }
   return *slot;

@@ -1,8 +1,9 @@
 // Database: the catalog of the bbpim::db facade.
 //
 // Holds the registered relations (owned, or attached by reference when the
-// caller keeps ownership) together with each table's PIM load policy — how
-// a session places it into crossbars when a PIM backend first touches it.
+// caller keeps ownership). How a PIM backend places a table is the table's
+// own: two-xb splits off the attributes engine::prejoin carried in from a
+// dimension, and loads a relation without any as one part.
 // Query targets resolve against the catalog by FROM-list name; SSB-style
 // star queries whose FROM lists only logical source tables fall back to the
 // default target (the pre-joined relation in the paper's setup).
@@ -32,13 +33,6 @@ struct SessionOptions;
 class Session;
 class SnapshotManager;
 struct Plan;
-
-/// How a table is placed into PIM when a session loads it.
-struct LoadPolicy {
-  /// Two-crossbar part assignment; nullptr = the store's default SSB rule
-  /// (fact "lo_*" attributes in part 0, dimension attributes in part 1).
-  std::function<int(const std::string&)> part_of;
-};
 
 /// Per-table write coordination for the SQL UPDATE path.
 ///
@@ -96,16 +90,14 @@ class Database {
   /// Registers (and takes ownership of) a relation under `table.name()`.
   /// The first registered table becomes the default query target.
   /// Throws std::invalid_argument for unnamed or duplicate names.
-  const rel::Table& register_table(rel::Table table, LoadPolicy policy = {});
+  const rel::Table& register_table(rel::Table table);
 
   /// Registers a caller-owned relation (must outlive the database).
-  const rel::Table& attach_table(const rel::Table& table,
-                                 LoadPolicy policy = {});
+  const rel::Table& attach_table(const rel::Table& table);
 
   bool has_table(std::string_view name) const;
   /// Throws std::invalid_argument for unknown names.
   const rel::Table& table(std::string_view name) const;
-  const LoadPolicy& policy_of(const rel::Table& table) const;
   /// Registration order.
   std::vector<std::string> table_names() const;
 
@@ -173,7 +165,6 @@ class Database {
   struct Entry {
     std::unique_ptr<rel::Table> owned;  ///< null for attached tables
     const rel::Table* table = nullptr;
-    LoadPolicy policy;
   };
 
   const rel::Table& add(Entry entry);

@@ -285,14 +285,20 @@ engine::StarJoin plan_join(Session& session, const Plan& plan,
 }
 
 /// The store EXPLAIN renders `table` from on `backend`; throws
-/// std::invalid_argument for the host baselines, which have none.
+/// std::invalid_argument for the host baselines, which have none. Two-xb
+/// states when `table` loads as one part (Session::executor_for).
 const engine::PimStore& explained_store(Session& session, BackendKind backend,
-                                        const rel::Table& table) {
+                                        const rel::Table& table,
+                                        std::ostream& os) {
   auto* pim = dynamic_cast<PimExecutor*>(&session.executor_for(backend, table));
   if (pim == nullptr) {
     throw std::invalid_argument(std::string("explain: backend '") +
                                 backend_name(backend) +
                                 "' has no physical plan rendering");
+  }
+  if (backend == BackendKind::kTwoXb && pim->backend() != backend) {
+    os << "two-xb: '" << table.name()
+       << "' has no dimension attribute; it loads as one part\n";
   }
   return pim->engine().store();
 }
@@ -714,21 +720,23 @@ std::string Session::explain(std::string_view sql_text, BackendKind backend) {
         "explain: UPDATE statements have no physical plan rendering");
   }
   // Throws for the host baselines before a join runs any scan.
-  const engine::PimStore& target = explained_store(*this, backend, st.target());
-  if (st.is_join()) {
-    const Plan& plan = *st.plan_;
-    std::ostringstream ss;
-    engine::explain_join_tree(plan.join, plan.join_tables,
-                              plan_join(*this, plan, backend, {}), ss);
-    for (std::size_t t = 0; t < plan.join.table_names.size(); ++t) {
-      ss << "-- scan " << plan.join.table_names[t] << " --\n";
-      engine::explain_scan(
-          plan.join.filters[t],
-          explained_store(*this, backend, *plan.join_tables[t]), ss);
-    }
+  std::ostringstream ss;
+  const engine::PimStore& target =
+      explained_store(*this, backend, st.target(), ss);
+  if (!st.is_join()) {
+    engine::explain_query(st.bound(), target, ss);
     return ss.str();
   }
-  return engine::explain_query(st.bound(), target);
+  const Plan& plan = *st.plan_;
+  engine::explain_join_tree(plan.join, plan.join_tables,
+                            plan_join(*this, plan, backend, {}), ss);
+  for (std::size_t t = 0; t < plan.join.table_names.size(); ++t) {
+    ss << "-- scan " << plan.join.table_names[t] << " --\n";
+    engine::explain_scan(
+        plan.join.filters[t],
+        explained_store(*this, backend, *plan.join_tables[t], ss), ss);
+  }
+  return ss.str();
 }
 
 Executor& Session::executor(BackendKind backend) {
@@ -740,6 +748,11 @@ Executor& Session::executor(BackendKind backend, std::string_view table) {
 }
 
 Executor& Session::executor_for(BackendKind backend, const rel::Table& table) {
+  // Two-xb loads a relation with no dimension attribute as one part, so it
+  // runs on the one-xb executor: its engine, models and snapshots.
+  if (backend == BackendKind::kTwoXb && !table.schema().has_dimension_attrs()) {
+    backend = BackendKind::kOneXb;
+  }
   const auto key = std::make_pair(backend, &table);
   std::lock_guard lock(executors_mutex_);
   auto it = executors_.find(key);

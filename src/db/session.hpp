@@ -223,12 +223,15 @@ class Session {
   /// EXPLAIN on the one-xb (or given) PIM backend; throws
   /// std::invalid_argument for the host baselines, which have no physical
   /// plan. A join's EXPLAIN runs its dimension scans: the stages after them
-  /// depend on their survivors.
+  /// depend on their survivors. On two-xb it states each relation that
+  /// loads as one part.
   std::string explain(std::string_view sql_text,
                       BackendKind backend = BackendKind::kOneXb);
 
   // --- backends -----------------------------------------------------------
-  /// The executor of `backend` over the default target relation.
+  /// The executor of `backend` over the default target relation. Two-xb
+  /// over a relation with no dimension attribute is the one-xb executor:
+  /// the relation loads as one part.
   Executor& executor(BackendKind backend);
   Executor& executor(BackendKind backend, std::string_view table);
   Executor& executor_for(BackendKind backend, const rel::Table& table);

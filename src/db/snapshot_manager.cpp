@@ -1,29 +1,23 @@
 #include "db/snapshot_manager.hpp"
 
 #include <shared_mutex>
-#include <stdexcept>
 #include <utility>
 
 #include "engine/fault_injector.hpp"
 
 namespace bbpim::db {
 
-SnapshotManager::SnapshotManager(const rel::Table& table,
-                                 const LoadPolicy& policy, TableWrites& writes,
+SnapshotManager::SnapshotManager(const rel::Table& table, TableWrites& writes,
                                  bool two_crossbar,
                                  const pim::PimConfig& pim_cfg)
     : table_(&table),
-      policy_(&policy),
       writes_(&writes),
       two_crossbar_(two_crossbar),
       pim_cfg_(pim_cfg),
       live_(std::make_shared<std::atomic<std::int64_t>>(0)) {}
 
 engine::PimStore::Options SnapshotManager::store_options() const {
-  engine::PimStore::Options o;
-  o.two_crossbar = two_crossbar_;
-  if (policy_->part_of) o.part_of = policy_->part_of;
-  return o;
+  return {.two_crossbar = two_crossbar_};
 }
 
 pim::ResidentBytes SnapshotManager::builder_resident_bytes() {
@@ -86,7 +80,6 @@ engine::UpdateStats SnapshotManager::apply_update(
   // manager sharing this table's log (one per engine placement).
   std::unique_lock gate(writes_->gate);
   catch_up_locked(hcfg);
-  validate_parts(update);
   engine::UpdateStats stats;
   {
     const auto mutation = builder_->lock_mutation();
@@ -101,33 +94,6 @@ engine::UpdateStats SnapshotManager::apply_update(
   publish_locked();
   if (version_out != nullptr) *version_out = applied_;
   return stats;
-}
-
-int SnapshotManager::policy_part(const std::string& attr_name) const {
-  return policy_->part_of ? policy_->part_of(attr_name)
-                          : engine::PimStore::default_part(attr_name);
-}
-
-void SnapshotManager::validate_parts(const sql::BoundUpdate& update) const {
-  // The cross-engine replayability rule: updates are validated against the
-  // table's policy split regardless of which engine executes them, so the
-  // shared update log stays replayable on EVERY engine variant of the table
-  // (a one-part store would happily apply a cross-part update that a two-xb
-  // replica then chokes on).
-  const rel::Schema& schema = table_->schema();
-  const int part = policy_part(schema.attribute(update.attr).name);
-  for (const sql::BoundPredicate& p : update.filters) {
-    if (p.kind == sql::BoundPredicate::Kind::kAlways ||
-        p.kind == sql::BoundPredicate::Kind::kNever) {
-      continue;
-    }
-    if (policy_part(schema.attribute(p.attr).name) != part) {
-      throw std::invalid_argument(
-          "execute_update: WHERE predicates must live in the updated "
-          "attribute's part under the table's load policy (Algorithm 1 "
-          "computes the select bit in-part)");
-    }
-  }
 }
 
 }  // namespace bbpim::db

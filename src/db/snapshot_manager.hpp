@@ -42,11 +42,10 @@ namespace bbpim::db {
 
 class SnapshotManager {
  public:
-  /// `policy` and `writes` must outlive the manager (they live in the
-  /// Database that owns it).
-  SnapshotManager(const rel::Table& table, const LoadPolicy& policy,
-                  TableWrites& writes, bool two_crossbar,
-                  const pim::PimConfig& pim_cfg);
+  /// `writes` must outlive the manager (it lives in the Database that
+  /// owns it).
+  SnapshotManager(const rel::Table& table, TableWrites& writes,
+                  bool two_crossbar, const pim::PimConfig& pim_cfg);
 
   /// The snapshot reflecting the currently committed update-log prefix.
   /// Builds the builder store on first call (lazy, like executor stores
@@ -93,13 +92,8 @@ class SnapshotManager {
   /// Publishes the builder's state as version `applied_`. Caller holds
   /// mutex_.
   void publish_locked();
-  /// Part of an attribute under the table's load policy (the builder's
-  /// vertical split rule; used to validate updates for every engine kind).
-  int policy_part(const std::string& attr_name) const;
-  void validate_parts(const sql::BoundUpdate& update) const;
 
   const rel::Table* table_;
-  const LoadPolicy* policy_;
   TableWrites* writes_;
   bool two_crossbar_;
   pim::PimConfig pim_cfg_;

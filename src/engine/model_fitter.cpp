@@ -22,12 +22,15 @@ constexpr std::uint64_t kFitSeed = 7;
 /// Synthetic relation: key (filter target) | pad | gid | val.
 /// The pad aligns gid to a chunk boundary so that the host reads exactly
 /// 1 + val_chunks chunks per record, giving precise control over s and n.
+/// gid is a dimension attribute: two-xb's worst-case partitioning, as in
+/// the paper, puts the group identifier in the dimension part and the
+/// aggregated value in the fact part.
 rel::Table make_synthetic(std::size_t records, std::uint32_t val_bits,
                           Rng& rng) {
   std::vector<rel::Attribute> attrs;
   attrs.push_back({"key", rel::DataType::kInt, kKeyBits, nullptr});
   attrs.push_back({"pad", rel::DataType::kInt, 12, nullptr});
-  attrs.push_back({"gid", rel::DataType::kInt, 16, nullptr});
+  attrs.push_back({"gid", rel::DataType::kInt, 16, nullptr, true});
   attrs.push_back({"val", rel::DataType::kInt, val_bits, nullptr});
   rel::Table t(rel::Schema(std::move(attrs)), "synthetic");
   t.reserve(records);
@@ -71,16 +74,9 @@ Fixture make_fixture(EngineKind kind, const pim::PimConfig& cfg,
   f.module = std::make_unique<pim::PimModule>(cfg);
   f.table = std::make_unique<rel::Table>(
       make_synthetic(pages * cfg.records_per_page(), val_bits, rng));
-  PimStore::Options opt;
-  if (kind == EngineKind::kTwoXb) {
-    opt.two_crossbar = true;
-    // Worst-case partitioning, as in the paper: the group identifier lives
-    // in the dimension part, the aggregated value in the fact part.
-    opt.part_of = [](const std::string& name) {
-      return name == "gid" ? 1 : 0;
-    };
-  }
-  f.store = std::make_unique<PimStore>(*f.module, *f.table, opt);
+  f.store = std::make_unique<PimStore>(
+      *f.module, *f.table,
+      PimStore::Options{.two_crossbar = kind == EngineKind::kTwoXb});
   f.engine = std::make_unique<PimQueryEngine>(kind, *f.store, hcfg);
   return f;
 }

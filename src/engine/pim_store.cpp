@@ -85,20 +85,18 @@ PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt)
 
 PimStore::PimStore(pim::PimModule& module, const rel::Table& table, Options opt,
                    std::shared_ptr<const StoreSnapshot> snap)
-    : module_(&module), table_(&table), two_crossbar_(opt.two_crossbar) {
+    : module_(&module),
+      table_(&table),
+      two_crossbar_(opt.two_crossbar && table.schema().has_dimension_attrs()) {
   const rel::Schema& schema = table.schema();
   const std::size_t nattrs = schema.attribute_count();
   if (nattrs == 0) throw std::invalid_argument("PimStore: empty schema");
 
-  // Part assignment.
+  // Part assignment by provenance.
   attr_part_.resize(nattrs, 0);
   if (two_crossbar_) {
     for (std::size_t a = 0; a < nattrs; ++a) {
-      attr_part_[a] = opt.part_of ? opt.part_of(schema.attribute(a).name)
-                                  : default_part(schema.attribute(a).name);
-      if (attr_part_[a] < 0 || attr_part_[a] > 1) {
-        throw std::invalid_argument("PimStore: part must be 0 or 1");
-      }
+      attr_part_[a] = schema.attribute(a).dimension ? 1 : 0;
     }
   }
 

@@ -4,7 +4,10 @@
 // Supports the paper's two placements: one-xb (whole record in one crossbar
 // row) and two-xb (vertical partitioning of Section III/V-A: fact attributes
 // in one aligned page set, dimension attributes in another; record i lives
-// at the same crossbar/row coordinate in both parts).
+// at the same crossbar/row coordinate in both parts). The split is the
+// relation's own: engine::prejoin flags each attribute it carries in from a
+// dimension (rel::Attribute::dimension), and those go in part 1. A relation
+// with no dimension attribute loads as one part on either placement.
 //
 // Also serves per-attribute distinct-value statistics used by the GROUP-BY
 // planner to enumerate candidate subgroups ("total number of potential
@@ -55,18 +58,11 @@ namespace bbpim::engine {
 class PimStore {
  public:
   struct Options {
+    /// Two-xb: dimension attributes in part 1, fact attributes in part 0
+    /// (the paper's worst-case partitioning). Ignored by a relation with no
+    /// dimension attribute, which loads as one part.
     bool two_crossbar = false;
-    /// Part assignment for two-crossbar mode; defaults to the SSB rule
-    /// (fact attributes "lo_*" in part 0, dimension attributes in part 1 —
-    /// the paper's worst-case partitioning).
-    std::function<int(const std::string&)> part_of;
   };
-
-  /// The default two-crossbar part of an attribute: SSB fact attributes
-  /// ("lo_*") in part 0, dimension attributes in part 1.
-  static int default_part(const std::string& attr_name) {
-    return attr_name.rfind("lo_", 0) == 0 ? 0 : 1;
-  }
 
   PimStore(pim::PimModule& module, const rel::Table& table, Options opt);
   /// One-crossbar store with default options.

@@ -53,6 +53,7 @@ rel::Table prejoin(const rel::Table& fact, std::span<const DimensionSpec> dims,
       if (excluded) continue;
       plan.carried.push_back(a);
       attrs.push_back(spec.dim->schema().attribute(a));
+      attrs.back().dimension = true;
     }
 
     spec.dim->visit_column(*key, [&](auto keys) {
@@ -108,15 +109,22 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   assert(store.mutation_locked_by_caller() &&
          "pim_update requires the store's mutation lock "
          "(PimStore::lock_mutation); the db facade's writer gate takes it");
-  const int part = store.part_of_attr(attr);
+  // Checked by provenance, not by this store's parts: the shared update log
+  // replays on every placement, so a one-part store refuses what two-xb
+  // would.
+  const rel::Schema& schema = store.table().schema();
+  const bool dimension = schema.attribute(attr).dimension;
   for (const sql::BoundPredicate& p : where) {
     if (p.kind != sql::BoundPredicate::Kind::kAlways &&
         p.kind != sql::BoundPredicate::Kind::kNever &&
-        store.part_of_attr(p.attr) != part) {
+        schema.attribute(p.attr).dimension != dimension) {
       throw std::invalid_argument(
-          "pim_update: predicates must share the updated attribute's part");
+          "pim_update: predicates must share the updated attribute's "
+          "provenance (fact or dimension; Algorithm 1 computes the select "
+          "bit in its two-xb part)");
     }
   }
+  const int part = store.part_of_attr(attr);
   const RecordLayout& layout = store.layout(part);
   const pim::Field target = layout.field(attr);
   if (new_value > width_max(target.width)) {
@@ -125,7 +133,7 @@ UpdateStats pim_update(PimStore& store, const host::HostConfig& hcfg,
   // Raw width is not enough: a dictionary of 6 values packs into 3 bits,
   // so code 7 fits the field yet decodes to nothing. Validate through the
   // encoding so an undecodable record can never be written.
-  const rel::Attribute& attr_meta = store.table().schema().attribute(attr);
+  const rel::Attribute& attr_meta = schema.attribute(attr);
   if (attr_meta.dict != nullptr && new_value >= attr_meta.dict->size()) {
     throw std::invalid_argument(
         "pim_update: value " + std::to_string(new_value) +

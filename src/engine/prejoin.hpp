@@ -38,7 +38,8 @@ struct DimensionSpec {
 
 /// Equi-joins the fact relation with every dimension on its key.
 /// The output keeps all fact attributes (including the foreign keys) and
-/// appends each dimension's attributes except its key and the excluded ones.
+/// appends each dimension's attributes except its key and the excluded ones,
+/// flagged rel::Attribute::dimension: the paper's two-xb split.
 ///
 /// Built a column at a time, at native widths: per dimension, a key -> row
 /// hash map is built once and every foreign key resolves once into a vector
@@ -75,7 +76,8 @@ struct UpdateStats {
 /// UPDATE <store> SET attr = value WHERE <where> executed entirely in PIM:
 /// a filter program computes the select bit, then the MUX of Algorithm 1
 /// overwrites the attribute only where selected. The predicates and the
-/// updated attribute must live in the same part.
+/// updated attribute must share a provenance (rel::Attribute::dimension),
+/// on every store, so the shared update log replays on every placement.
 ///
 /// The new value is validated through the attribute's encoding: a
 /// dictionary-encoded attribute rejects codes outside the dictionary even

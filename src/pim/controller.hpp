@@ -23,9 +23,10 @@
 
 namespace bbpim::pim {
 
-/// Request classes pipeline differently (Section V-A discussion in
-/// DESIGN.md): bulk logic is power-limited to a shallow outstanding window,
-/// read-class requests (aggregation, column streaming) may pipeline deeper.
+/// Request classes pipeline differently (Section V-A; README, "Deviations
+/// from the paper"): bulk logic is power-limited to a shallow outstanding
+/// window, read-class requests (aggregation, column streaming) may pipeline
+/// deeper.
 enum class RequestClass : std::uint8_t {
   kLogic,
   kAggregate,

@@ -1,5 +1,6 @@
 #include "relational/schema.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <unordered_set>
@@ -28,6 +29,10 @@ std::optional<std::size_t> Schema::index_of(const std::string& name) const {
     if (attrs_[i].name == name) return i;
   }
   return std::nullopt;
+}
+
+bool Schema::has_dimension_attrs() const {
+  return std::ranges::any_of(attrs_, &Attribute::dimension);
 }
 
 std::uint32_t Schema::record_bits() const {

@@ -24,6 +24,9 @@ struct Attribute {
   /// Present for kString attributes; shared because several relations can
   /// reference one domain (e.g. city appears in customer and supplier).
   std::shared_ptr<const Dictionary> dict;
+  /// Came from a dimension relation (engine::prejoin sets it on each
+  /// attribute it carries in). Two-xb puts these in part 1, the rest in 0.
+  bool dimension = false;
 };
 
 class Schema {
@@ -37,6 +40,10 @@ class Schema {
 
   /// Index of an attribute by name (case-sensitive); nullopt when absent.
   std::optional<std::size_t> index_of(const std::string& name) const;
+
+  /// True when some attribute came from a dimension (two-xb splits the
+  /// relation); a relation without one loads as one part on every backend.
+  bool has_dimension_attrs() const;
 
   /// Total packed bits of one record.
   std::uint32_t record_bits() const;

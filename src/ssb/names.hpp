@@ -2,8 +2,8 @@
 //
 // The 25 nations are ordered so that nation index % 5 gives the region —
 // each region has exactly five nations, so the rank-interleaved Zipf
-// assignment of DESIGN.md keeps region selectivity at ~1/5 while leaf
-// subgroups (cities, brands) stay skewed.
+// assignment keeps region selectivity at ~1/5 while leaf subgroups
+// (cities, brands) stay skewed (README, "Deviations from the paper").
 #pragma once
 
 #include <array>

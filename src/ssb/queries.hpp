@@ -4,7 +4,8 @@
 // OR-pairs become IN lists (q4.1/q4.2: "x = a OR x = b" -> "x IN (a, b)"),
 // matching the subset our front-end accepts while selecting identical rows.
 // Query constants are unchanged — the skewed generator was designed so the
-// paper's selectivities hold without retuning (see DESIGN.md).
+// paper's selectivities hold without retuning (README, "Deviations from
+// the paper").
 #pragma once
 
 #include <span>

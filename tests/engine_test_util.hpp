@@ -27,15 +27,15 @@ inline pim::PimConfig small_pim_config() {
 }
 
 /// Synthetic relation: f_key (uniform filter target), f_gid (Zipf-ish group
-/// id), f_val / f_val2 (values), d_tag (a "dimension" attribute for two-xb
-/// splits, correlated with f_gid).
+/// id), f_val / f_val2 (values), d_tag (a dimension attribute, so two-xb
+/// splits it off into part 1; correlated with f_gid).
 inline rel::Table make_synthetic_table(std::size_t rows, std::uint64_t seed) {
   std::vector<rel::Attribute> attrs = {
       {"f_key", rel::DataType::kInt, 12, nullptr},
       {"f_gid", rel::DataType::kInt, 4, nullptr},
       {"f_val", rel::DataType::kInt, 10, nullptr},
       {"f_val2", rel::DataType::kInt, 6, nullptr},
-      {"d_tag", rel::DataType::kInt, 3, nullptr},
+      {"d_tag", rel::DataType::kInt, 3, nullptr, true},
   };
   rel::Table t(rel::Schema(std::move(attrs)), "synthetic");
   t.reserve(rows);
@@ -66,14 +66,10 @@ struct EngineFixture {
                 engine::LatencyModels models = {}) {
     module = std::make_unique<pim::PimModule>(cfg);
     table = std::make_unique<rel::Table>(make_synthetic_table(rows, seed));
-    engine::PimStore::Options opt;
-    if (kind == engine::EngineKind::kTwoXb) {
-      opt.two_crossbar = true;
-      opt.part_of = [](const std::string& name) {
-        return name.rfind("f_", 0) == 0 ? 0 : 1;
-      };
-    }
-    store = std::make_unique<engine::PimStore>(*module, *table, opt);
+    store = std::make_unique<engine::PimStore>(
+        *module, *table,
+        engine::PimStore::Options{.two_crossbar =
+                                      kind == engine::EngineKind::kTwoXb});
     engine = std::make_unique<engine::PimQueryEngine>(kind, *store, hcfg,
                                                       std::move(models));
   }

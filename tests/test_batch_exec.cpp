@@ -32,14 +32,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -160,8 +152,7 @@ TEST(BatchExec, BatchedMatchesSerialOverSsbTwoXb) {
 
 TEST(BatchExec, SingleStatementBatchDegeneratesToSoloPath) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(500, 7),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(500, 7));
   db::Session session(database, fast_options());
   const std::string sql =
       "SELECT f_gid, SUM(f_val) AS s FROM synthetic "
@@ -197,10 +188,9 @@ rel::Table renamed_copy(const rel::Table& src, std::string name) {
 TEST(BatchExec, MixedTableBatchSplitsPerTable) {
   db::Database database;
   const rel::Table base = testutil::make_synthetic_table(400, 21);
-  database.register_table(renamed_copy(base, "alpha"), synthetic_policy());
+  database.register_table(renamed_copy(base, "alpha"));
   database.register_table(
-      renamed_copy(testutil::make_synthetic_table(400, 22), "beta"),
-      synthetic_policy());
+      renamed_copy(testutil::make_synthetic_table(400, 22), "beta"));
   db::Session session(database, fast_options());
 
   const std::vector<std::string> sqls = {
@@ -227,8 +217,7 @@ TEST(BatchExec, MixedTableBatchSplitsPerTable) {
 
 TEST(BatchExec, DuplicateStatementsExecuteOnceAndShareResults) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 9),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 9));
   db::Session session(database, fast_options());
   const std::string hot = "SELECT COUNT(*) FROM synthetic WHERE f_key < 512";
   const std::string cold = "SELECT SUM(f_val) AS s FROM synthetic "
@@ -252,8 +241,7 @@ TEST(BatchExec, DuplicateStatementsExecuteOnceAndShareResults) {
 
 TEST(BatchExec, ErrorsStayPerStatement) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
   const std::string good1 = "SELECT COUNT(*) FROM synthetic WHERE f_key < 512";
   const std::string good2 =
@@ -306,8 +294,7 @@ TEST(BatchExec, ErrorsStayPerStatement) {
 
 TEST(BatchExec, ServiceSharedScanMatchesUnbatchedReference) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(500, 7),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(500, 7));
   const std::vector<std::string> sqls = {
       "SELECT SUM(f_val) AS s FROM synthetic WHERE f_key < 1024",
       "SELECT f_gid, SUM(f_val) AS s FROM synthetic "
@@ -354,8 +341,7 @@ TEST(BatchExec, ServiceFusesBothSpellingsOfOneXb) {
   // submit(sql) runs on one-xb exactly like submit(sql, kOneXb), so the two
   // must gather into one shared-scan batch.
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(300, 11),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(300, 11));
   db::QueryServiceOptions opts;
   opts.workers = 1;
   opts.session = fast_options();
@@ -381,8 +367,7 @@ TEST(BatchExec, ServiceFusesBothSpellingsOfOneXb) {
 
 TEST(BatchExec, BatchVsConcurrentUpdateMatchesSerialOracle) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(600, 123),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(600, 123));
   static auto shared_models = std::make_shared<db::ModelCache>();
   db::QueryServiceOptions opts;
   opts.workers = 3;
@@ -448,8 +433,7 @@ TEST(BatchExec, BatchVsConcurrentUpdateMatchesSerialOracle) {
             });
 
   db::Database oracle_db;
-  oracle_db.register_table(testutil::make_synthetic_table(600, 123),
-                           synthetic_policy());
+  oracle_db.register_table(testutil::make_synthetic_table(600, 123));
   db::SessionOptions oracle_opts = fast_options();
   oracle_opts.models = shared_models;
   db::Session oracle(oracle_db, oracle_opts);

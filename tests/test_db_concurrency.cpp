@@ -20,14 +20,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -70,8 +62,7 @@ struct ConcurrencyFixture {
   std::vector<db::ResultSet> expected;
 
   explicit ConcurrencyFixture(std::size_t rows = 500, std::uint64_t seed = 7) {
-    database.register_table(testutil::make_synthetic_table(rows, seed),
-                            synthetic_policy());
+    database.register_table(testutil::make_synthetic_table(rows, seed));
     db::Session reference(database, fast_options());
     for (const char* sql : kQueries) {
       expected.push_back(reference.execute(sql));
@@ -335,8 +326,7 @@ TEST(DatabaseConcurrency, RacingPreparesBindOncePerText) {
 
 TEST(DatabaseConcurrency, CatalogReadsRaceRegistrationsSafely) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(100, 1),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(100, 1));
   constexpr std::size_t kReaders = 4;
   constexpr std::size_t kTables = 12;
   std::vector<std::thread> readers;
@@ -356,8 +346,8 @@ TEST(DatabaseConcurrency, CatalogReadsRaceRegistrationsSafely) {
   }
   for (std::size_t i = 0; i < kTables; ++i) {
     rel::Table t = testutil::make_synthetic_table(10, 100 + i);
-    database.register_table(rel::Table(t.schema(), "extra" + std::to_string(i)),
-                            synthetic_policy());
+    database.register_table(
+        rel::Table(t.schema(), "extra" + std::to_string(i)));
   }
   for (std::thread& r : readers) r.join();
   EXPECT_EQ(database.table_names().size(), kTables + 1);

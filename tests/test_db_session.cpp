@@ -19,14 +19,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -64,8 +56,7 @@ struct FacadeFixture {
   explicit FacadeFixture(std::size_t rows = 600, std::uint64_t seed = 99,
                          db::SessionOptions opts = fast_options())
       : session([&]() -> db::Database& {
-          database.register_table(testutil::make_synthetic_table(rows, seed),
-                                  synthetic_policy());
+          database.register_table(testutil::make_synthetic_table(rows, seed));
           return database;
         }(), std::move(opts)) {}
 };
@@ -206,8 +197,7 @@ TEST(PreparedStatement, DefaultConstructedThrowsInsteadOfCrashing) {
 
 TEST(PreparedStatement, CatalogMutationInvalidatesCachedPlans) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(200, 44),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(200, 44));
   db::Session session(database, fast_options());
   // "t2" is unknown, so FROM resolution falls back to the default target.
   const char* sql_text = "SELECT SUM(f_val) FROM t2 WHERE f_key < 100";
@@ -218,7 +208,7 @@ TEST(PreparedStatement, CatalogMutationInvalidatesCachedPlans) {
   // bind against t2, not serve the stale cached plan.
   rel::Table t2 = testutil::make_synthetic_table(80, 45);
   const rel::Table& t2_ref = database.register_table(
-      rel::Table(t2.schema(), "t2"), synthetic_policy());
+      rel::Table(t2.schema(), "t2"));
   const db::PreparedStatement after = session.prepare(sql_text);
   EXPECT_EQ(&after.target(), &t2_ref);
 }
@@ -285,8 +275,7 @@ TEST(ModelCacheTest, SharedAcrossSessionsFitsOnce) {
   opts.models = cache;
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 31),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 31));
   db::Session first(database, opts);
   EXPECT_FALSE(cache->contains(engine::EngineKind::kOneXb));
   const engine::LatencyModels& m = first.models(engine::EngineKind::kOneXb);
@@ -305,7 +294,7 @@ TEST(ModelCacheTest, SimulationSettingsShareSnapshotAndFit) {
   auto cache = std::make_shared<db::ModelCache>();
   db::Database database;
   const rel::Table& table = database.register_table(
-      testutil::make_synthetic_table(400, 34), synthetic_policy());
+      testutil::make_synthetic_table(400, 34));
   // Grouped without force_k: the planner needs the fitted models.
   const char* sql =
       "SELECT f_gid, SUM(f_val) AS s FROM synthetic WHERE f_key < 2000 "
@@ -338,7 +327,7 @@ TEST(ModelCacheTest, SimulationSettingsShareSnapshotAndFit) {
 TEST(SnapshotManagers, KeyedByExactPimConfig) {
   db::Database database;
   const rel::Table& table = database.register_table(
-      testutil::make_synthetic_table(400, 35), synthetic_policy());
+      testutil::make_synthetic_table(400, 35));
   const pim::PimConfig base = fast_options().pim;
   pim::PimConfig equal = base;
   pim::PimConfig other = base;
@@ -357,8 +346,7 @@ TEST(ModelCacheTest, DiskRoundTrip) {
   opts.model_cache_dir = fresh_cache_dir("bbpim_dbsession_test");
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 32),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 32));
   {
     db::Session writer(database, opts);
     EXPECT_TRUE(writer.models(engine::EngineKind::kOneXb).fitted());
@@ -512,8 +500,7 @@ TEST(ModelCacheTest, PoisonedDiskCacheDoesNotBreakQueries) {
   { std::ofstream out(path); }  // empty = unfitted
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 77),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 77));
   db::Session session(database, opts);
   // A grouped query without force_k needs the planner, hence the models.
   const db::ResultSet rs = session.execute(

@@ -5,6 +5,7 @@
 #include <typeinfo>
 #include <utility>
 
+#include "db/db.hpp"
 #include "engine/explain.hpp"
 #include "engine_test_util.hpp"
 
@@ -44,6 +45,26 @@ TEST(Explain, TwoXbPlanShowsTransferAndParts) {
   EXPECT_NE(plan.find("FILTER part 1: 1 predicate(s)"), std::string::npos);
   EXPECT_NE(plan.find("TRANSFER"), std::string::npos);
   EXPECT_NE(plan.find("d_tag(part 1)"), std::string::npos);
+}
+
+TEST(Explain, TwoXbStatesOnePartLoad) {
+  // A relation with no dimension attribute loads as one part on two-xb,
+  // and EXPLAIN says so.
+  rel::Table plain(rel::Schema({{"k", rel::DataType::kInt, 8, nullptr},
+                                {"v", rel::DataType::kInt, 8, nullptr}}),
+                   "plain");
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const std::uint64_t row[] = {i, i % 10};
+    plain.append_row(row);
+  }
+  db::Database database;
+  database.register_table(std::move(plain));
+  db::Session session(database);
+  const std::string plan = session.explain("SELECT SUM(v) FROM plain",
+                                           db::BackendKind::kTwoXb);
+  EXPECT_NE(plan.find("two-xb: 'plain' has no dimension attribute; it loads "
+                      "as one part\n== physical plan (one-xb"),
+            std::string::npos);
 }
 
 TEST(Explain, NoGroupByAndLinearity) {

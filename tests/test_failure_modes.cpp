@@ -45,24 +45,20 @@ TEST(FailureModes, RecordWiderThanRowExplains) {
 
 TEST(FailureModes, AggregateOnDimensionPartRejected) {
   // two-xb requires the aggregated attribute in the fact part; the error
-  // must name the attribute.
+  // must name the attribute. d_tag is the synthetic relation's dimension
+  // attribute, so it lives in part 1.
   pim::PimModule module(testutil::small_pim_config());
   const rel::Table t = testutil::make_synthetic_table(300, 303);
-  PimStore::Options opt;
-  opt.two_crossbar = true;
-  opt.part_of = [](const std::string& name) {
-    return name == "f_val" ? 1 : 0;  // exile the aggregate to part 1
-  };
-  PimStore store(module, t, opt);
+  PimStore store(module, t, {.two_crossbar = true});
   host::HostConfig hcfg;
   PimQueryEngine engine(EngineKind::kTwoXb, store, hcfg);
   const sql::BoundQuery q = sql::bind(
-      sql::parse("SELECT SUM(f_val) AS s FROM t"), t.schema());
+      sql::parse("SELECT SUM(d_tag) AS s FROM t"), t.schema());
   try {
     engine.execute(q);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("f_val"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("d_tag"), std::string::npos);
   }
 }
 

@@ -27,14 +27,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -162,15 +154,13 @@ TEST(FaultInjection, TransientFaultAtEverySeamRetriesToTheExactAnswer) {
 
     // The oracle: the same statement on an identical database, no faults.
     db::Database reference_db;
-    reference_db.register_table(testutil::make_synthetic_table(400, 13),
-                                synthetic_policy());
+    reference_db.register_table(testutil::make_synthetic_table(400, 13));
     db::Session reference(reference_db, fast_options());
     const db::ResultSet want =
         reference.execute(c.sql, db::BackendKind::kOneXb, eopts);
 
     db::Database database;
-    database.register_table(testutil::make_synthetic_table(400, 13),
-                            synthetic_policy());
+    database.register_table(testutil::make_synthetic_table(400, 13));
     db::QueryService service(database, service_options());
 
     engine::FaultInjector fi;
@@ -195,8 +185,7 @@ TEST(FaultInjection, TransientFaultAtEverySeamRetriesToTheExactAnswer) {
 
 TEST(FaultInjection, ExhaustedRetryBudgetSurfacesTransientFault) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::QueryService service(database, service_options());
 
   engine::FaultInjector fi;
@@ -214,8 +203,7 @@ TEST(FaultInjection, ExhaustedRetryBudgetSurfacesTransientFault) {
 
 TEST(FaultInjection, FatalFaultSurfacesImmediatelyWithoutRetry) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::QueryService service(database, service_options());
 
   engine::FaultInjector fi;
@@ -250,15 +238,13 @@ TEST(FaultInjection, FusedBatchMemberFaultNeverCorruptsBatchmates) {
   };
 
   db::Database reference_db;
-  reference_db.register_table(testutil::make_synthetic_table(400, 13),
-                              synthetic_policy());
+  reference_db.register_table(testutil::make_synthetic_table(400, 13));
   db::Session reference(reference_db, fast_options());
   std::vector<db::ResultSet> want;
   for (const std::string& sql : sqls) want.push_back(reference.execute(sql));
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
   // Bind the plans and build the executor before arming: the fault must
   // strike the fused filter pass itself, not the front end.
@@ -320,13 +306,11 @@ TEST(FaultInjection, SharedScanBatchRetriesEachMemberToTheExactAnswer) {
   for (const BatchCase& c : cases) {
     SCOPED_TRACE(c.name);
     db::Database reference_db;
-    reference_db.register_table(testutil::make_synthetic_table(400, 13),
-                                synthetic_policy());
+    reference_db.register_table(testutil::make_synthetic_table(400, 13));
     db::Session reference(reference_db, fast_options());
 
     db::Database database;
-    database.register_table(testutil::make_synthetic_table(400, 13),
-                            synthetic_policy());
+    database.register_table(testutil::make_synthetic_table(400, 13));
     // Bind the members up front (the plan cache is the Database's), so only
     // the occupier below crosses the plan-bind seam.
     db::Session binder(database, fast_options());

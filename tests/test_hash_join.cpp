@@ -4,7 +4,8 @@
 // the one-xb PIM engine end to end. Plus the dimension stage's shared
 // schedule, the skipped fact scan of an empty join, the host hash join's
 // duplicate-key cross product, empty build sides, the Database-scope plan
-// cache, EXPLAIN of the join tree, and the backends that must refuse. Plus
+// cache, EXPLAIN of the join tree, the backends that must refuse, two-xb
+// joins, and the backend matrix over every statement shape. Plus
 // the group index every host-side fold shares (TupleIndex, GroupFold).
 #include <gtest/gtest.h>
 
@@ -1094,6 +1095,87 @@ TEST(HashJoin, ColumnarBackendRefusesJoins) {
   EXPECT_THROW(session.execute(std::string(ssb::query("1.1").sql),
                                db::BackendKind::kColumnar),
                std::invalid_argument);
+}
+
+// Two-xb splits a relation by provenance, and the normalized tables carry
+// no dimension attribute: each loads as one part and runs on the one-xb
+// executor. So every two-xb star join returns the pre-joined rows, with
+// the one-xb join's modeled cost and plan to the last bit.
+TEST(HashJoin, TwoXbJoinsRunAsOnePartJoins) {
+  JoinWorld& w = world();
+  db::Session session(w.normalized);
+  db::Session pre_session(w.prejoined_db);
+  for (const ssb::SsbQuery& q : ssb::queries()) {
+    SCOPED_TRACE(q.id);
+    const db::ResultSet two = session.execute(q.sql, db::BackendKind::kTwoXb);
+    const db::ResultSet one = session.execute(q.sql, db::BackendKind::kOneXb);
+    EXPECT_EQ(two.rows(),
+              pre_session.execute(q.sql, db::BackendKind::kOneXb).rows());
+    EXPECT_TRUE(engine::stats_equal(
+        two.stats(), one.stats(),
+        {engine::StatClass::kCost, engine::StatClass::kPlan}));
+  }
+}
+
+// The backend matrix: every backend on each statement shape (a SELECT on
+// the pre-joined relation, a GROUP BY on a table with no dimension
+// attribute, a star join, an UPDATE) returns the reference rows, or
+// refuses with std::invalid_argument before any scan runs.
+TEST(BackendMatrix, EveryCellAnswersOrRefuses) {
+  JoinWorld& w = world();
+  db::Session join_session(w.normalized);
+  db::Session pre_session(w.prejoined_db);
+  const std::string star(ssb::query("2.1").sql);
+  const std::string plain =
+      "SELECT lo_discount, SUM(lo_revenue) AS r FROM lineorder "
+      "WHERE lo_quantity < 25 GROUP BY lo_discount";
+  const std::string rename =
+      "UPDATE ssb_prejoined SET s_city = 'UNITED ST9' "
+      "WHERE s_city = 'UNITED ST0'";
+  const std::string count = "SELECT COUNT(*) FROM ssb_prejoined WHERE s_city ";
+  const db::BackendKind ref = db::BackendKind::kReference;
+  const auto single_rows = pre_session.execute(star, ref).rows();
+  const auto plain_rows = join_session.execute(plain, ref).rows();
+  const auto join_rows = join_session.execute(star, ref).rows();
+  const std::int64_t st0 =
+      pre_session.execute(count + "= 'UNITED ST0'", ref).integer(0, 0);
+  const std::int64_t st0_st9 =
+      pre_session.execute(count + "IN ('UNITED ST0', 'UNITED ST9')", ref)
+          .integer(0, 0);
+  ASSERT_GT(st0, 0);
+
+  for (const db::BackendKind backend :
+       {db::BackendKind::kOneXb, db::BackendKind::kTwoXb,
+        db::BackendKind::kPimdb, db::BackendKind::kColumnar, ref}) {
+    SCOPED_TRACE(db::backend_name(backend));
+    EXPECT_EQ(pre_session.execute(star, backend).rows(), single_rows);
+    EXPECT_EQ(join_session.execute(plain, backend).rows(), plain_rows);
+    if (backend == db::BackendKind::kColumnar) {
+      EXPECT_THROW(join_session.execute(star, backend), std::invalid_argument);
+    } else {
+      EXPECT_EQ(join_session.execute(star, backend).rows(), join_rows);
+    }
+
+    // UPDATE, on a database of its own: the shared worlds stay unmutated.
+    db::Database database;
+    database.attach_table(w.prejoined);
+    db::Session session(database);
+    // Fact predicate, dimension target: refused on every backend.
+    EXPECT_THROW(session.execute("UPDATE ssb_prejoined SET s_city = "
+                                 "'UNITED ST9' WHERE lo_discount = 1",
+                                 backend),
+                 std::invalid_argument);
+    if (!db::engine_kind_of(backend)) {
+      EXPECT_THROW(session.execute(rename, backend), std::invalid_argument);
+      continue;
+    }
+    EXPECT_EQ(session.execute(rename, backend).updated_records(),
+              static_cast<std::size_t>(st0));
+    EXPECT_EQ(session.execute(count + "= 'UNITED ST0'", backend).integer(0, 0),
+              0);
+    EXPECT_EQ(session.execute(count + "= 'UNITED ST9'", backend).integer(0, 0),
+              st0_st9);
+  }
 }
 
 TEST(HashJoin, PreparedStatementAccessors) {

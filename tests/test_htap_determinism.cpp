@@ -22,14 +22,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options(std::uint32_t sim_threads) {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -93,8 +85,7 @@ void run_mixed_workload_and_check(std::uint32_t sim_threads) {
   static auto shared_models = std::make_shared<db::ModelCache>();
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(700, 123),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(700, 123));
   db::QueryServiceOptions service_opts;
   service_opts.workers = 4;
   service_opts.session = opts;
@@ -159,8 +150,7 @@ void run_mixed_workload_and_check(std::uint32_t sim_threads) {
   // Serial oracle: one session, one thread, replaying the committed order
   // and executing each read at the version it observed.
   db::Database oracle_db;
-  oracle_db.register_table(testutil::make_synthetic_table(700, 123),
-                           synthetic_policy());
+  oracle_db.register_table(testutil::make_synthetic_table(700, 123));
   db::SessionOptions oracle_opts = opts;
   oracle_opts.models = shared_models;
   db::Session oracle(oracle_db, oracle_opts);

@@ -78,12 +78,7 @@ TEST(PimStoreTest, LoadRoundTripOneXb) {
 TEST(PimStoreTest, TwoCrossbarPartitioning) {
   pim::PimModule module(small_pim_config());
   const rel::Table t = make_synthetic_table(300, 4);
-  PimStore::Options opt;
-  opt.two_crossbar = true;
-  opt.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  PimStore store(module, t, opt);
+  PimStore store(module, t, {.two_crossbar = true});
   EXPECT_EQ(store.parts(), 2);
   EXPECT_EQ(store.part_of_attr(0), 0);  // f_key
   EXPECT_EQ(store.part_of_attr(4), 1);  // d_tag
@@ -125,16 +120,6 @@ TEST(PimStoreTest, RejectsEmptyRelation) {
 }
 
 // --- Block transfers: parity with the per-record path -----------------------
-
-/// Two-crossbar split of the synthetic relation: f_* in part 0, d_tag in 1.
-PimStore::Options two_xb_options() {
-  PimStore::Options opt;
-  opt.two_crossbar = true;
-  opt.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return opt;
-}
 
 /// 128-row crossbars (two column words each), four per page.
 pim::PimConfig two_word_config() {
@@ -204,7 +189,8 @@ TEST(PimStoreBlock, LoadMatchesPerRecordWritesOneXb) {
 }
 
 TEST(PimStoreBlock, LoadMatchesPerRecordWritesTwoXb) {
-  expect_block_load_matches_per_record_writes(two_xb_options());
+  // Two-crossbar split of the synthetic relation: f_* in part 0, d_tag in 1.
+  expect_block_load_matches_per_record_writes({.two_crossbar = true});
 }
 
 /// execute_scan against a record-at-a-time oracle: the survivors from the

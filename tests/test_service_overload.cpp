@@ -30,14 +30,6 @@ namespace {
 constexpr const char* kCount =
     "SELECT COUNT(*) FROM synthetic WHERE f_key < 2048";
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -70,8 +62,7 @@ struct Fixture {
   db::Database database;
 
   explicit Fixture(db::QueryServiceOptions opts = {}) {
-    database.register_table(testutil::make_synthetic_table(400, 13),
-                            synthetic_policy());
+    database.register_table(testutil::make_synthetic_table(400, 13));
     opts.workers = opts.workers == 0 ? 1 : opts.workers;
     opts.session = fast_options();
     service.emplace(database, std::move(opts));
@@ -234,8 +225,7 @@ TEST(ServiceOverload, DeadlineSpentInQueueSettlesWithoutExecuting) {
 
 TEST(ServiceOverload, DeadlineExpiresMidExecution) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
   session.execute(kCount);  // bind + pin outside the stalled region
 
@@ -251,8 +241,7 @@ TEST(ServiceOverload, DeadlineExpiresMidExecution) {
 
 TEST(ServiceOverload, ExplicitCancellationWinsOverExpiry) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
 
   engine::ExecOptions opts;
@@ -270,15 +259,13 @@ TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
       "SELECT SUM(f_val2) AS s FROM synthetic WHERE f_gid < 4",
   };
   db::Database reference_db;
-  reference_db.register_table(testutil::make_synthetic_table(400, 13),
-                              synthetic_policy());
+  reference_db.register_table(testutil::make_synthetic_table(400, 13));
   db::Session reference(reference_db, fast_options());
   std::vector<db::ResultSet> want;
   for (const std::string& sql : sqls) want.push_back(reference.execute(sql));
 
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(400, 13),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
 
   std::vector<engine::CancelToken> cancels(sqls.size());
@@ -490,8 +477,7 @@ TEST(ServiceOverload, DefaultsServeByteIdenticalToPlainSession) {
       "WHERE f_key < 2048 GROUP BY f_gid ORDER BY s DESC",
   };
   db::Database reference_db;
-  reference_db.register_table(testutil::make_synthetic_table(400, 13),
-                              synthetic_policy());
+  reference_db.register_table(testutil::make_synthetic_table(400, 13));
   db::Session reference(reference_db, fast_options());
   std::vector<db::ResultSet> want;
   for (const std::string& sql : sqls) want.push_back(reference.execute(sql));

@@ -57,6 +57,19 @@ pim::PimConfig update_capable_pim() {
   return pim;
 }
 
+/// The synthetic relation with d_tag taken as a fact attribute: one
+/// provenance, so Algorithm 1 accepts every SET / WHERE pair the seeded
+/// update sequences below draw.
+rel::Table one_provenance_table(std::size_t rows, std::uint64_t seed) {
+  const rel::Table t = testutil::make_synthetic_table(rows, seed);
+  std::vector<rel::Attribute> attrs = t.schema().attributes();
+  attrs.back().dimension = false;  // d_tag
+  std::vector<std::vector<std::uint64_t>> columns;
+  for (std::size_t a = 0; a < attrs.size(); ++a) columns.push_back(t.column(a));
+  return rel::Table::from_columns(rel::Schema(std::move(attrs)), t.name(),
+                                  std::move(columns));
+}
+
 struct ManagerFixture {
   pim::PimConfig pim = update_capable_pim();
   host::HostConfig hcfg;
@@ -65,7 +78,7 @@ struct ManagerFixture {
   db::SnapshotManager* mgr = nullptr;
 
   explicit ManagerFixture(std::size_t rows = 600, std::uint64_t seed = 42) {
-    table = &database.register_table(testutil::make_synthetic_table(rows, seed));
+    table = &database.register_table(one_provenance_table(rows, seed));
     mgr = &database.snapshot_manager(*table, /*two_crossbar=*/false, pim);
   }
 
@@ -686,8 +699,8 @@ TEST(SnapshotStore, JoinPinsOneConsistentSnapshotPerTable) {
   };
 
   db::Database database;
-  database.register_table(make_fact(), db::LoadPolicy{});
-  database.register_table(make_dim(), db::LoadPolicy{});
+  database.register_table(make_fact());
+  database.register_table(make_dim());
 
   const std::string join_sql =
       "SELECT g, SUM(v) AS s FROM orders, cat WHERE fk = dk "
@@ -768,8 +781,8 @@ TEST(SnapshotStore, JoinPinsOneConsistentSnapshotPerTable) {
     const auto it = seen.find(static_cast<std::uint64_t>(version));
     if (it == seen.end()) continue;
     db::Database oracle_db;
-    oracle_db.register_table(rel::Table(fact), db::LoadPolicy{});
-    oracle_db.register_table(make_dim(), db::LoadPolicy{});
+    oracle_db.register_table(rel::Table(fact));
+    oracle_db.register_table(make_dim());
     db::Session oracle(oracle_db, opts);
     const db::ResultSet expected =
         oracle.execute(join_sql, db::BackendKind::kReference);

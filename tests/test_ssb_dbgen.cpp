@@ -145,7 +145,8 @@ TEST_F(DbgenFixture, SkewedCitiesUniformRegions) {
 
 TEST_F(DbgenFixture, QuerySelectivitiesNearPaper) {
   // Selectivities on the pre-joined relation should be within a small
-  // factor of Table II despite the skew (DESIGN.md substitution).
+  // factor of Table II despite the skew (README, "Deviations from the
+  // paper").
   const rel::Table& pj = prejoined();
   for (const char* id : {"1.1", "1.2", "2.1", "3.1", "4.1"}) {
     const SsbQuery& q = query(id);
@@ -239,6 +240,8 @@ TEST_F(DbgenFixture, PrejoinedShape) {
     EXPECT_EQ(got.type, want_attrs[a].type) << got.name;
     EXPECT_EQ(got.bits, want_attrs[a].bits) << got.name;
     EXPECT_EQ(got.dict, want_attrs[a].dict) << got.name;
+    // The pre-joiner flags what it carries in: the paper's two-xb split.
+    EXPECT_EQ(got.dimension, a >= lo.schema().attribute_count()) << got.name;
     EXPECT_EQ(pj.column(a), want[a]) << got.name;
   }
 }

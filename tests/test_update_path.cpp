@@ -14,14 +14,6 @@
 namespace bbpim {
 namespace {
 
-db::LoadPolicy synthetic_policy() {
-  db::LoadPolicy policy;
-  policy.part_of = [](const std::string& name) {
-    return name.rfind("f_", 0) == 0 ? 0 : 1;
-  };
-  return policy;
-}
-
 db::SessionOptions fast_options() {
   db::SessionOptions opts;
   opts.pim = testutil::small_pim_config();
@@ -36,8 +28,7 @@ struct UpdateFixture {
   explicit UpdateFixture(std::size_t rows = 600, std::uint64_t seed = 77,
                          db::SessionOptions opts = fast_options())
       : session([&]() -> db::Database& {
-          database.register_table(testutil::make_synthetic_table(rows, seed),
-                                  synthetic_policy());
+          database.register_table(testutil::make_synthetic_table(rows, seed));
           return database;
         }(), std::move(opts)) {}
 
@@ -250,8 +241,7 @@ TEST(UpdatePath, ModelFingerprintsStableAcrossUpdates) {
 
 TEST(UpdatePath, QueryServiceServesMixedReadsAndWrites) {
   db::Database database;
-  database.register_table(testutil::make_synthetic_table(500, 31),
-                          synthetic_policy());
+  database.register_table(testutil::make_synthetic_table(500, 31));
   db::QueryServiceOptions opts;
   opts.workers = 3;
   opts.session = fast_options();

@@ -108,20 +108,9 @@ struct ClusteredFixture {
   PimQueryEngine engine;  ///< pruning off (the default)
   PimQueryEngine pruned;  ///< the same store with HostConfig::prune on
 
-  static PimStore::Options options(EngineKind kind) {
-    PimStore::Options opt;
-    if (kind == EngineKind::kTwoXb) {
-      opt.two_crossbar = true;
-      opt.part_of = [](const std::string& name) {
-        return name.rfind("f_", 0) == 0 ? 0 : 1;
-      };
-    }
-    return opt;
-  }
-
   ClusteredFixture(EngineKind kind, std::size_t rows, std::uint64_t seed)
       : table(make_clustered_table(rows, seed)),
-        store(module, table, options(kind)),
+        store(module, table, {.two_crossbar = kind == EngineKind::kTwoXb}),
         engine(kind, store, hcfg),
         pruned(kind, store, [this] {
           host::HostConfig h = hcfg;
@@ -269,7 +258,8 @@ TEST(ZoneMaps, Version0DerivedStateMatchesTable) {
   for (const EngineKind kind : {EngineKind::kOneXb, EngineKind::kTwoXb}) {
     SCOPED_TRACE(engine_kind_name(kind));
     pim::PimModule module(cfg);
-    const PimStore store(module, table, ClusteredFixture::options(kind));
+    const PimStore store(module, table,
+                         {.two_crossbar = kind == EngineKind::kTwoXb});
     const ZoneMaps& zones = store.zone_maps();
     ASSERT_EQ(zones.crossbar_count(), 12u);
     for (std::size_t a = 0; a < schema.attribute_count(); ++a) {
