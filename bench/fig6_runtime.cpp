@@ -5,9 +5,7 @@
 // wall time on this machine is shown for reference). Geo-mean speedups
 // reproduce the paper's headline comparisons.
 #include <iostream>
-#include <vector>
 
-#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 #include "common/units.hpp"
 #include "harness.hpp"
@@ -21,35 +19,19 @@ int main() {
             << world.config().scale_factor << ") ===\n";
   TablePrinter t({"Q", "one_xb", "two_xb", "pimdb", "mnt_join", "mnt_reg",
                   "mnt_join wall"});
-  std::vector<double> one, two, pdb, mj, mr;
+  const auto ms = [](double ns) {
+    return TablePrinter::fmt(units::ns_to_ms(ns), 3);
+  };
   for (const auto& r : runs) {
-    one.push_back(r.one_xb.stats.total_ns);
-    two.push_back(r.two_xb.stats.total_ns);
-    pdb.push_back(r.pimdb.stats.total_ns);
-    mj.push_back(r.mnt_join.model_ns);
-    mr.push_back(r.mnt_reg.model_ns);
-    t.add_row({r.id, TablePrinter::fmt(units::ns_to_ms(one.back()), 3),
-               TablePrinter::fmt(units::ns_to_ms(two.back()), 3),
-               TablePrinter::fmt(units::ns_to_ms(pdb.back()), 3),
-               TablePrinter::fmt(units::ns_to_ms(mj.back()), 3),
-               TablePrinter::fmt(units::ns_to_ms(mr.back()), 3),
-               TablePrinter::fmt(units::ns_to_ms(r.mnt_join.wall_ns), 3)});
+    t.add_row({r.id, ms(r.one_xb.stats.total_ns), ms(r.two_xb.stats.total_ns),
+               ms(r.pimdb.stats.total_ns), ms(r.mnt_join.model_ns),
+               ms(r.mnt_reg.model_ns), ms(r.mnt_join.wall_ns)});
   }
   t.print(std::cout);
 
-  std::cout << "\n=== Geo-mean comparisons (paper values in parentheses) ===\n";
-  TablePrinter s({"Comparison", "This build", "Paper"});
-  s.add_row({"one_xb speedup vs mnt_reg",
-             TablePrinter::fmt(geomean_ratio(mr, one), 2) + "x", "7.46x"});
-  s.add_row({"one_xb speedup vs mnt_join",
-             TablePrinter::fmt(geomean_ratio(mj, one), 2) + "x", "4.65x"});
-  s.add_row({"pimdb slowdown vs one_xb",
-             TablePrinter::fmt(geomean_ratio(pdb, one), 2) + "x", "1.83x"});
-  s.add_row({"two_xb slowdown vs one_xb",
-             TablePrinter::fmt(geomean_ratio(two, one), 2) + "x", "3.39x"});
-  s.add_row({"two_xb speedup vs mnt_join",
-             TablePrinter::fmt(geomean_ratio(mj, two), 2) + "x", "1.37x"});
-  s.print(std::cout);
+  std::cout << "\n=== Geo-mean comparisons ===\n";
+  bench::print_headlines(runs, world.pim_config().crossbar_cols,
+                         bench::Headline::Axis::kRuntime);
 
   // The paper's crossover: on the highest-selectivity GROUP-BY queries the
   // 32x read amplification erases the PIM advantage.

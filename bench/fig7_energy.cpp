@@ -4,11 +4,8 @@
 // for one_xb, and the paper's headline: when PIMDB aggregates in PIM
 // (Q1.1-1.3, Q2.3, Q3.4, Q4.1) it burns ~4.31x more energy than one_xb.
 #include <iostream>
-#include <vector>
 
-#include "common/stats.hpp"
 #include "common/table_printer.hpp"
-#include "common/units.hpp"
 #include "harness.hpp"
 
 int main() {
@@ -39,20 +36,12 @@ int main() {
   b.print(std::cout);
 
   // Queries where pimdb's planner chose PIM aggregation.
-  std::vector<double> pim_agg_one, pim_agg_pimdb;
   std::cout << "\nQueries where pimdb aggregates in PIM:";
   for (const auto& r : runs) {
-    if (r.pimdb.stats.pim_subgroups > 0) {
-      std::cout << " Q" << r.id;
-      pim_agg_one.push_back(r.one_xb.stats.energy_j);
-      pim_agg_pimdb.push_back(r.pimdb.stats.energy_j);
-    }
+    if (r.pimdb.stats.pim_subgroups > 0) std::cout << " Q" << r.id;
   }
   std::cout << "\n";
-  if (!pim_agg_one.empty()) {
-    std::cout << "Geo-mean pimdb/one_xb energy on those queries: "
-              << TablePrinter::fmt(geomean_ratio(pim_agg_pimdb, pim_agg_one), 2)
-              << "x (paper: 4.31x)\n";
-  }
+  bench::print_headlines(runs, world.pim_config().crossbar_cols,
+                         bench::Headline::Axis::kEnergy);
   return 0;
 }

@@ -6,9 +6,7 @@
 // do few PIM aggregations (Q1.1-1.3, Q3.4), one_xb's cells last ~3.21x
 // longer.
 #include <iostream>
-#include <vector>
 
-#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 #include "harness.hpp"
 
@@ -37,18 +35,6 @@ int main() {
             << "\n";
 
   // Lifetime comparison on the queries with few PIM aggregations for both.
-  std::vector<double> one_cyc, pdb_cyc;
-  for (const auto& r : runs) {
-    if (r.id == "1.1" || r.id == "1.2" || r.id == "1.3" || r.id == "3.4") {
-      one_cyc.push_back(
-          bench::QueryRun::endurance_cycles(r.one_xb.stats, cells));
-      pdb_cyc.push_back(
-          bench::QueryRun::endurance_cycles(r.pimdb.stats, cells));
-    }
-  }
-  std::cout << "Lifetime improvement (pimdb/one_xb write cycles, geo-mean "
-               "over Q1.1-1.3, Q3.4): "
-            << TablePrinter::fmt(geomean_ratio(pdb_cyc, one_cyc), 2)
-            << "x (paper: 3.21x)\n";
+  bench::print_headlines(runs, cells, bench::Headline::Axis::kLifetime);
   return 0;
 }

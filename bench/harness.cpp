@@ -11,6 +11,8 @@
 #include <stdexcept>
 
 #include "common/parallel.hpp"
+#include "common/stats.hpp"
+#include "common/table_printer.hpp"
 #include "pim/endurance.hpp"
 
 namespace bbpim::bench {
@@ -89,6 +91,60 @@ double QueryRun::endurance_cycles(const engine::QueryStats& s,
   cfg.crossbar_cols = row_cells;
   return pim::endurance_report(s.wear_row_writes, s.total_ns, cfg)
       .writes_over_horizon;
+}
+
+std::vector<Headline> headlines(const std::vector<QueryRun>& runs,
+                                std::uint32_t row_cells) {
+  std::vector<double> one, two, pdb, mj, mr, e_one, e_pdb, w_one, w_pdb;
+  for (const QueryRun& r : runs) {
+    one.push_back(r.one_xb.stats.total_ns);
+    two.push_back(r.two_xb.stats.total_ns);
+    pdb.push_back(r.pimdb.stats.total_ns);
+    mj.push_back(r.mnt_join.model_ns);
+    mr.push_back(r.mnt_reg.model_ns);
+    if (r.pimdb.stats.pim_subgroups > 0) {
+      e_one.push_back(r.one_xb.stats.energy_j);
+      e_pdb.push_back(r.pimdb.stats.energy_j);
+    }
+    if (r.id == "1.1" || r.id == "1.2" || r.id == "1.3" || r.id == "3.4") {
+      w_one.push_back(QueryRun::endurance_cycles(r.one_xb.stats, row_cells));
+      w_pdb.push_back(QueryRun::endurance_cycles(r.pimdb.stats, row_cells));
+    }
+  }
+  const auto ratio = [](const std::vector<double>& num,
+                        const std::vector<double>& den) -> std::string {
+    return num.empty() ? "n/a"
+                       : TablePrinter::fmt(geomean_ratio(num, den), 2) + "x";
+  };
+  using A = Headline::Axis;
+  return {
+      {A::kRuntime, "Runtime: one_xb vs PIMDB", ratio(pdb, one), "1.83x",
+       "one_xb faster"},
+      {A::kEnergy, "Energy: one_xb vs PIMDB (PIM-agg queries)",
+       ratio(e_pdb, e_one), "4.31x", "one_xb cheaper"},
+      {A::kLifetime, "Lifetime: one_xb vs PIMDB (Q1.x, Q3.4)",
+       ratio(w_pdb, w_one), "3.21x", "one_xb lasts longer"},
+      {A::kRuntime, "Runtime: one_xb vs MonetDB pre-joined", ratio(mj, one),
+       "4.65x", "one_xb faster"},
+      {A::kRuntime, "Runtime: one_xb vs MonetDB standard", ratio(mr, one),
+       "7.46x", "one_xb faster"},
+      {A::kRuntime, "Runtime: two_xb vs one_xb", ratio(two, one), "3.39x",
+       "one_xb faster"},
+      {A::kRuntime, "Runtime: two_xb vs MonetDB pre-joined", ratio(mj, two),
+       "1.37x", "two_xb faster"},
+  };
+}
+
+void print_headlines(const std::vector<QueryRun>& runs,
+                     std::uint32_t row_cells,
+                     std::optional<Headline::Axis> axis) {
+  TablePrinter t({"Metric", "This build", "Paper", "Direction"});
+  for (const Headline& h : headlines(runs, row_cells)) {
+    if (!axis || h.axis == *axis) {
+      t.add_row({h.label, h.value, h.paper, h.direction});
+    }
+  }
+  t.print(std::cout);
 }
 
 engine::FitConfig bench_fit_config() {
@@ -229,7 +285,7 @@ const std::vector<QueryRun>& BenchWorld::run_all() {
     run.one_xb = stmt.execute(db::BackendKind::kOneXb).output();
     run.two_xb = stmt.execute(db::BackendKind::kTwoXb).output();
     run.pimdb = stmt.execute(db::BackendKind::kPimdb).output();
-    run.mnt_join = monet_->execute_prejoined(stmt.bound());
+    run.mnt_join = baseline::execute_prejoined(prejoined(), stmt.bound());
     run.mnt_reg = monet_->execute_star(stmt.bound());
     if (cfg_.verbose) {
       // FilterCache and zone-map effectiveness of the one-xb run (the

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,28 @@ struct QueryRun {
   static double endurance_cycles(const engine::QueryStats& s,
                                  std::uint32_t row_cells);
 };
+
+/// One of the paper's headline geo-mean ratios (abstract, conclusion),
+/// computed from this build's runs beside the published value.
+struct Headline {
+  enum class Axis { kRuntime, kEnergy, kLifetime };
+  Axis axis;
+  const char* label;
+  std::string value;      ///< "<ratio>x", or "n/a" when no query qualifies
+  const char* paper;      ///< the published ratio
+  const char* direction;  ///< which system the ratio favors
+};
+
+/// Every headline ratio, each with its query filter: energy on the queries
+/// where pimdb aggregates in PIM, lifetime (Fig. 9 write cycles over
+/// `row_cells` cells) on Q1.1-1.3 and Q3.4, runtime on all.
+std::vector<Headline> headlines(const std::vector<QueryRun>& runs,
+                                std::uint32_t row_cells);
+
+/// Prints the headline rows on `axis` (every row when empty) as one table.
+void print_headlines(const std::vector<QueryRun>& runs,
+                     std::uint32_t row_cells,
+                     std::optional<Headline::Axis> axis = std::nullopt);
 
 class BenchWorld {
  public:

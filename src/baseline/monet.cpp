@@ -59,8 +59,10 @@ double MonetLikeEngine::table_selectivity(const rel::Table& table,
              : 0.0;
 }
 
-BaselineRun MonetLikeEngine::execute_prejoined(const sql::BoundQuery& q) const {
-  BaselineRun run = run_functional(*prejoined_, q);
+BaselineRun execute_prejoined(const rel::Table& prejoined,
+                              const sql::BoundQuery& q,
+                              const ServerConfig& cfg) {
+  BaselineRun run = run_functional(prejoined, q);
 
   // Column-at-a-time scan: every referenced column is read in full; the
   // aggregation input is fetched only for survivors.
@@ -73,16 +75,16 @@ BaselineRun MonetLikeEngine::execute_prejoined(const sql::BoundQuery& q) const {
   if (q.agg_func != sql::AggFunc::kCount) {
     agg_cols = q.agg_expr.kind == sql::Expr::Kind::kColumn ? 1 : 2;
   }
-  const std::uint64_t rows = prejoined_->row_count();
+  const std::uint64_t rows = prejoined.row_count();
   run.scanned_bytes =
-      rows * scanned_cols * cfg_.value_bytes +
+      rows * scanned_cols * cfg.value_bytes +
       static_cast<std::uint64_t>(run.selected_records) * agg_cols *
-          cfg_.value_bytes;
+          cfg.value_bytes;
 
-  run.model_ns = cfg_.fixed_ns +
-                 static_cast<double>(run.scanned_bytes) / cfg_.scan_gbps +
-                 static_cast<double>(run.selected_records) * cfg_.agg_update_ns +
-                 static_cast<double>(run.rows.size()) * cfg_.output_ns;
+  run.model_ns = cfg.fixed_ns +
+                 static_cast<double>(run.scanned_bytes) / cfg.scan_gbps +
+                 static_cast<double>(run.selected_records) * cfg.agg_update_ns +
+                 static_cast<double>(run.rows.size()) * cfg.output_ns;
   return run;
 }
 

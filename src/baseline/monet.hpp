@@ -43,15 +43,18 @@ struct BaselineRun {
   std::uint64_t hash_probes = 0;
 };
 
+/// mnt-join: scan the pre-joined relation. Reads only the relation and the
+/// server's cost parameters.
+BaselineRun execute_prejoined(const rel::Table& prejoined,
+                              const sql::BoundQuery& q,
+                              const ServerConfig& cfg = {});
+
 class MonetLikeEngine {
  public:
   /// `data` supplies the dimension tables for mnt-reg join costing;
   /// `prejoined` is the denormalized relation (also used functionally).
   MonetLikeEngine(const ssb::SsbData& data, const rel::Table& prejoined,
                   ServerConfig cfg = {});
-
-  /// mnt-join: scan the pre-joined relation.
-  BaselineRun execute_prejoined(const sql::BoundQuery& q) const;
 
   /// mnt-reg: star-schema plan with hash joins against the dimensions.
   BaselineRun execute_star(const sql::BoundQuery& q) const;

@@ -139,11 +139,10 @@ std::future<ResultSet> QueryService::submit(std::string sql_text,
                                             BackendKind backend,
                                             const engine::ExecOptions& opts) {
   Task task;
-  task.sql = std::move(sql_text);
-  task.backend = backend;
   // The token (armed by the caller, so queue wait counts against its
-  // deadline) rides inside the options the worker executes with.
-  task.opts = opts;
+  // deadline) rides inside the options the statement executes with.
+  task.statement = {std::move(sql_text), opts};
+  task.backend = backend;
   return enqueue(std::move(task));
 }
 
@@ -280,7 +279,7 @@ void QueryService::worker_loop(std::size_t index) {
         // Copies, not references: gathering grows `batch`, which would
         // invalidate a reference into it.
         const BackendKind head_backend = batch.front().backend;
-        const engine::ExecOptions head_opts = batch.front().opts;
+        const engine::ExecOptions head_opts = batch.front().statement.opts;
         std::uint64_t window_us = shared.gather_window_us;
         // Graceful degradation: a bounded queue past half its depth widens
         // the window so more statements fuse into each page pass —
@@ -296,7 +295,8 @@ void QueryService::worker_loop(std::size_t index) {
           bool gathered = false;
           for (auto it = queue_.begin();
                it != queue_.end() && batch.size() < shared.max_batch;) {
-            if (it->backend == head_backend && it->opts == head_opts) {
+            if (it->backend == head_backend &&
+                it->statement.opts == head_opts) {
               it->dequeued = std::chrono::steady_clock::now();
               queue_not_full_.notify_one();
               batch.push_back(std::move(*it));
@@ -322,56 +322,29 @@ void QueryService::worker_loop(std::size_t index) {
 
 void QueryService::serve(Session& session, std::vector<Task> batch) {
   const BackendKind backend = batch.front().backend;
-  // The head's armed token must not leak into the shared options: members
-  // carry their own (or none) through `cancels`.
-  engine::ExecOptions shared_opts = batch.front().opts;
-  shared_opts.cancel = engine::CancelToken{};
   for (std::size_t attempt = 0;; ++attempt) {
-    // Statements already dead (deadline spent queued or backing off, caller
-    // cancelled) settle typed without costing an execution — and without
-    // dragging live batchmates through a doomed fused pass.
-    std::vector<Task> live;
-    std::vector<std::string> sqls;
-    std::vector<engine::CancelToken> cancels;
-    for (Task& t : batch) {
-      const engine::CancelToken& token = t.opts.cancel;
-      if (token.valid() && token.should_stop()) {
-        try {
-          token.check();
-        } catch (...) {
-          settle_error(t, std::current_exception());
-        }
-        continue;
-      }
-      sqls.push_back(t.sql);
-      cancels.push_back(token);
-      live.push_back(std::move(t));
-    }
-    if (live.empty()) return;
-
-    std::vector<Session::BatchItem> items;
-    try {
-      items = session.execute_batch(sqls, backend, shared_opts, cancels);
-    } catch (...) {
-      // A fault before per-statement isolation (snapshot pin, plan-cache
-      // claim) is every member's error; per-statement problems come back
-      // as items.
-      items.resize(live.size());
-      for (Session::BatchItem& item : items) {
-        item.error = std::current_exception();
-      }
-    }
-    batch.clear();
-    for (std::size_t i = 0; i < live.size(); ++i) {
+    // Each statement carries its own options, token included. Every
+    // failure comes back on its own item: a statement already dead
+    // (deadline spent queued or backing off, caller cancelled) settles
+    // typed without costing an execution or dragging live batchmates
+    // through a doomed fused pass.
+    std::vector<Session::BatchStatement> statements;
+    statements.reserve(batch.size());
+    for (const Task& t : batch) statements.push_back(t.statement);
+    std::vector<Session::BatchItem> items =
+        session.execute_batch(statements, backend);
+    std::vector<Task> retry;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       if (items[i].error == nullptr) {
-        settle_success(live[i], std::move(items[i].result));
+        settle_success(batch[i], std::move(items[i].result));
       } else if (attempt < kMaxRetries && is_transient(items[i].error)) {
-        batch.push_back(std::move(live[i]));
+        retry.push_back(std::move(batch[i]));
       } else {
-        settle_error(live[i], items[i].error);
+        settle_error(batch[i], items[i].error);
       }
     }
-    if (batch.empty()) return;
+    if (retry.empty()) return;
+    batch = std::move(retry);
     {
       std::lock_guard lock(mutex_);
       counters_.retries += batch.size();

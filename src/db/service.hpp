@@ -15,7 +15,8 @@
 // Every set of statements a worker takes off the queue — a lone statement
 // or a shared-scan batch — is served by one function through
 // Session::execute_batch; the members that fail transiently re-run through
-// the same call.
+// the same call. Each queued statement carries its own ExecOptions as
+// submitted, token included, and hands them to that call unchanged.
 //
 //   db::QueryService service(database, {.workers = 4});
 //   std::future<db::ResultSet> f = service.submit(
@@ -28,9 +29,9 @@
 //     sheds the longest-waiting statement depending on the policy.
 //   - A deadline lives on the statement's ExecOptions::cancel token, which
 //     the caller arms (CancelState::set_deadline) before submit(), so time
-//     spent queued counts; workers settle already-expired statements with
-//     engine::QueryTimeout without executing them, and the engine aborts
-//     in-flight ones cooperatively at phase boundaries.
+//     spent queued counts; Session::execute_batch settles already-expired
+//     statements with engine::QueryTimeout without binding them, and the
+//     engine aborts in-flight ones cooperatively at phase boundaries.
 //   - Failures classified transient (engine::TransientFault) are retried
 //     with capped exponential backoff, at most twice.
 //   - shutdown() settles still-queued statements with ServiceStopped;
@@ -148,8 +149,9 @@ class QueryService {
   /// (reported by ResultSet::data_version). The future delivers the
   /// ResultSet, or rethrows whatever the statement raised on the worker.
   /// Throws ServiceStopped once shutdown() has been called, OverloadError
-  /// when bounded admission refuses the statement. `opts.cancel` is used as
-  /// given: a deadline armed on it before this call counts queue wait.
+  /// when bounded admission refuses the statement. `opts` ride with the
+  /// statement to the engine unchanged, `opts.cancel` included: a deadline
+  /// armed on it before this call counts queue wait.
   std::future<ResultSet> submit(std::string sql_text,
                                 BackendKind backend = BackendKind::kOneXb,
                                 const engine::ExecOptions& opts = {});
@@ -192,12 +194,11 @@ class QueryService {
 
  private:
   struct Task {
-    std::string sql;
+    /// The text and the options as submitted: the one carrier of the
+    /// caller's cancellation token (armed before submit(), so queue wait
+    /// counts against its deadline) all the way to the engine's pass.
+    Session::BatchStatement statement;
     BackendKind backend = BackendKind::kOneXb;
-    /// Carries the caller's cancellation token as given (armed before
-    /// submit(), so queue wait counts against its deadline); the token is
-    /// invalid when the statement has neither.
-    engine::ExecOptions opts;
     std::promise<ResultSet> result;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point dequeued;
@@ -211,9 +212,9 @@ class QueryService {
   void worker_loop(std::size_t index);
   /// Serves one dequeued set (all of one backend and option signature)
   /// through session.execute_batch and settles every promise. Members
-  /// already dead settle without executing; members that failed with
-  /// engine::TransientFault re-run through the same call within the retry
-  /// budget.
+  /// already dead come back settled without executing; members that failed
+  /// with engine::TransientFault re-run through the same call within the
+  /// retry budget.
   void serve(Session& session, std::vector<Task> batch);
   void settle_success(Task& task, ResultSet rs);
   /// Settles with `error`, counting it (timed_out/cancelled/executed_).

@@ -16,7 +16,6 @@
 #include "engine/pim_store.hpp"
 #include "pim/module.hpp"
 #include "sql/parser.hpp"
-#include "ssb/dbgen.hpp"
 
 namespace bbpim::db {
 namespace {
@@ -81,26 +80,26 @@ class PimExecutor final : public Executor {
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
-    engine::PimQueryEngine::BatchOutput out = execute_many({&q}, opts, {});
+    engine::PimQueryEngine::BatchOutput out = execute_many({{&q, opts}});
     if (out.errors[0] != nullptr) std::rethrow_exception(out.errors[0]);
     return std::move(out.outputs[0]);
   }
 
   engine::PimQueryEngine::BatchOutput execute_many(
-      const std::vector<const sql::BoundQuery*>& queries,
-      const engine::ExecOptions& opts,
-      const std::vector<engine::CancelToken>& cancels) override {
+      const std::vector<engine::BatchMember>& members) override {
     // The planner (Equation 3) is the only consumer of the fitted models;
     // forced-k and ungrouped queries run model-free, exactly as the seed's
     // ablation benches did.
-    bool grouped = false;
-    for (const sql::BoundQuery* q : queries) grouped |= q->has_group_by();
-    if (grouped && !opts.force_k.has_value()) ensure_models();
+    bool planned = false;
+    for (const engine::BatchMember& m : members) {
+      planned |= m.query->has_group_by() && !m.opts.force_k.has_value();
+    }
+    if (planned) ensure_models();
     // One refresh pins ONE snapshot version for the whole batch: every
     // member reads the same prefix of the table's update log, and a commit
     // landing mid-batch is observed by all members or by none.
     refresh();
-    return engine_.execute_batch(queries, opts, cancels);
+    return engine_.execute_batch(members);
   }
 
   UpdateResult execute_update(const sql::BoundUpdate& update,
@@ -164,45 +163,42 @@ class PimExecutor final : public Executor {
   engine::PimQueryEngine engine_;
 };
 
-/// The PIM-only execution knobs are meaningless for the host baselines;
-/// silently ignoring them would let an ablation pointed at the wrong
-/// backend report plausible-looking but meaningless numbers.
-void reject_pim_exec_options(BackendKind backend,
-                             const engine::ExecOptions& opts) {
+/// What a host-baseline read checks before it scans. The PIM-only
+/// execution knobs are meaningless there; silently ignoring them would let
+/// an ablation pointed at the wrong backend report plausible-looking but
+/// meaningless numbers. The baselines scan the immutable catalog table, so
+/// once PIM-side updates exist their results would silently diverge from
+/// every PIM backend: refuse instead of serving stale rows. Last, a
+/// statement whose token has stopped unwinds typed, as on every backend.
+void check_host_read(BackendKind backend, const engine::ExecOptions& opts,
+                     Database& db, const rel::Table& table) {
   if (opts != engine::ExecOptions{}) {  // any simulation knob set
     throw std::invalid_argument(
         std::string("execute: backend '") + backend_name(backend) +
         "' does not honor ExecOptions (force_k / skip_host_gb / sim_scalar"
         " are PIM-only)");
   }
-}
-
-/// The host baselines scan the immutable catalog table, so once PIM-side
-/// updates exist their results would silently diverge from every PIM
-/// backend. Refuse instead of serving stale rows.
-void reject_updated_table(BackendKind backend, Database& db,
-                          const rel::Table& table) {
   if (db.update_version(table) > 0) {
     throw std::runtime_error(
         std::string("execute: backend '") + backend_name(backend) +
         "' reads the immutable catalog table and cannot observe the " +
         "committed PIM updates on '" + table.name() + "'");
   }
+  opts.cancel.check();
 }
 
 /// MonetDB-like columnar cost model over the target relation (mnt-join).
 class ColumnarExecutor final : public Executor {
  public:
   ColumnarExecutor(Database& db, const rel::Table& table)
-      : db_(&db), table_(&table), monet_(no_dimensions_, table) {}
+      : db_(&db), table_(&table) {}
 
   BackendKind backend() const override { return BackendKind::kColumnar; }
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
-    reject_pim_exec_options(backend(), opts);
-    reject_updated_table(backend(), *db_, *table_);
-    baseline::BaselineRun run = monet_.execute_prejoined(q);
+    check_host_read(backend(), opts, *db_, *table_);
+    baseline::BaselineRun run = baseline::execute_prejoined(*table_, q);
     engine::QueryOutput out;
     out.rows = std::move(run.rows);
     out.stats.total_ns = run.model_ns;
@@ -213,8 +209,6 @@ class ColumnarExecutor final : public Executor {
  private:
   Database* db_;
   const rel::Table* table_;
-  ssb::SsbData no_dimensions_;  ///< star-plan dimensions unused by mnt-join
-  baseline::MonetLikeEngine monet_;
 };
 
 /// Scalar reference scan: exact rows, no cost model.
@@ -227,8 +221,7 @@ class ReferenceExecutor final : public Executor {
 
   engine::QueryOutput execute(const sql::BoundQuery& q,
                               const engine::ExecOptions& opts) override {
-    reject_pim_exec_options(backend(), opts);
-    reject_updated_table(backend(), *db_, *table_);
+    check_host_read(backend(), opts, *db_, *table_);
     baseline::ReferenceRun run = baseline::scan_execute(*table_, q);
     engine::QueryOutput out;
     out.rows = std::move(run.rows);
@@ -242,8 +235,7 @@ class ReferenceExecutor final : public Executor {
       const std::vector<sql::BoundPredicate>& filters,
       const std::vector<std::size_t>& attrs,
       const engine::ExecOptions& opts) override {
-    reject_pim_exec_options(backend(), opts);
-    reject_updated_table(backend(), *db_, *table_);
+    check_host_read(backend(), opts, *db_, *table_);
     engine::ScanOutput out;
     out.columns.resize(attrs.size());
     for (std::size_t r = 0; r < table_->row_count(); ++r) {
@@ -459,21 +451,13 @@ engine::ScanOutput Executor::execute_scan(
 }
 
 engine::PimQueryEngine::BatchOutput Executor::execute_many(
-    const std::vector<const sql::BoundQuery*>& queries,
-    const engine::ExecOptions& opts,
-    const std::vector<engine::CancelToken>& cancels) {
+    const std::vector<engine::BatchMember>& members) {
   engine::PimQueryEngine::BatchOutput out;
-  out.outputs.resize(queries.size());
-  out.errors.resize(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  out.outputs.resize(members.size());
+  out.errors.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
     try {
-      if (!cancels.empty() && cancels[i].valid()) {
-        engine::ExecOptions member_opts = opts;
-        member_opts.cancel = cancels[i];
-        out.outputs[i] = execute(*queries[i], member_opts);
-      } else {
-        out.outputs[i] = execute(*queries[i], opts);
-      }
+      out.outputs[i] = execute(*members[i].query, members[i].opts);
     } catch (...) {
       out.errors[i] = std::current_exception();
     }
@@ -579,47 +563,51 @@ ResultSet Session::execute(std::string_view sql_text, BackendKind backend,
 }
 
 std::vector<Session::BatchItem> Session::execute_batch(
-    const std::vector<std::string>& sqls, BackendKind backend,
-    const engine::ExecOptions& opts,
-    const std::vector<engine::CancelToken>& cancels) {
-  if (!cancels.empty() && cancels.size() != sqls.size()) {
-    throw std::invalid_argument(
-        "Session::execute_batch: cancels must be empty or one per statement");
-  }
-  const auto token_of = [&](std::size_t i) {
-    return i < cancels.size() ? cancels[i] : engine::CancelToken{};
-  };
-  std::vector<BatchItem> items(sqls.size());
+    const std::vector<std::string>& sqls, BackendKind backend) {
+  std::vector<BatchStatement> statements;
+  statements.reserve(sqls.size());
+  for (const std::string& sql : sqls) statements.push_back({sql, {}});
+  return execute_batch(statements, backend);
+}
 
-  // Front end, per statement: a text that fails to parse or bind carries
-  // its own error without touching its batchmates.
-  std::vector<std::shared_ptr<const Plan>> plans(sqls.size());
-  for (std::size_t i = 0; i < sqls.size(); ++i) {
+std::vector<Session::BatchItem> Session::execute_batch(
+    const std::vector<BatchStatement>& statements, BackendKind backend) {
+  std::vector<BatchItem> items(statements.size());
+
+  // Front end, per statement: one whose token has already stopped (deadline
+  // spent queued, caller cancelled) settles typed without being bound, and
+  // a text that fails to parse or bind carries its own error; neither
+  // touches its batchmates.
+  std::vector<std::shared_ptr<const Plan>> plans(statements.size());
+  for (std::size_t i = 0; i < statements.size(); ++i) {
     try {
-      plans[i] = prepare(sqls[i]).plan_;
+      statements[i].opts.cancel.check();
+      plans[i] = prepare(statements[i].sql).plan_;
     } catch (...) {
       items[i].error = std::current_exception();
     }
   }
   const auto batchable = [&](std::size_t i) {
-    return items[i].error == nullptr && plans[i] != nullptr &&
+    return items[i].error == nullptr &&
            plans[i]->kind == sql::Statement::Kind::kSelect &&
            !plans[i]->is_join();
   };
 
-  // Admission: single-table SELECTs group by target table (backend and
-  // options are uniform across the call); a mixed-table batch splits into
-  // one group per table. Groups form in first-statement order.
+  // Admission: single-table SELECTs group by target table and options
+  // (ExecOptions::operator==, which ignores the token); a mixed batch
+  // splits into one group per (table, options). Groups form in
+  // first-statement order.
   struct Group {
     const rel::Table* target = nullptr;
     std::vector<std::size_t> members;  ///< item indices, statement order
   };
   std::vector<Group> groups;
-  for (std::size_t i = 0; i < sqls.size(); ++i) {
+  for (std::size_t i = 0; i < statements.size(); ++i) {
     if (!batchable(i)) continue;
     Group* g = nullptr;
     for (Group& cand : groups) {
-      if (cand.target == plans[i]->target) {
+      if (cand.target == plans[i]->target &&
+          statements[cand.members.front()].opts == statements[i].opts) {
         g = &cand;
         break;
       }
@@ -637,51 +625,51 @@ std::vector<Session::BatchItem> Session::execute_batch(
     // result — the cheapest scan is the one that never runs. Members that
     // carry their own abort token are never interned: a cancelled member
     // must not take a duplicate's result (or fate) with it.
-    std::vector<const Plan*> unique;
-    std::vector<engine::CancelToken> unique_cancels;
+    std::vector<engine::BatchMember> unique;
     std::vector<std::size_t> slot_of(g.members.size());
     for (std::size_t m = 0; m < g.members.size(); ++m) {
       const std::size_t i = g.members[m];
-      const Plan* p = plans[i].get();
-      const engine::CancelToken tok = token_of(i);
+      const engine::BatchMember member{&plans[i]->bound, statements[i].opts};
       std::size_t u = unique.size();
-      if (!tok.valid()) {
+      if (!member.opts.cancel.valid()) {
         for (u = 0; u < unique.size(); ++u) {
-          if (unique[u] == p && !unique_cancels[u].valid()) break;
+          if (unique[u].query == member.query &&
+              !unique[u].opts.cancel.valid()) {
+            break;
+          }
         }
       }
-      if (u == unique.size()) {
-        unique.push_back(p);
-        unique_cancels.push_back(tok);
-      }
+      if (u == unique.size()) unique.push_back(member);
       slot_of[m] = u;
     }
-    std::vector<const sql::BoundQuery*> queries;
-    queries.reserve(unique.size());
-    for (const Plan* p : unique) queries.push_back(&p->bound);
-
     std::vector<std::size_t> dup_count(unique.size(), 0);
     for (const std::size_t u : slot_of) ++dup_count[u];
 
-    Executor& ex = executor_for(backend, *g.target);
-    engine::PimQueryEngine::BatchOutput out =
-        ex.execute_many(queries, opts, unique_cancels);
+    engine::PimQueryEngine::BatchOutput out;
+    try {
+      out = executor_for(backend, *g.target).execute_many(unique);
+    } catch (...) {
+      // A fault before the executor isolates its members (the snapshot
+      // pin) is the error of every statement in the group.
+      for (const std::size_t i : g.members) {
+        items[i].error = std::current_exception();
+      }
+      continue;
+    }
     for (std::size_t m = 0; m < g.members.size(); ++m) {
       const std::size_t i = g.members[m];
-      if (out.errors[slot_of[m]] != nullptr) {
-        items[i].error = out.errors[slot_of[m]];
+      const std::size_t u = slot_of[m];
+      if (out.errors[u] != nullptr) {
+        items[i].error = out.errors[u];
         continue;
       }
-      engine::QueryOutput qo = out.outputs[slot_of[m]];
+      engine::QueryOutput qo = out.outputs[u];
       // batched_queries counts the statements whose answers this execution
-      // produced. A fused member served the whole group (duplicates ride
-      // along); an unfused one (engine fell back, or a singleton) still
-      // served its own duplicates. 0 = genuinely solo, today's path.
-      if (qo.stats.batched_queries > 0) {
-        qo.stats.batched_queries = g.members.size();
-      } else if (dup_count[slot_of[m]] > 1) {
-        qo.stats.batched_queries = dup_count[slot_of[m]];
-      }
+      // produced: a fused member served the whole group (duplicates ride
+      // along); an unfused one (engine fell back, a singleton, a host
+      // baseline) still served its own duplicates. 0 = genuinely solo.
+      qo.stats.batched_queries =
+          out.fused ? g.members.size() : (dup_count[u] > 1 ? dup_count[u] : 0);
       items[i].result = ResultSet(
           std::move(qo),
           result_columns(plans[i]->bound, plans[i]->target->schema()),
@@ -691,21 +679,11 @@ std::vector<Session::BatchItem> Session::execute_batch(
 
   // Everything that cannot share a scan (UPDATEs, joins) runs after the
   // groups, in statement order, exactly as a plain execute() would.
-  for (std::size_t i = 0; i < sqls.size(); ++i) {
-    if (items[i].error != nullptr || plans[i] == nullptr || batchable(i)) {
-      continue;
-    }
+  for (std::size_t i = 0; i < statements.size(); ++i) {
+    if (items[i].error != nullptr || batchable(i)) continue;
     try {
-      const engine::CancelToken tok = token_of(i);
-      if (tok.valid()) {
-        engine::ExecOptions member_opts = opts;
-        member_opts.cancel = tok;
-        items[i].result =
-            PreparedStatement(*this, plans[i]).execute(backend, member_opts);
-      } else {
-        items[i].result = PreparedStatement(*this, plans[i]).execute(backend,
-                                                                     opts);
-      }
+      items[i].result = PreparedStatement(*this, plans[i])
+                            .execute(backend, statements[i].opts);
     } catch (...) {
       items[i].error = std::current_exception();
     }

@@ -8,6 +8,9 @@
 // target relation. The low-level PimQueryEngine API stays intact underneath
 // — the session is a layer, not a fork — and is reachable through
 // pim_engine() for benches that need forced-k sweeps or direct store access.
+// A statement's ExecOptions (its cancel token included) are its own from
+// execute() or execute_batch() down to the engine's pass: a batch carries
+// one set per statement, never one set for the batch.
 //
 //   db::Database database;
 //   database.register_table(std::move(sales));
@@ -137,16 +140,13 @@ class Executor {
   virtual engine::QueryOutput execute(const sql::BoundQuery& q,
                                       const engine::ExecOptions& opts) = 0;
   /// Executes several bound SELECTs over this executor's relation in one
-  /// call: outputs[i]/errors[i] pair with queries[i], exactly one of each
-  /// set per member. The default runs the queries one by one (the host
-  /// baselines have no page pass to share); PIM executors override it with
-  /// the engine's shared-scan fused pass, serving every member from ONE
-  /// pinned snapshot version. `cancels`, when non-empty, aligns with
-  /// `queries` and carries each member's own cancellation token.
+  /// call, each under its own options: outputs[i]/errors[i] pair with
+  /// members[i], exactly one of each set per member. The default runs the
+  /// members one by one (the host baselines have no page pass to share);
+  /// PIM executors override it with the engine's shared-scan fused pass,
+  /// serving every member from ONE pinned snapshot version.
   virtual engine::PimQueryEngine::BatchOutput execute_many(
-      const std::vector<const sql::BoundQuery*>& queries,
-      const engine::ExecOptions& opts,
-      const std::vector<engine::CancelToken>& cancels = {});
+      const std::vector<engine::BatchMember>& members);
   /// Applies a bound UPDATE (Algorithm 1) and commits it to the table's
   /// update log. Throws std::invalid_argument for backends that cannot
   /// mutate (the host baselines read the immutable catalog table).
@@ -194,31 +194,36 @@ class Session {
                     BackendKind backend = BackendKind::kOneXb,
                     const engine::ExecOptions& opts = {});
 
+  /// One statement of execute_batch: its text and the options it runs
+  /// under, its own cancel token included.
+  struct BatchStatement {
+    std::string sql;
+    engine::ExecOptions opts;
+  };
   /// One statement's outcome in execute_batch: exactly one of `result` /
   /// `error` is set (per-statement errors never fail batchmates).
   struct BatchItem {
     ResultSet result;
     std::exception_ptr error;
   };
-  /// Shared-scan batched execution: prepares every statement, groups the
-  /// single-table non-join SELECTs by target table — duplicates of one plan
-  /// execute once and share the ResultSet — and runs each group through the
-  /// executor's fused pass (Executor::execute_many), so a group's members
-  /// read one snapshot version in one pass over its pages. Statements that
-  /// cannot share a scan (UPDATEs, joins) run after the groups, in
-  /// statement order, exactly as today. Results align with `sqls`; each
-  /// item's rows and semantic stats are byte-identical to a solo execute()
-  /// of the same text.
-  /// `cancels`, when non-empty, aligns with `sqls` and carries each
-  /// statement's own cancellation token (the QueryService threads per-
-  /// submission tokens through here). Statements with distinct tokens are
-  /// not interned into one execution — a cancelled member must never take a
-  /// duplicate's result (or fate) with it.
+  /// Shared-scan batched execution: settles every statement whose token has
+  /// already stopped (typed, without binding it), prepares the rest, groups
+  /// the single-table non-join SELECTs by target table and options —
+  /// duplicates of one plan with no token execute once and share the
+  /// ResultSet — and runs each group through the executor's fused pass
+  /// (Executor::execute_many), so a group's members read one snapshot
+  /// version in one pass over its pages. Statements that cannot share a
+  /// scan (UPDATEs, joins) run after the groups, in statement order. Results
+  /// align with `statements`; each item's rows and semantic stats are
+  /// byte-identical to a solo execute() of the same text and options. Every
+  /// failure lands on the items of the statements it concerns.
+  std::vector<BatchItem> execute_batch(
+      const std::vector<BatchStatement>& statements,
+      BackendKind backend = BackendKind::kOneXb);
+  /// execute_batch with every statement under default options.
   std::vector<BatchItem> execute_batch(
       const std::vector<std::string>& sqls,
-      BackendKind backend = BackendKind::kOneXb,
-      const engine::ExecOptions& opts = {},
-      const std::vector<engine::CancelToken>& cancels = {});
+      BackendKind backend = BackendKind::kOneXb);
 
   /// EXPLAIN on the one-xb (or given) PIM backend; throws
   /// std::invalid_argument for the host baselines, which have no physical

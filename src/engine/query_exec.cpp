@@ -313,12 +313,12 @@ class Execution {
  public:
   /// One member of a pass. `allocs` (one ColumnAlloc per part) are the
   /// pass's scratch allocators: every member draws from the same set, so no
-  /// two members are ever handed the same physical column. `cancel` is the
-  /// member's own abort token — each member checks only its own.
+  /// two members are ever handed the same physical column. `opts` are the
+  /// member's own, its abort token included — each member checks only its
+  /// own.
   Execution(EngineKind kind, PimStore& store, const host::HostConfig& hcfg,
             const LatencyModels& models, const sql::BoundQuery& q,
-            const ExecOptions& opts, std::vector<pim::ColumnAlloc>& allocs,
-            CancelToken cancel)
+            const ExecOptions& opts, std::vector<pim::ColumnAlloc>& allocs)
       : kind_(kind),
         store_(store),
         cfg_(store.module().config()),
@@ -331,7 +331,6 @@ class Execution {
         vectorized_(!opts.sim_scalar),
         prune_(hcfg.prune),
         clock_(hcfg),
-        cancel_(std::move(cancel)),
         results_(q.agg_func, group_maxima(store, q.group_by)) {
     // Selectivity-ordered execution: predicates compile most-selective
     // first (sketch-estimated; deterministic). AND is commutative and each
@@ -365,14 +364,12 @@ class Execution {
   // member's modeled cost comes entirely from its own work — a batchmate is
   // never billed.
 
-  /// Runs one pass over `queries` (one member each, tokens aligned) and
-  /// calls `finish(i, member)` for every member in order; the members (and
-  /// the pass's allocators) live until the last tail returns.
+  /// Runs one pass over `batch` (one Execution per member) and calls
+  /// `finish(i, member)` for every member in order; the members (and the
+  /// pass's allocators) live until the last tail returns.
   template <typename Finish>
   static void run_pass(PimQueryEngine& engine,
-                       const std::vector<const sql::BoundQuery*>& queries,
-                       const ExecOptions& opts,
-                       const std::vector<CancelToken>& tokens,
+                       const std::vector<BatchMember>& batch,
                        Finish&& finish) {
     PimStore& store = engine.store();
     std::vector<pim::ColumnAlloc> allocs;
@@ -380,13 +377,12 @@ class Execution {
       allocs.push_back(store.layout(part).make_alloc());
     }
     std::vector<Execution> members;
-    members.reserve(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
+    members.reserve(batch.size());
+    for (const BatchMember& b : batch) {
       members.emplace_back(engine.kind(), store, engine.host_config(),
-                           engine.models(), *queries[i], opts, allocs,
-                           tokens[i]);
+                           engine.models(), *b.query, b.opts, allocs);
     }
-    for (const Execution& m : members) m.cancel_.check();
+    for (const Execution& m : members) m.opts_.cancel.check();
     // One wear epoch per pass: the tails must not reset it again or they
     // would erase the fused pass's writes.
     store.module().reset_wear();
@@ -469,7 +465,7 @@ class Execution {
     // Cooperative checkpoint + fault seam at page-loop entry: unwinding here
     // is clean (no job has touched a crossbar yet), and the check stays off
     // the per-page kernels.
-    cancel_.check();
+    opts_.cancel.check();
     fault_point(FaultSeam::kCrossbarVisit);
     std::vector<pim::RequestTrace> traces(on_pages.size());
     run_jobs(on_pages.size(), [&](std::size_t i, pim::EnergyMeter& meter) {
@@ -486,7 +482,7 @@ class Execution {
   std::vector<BitVec> read_column_phase(
       int part, std::uint16_t col, const std::vector<std::size_t>& on_pages,
       Slot slot) {
-    cancel_.check();
+    opts_.cancel.check();
     fault_point(FaultSeam::kReadback);
     std::vector<BitVec> out(pages());
     std::vector<pim::RequestTrace> traces(on_pages.size());
@@ -688,8 +684,6 @@ class Execution {
   pim::EnergyMeter meter_;
   PhaseClock clock_;
   QueryStats stats_;
-  /// Effective abort token (empty = every check free); see the ctor.
-  CancelToken cancel_;
 
   std::uint16_t r_col_ = 0;          ///< filter result on part 0
   std::uint16_t mask_col_ = 0;       ///< OR of pim-gb subgroup selects
@@ -1270,7 +1264,8 @@ void Execution::pim_gb_phase() {
       !opts_.skip_host_gb &&
       !(candidates_complete_ && chosen_k_ == candidates_.size());
   for (std::size_t g = 0; g < chosen_k_; ++g) {
-    cancel_.check();  // per-subgroup boundary: each group is a full PIM pass
+    // Per-subgroup boundary: each group is a full PIM pass.
+    opts_.cancel.check();
     const auto [value, count] =
         aggregate_group(key_predicates(q_.group_by, candidates_[g].key),
                         /*update_mask=*/host_side_needed);
@@ -1421,7 +1416,7 @@ QueryOutput Execution::finish_query() {
   // run_pass); in a larger pass the tail allocates them here, reusing the
   // columns released by the previous member's tail.
   if (plan_.passes.empty()) build_agg_passes();
-  cancel_.check();
+  opts_.cancel.check();
   // Early-exit aggregation on statically empty selects: every page was
   // skipped by the zone maps, so the host knows — without one PIM request —
   // that zero records survive. The plan-semantic stats (candidates, chosen
@@ -1540,7 +1535,7 @@ void Execution::run_fused_filter(std::vector<Execution>& members) {
   // pass of its own, so batchmates still get their exact rows and stats.
   // The fused pass is a crossbar-visit seam of its own: an injected fault
   // here exercises the same fallback.
-  for (const Execution& e : members) e.cancel_.check();
+  for (const Execution& e : members) e.opts_.cancel.check();
   fault_point(FaultSeam::kCrossbarVisit);
 
   // Flat (visit, member) slots. Journal meters always — even single-thread —
@@ -1669,40 +1664,29 @@ PimQueryEngine::PimQueryEngine(EngineKind kind, PimStore& store,
 
 QueryOutput PimQueryEngine::execute(const sql::BoundQuery& q,
                                     const ExecOptions& opts) {
-  BatchOutput out = execute_batch({&q}, opts);
+  BatchOutput out = execute_batch({{&q, opts}});
   if (out.errors[0] != nullptr) std::rethrow_exception(out.errors[0]);
   return std::move(out.outputs[0]);
 }
 
 PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
-    const std::vector<const sql::BoundQuery*>& queries,
-    const ExecOptions& opts, const std::vector<CancelToken>& cancels) {
+    const std::vector<BatchMember>& members) {
   BatchOutput out;
-  out.outputs.resize(queries.size());
-  out.errors.resize(queries.size());
-  if (queries.empty()) return out;
-  // Per-member tokens: the member's own when given, else opts.cancel
-  // (shared by every member, as for a solo run).
-  std::vector<CancelToken> tokens(queries.size(), opts.cancel);
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    if (i < cancels.size() && cancels[i].valid()) tokens[i] = cancels[i];
-  }
-  // A lone member has no batchmates: its batched_queries stays 0, and its
-  // error is its answer (there is nobody to shield by falling back).
-  const bool shared = queries.size() > 1;
+  out.outputs.resize(members.size());
+  out.errors.resize(members.size());
+  if (members.empty()) return out;
   try {
     // Tails run sequentially in member order: they mutate shared crossbar
     // scratch (aggregation passes) and the pass's shared allocators.
-    Execution::run_pass(*this, queries, opts, tokens,
+    Execution::run_pass(*this, members,
                         [&](std::size_t i, Execution& member) {
                           out.outputs[i] = member.finish_query();
-                          if (shared) {
-                            out.outputs[i].stats.batched_queries =
-                                queries.size();
-                          }
                         });
+    out.fused = members.size() > 1;
   } catch (...) {
-    if (!shared) {
+    // A lone member has no batchmates: its error is its answer (there is
+    // nobody to shield by falling back).
+    if (members.size() == 1) {
       out.errors[0] = std::current_exception();
       return out;
     }
@@ -1712,8 +1696,8 @@ PimQueryEngine::BatchOutput PimQueryEngine::execute_batch(
     // result or error without a batchmate in the blast radius. Leftover
     // shared-scratch garbage is harmless: programs initialize their own
     // columns, and every pass resets wear.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      BatchOutput one = execute_batch({queries[i]}, opts, {tokens[i]});
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      BatchOutput one = execute_batch({members[i]});
       out.outputs[i] = std::move(one.outputs[0]);
       out.errors[i] = one.errors[0];
       if (out.errors[i] == nullptr) out.outputs[i].stats.batch_fallbacks = 1;
@@ -1731,7 +1715,7 @@ ScanOutput PimQueryEngine::execute_scan(
   q.filters = filters;
   q.agg_func = sql::AggFunc::kNone;
   ScanOutput out;
-  Execution::run_pass(*this, {&q}, opts, {opts.cancel},
+  Execution::run_pass(*this, {{&q, opts}},
                       [&](std::size_t, Execution& member) {
                         out = member.finish_scan(attrs);
                       });

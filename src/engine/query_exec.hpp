@@ -23,6 +23,10 @@
 // by linearity. Every phase advances a simulated clock and accounts energy,
 // peak power, and cell wear; all results are exact and are checked against a
 // scalar reference executor in the tests.
+//
+// A shared-scan batch runs phase 1 of several statements as one fused pass
+// over the store's pages. Each member is a BatchMember: its bound query and
+// its own ExecOptions, whose cancel token only that member checks.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +116,9 @@ struct QueryStats {
   std::size_t filter_cache_misses = 0;
 
   // --- shared-scan batching (all zero for solo executions) -----------------
-  /// Queries fused into the batch this query executed with (incl. itself).
+  /// Statements this execution answered (incl. itself): the whole group
+  /// when its pass was fused, else its interned duplicates. Set only by
+  /// db::Session::execute_batch.
   std::size_t batched_queries = 0;
   /// Page visits of this query's filter pass that also served at least one
   /// other batch member (the shared-scan savings, per query).
@@ -122,7 +128,7 @@ struct QueryStats {
   /// executions against the same store version).
   std::size_t classification_memo_hits = 0;
 
-  // --- serving-layer robustness (set by db::QueryService) -----------------
+  // --- shared-scan robustness ---------------------------------------------
   /// 1 when this result came from the shared-scan member-failure fallback:
   /// the fused pass aborted and this member was re-executed solo.
   std::size_t batch_fallbacks = 0;
@@ -327,6 +333,13 @@ struct ExecOptions {
   }
 };
 
+/// One statement of a pass: its bound query and the options it runs under,
+/// its own cancel token included.
+struct BatchMember {
+  const sql::BoundQuery* query = nullptr;
+  ExecOptions opts;
+};
+
 class PimQueryEngine {
  public:
   /// `models` may be empty when every execution passes force_k.
@@ -338,12 +351,15 @@ class PimQueryEngine {
   QueryOutput execute(const sql::BoundQuery& q, const ExecOptions& opts = {});
 
   /// Result of one shared-scan batch: outputs[i]/errors[i] belong to
-  /// queries[i]. Exactly one of the pair is set per member — a query that
+  /// members[i]. Exactly one of the pair is set per member — a query that
   /// would throw when executed solo (e.g. an unsupported aggregate) gets its
   /// exception captured here so one bad member cannot fail its batchmates.
   struct BatchOutput {
     std::vector<QueryOutput> outputs;
     std::vector<std::exception_ptr> errors;
+    /// True when the members shared one fused pass (more than one member
+    /// and no fallback).
+    bool fused = false;
   };
 
   /// Shared-scan batched execution: evaluates every query's WHERE in one
@@ -357,16 +373,13 @@ class PimQueryEngine {
   /// per query from that query's own request traces (a member is never
   /// billed for a batchmate's work) and stay deterministic at any
   /// sim_threads. A single-member batch is exactly execute(): no
-  /// fallback, batched_queries = 0.
-  /// `cancels`, when non-empty, carries one CancelToken per member (aligned
-  /// with `queries`); a member whose entry is empty runs under opts.cancel.
-  /// A cancelled or expired member aborts the fused pass, which falls back
-  /// to solo re-execution of every member — batchmates get their exact solo
-  /// rows and stats (with stats.batch_fallbacks = 1), the aborted member
-  /// gets its typed QueryTimeout/QueryCancelled.
-  BatchOutput execute_batch(const std::vector<const sql::BoundQuery*>& queries,
-                            const ExecOptions& opts = {},
-                            const std::vector<CancelToken>& cancels = {});
+  /// fallback. Each member runs under its own options and checks only its
+  /// own token. A member cancelled or expired during the pass aborts the
+  /// fused pass, which falls back to solo re-execution of every member —
+  /// batchmates get their exact solo rows and stats (with
+  /// stats.batch_fallbacks = 1), the aborted member gets its typed
+  /// QueryTimeout/QueryCancelled.
+  BatchOutput execute_batch(const std::vector<BatchMember>& members);
 
   /// Filter-only scan: runs the WHERE conjunction as the usual bulk-bitwise
   /// filter phase (zone-map pruning and selectivity ordering included), then

@@ -34,7 +34,7 @@ TEST(Baseline, FunctionalRowsMatchBetweenModes) {
   MonetLikeEngine eng(world().data, world().prejoined);
   for (const char* id : {"1.1", "2.2", "3.3", "4.1"}) {
     const sql::BoundQuery q = bound(id);
-    const BaselineRun join_run = eng.execute_prejoined(q);
+    const BaselineRun join_run = execute_prejoined(world().prejoined, q);
     const BaselineRun star_run = eng.execute_star(q);
     ASSERT_EQ(join_run.rows.size(), star_run.rows.size()) << id;
     for (std::size_t i = 0; i < join_run.rows.size(); ++i) {
@@ -78,7 +78,7 @@ TEST(Baseline, StarPlanCostsMoreThanPrejoinedScan) {
   for (const auto& q : ssb::queries()) {
     const sql::BoundQuery b =
         sql::bind(sql::parse(q.sql), world().prejoined.schema());
-    const BaselineRun join_run = eng.execute_prejoined(b);
+    const BaselineRun join_run = execute_prejoined(world().prejoined, b);
     const BaselineRun star_run = eng.execute_star(b);
     EXPECT_GT(star_run.model_ns, join_run.model_ns) << q.id;
     EXPECT_GT(star_run.hash_probes, 0u) << q.id;
@@ -98,9 +98,8 @@ TEST(Baseline, CostScalesWithSelectivity) {
 }
 
 TEST(Baseline, GroupByQueriesReturnOrderedGroups) {
-  MonetLikeEngine eng(world().data, world().prejoined);
   const sql::BoundQuery q = bound("3.1");
-  const BaselineRun run = eng.execute_prejoined(q);
+  const BaselineRun run = execute_prejoined(world().prejoined, q);
   ASSERT_GT(run.rows.size(), 1u);
   // ORDER BY d_year ASC, revenue DESC.
   for (std::size_t i = 1; i < run.rows.size(); ++i) {

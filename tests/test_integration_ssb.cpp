@@ -135,10 +135,10 @@ INSTANTIATE_TEST_SUITE_P(Ssb, AllQueriesAllEngines,
 
 TEST(SsbIntegration, BaselineMatchesReferenceEverywhere) {
   SsbWorld& w = SsbWorld::instance();
-  baseline::MonetLikeEngine monet(w.data, w.prejoined);
   for (const auto& q : ssb::queries()) {
     const sql::BoundQuery b = w.bind(q.id);
-    const baseline::BaselineRun run = monet.execute_prejoined(b);
+    const baseline::BaselineRun run =
+        baseline::execute_prejoined(w.prejoined, b);
     const baseline::ReferenceRun ref = baseline::scan_execute(w.prejoined, b);
     ASSERT_EQ(run.rows.size(), ref.rows.size()) << q.id;
     for (std::size_t i = 0; i < run.rows.size(); ++i) {

@@ -268,11 +268,12 @@ TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
   database.register_table(testutil::make_synthetic_table(400, 13));
   db::Session session(database, fast_options());
 
-  std::vector<engine::CancelToken> cancels(sqls.size());
-  cancels[1] = engine::make_cancel_token();
-  cancels[1].state->cancel();
+  std::vector<db::Session::BatchStatement> statements;
+  for (const std::string& sql : sqls) statements.push_back({sql, {}});
+  statements[1].opts.cancel = engine::make_cancel_token();
+  statements[1].opts.cancel.state->cancel();
   std::vector<db::Session::BatchItem> items =
-      session.execute_batch(sqls, db::BackendKind::kOneXb, {}, cancels);
+      session.execute_batch(statements, db::BackendKind::kOneXb);
   ASSERT_EQ(items.size(), sqls.size());
   ASSERT_TRUE(items[1].error != nullptr);
   EXPECT_THROW(std::rethrow_exception(items[1].error),
@@ -287,6 +288,62 @@ TEST(ServiceOverload, CancelledBatchMemberLeavesBatchmatesExact) {
     EXPECT_EQ(items[i].result.stats().selected_records,
               want[i].stats().selected_records)
         << sqls[i];
+    // The dead member settled before binding: the two live statements
+    // shared one fused pass, and nothing fell back.
+    EXPECT_EQ(items[i].result.batched_queries(), 2u) << sqls[i];
+    EXPECT_EQ(items[i].result.stats().batch_fallbacks, 0u) << sqls[i];
+  }
+}
+
+TEST(ServiceOverload, TokenedDuplicateIsNotInternedWithItsTwin) {
+  const std::string sql =
+      "SELECT SUM(f_val) AS s FROM synthetic WHERE f_key < 1024";
+  db::Database reference_db;
+  reference_db.register_table(testutil::make_synthetic_table(400, 13));
+  db::Session reference(reference_db, fast_options());
+  const db::ResultSet want =
+      reference.execute(sql, db::BackendKind::kReference);
+
+  db::Database database;
+  database.register_table(testutil::make_synthetic_table(400, 13));
+  db::Session session(database, fast_options());
+  std::vector<db::Session::BatchStatement> statements = {{sql, {}},
+                                                          {sql, {}}};
+  statements[1].opts.cancel = deadline_token(60'000'000);  // live
+  std::vector<db::Session::BatchItem> items = session.execute_batch(statements);
+  ASSERT_EQ(items.size(), 2u);
+  for (const db::Session::BatchItem& item : items) {
+    ASSERT_TRUE(item.error == nullptr);
+    ASSERT_EQ(item.result.row_count(), want.row_count());
+    for (std::size_t c = 0; c < want.column_count(); ++c) {
+      EXPECT_EQ(item.result.code(0, c), want.code(0, c));
+    }
+    // Two executions fused into one pass, not one execution shared: an
+    // interned pair would report 2 without a fused page visit.
+    EXPECT_EQ(item.result.batched_queries(), 2u);
+    EXPECT_GT(item.result.stats().fused_page_passes, 0u);
+  }
+}
+
+TEST(ServiceOverload, StoppedTokenAbortsEveryBackend) {
+  db::Database database;
+  database.register_table(testutil::make_synthetic_table(400, 13));
+  db::Session session(database, fast_options());
+  engine::ExecOptions cancelled;
+  cancelled.cancel = engine::make_cancel_token();
+  cancelled.cancel.state->cancel();
+  engine::ExecOptions expired;
+  expired.cancel = deadline_token(0);
+  for (const db::BackendKind backend :
+       {db::BackendKind::kOneXb, db::BackendKind::kTwoXb,
+        db::BackendKind::kPimdb, db::BackendKind::kColumnar,
+        db::BackendKind::kReference}) {
+    EXPECT_THROW(session.execute(kCount, backend, cancelled),
+                 engine::QueryCancelled)
+        << db::backend_name(backend);
+    EXPECT_THROW(session.execute(kCount, backend, expired),
+                 engine::QueryTimeout)
+        << db::backend_name(backend);
   }
 }
 

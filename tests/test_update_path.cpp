@@ -176,9 +176,10 @@ TEST(UpdatePath, RejectsUnencodableAndCrossPartUpdates) {
   EXPECT_THROW(fx.session.execute("UPDATE t SET d_tag = 9",
                                   db::BackendKind::kOneXb),
                std::invalid_argument);
-  // Cross-part under the table's load policy (d_* part 1, f_* part 0) is
-  // rejected on EVERY backend — the shared log must stay replayable on the
-  // two-xb variant, so the one-part store cannot accept it either.
+  // Cross-part by provenance (d_tag is a dimension attribute, part 1; the
+  // f_* attributes are the fact's, part 0) is rejected on EVERY backend —
+  // the shared log must stay replayable on the two-xb variant, so the
+  // one-part store cannot accept it either.
   EXPECT_THROW(
       fx.session.execute("UPDATE t SET d_tag = 5 WHERE f_key < 100",
                          db::BackendKind::kOneXb),
