@@ -1,5 +1,6 @@
 #include "pim/microcode.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace bbpim::pim {
@@ -248,94 +249,74 @@ std::uint16_t ProgramBuilder::emit_eq_const(const Field& f, std::uint64_t value)
   return twin(WordOp::Kind::kEq, r, 0, 0, f, value);
 }
 
-std::uint16_t ProgramBuilder::emit_lt_const(const Field& f, std::uint64_t value) {
-  const Nest nest(*this);
+std::uint16_t ProgramBuilder::lt_chain(const Field& f, std::uint64_t value,
+                                        bool negate) {
   if (f.width == 0 || f.width > 64) {
-    throw std::invalid_argument("emit_lt_const: bad field width");
+    throw std::invalid_argument("lt_chain: bad field width");
   }
   if (value == 0 || value > field_max(f)) {
-    return twin(WordOp::Kind::kLt, emit_const(value != 0), 0, 0, f, value);
+    return emit_const((value != 0) != negate);
   }
 
-  // MSB-first scan keeping eq_prefix ("all higher bits equal to the
-  // constant") and lt_acc ("already strictly below").
-  std::uint16_t eq_prefix = 0;
-  bool eq_owned = false;
-  bool eq_is_one = true;  // implicit constant 1 before the first bit
-  std::uint16_t lt_acc = 0;
-  bool have_lt = false;
-
-  for (int i = static_cast<int>(f.width) - 1; i >= 0; --i) {
+  // LSB-first: lt_i ("the low i+1 bits are below the constant's") is
+  // NOT a_i OR lt_{i-1} where c_i = 1 and NOT a_i AND lt_{i-1} where
+  // c_i = 0. It is 0 below the lowest set bit k, so lt_k = NOT a_k. As NORs:
+  //   c_i = 1: NOT lt_i = NOR(NOT a_i, lt_{i-1})
+  //   c_i = 0:     lt_i = NOR(a_i, NOT lt_{i-1})
+  // `acc` holds lt (neg false) or NOT lt (neg true) and is flipped only
+  // when the next bit wants the polarity it does not hold.
+  const int k = std::countr_zero(value);
+  std::uint16_t acc = static_cast<std::uint16_t>(f.offset + k);
+  bool neg = true;  // NOT lt_k = a_k, borrowed from the field
+  bool owned = false;
+  const auto set = [&](std::uint16_t next, bool next_neg) {
+    if (owned) release(acc);
+    acc = next;
+    neg = next_neg;
+    owned = true;
+  };
+  for (int i = k + 1; i < f.width; ++i) {
     const std::uint16_t col = static_cast<std::uint16_t>(f.offset + i);
     const bool ci = (value >> i) & 1ULL;
+    if (neg == ci) set(emit_not(acc), !neg);
     if (ci) {
-      // a_i = 0 while prefix equal -> strictly less.
-      std::uint16_t term;
-      if (eq_is_one) {
-        term = emit_not(col);
-      } else {
-        term = emit_andnot(eq_prefix, col);
-      }
-      if (!have_lt) {
-        lt_acc = term;
-        have_lt = true;
-      } else {
-        const std::uint16_t next = emit_or(lt_acc, term);
-        release(lt_acc);
-        release(term);
-        lt_acc = next;
-      }
-      // Staying equal requires a_i = 1.
-      if (eq_is_one) {
-        eq_prefix = col;
-        eq_owned = false;
-        eq_is_one = false;
-      } else {
-        const std::uint16_t next = emit_and(eq_prefix, col);
-        if (eq_owned) release(eq_prefix);
-        eq_prefix = next;
-        eq_owned = true;
-      }
+      const std::uint16_t na = emit_not(col);
+      set(emit_nor(na, acc), true);
+      release(na);
     } else {
-      // Staying equal requires a_i = 0.
-      if (eq_is_one) {
-        eq_prefix = emit_not(col);
-        eq_owned = true;
-        eq_is_one = false;
-      } else {
-        const std::uint16_t next = emit_andnot(eq_prefix, col);
-        if (eq_owned) release(eq_prefix);
-        eq_prefix = next;
-        eq_owned = true;
-      }
+      set(emit_nor(col, acc), false);
     }
   }
-  if (eq_owned) release(eq_prefix);
-  if (!have_lt) lt_acc = emit_const(false);
-  return twin(WordOp::Kind::kLt, lt_acc, 0, 0, f, value);
+  if (neg != negate) {
+    set(emit_not(acc), negate);
+  } else if (!owned) {
+    set(emit_copy(acc), neg);
+  }
+  return acc;
+}
+
+std::uint16_t ProgramBuilder::emit_lt_const(const Field& f, std::uint64_t value) {
+  const Nest nest(*this);
+  return twin(WordOp::Kind::kLt, lt_chain(f, value, false), 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_le_const(const Field& f, std::uint64_t value) {
   const Nest nest(*this);
   const std::uint16_t r = value >= field_max(f) ? emit_const(true)
-                                                 : emit_lt_const(f, value + 1);
+                                                 : lt_chain(f, value + 1, false);
   return twin(WordOp::Kind::kLe, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_gt_const(const Field& f, std::uint64_t value) {
   const Nest nest(*this);
-  const std::uint16_t le = emit_le_const(f, value);
-  const std::uint16_t r = emit_not(le);
-  release(le);
+  const std::uint16_t r = value >= field_max(f) ? emit_const(false)
+                                                 : lt_chain(f, value + 1, true);
   return twin(WordOp::Kind::kGt, r, 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_ge_const(const Field& f, std::uint64_t value) {
   const Nest nest(*this);
-  const std::uint16_t lt = emit_lt_const(f, value);
-  const std::uint16_t r = emit_not(lt);
-  release(lt);
-  return twin(WordOp::Kind::kGe, r, 0, 0, f, value);
+  return twin(WordOp::Kind::kGe, lt_chain(f, value, true), 0, 0, f, value);
 }
 
 std::uint16_t ProgramBuilder::emit_between_const(const Field& f,
@@ -350,11 +331,12 @@ std::uint16_t ProgramBuilder::emit_between_const(const Field& f,
   } else if (hi >= field_max(f)) {
     r = emit_ge_const(f, lo);
   } else {
-    const std::uint16_t ge = emit_ge_const(f, lo);
-    const std::uint16_t le = emit_le_const(f, hi);
-    r = emit_and(ge, le);
-    release(ge);
-    release(le);
+    // lo <= field <= hi == NOR(field < lo, field > hi)
+    const std::uint16_t lt = lt_chain(f, lo, false);
+    const std::uint16_t gt = lt_chain(f, hi + 1, true);
+    r = emit_nor(lt, gt);
+    release(lt);
+    release(gt);
   }
   return twin(WordOp::Kind::kBetween, r, 0, 0, f, lo, hi);
 }

@@ -194,6 +194,10 @@ class ProgramBuilder {
                      std::uint64_t v1 = 0, std::uint64_t v2 = 0,
                      std::span<const std::uint64_t> values = {});
 
+  /// (field < value), or its complement when `negate`: the LSB-first NOR
+  /// chain under every range comparison, in the polarity its caller needs.
+  std::uint16_t lt_chain(const Field& f, std::uint64_t value, bool negate);
+
   /// Fresh initialized-to-1 output column for a MAGIC gate.
   std::uint16_t fresh();
 

@@ -43,7 +43,8 @@ void eval_eq(const Crossbar& xb, const Field& f, std::uint64_t v,
   }
 }
 
-/// dst = (field < v), matching emit_lt_const's MSB-first prefix scan.
+/// dst = (field < v), by the LSB-first recurrence emit_lt_const's NOR
+/// chain computes: lt = NOT a_i OR lt where v_i = 1, NOT a_i AND lt where 0.
 void eval_lt(const Crossbar& xb, const Field& f, std::uint64_t v,
              std::uint64_t* dst, std::uint32_t words) {
   if (v == 0) {
@@ -56,16 +57,10 @@ void eval_lt(const Crossbar& xb, const Field& f, std::uint64_t v,
   }
   const FieldCols fc(xb, f);
   for (std::uint32_t w = 0; w < words; ++w) {
-    std::uint64_t eq = ~0ULL;
     std::uint64_t lt = 0;
-    for (std::uint32_t i = f.width; i-- > 0;) {
+    for (std::uint32_t i = 0; i < f.width; ++i) {
       const std::uint64_t c = fc.cols[i][w];
-      if ((v >> i) & 1ULL) {
-        lt |= eq & ~c;
-        eq &= c;
-      } else {
-        eq &= ~c;
-      }
+      lt = ((v >> i) & 1ULL) ? ~c | lt : ~c & lt;
     }
     dst[w] = lt;
   }
@@ -183,20 +178,11 @@ void execute_words(Crossbar& xb, const WordProgram& prog) {
         for (std::uint32_t w = 0; w < words; ++w) out[w] = ~out[w];
         break;
       case WordOp::Kind::kBetween:
-        // Mirrors emit_between_const's case split.
-        if (op.v1 > op.v2) {
-          fill_words(out, words, 0);
-        } else if (op.v1 == 0) {
-          eval_le(xb, op.f, op.v2, out, words);
-        } else if (op.v2 >= field_max(op.f)) {
-          eval_lt(xb, op.f, op.v1, out, words);
-          for (std::uint32_t w = 0; w < words; ++w) out[w] = ~out[w];
-        } else {
-          eval_lt(xb, op.f, op.v1, out, words);  // ge = NOT lt
-          eval_le(xb, op.f, op.v2, scratch.data(), words);
-          for (std::uint32_t w = 0; w < words; ++w) {
-            out[w] = ~out[w] & scratch[w];
-          }
+        // lo <= field <= hi: empty when lo > hi, as emit_between_const.
+        eval_lt(xb, op.f, op.v1, out, words);
+        eval_le(xb, op.f, op.v2, scratch.data(), words);
+        for (std::uint32_t w = 0; w < words; ++w) {
+          out[w] = ~out[w] & scratch[w];
         }
         break;
       case WordOp::Kind::kIn:

@@ -2,14 +2,17 @@
 //
 // Every predicate builder and the Algorithm-1 MUX are checked bit-exactly
 // against scalar semantics on randomized crossbar contents, across a sweep
-// of field widths. Scratch-column hygiene (no leaks, no double releases) is
-// asserted after every program. Every emitter's recorded word-level twin is
-// checked against its gates, and the twin MUX against the copy-on-write
-// rule of a shared data segment.
+// of field widths; the range comparators also against every constant of
+// widths up to 8, with their gate cycles pinned. Scratch-column hygiene (no
+// leaks, no double releases) is asserted after every program. Every
+// emitter's recorded word-level twin is checked against its gates, and the
+// twin MUX against the copy-on-write rule of a shared data segment.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +30,10 @@ constexpr std::uint16_t kScratchBegin = 128;
 std::uint64_t field_mask(std::uint16_t width) {
   return width >= 64 ? ~0ULL : (1ULL << width) - 1;
 }
+
+/// One outermost emit_* call; returns its result column (the target column
+/// for the emitters that write a data column in place).
+using Emission = std::function<std::uint16_t(ProgramBuilder&)>;
 
 class MicrocodeFixture {
  public:
@@ -274,6 +281,152 @@ TEST(Predicates, OutOfDomainConstants) {
 }
 
 // ---------------------------------------------------------------------------
+// Range comparators: every constant of small widths, and their cycle counts
+// ---------------------------------------------------------------------------
+
+/// A field whose rows hold every value of its width (row r holds r mod 2^w),
+/// so a predicate's result column is its whole truth table.
+class AllValues {
+ public:
+  static constexpr std::uint32_t kAllRows = 256;  // 2^8
+
+  explicit AllValues(std::uint16_t width)
+      : f_{0, width}, xb_(kAllRows, kCols) {
+    for (std::uint32_t r = 0; r < kAllRows; ++r) {
+      xb_.write_row_bits(r, 0, width, r & field_mask(width));
+    }
+  }
+
+  /// Runs one emission through the gates and through its twin and checks
+  /// both against `pred` on every value, and that no scratch column leaks.
+  void check(const Emission& emit,
+             const std::function<bool(std::uint64_t)>& pred,
+             const std::string& what) {
+    ColumnAlloc alloc(kScratchBegin, kCols);
+    ProgramBuilder pb(alloc);
+    const std::uint16_t col = emit(pb);
+    Crossbar gates = xb_;
+    Crossbar words = xb_;
+    gates.execute(pb.program().gates);
+    execute_words(words, pb.program().words);
+    for (std::uint32_t v = 0; v <= field_mask(f_.width); ++v) {
+      ASSERT_EQ(gates.bit(v, col), pred(v)) << what << " gates value " << v;
+      ASSERT_EQ(words.bit(v, col), pred(v)) << what << " twin value " << v;
+    }
+    pb.release(col);
+    ASSERT_EQ(alloc.available(), kCols - kScratchBegin) << what << " leak";
+  }
+
+  const Field& field() const { return f_; }
+
+ private:
+  Field f_;
+  Crossbar xb_;
+};
+
+TEST(Comparators, EveryConstantMatchesBoolean) {
+  for (std::uint16_t width = 1; width <= 8; ++width) {
+    AllValues all(width);
+    const Field f = all.field();
+    // Every constant, plus the first one outside the domain.
+    for (std::uint64_t c = 0; c <= field_mask(width) + 1; ++c) {
+      const std::string at =
+          " width " + std::to_string(width) + " const " + std::to_string(c);
+      all.check([&](ProgramBuilder& pb) { return pb.emit_lt_const(f, c); },
+                [c](std::uint64_t v) { return v < c; }, "lt" + at);
+      all.check([&](ProgramBuilder& pb) { return pb.emit_le_const(f, c); },
+                [c](std::uint64_t v) { return v <= c; }, "le" + at);
+      all.check([&](ProgramBuilder& pb) { return pb.emit_gt_const(f, c); },
+                [c](std::uint64_t v) { return v > c; }, "gt" + at);
+      all.check([&](ProgramBuilder& pb) { return pb.emit_ge_const(f, c); },
+                [c](std::uint64_t v) { return v >= c; }, "ge" + at);
+    }
+  }
+}
+
+TEST(Comparators, EveryBetweenMatchesBoolean) {
+  for (std::uint16_t width = 1; width <= 6; ++width) {
+    AllValues all(width);
+    const Field f = all.field();
+    for (std::uint64_t lo = 0; lo <= field_mask(width); ++lo) {
+      for (std::uint64_t hi = 0; hi <= field_mask(width); ++hi) {
+        all.check(
+            [&](ProgramBuilder& pb) { return pb.emit_between_const(f, lo, hi); },
+            [lo, hi](std::uint64_t v) { return lo <= v && v <= hi; },
+            "between width " + std::to_string(width) + " [" +
+                std::to_string(lo) + "," + std::to_string(hi) + "]");
+      }
+    }
+  }
+}
+
+/// Gate cycles of one emission on a fresh builder (one micro-op per cycle).
+std::size_t cycles_of(const Emission& emit) {
+  ColumnAlloc alloc(kScratchBegin, kCols);
+  ProgramBuilder pb(alloc);
+  emit(pb);
+  return pb.program().gates.size();
+}
+
+TEST(ComparatorCycles, SixPerBitAboveLowestSetBitPlusFour) {
+  for (std::uint16_t width = 1; width <= 12; ++width) {
+    const Field f{0, width};
+    // lt/ge chain over c, le/gt over c + 1; an in-domain chain constant k
+    // costs at most 6 cycles per bit above its lowest set bit, plus 4.
+    const auto bound = [&](std::uint64_t k) -> std::size_t {
+      if (k == 0 || k > field_mask(width)) return 1;  // a constant column
+      return 6 * (width - 1 - std::countr_zero(k)) + 4;
+    };
+    for (std::uint64_t c = 0; c <= field_mask(width); ++c) {
+      const std::tuple<const char*, Emission, std::uint64_t> cases[] = {
+          {"lt", [&](ProgramBuilder& pb) { return pb.emit_lt_const(f, c); }, c},
+          {"ge", [&](ProgramBuilder& pb) { return pb.emit_ge_const(f, c); }, c},
+          {"le", [&](ProgramBuilder& pb) { return pb.emit_le_const(f, c); },
+           c + 1},
+          {"gt", [&](ProgramBuilder& pb) { return pb.emit_gt_const(f, c); },
+           c + 1},
+      };
+      for (const auto& [name, emit, k] : cases) {
+        EXPECT_LE(cycles_of(emit), bound(k))
+            << name << " width " << width << " const " << c;
+      }
+    }
+  }
+}
+
+TEST(ComparatorCycles, BetweenCostsAtMostItsHalvesPlusTwo) {
+  for (std::uint16_t width = 1; width <= 8; ++width) {
+    const Field f{0, width};
+    for (std::uint64_t lo = 1; lo <= field_mask(width); ++lo) {
+      const std::size_t ge =
+          cycles_of([&](ProgramBuilder& pb) { return pb.emit_ge_const(f, lo); });
+      for (std::uint64_t hi = lo; hi < field_mask(width); ++hi) {
+        const std::size_t le = cycles_of(
+            [&](ProgramBuilder& pb) { return pb.emit_le_const(f, hi); });
+        EXPECT_LE(cycles_of([&](ProgramBuilder& pb) {
+                    return pb.emit_between_const(f, lo, hi);
+                  }),
+                  ge + le + 2)
+            << "width " << width << " [" << lo << "," << hi << "]";
+      }
+    }
+  }
+}
+
+TEST(ComparatorCycles, SsbKeyRanges) {
+  const auto between = [](std::uint16_t width, std::uint64_t lo,
+                          std::uint64_t hi) {
+    return cycles_of([&](ProgramBuilder& pb) {
+      return pb.emit_between_const(Field{0, width}, lo, hi);
+    });
+  };
+  EXPECT_EQ(between(12, 1283, 1357), 80u);
+  EXPECT_EQ(between(12, 365, 729), 80u);
+  EXPECT_EQ(between(15, 7108, 7119), 96u);
+  EXPECT_EQ(between(8, 49, 87), 44u);
+}
+
+// ---------------------------------------------------------------------------
 // Algorithm 1: the PIM MUX for UPDATE
 // ---------------------------------------------------------------------------
 
@@ -324,10 +477,6 @@ void fill_all(Crossbar& xb, Rng& rng) {
     xb.write_column(c, bits);
   }
 }
-
-/// One outermost emit_* call; returns its result column (the target column
-/// for the emitters that write a data column in place).
-using Emission = std::function<std::uint16_t(ProgramBuilder&)>;
 
 /// Runs `emit` on a fresh builder and checks that it recorded exactly one
 /// WordOp, and that the gates and the twin leave the same bits in every
