@@ -120,76 +120,76 @@ void expect_golden(const QueryStats& s, const Golden& g,
 /// workloads() on EngineFixture(kind, 900, 31) at one sim thread.
 const std::vector<Golden>& golden(EngineKind kind) {
   static const std::vector<Golden> one_xb = {
-      {0x1.2ec6p+17, 0x1.75ef4672d182ap-25,
-       {0x1.99d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0, 0x0p+0},
-       98},
-      {0x1.2e8p+17, 0x1.6ec465678cfacp-25,
-       {0x1.9ac8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0, 0x0p+0},
-       93},
-      {0x1.f6f8p+17, 0x1.2c262a4037bp-24,
-       {0x1.996p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0, 0x0p+0},
-       112},
-      {0x1.5bb2ap+19, 0x1.7d2ff0c013d0ap-23,
-       {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18, 0x1.58ce8p+17,
+      {0x1.2bbap+17, 0x1.1a94c20368656p-25,
+       {0x1.8da8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0, 0x0p+0},
+       46},
+      {0x1.2c64p+17, 0x1.2f85baf30921ap-25,
+       {0x1.9258p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0, 0x0p+0},
+       57},
+      {0x1.f4bep+17, 0x1.0ac51766476f2p-24,
+       {0x1.9078p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0, 0x0p+0},
+       74},
+      {0x1.5ab3ap+19, 0x1.5f52592580384p-23,
+       {0x1.90fp+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18, 0x1.58ce8p+17,
         0x1.8a88p+15},
-       220},
-      {0x1.a335cp+19, 0x1.99145afcba479p-23,
-       {0x1.8cb8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18, 0x1.4e33p+17,
+       152},
+      {0x1.a308cp+19, 0x1.93cf221daf4acp-23,
+       {0x1.89e8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18, 0x1.4e33p+17,
         0x1.89cp+15},
-       191},
-      {0x1.da6c08p+20, 0x1.10be7c56341afp-21,
-       {0x1.9e88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
+       179},
+      {0x1.d9f408p+20, 0x1.09b785d77ac9ep-21,
+       {0x1.8f88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
         0x1.57324p+17, 0x1.8a88p+15},
-       460},
+       396},
   };
   static const std::vector<Golden> two_xb = {
-      {0x1.3eedp+18, 0x1.1232eb579fea4p-22,
-       {0x1.a018p+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0,
+      {0x1.3d67p+18, 0x1.06c79ac9b2c6ap-22,
+       {0x1.93e8p+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+16, 0x0p+0,
         0x0p+0},
-       120},
-      {0x1.3e25p+18, 0x1.106cb066602f2p-22,
-       {0x1.9bep+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0,
+       68},
+      {0x1.3d17p+18, 0x1.0884db17cfb4p-22,
+       {0x1.937p+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.8f9cp+16, 0x0p+0,
         0x0p+0},
-       93},
-      {0x1.a306p+18, 0x1.2e7e8d1953a5ep-22,
-       {0x1.9fap+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0,
+       57},
+      {0x1.a1e9p+18, 0x1.26264862d795ap-22,
+       {0x1.96b8p+15, 0x1.4d84p+17, 0x0p+0, 0x0p+0, 0x1.90ap+17, 0x0p+0,
         0x0p+0},
-       134},
-      {0x1.af77ap+19, 0x1.a20cfae94fa24p-22,
-       {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18,
+       96},
+      {0x1.ae78ap+19, 0x1.931e2f1c05d61p-22,
+       {0x1.973p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.2c2dp+18,
         0x1.58ce8p+17, 0x1.8a88p+15},
-       242},
-      {0x1.f6facp+19, 0x1.afff3007a2ddbp-22,
-       {0x1.92f8p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18,
+       174},
+      {0x1.f6cdcp+19, 0x1.ad5c93981d5f5p-22,
+       {0x1.9028p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0, 0x1.c269p+18,
         0x1.4e33p+17, 0x1.89cp+15},
        191},
-      {0x1.022744p+21, 0x1.8278fd9ad6f7ep-21,
-       {0x1.a4c8p+15, 0x1.4d84p+17, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
+      {0x1.01eb44p+21, 0x1.7b72071c1da6ep-21,
+       {0x1.95c8p+15, 0x1.4d84p+17, 0x1.e538p+16, 0x0p+0, 0x1.77e9cp+20,
         0x1.57324p+17, 0x1.8a88p+15},
-       482},
+       418},
   };
   static const std::vector<Golden> pimdb = {
-      {0x1.0f72p+19, 0x1.82ba115211cefp-21,
-       {0x1.99d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.eba9p+18, 0x0p+0, 0x0p+0},
-       3536},
-      {0x1.dad3p+18, 0x1.0830a710525a5p-22,
-       {0x1.9ac8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.a77ap+18, 0x0p+0, 0x0p+0},
-       1209},
-      {0x1.f621p+19, 0x1.45755c313214ap-20,
-       {0x1.996p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.dc8bp+19, 0x0p+0, 0x0p+0},
-       5956},
-      {0x1.166628p+21, 0x1.0a71a746dff58p-19,
-       {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.c9fe4p+20, 0x1.58ce8p+17,
+      {0x1.0eafp+19, 0x1.7d04690b1b3d2p-21,
+       {0x1.8da8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.eba9p+18, 0x0p+0, 0x0p+0},
+       3484},
+      {0x1.d9c5p+18, 0x1.0048d1c1c1df3p-22,
+       {0x1.9258p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.a77ap+18, 0x0p+0, 0x0p+0},
+       1173},
+      {0x1.f5928p+19, 0x1.435f4b0393109p-20,
+       {0x1.9078p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.dc8bp+19, 0x0p+0, 0x0p+0},
+       5918},
+      {0x1.162668p+21, 0x1.0893cdcd36bbfp-19,
+       {0x1.90fp+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.c9fe4p+20, 0x1.58ce8p+17,
         0x1.8a88p+15},
-       9328},
-      {0x1.740a9p+21, 0x1.df91d510933a2p-20,
-       {0x1.8cb8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.438a4p+21, 0x1.4e33p+17,
+       9260},
+      {0x1.73ff5p+21, 0x1.dee92df4b1da9p-20,
+       {0x1.89e8p+15, 0x0p+0, 0x1.e868p+16, 0x0p+0, 0x1.438a4p+21, 0x1.4e33p+17,
         0x1.89cp+15},
-       8399},
-      {0x1.c4ab02p+22, 0x1.2f1d0d2e34f12p-17,
-       {0x1.9e88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.ac0a7p+22,
+       8387},
+      {0x1.c48d02p+22, 0x1.2eac9dc6495c1p-17,
+       {0x1.8f88p+15, 0x0p+0, 0x1.e538p+16, 0x0p+0, 0x1.ac0a7p+22,
         0x1.57324p+17, 0x1.8a88p+15},
-       43948},
+       43884},
   };
   switch (kind) {
     case EngineKind::kOneXb:
@@ -247,8 +247,8 @@ TEST(SimDeterminism, GoldenPrunedTwoXb) {
       opts);
   EXPECT_EQ(out.stats.pages_synthesized, 4u);
   expect_golden(out.stats,
-                {0x1.aec72p+19, 0x1.90c4d3a9a5827p-22,
-                 {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0,
+                {0x1.ae9a2p+19, 0x1.8e22373a2004p-22,
+                 {0x1.89e8p+15, 0x1.4d84p+17, 0x1.e868p+16, 0x0p+0,
                   0x1.2c2dp+18, 0x1.5b6c8p+17, 0x1.89cp+15},
                  130},
                 "pruned two-xb");
@@ -273,43 +273,43 @@ TEST(SimDeterminism, GoldenPartOneGroupKeyTwoXb) {
       "GROUP BY f_gid, d_tag ORDER BY f_gid";
   const std::vector<Case> cases = {
       {by_tag, 3, false,
-       {0x1.788fbp+20, 0x1.196bcbe68898bp-20,
-        {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
+       {0x1.78103p+20, 0x1.15b018f33625bp-20,
+        {0x1.973p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
          0x1.4bc28p+17, 0x1.895cp+15},
-        305}},
+        237}},
       {by_tag, 3, true,
-       {0x1.4ead3p+20, 0x1.c11d16886e548p-21,
-        {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
+       {0x1.4e2dbp+20, 0x1.b9a5b0a1c96e7p-21,
+        {0x1.90fp+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db14p+19,
          0x1.4bc28p+17, 0x1.895cp+15},
-        283}},
+        215}},
       {by_tag, 6, false,
-       {0x1.321c7p+21, 0x1.dc93307f7e93ep-20,
-        {0x1.a72p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
+       {0x1.31dcbp+21, 0x1.d8d77d8c2c20cp-20,
+        {0x1.973p+15, 0x1.4d84p+17, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
          0x1.3c62p+17, 0x1.895cp+15},
-        476}},
+        408}},
       {by_tag, 6, true,
-       {0x1.1d2b3p+21, 0x1.a3b5efdd2d255p-20,
-        {0x1.a0ep+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
+       {0x1.1ceb7p+21, 0x1.9ffa3ce9dab24p-20,
+        {0x1.90fp+15, 0x0p+0, 0x1.e59p+16, 0x0p+0, 0x1.db1f4p+20,
          0x1.3c62p+17, 0x1.895cp+15},
-        454}},
+        386}},
       {by_gid_tag, 3, false,
-       {0x1.7d42ap+20, 0x1.1a54de4a6127ep-20,
-        {0x1.92f8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
+       {0x1.7d2c2p+20, 0x1.19ac372e7fc85p-20,
+        {0x1.9028p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
          0x1.585bp+17, 0x1.89cp+15},
         257}},
       {by_gid_tag, 3, true,
-       {0x1.7d10ap+20, 0x1.1a1ca6966b5d5p-20,
-        {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
+       {0x1.7cfa2p+20, 0x1.1973ff7a89fdcp-20,
+        {0x1.89e8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbf5p+19,
          0x1.585bp+17, 0x1.89cp+15},
         253}},
       {by_gid_tag, 6, false,
-       {0x1.33db8cp+21, 0x1.df95b20e23343p-20,
-        {0x1.92f8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dc07cp+20,
+       {0x1.33d04cp+21, 0x1.deed0af241d49p-20,
+        {0x1.9028p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dc07cp+20,
          0x1.3b94cp+17, 0x1.89cp+15},
         490}},
       {by_gid_tag, 6, true,
-       {0x1.33bd8cp+21, 0x1.bdf0f4554712dp-20,
-        {0x1.8cb8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbfdcp+20,
+       {0x1.33b24cp+21, 0x1.bd484d3965b34p-20,
+        {0x1.89e8p+15, 0x1.4d84p+17, 0x1.0d34p+17, 0x0p+0, 0x1.dbfdcp+20,
          0x1.3b94cp+17, 0x1.89cp+15},
         486}},
   };
@@ -342,10 +342,10 @@ TEST(SimDeterminism, GoldenScan) {
   const ScanOutput out = fx.arm(1).execute_scan(q.filters, {1, 2}, {});
   EXPECT_EQ(out.row_ids.size(), 258u);
   expect_golden(out.stats,
-                {0x1.68018p+17, 0x1.baba8b94ac66ep-24,
-                 {0x1.a8d8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.fb97p+16,
+                {0x1.62d98p+17, 0x1.6d6df422b5ebap-24,
+                 {0x1.9438p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.fb97p+16,
                   0x0p+0},
-                 146},
+                 58},
                 "scan");
 }
 
@@ -361,70 +361,70 @@ struct JoinGolden {
 /// SF 0.01, one-xb, one sim thread.
 const std::vector<JoinGolden>& join_golden() {
   static const std::vector<JoinGolden> goldens = {
-      {{0x1.23637p+20, 0x1.828ee5fe66a35p-18,
-        {0x1.b418p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.081edp+20,
+      {{0x1.21f7bp+20, 0x1.3c25e10a25ed2p-18,
+        {0x1.9d5cp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.081edp+20,
          0x1.9p+5},
-        326},
+        132},
        0x1.7cd66p+18, 1086},
-      {{0x1.4d20cp+19, 0x1.23ac0fb5643e6p-18,
-        {0x1.c00cp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1519p+19,
+      {{0x1.49864p+19, 0x1.94c72fe24e998p-19,
+        {0x1.a338p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1519p+19,
          0x1.9p+5},
-        396},
+        150},
        0x1.3b662p+18, 57},
-      {{0x1.3d6fap+19, 0x1.10ba20bd22a5p-18,
-        {0x1.bcc4p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.05d0ep+19,
+      {{0x1.3a45ap+19, 0x1.84aa117f50e66p-19,
+        {0x1.a374p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.05d0ep+19,
          0x1.9p+5},
-        360},
+        144},
        0x1.36dd2p+18, 10},
-      {{0x1.b1a79p+20, 0x1.08db962d4c54ap-17,
-        {0x1.a824p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.9521bp+20,
+      {{0x1.b0921p+20, 0x1.dc0020a82d3b4p-18,
+        {0x1.96ccp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.9521bp+20,
          0x1.01dp+13},
-        260},
+        112},
        0x1.ca371p+19, 895},
-      {{0x1.417d4p+20, 0x1.c8bcb50382d76p-18,
-        {0x1.c174p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.2517ep+20,
+      {{0x1.3f4acp+20, 0x1.6e0096e08143bp-18,
+        {0x1.9e4cp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.2517ep+20,
          0x1.388p+10},
-        320},
-       0x1.cc4dcp+19, 59},
-      {{0x1.385eep+20, 0x1.a0096154a0bb4p-18,
-        {0x1.afep+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1d4e2p+20,
+        120},
+       0x1.cad6cp+19, 59},
+      {{0x1.37112p+20, 0x1.5f6ef5db728d7p-18,
+        {0x1.9b04p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.1d4e2p+20,
          0x1.2cp+8},
-        294},
+        116},
        0x1.ca794p+19, 13},
-      {{0x1.f785bp+20, 0x1.4f6926efe3efap-17,
-        {0x1.c8b8p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.d9289p+20,
+      {{0x1.f51ebp+20, 0x1.1f23cb20d9e18p-17,
+        {0x1.a248p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.d9289p+20,
          0x1.d1ap+12},
-        346},
-       0x1.cc4a1p+19, 1728},
-      {{0x1.455c3p+20, 0x1.dceebfe058868p-18,
-        {0x1.c66p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.285d1p+20,
+        142},
+       0x1.ca791p+19, 1728},
+      {{0x1.43223p+20, 0x1.8519ee7ae0371p-18,
+        {0x1.a2cp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.285d1p+20,
          0x1.324p+11},
-        326},
-       0x1.cc327p+19, 87},
-      {{0x1.cfee6p+19, 0x1.1b102aeeff469p-18,
-        {0x1.b9b8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.b452ep+19,
+        146},
+       0x1.ca617p+19, 87},
+      {{0x1.ce1d6p+19, 0x1.048f98321775ep-18,
+        {0x1.9ca8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.b452ep+19,
          0x0p+0},
-        218},
-       0x1.cc2efp+19, 0},
+        94},
+       0x1.ca5dfp+19, 0},
       {{0x1.47848p+18, 0x1.48d61ba529736p-19,
         {0x1.9bb8p+15, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.140d8p+18,
          0x0p+0},
         90},
        0x1.4766cp+18, 0},
-      {{0x1.070b1p+21, 0x1.73eb6e27b4072p-17,
-        {0x1.ba3p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f205cp+20,
+      {{0x1.06391p+21, 0x1.4b453bca324c2p-17,
+        {0x1.9ffp+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f205cp+20,
          0x1.b58p+10},
-        404},
+        180},
        0x1.cbe11p+19, 1554},
-      {{0x1.7f9be8p+20, 0x1.71ce9238b4d88p-17,
-        {0x1.e064p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.607628p+20,
+      {{0x1.7d0428p+20, 0x1.3191105737d34p-17,
+        {0x1.b6e8p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.607628p+20,
          0x1.1f8p+12},
-        636},
+        282},
        0x1.b2fe2p+19, 443},
-      {{0x1.173678p+20, 0x1.16a5e5e434d32p-17,
-        {0x1.d308p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f3183p+19,
+      {{0x1.150038p+20, 0x1.bfb03ad56bd74p-18,
+        {0x1.afa4p+16, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.f3183p+19,
          0x1.e78p+10},
-        522},
+        220},
        0x1.72ef4p+19, 57},
   };
   return goldens;
