@@ -278,7 +278,7 @@ std::uint16_t ProgramBuilder::lt_chain(const Field& f, std::uint64_t value,
   for (int i = k + 1; i < f.width; ++i) {
     const std::uint16_t col = static_cast<std::uint16_t>(f.offset + i);
     const bool ci = (value >> i) & 1ULL;
-    if (neg == ci) set(emit_not(acc), !neg);
+    if (neg == ci) set(emit_not(acc), !neg);  // c_i = 1 reads lt, 0 NOT lt
     if (ci) {
       const std::uint16_t na = emit_not(col);
       set(emit_nor(na, acc), true);
